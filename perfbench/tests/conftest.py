@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the package under test importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
