@@ -34,6 +34,7 @@ from .model import (
     CLASSIFICATION,
     REGRESSION,
     BlockId,
+    GradientStack,
     MultiTaskModel,
     TaskBatch,
     TaskGradient,

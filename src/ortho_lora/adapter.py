@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dense import Matrix, Rng, as_matrix, gaussian_matrix, matmul
-from .errors import ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError
 
 ADAPTER_FORMAT = "ortho-lora-adapter"
 ADAPTER_FORMAT_VERSION = 1
@@ -99,17 +99,28 @@ def save_adapter(adapter: LoraAdapter, path: str | Path) -> None:
 
 
 def load_adapter(path: str | Path) -> LoraAdapter:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != ADAPTER_FORMAT:
-        raise ParameterError(f"{path}: not an adapter dump (format={payload.get('format')!r})")
+    """Read a save_adapter dump; bad content raises ConfigError naming the file and field."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != ADAPTER_FORMAT:
+        raise ConfigError(f"{path}: not an adapter dump (no \"format\": \"{ADAPTER_FORMAT}\")")
     if payload.get("version") != ADAPTER_FORMAT_VERSION:
-        raise ParameterError(f"{path}: unsupported adapter format version {payload.get('version')!r}")
-    a = as_matrix(payload["a"])
-    b = as_matrix(payload["b"])
-    rank = int(payload["rank"])
-    if a.shape != (rank, int(payload["k"])) or b.shape != (int(payload["d"]), rank):
-        raise ShapeError(
+        raise ConfigError(f"{path}: unsupported adapter format version {payload.get('version')!r}")
+    fields = {}
+    for name, read in (("a", as_matrix), ("b", as_matrix), ("d", int), ("k", int), ("rank", int),
+                       ("alpha", float)):
+        if name not in payload:
+            raise ConfigError(f"{path}: missing field {name!r}")
+        try:
+            fields[name] = read(payload[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: field {name!r}: {exc}") from None
+    a, b, rank = fields["a"], fields["b"], fields["rank"]
+    if a.shape != (rank, fields["k"]) or b.shape != (fields["d"], rank):
+        raise ConfigError(
             f"{path}: stored shapes a={a.shape}, b={b.shape} disagree with header "
-            f"(d={payload['d']}, k={payload['k']}, rank={rank})"
+            f"(d={fields['d']}, k={fields['k']}, rank={rank})"
         )
-    return LoraAdapter(a=a, b=b, rank=rank, alpha=float(payload["alpha"]))
+    return LoraAdapter(a=a, b=b, rank=rank, alpha=fields["alpha"])

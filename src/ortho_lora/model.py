@@ -13,17 +13,19 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
     grad_a = s * b^T @ dz @ h^T
     delta_h = w0^T @ dz + s * a^T @ (b^T @ dz)
 
-``fd_gradient`` provides the independent central-difference oracle used by
-the tests.
+Every batch column belongs to one task, so ``joint_gradient`` gets every
+task's gradient from one forward and one backward pass over the concatenated
+batch: the deltas propagate together and only the final outer products above
+are split by each task's column slice. ``fd_gradient`` provides the
+independent central-difference oracle used by the tests.
 
-Gradient computation reads the model without touching any parameter (the
-only mutated field is the backward_passes instrumentation counter), so
-gradients for different tasks may be computed concurrently; parameter
-updates happen strictly between gradient phases.
+Gradient code writes no parameter; its one side effect is the
+backward_passes instrumentation counter.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +78,28 @@ class TaskGradient:
     blocks: dict[BlockId, Matrix]
 
 
+@dataclass(eq=False)
+class GradientStack(Sequence):
+    """Several tasks' gradients, each adapter block stacked on a leading task axis.
+
+    adapters[bid] has shape (T, *block shape) and its row t belongs to task
+    task_ids[t], whose own head gradient is heads[t]. Indexing yields per-task
+    TaskGradient views, so a stack serves wherever a list of them does.
+    """
+
+    task_ids: list[int]
+    adapters: dict[BlockId, np.ndarray]
+    heads: list[Matrix]
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __getitem__(self, pos: int) -> TaskGradient:
+        blocks = {bid: arr[pos] for bid, arr in self.adapters.items()}
+        blocks[BlockId("HEAD", self.task_ids[pos])] = self.heads[pos]
+        return TaskGradient(task_id=self.task_ids[pos], blocks=blocks)
+
+
 @dataclass
 class MultiTaskModel:
     layers: list[FrozenLayer]
@@ -99,13 +123,6 @@ class MultiTaskModel:
     def feature_dim(self) -> int:
         return self.layers[-1].w0.shape[0]
 
-    def adapter_block_ids(self) -> list[BlockId]:
-        out = []
-        for i in range(self.num_layers):
-            out.append(BlockId("A", i))
-            out.append(BlockId("B", i))
-        return out
-
     def block(self, bid: BlockId) -> Matrix:
         if bid.role == "A":
             return self.layers[bid.index].adapter.a
@@ -114,9 +131,6 @@ class MultiTaskModel:
         if bid.role == "HEAD":
             return self.heads[bid.index]
         raise ParameterError(f"unknown block role {bid.role!r}")
-
-    def set_block(self, bid: BlockId, value: Matrix) -> None:
-        self.block(bid)[...] = value
 
     def trainable_blocks(self) -> dict[BlockId, Matrix]:
         """Live views of every trainable matrix (adapters + all heads)."""
@@ -281,7 +295,19 @@ def _check_weights(
     return [float(w) for w in weights]
 
 
-def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: Matrix) -> dict[BlockId, Matrix]:
+def _outer(left: Matrix, right: Matrix, sizes: list[int] | None) -> np.ndarray:
+    """left @ right.T; given task batch sizes, one product per task's column slice, stacked."""
+    if sizes is None:
+        return left @ right.T
+    t, n = len(sizes), sizes[0]
+    if sizes.count(n) == t:  # equal slices: one batched matmul over (T, rows, n) views
+        return left.reshape(-1, t, n).transpose(1, 0, 2) @ right.reshape(-1, t, n).transpose(1, 2, 0)
+    edges = np.cumsum([0] + sizes).tolist()
+    return np.stack([left[:, a:b] @ right[:, a:b].T for a, b in zip(edges, edges[1:])])
+
+
+def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: Matrix,
+                    sizes: list[int] | None = None) -> dict[BlockId, Matrix]:
     """Propagate d(loss)/d(features) down the stack; adapter gradients only."""
     grads: dict[BlockId, Matrix] = {}
     delta_h = delta_features
@@ -290,9 +316,9 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: M
         ad = layer.adapter
         cache = caches[i]
         dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
-        grads[BlockId("B", i)] = ad.scale * (dz @ cache["ah"].T)
+        grads[BlockId("B", i)] = ad.scale * _outer(dz, cache["ah"], sizes)
         bt_dz = ad.b.T @ dz
-        grads[BlockId("A", i)] = ad.scale * (bt_dz @ cache["h_in"].T)
+        grads[BlockId("A", i)] = ad.scale * _outer(bt_dz, cache["h_in"], sizes)
         if i > 0:
             delta_h = layer.w0.T @ dz + ad.scale * (ad.a.T @ bt_dz)
     model.backward_passes += 1
@@ -315,40 +341,35 @@ def task_gradient(model: MultiTaskModel, batch: TaskBatch) -> TaskGradient:
     return task_loss_and_gradient(model, batch)[1]
 
 
-def joint_gradient(
-    model: MultiTaskModel, batches: list[TaskBatch], weights: list[float] | None = None
-) -> tuple[dict[BlockId, Matrix], list[float]]:
-    """Gradient of the weighted summed loss in one fused backward pass.
+def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[GradientStack, list[float]]:
+    """Every task's gradient and loss from one forward and one backward pass.
 
-    All batches are concatenated column-wise, pushed through the stack once,
-    and the per-head output deltas are assembled into a single feature delta
-    before the one backward sweep. Returns the merged gradient over every
-    trainable block plus the per-task losses.
+    The batches run through the stack as one column-concatenated batch; only
+    the heads run per task (out dims and kinds may differ). The feature delta
+    propagates once, and each task's adapter gradient is the final outer
+    product over its own column slice. Losses are in task order.
     """
-    weights = _check_weights(model, batches, weights)
+    _check_weights(model, batches, None)
     ordered = sorted(batches, key=lambda b: b.task_id)
     for b in ordered:
         _check_batch(model, b)
-    x_union = np.concatenate([b.x for b in ordered], axis=1)
-    features, caches = forward_features(model, x_union)
+    sizes = [b.x.shape[1] for b in ordered]
+    features, caches = forward_features(model, np.concatenate([b.x for b in ordered], axis=1))
 
     losses: list[float] = []
-    delta_features = np.zeros_like(features)
-    merged: dict[BlockId, Matrix] = {}
+    heads: list[Matrix] = []
+    delta_features = np.empty_like(features)
     col = 0
-    for b in ordered:
-        n = b.x.shape[1]
+    for b, n in zip(ordered, sizes):
         sl = slice(col, col + n)
         col += n
         out = _task_output(model, b.task_id, features[:, sl])
         loss, g_out = _loss_and_output_grad(model.task_specs[b.task_id], out, b.y)
         losses.append(loss)
-        w = weights[b.task_id]
-        g_out = w * g_out
         delta_features[:, sl] = model.heads[b.task_id].T @ g_out
-        merged[BlockId("HEAD", b.task_id)] = g_out @ features[:, sl].T
-    merged.update(_backprop_stack(model, caches, delta_features))
-    return merged, losses
+        heads.append(g_out @ features[:, sl].T)
+    adapters = _backprop_stack(model, caches, delta_features, sizes)
+    return GradientStack([b.task_id for b in ordered], adapters, heads), losses
 
 
 def fd_gradient(model: MultiTaskModel, batch: TaskBatch, block: BlockId, h: float) -> Matrix:

@@ -18,17 +18,25 @@ against the other tasks' ORIGINAL gradients (order-robust; the randomized
 order still matters because projections compound on the task being fixed).
 ``project_against="mutated"`` switches to projecting against whatever the
 other task's gradient currently is, for comparison.
+
+Report, projection and merge run on each scope group's Gram matrix G = V V^T
+(row t of V: task t's original gradient over the group). Under the original
+rule every working gradient is c^T V for a coefficient row c, so each inner
+product it needs is an entry of C G and the projected gradients are C V.
+``project_pair`` is the same rule on explicit vectors; the mutated rule uses it.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense import Matrix, Rng
 from .errors import NumericError, ParameterError, ShapeError
-from .model import BlockId, TaskGradient
+from .model import BlockId, GradientStack, TaskGradient
 
 FLAT = "FLAT"
 PER_MATRIX = "PER_MATRIX"
@@ -94,23 +102,30 @@ def _group_vector(grad: TaskGradient, bids: list[BlockId]) -> np.ndarray:
     return np.concatenate([grad.blocks[b].ravel() for b in bids])
 
 
-def _check_structures(grads: list[TaskGradient]) -> None:
+def stack_gradients(grads: Sequence[TaskGradient]) -> GradientStack:
+    """The gradients as one GradientStack, checked once; a stack passes through."""
+    if isinstance(grads, GradientStack):
+        return grads
     if not grads:
         raise ParameterError("surgery/merge needs at least one task gradient")
-    ref = grads[0]
-    ref_bids = adapter_block_order(ref)
-    for g in grads[1:]:
-        if adapter_block_order(g) != ref_bids:
-            raise ShapeError(
-                f"task {g.task_id} adapter blocks {adapter_block_order(g)} "
-                f"differ from task {ref.task_id} blocks {ref_bids}"
-            )
-        for b in ref_bids:
-            if g.blocks[b].shape != ref.blocks[b].shape:
-                raise ShapeError(
-                    f"block {b}: task {g.task_id} shape {g.blocks[b].shape} vs "
-                    f"task {ref.task_id} shape {ref.blocks[b].shape}"
-                )
+    shapes = [{b: g.blocks[b].shape for b in adapter_block_order(g)} for g in grads]
+    for g, got in zip(grads, shapes):
+        if got != shapes[0]:
+            raise ShapeError(f"task {g.task_id} adapter blocks {got} differ from {shapes[0]}")
+    heads = [g.blocks.get(BlockId("HEAD", g.task_id)) for g in grads]
+    if any(h is None for h in heads):
+        raise ShapeError("every task gradient needs its own head block")
+    adapters = {b: np.stack([g.blocks[b] for g in grads]) for b in shapes[0]}
+    return GradientStack([g.task_id for g in grads], adapters, heads)
+
+
+def _gram(stack: GradientStack, bids: list[BlockId]) -> np.ndarray:
+    """G = V V^T over one scope group, summed blockwise without concatenation."""
+    vs = [stack.adapters[b].reshape(len(stack), -1) for b in bids]
+    gram = vs[0] @ vs[0].T
+    for v in vs[1:]:
+        gram += v @ v.T
+    return gram
 
 
 def pairwise_cosine(
@@ -118,23 +133,14 @@ def pairwise_cosine(
 ) -> float:
     """Cosine of the two gradients over the scoped entries; 0.0 when a norm is zero.
 
-    For FLAT, block must be None; for the per-block scopes it names the group.
+    For FLAT, block may be None; for the per-block scopes it names the group.
     """
-    _check_structures([gi, gj])
     groups = dict(scope_groups(gi, scope))
-    if scope == FLAT:
-        if block is not None and block != "flat":
-            raise ParameterError(f"FLAT scope has no block {block!r}")
-        bids = groups["flat"]
-    else:
-        if block is None or block not in groups:
-            raise ParameterError(
-                f"scope {scope} needs a block label from {sorted(groups)}, got {block!r}"
-            )
-        bids = groups[block]
-    vi = _group_vector(gi, bids)
-    vj = _group_vector(gj, bids)
-    return _cosine(float(vi @ vj), float(np.linalg.norm(vi)), float(np.linalg.norm(vj)))
+    label = "flat" if scope == FLAT and block is None else block
+    if label not in groups:
+        raise ParameterError(f"scope {scope} has no block {block!r}; expected one of {sorted(groups)}")
+    gram = _gram(stack_gradients([gi, gj]), groups[label]).tolist()
+    return _cosine(gram[0][1], math.sqrt(gram[0][0]), math.sqrt(gram[1][1]))
 
 
 def _cosine(dot: float, ni: float, nj: float) -> float:
@@ -164,99 +170,110 @@ def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
     return gi_vec - (dot / nj_sq) * gj_vec
 
 
+def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
+    """C of the original rule for one scope group, or None when no pair conflicts.
+
+    Row i of dots = C G holds <w_i, g_k> for every k, so each pair test is a
+    lookup and only a conflict costs an O(T) row update.
+    """
+    originals = gram.tolist()
+    coeffs = np.eye(len(gram)).tolist()
+    dots = [row[:] for row in originals]
+    fired = False
+    for i in order:
+        for j in order:
+            if j == i or dots[i][j] >= 0.0:
+                continue
+            if originals[j][j] < DEGENERATE_NORM * DEGENERATE_NORM:
+                raise NumericError(f"surgery: conflicting dot {dots[i][j]} against a gradient "
+                                   f"of norm {np.sqrt(originals[j][j])} below {DEGENERATE_NORM}")
+            coef = dots[i][j] / originals[j][j]
+            coeffs[i][j] -= coef
+            dots[i] = [a - coef * b for a, b in zip(dots[i], originals[j])]
+            fired = True
+    return np.array(coeffs) if fired else None
+
+
+def _project_mutated(stack: GradientStack, bids: list[BlockId],
+                     order: list[int]) -> dict[BlockId, np.ndarray]:
+    """The mutated rule on the group's explicit rows.
+
+    Its dots involve gradients that were projected already; read from G they
+    lose all precision once such a gradient cancels to rounding noise.
+    """
+    rows = np.concatenate([stack.adapters[b].reshape(len(stack), -1) for b in bids], axis=1)
+    for i in order:
+        for j in order:
+            if j != i:
+                rows[i] = project_pair(rows[i], rows[j])
+    edges = np.cumsum([stack.adapters[b][0].size for b in bids])[:-1]
+    return {b: part.reshape(stack.adapters[b].shape)
+            for b, part in zip(bids, np.split(rows, edges, axis=1))}
+
+
 def surgery(
-    grads: list[TaskGradient],
+    grads: Sequence[TaskGradient],
     scope: str,
     rng: Rng,
     project_against: str = PROJECT_AGAINST_ORIGINAL,
     stats: SurgeryStats | None = None,
-) -> list[TaskGradient]:
+) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
-    Inputs are not mutated; the returned gradients have fresh adapter arrays,
-    and head blocks are copied through untouched.
+    Inputs are not mutated. A group without conflicts keeps its input
+    arrays; a projected group gets fresh arrays. Heads pass through.
     """
-    _check_structures(grads)
     if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
         raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
-    groups = scope_groups(grads[0], scope)
-    t_count = len(grads)
-
-    originals = [{label: _group_vector(g, bids) for label, bids in groups} for g in grads]
-    working = [{label: vec.copy() for label, vec in o.items()} for o in originals]
+    stack = stack_gradients(grads)
+    groups = scope_groups(stack[0], scope)
     if stats is not None:
-        stats.floats_touched += sum(vec.size for o in originals for vec in o.values())
+        stats.floats_touched += sum(arr.size for arr in stack.adapters.values())
 
-    order = rng.permutation(t_count)
-    for i in order:
-        for j in order:
-            if j == i:
-                continue
-            source = originals if project_against == PROJECT_AGAINST_ORIGINAL else working
-            for label, _ in groups:
-                working[i][label] = project_pair(working[i][label], source[j][label])
-
-    out: list[TaskGradient] = []
-    for pos, g in enumerate(grads):
-        blocks: dict[BlockId, Matrix] = {}
-        for label, bids in groups:
-            vec = working[pos][label]
-            offset = 0
-            for b in bids:
-                shape = g.blocks[b].shape
-                size = g.blocks[b].size
-                blocks[b] = vec[offset : offset + size].reshape(shape).copy()
-                offset += size
-        for b, arr in g.blocks.items():
-            if b.role == "HEAD":
-                blocks[b] = arr.copy()
-        out.append(TaskGradient(task_id=g.task_id, blocks=blocks))
-    return out
+    order = rng.permutation(len(stack))
+    adapters = dict(stack.adapters)
+    for _, bids in groups:
+        if project_against == PROJECT_AGAINST_MUTATED:
+            adapters.update(_project_mutated(stack, bids, order))
+            continue
+        coeffs = _coefficients(_gram(stack, bids), order)
+        if coeffs is None:
+            continue
+        for b in bids:
+            arr = stack.adapters[b]
+            adapters[b] = (coeffs @ arr.reshape(len(stack), -1)).reshape(arr.shape)
+    return GradientStack(stack.task_ids, adapters, stack.heads)
 
 
-def merge(grads: list[TaskGradient]) -> dict[BlockId, Matrix]:
+def merge(grads: Sequence[TaskGradient]) -> dict[BlockId, Matrix]:
     """Blockwise sum; each task's head enters only from its own gradient."""
-    _check_structures(grads)
-    merged: dict[BlockId, Matrix] = {}
-    for g in grads:
-        for b, arr in g.blocks.items():
-            if b in merged:
-                if merged[b].shape != arr.shape:
-                    raise ShapeError(
-                        f"merge: block {b} shape {arr.shape} does not match {merged[b].shape}"
-                    )
-                merged[b] = merged[b] + arr
-            else:
-                merged[b] = arr.copy()
+    stack = stack_gradients(grads)
+    merged = {b: arr.sum(axis=0) for b, arr in stack.adapters.items()}
+    for t, head in zip(stack.task_ids, stack.heads):
+        bid = BlockId("HEAD", t)
+        merged[bid] = merged[bid] + head if bid in merged else head
     return merged
 
 
-def build_conflict_report(step: int, grads: list[TaskGradient], scope: str) -> ConflictReport:
+def build_conflict_report(step: int, grads: Sequence[TaskGradient], scope: str) -> ConflictReport:
     """Dot/cosine rows for every unordered task pair in every scoped block.
 
-    Computed from the gradients as given (pre-surgery originals in the
-    trainer), so the report does not depend on the shuffled projection order.
+    Read from the Gram matrices of the gradients as given (pre-surgery
+    originals in the trainer), so the report does not depend on the shuffled
+    projection order.
     """
-    _check_structures(grads)
+    stack = stack_gradients(grads)
     report = ConflictReport(step=step, scope=scope)
-    if len(grads) < 2:
+    if len(stack) < 2:
         return report
-    groups = scope_groups(grads[0], scope)
-    ordered = sorted(grads, key=lambda g: g.task_id)
-    vectors = [{label: _group_vector(g, bids) for label, bids in groups} for g in ordered]
-    norms = [{label: float(np.linalg.norm(v)) for label, v in vecs.items()} for vecs in vectors]
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            for label, _ in groups:
-                dot = float(vectors[a][label] @ vectors[b][label])
-                report.pairs.append(
-                    ConflictPair(
-                        i=ordered[a].task_id,
-                        j=ordered[b].task_id,
-                        block=label,
-                        dot=dot,
-                        cosine=_cosine(dot, norms[a][label], norms[b][label]),
-                        conflicted=dot < 0.0,
-                    )
-                )
+    grams = [(label, _gram(stack, bids).tolist()) for label, bids in scope_groups(stack[0], scope)]
+    norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for _, gram in grams]
+    ids = stack.task_ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    for x, p in enumerate(order):
+        for q in order[x + 1:]:
+            for (label, gram), norm in zip(grams, norms):
+                dot = gram[p][q]
+                report.pairs.append(ConflictPair(ids[p], ids[q], label, dot,
+                                                 _cosine(dot, norm[p], norm[q]), dot < 0.0))
     return report

@@ -4,15 +4,19 @@ Four modes:
 
 * SINGLE_TASK      - one independent model per task, each trained on its own
                      task only (the per-task upper bound; T times the params)
-* JOINT            - one shared model updated with the gradient of the summed
-                     loss, computed in a single fused backward pass
-* ORTHO_FLAT       - per-task gradients, conditional projection over each
-                     task's flattened adapter vector, merge, update
+* JOINT            - one shared model updated with the sum of the task
+                     gradients, i.e. the gradient of the summed loss
+* ORTHO_FLAT       - conditional projection over each task's flattened
+                     adapter gradient, then the sum
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
-Head gradients bypass projection in every mode. All modes draw identical
-batch sequences for a given seed: data order, task generation, model init
-and the surgery shuffle each consume their own named substream.
+JOINT and both ORTHO modes share one gradient path: ``joint_gradient`` gives
+every task's gradient from one fused forward and backward pass, the conflict
+report and the projection read per-group Gram matrices of that stack, and
+merge sums its rows. Head gradients bypass projection in every mode. All
+modes draw identical batch sequences for a given seed: data order, task
+generation, model init and the surgery shuffle each consume their own named
+substream.
 """
 
 from __future__ import annotations
@@ -86,22 +90,14 @@ class MetricsLog:
 def count_backward_passes(mode: str, num_tasks: int) -> int:
     """Backward sweeps through the shared stack that one train step costs.
 
-    JOINT fuses all tasks into one backward; the per-task modes need one per
-    task. Diagnostic conflict recording during JOINT adds num_tasks more, but
-    that is off the algorithm's critical path and excluded here.
+    JOINT and the ORTHO modes get every task's gradient from one fused
+    backward; SINGLE_TASK trains num_tasks separate models, one sweep each.
     """
-    if mode == JOINT:
+    if mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
         return 1
-    if mode in (ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
+    if mode == SINGLE_TASK:
         return num_tasks
     raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
-
-
-def resolve_scope(mode: str, structured_scope: str) -> str:
-    """Projection scope for a mode; non-ORTHO modes use it for diagnostics only."""
-    if mode == ORTHO_FLAT:
-        return FLAT
-    return structured_scope
 
 
 def train_step(
@@ -115,7 +111,6 @@ def train_step(
     scope: str,
     project_against: str = "original",
     record_conflicts: bool = True,
-    stats: SurgeryStats | None = None,
 ) -> tuple[list[StepRecord], ConflictReport | None]:
     """One optimization step; returns per-task loss records and the conflict
     report (ORTHO always, JOINT only when diagnostics are on)."""
@@ -128,30 +123,19 @@ def train_step(
     ordered = sorted(batches, key=lambda b: b.task_id)
 
     report: ConflictReport | None = None
-    if mode == JOINT:
-        model = models[0]
-        merged, losses = joint_gradient(model, ordered)
-        if record_conflicts:
-            diag = [task_loss_and_gradient(model, b)[1] for b in ordered]
-            report = build_conflict_report(step, diag, scope)
-        _apply(model, merged, opt_states[0], lr)
-    elif mode in (ORTHO_FLAT, ORTHO_STRUCTURED):
-        model = models[0]
-        losses = []
-        grads = []
-        for b in ordered:
-            loss, g = task_loss_and_gradient(model, b)
-            losses.append(loss)
-            grads.append(g)
-        report = build_conflict_report(step, grads, scope)
-        projected = surgery(grads, scope, surgery_rng, project_against, stats=stats)
-        _apply(model, merge(projected), opt_states[0], lr)
-    elif mode == SINGLE_TASK:
+    if mode == SINGLE_TASK:
         losses = []
         for b in ordered:
             loss, g = task_loss_and_gradient(models[b.task_id], b)
             losses.append(loss)
             _apply(models[b.task_id], g.blocks, opt_states[b.task_id], lr)
+    elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
+        grads, losses = joint_gradient(models[0], ordered)
+        if mode != JOINT or record_conflicts:
+            report = build_conflict_report(step, grads, scope)
+        if mode != JOINT:
+            grads = surgery(grads, scope, surgery_rng, project_against)
+        _apply(models[0], merge(grads), opt_states[0], lr)
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
 
@@ -214,7 +198,8 @@ def run_mode(config: ExperimentConfig, mode: str,
     opt_states = [AdamWState(hyper=config.optimizer) for _ in models]
     data_rng = master.child(STREAM_DATA)
     surgery_rng = master.child(STREAM_SURGERY)
-    scope = resolve_scope(mode, config.surgery.scope)
+    # ORTHO_FLAT projects FLAT; the other modes report in the configured scope
+    scope = FLAT if mode == ORTHO_FLAT else config.surgery.scope
 
     log = MetricsLog(mode=mode)
 
@@ -274,7 +259,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def measure_surgery_floats(model: MultiTaskModel, batches: list[TaskBatch],
                            scope: str, seed: int = 0) -> int:
     """Instrumented float count for one surgery pass on this model's gradients."""
-    grads = [task_loss_and_gradient(model, b)[1] for b in sorted(batches, key=lambda b: b.task_id)]
+    grads, _ = joint_gradient(model, batches)
     stats = SurgeryStats()
     surgery(grads, scope, Rng(seed), stats=stats)
     return stats.floats_touched

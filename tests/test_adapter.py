@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ortho_lora import (
+    ConfigError,
     FrozenLayer,
     ParameterError,
     Rng,
@@ -116,3 +117,23 @@ def test_load_rejects_wrong_format(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(ParameterError):
         load_adapter(path)
+
+
+def _dump(tmp_path, edit):
+    path = tmp_path / "adapter.json"
+    save_adapter(init_adapter(4, 3, 2, 0.1, 2.0, Rng(1)), path)
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda text: text[: len(text) // 2], "JSON"),
+    (lambda text: text.replace('"a":', '"a_renamed":'), "'a'"),
+    (lambda text: text.replace('"b": [', '"b": 7, "unused": ['), "'b'"),
+])
+def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field):
+    path = _dump(tmp_path, edit)
+    with pytest.raises(ConfigError) as info:
+        load_adapter(path)
+    assert str(path) in str(info.value)
+    assert field in str(info.value)

@@ -20,6 +20,7 @@ from ortho_lora import (
     fd_gradient,
     joint_gradient,
     joint_loss,
+    merge,
     predict,
     task_gradient,
     task_loss,
@@ -199,7 +200,8 @@ class TestJointGradient:
     def test_linearity_matches_per_task_sum(self):
         model = random_model(21, randomize_b=True)
         batches = [random_batch(model, t, 5, seed=20 + t) for t in range(2)]
-        merged, losses = joint_gradient(model, batches)
+        stack, losses = joint_gradient(model, batches)
+        merged = merge(stack)
         per_task = [task_gradient(model, b) for b in batches]
         for bid, arr in merged.items():
             if bid.role == "HEAD":

@@ -135,14 +135,14 @@ class TestTrainStep:
 class TestBackwardCounting:
     def test_formula(self):
         assert count_backward_passes(JOINT, 3) == 1
-        assert count_backward_passes(ORTHO_FLAT, 3) == 3
-        assert count_backward_passes(ORTHO_STRUCTURED, 3) == 3
+        assert count_backward_passes(ORTHO_FLAT, 3) == 1
+        assert count_backward_passes(ORTHO_STRUCTURED, 3) == 1
         assert count_backward_passes(SINGLE_TASK, 3) == 3
         with pytest.raises(ParameterError):
             count_backward_passes("BOGUS", 2)
 
-    @pytest.mark.parametrize("mode,expected", [(JOINT, 1), (ORTHO_FLAT, 2),
-                                               (ORTHO_STRUCTURED, 2), (SINGLE_TASK, 2)])
+    @pytest.mark.parametrize("mode,expected", [(JOINT, 1), (ORTHO_FLAT, 1),
+                                               (ORTHO_STRUCTURED, 1), (SINGLE_TASK, 2)])
     def test_instrumented_counts_match(self, mode, expected):
         model = random_model(8, specs=[TaskSpec(REGRESSION, 3), TaskSpec(REGRESSION, 2)],
                              randomize_b=True)
