@@ -11,8 +11,6 @@ optimizer's properties measurable on a laptop.
 from .adapter import (
     FrozenLayer,
     LoraAdapter,
-    adapted_forward,
-    delta_weight,
     init_adapter,
     load_adapter,
     save_adapter,
@@ -28,7 +26,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .dense import Matrix, Rng, flat_dot, frob_norm, gaussian_matrix, matmul
+from .dense import Matrix, Rng, gaussian_matrix
 from .errors import ConfigError, NumericError, OrthoLoraError, ParameterError, ShapeError
 from .model import (
     CLASSIFICATION,
@@ -69,7 +67,6 @@ from .surgery import (
     SurgeryStats,
     build_conflict_report,
     merge,
-    pairwise_cosine,
     project_pair,
     surgery,
 )

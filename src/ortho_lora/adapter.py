@@ -1,9 +1,10 @@
-"""Low-rank adapter pairs and the adapted forward map of one linear layer.
+"""Low-rank adapter pairs on frozen linear layers, and their JSON dump format.
 
 An adapter holds the trainable pair (a, b) next to a frozen base weight w0:
 the effective weight is ``w0 + (alpha / rank) * b @ a``. A fresh adapter has
 b identically zero, so a freshly adapted layer computes exactly what the
 frozen layer computes. Setting alpha equal to rank removes the scale factor.
+The forward pass itself is ``model.forward_features``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense import Matrix, Rng, as_matrix, gaussian_matrix, matmul
-from .errors import ConfigError, ParameterError, ShapeError
+from .dense import Matrix, Rng, as_matrix, gaussian_matrix
+from .errors import ConfigError, ParameterError
 
 ADAPTER_FORMAT = "ortho-lora-adapter"
 ADAPTER_FORMAT_VERSION = 1
@@ -42,9 +43,6 @@ class LoraAdapter:
     def k(self) -> int:
         return self.a.shape[1]
 
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.a.copy(), self.b.copy(), self.rank, self.alpha)
-
 
 @dataclass
 class FrozenLayer:
@@ -52,9 +50,6 @@ class FrozenLayer:
 
     w0: Matrix
     adapter: LoraAdapter
-
-    def copy(self) -> "FrozenLayer":
-        return FrozenLayer(self.w0.copy(), self.adapter.copy())
 
 
 def init_adapter(d: int, k: int, rank: int, sigma: float, alpha: float, rng: Rng) -> LoraAdapter:
@@ -66,21 +61,6 @@ def init_adapter(d: int, k: int, rank: int, sigma: float, alpha: float, rng: Rng
     a = gaussian_matrix(rank, k, sigma, rng)
     b = np.zeros((d, rank), dtype=np.float64)
     return LoraAdapter(a=a, b=b, rank=rank, alpha=float(alpha))
-
-
-def delta_weight(adapter: LoraAdapter) -> Matrix:
-    """The d x k low-rank weight update (alpha / rank) * b @ a."""
-    return adapter.scale * matmul(adapter.b, adapter.a)
-
-
-def adapted_forward(layer: FrozenLayer, x: Matrix) -> Matrix:
-    """w0 @ x plus the adapter contribution, computed on the cheap b(a x) route."""
-    if x.ndim != 2 or x.shape[0] != layer.w0.shape[1]:
-        raise ShapeError(
-            f"adapted_forward: input {x.shape} does not match layer w0 {layer.w0.shape}"
-        )
-    ad = layer.adapter
-    return matmul(layer.w0, x) + ad.scale * matmul(ad.b, matmul(ad.a, x))
 
 
 def save_adapter(adapter: LoraAdapter, path: str | Path) -> None:

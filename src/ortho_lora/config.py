@@ -8,6 +8,7 @@ error names the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def _as_float(value, path: str, minimum: float | None = None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     if exclusive_min is not None and value <= exclusive_min:
@@ -340,8 +343,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     return config_from_dict(raw)
 
 

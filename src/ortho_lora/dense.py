@@ -1,8 +1,8 @@
-"""Dense float64 matrix helpers and seeded randomness.
+"""The float64 matrix type, its validation, and seeded randomness.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order,
-double precision throughout. The helpers here add the shape checking the
-rest of the package relies on; numerics are delegated to numpy.
+double precision throughout; numerics are numpy's own. ``as_matrix``
+validates matrices read from adapter dumps.
 
 Randomness: :class:`Rng` wraps ``numpy.random.Generator`` seeded from a
 PCG64 bit generator. Normal deviates come from numpy's ziggurat sampler on
@@ -29,25 +29,6 @@ def as_matrix(data) -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def flat_dot(a: Matrix, b: Matrix) -> float:
-    """Inner product over flattened entries; operands must share a shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"flat_dot: shapes {a.shape} and {b.shape} differ")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
-def frob_norm(a: Matrix) -> float:
-    """Frobenius norm, sqrt of the self flat_dot."""
-    return float(np.linalg.norm(a.ravel()))
-
-
 class Rng:
     """Deterministic random source: PCG64 stream behind numpy's Generator.
 
@@ -68,9 +49,6 @@ class Rng:
     def child(self, stream: int) -> "Rng":
         """Independent named substream; `stream` indices are fixed per use site."""
         return Rng(self.seed, self.spawn_key + (int(stream),))
-
-    def normal(self, rows: int, cols: int, sigma: float = 1.0) -> Matrix:
-        return gaussian_matrix(rows, cols, sigma, self)
 
     def permutation(self, n: int) -> list[int]:
         return [int(i) for i in self._gen.permutation(n)]

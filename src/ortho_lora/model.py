@@ -6,6 +6,11 @@ adapter. Per-task linear heads map the final features to task outputs. The
 trainable parameters are the adapter pairs plus the heads; w0 matrices are
 never touched.
 
+The trainable parameters live in one float64 vector, ``model.params``, laid
+out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix and
+head is a view into it. A ``GradientStack`` holds task gradients as the rows
+of one (T, P) matrix in the same layout.
+
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
 
@@ -78,34 +83,81 @@ class TaskGradient:
     blocks: dict[BlockId, Matrix]
 
 
+# Where each trainable block sits in a flat parameter vector: (slice, shape).
+Layout = dict[BlockId, tuple[slice, tuple[int, ...]]]
+
+
+def param_layout(a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
+                 head_shapes: list[tuple[int, ...]]) -> Layout:
+    """The flat layout [A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]."""
+    layout: Layout = {}
+    start = 0
+    for role, shapes in (("A", a_shapes), ("B", b_shapes), ("HEAD", head_shapes)):
+        for i, shape in enumerate(shapes):
+            stop = start + int(np.prod(shape))
+            layout[BlockId(role, i)] = (slice(start, stop), tuple(shape))
+            start = stop
+    return layout
+
+
+def block_views(vec: np.ndarray, layout: Layout) -> dict[BlockId, Matrix]:
+    """Every block of the layout as a matrix view into the flat vector vec."""
+    return {bid: vec[sl].reshape(shape) for bid, (sl, shape) in layout.items()}
+
+
 @dataclass(eq=False)
 class GradientStack(Sequence):
-    """Several tasks' gradients, each adapter block stacked on a leading task axis.
+    """Several tasks' gradients as the rows of one (T, P) matrix in a parameter layout.
 
-    adapters[bid] has shape (T, *block shape) and its row t belongs to task
-    task_ids[t], whose own head gradient is heads[t]. Indexing yields per-task
-    TaskGradient views, so a stack serves wherever a list of them does.
+    Row t is task task_ids[t]'s full gradient: every adapter block and its own
+    head; the other tasks' head entries are zero. Indexing yields the row as
+    a TaskGradient of block views.
     """
 
     task_ids: list[int]
-    adapters: dict[BlockId, np.ndarray]
-    heads: list[Matrix]
+    rows: np.ndarray
+    layout: Layout
 
     def __len__(self) -> int:
         return len(self.task_ids)
 
     def __getitem__(self, pos: int) -> TaskGradient:
-        blocks = {bid: arr[pos] for bid, arr in self.adapters.items()}
-        blocks[BlockId("HEAD", self.task_ids[pos])] = self.heads[pos]
-        return TaskGradient(task_id=self.task_ids[pos], blocks=blocks)
+        task_id = self.task_ids[pos]
+        row = self.rows[pos]
+        return TaskGradient(task_id, {bid: row[sl].reshape(shape)
+                                      for bid, (sl, shape) in self.layout.items()
+                                      if bid.role != "HEAD" or bid.index == task_id})
 
 
-@dataclass
+@dataclass(eq=False)
 class MultiTaskModel:
+    """Frozen layers, adapters and heads; the trainable ones are views into params.
+
+    Construction copies every adapter a/b and head into a fresh params
+    vector laid out by ``layout`` and rebinds them as views into it, so a
+    model always owns its own buffer.
+    """
+
     layers: list[FrozenLayer]
     heads: list[Matrix]
     task_specs: list[TaskSpec]
-    backward_passes: int = field(default=0, compare=False)
+    backward_passes: int = 0
+    params: np.ndarray = field(init=False, repr=False)
+    layout: Layout = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ads = [layer.adapter for layer in self.layers]
+        self.layout = param_layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
+                                   [h.shape for h in self.heads])
+        sources = [ad.a for ad in ads] + [ad.b for ad in ads] + list(self.heads)
+        self.params = np.concatenate([m.ravel() for m in sources])
+        views = block_views(self.params, self.layout)
+        self.layers = [
+            FrozenLayer(layer.w0, LoraAdapter(views[BlockId("A", i)], views[BlockId("B", i)],
+                                              layer.adapter.rank, layer.adapter.alpha))
+            for i, layer in enumerate(self.layers)
+        ]
+        self.heads = [views[BlockId("HEAD", t)] for t in range(len(self.heads))]
 
     @property
     def num_tasks(self) -> int:
@@ -124,33 +176,20 @@ class MultiTaskModel:
         return self.layers[-1].w0.shape[0]
 
     def block(self, bid: BlockId) -> Matrix:
-        if bid.role == "A":
-            return self.layers[bid.index].adapter.a
-        if bid.role == "B":
-            return self.layers[bid.index].adapter.b
-        if bid.role == "HEAD":
-            return self.heads[bid.index]
-        raise ParameterError(f"unknown block role {bid.role!r}")
+        sl, shape = self.layout[bid]
+        return self.params[sl].reshape(shape)
 
     def trainable_blocks(self) -> dict[BlockId, Matrix]:
         """Live views of every trainable matrix (adapters + all heads)."""
-        out: dict[BlockId, Matrix] = {}
-        for i, layer in enumerate(self.layers):
-            out[BlockId("A", i)] = layer.adapter.a
-            out[BlockId("B", i)] = layer.adapter.b
-        for t, head in enumerate(self.heads):
-            out[BlockId("HEAD", t)] = head
-        return out
+        return block_views(self.params, self.layout)
 
     def adapter_param_count(self) -> int:
         return sum(l.adapter.a.size + l.adapter.b.size for l in self.layers)
 
     def copy(self) -> "MultiTaskModel":
-        return MultiTaskModel(
-            layers=[l.copy() for l in self.layers],
-            heads=[h.copy() for h in self.heads],
-            task_specs=list(self.task_specs),
-        )
+        """A model with its own params buffer (and its own w0 copies)."""
+        return MultiTaskModel([FrozenLayer(l.w0.copy(), l.adapter) for l in self.layers],
+                              self.heads, list(self.task_specs))
 
 
 def build_model(
@@ -307,38 +346,38 @@ def _outer(left: Matrix, right: Matrix, sizes: list[int] | None) -> np.ndarray:
 
 
 def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: Matrix,
-                    sizes: list[int] | None = None) -> dict[BlockId, Matrix]:
-    """Propagate d(loss)/d(features) down the stack; adapter gradients only."""
-    grads: dict[BlockId, Matrix] = {}
+                    rows: np.ndarray, sizes: list[int] | None = None) -> None:
+    """Propagate d(loss)/d(features) down the stack into the adapter columns of rows."""
     delta_h = delta_features
     for i in reversed(range(model.num_layers)):
         layer = model.layers[i]
         ad = layer.adapter
         cache = caches[i]
         dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
-        grads[BlockId("B", i)] = ad.scale * _outer(dz, cache["ah"], sizes)
+        rows[:, model.layout[BlockId("B", i)][0]] = (
+            ad.scale * _outer(dz, cache["ah"], sizes)).reshape(len(rows), -1)
         bt_dz = ad.b.T @ dz
-        grads[BlockId("A", i)] = ad.scale * _outer(bt_dz, cache["h_in"], sizes)
+        rows[:, model.layout[BlockId("A", i)][0]] = (
+            ad.scale * _outer(bt_dz, cache["h_in"], sizes)).reshape(len(rows), -1)
         if i > 0:
             delta_h = layer.w0.T @ dz + ad.scale * (ad.a.T @ bt_dz)
     model.backward_passes += 1
-    return grads
 
 
-def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, TaskGradient]:
-    """Loss plus analytic gradients for every adapter block and the task's own head."""
+def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
+    """Loss plus a one-row stack: every adapter block and the task's own head."""
     _check_batch(model, batch)
     features, caches = forward_features(model, batch.x)
     out = _task_output(model, batch.task_id, features)
     loss, g_out = _loss_and_output_grad(model.task_specs[batch.task_id], out, batch.y)
-    head = model.heads[batch.task_id]
-    blocks = _backprop_stack(model, caches, head.T @ g_out)
-    blocks[BlockId("HEAD", batch.task_id)] = g_out @ features.T
-    return loss, TaskGradient(task_id=batch.task_id, blocks=blocks)
+    rows = np.zeros((1, model.params.size))
+    _backprop_stack(model, caches, model.heads[batch.task_id].T @ g_out, rows)
+    rows[0, model.layout[BlockId("HEAD", batch.task_id)][0]] = (g_out @ features.T).ravel()
+    return loss, GradientStack([batch.task_id], rows, model.layout)
 
 
 def task_gradient(model: MultiTaskModel, batch: TaskBatch) -> TaskGradient:
-    return task_loss_and_gradient(model, batch)[1]
+    return task_loss_and_gradient(model, batch)[1][0]
 
 
 def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[GradientStack, list[float]]:
@@ -347,7 +386,7 @@ def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[Gra
     The batches run through the stack as one column-concatenated batch; only
     the heads run per task (out dims and kinds may differ). The feature delta
     propagates once, and each task's adapter gradient is the final outer
-    product over its own column slice. Losses are in task order.
+    product over its own column slice. Rows and losses are in task order.
     """
     _check_weights(model, batches, None)
     ordered = sorted(batches, key=lambda b: b.task_id)
@@ -357,19 +396,19 @@ def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[Gra
     features, caches = forward_features(model, np.concatenate([b.x for b in ordered], axis=1))
 
     losses: list[float] = []
-    heads: list[Matrix] = []
+    rows = np.zeros((len(ordered), model.params.size))
     delta_features = np.empty_like(features)
     col = 0
-    for b, n in zip(ordered, sizes):
+    for r, (b, n) in enumerate(zip(ordered, sizes)):
         sl = slice(col, col + n)
         col += n
         out = _task_output(model, b.task_id, features[:, sl])
         loss, g_out = _loss_and_output_grad(model.task_specs[b.task_id], out, b.y)
         losses.append(loss)
         delta_features[:, sl] = model.heads[b.task_id].T @ g_out
-        heads.append(g_out @ features[:, sl].T)
-    adapters = _backprop_stack(model, caches, delta_features, sizes)
-    return GradientStack([b.task_id for b in ordered], adapters, heads), losses
+        rows[r, model.layout[BlockId("HEAD", b.task_id)][0]] = (g_out @ features[:, sl].T).ravel()
+    _backprop_stack(model, caches, delta_features, rows, sizes)
+    return GradientStack([b.task_id for b in ordered], rows, model.layout), losses
 
 
 def fd_gradient(model: MultiTaskModel, batch: TaskBatch, block: BlockId, h: float) -> Matrix:

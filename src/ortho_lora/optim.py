@@ -1,4 +1,4 @@
-"""Blockwise AdamW with decoupled weight decay, plus the linear LR schedule."""
+"""AdamW with decoupled weight decay on the flat parameter vector, plus the linear LR schedule."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import Matrix
 from .errors import NumericError, ParameterError, ShapeError
-from .model import BlockId
 
 
 @dataclass
@@ -22,52 +20,43 @@ class AdamWHyper:
 
 @dataclass
 class AdamWState:
-    """First/second moments per trainable block; moments appear lazily."""
+    """First/second moments shaped like the parameter vector; they appear on the first step."""
 
     hyper: AdamWHyper = field(default_factory=AdamWHyper)
     step: int = 0
-    m: dict[BlockId, Matrix] = field(default_factory=dict)
-    v: dict[BlockId, Matrix] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adamw_step(
-    params: dict[BlockId, Matrix],
-    update: dict[BlockId, Matrix],
-    state: AdamWState,
-    lr: float,
-) -> None:
-    """One AdamW step, in place on the parameter arrays.
+def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float) -> None:
+    """One AdamW step, in place on the flat parameter vector.
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
-    Only blocks present in the update move; frozen backbone weights are never
-    part of either mapping.
+    Every entry moves; the frozen backbone weights are not part of params.
+    Bad input is rejected before the state or a parameter changes.
     """
     if lr < 0:
         raise ParameterError(f"learning rate must be >= 0, got {lr}")
+    if grad.shape != params.shape:
+        raise ShapeError(f"gradient {grad.shape} vs parameters {params.shape}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise NumericError(f"non-finite gradient entry at flat index {int(np.argmin(finite))}")
     h = state.hyper
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     state.step += 1
     t = state.step
-    for bid, g in update.items():
-        if bid not in params:
-            raise ParameterError(f"update names unknown block {bid}")
-        theta = params[bid]
-        if theta.shape != g.shape:
-            raise ShapeError(f"block {bid}: gradient {g.shape} vs parameter {theta.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient entries in block {bid}")
-        m = state.m.get(bid)
-        if m is None:
-            m = state.m[bid] = np.zeros_like(theta)
-            state.v[bid] = np.zeros_like(theta)
-        v = state.v[bid]
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * (g * g)
-        m_hat = m / (1.0 - h.beta1**t)
-        v_hat = v / (1.0 - h.beta2**t)
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + h.eps) + h.weight_decay * theta)
+    m, v = state.m, state.v
+    m *= h.beta1
+    m += (1.0 - h.beta1) * grad
+    v *= h.beta2
+    v += (1.0 - h.beta2) * (grad * grad)
+    m_hat = m / (1.0 - h.beta1**t)
+    v_hat = v / (1.0 - h.beta2**t)
+    params -= lr * (m_hat / (np.sqrt(v_hat) + h.eps) + h.weight_decay * params)
 
 
 def linear_decay_lr(step: int, total_steps: int, lr_base: float) -> float:

@@ -17,6 +17,8 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,60 +143,72 @@ def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
 # --- CSV reading ---
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
+    """parse() of every data row; a bad header or row raises ConfigError naming path:line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"unexpected header {found}")
+            out = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                out.append(parse(row))
+        except ValueError as exc:  # bad numbers, short rows, text that is not UTF-8
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    return out
+
+
 def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     mode_dir = Path(mode_dir)
     log = MetricsLog(mode=mode)
     steps_path = mode_dir / STEPS_FILE
     if steps_path.is_file():
         reports: dict[int, ConflictReport] = {}
-        with open(steps_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != STEPS_HEADER:
-                raise ConfigError(f"{steps_path}: unexpected header {header}")
-            for row in reader:
-                step = int(row[0])
-                if row[1] != "":
-                    log.steps.append(StepRecord(step=step, task=int(row[1]),
-                                                loss=float(row[2]), lr=float(row[3])))
-                else:
-                    report = reports.get(step)
-                    if report is None:
-                        report = reports[step] = ConflictReport(step=step, scope=row[4])
-                        log.conflicts.append(report)
-                    report.pairs.append(ConflictPair(
-                        i=int(row[5]), j=int(row[6]), block=row[7],
-                        dot=float(row[8]), cosine=float(row[9]), conflicted=row[10] == "1",
-                    ))
+
+        def step_row(row: list[str]) -> None:
+            step = int(row[0])
+            if row[1] != "":
+                log.steps.append(StepRecord(step=step, task=int(row[1]),
+                                            loss=_finite(row[2]), lr=_finite(row[3])))
+                return
+            report = reports.get(step)
+            if report is None:
+                report = reports[step] = ConflictReport(step=step, scope=row[4])
+                log.conflicts.append(report)
+            report.pairs.append(ConflictPair(
+                i=int(row[5]), j=int(row[6]), block=row[7],
+                dot=_finite(row[8]), cosine=_finite(row[9]), conflicted=row[10] == "1",
+            ))
+
+        _read_rows(steps_path, STEPS_HEADER, step_row)
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
-    with open(eval_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVAL_HEADER:
-            raise ConfigError(f"{eval_path}: unexpected header {header}")
-        for row in reader:
-            log.evals.append(EvalRecord(epoch=int(row[0]), mode=row[1], task=row[2],
-                                        metric=float(row[3])))
+    log.evals = _read_rows(eval_path, EVAL_HEADER, lambda row: EvalRecord(
+        epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3])))
     return log
 
 
 def read_rank_rows(path: str | Path) -> list[RankRow]:
-    rows: list[RankRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RANK_HEADER:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        for row in reader:
-            rows.append(RankRow(rank=int(row[0]), joint=float(row[1]),
-                                ortho=float(row[2]), delta=float(row[3])))
-    return rows
+    return _read_rows(Path(path), RANK_HEADER, lambda row: RankRow(
+        rank=int(row[0]), joint=_finite(row[1]), ortho=_finite(row[2]), delta=_finite(row[3])))
 
 
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
-    """Recompute the summary from the CSVs under a run directory."""
+    """Recompute the summary from the CSVs under a run directory.
+
+    Every mode's final epoch must report the same task labels.
+    """
     run_dir = Path(run_dir)
     logs: dict[str, MetricsLog] = {}
     for child in sorted(run_dir.iterdir()) if run_dir.is_dir() else []:
@@ -203,6 +217,11 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
     if not logs:
         raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} found")
     table = build_summary(logs)
+    labels = set().union(*table.metrics.values())
+    for mode, cells in table.metrics.items():
+        if labels - set(cells):
+            raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch lacks task(s) "
+                              f"{sorted(labels - set(cells))} that another mode reports")
     rank_path = run_dir / RANK_FILE
     if rank_path.is_file():
         table.rank_rows = read_rank_rows(rank_path)

@@ -19,22 +19,25 @@ order still matters because projections compound on the task being fixed).
 ``project_against="mutated"`` switches to projecting against whatever the
 other task's gradient currently is, for comparison.
 
-Report, projection and merge run on each scope group's Gram matrix G = V V^T
-(row t of V: task t's original gradient over the group). Under the original
-rule every working gradient is c^T V for a coefficient row c, so each inner
+The gradients arrive as a GradientStack: one row per task in the model's
+flat parameter layout, where every scope group is one contiguous column
+slice V (row t: task t's original gradient over the group). Report and
+projection read the group's Gram matrix G = V V^T. Under the original rule
+every working gradient is c^T V for a coefficient row c, so each inner
 product it needs is an entry of C G and the projected gradients are C V.
-``project_pair`` is the same rule on explicit vectors; the mutated rule uses it.
+``project_pair`` is the same rule on explicit vectors; the mutated rule uses
+it. Merge sums the rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import Matrix, Rng
+from .dense import Rng
 from .errors import NumericError, ParameterError, ShapeError
 from .model import BlockId, GradientStack, TaskGradient
 
@@ -78,69 +81,27 @@ class SurgeryStats:
     floats_touched: int = 0
 
 
-def adapter_block_order(grad: TaskGradient) -> list[BlockId]:
-    bids = [b for b in grad.blocks if b.role in ("A", "B")]
-    return sorted(bids, key=lambda b: (b.index, b.role))
-
-
 def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[BlockId]]]:
-    """Named groups of adapter blocks that each get projected as one vector."""
-    bids = adapter_block_order(grad)
+    """Named groups of adapter blocks that each get projected as one vector; a
+    group lists its blocks in flat-layout order (A blocks, then B blocks)."""
+    return _groups(grad.blocks, scope)
+
+
+def _groups(bids: Iterable[BlockId], scope: str) -> list[tuple[str, list[BlockId]]]:
+    adapters = sorted((b for b in bids if b.role in ("A", "B")), key=lambda b: (b.role, b.index))
     if scope == FLAT:
-        return [("flat", bids)]
+        return [("flat", adapters)]
     if scope == PER_MATRIX:
-        return [(str(b), [b]) for b in bids]
+        return [(str(b), [b]) for b in sorted(adapters, key=lambda b: (b.index, b.role))]
     if scope == PER_ROLE_CONCAT:
-        return [
-            ("A", [b for b in bids if b.role == "A"]),
-            ("B", [b for b in bids if b.role == "B"]),
-        ]
+        return [(role, [b for b in adapters if b.role == role]) for role in ("A", "B")]
     raise ParameterError(f"unknown projection scope {scope!r}; expected one of {SCOPES}")
 
 
-def _group_vector(grad: TaskGradient, bids: list[BlockId]) -> np.ndarray:
-    return np.concatenate([grad.blocks[b].ravel() for b in bids])
-
-
-def stack_gradients(grads: Sequence[TaskGradient]) -> GradientStack:
-    """The gradients as one GradientStack, checked once; a stack passes through."""
-    if isinstance(grads, GradientStack):
-        return grads
-    if not grads:
-        raise ParameterError("surgery/merge needs at least one task gradient")
-    shapes = [{b: g.blocks[b].shape for b in adapter_block_order(g)} for g in grads]
-    for g, got in zip(grads, shapes):
-        if got != shapes[0]:
-            raise ShapeError(f"task {g.task_id} adapter blocks {got} differ from {shapes[0]}")
-    heads = [g.blocks.get(BlockId("HEAD", g.task_id)) for g in grads]
-    if any(h is None for h in heads):
-        raise ShapeError("every task gradient needs its own head block")
-    adapters = {b: np.stack([g.blocks[b] for g in grads]) for b in shapes[0]}
-    return GradientStack([g.task_id for g in grads], adapters, heads)
-
-
-def _gram(stack: GradientStack, bids: list[BlockId]) -> np.ndarray:
-    """G = V V^T over one scope group, summed blockwise without concatenation."""
-    vs = [stack.adapters[b].reshape(len(stack), -1) for b in bids]
-    gram = vs[0] @ vs[0].T
-    for v in vs[1:]:
-        gram += v @ v.T
-    return gram
-
-
-def pairwise_cosine(
-    gi: TaskGradient, gj: TaskGradient, scope: str, block: str | None = None
-) -> float:
-    """Cosine of the two gradients over the scoped entries; 0.0 when a norm is zero.
-
-    For FLAT, block may be None; for the per-block scopes it names the group.
-    """
-    groups = dict(scope_groups(gi, scope))
-    label = "flat" if scope == FLAT and block is None else block
-    if label not in groups:
-        raise ParameterError(f"scope {scope} has no block {block!r}; expected one of {sorted(groups)}")
-    gram = _gram(stack_gradients([gi, gj]), groups[label]).tolist()
-    return _cosine(gram[0][1], math.sqrt(gram[0][0]), math.sqrt(gram[1][1]))
+def _group_columns(stack: GradientStack, scope: str) -> list[tuple[str, slice]]:
+    """Each scope group as the contiguous column slice of the stack rows it covers."""
+    return [(label, slice(stack.layout[bids[0]][0].start, stack.layout[bids[-1]][0].stop))
+            for label, bids in _groups(stack.layout, scope)]
 
 
 def _cosine(dot: float, ni: float, nj: float) -> float:
@@ -194,25 +155,8 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
     return np.array(coeffs) if fired else None
 
 
-def _project_mutated(stack: GradientStack, bids: list[BlockId],
-                     order: list[int]) -> dict[BlockId, np.ndarray]:
-    """The mutated rule on the group's explicit rows.
-
-    Its dots involve gradients that were projected already; read from G they
-    lose all precision once such a gradient cancels to rounding noise.
-    """
-    rows = np.concatenate([stack.adapters[b].reshape(len(stack), -1) for b in bids], axis=1)
-    for i in order:
-        for j in order:
-            if j != i:
-                rows[i] = project_pair(rows[i], rows[j])
-    edges = np.cumsum([stack.adapters[b][0].size for b in bids])[:-1]
-    return {b: part.reshape(stack.adapters[b].shape)
-            for b, part in zip(bids, np.split(rows, edges, axis=1))}
-
-
 def surgery(
-    grads: Sequence[TaskGradient],
+    grads: GradientStack,
     scope: str,
     rng: Rng,
     project_against: str = PROJECT_AGAINST_ORIGINAL,
@@ -220,55 +164,55 @@ def surgery(
 ) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
-    Inputs are not mutated. A group without conflicts keeps its input
-    arrays; a projected group gets fresh arrays. Heads pass through.
+    The input is not mutated: each group is projected inside a copy of the
+    rows. Heads pass through.
     """
     if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
         raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
-    stack = stack_gradients(grads)
-    groups = scope_groups(stack[0], scope)
+    groups = _group_columns(grads, scope)
     if stats is not None:
-        stats.floats_touched += sum(arr.size for arr in stack.adapters.values())
+        stats.floats_touched += len(grads) * sum(cols.stop - cols.start for _, cols in groups)
 
-    order = rng.permutation(len(stack))
-    adapters = dict(stack.adapters)
-    for _, bids in groups:
+    order = rng.permutation(len(grads))
+    rows = grads.rows.copy()
+    for _, cols in groups:
+        v = rows[:, cols]
         if project_against == PROJECT_AGAINST_MUTATED:
-            adapters.update(_project_mutated(stack, bids, order))
+            # explicit rows: dots of already-projected gradients read from G
+            # lose all precision once such a gradient cancels to rounding noise
+            for i in order:
+                for j in order:
+                    if j != i:
+                        v[i] = project_pair(v[i], v[j])
             continue
-        coeffs = _coefficients(_gram(stack, bids), order)
-        if coeffs is None:
-            continue
-        for b in bids:
-            arr = stack.adapters[b]
-            adapters[b] = (coeffs @ arr.reshape(len(stack), -1)).reshape(arr.shape)
-    return GradientStack(stack.task_ids, adapters, stack.heads)
+        coeffs = _coefficients(v @ v.T, order)
+        if coeffs is not None:
+            rows[:, cols] = coeffs @ v
+    return GradientStack(grads.task_ids, rows, grads.layout)
 
 
-def merge(grads: Sequence[TaskGradient]) -> dict[BlockId, Matrix]:
-    """Blockwise sum; each task's head enters only from its own gradient."""
-    stack = stack_gradients(grads)
-    merged = {b: arr.sum(axis=0) for b, arr in stack.adapters.items()}
-    for t, head in zip(stack.task_ids, stack.heads):
-        bid = BlockId("HEAD", t)
-        merged[bid] = merged[bid] + head if bid in merged else head
-    return merged
+def merge(grads: GradientStack) -> np.ndarray:
+    """The update in the flat layout: the sum of the rows, so each head enters
+    only from its own task's row."""
+    return grads.rows.sum(axis=0)
 
 
-def build_conflict_report(step: int, grads: Sequence[TaskGradient], scope: str) -> ConflictReport:
+def build_conflict_report(step: int, grads: GradientStack, scope: str) -> ConflictReport:
     """Dot/cosine rows for every unordered task pair in every scoped block.
 
     Read from the Gram matrices of the gradients as given (pre-surgery
     originals in the trainer), so the report does not depend on the shuffled
     projection order.
     """
-    stack = stack_gradients(grads)
     report = ConflictReport(step=step, scope=scope)
-    if len(stack) < 2:
+    if len(grads) < 2:
         return report
-    grams = [(label, _gram(stack, bids).tolist()) for label, bids in scope_groups(stack[0], scope)]
+    grams = []
+    for label, cols in _group_columns(grads, scope):
+        v = grads.rows[:, cols]
+        grams.append((label, (v @ v.T).tolist()))
     norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for _, gram in grams]
-    ids = stack.task_ids
+    ids = grads.task_ids
     order = sorted(range(len(ids)), key=ids.__getitem__)
     for x, p in enumerate(order):
         for q in order[x + 1:]:

@@ -13,7 +13,8 @@ Four modes:
 JOINT and both ORTHO modes share one gradient path: ``joint_gradient`` gives
 every task's gradient from one fused forward and backward pass, the conflict
 report and the projection read per-group Gram matrices of that stack, and
-merge sums its rows. Head gradients bypass projection in every mode. All
+merge sums its rows. Every mode then takes one AdamW step on the model's
+flat parameter vector. Head gradients bypass projection in every mode. All
 modes draw identical batch sequences for a given seed: data order, task
 generation, model init and the surgery shuffle each consume their own named
 substream.
@@ -126,16 +127,17 @@ def train_step(
     if mode == SINGLE_TASK:
         losses = []
         for b in ordered:
-            loss, g = task_loss_and_gradient(models[b.task_id], b)
+            model = models[b.task_id]
+            loss, grads = task_loss_and_gradient(model, b)
             losses.append(loss)
-            _apply(models[b.task_id], g.blocks, opt_states[b.task_id], lr)
+            adamw_step(model.params, merge(grads), opt_states[b.task_id], lr)
     elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
         grads, losses = joint_gradient(models[0], ordered)
         if mode != JOINT or record_conflicts:
             report = build_conflict_report(step, grads, scope)
         if mode != JOINT:
             grads = surgery(grads, scope, surgery_rng, project_against)
-        _apply(models[0], merge(grads), opt_states[0], lr)
+        adamw_step(models[0].params, merge(grads), opt_states[0], lr)
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
 
@@ -144,10 +146,6 @@ def train_step(
         for b, loss in zip(ordered, losses)
     ]
     return records, report
-
-
-def _apply(model: MultiTaskModel, update, opt_state: AdamWState, lr: float) -> None:
-    adamw_step(model.trainable_blocks(), update, opt_state, lr)
 
 
 @dataclass

@@ -8,12 +8,14 @@ from ortho_lora import (
     CLASSIFICATION,
     REGRESSION,
     BlockId,
+    GradientStack,
     Rng,
     TaskBatch,
     TaskGradient,
     TaskSpec,
     build_model,
 )
+from ortho_lora.model import param_layout
 
 
 def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
@@ -51,6 +53,26 @@ def grad_of(task_id, a_blocks, b_blocks, head):
         blocks[BlockId("B", i)] = np.asarray(arr, dtype=np.float64)
     blocks[BlockId("HEAD", task_id)] = np.asarray(head, dtype=np.float64)
     return TaskGradient(task_id=task_id, blocks=blocks)
+
+
+def stack_of(grads):
+    """The TaskGradients of tasks 0..T-1 as the rows of one GradientStack."""
+    first = grads[0].blocks
+    layers = sum(b.role == "A" for b in first)
+    heads = {g.task_id: g.blocks[BlockId("HEAD", g.task_id)].shape for g in grads}
+    layout = param_layout([first[BlockId("A", i)].shape for i in range(layers)],
+                          [first[BlockId("B", i)].shape for i in range(layers)],
+                          [heads[t] for t in range(len(heads))])
+    rows = np.zeros((len(grads), max(sl.stop for sl, _ in layout.values())))
+    for row, g in zip(rows, grads):
+        for bid, arr in g.blocks.items():
+            row[layout[bid][0]] = arr.ravel()
+    return GradientStack([g.task_id for g in grads], rows, layout)
+
+
+def group_vector(grad: TaskGradient, bids) -> np.ndarray:
+    """One scope group of a task gradient as one vector, blocks in the given order."""
+    return np.concatenate([grad.blocks[b].ravel() for b in bids])
 
 
 def blocks_equal(g1: TaskGradient, g2: TaskGradient) -> bool:

@@ -25,6 +25,7 @@ from ortho_lora import (
     REGRESSION,
     SINGLE_TASK,
     AdamWState,
+    GradientStack,
     Rng,
     TaskBatch,
     TaskSpec,
@@ -44,7 +45,7 @@ from ortho_lora import (
 )
 from ortho_lora.cli import run_cli
 from ortho_lora.model import task_loss_and_gradient
-from ortho_lora.surgery import SurgeryStats, _group_vector, scope_groups
+from ortho_lora.surgery import scope_groups
 from ortho_lora.trainer import measure_surgery_floats
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -193,9 +194,11 @@ def test_criterion_05_local_non_harm():
                        for t in range(2)]
             train_step(ORTHO_STRUCTURED, models, batches, opt_states, step, 0.01,
                        surgery_rng, PER_MATRIX)
-        grads = [task_gradient(model, tasks.train[t]) for t in range(2)]
+        rows = [task_loss_and_gradient(model, tasks.train[t])[1].rows for t in range(2)]
+        grads = GradientStack([0, 1], np.concatenate(rows), model.layout)
         ((_, bids),) = scope_groups(grads[0], FLAT)
-        if float(_group_vector(grads[0], bids) @ _group_vector(grads[1], bids)) >= 0:
+        flat = [np.concatenate([g.blocks[b].ravel() for b in bids]) for g in grads]
+        if float(flat[0] @ flat[1]) >= 0:
             continue
         projected = surgery(grads, FLAT, Rng(100 + state))
         for i, j in ((0, 1), (1, 0)):

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from ortho_lora import (
+    REGRESSION,
     ConfigError,
     FrozenLayer,
+    MultiTaskModel,
     ParameterError,
     Rng,
     ShapeError,
-    adapted_forward,
-    delta_weight,
+    TaskSpec,
     init_adapter,
     load_adapter,
     save_adapter,
 )
+from ortho_lora.model import forward_features
 
 
 def test_init_shapes():
@@ -24,7 +26,7 @@ def test_init_shapes():
 def test_init_b_is_zero_and_delta_zero():
     ad = init_adapter(6, 5, 2, 0.02, 4.0, Rng(1))
     assert np.array_equal(ad.b, np.zeros((6, 2)))
-    assert np.array_equal(delta_weight(ad), np.zeros((6, 5)))
+    assert np.array_equal(ad.scale * (ad.b @ ad.a), np.zeros((6, 5)))
 
 
 def test_init_deterministic():
@@ -44,59 +46,48 @@ def test_init_bad_sigma():
         init_adapter(8, 5, 2, -0.1, 4.0, Rng(0))
 
 
-def test_delta_weight_rank1_outer_product():
-    ad = init_adapter(4, 3, 1, 0.02, 1.0, Rng(2))
-    u = Rng(3).standard_normal((4, 1))
-    v = Rng(4).standard_normal((1, 3))
-    ad.b[...] = u
-    ad.a[...] = v
-    assert np.allclose(delta_weight(ad), np.outer(u.ravel(), v.ravel()), rtol=1e-15, atol=0)
-
-
-def test_delta_weight_rank_bound():
-    rng = Rng(5)
-    for rank in (1, 2, 3):
-        ad = init_adapter(8, 7, rank, 0.5, float(rank), rng)
-        ad.b[...] = rng.standard_normal(ad.b.shape)
-        sv = np.linalg.svd(delta_weight(ad), compute_uv=False)
-        assert np.all(sv[rank:] < 1e-10)
+def one_layer(w0, ad):
+    """A one-layer model around (w0, adapter), so its forward pass can be read."""
+    return MultiTaskModel([FrozenLayer(w0=w0, adapter=ad)], heads=[np.zeros((1, w0.shape[0]))],
+                          task_specs=[TaskSpec(REGRESSION, 1)])
 
 
 def test_adapted_forward_fresh_equals_backbone_exactly():
     rng = Rng(6)
     w0 = rng.standard_normal((5, 4))
-    layer = FrozenLayer(w0=w0, adapter=init_adapter(5, 4, 2, 0.02, 4.0, rng))
+    model = one_layer(w0, init_adapter(5, 4, 2, 0.02, 4.0, rng))
     x = rng.standard_normal((4, 9))
-    assert np.array_equal(adapted_forward(layer, x), w0 @ x)
+    assert np.array_equal(forward_features(model, x)[0], np.tanh(w0 @ x))
 
 
 def test_adapted_forward_backbone_removed():
     rng = Rng(7)
     ad = init_adapter(5, 4, 2, 0.02, 2.0, rng)  # alpha == rank, scale 1
     ad.b[...] = rng.standard_normal(ad.b.shape)
-    layer = FrozenLayer(w0=np.zeros((5, 4)), adapter=ad)
+    model = one_layer(np.zeros((5, 4)), ad)
     x = rng.standard_normal((4, 3))
-    assert np.allclose(adapted_forward(layer, x), ad.b @ (ad.a @ x), rtol=1e-15, atol=0)
+    got = forward_features(model, x)[0]
+    assert np.allclose(got, np.tanh(ad.b @ (ad.a @ x)), rtol=1e-15, atol=0)
 
 
 def test_adapted_forward_two_route_agreement():
+    # the cheap b(a x) route against the dense effective weight w0 + s b a
     rng = Rng(8)
     for _ in range(10):
         w0 = rng.standard_normal((6, 5))
         ad = init_adapter(6, 5, 3, 0.1, 7.0, rng)
         ad.b[...] = rng.standard_normal(ad.b.shape)
-        layer = FrozenLayer(w0=w0, adapter=ad)
         x = rng.standard_normal((5, 4))
-        via_delta = (w0 + delta_weight(ad)) @ x
-        via_layer = adapted_forward(layer, x)
+        via_delta = np.tanh((w0 + ad.scale * (ad.b @ ad.a)) @ x)
+        via_layer = forward_features(one_layer(w0, ad), x)[0]
         denom = np.linalg.norm(via_delta)
         assert np.linalg.norm(via_layer - via_delta) < 1e-12 * max(denom, 1.0)
 
 
 def test_adapted_forward_shape_error():
-    layer = FrozenLayer(w0=np.zeros((5, 4)), adapter=init_adapter(5, 4, 2, 0.02, 4.0, Rng(0)))
+    model = one_layer(np.zeros((5, 4)), init_adapter(5, 4, 2, 0.02, 4.0, Rng(0)))
     with pytest.raises(ShapeError):
-        adapted_forward(layer, np.zeros((3, 2)))
+        forward_features(model, np.zeros((3, 2)))
 
 
 def test_serialization_round_trip_exact(tmp_path):

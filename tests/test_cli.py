@@ -135,3 +135,52 @@ def test_sweep_rank_invalid_rank_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     assert run_cli(["sweep-rank", str(cfg), "--ranks", "999", "--out", str(tmp_path / "s")]) == 1
     assert capsys.readouterr().err
+
+
+def test_validate_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"version": 1, "seed": 0, "note": "caf\xe9"}')
+    assert run_cli(["validate", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_validate_non_finite_number_exits_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "exp.json")
+    cfg.write_text(cfg.read_text().replace('"lr_base": 0.01', f'"lr_base": {value}'))
+    assert run_cli(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config.optimizer.lr_base" in err and "finite" in err
+
+
+def _eval_rows(mode, tasks=("0", "1", "avg")):
+    return [f"1,{mode},{t},0.5" for t in tasks]
+
+
+# (file, its data rows, where the error must point); the other files stay valid
+BAD_RUN_FILES = {
+    "non-numeric metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,abc", "1,JOINT,avg,0.5"], 3),
+    "short row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 3),
+    "nan metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"], 4),
+    "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None),
+    "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2),
+    "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_FILES))
+def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
+    from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER
+
+    headers = {"eval.csv": EVAL_HEADER, "steps.csv": STEPS_HEADER, "rank_sweep.csv": RANK_HEADER}
+    for mode in ("SINGLE_TASK", "JOINT"):
+        (tmp_path / mode).mkdir()
+        (tmp_path / mode / "eval.csv").write_text(
+            ",".join(EVAL_HEADER) + "\n" + "\n".join(_eval_rows(mode)) + "\n")
+    rel, rows, line = BAD_RUN_FILES[case]
+    path = tmp_path / rel
+    path.write_text(",".join(headers[path.name]) + "\n" + "\n".join(rows) + "\n")
+    assert run_cli(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{path}:{line}:" if line else f"{path}:") in err, err
+    assert "Traceback" not in err

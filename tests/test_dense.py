@@ -1,81 +1,7 @@
 import numpy as np
 import pytest
 
-from ortho_lora import ParameterError, Rng, ShapeError, flat_dot, frob_norm, gaussian_matrix, matmul
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[2.0, -1.0], [0.5, 3.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_zero_annihilator(self):
-        m = np.array([[2.0, -1.0], [0.5, 3.0]])
-        assert np.array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 2)))
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = Rng(7)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4))
-            c = rng.standard_normal((4, 4))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-10 * max(np.linalg.norm(left), 1.0)
-
-
-class TestFlatDot:
-    def test_self_dot_is_squared_frobenius(self):
-        m = np.array([[1.0, -2.0], [3.0, 0.5]])
-        assert flat_dot(m, m) == pytest.approx(frob_norm(m) ** 2, rel=1e-14)
-
-    def test_orthogonal_basis(self):
-        e1 = np.array([[1.0, 0.0]])
-        e2 = np.array([[0.0, 1.0]])
-        assert flat_dot(e1, e2) == 0.0
-
-    def test_hand_value(self):
-        a = np.array([[1.0, 0.0], [0.0, 2.0]])
-        b = np.array([[3.0, 0.0], [0.0, 4.0]])
-        assert flat_dot(a, b) == 11.0
-
-    def test_symmetry_exact(self):
-        rng = Rng(11)
-        for _ in range(10):
-            a = rng.standard_normal((3, 5))
-            b = rng.standard_normal((3, 5))
-            assert flat_dot(a, b) == flat_dot(b, a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            flat_dot(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_cauchy_schwarz(self):
-        rng = Rng(13)
-        for _ in range(50):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((4, 3))
-            assert abs(flat_dot(a, b)) <= frob_norm(a) * frob_norm(b) * (1 + 1e-12)
-
-
-class TestFrobNorm:
-    def test_zero(self):
-        assert frob_norm(np.zeros((3, 2))) == 0.0
-
-    def test_identity(self):
-        assert frob_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0), rel=1e-15)
-
-    def test_pythagorean(self):
-        assert frob_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-15)
+from ortho_lora import ParameterError, Rng, gaussian_matrix
 
 
 class TestGaussianMatrix:

@@ -8,7 +8,6 @@ from helpers import random_batch, random_model
 from ortho_lora import (
     CLASSIFICATION,
     REGRESSION,
-    BlockId,
     Rng,
     TaskSpec,
     joint_gradient,
@@ -17,7 +16,12 @@ from ortho_lora import (
 
 
 def _per_task(model, batches):
-    return [task_loss_and_gradient(model, b) for b in batches]
+    """(loss, TaskGradient) per batch from the one-task path."""
+    out = []
+    for b in batches:
+        loss, stack = task_loss_and_gradient(model, b)
+        out.append((loss, stack[0]))
+    return out
 
 
 @pytest.mark.parametrize("num_tasks", [3, 16])
@@ -66,4 +70,4 @@ def test_unequal_batch_sizes_take_the_per_slice_path():
         assert losses[t] == pytest.approx(loss, rel=1e-14)
         for bid, arr in want.blocks.items():
             assert np.allclose(stack[t].blocks[bid], arr, rtol=1e-14, atol=0.0), bid
-    assert stack.adapters[BlockId("A", 0)].shape == (2, 2, 6)
+    assert stack.rows.shape == (2, model.params.size)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import grad_of
+from helpers import grad_of, group_vector, stack_of
 
 from ortho_lora import (
     FLAT,
@@ -23,7 +23,8 @@ from ortho_lora import (
     project_pair,
     surgery,
 )
-from ortho_lora.surgery import _group_vector, scope_groups
+from ortho_lora.model import block_views
+from ortho_lora.surgery import scope_groups
 
 REL = 1e-12
 MODES = ("original", "mutated")
@@ -33,7 +34,7 @@ SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
 def reference_surgery(grads, scope, seed, project_against):
     """Per task, {group label: projected vector}, computed on explicit vectors."""
     groups = scope_groups(grads[0], scope)
-    originals = [{label: _group_vector(g, bids) for label, bids in groups} for g in grads]
+    originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
     working = [dict(o) for o in originals]
     order = Rng(seed).permutation(len(grads))
     for i in order:
@@ -81,8 +82,8 @@ def _rel_close(got, want, scale):
 def check_report(grads, scope):
     """Report rows equal dots and cosines of the explicit group vectors."""
     groups = scope_groups(grads[0], scope)
-    originals = [{label: _group_vector(g, bids) for label, bids in groups} for g in grads]
-    report = build_conflict_report(3, grads, scope)
+    originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
+    report = build_conflict_report(3, stack_of(grads), scope)
     labels = [label for label, _ in groups]
     expected = [(i, j, label) for i in range(len(grads)) for j in range(i + 1, len(grads))
                 for label in labels]
@@ -107,14 +108,14 @@ def test_gram_path_equals_vector_path(scope, project_against, grads, seed):
         groups, originals, want = reference_surgery(grads, scope, seed, project_against)
     except NumericError:  # a gradient cancelled to below DEGENERATE_NORM
         with pytest.raises(NumericError):
-            surgery(grads, scope, Rng(seed), project_against)
+            surgery(stack_of(grads), scope, Rng(seed), project_against)
         return
-    got = surgery(grads, scope, Rng(seed), project_against)
-    merged = merge(got)
+    got = surgery(stack_of(grads), scope, Rng(seed), project_against)
+    merged = block_views(merge(got), got.layout)
     for label, bids in groups:
         scale = max(np.linalg.norm(o[label]) for o in originals)
         for t, g in enumerate(got):
-            assert _rel_close(_group_vector(g, bids), want[t][label], scale), (label, t)
+            assert _rel_close(group_vector(g, bids), want[t][label], scale), (label, t)
         summed = sum(w[label] for w in want)
         merged_vec = np.concatenate([merged[b].ravel() for b in bids])
         assert _rel_close(merged_vec, summed, len(grads) * scale), label
@@ -134,4 +135,4 @@ def test_degenerate_conflict_raises_in_both_paths(scope, project_against):
     with pytest.raises(NumericError):
         reference_surgery([big, tiny], scope, seed, project_against)
     with pytest.raises(NumericError):
-        surgery([big, tiny], scope, Rng(seed), project_against)
+        surgery(stack_of([big, tiny]), scope, Rng(seed), project_against)

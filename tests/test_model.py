@@ -25,6 +25,7 @@ from ortho_lora import (
     task_gradient,
     task_loss,
 )
+from ortho_lora.model import block_views
 
 
 def oracle_task_loss(model, batch):
@@ -201,7 +202,7 @@ class TestJointGradient:
         model = random_model(21, randomize_b=True)
         batches = [random_batch(model, t, 5, seed=20 + t) for t in range(2)]
         stack, losses = joint_gradient(model, batches)
-        merged = merge(stack)
+        merged = block_views(merge(stack), stack.layout)
         per_task = [task_gradient(model, b) for b in batches]
         for bid, arr in merged.items():
             if bid.role == "HEAD":

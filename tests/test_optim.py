@@ -8,107 +8,98 @@ from ortho_lora import (
     NumericError,
     ParameterError,
     Rng,
+    ShapeError,
     adamw_step,
     linear_decay_lr,
 )
+from ortho_lora.model import param_layout
+
+
+# a flat vector laid out as one layer's A (2x3), B (3x2) and one head (1x3)
+LAYOUT = param_layout([(2, 3)], [(3, 2)], [(1, 3)])
+SIZE = 15
 
 
 def _params(seed=0):
-    rng = Rng(seed)
-    return {
-        BlockId("A", 0): rng.standard_normal((2, 3)),
-        BlockId("B", 0): rng.standard_normal((3, 2)),
-        BlockId("HEAD", 0): rng.standard_normal((1, 3)),
-    }
-
-
-def _zero_update(params):
-    return {b: np.zeros_like(arr) for b, arr in params.items()}
+    return Rng(seed).standard_normal(SIZE)
 
 
 class TestAdamwStep:
     def test_zero_gradient_no_decay_leaves_params(self):
         params = _params()
-        before = {b: arr.copy() for b, arr in params.items()}
+        before = params.copy()
         state = AdamWState()
-        adamw_step(params, _zero_update(params), state, lr=0.1)
+        adamw_step(params, np.zeros(SIZE), state, lr=0.1)
         assert state.step == 1
-        for b in params:
-            assert np.array_equal(params[b], before[b])
+        assert np.array_equal(params, before)
 
     def test_first_step_magnitude_close_to_lr(self):
         params = _params(1)
-        before = {b: arr.copy() for b, arr in params.items()}
+        before = params.copy()
         rng = Rng(2)
-        update = {b: rng.standard_normal(arr.shape) + np.sign(rng.standard_normal(arr.shape)) * 0.5
-                  for b, arr in params.items()}
+        update = rng.standard_normal(SIZE) + np.sign(rng.standard_normal(SIZE)) * 0.5
         lr = 0.01
         adamw_step(params, update, AdamWState(), lr=lr)
-        for b in params:
-            delta = np.abs(params[b] - before[b])
-            mask = np.abs(update[b]) > 1e-4  # |g| >> eps
-            assert np.all(delta[mask] <= lr * (1 + 1e-12))
-            assert np.all(delta[mask] >= 0.99 * lr)
+        delta = np.abs(params - before)
+        mask = np.abs(update) > 1e-4  # |g| >> eps
+        assert np.all(delta[mask] <= lr * (1 + 1e-12))
+        assert np.all(delta[mask] >= 0.99 * lr)
 
     def test_decay_only_closed_form(self):
         params = _params(3)
-        before = {b: arr.copy() for b, arr in params.items()}
+        before = params.copy()
         state = AdamWState(hyper=AdamWHyper(weight_decay=0.1))
-        adamw_step(params, _zero_update(params), state, lr=0.01)
-        for b in params:
-            assert np.allclose(params[b], before[b] * (1.0 - 0.001), rtol=1e-15, atol=0)
+        adamw_step(params, np.zeros(SIZE), state, lr=0.01)
+        assert np.allclose(params, before * (1.0 - 0.001), rtol=1e-15, atol=0)
 
     def test_determinism(self):
         results = []
         for _ in range(2):
             params = _params(4)
-            update = {b: Rng(5).standard_normal(arr.shape) for b, arr in params.items()}
+            update = Rng(5).standard_normal(SIZE)
             state = AdamWState()
             for _ in range(5):
                 adamw_step(params, update, state, lr=0.02)
-            results.append({b: arr.copy() for b, arr in params.items()})
-        for b in results[0]:
-            assert np.array_equal(results[0][b], results[1][b])
+            results.append(params.copy())
+        assert np.array_equal(results[0], results[1])
 
     def test_nonfinite_gradient_names_block(self):
+        # the message names the flat index, which the layout maps to block L0.B
         params = _params(6)
-        update = _zero_update(params)
-        update[BlockId("B", 0)][0, 0] = np.nan
-        with pytest.raises(NumericError, match="L0.B"):
-            adamw_step(params, update, AdamWState(), lr=0.01)
+        before = params.copy()
+        update = np.zeros(SIZE)
+        b_slice = LAYOUT[BlockId("B", 0)][0]
+        update[b_slice.start + 4] = np.nan
+        state = AdamWState()
+        with pytest.raises(NumericError, match=f"flat index {b_slice.start + 4}$"):
+            adamw_step(params, update, state, lr=0.01)
+        assert np.array_equal(params, before) and state.step == 0 and state.m is None
 
     def test_moment_shapes_track_params(self):
         params = _params(7)
-        update = {b: Rng(8).standard_normal(arr.shape) for b, arr in params.items()}
+        update = Rng(8).standard_normal(SIZE)
         state = AdamWState()
         for _ in range(3):
             adamw_step(params, update, state, lr=0.01)
-        for b, arr in params.items():
-            assert state.m[b].shape == arr.shape
-            assert state.v[b].shape == arr.shape
-            assert np.all(state.v[b] >= 0)
-
-    def test_unknown_block_rejected(self):
-        params = _params(9)
-        update = {BlockId("A", 5): np.zeros((2, 2))}
-        with pytest.raises(ParameterError):
-            adamw_step(params, update, AdamWState(), lr=0.01)
+        assert state.m.shape == params.shape
+        assert state.v.shape == params.shape
+        assert np.all(state.v >= 0)
 
     def test_negative_lr_rejected(self):
         params = _params(10)
+        before = params.copy()
+        state = AdamWState()
         with pytest.raises(ParameterError):
-            adamw_step(params, _zero_update(params), AdamWState(), lr=-0.1)
+            adamw_step(params, np.ones(SIZE), state, lr=-0.1)
+        assert np.array_equal(params, before) and state.step == 0
 
-    def test_partial_update_leaves_other_blocks(self):
-        # single-task training updates only the task's own head
+    def test_shape_mismatch_rejected(self):
         params = _params(11)
-        before = {b: arr.copy() for b, arr in params.items()}
-        bid = BlockId("HEAD", 0)
-        adamw_step(params, {bid: np.ones_like(params[bid])}, AdamWState(), lr=0.05)
-        assert not np.array_equal(params[bid], before[bid])
-        for b in params:
-            if b != bid:
-                assert np.array_equal(params[b], before[b])
+        before = params.copy()
+        state = AdamWState()
+        with pytest.raises(ShapeError):
+            adamw_step(params, np.ones(SIZE - 1), state, lr=0.01)
+        assert np.array_equal(params, before) and state.step == 0
 
 
 class TestLinearDecay:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import blocks_equal, grad_of, random_batch, random_model
+from helpers import blocks_equal, grad_of, group_vector, random_batch, random_model, stack_of
 
 from ortho_lora import (
     FLAT,
@@ -9,17 +9,17 @@ from ortho_lora import (
     PER_ROLE_CONCAT,
     BlockId,
     NumericError,
-    ParameterError,
     Rng,
     ShapeError,
     SurgeryStats,
     build_conflict_report,
     merge,
-    pairwise_cosine,
     project_pair,
     surgery,
     task_gradient,
 )
+from ortho_lora.model import block_views
+from ortho_lora.surgery import scope_groups
 
 
 def _two_grads(a1, a2, b1=None, b2=None):
@@ -31,33 +31,42 @@ def _two_grads(a1, a2, b1=None, b2=None):
     return g1, g2
 
 
+def report_cosine(g1, g2, scope, block="flat"):
+    """The conflict report's cosine column for the pair (g1, g2) in one group."""
+    report = build_conflict_report(0, stack_of([g1, g2]), scope)
+    (cosine,) = [p.cosine for p in report.pairs if p.block == block]
+    return cosine
+
+
 class TestPairwiseCosine:
     def test_self_similarity(self):
         g1, _ = _two_grads([[1.0, 2.0]], [[0.0, 0.0]])
-        assert pairwise_cosine(g1, g1, FLAT) == pytest.approx(1.0, abs=1e-15)
+        twin = grad_of(1, [g1.blocks[BlockId("A", 0)]], [g1.blocks[BlockId("B", 0)]], head=[[0.0]])
+        assert report_cosine(g1, twin, FLAT) == pytest.approx(1.0, abs=1e-15)
 
     def test_antipodal(self):
         g1 = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.5]]], head=[[0.0]])
         g2 = grad_of(1, [[[-1.0, -2.0]]], [[[-0.5], [-0.5]]], head=[[0.0]])
-        assert pairwise_cosine(g1, g2, FLAT) == pytest.approx(-1.0, abs=1e-15)
+        assert report_cosine(g1, g2, FLAT) == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_value(self):
         # flattened gradients (1, 0) and (-1, 1): cosine -1/sqrt(2)
         g1 = grad_of(0, [[[1.0, 0.0]]], [np.zeros((1, 1))], head=[[0.0]])
         g2 = grad_of(1, [[[-1.0, 1.0]]], [np.zeros((1, 1))], head=[[0.0]])
-        got = pairwise_cosine(g1, g2, PER_MATRIX, block="L0.A")
+        got = report_cosine(g1, g2, PER_MATRIX, block="L0.A")
         assert got == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_zero_norm_returns_flagged_zero(self):
         g1 = grad_of(0, [np.zeros((1, 2))], [np.zeros((1, 1))], head=[[0.0]])
         g2 = grad_of(1, [np.zeros((1, 2))], [np.zeros((1, 1))], head=[[0.0]])
-        got = pairwise_cosine(g1, g2, FLAT)
+        got = report_cosine(g1, g2, FLAT)
         assert got == 0.0 and not np.isnan(got)
 
     def test_block_required_for_per_matrix(self):
+        # per-matrix cosines come one per named matrix, never as one flat value
         g1, g2 = _two_grads([[1.0, 0.0]], [[0.0, 1.0]])
-        with pytest.raises(ParameterError):
-            pairwise_cosine(g1, g2, PER_MATRIX)
+        report = build_conflict_report(0, stack_of([g1, g2]), PER_MATRIX)
+        assert [p.block for p in report.pairs] == ["L0.A", "L0.B"]
 
 
 class TestProjectPair:
@@ -104,7 +113,7 @@ class TestProjectPair:
 class TestSurgery:
     def test_single_task_unchanged(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.5]]], head=[[1.0]])
-        out = surgery([g], PER_MATRIX, Rng(0))
+        out = surgery(stack_of([g]), PER_MATRIX, Rng(0))
         assert blocks_equal(out[0], g)
 
     def test_no_conflict_identity_bit_exact(self):
@@ -115,16 +124,18 @@ class TestSurgery:
         g2 = grad_of(1, [np.abs(rng.standard_normal((2, 3)))],
                      [np.abs(rng.standard_normal((3, 2)))], head=rng.standard_normal((1, 3)))
         for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
-            out = surgery([g1, g2], scope, Rng(2))
+            out = surgery(stack_of([g1, g2]), scope, Rng(2))
             assert blocks_equal(out[0], g1)
             assert blocks_equal(out[1], g2)
 
     def test_inputs_not_mutated(self):
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [0.0]]], head=[[1.0]])
         g2 = grad_of(1, [[[-1.0, 0.5]]], [[[-1.0], [0.5]]], head=[[2.0]])
-        snap1 = {b: arr.copy() for b, arr in g1.blocks.items()}
-        surgery([g1, g2], FLAT, Rng(0))
-        assert all(np.array_equal(g1.blocks[b], snap1[b]) for b in snap1)
+        stack = stack_of([g1, g2])
+        before = stack.rows.copy()
+        out = surgery(stack, FLAT, Rng(0))
+        assert np.array_equal(stack.rows, before)
+        assert not np.array_equal(out.rows, before)
 
     def test_scoped_divergence_construction(self):
         # A blocks conflict, B blocks agree; overall flat dot is negative.
@@ -132,8 +143,8 @@ class TestSurgery:
             a1=[[1.0, 0.0]], a2=[[-1.0, 0.1]],
             b1=[[0.1], [0.1]], b2=[[0.1], [0.1]],
         )
-        per_matrix = surgery([g1, g2], PER_MATRIX, Rng(3))
-        flat = surgery([g1, g2], FLAT, Rng(3))
+        per_matrix = surgery(stack_of([g1, g2]), PER_MATRIX, Rng(3))
+        flat = surgery(stack_of([g1, g2]), FLAT, Rng(3))
 
         a_id, b_id = BlockId("A", 0), BlockId("B", 0)
         # PER_MATRIX: only A blocks move
@@ -148,7 +159,7 @@ class TestSurgery:
     def test_heads_pass_through_untouched(self):
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [1.0]]], head=[[3.0, 4.0]])
         g2 = grad_of(1, [[[-1.0, 0.0]]], [[[-1.0], [-1.0]]], head=[[5.0, 6.0]])
-        out = surgery([g1, g2], FLAT, Rng(4))
+        out = surgery(stack_of([g1, g2]), FLAT, Rng(4))
         assert np.array_equal(out[0].blocks[BlockId("HEAD", 0)], g1.blocks[BlockId("HEAD", 0)])
         assert np.array_equal(out[1].blocks[BlockId("HEAD", 1)], g2.blocks[BlockId("HEAD", 1)])
 
@@ -160,24 +171,20 @@ class TestSurgery:
             g2 = grad_of(1, [-g1.blocks[BlockId("A", 0)] + 0.1 * rng.standard_normal((2, 3))],
                          [-g1.blocks[BlockId("B", 0)] + 0.1 * rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
-            out = surgery([g1, g2], scope, Rng(6))
-            from ortho_lora.surgery import _group_vector, scope_groups
-
+            out = surgery(stack_of([g1, g2]), scope, Rng(6))
             for label, bids in scope_groups(g1, scope):
                 for gi_new, gj_orig in ((out[0], g2), (out[1], g1)):
-                    vi = _group_vector(gi_new, bids)
-                    vj = _group_vector(gj_orig, bids)
+                    vi = group_vector(gi_new, bids)
+                    vj = group_vector(gj_orig, bids)
                     orig_i = g1 if gi_new.task_id == 0 else g2
-                    dot_before = _group_vector(orig_i, bids) @ vj
+                    dot_before = group_vector(orig_i, bids) @ vj
                     if dot_before < 0:
-                        tol = 1e-10 * np.linalg.norm(_group_vector(orig_i, bids)) * np.linalg.norm(vj)
+                        tol = 1e-10 * np.linalg.norm(group_vector(orig_i, bids)) * np.linalg.norm(vj)
                         assert abs(vi @ vj) <= tol, f"{scope}/{label}"
 
     def test_three_task_last_projection_orthogonality(self):
         # replicate the shuffle to find, per task, the last conflicting j; the
         # final gradient must be orthogonal to that j's original gradient
-        from ortho_lora.surgery import _group_vector, scope_groups
-
         rng = Rng(7)
         grads = [
             grad_of(t, [rng.standard_normal((2, 3))], [rng.standard_normal((3, 2))],
@@ -185,10 +192,10 @@ class TestSurgery:
             for t in range(3)
         ]
         seed = 11
-        out = surgery(grads, FLAT, Rng(seed))
+        out = surgery(stack_of(grads), FLAT, Rng(seed))
         order = Rng(seed).permutation(3)
         (label, bids), = scope_groups(grads[0], FLAT)
-        originals = [_group_vector(g, bids) for g in grads]
+        originals = [group_vector(g, bids) for g in grads]
         for i in order:
             # replay the cumulative projection to find the last fired j
             work = originals[i].copy()
@@ -200,7 +207,7 @@ class TestSurgery:
                     work = work - (work @ originals[j]) / (originals[j] @ originals[j]) * originals[j]
                     last_fired = j
             if last_fired is not None:
-                vi = _group_vector(out[i], bids)
+                vi = group_vector(out[i], bids)
                 vj = originals[last_fired]
                 assert abs(vi @ vj) <= 1e-10 * np.linalg.norm(originals[i]) * np.linalg.norm(vj)
 
@@ -211,8 +218,8 @@ class TestSurgery:
                     head=rng.standard_normal((1, 3)))
             for t in range(3)
         ]
-        out1 = surgery(grads, PER_MATRIX, Rng(9))
-        out2 = surgery(grads, PER_MATRIX, Rng(9))
+        out1 = surgery(stack_of(grads), PER_MATRIX, Rng(9))
+        out2 = surgery(stack_of(grads), PER_MATRIX, Rng(9))
         assert all(blocks_equal(a, b) for a, b in zip(out1, out2))
 
     def test_project_against_mutated_differs(self):
@@ -222,34 +229,30 @@ class TestSurgery:
                     head=rng.standard_normal((1, 3)))
             for t in range(3)
         ]
-        orig = surgery(grads, FLAT, Rng(11), project_against="original")
-        mut = surgery(grads, FLAT, Rng(11), project_against="mutated")
+        orig = surgery(stack_of(grads), FLAT, Rng(11), project_against="original")
+        mut = surgery(stack_of(grads), FLAT, Rng(11), project_against="mutated")
         assert not all(blocks_equal(a, b) for a, b in zip(orig, mut))
 
     def test_stats_count_adapter_floats(self):
         model = random_model(12, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
         grads = [task_gradient(model, random_batch(model, t, 4, seed=t)) for t in range(2)]
         stats = SurgeryStats()
-        surgery(grads, PER_MATRIX, Rng(13), stats=stats)
+        surgery(stack_of(grads), PER_MATRIX, Rng(13), stats=stats)
         assert stats.floats_touched == 2 * model.adapter_param_count()
-
-    def test_structure_mismatch(self):
-        g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [0.0]]], head=[[1.0]])
-        g2 = grad_of(1, [[[1.0, 0.0, 0.0]]], [[[1.0], [0.0]]], head=[[1.0]])
-        with pytest.raises(ShapeError):
-            surgery([g1, g2], FLAT, Rng(0))
 
 
 class TestMerge:
     def test_single_identity(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0, 2.0]])
-        merged = merge([g])
+        stack = stack_of([g])
+        merged = block_views(merge(stack), stack.layout)
         assert all(np.array_equal(merged[b], g.blocks[b]) for b in g.blocks)
 
     def test_opposites_cancel(self):
         g1 = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0]])
         g2 = grad_of(1, [[[-1.0, -2.0]]], [[[-0.5], [-0.25]]], head=[[9.0]])
-        merged = merge([g1, g2])
+        stack = stack_of([g1, g2])
+        merged = block_views(merge(stack), stack.layout)
         assert np.array_equal(merged[BlockId("A", 0)], np.zeros((1, 2)))
         assert np.array_equal(merged[BlockId("B", 0)], np.zeros((2, 1)))
 
@@ -261,7 +264,8 @@ class TestMerge:
                     head=rng.standard_normal((2, 3)))
             for t in range(3)
         ]
-        merged = merge(grads)
+        stack = stack_of(grads)
+        merged = block_views(merge(stack), stack.layout)
         for i in range(2):
             for role in ("A", "B"):
                 bid = BlockId(role, i)
@@ -271,15 +275,10 @@ class TestMerge:
     def test_heads_from_own_tasks_only(self):
         g1 = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[7.0]])
         g2 = grad_of(1, [[[2.0]]], [[[2.0]]], head=[[8.0]])
-        merged = merge([g1, g2])
+        stack = stack_of([g1, g2])
+        merged = block_views(merge(stack), stack.layout)
         assert np.array_equal(merged[BlockId("HEAD", 0)], [[7.0]])
         assert np.array_equal(merged[BlockId("HEAD", 1)], [[8.0]])
-
-    def test_mismatched_structure(self):
-        g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0]]], head=[[1.0]])
-        g2 = grad_of(1, [[[1.0]]], [[[1.0]]], head=[[1.0]])
-        with pytest.raises(ShapeError):
-            merge([g1, g2])
 
 
 class TestConflictReport:
@@ -290,7 +289,7 @@ class TestConflictReport:
                     head=rng.standard_normal((1, 3)))
             for t in range(3)
         ]
-        report = build_conflict_report(4, grads, PER_MATRIX)
+        report = build_conflict_report(4, stack_of(grads), PER_MATRIX)
         assert report.step == 4
         assert report.scope == PER_MATRIX
         assert len(report.pairs) == 3 * 2  # 3 unordered pairs x 2 blocks
@@ -300,4 +299,4 @@ class TestConflictReport:
 
     def test_single_task_empty(self):
         g = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[1.0]])
-        assert build_conflict_report(0, [g], FLAT).pairs == []
+        assert build_conflict_report(0, stack_of([g]), FLAT).pairs == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import stack_of
+
 from ortho_lora import (
     CLASSIFICATION,
     REGRESSION,
@@ -39,7 +41,7 @@ class TestRegressionConflict:
             batch.x[...] = shared_x[:, :16]
             batch.y[...] = ts.teachers[t] @ batch.x
             grads.append(task_gradient(model, batch))
-        report = build_conflict_report(0, grads, PER_MATRIX)
+        report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
         for p in report.pairs:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
 
@@ -55,7 +57,7 @@ class TestRegressionConflict:
                                       rng=Rng(4), shared_scale=0.0)
         model = build_model([6, 5], 2, 4.0, 0.02, ts.specs, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
-        report = build_conflict_report(0, grads, PER_MATRIX)
+        report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
 
     def test_pool_sizes_and_disjointness(self):

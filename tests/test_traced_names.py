@@ -1,0 +1,53 @@
+"""The names the benchmark's traced split wraps still resolve.
+
+``perfbench/bench.py`` wraps the ``ortho_lora`` functions listed in its
+``TARGETS`` by module attribute and reads their results in hooks. A rename
+or a changed return type would silently drop a per-layer metric, so the
+fast suite checks the names and runs every hook on a small traced run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from ortho_lora import ORTHO_STRUCTURED, config_from_dict
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("bench")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_target_resolves_to_a_callable(bench):
+    for target in bench.TARGETS:
+        module = importlib.import_module(f"ortho_lora.{target.layer}")
+        assert callable(getattr(module, target.name, None)), target.span_name
+    assert callable(importlib.import_module("ortho_lora.trainer").surgery)
+
+
+def test_every_hook_reads_a_real_run(bench, tmp_path):
+    spans = importlib.import_module("spans")
+    cfg = config_from_dict({
+        "version": 1, "seed": 0, "modes": [ORTHO_STRUCTURED],
+        "model": {"layer_dims": [6, 6], "rank": 2, "alpha": 4.0, "sigma_init": 0.02},
+        "schedule": {"epochs": 1, "batch_size": 8},
+        "tasks": {"kind": "regression", "num_tasks": 3, "in_dim": 6, "out_dim": 3,
+                  "conflict_level": 0.9, "n_train": 32, "n_eval": 8},
+    })
+    tracer = spans.Tracer()
+    with tracer.patched(bench.TARGETS) as absent:
+        log, _ = bench.trainer.run_mode(cfg, ORTHO_STRUCTURED)
+        bench.reporting.write_metrics(log, tmp_path)
+    assert absent == []
+    assert tracer.broken_hooks == set()
+    counts = {name for (_, name) in tracer.counts}
+    assert {"model.backward_passes", "surgery.pairs_checked", "surgery.groups_projected",
+            "reporting.rows_written"} <= counts
