@@ -41,9 +41,9 @@ from .model import (
     eval_metric,
     fd_gradient,
     joint_gradient,
-    joint_loss,
     predict,
-    task_gradient,
+    stack_copies,
+    stacked_gradient,
     task_loss,
     task_loss_and_gradient,
 )
@@ -83,7 +83,6 @@ from .trainer import (
     MetricsLog,
     StepRecord,
     count_backward_passes,
-    measure_surgery_floats,
     run_experiment,
     run_mode,
     train_step,

@@ -137,10 +137,7 @@ def run_cli(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OrthoLoraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OrthoLoraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -138,45 +138,10 @@ class ExperimentConfig:
         return self.schedule.epochs * self.steps_per_epoch()
 
     def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "seed": self.seed,
-            "modes": list(self.modes),
-            "model": {
-                "layer_dims": list(self.model.layer_dims),
-                "rank": self.model.rank,
-                "alpha": self.model.alpha,
-                "sigma_init": self.model.sigma_init,
-            },
-            "optimizer": {
-                "lr_base": self.optimizer.lr_base,
-                "beta1": self.optimizer.beta1,
-                "beta2": self.optimizer.beta2,
-                "eps": self.optimizer.eps,
-                "weight_decay": self.optimizer.weight_decay,
-            },
-            "schedule": {
-                "epochs": self.schedule.epochs,
-                "batch_size": self.schedule.batch_size,
-                "steps_per_epoch": self.schedule.steps_per_epoch,
-            },
-            "tasks": {
-                "kind": list(self.tasks.kinds),
-                "in_dim": self.tasks.in_dim,
-                "out_dim": self.tasks.out_dim,
-                "conflict_level": self.tasks.conflict_level,
-                "noise_sigma": self.tasks.noise_sigma,
-                "shared_scale": self.tasks.shared_scale,
-                "n_train": self.tasks.n_train,
-                "n_eval": self.tasks.n_eval,
-            },
-            "surgery": {
-                "scope": self.surgery.scope,
-                "project_against": self.surgery.project_against,
-                "record_conflicts": self.surgery.record_conflicts,
-            },
-            "output_dir": self.output_dir,
-        }
+        """The raw config that config_from_dict reads back to an equal config."""
+        raw = {"version": CONFIG_VERSION, **asdict(self)}
+        raw["tasks"]["kind"] = raw["tasks"].pop("kinds")
+        return raw
 
     def with_updates(self, *, seed: int | None = None, modes: list[str] | None = None,
                      rank: int | None = None, output_dir: str | None = None) -> "ExperimentConfig":
@@ -228,19 +193,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     model = ModelConfig(layer_dims=layer_dims, rank=rank, alpha=alpha, sigma_init=sigma_init)
 
     od = _expect_mapping(_get(root, "config", "optimizer", required=False, default={}), "config.optimizer")
-    _reject_unknown(od, "config.optimizer", {"lr_base", "beta1", "beta2", "eps", "weight_decay"})
-    optimizer = AdamWHyper(
-        lr_base=_as_float(_get(od, "config.optimizer", "lr_base", required=False, default=5e-4),
-                          "config.optimizer.lr_base", minimum=0.0),
-        beta1=_as_float(_get(od, "config.optimizer", "beta1", required=False, default=0.9),
-                        "config.optimizer.beta1", minimum=0.0),
-        beta2=_as_float(_get(od, "config.optimizer", "beta2", required=False, default=0.999),
-                        "config.optimizer.beta2", minimum=0.0),
-        eps=_as_float(_get(od, "config.optimizer", "eps", required=False, default=1e-8),
-                      "config.optimizer.eps", exclusive_min=0.0),
-        weight_decay=_as_float(_get(od, "config.optimizer", "weight_decay", required=False, default=0.0),
-                               "config.optimizer.weight_decay", minimum=0.0),
-    )
+    bounds = {"lr_base": {"minimum": 0.0}, "beta1": {"minimum": 0.0}, "beta2": {"minimum": 0.0},
+              "eps": {"exclusive_min": 0.0}, "weight_decay": {"minimum": 0.0}}
+    _reject_unknown(od, "config.optimizer", set(bounds))
+    optimizer = AdamWHyper(**{  # an absent field takes AdamWHyper's default
+        name: _as_float(od.get(name, getattr(AdamWHyper, name)), f"config.optimizer.{name}", **bound)
+        for name, bound in bounds.items()})
     if not optimizer.beta1 < 1.0:
         raise ConfigError(f"config.optimizer.beta1: must be < 1, got {optimizer.beta1}")
     if not optimizer.beta2 < 1.0:

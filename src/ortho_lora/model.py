@@ -9,7 +9,9 @@ never touched.
 The trainable parameters live in one float64 vector, ``model.params``, laid
 out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix and
 head is a view into it. A ``GradientStack`` holds task gradients as the rows
-of one (T, P) matrix in the same layout.
+of one (T, P) matrix in the same layout. ``stack_copies`` makes T models
+whose params are the rows of one (T, P) matrix, so that SINGLE_TASK's
+independent models train together.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -21,8 +23,10 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
 Every batch column belongs to one task, so ``joint_gradient`` gets every
 task's gradient from one forward and one backward pass over the concatenated
 batch: the deltas propagate together and only the final outer products above
-are split by each task's column slice. ``fd_gradient`` provides the
-independent central-difference oracle used by the tests.
+are split by each task's column slice. ``stacked_gradient`` runs stacked
+models the same way: the same products, batched over a leading model axis of
+(T, r, k) and (T, d, r) adapter views and a (T, k, n) input. ``fd_gradient``
+provides the independent central-difference oracle used by the tests.
 
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
@@ -133,16 +137,17 @@ class GradientStack(Sequence):
 class MultiTaskModel:
     """Frozen layers, adapters and heads; the trainable ones are views into params.
 
-    Construction copies every adapter a/b and head into a fresh params
-    vector laid out by ``layout`` and rebinds them as views into it, so a
-    model always owns its own buffer.
+    Construction copies every adapter a/b and head into a params vector laid
+    out by ``layout`` and rebinds them as views into it. That vector is a
+    fresh buffer, or the given ``params`` (such as one row of a parameter
+    stack), which the model then writes through.
     """
 
     layers: list[FrozenLayer]
     heads: list[Matrix]
     task_specs: list[TaskSpec]
     backward_passes: int = 0
-    params: np.ndarray = field(init=False, repr=False)
+    params: np.ndarray | None = field(default=None, repr=False)
     layout: Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -150,7 +155,9 @@ class MultiTaskModel:
         self.layout = param_layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
                                    [h.shape for h in self.heads])
         sources = [ad.a for ad in ads] + [ad.b for ad in ads] + list(self.heads)
-        self.params = np.concatenate([m.ravel() for m in sources])
+        if self.params is None:
+            self.params = np.empty(sum(m.size for m in sources))
+        np.concatenate([m.ravel() for m in sources], out=self.params)
         views = block_views(self.params, self.layout)
         self.layers = [
             FrozenLayer(layer.w0, LoraAdapter(views[BlockId("A", i)], views[BlockId("B", i)],
@@ -171,10 +178,6 @@ class MultiTaskModel:
     def in_dim(self) -> int:
         return self.layers[0].w0.shape[1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.layers[-1].w0.shape[0]
-
     def block(self, bid: BlockId) -> Matrix:
         sl, shape = self.layout[bid]
         return self.params[sl].reshape(shape)
@@ -190,6 +193,14 @@ class MultiTaskModel:
         """A model with its own params buffer (and its own w0 copies)."""
         return MultiTaskModel([FrozenLayer(l.w0.copy(), l.adapter) for l in self.layers],
                               self.heads, list(self.task_specs))
+
+
+def stack_copies(base: MultiTaskModel, count: int) -> list[MultiTaskModel]:
+    """count copies of base whose params are the rows of one (count, P) matrix,
+    each copy's ``params.base``. The copies share base's frozen w0 matrices."""
+    stack = np.empty((count, base.params.size))
+    return [MultiTaskModel(base.layers, base.heads, list(base.task_specs), params=row)
+            for row in stack]
 
 
 def build_model(
@@ -224,28 +235,32 @@ def build_model(
 
 
 def _check_finite(arr: Matrix, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite activations at {where}")
 
 
-def forward_features(model: MultiTaskModel, x: Matrix) -> tuple[Matrix, list[dict]]:
+def forward_features(model: MultiTaskModel, x: Matrix,
+                     adapters: list[tuple[Matrix, Matrix]] | None = None) -> tuple[Matrix, list[dict]]:
     """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
 
-    Cache per layer: layer input h_in, the low-rank midterm a@h_in, and the
-    activated output h_out (needed for the tanh derivative).
+    adapters, one (a, b) pair per layer, replaces the model's own: stacked
+    (T, r, k) and (T, d, r) pairs run T models at once on a (T, k, n) input.
+    Cache per layer: the a and b used, layer input h_in, the low-rank midterm
+    a@h_in, and the activated output h_out (needed for the tanh derivative).
     """
-    if x.ndim != 2 or x.shape[0] != model.in_dim:
+    if adapters is None:
+        adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
+    if x.ndim != adapters[0][0].ndim or x.shape[-2] != model.in_dim:
         raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
     h = x
     caches: list[dict] = []
-    for i, layer in enumerate(model.layers):
-        ad = layer.adapter
+    for i, (layer, (a, b)) in enumerate(zip(model.layers, adapters)):
         with np.errstate(over="ignore", invalid="ignore"):
-            ah = ad.a @ h
-            z = layer.w0 @ h + ad.scale * (ad.b @ ah)
+            ah = a @ h
+            z = layer.w0 @ h + layer.adapter.scale * (b @ ah)
         _check_finite(z, f"layer {i}")
         h_out = np.tanh(z)
-        caches.append({"h_in": h, "ah": ah, "h_out": h_out})
+        caches.append({"a": a, "b": b, "h_in": h, "ah": ah, "h_out": h_out})
         h = h_out
     return h, caches
 
@@ -256,6 +271,16 @@ def _task_output(model: MultiTaskModel, task_id: int, features: Matrix) -> Matri
     out = model.heads[task_id] @ features
     _check_finite(out, f"head {task_id}")
     return out
+
+
+def _head_backward(model: MultiTaskModel, batch: TaskBatch, features: Matrix,
+                   row: np.ndarray) -> tuple[float, Matrix]:
+    """batch's loss through its task's head on features; writes the head
+    gradient into row and returns the loss and d(loss)/d(features)."""
+    out = _task_output(model, batch.task_id, features)
+    loss, g_out = _loss_and_output_grad(model.task_specs[batch.task_id], out, batch.y)
+    row[model.layout[BlockId("HEAD", batch.task_id)][0]] = (g_out @ features.T).ravel()
+    return loss, model.heads[batch.task_id].T @ g_out
 
 
 def predict(model: MultiTaskModel, task_id: int, x: Matrix) -> Matrix:
@@ -293,14 +318,14 @@ def _loss_and_output_grad(spec: TaskSpec, out: Matrix, y: np.ndarray) -> tuple[f
     n = out.shape[1]
     if spec.kind == REGRESSION:
         resid = out - y
-        loss = 0.5 * float(np.sum(resid * resid)) / n
+        loss = 0.5 * float((resid * resid).sum()) / n
         return loss, resid / n
     shifted = out - out.max(axis=0, keepdims=True)
     expz = np.exp(shifted)
     denom = expz.sum(axis=0, keepdims=True)
     log_probs = shifted - np.log(denom)
     idx = np.arange(n)
-    loss = -float(np.sum(log_probs[y, idx])) / n
+    loss = -float(log_probs[y, idx].sum()) / n
     grad = expz / denom
     grad[y, idx] -= 1.0
     return loss, grad / n
@@ -314,30 +339,22 @@ def task_loss(model: MultiTaskModel, batch: TaskBatch) -> float:
     return loss
 
 
-def joint_loss(model: MultiTaskModel, batches: list[TaskBatch], weights: list[float] | None = None) -> float:
-    weights = _check_weights(model, batches, weights)
-    return sum(weights[b.task_id] * task_loss(model, b) for b in batches)
-
-
-def _check_weights(
-    model: MultiTaskModel, batches: list[TaskBatch], weights: list[float] | None
-) -> list[float]:
-    seen = sorted(b.task_id for b in batches)
+def _check_tasks(model: MultiTaskModel, batches: list[TaskBatch]) -> list[TaskBatch]:
+    """The batches in task order; ParameterError unless there is exactly one per task."""
+    ordered = sorted(batches, key=lambda b: b.task_id)
+    seen = [b.task_id for b in ordered]
     if seen != list(range(model.num_tasks)):
         raise ParameterError(
             f"need exactly one batch per task 0..{model.num_tasks - 1}, got task_ids {seen}"
         )
-    if weights is None:
-        weights = [1.0] * len(batches)
-    if len(weights) != len(batches):
-        raise ParameterError(f"{len(weights)} weights for {len(batches)} tasks")
-    return [float(w) for w in weights]
+    return ordered
 
 
 def _outer(left: Matrix, right: Matrix, sizes: list[int] | None) -> np.ndarray:
-    """left @ right.T; given task batch sizes, one product per task's column slice, stacked."""
+    """left @ right^T (over the last two axes); given task batch sizes, one
+    product per task's column slice, stacked."""
     if sizes is None:
-        return left @ right.T
+        return left @ right.swapaxes(-1, -2)
     t, n = len(sizes), sizes[0]
     if sizes.count(n) == t:  # equal slices: one batched matmul over (T, rows, n) views
         return left.reshape(-1, t, n).transpose(1, 0, 2) @ right.reshape(-1, t, n).transpose(1, 2, 0)
@@ -347,37 +364,35 @@ def _outer(left: Matrix, right: Matrix, sizes: list[int] | None) -> np.ndarray:
 
 def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: Matrix,
                     rows: np.ndarray, sizes: list[int] | None = None) -> None:
-    """Propagate d(loss)/d(features) down the stack into the adapter columns of rows."""
+    """Propagate d(loss)/d(features) down the stack into the adapter columns of rows.
+
+    2-D activations are one model's (sizes splits their columns by task);
+    3-D ones are stacked models', one row each.
+    """
     delta_h = delta_features
     for i in reversed(range(model.num_layers)):
         layer = model.layers[i]
-        ad = layer.adapter
+        scale = layer.adapter.scale
         cache = caches[i]
         dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
         rows[:, model.layout[BlockId("B", i)][0]] = (
-            ad.scale * _outer(dz, cache["ah"], sizes)).reshape(len(rows), -1)
-        bt_dz = ad.b.T @ dz
+            scale * _outer(dz, cache["ah"], sizes)).reshape(len(rows), -1)
+        bt_dz = cache["b"].swapaxes(-1, -2) @ dz
         rows[:, model.layout[BlockId("A", i)][0]] = (
-            ad.scale * _outer(bt_dz, cache["h_in"], sizes)).reshape(len(rows), -1)
+            scale * _outer(bt_dz, cache["h_in"], sizes)).reshape(len(rows), -1)
         if i > 0:
-            delta_h = layer.w0.T @ dz + ad.scale * (ad.a.T @ bt_dz)
-    model.backward_passes += 1
+            delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
 
 
 def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
     """Loss plus a one-row stack: every adapter block and the task's own head."""
     _check_batch(model, batch)
     features, caches = forward_features(model, batch.x)
-    out = _task_output(model, batch.task_id, features)
-    loss, g_out = _loss_and_output_grad(model.task_specs[batch.task_id], out, batch.y)
     rows = np.zeros((1, model.params.size))
-    _backprop_stack(model, caches, model.heads[batch.task_id].T @ g_out, rows)
-    rows[0, model.layout[BlockId("HEAD", batch.task_id)][0]] = (g_out @ features.T).ravel()
+    loss, delta_features = _head_backward(model, batch, features, rows[0])
+    _backprop_stack(model, caches, delta_features, rows)
+    model.backward_passes += 1
     return loss, GradientStack([batch.task_id], rows, model.layout)
-
-
-def task_gradient(model: MultiTaskModel, batch: TaskBatch) -> TaskGradient:
-    return task_loss_and_gradient(model, batch)[1][0]
 
 
 def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[GradientStack, list[float]]:
@@ -388,8 +403,7 @@ def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[Gra
     propagates once, and each task's adapter gradient is the final outer
     product over its own column slice. Rows and losses are in task order.
     """
-    _check_weights(model, batches, None)
-    ordered = sorted(batches, key=lambda b: b.task_id)
+    ordered = _check_tasks(model, batches)
     for b in ordered:
         _check_batch(model, b)
     sizes = [b.x.shape[1] for b in ordered]
@@ -402,13 +416,54 @@ def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[Gra
     for r, (b, n) in enumerate(zip(ordered, sizes)):
         sl = slice(col, col + n)
         col += n
-        out = _task_output(model, b.task_id, features[:, sl])
-        loss, g_out = _loss_and_output_grad(model.task_specs[b.task_id], out, b.y)
+        loss, delta_features[:, sl] = _head_backward(model, b, features[:, sl], rows[r])
         losses.append(loss)
-        delta_features[:, sl] = model.heads[b.task_id].T @ g_out
-        rows[r, model.layout[BlockId("HEAD", b.task_id)][0]] = (g_out @ features[:, sl].T).ravel()
     _backprop_stack(model, caches, delta_features, rows, sizes)
+    model.backward_passes += 1
     return GradientStack([b.task_id for b in ordered], rows, model.layout), losses
+
+
+def stacked_gradient(models: list[MultiTaskModel],
+                     batches: list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
+    """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
+
+    The models are the rows of one parameter stack (``stack_copies``). One
+    forward and one backward pass run them all, with each layer's A and B
+    read as (T, r, k) and (T, d, r) views of the stack and the equal-size
+    batches as one (T, k, n) input; only the heads run per model. Row t of
+    the returned (T, P) matrix is model t's gradient.
+    """
+    base = models[0]
+    stack = base.params.base
+    if stack is None or stack.shape != (len(models), base.params.size) or not all(
+            m.params.base is stack and np.may_share_memory(m.params, row)
+            for m, row in zip(models, stack)):
+        raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
+                             "order, of one parameter stack (see stack_copies)")
+    ordered = _check_tasks(base, batches)
+    sizes = [b.x.shape[1] for b in ordered]
+    if len(models) != len(ordered) or sizes.count(sizes[0]) != len(sizes):
+        raise ParameterError(f"need one stacked model per task and equal batch sizes, got "
+                             f"{len(models)} models for batch sizes {sizes}")
+    for m, b in zip(models, ordered):
+        _check_batch(m, b)
+
+    def view(bid: BlockId) -> np.ndarray:  # one block of every model, (T, *shape)
+        sl, shape = base.layout[bid]
+        return stack[:, sl].reshape(len(stack), *shape)
+
+    adapters = [(view(BlockId("A", i)), view(BlockId("B", i))) for i in range(base.num_layers)]
+    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
+    losses: list[float] = []
+    rows = np.zeros_like(stack)
+    delta_features = np.empty_like(features)
+    for t, (m, b) in enumerate(zip(models, ordered)):
+        loss, delta_features[t] = _head_backward(m, b, features[t], rows[t])
+        losses.append(loss)
+    _backprop_stack(base, caches, delta_features, rows)
+    for m in models:
+        m.backward_passes += 1
+    return rows, losses
 
 
 def fd_gradient(model: MultiTaskModel, batch: TaskBatch, block: BlockId, h: float) -> Matrix:

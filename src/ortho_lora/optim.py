@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay on the flat parameter vector, plus the linear LR schedule."""
+"""AdamW with decoupled weight decay on flat parameter vectors, plus the linear LR schedule."""
 
 from __future__ import annotations
 
@@ -29,12 +29,13 @@ class AdamWState:
 
 
 def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float) -> None:
-    """One AdamW step, in place on the flat parameter vector.
+    """One AdamW step, in place on a flat parameter vector or a (T, P) stack of them.
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
     Every entry moves; the frozen backbone weights are not part of params.
-    Bad input is rejected before the state or a parameter changes.
+    Bad input is rejected before the state or a parameter changes; a
+    non-finite entry of a stack is named by its row (the model) and column.
     """
     if lr < 0:
         raise ParameterError(f"learning rate must be >= 0, got {lr}")
@@ -42,7 +43,9 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
         raise ShapeError(f"gradient {grad.shape} vs parameters {params.shape}")
     finite = np.isfinite(grad)
     if not finite.all():
-        raise NumericError(f"non-finite gradient entry at flat index {int(np.argmin(finite))}")
+        where = np.unravel_index(int(np.argmin(finite)), grad.shape)
+        raise NumericError("non-finite gradient entry at " + (
+            f"row {where[0]}, column {where[1]}" if grad.ndim == 2 else f"flat index {where[0]}"))
     h = state.hyper
     if state.m is None:
         state.m = np.zeros_like(params)
@@ -54,9 +57,16 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
     m += (1.0 - h.beta1) * grad
     v *= h.beta2
     v += (1.0 - h.beta2) * (grad * grad)
-    m_hat = m / (1.0 - h.beta1**t)
-    v_hat = v / (1.0 - h.beta2**t)
-    params -= lr * (m_hat / (np.sqrt(v_hat) + h.eps) + h.weight_decay * params)
+    # the formula above, operation by operation and in its order (so bit for
+    # bit), in place on two scratch arrays instead of a temporary per operation
+    update = m / (1.0 - h.beta1**t)  # m_hat
+    denom = v / (1.0 - h.beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += h.eps
+    update /= denom
+    update += h.weight_decay * params
+    update *= lr
+    params -= update
 
 
 def linear_decay_lr(step: int, total_steps: int, lr_base: float) -> float:

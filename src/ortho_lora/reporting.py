@@ -20,6 +20,7 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig
@@ -107,17 +108,12 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     with open(mode_dir / STEPS_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STEPS_HEADER)
-        seen_steps: list[int] = []
-        for rec in log.steps:
-            if not seen_steps or rec.step != seen_steps[-1]:
-                # flush the previous step's conflict rows before a new step starts
-                if seen_steps and seen_steps[-1] in conflicts_by_step:
-                    _write_conflicts(writer, conflicts_by_step[seen_steps[-1]])
-                seen_steps.append(rec.step)
-            writer.writerow([rec.step, rec.task, fmt(rec.loss), fmt(rec.lr),
-                             "", "", "", "", "", "", ""])
-        if seen_steps and seen_steps[-1] in conflicts_by_step:
-            _write_conflicts(writer, conflicts_by_step[seen_steps[-1]])
+        for step, records in groupby(log.steps, key=lambda rec: rec.step):
+            for rec in records:
+                writer.writerow([rec.step, rec.task, fmt(rec.loss), fmt(rec.lr),
+                                 "", "", "", "", "", "", ""])
+            if step in conflicts_by_step:  # a step's conflict rows follow its loss rows
+                _write_conflicts(writer, conflicts_by_step[step])
 
     with open(mode_dir / EVAL_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

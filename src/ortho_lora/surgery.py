@@ -22,11 +22,11 @@ other task's gradient currently is, for comparison.
 The gradients arrive as a GradientStack: one row per task in the model's
 flat parameter layout, where every scope group is one contiguous column
 slice V (row t: task t's original gradient over the group). Report and
-projection read the group's Gram matrix G = V V^T. Under the original rule
-every working gradient is c^T V for a coefficient row c, so each inner
-product it needs is an entry of C G and the projected gradients are C V.
-``project_pair`` is the same rule on explicit vectors; the mutated rule uses
-it. Merge sums the rows.
+projection read the group's Gram matrix G = V V^T, which ``group_grams``
+computes once for both. Under the original rule every working gradient is
+c^T V for a coefficient row c, so each inner product it needs is an entry
+of C G and the projected gradients are C V. ``project_pair`` is the same
+rule on explicit vectors; the mutated rule uses it. Merge sums the rows.
 """
 
 from __future__ import annotations
@@ -104,6 +104,15 @@ def _group_columns(stack: GradientStack, scope: str) -> list[tuple[str, slice]]:
             for label, bids in _groups(stack.layout, scope)]
 
 
+def group_grams(grads: GradientStack, scope: str) -> list[np.ndarray]:
+    """The Gram matrix V V^T of every scope group's columns V, in group order."""
+    grams = []
+    for _, cols in _group_columns(grads, scope):
+        v = grads.rows[:, cols]
+        grams.append(v @ v.T)
+    return grams
+
+
 def _cosine(dot: float, ni: float, nj: float) -> float:
     if ni == 0.0 or nj == 0.0:
         return 0.0
@@ -161,11 +170,13 @@ def surgery(
     rng: Rng,
     project_against: str = PROJECT_AGAINST_ORIGINAL,
     stats: SurgeryStats | None = None,
+    grams: list[np.ndarray] | None = None,
 ) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
     The input is not mutated: each group is projected inside a copy of the
-    rows. Heads pass through.
+    rows. Heads pass through. grams, when given, is ``group_grams(grads,
+    scope)``.
     """
     if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
         raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
@@ -175,7 +186,9 @@ def surgery(
 
     order = rng.permutation(len(grads))
     rows = grads.rows.copy()
-    for _, cols in groups:
+    if grams is None and project_against == PROJECT_AGAINST_ORIGINAL:
+        grams = group_grams(grads, scope)
+    for g, (_, cols) in enumerate(groups):
         v = rows[:, cols]
         if project_against == PROJECT_AGAINST_MUTATED:
             # explicit rows: dots of already-projected gradients read from G
@@ -185,7 +198,7 @@ def surgery(
                     if j != i:
                         v[i] = project_pair(v[i], v[j])
             continue
-        coeffs = _coefficients(v @ v.T, order)
+        coeffs = _coefficients(grams[g], order)
         if coeffs is not None:
             rows[:, cols] = coeffs @ v
     return GradientStack(grads.task_ids, rows, grads.layout)
@@ -197,26 +210,25 @@ def merge(grads: GradientStack) -> np.ndarray:
     return grads.rows.sum(axis=0)
 
 
-def build_conflict_report(step: int, grads: GradientStack, scope: str) -> ConflictReport:
+def build_conflict_report(step: int, grads: GradientStack, scope: str,
+                          grams: list[np.ndarray] | None = None) -> ConflictReport:
     """Dot/cosine rows for every unordered task pair in every scoped block.
 
     Read from the Gram matrices of the gradients as given (pre-surgery
     originals in the trainer), so the report does not depend on the shuffled
-    projection order.
+    projection order. grams, when given, is ``group_grams(grads, scope)``.
     """
     report = ConflictReport(step=step, scope=scope)
     if len(grads) < 2:
         return report
-    grams = []
-    for label, cols in _group_columns(grads, scope):
-        v = grads.rows[:, cols]
-        grams.append((label, (v @ v.T).tolist()))
-    norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for _, gram in grams]
+    labels = [label for label, _ in _group_columns(grads, scope)]
+    dots = [gram.tolist() for gram in (grams or group_grams(grads, scope))]
+    norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for gram in dots]
     ids = grads.task_ids
     order = sorted(range(len(ids)), key=ids.__getitem__)
     for x, p in enumerate(order):
         for q in order[x + 1:]:
-            for (label, gram), norm in zip(grams, norms):
+            for label, gram, norm in zip(labels, dots, norms):
                 dot = gram[p][q]
                 report.pairs.append(ConflictPair(ids[p], ids[q], label, dot,
                                                  _cosine(dot, norm[p], norm[q]), dot < 0.0))

@@ -191,29 +191,8 @@ def make_classification_conflict(
 
 
 def subset_batch(batch: TaskBatch, cols: list[int] | np.ndarray) -> TaskBatch:
-    """A batch restricted to the given example columns (copies, not views)."""
-    x = batch.x[:, cols].copy()
-    y = batch.y[cols].copy() if batch.y.ndim == 1 else batch.y[:, cols].copy()
+    """A batch restricted to the given example columns (row-major copies, not views)."""
+    x = batch.x.take(cols, axis=1)
+    y = batch.y.take(cols, axis=-1)
     return TaskBatch(batch.task_id, x, y)
 
-
-def dump_csv(task_set: SyntheticTaskSet, path) -> None:
-    """Inspection dump: one row per example with inputs and target columns."""
-    import csv
-
-    in_dim = task_set.in_dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "split", "example", *(f"x{i}" for i in range(in_dim)), "target"])
-        for split, pools in (("train", task_set.train), ("eval", task_set.eval)):
-            for batch in pools:
-                for col in range(batch.x.shape[1]):
-                    target = (
-                        int(batch.y[col])
-                        if batch.y.ndim == 1
-                        else ";".join(f"{v:.17g}" for v in batch.y[:, col])
-                    )
-                    writer.writerow(
-                        [batch.task_id, split, col,
-                         *(f"{v:.17g}" for v in batch.x[:, col]), target]
-                    )

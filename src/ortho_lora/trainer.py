@@ -12,12 +12,15 @@ Four modes:
 
 JOINT and both ORTHO modes share one gradient path: ``joint_gradient`` gives
 every task's gradient from one fused forward and backward pass, the conflict
-report and the projection read per-group Gram matrices of that stack, and
-merge sums its rows. Every mode then takes one AdamW step on the model's
-flat parameter vector. Head gradients bypass projection in every mode. All
-modes draw identical batch sequences for a given seed: data order, task
-generation, model init and the surgery shuffle each consume their own named
-substream.
+report and the projection read per-group Gram matrices of that stack
+(computed once per step), and merge sums its rows; one AdamW step then moves
+the model's flat parameter vector. SINGLE_TASK's T models are the rows of
+one (T, P) parameter stack: ``stacked_gradient`` runs them in one batched
+forward and backward pass, and one AdamW step moves the whole stack, each
+row by its own model's gradient. Head gradients bypass projection in every
+mode. All modes draw identical batch sequences for a given seed: data
+order, task generation, model init and the surgery shuffle each consume
+their own named substream.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from .model import (
     build_model,
     eval_metric,
     joint_gradient,
-    task_loss_and_gradient,
+    stack_copies,
+    stacked_gradient,
 )
 from .optim import AdamWState, adamw_step, linear_decay_lr
-from .surgery import FLAT, ConflictReport, SurgeryStats, build_conflict_report, merge, surgery
+from .surgery import FLAT, ConflictReport, build_conflict_report, group_grams, merge, surgery
 from .tasks import SyntheticTaskSet, make_conflict_set, subset_batch
 
 # Substream indices off the master seed; fixed so that consuming one stream
@@ -92,13 +96,12 @@ def count_backward_passes(mode: str, num_tasks: int) -> int:
     """Backward sweeps through the shared stack that one train step costs.
 
     JOINT and the ORTHO modes get every task's gradient from one fused
-    backward; SINGLE_TASK trains num_tasks separate models, one sweep each.
+    backward; SINGLE_TASK trains num_tasks separate models, one sweep each,
+    taken together in one batched backward over the parameter stack.
     """
-    if mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
-        return 1
-    if mode == SINGLE_TASK:
-        return num_tasks
-    raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
+    if mode not in VALID_MODES:
+        raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
+    return num_tasks if mode == SINGLE_TASK else 1
 
 
 def train_step(
@@ -114,37 +117,36 @@ def train_step(
     record_conflicts: bool = True,
 ) -> tuple[list[StepRecord], ConflictReport | None]:
     """One optimization step; returns per-task loss records and the conflict
-    report (ORTHO always, JOINT only when diagnostics are on)."""
+    report (ORTHO always, JOINT only when diagnostics are on).
+
+    SINGLE_TASK takes one model per task, made by ``stack_copies``; every
+    mode takes one optimizer state.
+    """
     num_tasks = models[0].num_tasks
     expected = num_tasks if mode == SINGLE_TASK else 1
-    if len(models) != expected or len(opt_states) != expected:
+    if len(models) != expected or len(opt_states) != 1:
         raise ParameterError(
-            f"mode {mode} needs {expected} model(s)/state(s), got {len(models)}/{len(opt_states)}"
+            f"mode {mode} needs {expected} model(s) and 1 state, got {len(models)}/{len(opt_states)}"
         )
-    ordered = sorted(batches, key=lambda b: b.task_id)
 
     report: ConflictReport | None = None
     if mode == SINGLE_TASK:
-        losses = []
-        for b in ordered:
-            model = models[b.task_id]
-            loss, grads = task_loss_and_gradient(model, b)
-            losses.append(loss)
-            adamw_step(model.params, merge(grads), opt_states[b.task_id], lr)
+        grads, losses = stacked_gradient(models, batches)
+        adamw_step(models[0].params.base, grads, opt_states[0], lr)  # the checked stack
     elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
-        grads, losses = joint_gradient(models[0], ordered)
+        grads, losses = joint_gradient(models[0], batches)
+        grams = None
         if mode != JOINT or record_conflicts:
-            report = build_conflict_report(step, grads, scope)
+            grams = group_grams(grads, scope)
+            report = build_conflict_report(step, grads, scope, grams=grams)
         if mode != JOINT:
-            grads = surgery(grads, scope, surgery_rng, project_against)
+            grads = surgery(grads, scope, surgery_rng, project_against, grams=grams)
         adamw_step(models[0].params, merge(grads), opt_states[0], lr)
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
 
-    records = [
-        StepRecord(step=step, task=b.task_id, loss=loss, lr=lr)
-        for b, loss in zip(ordered, losses)
-    ]
+    # both gradient paths check for one batch per task and return losses in task order
+    records = [StepRecord(step=step, task=t, loss=loss, lr=lr) for t, loss in enumerate(losses)]
     return records, report
 
 
@@ -192,8 +194,8 @@ def run_mode(config: ExperimentConfig, mode: str,
         task_set.specs,
         master.child(STREAM_INIT),
     )
-    models = [base.copy() for _ in range(num_tasks)] if mode == SINGLE_TASK else [base]
-    opt_states = [AdamWState(hyper=config.optimizer) for _ in models]
+    models = stack_copies(base, num_tasks) if mode == SINGLE_TASK else [base]
+    opt_states = [AdamWState(hyper=config.optimizer)]
     data_rng = master.child(STREAM_DATA)
     surgery_rng = master.child(STREAM_SURGERY)
     # ORTHO_FLAT projects FLAT; the other modes report in the configured scope
@@ -252,12 +254,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         logs[mode] = log
         models[mode] = mode_models
     return ExperimentResult(config=config, task_set=task_set, logs=logs, models=models)
-
-
-def measure_surgery_floats(model: MultiTaskModel, batches: list[TaskBatch],
-                           scope: str, seed: int = 0) -> int:
-    """Instrumented float count for one surgery pass on this model's gradients."""
-    grads, _ = joint_gradient(model, batches)
-    stats = SurgeryStats()
-    surgery(grads, scope, Rng(seed), stats=stats)
-    return stats.floats_touched

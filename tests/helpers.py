@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from ortho_lora import (
@@ -9,13 +11,17 @@ from ortho_lora import (
     REGRESSION,
     BlockId,
     GradientStack,
+    ParameterError,
     Rng,
+    SurgeryStats,
     TaskBatch,
     TaskGradient,
     TaskSpec,
     build_model,
+    joint_gradient,
+    surgery,
 )
-from ortho_lora.model import param_layout
+from ortho_lora.model import _check_tasks, param_layout, task_loss, task_loss_and_gradient
 
 
 def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
@@ -42,6 +48,49 @@ def random_batch(model, task_id, n, seed):
     else:
         y = np.asarray(rng.integers(0, spec.out_dim, n), dtype=np.int64)
     return TaskBatch(task_id, x, y)
+
+
+def task_gradient(model, batch) -> TaskGradient:
+    """One task's gradient as block views: every adapter block and its own head."""
+    return task_loss_and_gradient(model, batch)[1][0]
+
+
+def joint_loss(model, batches, weights=None) -> float:
+    """Weighted sum of the task losses; one batch per task."""
+    _check_tasks(model, batches)
+    if weights is None:
+        weights = [1.0] * len(batches)
+    if len(weights) != len(batches):
+        raise ParameterError(f"{len(weights)} weights for {len(batches)} tasks")
+    return sum(float(weights[b.task_id]) * task_loss(model, b) for b in batches)
+
+
+def dump_csv(task_set, path) -> None:
+    """Inspection dump: one row per example with inputs and target columns."""
+    in_dim = task_set.in_dim
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task", "split", "example", *(f"x{i}" for i in range(in_dim)), "target"])
+        for split, pools in (("train", task_set.train), ("eval", task_set.eval)):
+            for batch in pools:
+                for col in range(batch.x.shape[1]):
+                    target = (
+                        int(batch.y[col])
+                        if batch.y.ndim == 1
+                        else ";".join(f"{v:.17g}" for v in batch.y[:, col])
+                    )
+                    writer.writerow(
+                        [batch.task_id, split, col,
+                         *(f"{v:.17g}" for v in batch.x[:, col]), target]
+                    )
+
+
+def measure_surgery_floats(model, batches, scope, seed=0) -> int:
+    """Instrumented float count for one surgery pass on this model's gradients."""
+    grads, _ = joint_gradient(model, batches)
+    stats = SurgeryStats()
+    surgery(grads, scope, Rng(seed), stats=stats)
+    return stats.floats_touched
 
 
 def grad_of(task_id, a_blocks, b_blocks, head):

@@ -39,14 +39,13 @@ from ortho_lora import (
     recovery,
     run_experiment,
     surgery,
-    task_gradient,
     task_loss,
     train_step,
 )
+from helpers import measure_surgery_floats, task_gradient
 from ortho_lora.cli import run_cli
 from ortho_lora.model import task_loss_and_gradient
 from ortho_lora.surgery import scope_groups
-from ortho_lora.trainer import measure_surgery_floats
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

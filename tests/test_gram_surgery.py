@@ -23,6 +23,7 @@ from ortho_lora import (
     project_pair,
     surgery,
 )
+from ortho_lora.surgery import group_grams
 from ortho_lora.model import block_views
 from ortho_lora.surgery import scope_groups
 
@@ -136,3 +137,28 @@ def test_degenerate_conflict_raises_in_both_paths(scope, project_against):
         reference_surgery([big, tiny], scope, seed, project_against)
     with pytest.raises(NumericError):
         surgery(stack_of([big, tiny]), scope, Rng(seed), project_against)
+
+
+@pytest.mark.parametrize("project_against", MODES)
+@pytest.mark.parametrize("scope", SCOPES)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grads=task_gradients(), seed=st.integers(0, 2**16))
+def test_shared_grams_change_no_bit(scope, project_against, grads, seed):
+    # the trainer computes each group's Gram matrix once and hands it to both
+    stack = stack_of(grads)
+    grams = group_grams(stack, scope)
+    groups = scope_groups(grads[0], scope)
+    assert len(grams) == len(groups)
+    for gram, (_, bids) in zip(grams, groups):
+        v = np.stack([group_vector(g, bids) for g in grads])
+        assert np.array_equal(gram, v @ v.T)
+    assert (build_conflict_report(3, stack, scope, grams=grams)
+            == build_conflict_report(3, stack, scope))
+    try:
+        want = surgery(stack, scope, Rng(seed), project_against)
+    except NumericError:
+        with pytest.raises(NumericError):
+            surgery(stack, scope, Rng(seed), project_against, grams=grams)
+        return
+    got = surgery(stack, scope, Rng(seed), project_against, grams=grams)
+    assert np.array_equal(got.rows, want.rows)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_batch, random_model
+from helpers import joint_loss, random_batch, random_model, task_gradient
 
 from ortho_lora import (
     CLASSIFICATION,
@@ -19,10 +19,8 @@ from ortho_lora import (
     eval_metric,
     fd_gradient,
     joint_gradient,
-    joint_loss,
     merge,
     predict,
-    task_gradient,
     task_loss,
 )
 from ortho_lora.model import block_views
@@ -237,5 +235,5 @@ class TestEvalMetric:
 def test_build_model_frozen_dims_compose():
     model = build_model([6, 5, 4], 2, 4.0, 0.02, [TaskSpec(REGRESSION, 3)], Rng(25))
     assert model.in_dim == 6
-    assert model.feature_dim == 4
+    assert model.layers[-1].w0.shape[0] == 4  # feature dim
     assert model.heads[0].shape == (3, 4)

@@ -75,6 +75,20 @@ class TestAdamwStep:
             adamw_step(params, update, state, lr=0.01)
         assert np.array_equal(params, before) and state.step == 0 and state.m is None
 
+    def test_nonfinite_stack_entry_names_row_and_column(self):
+        # a (T, P) stack of parameter vectors: the error names the model's row
+        params = np.stack([_params(20 + t) for t in range(3)])
+        state = AdamWState()
+        adamw_step(params, np.ones_like(params), state, lr=0.01)
+        before = (params.copy(), state.m.copy(), state.v.copy())
+        update = np.zeros_like(params)
+        update[1, 7] = np.nan
+        with pytest.raises(NumericError, match="row 1, column 7$"):
+            adamw_step(params, update, state, lr=0.01)
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            assert np.array_equal(now, then)
+
     def test_moment_shapes_track_params(self):
         params = _params(7)
         update = Rng(8).standard_normal(SIZE)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import blocks_equal, grad_of, group_vector, random_batch, random_model, stack_of
+from helpers import (
+    blocks_equal,
+    grad_of,
+    group_vector,
+    random_batch,
+    random_model,
+    stack_of,
+    task_gradient,
+)
 
 from ortho_lora import (
     FLAT,
@@ -16,7 +24,6 @@ from ortho_lora import (
     merge,
     project_pair,
     surgery,
-    task_gradient,
 )
 from ortho_lora.model import block_views
 from ortho_lora.surgery import scope_groups

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import stack_of
+from helpers import dump_csv, stack_of, task_gradient
 
 from ortho_lora import (
     CLASSIFICATION,
@@ -15,10 +15,8 @@ from ortho_lora import (
     make_conflict_set,
     make_regression_conflict,
     subset_batch,
-    task_gradient,
 )
 from ortho_lora.surgery import PER_MATRIX
-from ortho_lora.tasks import dump_csv
 
 
 class TestRegressionConflict:
@@ -150,6 +148,21 @@ def test_conflict_frequency_monotone_in_conflict_level():
     freq_full = mean_freq(1.0)
     assert freq_0 <= freq_half <= freq_full
     assert freq_full > 0.1  # full conflict produces substantial disagreement
+
+
+@pytest.mark.parametrize("kind", [REGRESSION, CLASSIFICATION])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+def test_subset_batch_copies_rows_once(kind, as_array):
+    ts = make_conflict_set([kind], 3, 2, 0.0, 0.0, 12, 2, Rng(12))
+    pool = ts.train[0]
+    cols = [5, 0, 7, 7]
+    sub = subset_batch(pool, np.array(cols) if as_array else cols)
+    assert not np.shares_memory(sub.x, pool.x) and not np.shares_memory(sub.y, pool.y)
+    assert sub.x.flags["C_CONTIGUOUS"] and sub.y.flags["C_CONTIGUOUS"]
+    assert np.array_equal(sub.x, pool.x[:, cols])
+    assert np.array_equal(sub.y, pool.y[..., cols])
+    sub.x[...] = 0.0
+    assert np.count_nonzero(pool.x[:, cols]) == pool.x[:, cols].size
 
 
 def test_dump_csv(tmp_path):

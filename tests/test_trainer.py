@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_batch, random_model
+from helpers import measure_surgery_floats, random_batch, random_model
 
 from ortho_lora import (
     JOINT,
@@ -17,10 +17,10 @@ from ortho_lora import (
     TaskSpec,
     config_from_dict,
     count_backward_passes,
-    measure_surgery_floats,
     predict,
     run_experiment,
     run_mode,
+    stack_copies,
     train_step,
 )
 from ortho_lora.trainer import build_task_set
@@ -87,7 +87,7 @@ class TestTrainStep:
         batch = random_batch(model, 0, 8, seed=3)
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
-            m = model.copy()
+            m = stack_copies(model, 1)[0] if mode == SINGLE_TASK else model.copy()
             _one_step(mode, m, [batch])
             results[mode] = snapshot(m)
         for mode in (ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
@@ -147,8 +147,8 @@ class TestBackwardCounting:
         model = random_model(8, specs=[TaskSpec(REGRESSION, 3), TaskSpec(REGRESSION, 2)],
                              randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
-        models = [model.copy() for _ in range(2)] if mode == SINGLE_TASK else [model.copy()]
-        states = [AdamWState() for _ in models]
+        models = stack_copies(model, 2) if mode == SINGLE_TASK else [model.copy()]
+        states = [AdamWState()]
         train_step(mode, models, batches, states, step=0, lr=0.01,
                    surgery_rng=Rng(0), scope=PER_MATRIX, record_conflicts=False)
         assert sum(m.backward_passes for m in models) == expected
