@@ -72,9 +72,7 @@ from .surgery import (
 )
 from .tasks import (
     SyntheticTaskSet,
-    make_classification_conflict,
     make_conflict_set,
-    make_regression_conflict,
     subset_batch,
 )
 from .trainer import (

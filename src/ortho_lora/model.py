@@ -20,13 +20,15 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
     grad_a = s * b^T @ dz @ h^T
     delta_h = w0^T @ dz + s * a^T @ (b^T @ dz)
 
-Every batch column belongs to one task, so ``joint_gradient`` gets every
-task's gradient from one forward and one backward pass over the concatenated
-batch: the deltas propagate together and only the final outer products above
-are split by each task's column slice. ``stacked_gradient`` runs stacked
-models the same way: the same products, batched over a leading model axis of
-(T, r, k) and (T, d, r) adapter views and a (T, k, n) input. ``fd_gradient``
-provides the independent central-difference oracle used by the tests.
+All three gradient entry points share one body, ``_gradient_rows``: the T
+equal-size batches run as one (T, k, n) input through one forward and one
+backward pass, and only the heads run per task. ``task_loss_and_gradient``
+is the T = 1 case; ``joint_gradient`` runs one model, whose 2-D adapters
+broadcast over the T batches; ``stacked_gradient`` runs stacked models, with
+each layer's adapter read as (T, r, k) and (T, d, r) views of the parameter
+stack. Row t of the result gets the outer products above from batch t's
+slab alone. ``fd_gradient`` provides the independent central-difference
+oracle used by the tests.
 
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
@@ -243,14 +245,15 @@ def forward_features(model: MultiTaskModel, x: Matrix,
                      adapters: list[tuple[Matrix, Matrix]] | None = None) -> tuple[Matrix, list[dict]]:
     """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
 
-    adapters, one (a, b) pair per layer, replaces the model's own: stacked
-    (T, r, k) and (T, d, r) pairs run T models at once on a (T, k, n) input.
+    x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
+    pair per layer, replaces the model's own: stacked (T, r, k) and (T, d, r)
+    pairs run T models at once on a (T, k, n) input.
     Cache per layer: the a and b used, layer input h_in, the low-rank midterm
     a@h_in, and the activated output h_out (needed for the tanh derivative).
     """
     if adapters is None:
         adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
-    if x.ndim != adapters[0][0].ndim or x.shape[-2] != model.in_dim:
+    if x.shape[-2:-1] != (model.in_dim,):
         raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
     h = x
     caches: list[dict] = []
@@ -350,25 +353,10 @@ def _check_tasks(model: MultiTaskModel, batches: list[TaskBatch]) -> list[TaskBa
     return ordered
 
 
-def _outer(left: Matrix, right: Matrix, sizes: list[int] | None) -> np.ndarray:
-    """left @ right^T (over the last two axes); given task batch sizes, one
-    product per task's column slice, stacked."""
-    if sizes is None:
-        return left @ right.swapaxes(-1, -2)
-    t, n = len(sizes), sizes[0]
-    if sizes.count(n) == t:  # equal slices: one batched matmul over (T, rows, n) views
-        return left.reshape(-1, t, n).transpose(1, 0, 2) @ right.reshape(-1, t, n).transpose(1, 2, 0)
-    edges = np.cumsum([0] + sizes).tolist()
-    return np.stack([left[:, a:b] @ right[:, a:b].T for a, b in zip(edges, edges[1:])])
-
-
-def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: Matrix,
-                    rows: np.ndarray, sizes: list[int] | None = None) -> None:
-    """Propagate d(loss)/d(features) down the stack into the adapter columns of rows.
-
-    2-D activations are one model's (sizes splits their columns by task);
-    3-D ones are stacked models', one row each.
-    """
+def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: np.ndarray,
+                    rows: np.ndarray) -> None:
+    """Propagate d(loss)/d(features), (T, d, n), down the stack into the adapter
+    columns of rows: row t gets the outer products of batch t's slab."""
     delta_h = delta_features
     for i in reversed(range(model.num_layers)):
         layer = model.layers[i]
@@ -376,49 +364,57 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: M
         cache = caches[i]
         dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
         rows[:, model.layout[BlockId("B", i)][0]] = (
-            scale * _outer(dz, cache["ah"], sizes)).reshape(len(rows), -1)
+            scale * (dz @ cache["ah"].swapaxes(-1, -2))).reshape(len(rows), -1)
         bt_dz = cache["b"].swapaxes(-1, -2) @ dz
         rows[:, model.layout[BlockId("A", i)][0]] = (
-            scale * _outer(bt_dz, cache["h_in"], sizes)).reshape(len(rows), -1)
+            scale * (bt_dz @ cache["h_in"].swapaxes(-1, -2))).reshape(len(rows), -1)
         if i > 0:
             delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
 
 
+def _gradient_rows(models: list[MultiTaskModel], ordered: list[TaskBatch],
+                   adapters: list[tuple[Matrix, Matrix]] | None = None
+                   ) -> tuple[np.ndarray, list[float]]:
+    """Row t and loss t: batch t's gradient through models[t]'s head, all from
+    one forward and one backward pass.
+
+    The equal-size batches run as one (T, k, n) input. Without adapters,
+    models[0]'s own 2-D adapters broadcast over the T batches; stacked
+    (T, r, k) and (T, d, r) adapters give each batch its own model. Only the
+    heads run per batch (out dims and kinds may differ).
+    """
+    sizes = [b.x.shape[1] for b in ordered]
+    if sizes.count(sizes[0]) != len(sizes):
+        raise ParameterError(f"need equal batch sizes, got {sizes}")
+    for m, b in zip(models, ordered):
+        _check_batch(m, b)
+    base = models[0]
+    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
+    losses: list[float] = []
+    rows = np.zeros((len(ordered), base.params.size))
+    delta_features = np.empty_like(features)
+    for t, (m, b) in enumerate(zip(models, ordered)):
+        loss, delta_features[t] = _head_backward(m, b, features[t], rows[t])
+        losses.append(loss)
+    _backprop_stack(base, caches, delta_features, rows)
+    return rows, losses
+
+
 def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
     """Loss plus a one-row stack: every adapter block and the task's own head."""
-    _check_batch(model, batch)
-    features, caches = forward_features(model, batch.x)
-    rows = np.zeros((1, model.params.size))
-    loss, delta_features = _head_backward(model, batch, features, rows[0])
-    _backprop_stack(model, caches, delta_features, rows)
+    rows, losses = _gradient_rows([model], [batch])
     model.backward_passes += 1
-    return loss, GradientStack([batch.task_id], rows, model.layout)
+    return losses[0], GradientStack([batch.task_id], rows, model.layout)
 
 
 def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[GradientStack, list[float]]:
     """Every task's gradient and loss from one forward and one backward pass.
 
-    The batches run through the stack as one column-concatenated batch; only
-    the heads run per task (out dims and kinds may differ). The feature delta
-    propagates once, and each task's adapter gradient is the final outer
-    product over its own column slice. Rows and losses are in task order.
+    The model's adapters run over all T batches at once; rows and losses are
+    in task order.
     """
     ordered = _check_tasks(model, batches)
-    for b in ordered:
-        _check_batch(model, b)
-    sizes = [b.x.shape[1] for b in ordered]
-    features, caches = forward_features(model, np.concatenate([b.x for b in ordered], axis=1))
-
-    losses: list[float] = []
-    rows = np.zeros((len(ordered), model.params.size))
-    delta_features = np.empty_like(features)
-    col = 0
-    for r, (b, n) in enumerate(zip(ordered, sizes)):
-        sl = slice(col, col + n)
-        col += n
-        loss, delta_features[:, sl] = _head_backward(model, b, features[:, sl], rows[r])
-        losses.append(loss)
-    _backprop_stack(model, caches, delta_features, rows, sizes)
+    rows, losses = _gradient_rows([model] * len(ordered), ordered)
     model.backward_passes += 1
     return GradientStack([b.task_id for b in ordered], rows, model.layout), losses
 
@@ -427,11 +423,9 @@ def stacked_gradient(models: list[MultiTaskModel],
                      batches: list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
     """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
 
-    The models are the rows of one parameter stack (``stack_copies``). One
-    forward and one backward pass run them all, with each layer's A and B
-    read as (T, r, k) and (T, d, r) views of the stack and the equal-size
-    batches as one (T, k, n) input; only the heads run per model. Row t of
-    the returned (T, P) matrix is model t's gradient.
+    The models are the rows of one parameter stack (``stack_copies``); each
+    layer's A and B run as (T, r, k) and (T, d, r) views of the stack. Row t
+    of the returned (T, P) matrix is model t's gradient.
     """
     base = models[0]
     stack = base.params.base
@@ -441,26 +435,16 @@ def stacked_gradient(models: list[MultiTaskModel],
         raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
                              "order, of one parameter stack (see stack_copies)")
     ordered = _check_tasks(base, batches)
-    sizes = [b.x.shape[1] for b in ordered]
-    if len(models) != len(ordered) or sizes.count(sizes[0]) != len(sizes):
-        raise ParameterError(f"need one stacked model per task and equal batch sizes, got "
-                             f"{len(models)} models for batch sizes {sizes}")
-    for m, b in zip(models, ordered):
-        _check_batch(m, b)
+    if len(models) != len(ordered):
+        raise ParameterError(f"need one stacked model per task, got {len(models)} models "
+                             f"for {len(ordered)} tasks")
 
     def view(bid: BlockId) -> np.ndarray:  # one block of every model, (T, *shape)
         sl, shape = base.layout[bid]
         return stack[:, sl].reshape(len(stack), *shape)
 
     adapters = [(view(BlockId("A", i)), view(BlockId("B", i))) for i in range(base.num_layers)]
-    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
-    losses: list[float] = []
-    rows = np.zeros_like(stack)
-    delta_features = np.empty_like(features)
-    for t, (m, b) in enumerate(zip(models, ordered)):
-        loss, delta_features[t] = _head_backward(m, b, features[t], rows[t])
-        losses.append(loss)
-    _backprop_stack(base, caches, delta_features, rows)
+    rows, losses = _gradient_rows(models, ordered, adapters)
     for m in models:
         m.backward_passes += 1
     return rows, losses

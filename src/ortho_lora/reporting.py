@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
+from statistics import fmean
 
 from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig
 from .errors import ConfigError, ParameterError
@@ -190,8 +192,18 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
-    log.evals = _read_rows(eval_path, EVAL_HEADER, lambda row: EvalRecord(
-        epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3])))
+    task_metrics: dict[int, list[float]] = {}
+
+    def eval_row(row: list[str]) -> EvalRecord:
+        rec = EvalRecord(epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3]))
+        if rec.task != AVG_TASK:
+            task_metrics.setdefault(rec.epoch, []).append(rec.metric)
+        elif rec.metric != fmean(task_metrics.get(rec.epoch, [math.nan])):
+            raise ValueError(f"avg {row[3]} is not the mean of the task rows above it "
+                             f"for epoch {rec.epoch}")
+        return rec
+
+    log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)
     return log
 
 
@@ -203,7 +215,9 @@ def read_rank_rows(path: str | Path) -> list[RankRow]:
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
     """Recompute the summary from the CSVs under a run directory.
 
-    Every mode's final epoch must report the same task labels.
+    Every mode must end at the same final epoch and report the same task
+    labels there, and every ``avg`` row must be exactly the mean of its
+    epoch's task rows (the 17-digit CSV floats round-trip exactly).
     """
     run_dir = Path(run_dir)
     logs: dict[str, MetricsLog] = {}
@@ -213,6 +227,13 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
     if not logs:
         raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} found")
     table = build_summary(logs)
+    finals = {mode: max(r.epoch for r in log.evals) for mode, log in logs.items()}
+    counts = Counter(finals.values())
+    common = max(counts, key=lambda epoch: (counts[epoch], epoch))
+    for mode, epoch in finals.items():
+        if epoch != common:
+            raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch {epoch} differs from "
+                              f"the final epoch {common} of the other modes")
     labels = set().union(*table.metrics.values())
     for mode, cells in table.metrics.items():
         if labels - set(cells):
@@ -260,17 +281,19 @@ def format_summary(table: SummaryTable) -> str:
     if table.metrics:
         tasks = sorted({t for cells in table.metrics.values() for t in cells},
                        key=lambda t: (t == AVG_TASK, t))
+        width = max(len(label) for label in
+                    ["mode", *table.metrics, *(f"recovery {m}" for m in table.recovery)])
         lines.append("final eval metric per mode:")
-        header = "  {:<18}".format("mode") + "".join(f"{t:>14}" for t in tasks)
+        header = f"  {'mode':<{width}}" + "".join(f"{t:>14}" for t in tasks)
         lines.append(header)
         for mode in sorted(table.metrics):
             cells = table.metrics[mode]
-            row = f"  {mode:<18}" + "".join(
+            row = f"  {mode:<{width}}" + "".join(
                 f"{cells[t]:>14.6g}" if t in cells else f"{'-':>14}" for t in tasks
             )
             lines.append(row)
         for mode, cells in sorted(table.recovery.items()):
-            row = f"  recovery {mode:<9}" + "".join(
+            row = f"  {'recovery ' + mode:<{width}}" + "".join(
                 (f"{cells[t]:>13.1f}%" if cells.get(t) is not None else f"{'-':>14}")
                 for t in tasks
             )

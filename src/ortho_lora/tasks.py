@@ -156,40 +156,6 @@ def make_conflict_set(
     )
 
 
-def make_regression_conflict(
-    in_dim: int,
-    out_dim: int,
-    num_tasks: int,
-    conflict_level: float,
-    noise_sigma: float,
-    n_train: int,
-    n_eval: int,
-    rng: Rng,
-    shared_scale: float = 1.0,
-) -> SyntheticTaskSet:
-    return make_conflict_set(
-        [REGRESSION] * num_tasks, in_dim, out_dim, conflict_level, noise_sigma,
-        n_train, n_eval, rng, shared_scale,
-    )
-
-
-def make_classification_conflict(
-    in_dim: int,
-    classes: int,
-    num_tasks: int,
-    conflict_level: float,
-    noise_sigma: float,
-    n_train: int,
-    n_eval: int,
-    rng: Rng,
-    shared_scale: float = 1.0,
-) -> SyntheticTaskSet:
-    return make_conflict_set(
-        [CLASSIFICATION] * num_tasks, in_dim, classes, conflict_level, noise_sigma,
-        n_train, n_eval, rng, shared_scale,
-    )
-
-
 def subset_batch(batch: TaskBatch, cols: list[int] | np.ndarray) -> TaskBatch:
     """A batch restricted to the given example columns (row-major copies, not views)."""
     x = batch.x.take(cols, axis=1)

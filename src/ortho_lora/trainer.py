@@ -10,17 +10,18 @@ Four modes:
                      adapter gradient, then the sum
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
-JOINT and both ORTHO modes share one gradient path: ``joint_gradient`` gives
-every task's gradient from one fused forward and backward pass, the conflict
-report and the projection read per-group Gram matrices of that stack
-(computed once per step), and merge sums its rows; one AdamW step then moves
-the model's flat parameter vector. SINGLE_TASK's T models are the rows of
-one (T, P) parameter stack: ``stacked_gradient`` runs them in one batched
-forward and backward pass, and one AdamW step moves the whole stack, each
-row by its own model's gradient. Head gradients bypass projection in every
-mode. All modes draw identical batch sequences for a given seed: data
-order, task generation, model init and the surgery shuffle each consume
-their own named substream.
+Every mode shares one gradient path: the T tasks' equal-size batches run as
+one (T, k, n) input through one forward and one backward pass, and task t's
+gradient is row t of a (T, P) matrix. JOINT and both ORTHO modes run one
+model (``joint_gradient``); the conflict report and the projection read
+per-group Gram matrices of its rows (computed once per step), merge sums
+them, and one AdamW step moves the model's flat parameter vector.
+SINGLE_TASK's T models are the rows of one (T, P) parameter stack
+(``stacked_gradient``, each model on its own task's batch), and one AdamW
+step moves the whole stack, each row by its own model's gradient. Head
+gradients bypass projection in every mode. All modes draw identical batch
+sequences for a given seed: data order, task generation, model init and the
+surgery shuffle each consume their own named substream.
 """
 
 from __future__ import annotations

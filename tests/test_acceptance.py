@@ -32,7 +32,7 @@ from ortho_lora import (
     build_model,
     fd_gradient,
     load_config,
-    make_regression_conflict,
+    make_conflict_set,
     predict,
     project_pair,
     rank_sweep,
@@ -182,8 +182,8 @@ def test_criterion_05_local_non_harm():
     while checked < 20:
         state += 1
         rng = Rng(100 + state)
-        tasks = make_regression_conflict(12, 3, 2, 1.0, 0.0, 128, 16,
-                                         rng.child(1), shared_scale=0.3)
+        tasks = make_conflict_set([REGRESSION] * 2, 12, 3, 1.0, 0.0, 128, 16,
+                                  rng.child(1), shared_scale=0.3)
         model = build_model([12, 12], 4, 8.0, 0.02, tasks.specs, rng.child(0))
         models, opt_states = [model], [AdamWState()]
         steps = int(rng.child(2).integers(1, 30))

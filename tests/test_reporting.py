@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from ortho_lora import (
     JOINT,
+    ORTHO_FLAT,
     ORTHO_STRUCTURED,
     SINGLE_TASK,
     ConflictPair,
@@ -152,6 +155,25 @@ class TestBuildSummary:
         }
         text = format_summary(build_summary(logs))
         assert "SINGLE_TASK" in text and "recovery" in text
+
+    def test_format_summary_columns_align(self):
+        # "recovery ORTHO_STRUCTURED" is the longest label; an undefined cell prints "-"
+        logs = {
+            SINGLE_TASK: self._log(SINGLE_TASK, {"0": 1.0, "1": 2.0, "avg": 1.5}),
+            JOINT: self._log(JOINT, {"0": 0.5, "1": 2.0, "avg": 1.25}),
+            ORTHO_FLAT: self._log(ORTHO_FLAT, {"0": 0.75, "1": 1.0, "avg": 0.875}),
+            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, {"0": 0.9, "1": 3.0, "avg": 1.95}),
+        }
+        lines = format_summary(build_summary(logs)).splitlines()
+        header, rows = lines[1], lines[2:]
+        assert len(rows) == 6
+
+        def cell_ends(line):  # end offsets of the three value cells, the last three tokens
+            return [m.end() for m in re.finditer(r"\S+", line)][-3:]
+
+        assert header.split()[-3:] == ["0", "1", "avg"]
+        for row in rows:
+            assert cell_ends(row) == cell_ends(header), f"{row!r} vs {header!r}"
 
 
 class TestRankSweep:

@@ -11,9 +11,7 @@ from ortho_lora import (
     TaskSpec,
     build_conflict_report,
     build_model,
-    make_classification_conflict,
     make_conflict_set,
-    make_regression_conflict,
     subset_batch,
 )
 from ortho_lora.surgery import PER_MATRIX
@@ -21,8 +19,8 @@ from ortho_lora.surgery import PER_MATRIX
 
 class TestRegressionConflict:
     def test_zero_conflict_identical_teachers_and_gradients(self):
-        ts = make_regression_conflict(6, 3, num_tasks=3, conflict_level=0.0,
-                                      noise_sigma=0.0, n_train=32, n_eval=8, rng=Rng(0))
+        ts = make_conflict_set([REGRESSION] * 3, 6, 3, conflict_level=0.0,
+                               noise_sigma=0.0, n_train=32, n_eval=8, rng=Rng(0))
         for w in ts.teachers[1:]:
             assert np.array_equal(w, ts.teachers[0])
         # at a shared parameter point (identical heads included) with shared
@@ -44,23 +42,23 @@ class TestRegressionConflict:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
 
     def test_full_conflict_antipodal_teachers(self):
-        ts = make_regression_conflict(6, 3, num_tasks=2, conflict_level=1.0,
-                                      noise_sigma=0.0, n_train=32, n_eval=8,
-                                      rng=Rng(3), shared_scale=0.0)
+        ts = make_conflict_set([REGRESSION] * 2, 6, 3, conflict_level=1.0,
+                               noise_sigma=0.0, n_train=32, n_eval=8,
+                               rng=Rng(3), shared_scale=0.0)
         assert np.allclose(ts.teachers[0], -ts.teachers[1], rtol=0, atol=0)
 
     def test_fresh_model_sees_conflict_on_an_adapter_block(self):
-        ts = make_regression_conflict(6, 3, num_tasks=2, conflict_level=1.0,
-                                      noise_sigma=0.0, n_train=64, n_eval=8,
-                                      rng=Rng(4), shared_scale=0.0)
+        ts = make_conflict_set([REGRESSION] * 2, 6, 3, conflict_level=1.0,
+                               noise_sigma=0.0, n_train=64, n_eval=8,
+                               rng=Rng(4), shared_scale=0.0)
         model = build_model([6, 5], 2, 4.0, 0.02, ts.specs, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
         report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
 
     def test_pool_sizes_and_disjointness(self):
-        ts = make_regression_conflict(4, 2, num_tasks=2, conflict_level=0.5,
-                                      noise_sigma=0.0, n_train=10, n_eval=7, rng=Rng(6))
+        ts = make_conflict_set([REGRESSION] * 2, 4, 2, conflict_level=0.5,
+                               noise_sigma=0.0, n_train=10, n_eval=7, rng=Rng(6))
         for t in range(2):
             assert ts.train[t].x.shape == (4, 10)
             assert ts.eval[t].x.shape == (4, 7)
@@ -69,42 +67,42 @@ class TestRegressionConflict:
             assert np.unique(joined, axis=1).shape[1] == 17
 
     def test_deterministic_from_seed(self):
-        a = make_regression_conflict(4, 2, 2, 0.5, 0.1, 8, 4, Rng(7))
-        b = make_regression_conflict(4, 2, 2, 0.5, 0.1, 8, 4, Rng(7))
+        a = make_conflict_set([REGRESSION] * 2, 4, 2, 0.5, 0.1, 8, 4, Rng(7))
+        b = make_conflict_set([REGRESSION] * 2, 4, 2, 0.5, 0.1, 8, 4, Rng(7))
         for t in range(2):
             assert np.array_equal(a.train[t].x, b.train[t].x)
             assert np.array_equal(a.train[t].y, b.train[t].y)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            make_regression_conflict(0, 2, 2, 0.5, 0.0, 8, 4, Rng(0))
+            make_conflict_set([REGRESSION] * 2, 0, 2, 0.5, 0.0, 8, 4, Rng(0))
         with pytest.raises(ParameterError):
-            make_regression_conflict(4, 2, 1, 0.5, 0.0, 8, 4, Rng(0))
+            make_conflict_set([REGRESSION] * 1, 4, 2, 0.5, 0.0, 8, 4, Rng(0))
         with pytest.raises(ParameterError):
-            make_regression_conflict(4, 2, 2, 1.5, 0.0, 8, 4, Rng(0))
+            make_conflict_set([REGRESSION] * 2, 4, 2, 1.5, 0.0, 8, 4, Rng(0))
         with pytest.raises(ParameterError):
-            make_regression_conflict(4, 2, 2, 0.5, -0.1, 8, 4, Rng(0))
+            make_conflict_set([REGRESSION] * 2, 4, 2, 0.5, -0.1, 8, 4, Rng(0))
 
 
 class TestClassificationConflict:
     def test_zero_conflict_shared_labels(self):
-        ts = make_classification_conflict(6, 2, num_tasks=3, conflict_level=0.0,
-                                          noise_sigma=0.0, n_train=40, n_eval=10, rng=Rng(8))
+        ts = make_conflict_set([CLASSIFICATION] * 3, 6, 2, conflict_level=0.0,
+                               noise_sigma=0.0, n_train=40, n_eval=10, rng=Rng(8))
         # identical teachers relabel identical inputs identically
         for t in range(3):
             want = (ts.teachers[t] @ ts.train[t].x).argmax(axis=0)
             assert np.array_equal(ts.train[t].y, want)
 
     def test_labels_reproducible(self):
-        a = make_classification_conflict(5, 3, 2, 0.5, 0.0, 30, 10, Rng(9))
-        b = make_classification_conflict(5, 3, 2, 0.5, 0.0, 30, 10, Rng(9))
+        a = make_conflict_set([CLASSIFICATION] * 2, 5, 3, 0.5, 0.0, 30, 10, Rng(9))
+        b = make_conflict_set([CLASSIFICATION] * 2, 5, 3, 0.5, 0.0, 30, 10, Rng(9))
         for t in range(2):
             assert np.array_equal(a.train[t].y, b.train[t].y)
             assert np.array_equal(a.eval[t].y, b.eval[t].y)
 
     def test_class_balance_guard(self):
         for seed in range(5):
-            ts = make_classification_conflict(8, 4, 3, 0.8, 0.0, 100, 50, Rng(seed))
+            ts = make_conflict_set([CLASSIFICATION] * 3, 8, 4, 0.8, 0.0, 100, 50, Rng(seed))
             for t in range(3):
                 for pool in (ts.train[t], ts.eval[t]):
                     counts = np.bincount(pool.y, minlength=4)
@@ -112,7 +110,7 @@ class TestClassificationConflict:
 
     def test_too_few_classes(self):
         with pytest.raises(ParameterError):
-            make_classification_conflict(4, 1, 2, 0.5, 0.0, 8, 4, Rng(0))
+            make_conflict_set([CLASSIFICATION] * 2, 4, 1, 0.5, 0.0, 8, 4, Rng(0))
 
     def test_mixed_kinds(self):
         ts = make_conflict_set([REGRESSION, CLASSIFICATION], 5, 2, 0.5, 0.0, 20, 8, Rng(10))
