@@ -36,15 +36,12 @@ from .model import (
     MultiTaskModel,
     TaskBatch,
     TaskGradient,
-    TaskSpec,
     build_model,
     eval_metric,
-    fd_gradient,
     joint_gradient,
     predict,
     stack_copies,
     stacked_gradient,
-    task_loss,
     task_loss_and_gradient,
 )
 from .optim import AdamWHyper, AdamWState, adamw_step, linear_decay_lr

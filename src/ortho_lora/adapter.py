@@ -97,6 +97,11 @@ def load_adapter(path: str | Path) -> LoraAdapter:
             fields[name] = read(payload[name])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: field {name!r}: {exc}") from None
+    for name in ("a", "b"):
+        if not np.isfinite(fields[name]).all():
+            raise ConfigError(f"{path}: field {name!r}: non-finite entry")
+    if not (np.isfinite(fields["alpha"]) and fields["alpha"] > 0):
+        raise ConfigError(f"{path}: field 'alpha': must be finite and > 0, got {fields['alpha']}")
     a, b, rank = fields["a"], fields["b"], fields["rank"]
     if a.shape != (rank, fields["k"]) or b.shape != (fields["d"], rank):
         raise ConfigError(

@@ -2,16 +2,18 @@
 
 The backbone is 1-3 frozen linear layers with a tanh after each one (smooth,
 so finite-difference checks stay clean); each layer carries a low-rank
-adapter. Per-task linear heads map the final features to task outputs. The
-trainable parameters are the adapter pairs plus the heads; w0 matrices are
-never touched.
+adapter. Per-task linear heads, all of one output size o, map the final d
+features to task outputs; ``model.kinds[t]`` says whether task t is
+regression or classification. The trainable parameters are the adapter
+pairs plus the heads; w0 matrices are never touched.
 
 The trainable parameters live in one float64 vector, ``model.params``, laid
-out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix and
-head is a view into it. A ``GradientStack`` holds task gradients as the rows
-of one (T, P) matrix in the same layout. ``stack_copies`` makes T models
-whose params are the rows of one (T, P) matrix, so that SINGLE_TASK's
-independent models train together.
+out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix is
+a view into it, and ``model.heads`` is one (T, o, d) view of its contiguous
+HEAD columns, so ``model.heads[t]`` is task t's head. A ``GradientStack``
+holds task gradients as the rows of one (T, P) matrix in the same layout.
+``stack_copies`` makes T models whose params are the rows of one (T, P)
+matrix, so that SINGLE_TASK's independent models train together.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -22,13 +24,14 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
 
 All three gradient entry points share one body, ``_gradient_rows``: the T
 equal-size batches run as one (T, k, n) input through one forward and one
-backward pass, and only the heads run per task. ``task_loss_and_gradient``
-is the T = 1 case; ``joint_gradient`` runs one model, whose 2-D adapters
-broadcast over the T batches; ``stacked_gradient`` runs stacked models, with
-each layer's adapter read as (T, r, k) and (T, d, r) views of the parameter
-stack. Row t of the result gets the outer products above from batch t's
-slab alone. ``fd_gradient`` provides the independent central-difference
-oracle used by the tests.
+backward pass, and the T heads they read run as one (T, o, d) stack: one
+product for the outputs, one loss call that is vectorized within each task
+kind, one product for the head gradients and one for d(loss)/d(features).
+``task_loss_and_gradient`` is the T = 1 case; ``joint_gradient`` runs one
+model, whose 2-D adapters broadcast over the T batches; ``stacked_gradient``
+runs stacked models, with each layer's adapter read as (T, r, k) and
+(T, d, r) views of the parameter stack. Row t of the result gets the outer
+products above from batch t's slab alone.
 
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
@@ -60,12 +63,6 @@ class BlockId:
         if self.role == "HEAD":
             return f"HEAD{self.index}"
         return f"L{self.index}.{self.role}"
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    kind: str  # REGRESSION or CLASSIFICATION
-    out_dim: int  # output dims, or class count
 
 
 @dataclass
@@ -139,24 +136,27 @@ class GradientStack(Sequence):
 class MultiTaskModel:
     """Frozen layers, adapters and heads; the trainable ones are views into params.
 
-    Construction copies every adapter a/b and head into a params vector laid
-    out by ``layout`` and rebinds them as views into it. That vector is a
-    fresh buffer, or the given ``params`` (such as one row of a parameter
-    stack), which the model then writes through.
+    heads is a (T, o, d) array: task t's head maps d features to o outputs
+    (o class logits for a classification task); kinds[t] is REGRESSION or
+    CLASSIFICATION. Construction copies every adapter a/b and the heads into
+    a params vector laid out by ``layout`` and rebinds them as views into it.
+    That vector is a fresh buffer, or the given ``params`` (such as one row
+    of a parameter stack), which the model then writes through.
     """
 
     layers: list[FrozenLayer]
-    heads: list[Matrix]
-    task_specs: list[TaskSpec]
+    heads: np.ndarray
+    kinds: list[str]
     backward_passes: int = 0
     params: np.ndarray | None = field(default=None, repr=False)
     layout: Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ads = [layer.adapter for layer in self.layers]
+        heads = np.asarray(self.heads)
         self.layout = param_layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
-                                   [h.shape for h in self.heads])
-        sources = [ad.a for ad in ads] + [ad.b for ad in ads] + list(self.heads)
+                                   [heads.shape[1:]] * len(heads))
+        sources = [ad.a for ad in ads] + [ad.b for ad in ads] + [heads]
         if self.params is None:
             self.params = np.empty(sum(m.size for m in sources))
         np.concatenate([m.ravel() for m in sources], out=self.params)
@@ -166,11 +166,15 @@ class MultiTaskModel:
                                               layer.adapter.rank, layer.adapter.alpha))
             for i, layer in enumerate(self.layers)
         ]
-        self.heads = [views[BlockId("HEAD", t)] for t in range(len(self.heads))]
+        self.heads = self.params[self.params.size - heads.size:].reshape(heads.shape)
 
     @property
     def num_tasks(self) -> int:
         return len(self.heads)
+
+    @property
+    def out_dim(self) -> int:
+        return self.heads.shape[1]
 
     @property
     def num_layers(self) -> int:
@@ -194,14 +198,14 @@ class MultiTaskModel:
     def copy(self) -> "MultiTaskModel":
         """A model with its own params buffer (and its own w0 copies)."""
         return MultiTaskModel([FrozenLayer(l.w0.copy(), l.adapter) for l in self.layers],
-                              self.heads, list(self.task_specs))
+                              self.heads, list(self.kinds))
 
 
 def stack_copies(base: MultiTaskModel, count: int) -> list[MultiTaskModel]:
     """count copies of base whose params are the rows of one (count, P) matrix,
     each copy's ``params.base``. The copies share base's frozen w0 matrices."""
     stack = np.empty((count, base.params.size))
-    return [MultiTaskModel(base.layers, base.heads, list(base.task_specs), params=row)
+    return [MultiTaskModel(base.layers, base.heads, list(base.kinds), params=row)
             for row in stack]
 
 
@@ -210,16 +214,18 @@ def build_model(
     rank: int,
     alpha: float,
     sigma_init: float,
-    task_specs: list[TaskSpec],
+    kinds: list[str],
+    out_dim: int,
     rng: Rng,
 ) -> MultiTaskModel:
-    """Random frozen backbone (w0 ~ N(0, 1/fan_in)) with fresh adapters and heads.
+    """Random frozen backbone (w0 ~ N(0, 1/fan_in)) with fresh adapters and
+    one (out_dim, d) head per entry of kinds.
 
-    Heads start at N(0, sigma_init^2); adapters start with b = 0 so the model
-    initially computes exactly what the backbone computes. Heads with equal
-    output dims share one initial draw: identical tasks then produce identical
-    gradients from the first step, instead of spuriously conflicting through
-    independently-drawn tiny heads.
+    Adapters start with b = 0 so the model initially computes exactly what
+    the backbone computes. The heads are copies of one N(0, sigma_init^2)
+    draw: identical tasks then produce identical gradients from the first
+    step, instead of spuriously conflicting through independently-drawn tiny
+    heads.
     """
     if len(layer_dims) < 2:
         raise ParameterError("layer_dims needs at least [in_dim, out_dim]")
@@ -227,13 +233,9 @@ def build_model(
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
         w0 = gaussian_matrix(d_out, d_in, 1.0 / np.sqrt(d_in), rng)
         layers.append(FrozenLayer(w0=w0, adapter=init_adapter(d_out, d_in, rank, sigma_init, alpha, rng)))
-    head_draws: dict[int, Matrix] = {}
-    heads = []
-    for spec in task_specs:
-        if spec.out_dim not in head_draws:
-            head_draws[spec.out_dim] = gaussian_matrix(spec.out_dim, layer_dims[-1], sigma_init, rng)
-        heads.append(head_draws[spec.out_dim].copy())
-    return MultiTaskModel(layers=layers, heads=heads, task_specs=list(task_specs))
+    head = gaussian_matrix(out_dim, layer_dims[-1], sigma_init, rng)
+    return MultiTaskModel(layers=layers, heads=np.broadcast_to(head, (len(kinds), *head.shape)),
+                          kinds=list(kinds))
 
 
 def _check_finite(arr: Matrix, where: str) -> None:
@@ -268,78 +270,66 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     return h, caches
 
 
-def _task_output(model: MultiTaskModel, task_id: int, features: Matrix) -> Matrix:
+def predict(model: MultiTaskModel, task_id: int, x: Matrix) -> Matrix:
     if not 0 <= task_id < model.num_tasks:
         raise ParameterError(f"task_id {task_id} outside [0, {model.num_tasks})")
+    features, _ = forward_features(model, x)
     out = model.heads[task_id] @ features
     _check_finite(out, f"head {task_id}")
     return out
 
 
-def _head_backward(model: MultiTaskModel, batch: TaskBatch, features: Matrix,
-                   row: np.ndarray) -> tuple[float, Matrix]:
-    """batch's loss through its task's head on features; writes the head
-    gradient into row and returns the loss and d(loss)/d(features)."""
-    out = _task_output(model, batch.task_id, features)
-    loss, g_out = _loss_and_output_grad(model.task_specs[batch.task_id], out, batch.y)
-    row[model.layout[BlockId("HEAD", batch.task_id)][0]] = (g_out @ features.T).ravel()
-    return loss, model.heads[batch.task_id].T @ g_out
-
-
-def predict(model: MultiTaskModel, task_id: int, x: Matrix) -> Matrix:
-    features, _ = forward_features(model, x)
-    return _task_output(model, task_id, features)
-
-
 def _check_batch(model: MultiTaskModel, batch: TaskBatch) -> None:
     if not 0 <= batch.task_id < model.num_tasks:
         raise ParameterError(f"task_id {batch.task_id} outside [0, {model.num_tasks})")
-    spec = model.task_specs[batch.task_id]
+    kind = model.kinds[batch.task_id]
+    out_dim = model.out_dim
     n = batch.x.shape[1]
     if n < 1:
         raise ParameterError("batch must contain at least one example")
-    if spec.kind == REGRESSION:
-        if batch.y.shape != (spec.out_dim, n):
+    if kind == REGRESSION:
+        if batch.y.shape != (out_dim, n):
             raise ShapeError(
-                f"regression targets {batch.y.shape} do not match (out_dim={spec.out_dim}, n={n})"
+                f"regression targets {batch.y.shape} do not match (out_dim={out_dim}, n={n})"
             )
-    elif spec.kind == CLASSIFICATION:
+    elif kind == CLASSIFICATION:
         if batch.y.shape != (n,):
             raise ShapeError(f"labels {batch.y.shape} do not match batch size {n}")
-        if batch.y.min() < 0 or batch.y.max() >= spec.out_dim:
-            raise ParameterError(f"labels outside [0, {spec.out_dim}) for task {batch.task_id}")
+        if batch.y.min() < 0 or batch.y.max() >= out_dim:
+            raise ParameterError(f"labels outside [0, {out_dim}) for task {batch.task_id}")
     else:
-        raise ParameterError(f"unknown task kind {spec.kind!r}")
+        raise ParameterError(f"unknown task kind {kind!r}")
 
 
-def _loss_and_output_grad(spec: TaskSpec, out: Matrix, y: np.ndarray) -> tuple[float, Matrix]:
-    """Mean per-example loss and dloss/dout.
+def _losses(kinds: list[str], out: np.ndarray,
+            ys: list[np.ndarray]) -> tuple[list[float], np.ndarray]:
+    """Mean per-example loss of every (o, n) slab of out, and dloss/dout.
 
     Regression: half squared error summed over output dims, averaged over the
-    batch. Classification: softmax cross-entropy averaged over the batch.
+    batch. Classification: softmax cross-entropy averaged over the batch. The
+    slabs of one kind are computed together.
     """
-    n = out.shape[1]
-    if spec.kind == REGRESSION:
-        resid = out - y
-        loss = 0.5 * float((resid * resid).sum()) / n
-        return loss, resid / n
-    shifted = out - out.max(axis=0, keepdims=True)
-    expz = np.exp(shifted)
-    denom = expz.sum(axis=0, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    idx = np.arange(n)
-    loss = -float(log_probs[y, idx].sum()) / n
-    grad = expz / denom
-    grad[y, idx] -= 1.0
-    return loss, grad / n
-
-
-def task_loss(model: MultiTaskModel, batch: TaskBatch) -> float:
-    _check_batch(model, batch)
-    features, _ = forward_features(model, batch.x)
-    out = _task_output(model, batch.task_id, features)
-    loss, _ = _loss_and_output_grad(model.task_specs[batch.task_id], out, batch.y)
-    return loss
+    n = out.shape[2]
+    losses = np.empty(len(kinds))
+    g_out = np.empty_like(out)
+    reg = [t for t, kind in enumerate(kinds) if kind == REGRESSION]
+    if reg:
+        resid = out[reg] - np.stack([ys[t] for t in reg])
+        losses[reg] = 0.5 * (resid * resid).reshape(len(reg), -1).sum(axis=1) / n
+        g_out[reg] = resid / n
+    cls = [t for t, kind in enumerate(kinds) if kind == CLASSIFICATION]
+    if cls:
+        logits = out[cls]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expz = np.exp(shifted)
+        denom = expz.sum(axis=1, keepdims=True)
+        log_probs = shifted - np.log(denom)
+        picked = (np.arange(len(cls))[:, None], np.stack([ys[t] for t in cls]), np.arange(n))
+        losses[cls] = -log_probs[picked].sum(axis=1) / n
+        grad = expz / denom
+        grad[picked] -= 1.0
+        g_out[cls] = grad / n
+    return losses.tolist(), g_out
 
 
 def _check_tasks(model: MultiTaskModel, batches: list[TaskBatch]) -> list[TaskBatch]:
@@ -380,23 +370,30 @@ def _gradient_rows(models: list[MultiTaskModel], ordered: list[TaskBatch],
 
     The equal-size batches run as one (T, k, n) input. Without adapters,
     models[0]'s own 2-D adapters broadcast over the T batches; stacked
-    (T, r, k) and (T, d, r) adapters give each batch its own model. Only the
-    heads run per batch (out dims and kinds may differ).
+    (T, r, k) and (T, d, r) adapters give each batch its own model. The head
+    each batch reads runs in one (T, o, d) stack, and its gradient lands in
+    that head's columns of the batch's row.
     """
     sizes = [b.x.shape[1] for b in ordered]
     if sizes.count(sizes[0]) != len(sizes):
         raise ParameterError(f"need equal batch sizes, got {sizes}")
-    for m, b in zip(models, ordered):
-        _check_batch(m, b)
     base = models[0]
+    for b in ordered:
+        _check_batch(base, b)
+    task_ids = [b.task_id for b in ordered]
     features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
-    losses: list[float] = []
-    rows = np.zeros((len(ordered), base.params.size))
-    delta_features = np.empty_like(features)
-    for t, (m, b) in enumerate(zip(models, ordered)):
-        loss, delta_features[t] = _head_backward(m, b, features[t], rows[t])
-        losses.append(loss)
-    _backprop_stack(base, caches, delta_features, rows)
+    heads = np.stack([m.heads[t] for m, t in zip(models, task_ids)])
+    out = heads @ features
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite activations at head {task_ids[int(finite.argmin())]}")
+    losses, g_out = _losses([base.kinds[t] for t in task_ids], out, [b.y for b in ordered])
+    count = len(ordered)
+    rows = np.zeros((count, base.params.size))
+    # a (T, num_tasks, o*d) view of the rows' head columns
+    head_cols = rows[:, base.params.size - base.heads.size:].reshape(count, base.num_tasks, -1)
+    head_cols[np.arange(count), task_ids] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
+    _backprop_stack(base, caches, heads.swapaxes(-1, -2) @ g_out, rows)
     return rows, losses
 
 
@@ -450,32 +447,10 @@ def stacked_gradient(models: list[MultiTaskModel],
     return rows, losses
 
 
-def fd_gradient(model: MultiTaskModel, batch: TaskBatch, block: BlockId, h: float) -> Matrix:
-    """Central-difference gradient of task_loss w.r.t. one named block.
-
-    Perturbs entries in place and restores the saved values exactly, so the
-    model is bit-identical afterwards.
-    """
-    if not h > 0:
-        raise ParameterError(f"fd step h must be > 0, got {h}")
-    target = model.block(block)
-    grad = np.zeros_like(target)
-    for idx in np.ndindex(*target.shape):
-        saved = target[idx]
-        target[idx] = saved + h
-        loss_plus = task_loss(model, batch)
-        target[idx] = saved - h
-        loss_minus = task_loss(model, batch)
-        target[idx] = saved
-        grad[idx] = (loss_plus - loss_minus) / (2.0 * h)
-    return grad
-
-
 def eval_metric(model: MultiTaskModel, batch: TaskBatch) -> float:
     """Held-out metric: accuracy for classification, plain MSE for regression."""
     _check_batch(model, batch)
     out = predict(model, batch.task_id, batch.x)
-    spec = model.task_specs[batch.task_id]
-    if spec.kind == CLASSIFICATION:
+    if model.kinds[batch.task_id] == CLASSIFICATION:
         return float(np.mean(out.argmax(axis=0) == batch.y))
     return float(np.mean((out - batch.y) ** 2))

@@ -204,6 +204,8 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
         return rec
 
     log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)
+    if not log.evals:
+        raise ConfigError(f"{eval_path}: no eval records")
     return log
 
 

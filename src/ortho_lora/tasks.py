@@ -30,7 +30,7 @@ import numpy as np
 
 from .dense import Matrix, Rng
 from .errors import ParameterError
-from .model import CLASSIFICATION, REGRESSION, TaskBatch, TaskSpec
+from .model import CLASSIFICATION, REGRESSION, TaskBatch
 
 MIN_CLASS_FRACTION = 0.10
 MAX_LABEL_RETRIES = 100
@@ -38,7 +38,7 @@ MAX_LABEL_RETRIES = 100
 
 @dataclass
 class SyntheticTaskSet:
-    specs: list[TaskSpec]
+    kinds: list[str]
     teachers: list[Matrix]
     conflict_level: float
     noise_sigma: float
@@ -145,9 +145,8 @@ def make_conflict_set(
             x, labels = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream)
             train.append(TaskBatch(t, x[:, :n_train].copy(), labels[:n_train].copy()))
             eval_.append(TaskBatch(t, x[:, n_train:].copy(), labels[n_train:].copy()))
-    specs = [TaskSpec(kind=kind, out_dim=out_dim) for kind in kinds]
     return SyntheticTaskSet(
-        specs=specs,
+        kinds=list(kinds),
         teachers=teachers,
         conflict_level=conflict_level,
         noise_sigma=noise_sigma,

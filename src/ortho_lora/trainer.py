@@ -11,8 +11,9 @@ Four modes:
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
 Every mode shares one gradient path: the T tasks' equal-size batches run as
-one (T, k, n) input through one forward and one backward pass, and task t's
-gradient is row t of a (T, P) matrix. JOINT and both ORTHO modes run one
+one (T, k, n) input through one forward and one backward pass, with the
+heads they read as one (T, o, d) stack, and task t's gradient is row t of a
+(T, P) matrix. JOINT and both ORTHO modes run one
 model (``joint_gradient``); the conflict report and the projection read
 per-group Gram matrices of its rows (computed once per step), merge sums
 them, and one AdamW step moves the model's flat parameter vector.
@@ -192,7 +193,8 @@ def run_mode(config: ExperimentConfig, mode: str,
         config.model.rank,
         config.model.alpha,
         config.model.sigma_init,
-        task_set.specs,
+        task_set.kinds,
+        config.tasks.out_dim,
         master.child(STREAM_INIT),
     )
     models = stack_copies(base, num_tasks) if mode == SINGLE_TASK else [base]

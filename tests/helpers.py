@@ -16,22 +16,20 @@ from ortho_lora import (
     SurgeryStats,
     TaskBatch,
     TaskGradient,
-    TaskSpec,
     build_model,
     joint_gradient,
+    predict,
     surgery,
 )
-from ortho_lora.model import _check_tasks, param_layout, task_loss, task_loss_and_gradient
+from ortho_lora.model import _check_batch, _check_tasks, param_layout, task_loss_and_gradient
 
 
 def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
-                 specs=None, randomize_b=False):
+                 kinds=(REGRESSION, CLASSIFICATION), out_dim=3, randomize_b=False):
     """A small model; randomize_b fills the (normally zero) b blocks so that
     gradients flow through every block, emulating a mid-training state."""
     rng = Rng(seed)
-    if specs is None:
-        specs = [TaskSpec(REGRESSION, 3), TaskSpec(CLASSIFICATION, 3)]
-    model = build_model(list(layer_dims), rank, alpha, sigma, specs, rng.child(0))
+    model = build_model(list(layer_dims), rank, alpha, sigma, list(kinds), out_dim, rng.child(0))
     if randomize_b:
         brng = rng.child(1)
         for layer in model.layers:
@@ -42,12 +40,46 @@ def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
 def random_batch(model, task_id, n, seed):
     rng = Rng(seed)
     x = rng.standard_normal((model.in_dim, n))
-    spec = model.task_specs[task_id]
-    if spec.kind == REGRESSION:
-        y = rng.standard_normal((spec.out_dim, n))
+    if model.kinds[task_id] == REGRESSION:
+        y = rng.standard_normal((model.out_dim, n))
     else:
-        y = np.asarray(rng.integers(0, spec.out_dim, n), dtype=np.int64)
+        y = np.asarray(rng.integers(0, model.out_dim, n), dtype=np.int64)
     return TaskBatch(task_id, x, y)
+
+
+def task_loss(model, batch) -> float:
+    """batch's mean loss through its task's head, written out apart from the
+    batched loss of the gradient path: half squared error summed over output
+    dims, or softmax cross-entropy."""
+    _check_batch(model, batch)
+    out = predict(model, batch.task_id, batch.x)
+    n = out.shape[1]
+    if model.kinds[batch.task_id] == REGRESSION:
+        return 0.5 * float(np.sum((out - batch.y) ** 2)) / n
+    shifted = out - out.max(axis=0)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=0))
+    return -float(log_probs[batch.y, np.arange(n)].sum()) / n
+
+
+def fd_gradient(model, batch, block: BlockId, h: float) -> np.ndarray:
+    """Central-difference gradient of task_loss w.r.t. one named block.
+
+    Perturbs entries in place and restores the saved values exactly, so the
+    model is bit-identical afterwards.
+    """
+    if not h > 0:
+        raise ParameterError(f"fd step h must be > 0, got {h}")
+    target = model.block(block)
+    grad = np.zeros_like(target)
+    for idx in np.ndindex(*target.shape):
+        saved = target[idx]
+        target[idx] = saved + h
+        loss_plus = task_loss(model, batch)
+        target[idx] = saved - h
+        loss_minus = task_loss(model, batch)
+        target[idx] = saved
+        grad[idx] = (loss_plus - loss_minus) / (2.0 * h)
+    return grad
 
 
 def task_gradient(model, batch) -> TaskGradient:

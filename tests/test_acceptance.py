@@ -28,9 +28,7 @@ from ortho_lora import (
     GradientStack,
     Rng,
     TaskBatch,
-    TaskSpec,
     build_model,
-    fd_gradient,
     load_config,
     make_conflict_set,
     predict,
@@ -39,10 +37,9 @@ from ortho_lora import (
     recovery,
     run_experiment,
     surgery,
-    task_loss,
     train_step,
 )
-from helpers import measure_surgery_floats, task_gradient
+from helpers import fd_gradient, measure_surgery_floats, task_gradient, task_loss
 from ortho_lora.cli import run_cli
 from ortho_lora.model import task_loss_and_gradient
 from ortho_lora.surgery import scope_groups
@@ -69,20 +66,20 @@ def test_criterion_01_gradient_correctness():
         if rank > min(dims):
             continue
         num_tasks = int(rng.integers(1, 4))
-        specs = [
-            TaskSpec(REGRESSION if rng.integers(0, 2) else CLASSIFICATION, int(rng.integers(2, 5)))
-            for _ in range(num_tasks)
-        ]
-        model = build_model(dims, rank, 2.0 * rank, 0.1, specs, rng.child(0))
+        # every head takes the first task's drawn out dim
+        drawn = [(REGRESSION if rng.integers(0, 2) else CLASSIFICATION, int(rng.integers(2, 5)))
+                 for _ in range(num_tasks)]
+        kinds, out_dim = [kind for kind, _ in drawn], drawn[0][1]
+        model = build_model(dims, rank, 2.0 * rank, 0.1, kinds, out_dim, rng.child(0))
         for layer in model.layers:
             layer.adapter.b[...] = rng.child(1).standard_normal(layer.adapter.b.shape) * 0.2
         task = int(rng.integers(0, num_tasks))
         xrng = rng.child(2)
         x = xrng.standard_normal((model.in_dim, 4))
-        if specs[task].kind == REGRESSION:
-            y = xrng.standard_normal((specs[task].out_dim, 4))
+        if kinds[task] == REGRESSION:
+            y = xrng.standard_normal((out_dim, 4))
         else:
-            y = np.asarray(xrng.integers(0, specs[task].out_dim, 4), dtype=np.int64)
+            y = np.asarray(xrng.integers(0, out_dim, 4), dtype=np.int64)
         batch = TaskBatch(task, x, y)
         grad = task_gradient(model, batch)
         for bid, analytic in grad.blocks.items():
@@ -142,15 +139,15 @@ def test_criterion_03_no_conflict_identity():
 def test_criterion_04_init_equivalence():
     """Fresh adapters leave the model exactly equal to its backbone."""
     rng = Rng(11)
-    specs = [TaskSpec(REGRESSION, 3), TaskSpec(CLASSIFICATION, 4)]
-    model = build_model([16, 12, 8], 4, 16.0, 0.02, specs, rng.child(0))
+    kinds = [REGRESSION, CLASSIFICATION]
+    model = build_model([16, 12, 8], 4, 16.0, 0.02, kinds, 4, rng.child(0))
     xrng = rng.child(1)
     for _ in range(100):
         x = xrng.standard_normal((16, 5))
         h = x
         for layer in model.layers:
             h = np.tanh(layer.w0 @ h)
-        for task in range(len(specs)):
+        for task in range(len(kinds)):
             with_adapters = predict(model, task, x)
             backbone_only = model.heads[task] @ h
             assert np.array_equal(with_adapters, backbone_only)
@@ -184,7 +181,7 @@ def test_criterion_05_local_non_harm():
         rng = Rng(100 + state)
         tasks = make_conflict_set([REGRESSION] * 2, 12, 3, 1.0, 0.0, 128, 16,
                                   rng.child(1), shared_scale=0.3)
-        model = build_model([12, 12], 4, 8.0, 0.02, tasks.specs, rng.child(0))
+        model = build_model([12, 12], 4, 8.0, 0.02, tasks.kinds, 3, rng.child(0))
         models, opt_states = [model], [AdamWState()]
         steps = int(rng.child(2).integers(1, 30))
         surgery_rng = rng.child(3)
@@ -273,11 +270,10 @@ def test_criterion_08_reference_recovery_arithmetic():
 
 def test_criterion_09_overhead_locality():
     """Surgery touches exactly T x (adapter floats), independent of backbone width."""
-    specs = [TaskSpec(REGRESSION, 3)] * 3
     rng = Rng(21)
     results = {}
     for dims in ([12, 8], [24, 16]):
-        model = build_model(dims, 2, 4.0, 0.02, specs, rng.child(dims[0]))
+        model = build_model(dims, 2, 4.0, 0.02, [REGRESSION] * 3, 3, rng.child(dims[0]))
         for layer in model.layers:
             layer.adapter.b[...] = rng.child(dims[0] + 1).standard_normal(layer.adapter.b.shape)
         batches = []

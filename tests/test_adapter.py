@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from ortho_lora import (
     ParameterError,
     Rng,
     ShapeError,
-    TaskSpec,
     init_adapter,
     load_adapter,
     save_adapter,
@@ -48,8 +49,8 @@ def test_init_bad_sigma():
 
 def one_layer(w0, ad):
     """A one-layer model around (w0, adapter), so its forward pass can be read."""
-    return MultiTaskModel([FrozenLayer(w0=w0, adapter=ad)], heads=[np.zeros((1, w0.shape[0]))],
-                          task_specs=[TaskSpec(REGRESSION, 1)])
+    return MultiTaskModel([FrozenLayer(w0=w0, adapter=ad)], heads=np.zeros((1, 1, w0.shape[0])),
+                          kinds=[REGRESSION])
 
 
 def test_adapted_forward_fresh_equals_backbone_exactly():
@@ -121,6 +122,17 @@ def _dump(tmp_path, edit):
     (lambda text: text[: len(text) // 2], "JSON"),
     (lambda text: text.replace('"a":', '"a_renamed":'), "'a'"),
     (lambda text: text.replace('"b": [', '"b": 7, "unused": ['), "'b'"),
+    pytest.param(lambda text: re.sub(r'"a": \[\[[^,]+', '"a": [[NaN', text), "'a'", id="a NaN"),
+    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[Infinity'), "'b'", id="b inf"),
+    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[-Infinity'), "'b'", id="b -inf"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": NaN'), "'alpha'",
+                 id="alpha NaN"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": Infinity'), "'alpha'",
+                 id="alpha inf"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": 0.0'), "'alpha'",
+                 id="alpha 0"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": -2.0'), "'alpha'",
+                 id="alpha negative"),
 ])
 def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field):
     path = _dump(tmp_path, edit)

@@ -173,6 +173,7 @@ BAD_RUN_FILES = {
                             None),
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
                                                  "1,JOINT,avg,0.5"], 4),
+    "header only": ("JOINT/eval.csv", [], None),
 }
 
 
@@ -187,7 +188,7 @@ def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
             ",".join(EVAL_HEADER) + "\n" + "\n".join(_eval_rows(mode)) + "\n")
     rel, rows, line = BAD_RUN_FILES[case]
     path = tmp_path / rel
-    path.write_text(",".join(headers[path.name]) + "\n" + "\n".join(rows) + "\n")
+    path.write_text("".join(f"{text}\n" for text in [",".join(headers[path.name]), *rows]))
     assert run_cli(["summarize", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert (f"{path}:{line}:" if line else f"{path}:") in err, err

@@ -1,8 +1,11 @@
 """The one gradient path: joint_gradient's rows against the one-task-at-a-time
-gradient and against stacked_gradient, and the batch checks all entry points share."""
+gradient and against stacked_gradient, the batched heads against a per-task
+head loop, and the batch checks all entry points share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_batch, random_model
 
@@ -11,12 +14,12 @@ from ortho_lora import (
     REGRESSION,
     ParameterError,
     Rng,
-    TaskSpec,
     joint_gradient,
     stack_copies,
     stacked_gradient,
     task_loss_and_gradient,
 )
+from ortho_lora.model import BlockId, _backprop_stack, forward_features
 
 
 def _per_task(model, batches):
@@ -31,9 +34,8 @@ def _per_task(model, batches):
 @pytest.mark.parametrize("num_tasks", [3, 16])
 def test_bit_identical_at_trainer_shapes(num_tasks):
     # 16x16 layer, rank 4, batch 16: the paper-default and many-tasks steps
-    specs = [TaskSpec(REGRESSION, 4)] * num_tasks
-    model = random_model(30, layer_dims=(16, 16), rank=4, alpha=16.0, specs=specs,
-                         randomize_b=True)
+    model = random_model(30, layer_dims=(16, 16), rank=4, alpha=16.0,
+                         kinds=[REGRESSION] * num_tasks, out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 16, seed=40 + t) for t in range(num_tasks)]
     stack, losses = joint_gradient(model, batches)
     for t, (loss, want) in enumerate(_per_task(model, batches)):
@@ -47,16 +49,17 @@ def test_bit_identical_at_trainer_shapes(num_tasks):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_stacks_with_mixed_heads(seed):
-    # 1-3 layers, regression and softmax heads of different out dims
+    # 1-3 layers, regression and softmax heads; the out dim is drawn per seed
     rng = Rng(seed)
     depth = 1 + seed % 3
     dims = [int(d) for d in rng.integers(3, 9, size=depth + 1)]
-    specs = [TaskSpec(CLASSIFICATION, 3), TaskSpec(REGRESSION, 2)] + [
-        TaskSpec(CLASSIFICATION if rng.integers(0, 2) else REGRESSION, int(rng.integers(2, 5)))
+    kinds = [CLASSIFICATION, REGRESSION] + [
+        CLASSIFICATION if rng.integers(0, 2) else REGRESSION
         for _ in range(int(rng.integers(0, 4)))]
     rank = min(2, *dims)
-    model = random_model(seed, layer_dims=dims, rank=rank, specs=specs, randomize_b=True)
-    batches = [random_batch(model, t, 6, seed=100 + t) for t in range(len(specs))]
+    model = random_model(seed, layer_dims=dims, rank=rank, kinds=kinds,
+                         out_dim=int(rng.integers(2, 5)), randomize_b=True)
+    batches = [random_batch(model, t, 6, seed=100 + t) for t in range(len(kinds))]
     stack, losses = joint_gradient(model, batches)
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == pytest.approx(loss, rel=1e-14)
@@ -65,17 +68,16 @@ def test_random_stacks_with_mixed_heads(seed):
             assert np.abs(got - arr).max() <= 1e-14 * max(np.abs(arr).max(), 1e-300), bid
 
 
-def _mixed_specs(num_tasks):
-    kinds = [TaskSpec(REGRESSION, 3), TaskSpec(CLASSIFICATION, 4), TaskSpec(REGRESSION, 2)]
-    return [kinds[t % 3] for t in range(num_tasks)]
+def _mixed_kinds(num_tasks):
+    return [(REGRESSION, CLASSIFICATION, REGRESSION)[t % 3] for t in range(num_tasks)]
 
 
 @pytest.mark.parametrize("num_tasks", [1, 3, 16])
 @pytest.mark.parametrize("layer_dims", [(8, 7), (8, 7, 6), (8, 7, 6, 5)])
 def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
     # T stacked copies of one model are that model: the two entry points agree bit for bit
-    model = random_model(60, layer_dims=layer_dims, rank=3, specs=_mixed_specs(num_tasks),
-                         randomize_b=True)
+    model = random_model(60, layer_dims=layer_dims, rank=3, kinds=_mixed_kinds(num_tasks),
+                         out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=200 + t) for t in range(num_tasks)]
     stack, joint_losses = joint_gradient(model, batches)
     models = stack_copies(model, num_tasks)
@@ -115,3 +117,70 @@ def test_empty_batch_rejected(entry):
     with pytest.raises(ParameterError, match="at least one example"):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+def _per_task_heads(models, ordered, adapters=None):
+    """Rows and losses with the heads run one task at a time: the reference for
+    the batched head step (same forward and backward, a per-task head loop)."""
+    base = models[0]
+    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
+    rows = np.zeros((len(ordered), base.params.size))
+    delta = np.empty_like(features)
+    losses = []
+    for t, (m, b) in enumerate(zip(models, ordered)):
+        head = m.heads[b.task_id]
+        out = head @ features[t]
+        n = out.shape[1]
+        if m.kinds[b.task_id] == REGRESSION:
+            resid = out - b.y
+            losses.append(0.5 * float((resid * resid).sum()) / n)
+            g_out = resid / n
+        else:
+            shifted = out - out.max(axis=0, keepdims=True)
+            expz = np.exp(shifted)
+            denom = expz.sum(axis=0, keepdims=True)
+            log_probs = shifted - np.log(denom)
+            idx = np.arange(n)
+            losses.append(-float(log_probs[b.y, idx].sum()) / n)
+            g_out = expz / denom
+            g_out[b.y, idx] -= 1.0
+            g_out = g_out / n
+        rows[t, base.layout[BlockId("HEAD", b.task_id)][0]] = (g_out @ features[t].T).ravel()
+        delta[t] = head.T @ g_out
+    _backprop_stack(base, caches, delta, rows)
+    return rows, losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(["task_loss_and_gradient", "joint_gradient", "stacked_gradient"]),
+       kinds=st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=1, max_size=16),
+       dims=st.lists(st.integers(2, 8), min_size=2, max_size=4), out_dim=st.integers(2, 4),
+       n=st.integers(1, 6), data=st.data())
+def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, data):
+    # T = 1 runs a nonzero task of a model with at least two heads
+    if entry == "task_loss_and_gradient" and len(kinds) == 1:
+        kinds = kinds + [REGRESSION]
+    seed = data.draw(st.integers(0, 2**16))
+    model = random_model(seed, layer_dims=dims, rank=min(2, *dims), kinds=kinds,
+                         out_dim=out_dim, randomize_b=True)
+    batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
+    if entry == "task_loss_and_gradient":
+        task = data.draw(st.integers(1, len(kinds) - 1))
+        rows, losses = _per_task_heads([model], [batches[task]])
+        loss, stack = task_loss_and_gradient(model, batches[task])
+        got_rows, got_losses = stack.rows, [loss]
+    elif entry == "joint_gradient":
+        rows, losses = _per_task_heads([model] * len(kinds), batches)
+        stack, got_losses = joint_gradient(model, batches)
+        got_rows = stack.rows
+    else:
+        models = stack_copies(model, len(kinds))
+        params = models[0].params.base
+        params += 0.1 * Rng(seed).standard_normal(params.shape)  # each model its own point
+        adapters = [tuple(params[:, model.layout[BlockId(role, i)][0]].reshape(
+                        len(kinds), *model.layout[BlockId(role, i)][1]) for role in "AB")
+                    for i in range(model.num_layers)]
+        rows, losses = _per_task_heads(models, batches, adapters)
+        got_rows, got_losses = stacked_gradient(models, batches)
+    assert np.array_equal(got_rows, rows)
+    assert got_losses == losses

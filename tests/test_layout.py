@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_batch, random_model
+from helpers import fd_gradient, random_batch, random_model
 
 from ortho_lora import (
     CLASSIFICATION,
@@ -15,9 +15,7 @@ from ortho_lora import (
     BlockId,
     GradientStack,
     Rng,
-    TaskSpec,
     build_model,
-    fd_gradient,
     joint_gradient,
     predict,
     task_loss_and_gradient,
@@ -28,7 +26,7 @@ from ortho_lora.surgery import _group_columns, scope_groups
 def test_every_block_is_a_view_into_params():
     model = random_model(0, layer_dims=(6, 5, 4), randomize_b=True)
     views = ([layer.adapter.a for layer in model.layers] + [layer.adapter.b for layer in model.layers]
-             + model.heads + list(model.trainable_blocks().values())
+             + [model.heads, *model.heads] + list(model.trainable_blocks().values())
              + [model.block(bid) for bid in model.layout])
     assert all(np.shares_memory(view, model.params) for view in views)
     for bid, (sl, shape) in model.layout.items():
@@ -70,8 +68,7 @@ def test_fd_perturbation_reaches_predict():
 
 
 def test_stack_rows_are_zero_in_other_tasks_heads():
-    specs = [TaskSpec(REGRESSION, 3), TaskSpec(CLASSIFICATION, 3), TaskSpec(REGRESSION, 2)]
-    model = random_model(5, specs=specs, randomize_b=True)
+    model = random_model(5, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
     stack, _ = joint_gradient(model, batches)
     singles = [task_loss_and_gradient(model, b)[1] for b in batches]
@@ -85,12 +82,11 @@ def test_stack_rows_are_zero_in_other_tasks_heads():
 
 @settings(max_examples=40, deadline=None)
 @given(dims=st.lists(st.integers(2, 6), min_size=2, max_size=4),
-       head_dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
-def test_scope_group_slices_cover_exactly_their_blocks(dims, head_dims, data):
+       num_tasks=st.integers(1, 3), out_dim=st.integers(1, 4), data=st.data())
+def test_scope_group_slices_cover_exactly_their_blocks(dims, num_tasks, out_dim, data):
     rank = data.draw(st.integers(1, min(dims)))
-    specs = [TaskSpec(REGRESSION, d) for d in head_dims]
-    model = build_model(dims, rank, 2.0, 0.1, specs, Rng(0))
-    stack = GradientStack(list(range(len(specs))), np.zeros((len(specs), model.params.size)),
+    model = build_model(dims, rank, 2.0, 0.1, [REGRESSION] * num_tasks, out_dim, Rng(0))
+    stack = GradientStack(list(range(num_tasks)), np.zeros((num_tasks, model.params.size)),
                           model.layout)
     for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
         groups = scope_groups(stack[0], scope)

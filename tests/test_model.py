@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import joint_loss, random_batch, random_model, task_gradient
+from helpers import fd_gradient, joint_loss, random_batch, random_model, task_gradient, task_loss
 
 from ortho_lora import (
     CLASSIFICATION,
@@ -14,14 +14,11 @@ from ortho_lora import (
     Rng,
     ShapeError,
     TaskBatch,
-    TaskSpec,
     build_model,
     eval_metric,
-    fd_gradient,
     joint_gradient,
     merge,
     predict,
-    task_loss,
 )
 from ortho_lora.model import block_views
 
@@ -31,7 +28,6 @@ def oracle_task_loss(model, batch):
     one example at a time."""
     total = 0.0
     n = batch.x.shape[1]
-    spec = model.task_specs[batch.task_id]
     for col in range(n):
         h = batch.x[:, col]
         for layer in model.layers:
@@ -39,7 +35,7 @@ def oracle_task_loss(model, batch):
             w_eff = layer.w0 + (ad.alpha / ad.rank) * (ad.b @ ad.a)
             h = np.tanh(w_eff @ h)
         out = model.heads[batch.task_id] @ h
-        if spec.kind == REGRESSION:
+        if model.kinds[batch.task_id] == REGRESSION:
             r = out - batch.y[:, col]
             total += 0.5 * float(r @ r)
         else:
@@ -62,7 +58,7 @@ class TestTaskLoss:
         assert task_loss(model, TaskBatch(0, x, y)) == 0.0
 
     def test_uniform_softmax_is_ln2(self):
-        model = random_model(2, specs=[TaskSpec(CLASSIFICATION, 2)])
+        model = random_model(2, kinds=[CLASSIFICATION], out_dim=2)
         model.heads[0][...] = 0.0
         batch = random_batch(model, 0, 16, seed=3)
         assert task_loss(model, batch) == pytest.approx(math.log(2.0), rel=1e-15)
@@ -94,7 +90,7 @@ class TestTaskLoss:
 
 class TestJointLoss:
     def test_single_task_equals_task_loss(self):
-        model = random_model(9, specs=[TaskSpec(REGRESSION, 3)], randomize_b=True)
+        model = random_model(9, kinds=[REGRESSION], randomize_b=True)
         batch = random_batch(model, 0, 6, seed=1)
         assert joint_loss(model, [batch]) == task_loss(model, batch)
 
@@ -152,12 +148,9 @@ class TestTaskGradient:
         rng = Rng(seed)
         dims = [int(d) for d in rng.integers(3, 9, size=int(rng.integers(2, 4)))]
         rank = int(rng.integers(1, min(dims) + 1))
-        specs = [
-            TaskSpec(REGRESSION if seed % 2 else CLASSIFICATION, 3),
-            TaskSpec(CLASSIFICATION if seed % 2 else REGRESSION, 2),
-        ]
-        model = random_model(seed * 31 + 1, layer_dims=tuple(dims), rank=rank,
-                             specs=specs, randomize_b=True)
+        kinds = [REGRESSION, CLASSIFICATION] if seed % 2 else [CLASSIFICATION, REGRESSION]
+        model = random_model(seed * 31 + 1, layer_dims=tuple(dims), rank=rank, kinds=kinds,
+                             out_dim=2 + seed % 2, randomize_b=True)
         batch = random_batch(model, seed % 2, 4, seed=seed * 17 + 2)
         g = task_gradient(model, batch)
         for bid, analytic in g.blocks.items():
@@ -169,7 +162,7 @@ class TestFdGradient:
     def test_quadratic_in_head_is_exact(self):
         # regression loss is exactly quadratic in the head entries, so the
         # central difference has no truncation term
-        model = random_model(17, specs=[TaskSpec(REGRESSION, 3)], randomize_b=True)
+        model = random_model(17, kinds=[REGRESSION], randomize_b=True)
         batch = random_batch(model, 0, 5, seed=6)
         analytic = task_gradient(model, batch).blocks[BlockId("HEAD", 0)]
         fd = fd_gradient(model, batch, BlockId("HEAD", 0), h=1e-4)
@@ -233,7 +226,8 @@ class TestEvalMetric:
 
 
 def test_build_model_frozen_dims_compose():
-    model = build_model([6, 5, 4], 2, 4.0, 0.02, [TaskSpec(REGRESSION, 3)], Rng(25))
+    model = build_model([6, 5, 4], 2, 4.0, 0.02, [REGRESSION], 3, Rng(25))
     assert model.in_dim == 6
     assert model.layers[-1].w0.shape[0] == 4  # feature dim
+    assert model.heads.shape == (1, 3, 4)
     assert model.heads[0].shape == (3, 4)

@@ -21,7 +21,6 @@ from ortho_lora import (
     AdamWState,
     ParameterError,
     Rng,
-    TaskSpec,
     adamw_step,
     merge,
     stack_copies,
@@ -32,11 +31,10 @@ from ortho_lora import (
 STEPS = 4
 
 
-def _specs(num_tasks, mixed):
+def _kinds(num_tasks, mixed):
     if not mixed:
-        return [TaskSpec(REGRESSION, 4)] * num_tasks
-    kinds = [TaskSpec(REGRESSION, 3), TaskSpec(CLASSIFICATION, 4), TaskSpec(REGRESSION, 2)]
-    return [kinds[t % 3] for t in range(num_tasks)]
+        return [REGRESSION] * num_tasks
+    return [(REGRESSION, CLASSIFICATION, REGRESSION)[t % 3] for t in range(num_tasks)]
 
 
 def _batches(model, step, n=8):
@@ -80,7 +78,7 @@ def _stacked(base, hyper, steps):
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
 def test_stacked_step_matches_per_model_loop(num_tasks, layer_dims, mixed, weight_decay):
     base = random_model(num_tasks, layer_dims=layer_dims, rank=2,
-                        specs=_specs(num_tasks, mixed), randomize_b=True)
+                        kinds=_kinds(num_tasks, mixed), out_dim=4, randomize_b=True)
     hyper = AdamWHyper(weight_decay=weight_decay)
     want_models, want_losses = _reference(base, hyper, STEPS)
     got_models, got_losses = _stacked(base, hyper, STEPS)
@@ -90,22 +88,8 @@ def test_stacked_step_matches_per_model_loop(num_tasks, layer_dims, mixed, weigh
         assert got.backward_passes == want.backward_passes == STEPS
 
 
-def test_unequal_head_out_dims_at_trainer_shapes():
-    # 16x16 layer, rank 4, batch 16, heads of three out dims and both kinds
-    specs = [TaskSpec(REGRESSION, 4), TaskSpec(CLASSIFICATION, 3), TaskSpec(REGRESSION, 2)]
-    base = random_model(5, layer_dims=(16, 16), rank=4, alpha=16.0, specs=specs)
-    hyper = AdamWHyper()
-    want_models, want_losses = _reference(base, hyper, STEPS)
-    got_models, got_losses = _stacked(base, hyper, STEPS)
-    assert got_losses == want_losses
-    for got, want in zip(got_models, want_models):
-        assert np.array_equal(got.params, want.params)
-        for h_got, h_want in zip(got.heads, want.heads):
-            assert h_got.shape == h_want.shape and np.array_equal(h_got, h_want)
-
-
 def test_models_are_views_into_one_stack():
-    base = random_model(6, specs=_specs(3, mixed=True))
+    base = random_model(6, kinds=_kinds(3, mixed=True))
     models = stack_copies(base, 3)
     stack = models[0].params.base
     assert stack.shape == (3, base.params.size)
@@ -116,7 +100,8 @@ def test_models_are_views_into_one_stack():
         for layer in model.layers:
             assert np.shares_memory(layer.adapter.a, stack[t])
             assert np.shares_memory(layer.adapter.b, stack[t])
-        assert all(np.shares_memory(head, stack[t]) for head in model.heads)
+        assert model.heads.shape == (3, base.out_dim, 4)
+        assert np.shares_memory(model.heads, stack[t])
     # a step moves each model through its row, and the base stays put
     before = base.params.copy()
     train_step(SINGLE_TASK, models, _batches(base, 0), [AdamWState()], 0, 0.01, Rng(0),
@@ -130,7 +115,7 @@ def test_models_are_views_into_one_stack():
 @pytest.mark.parametrize("task_ids", [[0, 2], [0, 0, 1], [0, 1, 1, 2]],
                          ids=["missing", "repeated", "extra"])
 def test_batch_list_must_hold_each_task_once(task_ids):
-    base = random_model(7, specs=_specs(3, mixed=True))
+    base = random_model(7, kinds=_kinds(3, mixed=True))
     models = stack_copies(base, 3)
     before = models[0].params.base.copy()
     batches = [random_batch(base, t, 8, seed=i) for i, t in enumerate(task_ids)]
@@ -145,14 +130,14 @@ def test_batch_list_must_hold_each_task_once(task_ids):
     lambda base: stack_copies(base, 4)[:3],
 ], ids=["separate buffers", "rows out of order", "rows of a larger stack"])
 def test_models_must_be_the_rows_of_one_stack_in_order(build):
-    base = random_model(8, specs=_specs(3, mixed=False))
+    base = random_model(8, kinds=_kinds(3, mixed=False))
     with pytest.raises(ParameterError, match="parameter stack"):
         train_step(SINGLE_TASK, build(base), _batches(base, 0), [AdamWState()], 0, 0.01,
                    Rng(0), PER_MATRIX)
 
 
 def test_unequal_batch_sizes_rejected():
-    base = random_model(9, specs=_specs(3, mixed=False))
+    base = random_model(9, kinds=_kinds(3, mixed=False))
     batches = [random_batch(base, t, 8 + t, seed=t) for t in range(3)]
     with pytest.raises(ParameterError, match="equal batch sizes"):
         train_step(SINGLE_TASK, stack_copies(base, 3), batches, [AdamWState()], 0, 0.01,

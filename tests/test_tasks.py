@@ -8,7 +8,6 @@ from ortho_lora import (
     REGRESSION,
     ParameterError,
     Rng,
-    TaskSpec,
     build_conflict_report,
     build_model,
     make_conflict_set,
@@ -25,7 +24,7 @@ class TestRegressionConflict:
             assert np.array_equal(w, ts.teachers[0])
         # at a shared parameter point (identical heads included) with shared
         # inputs, all task gradients agree
-        model = build_model([6, 5], 2, 4.0, 0.1, ts.specs, Rng(1))
+        model = build_model([6, 5], 2, 4.0, 0.1, ts.kinds, 3, Rng(1))
         for layer in model.layers:
             layer.adapter.b[...] = Rng(2).standard_normal(layer.adapter.b.shape)
         for head in model.heads[1:]:
@@ -51,7 +50,7 @@ class TestRegressionConflict:
         ts = make_conflict_set([REGRESSION] * 2, 6, 3, conflict_level=1.0,
                                noise_sigma=0.0, n_train=64, n_eval=8,
                                rng=Rng(4), shared_scale=0.0)
-        model = build_model([6, 5], 2, 4.0, 0.02, ts.specs, Rng(5))
+        model = build_model([6, 5], 2, 4.0, 0.02, ts.kinds, 3, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
         report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
@@ -114,8 +113,7 @@ class TestClassificationConflict:
 
     def test_mixed_kinds(self):
         ts = make_conflict_set([REGRESSION, CLASSIFICATION], 5, 2, 0.5, 0.0, 20, 8, Rng(10))
-        assert ts.specs[0] == TaskSpec(REGRESSION, 2)
-        assert ts.specs[1] == TaskSpec(CLASSIFICATION, 2)
+        assert ts.kinds == [REGRESSION, CLASSIFICATION]
         assert ts.train[0].y.shape == (2, 20)
         assert ts.train[1].y.shape == (20,)
 

@@ -14,7 +14,6 @@ from ortho_lora import (
     ParameterError,
     Rng,
     TaskBatch,
-    TaskSpec,
     config_from_dict,
     count_backward_passes,
     predict,
@@ -69,7 +68,7 @@ class TestTrainStep:
     def test_no_conflict_ortho_matches_joint(self):
         cfg = tiny_config()
         ts = build_task_set(cfg)
-        base = random_model(1, layer_dims=(6, 6), specs=ts.specs, randomize_b=True)
+        base = random_model(1, layer_dims=(6, 6), kinds=ts.kinds, randomize_b=True)
         batches = [ts.train[t] for t in range(2)]
 
         results = {}
@@ -83,7 +82,7 @@ class TestTrainStep:
         assert max_rel_diff(results[JOINT], results[ORTHO_STRUCTURED]) < 1e-10
 
     def test_single_task_all_modes_agree(self):
-        model = random_model(2, specs=[TaskSpec(REGRESSION, 3)], randomize_b=True)
+        model = random_model(2, kinds=[REGRESSION], randomize_b=True)
         batch = random_batch(model, 0, 8, seed=3)
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
@@ -97,8 +96,7 @@ class TestTrainStep:
         # targets 0 and 2*output give residuals +out and -out, exact negations
         # in IEEE arithmetic, so the two tasks' adapter gradients are bitwise
         # antiparallel and the projections cancel them completely
-        model = random_model(4, specs=[TaskSpec(REGRESSION, 3), TaskSpec(REGRESSION, 3)],
-                             randomize_b=True)
+        model = random_model(4, kinds=[REGRESSION] * 2, randomize_b=True)
         model.heads[1][...] = model.heads[0]
         x = Rng(5).standard_normal((model.in_dim, 8))
         out = predict(model, 0, x)
@@ -144,8 +142,7 @@ class TestBackwardCounting:
     @pytest.mark.parametrize("mode,expected", [(JOINT, 1), (ORTHO_FLAT, 1),
                                                (ORTHO_STRUCTURED, 1), (SINGLE_TASK, 2)])
     def test_instrumented_counts_match(self, mode, expected):
-        model = random_model(8, specs=[TaskSpec(REGRESSION, 3), TaskSpec(REGRESSION, 2)],
-                             randomize_b=True)
+        model = random_model(8, kinds=[REGRESSION] * 2, randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
         models = stack_copies(model, 2) if mode == SINGLE_TASK else [model.copy()]
         states = [AdamWState()]
@@ -157,9 +154,9 @@ class TestBackwardCounting:
 
 class TestSurgeryOverhead:
     def test_floats_touched_equals_task_times_adapter_counts(self):
-        specs = [TaskSpec(REGRESSION, 3)] * 3
-        narrow = random_model(9, layer_dims=(8, 6), rank=2, specs=specs, randomize_b=True)
-        wide = random_model(9, layer_dims=(16, 12), rank=2, specs=specs, randomize_b=True)
+        kinds = [REGRESSION] * 3
+        narrow = random_model(9, layer_dims=(8, 6), rank=2, kinds=kinds, randomize_b=True)
+        wide = random_model(9, layer_dims=(16, 12), rank=2, kinds=kinds, randomize_b=True)
         for model in (narrow, wide):
             batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
             touched = measure_surgery_floats(model, batches, PER_MATRIX)

@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Check that this tree's run outputs are byte-identical to a parent revision's.
+
+Usage: python tools/output_gate.py <parent-rev>
+
+Exports <parent-rev> with ``git archive`` into a temporary directory, runs
+``ortho-lora run`` on each gate config with that tree's ``src/`` and with
+this tree's ``src/``, and compares every file the runs write (CSVs, adapter
+dumps, config.json) with ``cmp``. Exits 0 when every file is identical, 1
+after listing the files that differ or that only one tree wrote, and 2 on a
+usage error or a revision git cannot export.
+
+The gate configs are all built from this tree's configs/default.json:
+
+* default           - as committed, all four modes;
+* many-tasks        - 16 tasks, 2 epochs, all four modes;
+* mixed-role-orig   - 2-layer [16, 12, 10], rank 3, regression and
+                      classification tasks, weight_decay 0.05, 4 epochs,
+                      PER_ROLE_CONCAT scope, projection against the original
+                      gradients, all four modes;
+* mixed-matrix-mut  - the same under PER_MATRIX, against the mutated ones.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ALL_MODES = ["SINGLE_TASK", "JOINT", "ORTHO_FLAT", "ORTHO_STRUCTURED"]
+
+
+def gate_configs(default: dict) -> dict[str, dict]:
+    base = copy.deepcopy(default)
+    base["modes"] = list(ALL_MODES)
+    many = copy.deepcopy(base)
+    many["tasks"]["num_tasks"] = 16
+    many["schedule"]["epochs"] = 2
+    mixed = copy.deepcopy(base)
+    mixed["model"].update(layer_dims=[16, 12, 10], rank=3, alpha=6.0)
+    mixed["optimizer"]["weight_decay"] = 0.05
+    mixed["schedule"]["epochs"] = 4
+    mixed["tasks"]["kind"] = ["regression", "classification", "regression"]
+    role, matrix = copy.deepcopy(mixed), copy.deepcopy(mixed)
+    role["surgery"].update(scope="PER_ROLE_CONCAT", project_against="original")
+    matrix["surgery"].update(scope="PER_MATRIX", project_against="mutated")
+    return {"default": base, "many-tasks": many, "mixed-role-orig": role,
+            "mixed-matrix-mut": matrix}
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if archive.returncode != 0:
+        print(f"git archive {rev} failed: {archive.stderr.decode().strip()}", file=sys.stderr)
+        sys.exit(2)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def run_all(src: Path, configs: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for cfg in sorted(configs.glob("*.json")):
+        subprocess.run([sys.executable, "-m", "ortho_lora.cli", "run", str(cfg),
+                        "--out", str(out / cfg.stem)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/output_gate.py <parent-rev>", file=sys.stderr)
+        return 2
+    default = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory(prefix="output_gate_") as tmp:
+        tmp = Path(tmp)
+        (tmp / "parent").mkdir()
+        export(argv[0], tmp / "parent")
+        configs = tmp / "configs"
+        configs.mkdir()
+        for name, raw in gate_configs(default).items():
+            (configs / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")
+        runs = {}
+        for label, src in (("parent", tmp / "parent" / "src"), ("this", ROOT / "src")):
+            runs[label] = tmp / f"runs_{label}"
+            run_all(src, configs, runs[label])
+        files = {label: {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
+                 for label, run in runs.items()}
+        differ = sorted(files["parent"] ^ files["this"])
+        for rel in sorted(files["parent"] & files["this"]):
+            if subprocess.run(["cmp", "-s", str(runs["parent"] / rel),
+                               str(runs["this"] / rel)]).returncode != 0:
+                differ.append(rel)
+    compared = len(files["parent"] | files["this"])
+    if differ:
+        print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files differ")
+        for rel in sorted(differ):
+            print(f"  {rel}")
+        return 1
+    print(f"output gate passed against {argv[0]}: all {compared} files byte-identical "
+          f"on {len(gate_configs(default))} configs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
