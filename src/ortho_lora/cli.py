@@ -7,7 +7,9 @@ Subcommands:
 * ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep
 * ``summarize <dir>``              - recompute the summary from written CSVs
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
+(including a ``sweep-rank`` rank the config rejects or ``--seeds`` below 1,
+caught before the run directory is made).
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -100,6 +102,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
+    for rank in args.ranks:  # the config's own rank bound, before anything is written
+        try:
+            config.with_updates(rank=rank)
+        except ConfigError as exc:
+            raise ConfigError(f"--ranks {rank}: {exc}") from None
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds}: must be >= 1")
     run_dir = resolve_run_dir(config, args.config, args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import CLASSIFICATION, REGRESSION
+from .model import CLASSIFICATION, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
 from .optim import AdamWHyper
-from .surgery import PER_MATRIX, PER_ROLE_CONCAT, PROJECT_AGAINST_MUTATED, PROJECT_AGAINST_ORIGINAL
+from .surgery import PROJECT_AGAINST_MUTATED, PROJECT_AGAINST_ORIGINAL
 
 CONFIG_VERSION = 1
 

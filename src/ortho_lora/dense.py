@@ -53,9 +53,6 @@ class Rng:
     def permutation(self, n: int) -> list[int]:
         return [int(i) for i in self._gen.permutation(n)]
 
-    def integers(self, low: int, high: int, size: int | None = None):
-        return self._gen.integers(low, high, size=size)
-
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 

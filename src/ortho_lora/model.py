@@ -10,7 +10,9 @@ pairs plus the heads; w0 matrices are never touched.
 The trainable parameters live in one float64 vector, ``model.params``, laid
 out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix is
 a view into it, and ``model.heads`` is one (T, o, d) view of its contiguous
-HEAD columns, so ``model.heads[t]`` is task t's head. A ``GradientStack``
+HEAD columns, so ``model.heads[t]`` is task t's head. ``model.layout``, built
+once per model, is the one place that knows this order: every block's
+columns and every projection scope's column groups. A ``GradientStack``
 holds task gradients as the rows of one (T, P) matrix in the same layout.
 ``stack_copies`` makes T models whose params are the rows of one (T, P)
 matrix, so that SINGLE_TASK's independent models train together.
@@ -39,7 +41,7 @@ backward_passes instrumentation counter.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,17 +54,51 @@ REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
 
-@dataclass(frozen=True)
-class BlockId:
-    """Names one trainable matrix: ("A"|"B", layer index) or ("HEAD", task index)."""
+FLAT = "FLAT"
+PER_MATRIX = "PER_MATRIX"
+PER_ROLE_CONCAT = "PER_ROLE_CONCAT"
+SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
 
-    role: str
-    index: int
 
-    def __str__(self) -> str:
-        if self.role == "HEAD":
-            return f"HEAD{self.index}"
-        return f"L{self.index}.{self.role}"
+class Layout:
+    """The flat parameter format [A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...].
+
+    blocks maps each trainable matrix's name, as steps.csv writes it ("L0.A",
+    "L0.B", "HEAD0"), to its (column slice, shape); a[i] and b[i] are layer
+    i's A and B columns and heads the contiguous HEAD columns. Each
+    projection scope's groups are contiguous spans of adapter columns,
+    labelled and ordered as the conflict report writes them: "flat"; every
+    matrix by layer, A before B; or "A" then "B".
+    """
+
+    def __init__(self, a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
+                 head_shape: tuple[int, ...], num_tasks: int):
+        layers = range(len(a_shapes))
+        named = ([(f"L{i}.A", a_shapes[i]) for i in layers] + [(f"L{i}.B", b_shapes[i]) for i in layers]
+                 + [(f"HEAD{t}", head_shape) for t in range(num_tasks)])
+        self.blocks: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        start = 0
+        for name, shape in named:
+            stop = start + math.prod(shape)
+            self.blocks[name] = (slice(start, stop), tuple(shape))
+            start = stop
+        self.size = start
+        self.a = [self.blocks[f"L{i}.A"][0] for i in layers]
+        self.b = [self.blocks[f"L{i}.B"][0] for i in layers]
+        self.heads = slice(self.b[-1].stop, start)
+        self._scopes = {
+            FLAT: [("flat", slice(0, self.heads.start))],
+            PER_MATRIX: [(name, self.blocks[name][0])
+                         for i in layers for name in (f"L{i}.A", f"L{i}.B")],
+            PER_ROLE_CONCAT: [("A", slice(0, self.b[0].start)),
+                              ("B", slice(self.b[0].start, self.heads.start))],
+        }
+
+    def groups(self, scope: str) -> list[tuple[str, slice]]:
+        """The (label, column slice) groups that scope projects one at a time."""
+        if scope not in self._scopes:
+            raise ParameterError(f"unknown projection scope {scope!r}; expected one of {SCOPES}")
+        return self._scopes[scope]
 
 
 @dataclass
@@ -80,36 +116,16 @@ class TaskBatch:
 
 @dataclass
 class TaskGradient:
-    """Per-task gradients keyed by block: all adapter blocks + the task's own head."""
+    """One task's gradient as views keyed by block name: every adapter block and
+    the task's own head, in the given layout."""
 
     task_id: int
-    blocks: dict[BlockId, Matrix]
-
-
-# Where each trainable block sits in a flat parameter vector: (slice, shape).
-Layout = dict[BlockId, tuple[slice, tuple[int, ...]]]
-
-
-def param_layout(a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
-                 head_shapes: list[tuple[int, ...]]) -> Layout:
-    """The flat layout [A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]."""
-    layout: Layout = {}
-    start = 0
-    for role, shapes in (("A", a_shapes), ("B", b_shapes), ("HEAD", head_shapes)):
-        for i, shape in enumerate(shapes):
-            stop = start + int(np.prod(shape))
-            layout[BlockId(role, i)] = (slice(start, stop), tuple(shape))
-            start = stop
-    return layout
-
-
-def block_views(vec: np.ndarray, layout: Layout) -> dict[BlockId, Matrix]:
-    """Every block of the layout as a matrix view into the flat vector vec."""
-    return {bid: vec[sl].reshape(shape) for bid, (sl, shape) in layout.items()}
+    blocks: dict[str, Matrix]
+    layout: Layout = field(repr=False)
 
 
 @dataclass(eq=False)
-class GradientStack(Sequence):
+class GradientStack:
     """Several tasks' gradients as the rows of one (T, P) matrix in a parameter layout.
 
     Row t is task task_ids[t]'s full gradient: every adapter block and its own
@@ -121,15 +137,14 @@ class GradientStack(Sequence):
     rows: np.ndarray
     layout: Layout
 
-    def __len__(self) -> int:
-        return len(self.task_ids)
-
     def __getitem__(self, pos: int) -> TaskGradient:
         task_id = self.task_ids[pos]
         row = self.rows[pos]
-        return TaskGradient(task_id, {bid: row[sl].reshape(shape)
-                                      for bid, (sl, shape) in self.layout.items()
-                                      if bid.role != "HEAD" or bid.index == task_id})
+        own_head = f"HEAD{task_id}"
+        return TaskGradient(task_id, {name: row[sl].reshape(shape)
+                                      for name, (sl, shape) in self.layout.blocks.items()
+                                      if sl.start < self.layout.heads.start or name == own_head},
+                            self.layout)
 
 
 @dataclass(eq=False)
@@ -138,10 +153,11 @@ class MultiTaskModel:
 
     heads is a (T, o, d) array: task t's head maps d features to o outputs
     (o class logits for a classification task); kinds[t] is REGRESSION or
-    CLASSIFICATION. Construction copies every adapter a/b and the heads into
-    a params vector laid out by ``layout`` and rebinds them as views into it.
-    That vector is a fresh buffer, or the given ``params`` (such as one row
-    of a parameter stack), which the model then writes through.
+    CLASSIFICATION. Construction builds the model's ``layout``, copies every
+    adapter a/b and the heads into a params vector in that layout and
+    rebinds them as views into it. That vector is a fresh buffer, or the
+    given ``params`` (such as one row of a parameter stack), which the model
+    then writes through.
     """
 
     layers: list[FrozenLayer]
@@ -154,19 +170,18 @@ class MultiTaskModel:
     def __post_init__(self) -> None:
         ads = [layer.adapter for layer in self.layers]
         heads = np.asarray(self.heads)
-        self.layout = param_layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
-                                   [heads.shape[1:]] * len(heads))
+        layout = self.layout = Layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
+                                      heads.shape[1:], len(heads))
         sources = [ad.a for ad in ads] + [ad.b for ad in ads] + [heads]
         if self.params is None:
-            self.params = np.empty(sum(m.size for m in sources))
+            self.params = np.empty(layout.size)
         np.concatenate([m.ravel() for m in sources], out=self.params)
-        views = block_views(self.params, self.layout)
         self.layers = [
-            FrozenLayer(layer.w0, LoraAdapter(views[BlockId("A", i)], views[BlockId("B", i)],
-                                              layer.adapter.rank, layer.adapter.alpha))
-            for i, layer in enumerate(self.layers)
+            FrozenLayer(layer.w0, LoraAdapter(self.params[a].reshape(ad.a.shape),
+                                              self.params[b].reshape(ad.b.shape), ad.rank, ad.alpha))
+            for layer, ad, a, b in zip(self.layers, ads, layout.a, layout.b)
         ]
-        self.heads = self.params[self.params.size - heads.size:].reshape(heads.shape)
+        self.heads = self.params[layout.heads].reshape(heads.shape)
 
     @property
     def num_tasks(self) -> int:
@@ -183,22 +198,6 @@ class MultiTaskModel:
     @property
     def in_dim(self) -> int:
         return self.layers[0].w0.shape[1]
-
-    def block(self, bid: BlockId) -> Matrix:
-        sl, shape = self.layout[bid]
-        return self.params[sl].reshape(shape)
-
-    def trainable_blocks(self) -> dict[BlockId, Matrix]:
-        """Live views of every trainable matrix (adapters + all heads)."""
-        return block_views(self.params, self.layout)
-
-    def adapter_param_count(self) -> int:
-        return sum(l.adapter.a.size + l.adapter.b.size for l in self.layers)
-
-    def copy(self) -> "MultiTaskModel":
-        """A model with its own params buffer (and its own w0 copies)."""
-        return MultiTaskModel([FrozenLayer(l.w0.copy(), l.adapter) for l in self.layers],
-                              self.heads, list(self.kinds))
 
 
 def stack_copies(base: MultiTaskModel, count: int) -> list[MultiTaskModel]:
@@ -353,10 +352,10 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: n
         scale = layer.adapter.scale
         cache = caches[i]
         dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
-        rows[:, model.layout[BlockId("B", i)][0]] = (
+        rows[:, model.layout.b[i]] = (
             scale * (dz @ cache["ah"].swapaxes(-1, -2))).reshape(len(rows), -1)
         bt_dz = cache["b"].swapaxes(-1, -2) @ dz
-        rows[:, model.layout[BlockId("A", i)][0]] = (
+        rows[:, model.layout.a[i]] = (
             scale * (bt_dz @ cache["h_in"].swapaxes(-1, -2))).reshape(len(rows), -1)
         if i > 0:
             delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
@@ -391,7 +390,7 @@ def _gradient_rows(models: list[MultiTaskModel], ordered: list[TaskBatch],
     count = len(ordered)
     rows = np.zeros((count, base.params.size))
     # a (T, num_tasks, o*d) view of the rows' head columns
-    head_cols = rows[:, base.params.size - base.heads.size:].reshape(count, base.num_tasks, -1)
+    head_cols = rows[:, base.layout.heads].reshape(count, base.num_tasks, -1)
     head_cols[np.arange(count), task_ids] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
     _backprop_stack(base, caches, heads.swapaxes(-1, -2) @ g_out, rows)
     return rows, losses
@@ -435,12 +434,10 @@ def stacked_gradient(models: list[MultiTaskModel],
     if len(models) != len(ordered):
         raise ParameterError(f"need one stacked model per task, got {len(models)} models "
                              f"for {len(ordered)} tasks")
-
-    def view(bid: BlockId) -> np.ndarray:  # one block of every model, (T, *shape)
-        sl, shape = base.layout[bid]
-        return stack[:, sl].reshape(len(stack), *shape)
-
-    adapters = [(view(BlockId("A", i)), view(BlockId("B", i))) for i in range(base.num_layers)]
+    count = len(models)
+    adapters = [(stack[:, a].reshape(count, *layer.adapter.a.shape),
+                 stack[:, b].reshape(count, *layer.adapter.b.shape))
+                for layer, a, b in zip(base.layers, base.layout.a, base.layout.b)]
     rows, losses = _gradient_rows(models, ordered, adapters)
     for m in models:
         m.backward_passes += 1

@@ -53,15 +53,6 @@ def recovery(single: float, joint: float, ortho: float) -> float:
     return 100.0 * (ortho - joint) / (single - joint)
 
 
-def conflict_frequency(log: MetricsLog) -> float:
-    """Fraction of recorded (step, pair, block) rows whose dot is negative."""
-    total = sum(len(r.pairs) for r in log.conflicts)
-    if total == 0:
-        raise ParameterError(f"log for mode {log.mode} has no conflict records")
-    negative = sum(p.conflicted for r in log.conflicts for p in r.pairs)
-    return negative / total
-
-
 @dataclass
 class RankRow:
     rank: int
@@ -183,10 +174,13 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
             if report is None:
                 report = reports[step] = ConflictReport(step=step, scope=row[4])
                 log.conflicts.append(report)
-            report.pairs.append(ConflictPair(
-                i=int(row[5]), j=int(row[6]), block=row[7],
-                dot=_finite(row[8]), cosine=_finite(row[9]), conflicted=row[10] == "1",
-            ))
+            dot = _finite(row[8])
+            conflicted = dot < 0.0
+            if row[10] != ("1" if conflicted else "0"):
+                raise ValueError(f"conflicted {row[10]!r} is not {int(conflicted)}, as dot {row[8]} "
+                                 "says")
+            report.pairs.append(ConflictPair(i=int(row[5]), j=int(row[6]), block=row[7], dot=dot,
+                                             cosine=_finite(row[9]), conflicted=conflicted))
 
         _read_rows(steps_path, STEPS_HEADER, step_row)
     eval_path = mode_dir / EVAL_FILE
@@ -254,25 +248,21 @@ def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -
     """JOINT vs ORTHO_STRUCTURED final average metric per rank, seed-averaged."""
     if not ranks:
         raise ParameterError("rank_sweep needs at least one rank")
-    max_rank = min(config.model.layer_dims)
-    for r in ranks:
-        if not 1 <= r <= max_rank:
-            raise ParameterError(f"rank {r} invalid for layer dims {config.model.layer_dims}")
     if num_seeds < 1:
         raise ParameterError(f"num_seeds must be >= 1, got {num_seeds}")
+    # revalidated copies: a rank the config rejects fails before any training
+    configs = [config.with_updates(rank=r, modes=[JOINT, ORTHO_STRUCTURED]) for r in sorted(ranks)]
     rows: list[RankRow] = []
-    for r in sorted(ranks):
+    for rank_config in configs:
         joint_vals: list[float] = []
         ortho_vals: list[float] = []
         for s in range(num_seeds):
-            cfg = config.with_updates(seed=config.seed + s, rank=r,
-                                      modes=[JOINT, ORTHO_STRUCTURED])
-            result = run_experiment(cfg)
+            result = run_experiment(rank_config.with_updates(seed=config.seed + s))
             joint_vals.append(result.final_average(JOINT))
             ortho_vals.append(result.final_average(ORTHO_STRUCTURED))
         joint_mean = sum(joint_vals) / len(joint_vals)
         ortho_mean = sum(ortho_vals) / len(ortho_vals)
-        rows.append(RankRow(rank=r, joint=joint_mean, ortho=ortho_mean,
+        rows.append(RankRow(rank=rank_config.model.rank, joint=joint_mean, ortho=ortho_mean,
                             delta=ortho_mean - joint_mean))
     return rows
 

@@ -20,31 +20,25 @@ order still matters because projections compound on the task being fixed).
 other task's gradient currently is, for comparison.
 
 The gradients arrive as a GradientStack: one row per task in the model's
-flat parameter layout, where every scope group is one contiguous column
-slice V (row t: task t's original gradient over the group). Report and
-projection read the group's Gram matrix G = V V^T, which ``group_grams``
-computes once for both. Under the original rule every working gradient is
-c^T V for a coefficient row c, so each inner product it needs is an entry
-of C G and the projected gradients are C V. ``project_pair`` is the same
+flat parameter layout, whose ``groups(scope)`` gives every scope group as
+one contiguous column slice V (row t: task t's original gradient over the
+group). Report and projection read the group's Gram matrix G = V V^T,
+which ``group_grams`` computes once for both. Under the original rule
+every working gradient is c^T V for a coefficient row c, so each inner
+product it needs is an entry of C G and the projected gradients are C V. ``project_pair`` is the same
 rule on explicit vectors; the mutated rule uses it. Merge sums the rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense import Rng
 from .errors import NumericError, ParameterError, ShapeError
-from .model import BlockId, GradientStack, TaskGradient
-
-FLAT = "FLAT"
-PER_MATRIX = "PER_MATRIX"
-PER_ROLE_CONCAT = "PER_ROLE_CONCAT"
-SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
+from .model import PER_MATRIX, GradientStack, TaskGradient
 
 PROJECT_AGAINST_ORIGINAL = "original"
 PROJECT_AGAINST_MUTATED = "mutated"
@@ -70,44 +64,19 @@ class ConflictReport:
     scope: str = PER_MATRIX
     pairs: list[ConflictPair] = field(default_factory=list)
 
-    def conflict_count(self) -> int:
-        return sum(p.conflicted for p in self.pairs)
 
-
-@dataclass
-class SurgeryStats:
-    """Instrumentation: how many gradient floats the projection pass handled."""
-
-    floats_touched: int = 0
-
-
-def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[BlockId]]]:
-    """Named groups of adapter blocks that each get projected as one vector; a
-    group lists its blocks in flat-layout order (A blocks, then B blocks)."""
-    return _groups(grad.blocks, scope)
-
-
-def _groups(bids: Iterable[BlockId], scope: str) -> list[tuple[str, list[BlockId]]]:
-    adapters = sorted((b for b in bids if b.role in ("A", "B")), key=lambda b: (b.role, b.index))
-    if scope == FLAT:
-        return [("flat", adapters)]
-    if scope == PER_MATRIX:
-        return [(str(b), [b]) for b in sorted(adapters, key=lambda b: (b.index, b.role))]
-    if scope == PER_ROLE_CONCAT:
-        return [(role, [b for b in adapters if b.role == role]) for role in ("A", "B")]
-    raise ParameterError(f"unknown projection scope {scope!r}; expected one of {SCOPES}")
-
-
-def _group_columns(stack: GradientStack, scope: str) -> list[tuple[str, slice]]:
-    """Each scope group as the contiguous column slice of the stack rows it covers."""
-    return [(label, slice(stack.layout[bids[0]][0].start, stack.layout[bids[-1]][0].stop))
-            for label, bids in _groups(stack.layout, scope)]
+def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
+    """Each scope group's label and the names of the blocks inside its columns,
+    in flat-layout order (A blocks, then B blocks)."""
+    return [(label, [name for name, (sl, _) in grad.layout.blocks.items()
+                     if cols.start <= sl.start < cols.stop])
+            for label, cols in grad.layout.groups(scope)]
 
 
 def group_grams(grads: GradientStack, scope: str) -> list[np.ndarray]:
     """The Gram matrix V V^T of every scope group's columns V, in group order."""
     grams = []
-    for _, cols in _group_columns(grads, scope):
+    for _, cols in grads.layout.groups(scope):
         v = grads.rows[:, cols]
         grams.append(v @ v.T)
     return grams
@@ -169,7 +138,6 @@ def surgery(
     scope: str,
     rng: Rng,
     project_against: str = PROJECT_AGAINST_ORIGINAL,
-    stats: SurgeryStats | None = None,
     grams: list[np.ndarray] | None = None,
 ) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
@@ -180,11 +148,8 @@ def surgery(
     """
     if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
         raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
-    groups = _group_columns(grads, scope)
-    if stats is not None:
-        stats.floats_touched += len(grads) * sum(cols.stop - cols.start for _, cols in groups)
-
-    order = rng.permutation(len(grads))
+    groups = grads.layout.groups(scope)
+    order = rng.permutation(len(grads.task_ids))
     rows = grads.rows.copy()
     if grams is None and project_against == PROJECT_AGAINST_ORIGINAL:
         grams = group_grams(grads, scope)
@@ -219,9 +184,9 @@ def build_conflict_report(step: int, grads: GradientStack, scope: str,
     projection order. grams, when given, is ``group_grams(grads, scope)``.
     """
     report = ConflictReport(step=step, scope=scope)
-    if len(grads) < 2:
+    if len(grads.task_ids) < 2:
         return report
-    labels = [label for label, _ in _group_columns(grads, scope)]
+    labels = [label for label, _ in grads.layout.groups(scope)]
     dots = [gram.tolist() for gram in (grams or group_grams(grads, scope))]
     norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for gram in dots]
     ids = grads.task_ids

@@ -41,6 +41,7 @@ from .config import (
 from .dense import Rng
 from .errors import ParameterError
 from .model import (
+    FLAT,
     MultiTaskModel,
     TaskBatch,
     build_model,
@@ -50,7 +51,7 @@ from .model import (
     stacked_gradient,
 )
 from .optim import AdamWState, adamw_step, linear_decay_lr
-from .surgery import FLAT, ConflictReport, build_conflict_report, group_grams, merge, surgery
+from .surgery import ConflictReport, build_conflict_report, group_grams, merge, surgery
 from .tasks import SyntheticTaskSet, make_conflict_set, subset_batch
 
 # Substream indices off the master seed; fixed so that consuming one stream
@@ -92,18 +93,6 @@ class MetricsLog:
             raise ParameterError(f"log for mode {self.mode} has no eval records")
         last = max(r.epoch for r in self.evals)
         return {r.task: r.metric for r in self.evals if r.epoch == last}
-
-
-def count_backward_passes(mode: str, num_tasks: int) -> int:
-    """Backward sweeps through the shared stack that one train step costs.
-
-    JOINT and the ORTHO modes get every task's gradient from one fused
-    backward; SINGLE_TASK trains num_tasks separate models, one sweep each,
-    taken together in one batched backward over the parameter stack.
-    """
-    if mode not in VALID_MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
-    return num_tasks if mode == SINGLE_TASK else 1
 
 
 def train_step(

@@ -3,25 +3,37 @@
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 
 import numpy as np
 
-from ortho_lora import (
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
-    BlockId,
     GradientStack,
-    ParameterError,
-    Rng,
-    SurgeryStats,
+    Layout,
     TaskBatch,
     TaskGradient,
+    _check_batch,
+    _check_tasks,
     build_model,
     joint_gradient,
     predict,
-    surgery,
+    stack_copies,
+    task_loss_and_gradient,
 )
-from ortho_lora.model import _check_batch, _check_tasks, param_layout, task_loss_and_gradient
+from ortho_lora.surgery import scope_groups
+
+# A task gradient assembled by hand: per-task blocks keyed by block name.
+Grad = namedtuple("Grad", ["task_id", "blocks"])
+
+
+def generator(seed, *spawn_key):
+    """The numpy Generator behind Rng(seed).child(k)...: the same draws, plus
+    the integer draws Rng does not offer."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
 def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
@@ -37,13 +49,18 @@ def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
     return model
 
 
+def own_copy(model):
+    """A model equal to model with its own parameter buffer: a one-row stack."""
+    return stack_copies(model, 1)[0]
+
+
 def random_batch(model, task_id, n, seed):
-    rng = Rng(seed)
+    rng = generator(seed)
     x = rng.standard_normal((model.in_dim, n))
     if model.kinds[task_id] == REGRESSION:
         y = rng.standard_normal((model.out_dim, n))
     else:
-        y = np.asarray(rng.integers(0, model.out_dim, n), dtype=np.int64)
+        y = rng.integers(0, model.out_dim, n).astype(np.int64)
     return TaskBatch(task_id, x, y)
 
 
@@ -61,7 +78,7 @@ def task_loss(model, batch) -> float:
     return -float(log_probs[batch.y, np.arange(n)].sum()) / n
 
 
-def fd_gradient(model, batch, block: BlockId, h: float) -> np.ndarray:
+def fd_gradient(model, batch, block: str, h: float) -> np.ndarray:
     """Central-difference gradient of task_loss w.r.t. one named block.
 
     Perturbs entries in place and restores the saved values exactly, so the
@@ -69,7 +86,8 @@ def fd_gradient(model, batch, block: BlockId, h: float) -> np.ndarray:
     """
     if not h > 0:
         raise ParameterError(f"fd step h must be > 0, got {h}")
-    target = model.block(block)
+    sl, shape = model.layout.blocks[block]
+    target = model.params[sl].reshape(shape)
     grad = np.zeros_like(target)
     for idx in np.ndindex(*target.shape):
         saved = target[idx]
@@ -117,46 +135,47 @@ def dump_csv(task_set, path) -> None:
                     )
 
 
-def measure_surgery_floats(model, batches, scope, seed=0) -> int:
-    """Instrumented float count for one surgery pass on this model's gradients."""
-    grads, _ = joint_gradient(model, batches)
-    stats = SurgeryStats()
-    surgery(grads, scope, Rng(seed), stats=stats)
-    return stats.floats_touched
+def surgery_floats(grads: GradientStack, scope) -> int:
+    """Gradient floats one surgery pass projects: every row over every scope group."""
+    groups = scope_groups(grads[0], scope)
+    return len(grads.task_ids) * sum(grads[0].blocks[name].size
+                                     for _, names in groups for name in names)
 
 
-def grad_of(task_id, a_blocks, b_blocks, head):
-    """Assemble a TaskGradient from per-layer A/B arrays and one head array."""
+def measure_surgery_floats(model, batches, scope) -> int:
+    """surgery_floats of this model's gradients on batches."""
+    return surgery_floats(joint_gradient(model, batches)[0], scope)
+
+
+def grad_of(task_id, a_blocks, b_blocks, head) -> Grad:
+    """A task gradient from per-layer A/B arrays and one head array."""
     blocks = {}
-    for i, arr in enumerate(a_blocks):
-        blocks[BlockId("A", i)] = np.asarray(arr, dtype=np.float64)
-    for i, arr in enumerate(b_blocks):
-        blocks[BlockId("B", i)] = np.asarray(arr, dtype=np.float64)
-    blocks[BlockId("HEAD", task_id)] = np.asarray(head, dtype=np.float64)
-    return TaskGradient(task_id=task_id, blocks=blocks)
+    for role, arrays in (("A", a_blocks), ("B", b_blocks)):
+        for i, arr in enumerate(arrays):
+            blocks[f"L{i}.{role}"] = np.asarray(arr, dtype=np.float64)
+    blocks[f"HEAD{task_id}"] = np.asarray(head, dtype=np.float64)
+    return Grad(task_id, blocks)
 
 
-def stack_of(grads):
-    """The TaskGradients of tasks 0..T-1 as the rows of one GradientStack."""
+def stack_of(grads) -> GradientStack:
+    """The gradients of tasks 0..T-1, one head shape for all, as the rows of one GradientStack."""
     first = grads[0].blocks
-    layers = sum(b.role == "A" for b in first)
-    heads = {g.task_id: g.blocks[BlockId("HEAD", g.task_id)].shape for g in grads}
-    layout = param_layout([first[BlockId("A", i)].shape for i in range(layers)],
-                          [first[BlockId("B", i)].shape for i in range(layers)],
-                          [heads[t] for t in range(len(heads))])
-    rows = np.zeros((len(grads), max(sl.stop for sl, _ in layout.values())))
+    layers = range(sum(name.endswith(".A") for name in first))
+    layout = Layout([first[f"L{i}.A"].shape for i in layers], [first[f"L{i}.B"].shape for i in layers],
+                    first[f"HEAD{grads[0].task_id}"].shape, len(grads))
+    rows = np.zeros((len(grads), layout.size))
     for row, g in zip(rows, grads):
-        for bid, arr in g.blocks.items():
-            row[layout[bid][0]] = arr.ravel()
+        for name, arr in g.blocks.items():
+            row[layout.blocks[name][0]] = arr.ravel()
     return GradientStack([g.task_id for g in grads], rows, layout)
 
 
-def group_vector(grad: TaskGradient, bids) -> np.ndarray:
+def group_vector(grad, names) -> np.ndarray:
     """One scope group of a task gradient as one vector, blocks in the given order."""
-    return np.concatenate([grad.blocks[b].ravel() for b in bids])
+    return np.concatenate([grad.blocks[name].ravel() for name in names])
 
 
-def blocks_equal(g1: TaskGradient, g2: TaskGradient) -> bool:
+def blocks_equal(g1, g2) -> bool:
     if set(g1.blocks) != set(g2.blocks):
         return False
     return all(np.array_equal(g1.blocks[b], g2.blocks[b]) for b in g1.blocks)

@@ -15,34 +15,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ortho_lora import (
+from helpers import fd_gradient, generator, measure_surgery_floats, task_gradient, task_loss
+
+from ortho_lora.cli import run_cli
+from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, load_config
+from ortho_lora.dense import Rng
+from ortho_lora.model import (
     CLASSIFICATION,
     FLAT,
-    JOINT,
-    ORTHO_FLAT,
-    ORTHO_STRUCTURED,
     PER_MATRIX,
     REGRESSION,
-    SINGLE_TASK,
-    AdamWState,
     GradientStack,
-    Rng,
     TaskBatch,
     build_model,
-    load_config,
-    make_conflict_set,
     predict,
-    project_pair,
-    rank_sweep,
-    recovery,
-    run_experiment,
-    surgery,
-    train_step,
+    task_loss_and_gradient,
 )
-from helpers import fd_gradient, measure_surgery_floats, task_gradient, task_loss
-from ortho_lora.cli import run_cli
-from ortho_lora.model import task_loss_and_gradient
-from ortho_lora.surgery import scope_groups
+from ortho_lora.optim import AdamWState
+from ortho_lora.reporting import rank_sweep, recovery
+from ortho_lora.surgery import project_pair, scope_groups, surgery
+from ortho_lora.tasks import make_conflict_set
+from ortho_lora.trainer import run_experiment, train_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,21 +53,22 @@ def test_criterion_01_gradient_correctness():
     while instances < 50:
         seed += 1
         rng = Rng(seed)
-        depth = int(rng.integers(2, 4))
-        dims = [int(d) for d in rng.integers(3, 17, size=depth)]
-        rank = int((1, 2, 4)[int(rng.integers(0, 3))])
+        draw = generator(seed)  # Rng(seed)'s own stream, for the integer draws
+        depth = int(draw.integers(2, 4))
+        dims = [int(d) for d in draw.integers(3, 17, size=depth)]
+        rank = int((1, 2, 4)[int(draw.integers(0, 3))])
         if rank > min(dims):
             continue
-        num_tasks = int(rng.integers(1, 4))
+        num_tasks = int(draw.integers(1, 4))
         # every head takes the first task's drawn out dim
-        drawn = [(REGRESSION if rng.integers(0, 2) else CLASSIFICATION, int(rng.integers(2, 5)))
+        drawn = [(REGRESSION if draw.integers(0, 2) else CLASSIFICATION, int(draw.integers(2, 5)))
                  for _ in range(num_tasks)]
         kinds, out_dim = [kind for kind, _ in drawn], drawn[0][1]
         model = build_model(dims, rank, 2.0 * rank, 0.1, kinds, out_dim, rng.child(0))
         for layer in model.layers:
             layer.adapter.b[...] = rng.child(1).standard_normal(layer.adapter.b.shape) * 0.2
-        task = int(rng.integers(0, num_tasks))
-        xrng = rng.child(2)
+        task = int(draw.integers(0, num_tasks))
+        xrng = generator(seed, 2)  # the stream of rng.child(2)
         x = xrng.standard_normal((model.in_dim, 4))
         if kinds[task] == REGRESSION:
             y = xrng.standard_normal((out_dim, 4))
@@ -96,7 +90,7 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_projection_orthogonality():
     """1000 conflicting pairs: projected dot vanishes, norm never grows."""
-    rng = Rng(7)
+    rng = generator(7)  # the stream of Rng(7)
     checked = 0
     while checked < 1000:
         n = int(rng.integers(2, 65))
@@ -122,14 +116,15 @@ def test_criterion_03_no_conflict_identity():
     for offset in range(3):
         result = run_experiment(config.with_updates(seed=config.seed + offset))
         joint_losses = {(r.step, r.task): r.loss for r in result.logs[JOINT].steps}
-        joint_params = result.models[JOINT][0].trainable_blocks()
+        joint_params = result.models[JOINT][0].params
         for mode in (ORTHO_FLAT, ORTHO_STRUCTURED):
-            fired += sum(rep.conflict_count() for rep in result.logs[mode].conflicts)
+            fired += sum(p.conflicted for rep in result.logs[mode].conflicts for p in rep.pairs)
             for rec in result.logs[mode].steps:
                 ref = joint_losses[(rec.step, rec.task)]
                 worst = max(worst, abs(rec.loss - ref) / max(abs(ref), 1e-12))
-            for bid, arr in result.models[mode][0].trainable_blocks().items():
-                ref = joint_params[bid]
+            model = result.models[mode][0]
+            for sl, _ in model.layout.blocks.values():  # block by block
+                arr, ref = model.params[sl], joint_params[sl]
                 worst = max(worst, np.abs(arr - ref).max() / max(np.abs(ref).max(), 1e-12))
     assert fired == 0, f"{fired} projections fired on a conflict-free family"
     assert worst < 1e-8, f"trajectory divergence {worst:.2e} exceeds 1e-8"
@@ -156,18 +151,20 @@ def test_criterion_04_init_equivalence():
 
 def _directional_fd(model, batch, direction, h):
     norm = np.sqrt(sum(float(np.sum(v * v)) for v in direction.values()))
-    saved = {bid: model.block(bid).copy() for bid in direction}
+    # each named block's entries in the model's params
+    blocks = {name: model.params[model.layout.blocks[name][0]] for name in direction}
+    saved = {name: block.copy() for name, block in blocks.items()}
 
     def offset(s):
-        for bid, v in direction.items():
-            model.block(bid)[...] = saved[bid] + (s / norm) * v
+        for name, v in direction.items():
+            blocks[name][...] = saved[name] + (s / norm) * v.ravel()
 
     offset(h)
     loss_plus = task_loss(model, batch)
     offset(-h)
     loss_minus = task_loss(model, batch)
-    for bid in direction:
-        model.block(bid)[...] = saved[bid]
+    for name in direction:
+        blocks[name][...] = saved[name]
     return (loss_plus - loss_minus) / (2.0 * h)
 
 
@@ -183,7 +180,7 @@ def test_criterion_05_local_non_harm():
                                   rng.child(1), shared_scale=0.3)
         model = build_model([12, 12], 4, 8.0, 0.02, tasks.kinds, 3, rng.child(0))
         models, opt_states = [model], [AdamWState()]
-        steps = int(rng.child(2).integers(1, 30))
+        steps = int(generator(100 + state, 2).integers(1, 30))  # the stream of rng.child(2)
         surgery_rng = rng.child(3)
         for step in range(steps):
             batches = [TaskBatch(t, tasks.train[t].x[:, :16], tasks.train[t].y[:, :16])
@@ -282,7 +279,7 @@ def test_criterion_09_overhead_locality():
             x = brng.standard_normal((dims[0], 6))
             batches.append(TaskBatch(t, x, brng.standard_normal((3, 6))))
         touched = measure_surgery_floats(model, batches, PER_MATRIX)
-        assert touched == 3 * model.adapter_param_count()
+        assert touched == 3 * model.layout.heads.start  # the adapter columns
         results[tuple(dims)] = (touched, sum(l.w0.size for l in model.layers))
     (narrow_touch, narrow_w0) = results[(12, 8)]
     (wide_touch, wide_w0) = results[(24, 16)]

@@ -1,21 +1,20 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ortho_lora import (
-    REGRESSION,
-    ConfigError,
-    FrozenLayer,
-    MultiTaskModel,
-    ParameterError,
-    Rng,
-    ShapeError,
-    init_adapter,
-    load_adapter,
-    save_adapter,
-)
-from ortho_lora.model import forward_features
+from ortho_lora.adapter import FrozenLayer, LoraAdapter, init_adapter, load_adapter, save_adapter
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ConfigError, ParameterError, ShapeError
+from ortho_lora.model import REGRESSION, MultiTaskModel, forward_features
+
+# any finite float, with -0.0, the smallest subnormals and +-max always in the mix
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
 
 
 def test_init_shapes():
@@ -102,6 +101,22 @@ def test_serialization_round_trip_exact(tmp_path):
     assert back.alpha == ad.alpha
     assert np.array_equal(back.a, ad.a)
     assert np.array_equal(back.b, ad.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(1, 4), rank=st.integers(1, 3),
+       alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), data=st.data())
+def test_save_load_round_trip_bit_exact_on_any_finite_floats(d, k, rank, alpha, data):
+    a = np.array(data.draw(st.lists(FINITE, min_size=rank * k, max_size=rank * k))).reshape(rank, k)
+    b = np.array(data.draw(st.lists(FINITE, min_size=d * rank, max_size=d * rank))).reshape(d, rank)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "adapter.json"
+        save_adapter(LoraAdapter(a=a, b=b, rank=rank, alpha=alpha), path)
+        back = load_adapter(path)
+    assert (back.rank, back.alpha.hex()) == (rank, alpha.hex())
+    for got, want in ((back.a, a), (back.b, b)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_load_rejects_wrong_format(tmp_path):

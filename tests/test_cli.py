@@ -5,7 +5,7 @@ from statistics import fmean
 import pytest
 
 from ortho_lora.cli import run_cli
-from ortho_lora.reporting import fmt
+from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER, fmt, summarize_dir
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -109,8 +109,6 @@ def test_summarize_reference_fixture(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "80.0%" in out
 
-    from ortho_lora import summarize_dir
-
     table = summarize_dir(tmp_path)
     rec = table.recovery["ORTHO_STRUCTURED"]
     assert rec["avg"] == pytest.approx(82.2, abs=0.05)  # (3.7 / 3) / 1.5
@@ -135,10 +133,25 @@ def test_sweep_rank_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("2,") and lines[2].startswith("4,")
 
 
-def test_sweep_rank_invalid_rank_exits_1(tmp_path, capsys):
+def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
-    assert run_cli(["sweep-rank", str(cfg), "--ranks", "999", "--out", str(tmp_path / "s")]) == 1
-    assert capsys.readouterr().err
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "999", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "--ranks 999" in err and "config.model.rank" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["--ranks", "0"], "--ranks 0"),
+    (["--ranks", "2", "7"], "--ranks 7"),  # sorts after a valid rank, which must not train first
+    (["--ranks", "2", "--seeds", "0"], "--seeds 0"),
+], ids=["rank 0", "late bad rank", "seeds 0"])
+def test_sweep_rank_bad_input_exits_2_before_writing(tmp_path, capsys, args, named):
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    out = tmp_path / "s"
+    assert run_cli(["sweep-rank", str(cfg), *args, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_non_utf8_config_exits_2(tmp_path, capsys):
@@ -174,13 +187,15 @@ BAD_RUN_FILES = {
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
                                                  "1,JOINT,avg,0.5"], 4),
     "header only": ("JOINT/eval.csv", [], None),
+    "conflicted not 0 or 1": ("JOINT/steps.csv", ["0,0,0.5,0.01,,,,,,,",
+                                                   "0,,,,PER_MATRIX,0,1,L0.A,-0.5,5.0,7"], 3),
+    "conflicted disagrees with dot": ("JOINT/steps.csv", ["0,0,0.5,0.01,,,,,,,",
+                                                           "0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,1"], 3),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_RUN_FILES))
 def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
-    from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER
-
     headers = {"eval.csv": EVAL_HEADER, "steps.csv": STEPS_HEADER, "rank_sweep.csv": RANK_HEADER}
     for mode in ("SINGLE_TASK", "JOINT"):
         (tmp_path / mode).mkdir()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ortho_lora import ParameterError, Rng, gaussian_matrix
+from ortho_lora.dense import Rng, gaussian_matrix
+from ortho_lora.errors import ParameterError
 
 
 class TestGaussianMatrix:

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_batch, random_model
+from helpers import generator, random_batch, random_model
 
-from ortho_lora import (
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
-    ParameterError,
-    Rng,
+    _backprop_stack,
+    forward_features,
     joint_gradient,
     stack_copies,
     stacked_gradient,
     task_loss_and_gradient,
 )
-from ortho_lora.model import BlockId, _backprop_stack, forward_features
 
 
 def _per_task(model, batches):
@@ -50,7 +51,7 @@ def test_bit_identical_at_trainer_shapes(num_tasks):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_stacks_with_mixed_heads(seed):
     # 1-3 layers, regression and softmax heads; the out dim is drawn per seed
-    rng = Rng(seed)
+    rng = generator(seed)
     depth = 1 + seed % 3
     dims = [int(d) for d in rng.integers(3, 9, size=depth + 1)]
     kinds = [CLASSIFICATION, REGRESSION] + [
@@ -145,7 +146,7 @@ def _per_task_heads(models, ordered, adapters=None):
             g_out = expz / denom
             g_out[b.y, idx] -= 1.0
             g_out = g_out / n
-        rows[t, base.layout[BlockId("HEAD", b.task_id)][0]] = (g_out @ features[t].T).ravel()
+        rows[t, base.layout.blocks[f"HEAD{b.task_id}"][0]] = (g_out @ features[t].T).ravel()
         delta[t] = head.T @ g_out
     _backprop_stack(base, caches, delta, rows)
     return rows, losses
@@ -177,8 +178,8 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         models = stack_copies(model, len(kinds))
         params = models[0].params.base
         params += 0.1 * Rng(seed).standard_normal(params.shape)  # each model its own point
-        adapters = [tuple(params[:, model.layout[BlockId(role, i)][0]].reshape(
-                        len(kinds), *model.layout[BlockId(role, i)][1]) for role in "AB")
+        adapters = [tuple(params[:, model.layout.blocks[f"L{i}.{role}"][0]].reshape(
+                        len(kinds), *model.layout.blocks[f"L{i}.{role}"][1]) for role in "AB")
                     for i in range(model.num_layers)]
         rows, losses = _per_task_heads(models, batches, adapters)
         got_rows, got_losses = stacked_gradient(models, batches)

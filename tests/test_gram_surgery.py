@@ -12,20 +12,17 @@ from hypothesis import strategies as st
 
 from helpers import grad_of, group_vector, stack_of
 
-from ortho_lora import (
-    FLAT,
-    PER_MATRIX,
-    PER_ROLE_CONCAT,
-    NumericError,
-    Rng,
+from ortho_lora.dense import Rng
+from ortho_lora.errors import NumericError
+from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
+from ortho_lora.surgery import (
     build_conflict_report,
+    group_grams,
     merge,
     project_pair,
+    scope_groups,
     surgery,
 )
-from ortho_lora.surgery import group_grams
-from ortho_lora.model import block_views
-from ortho_lora.surgery import scope_groups
 
 REL = 1e-12
 MODES = ("original", "mutated")
@@ -34,7 +31,7 @@ SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
 
 def reference_surgery(grads, scope, seed, project_against):
     """Per task, {group label: projected vector}, computed on explicit vectors."""
-    groups = scope_groups(grads[0], scope)
+    groups = scope_groups(stack_of(grads)[0], scope)
     originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
     working = [dict(o) for o in originals]
     order = Rng(seed).permutation(len(grads))
@@ -82,7 +79,7 @@ def _rel_close(got, want, scale):
 
 def check_report(grads, scope):
     """Report rows equal dots and cosines of the explicit group vectors."""
-    groups = scope_groups(grads[0], scope)
+    groups = scope_groups(stack_of(grads)[0], scope)
     originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
     report = build_conflict_report(3, stack_of(grads), scope)
     labels = [label for label, _ in groups]
@@ -112,18 +109,18 @@ def test_gram_path_equals_vector_path(scope, project_against, grads, seed):
             surgery(stack_of(grads), scope, Rng(seed), project_against)
         return
     got = surgery(stack_of(grads), scope, Rng(seed), project_against)
-    merged = block_views(merge(got), got.layout)
+    merged = merge(got)
     for label, bids in groups:
         scale = max(np.linalg.norm(o[label]) for o in originals)
         for t, g in enumerate(got):
             assert _rel_close(group_vector(g, bids), want[t][label], scale), (label, t)
         summed = sum(w[label] for w in want)
-        merged_vec = np.concatenate([merged[b].ravel() for b in bids])
+        merged_vec = np.concatenate([merged[got.layout.blocks[b][0]] for b in bids])
         assert _rel_close(merged_vec, summed, len(grads) * scale), label
     for t, g in enumerate(grads):
-        head = next(b for b in g.blocks if b.role == "HEAD")
+        head = f"HEAD{t}"
         assert np.array_equal(got[t].blocks[head], g.blocks[head])
-        assert np.array_equal(merged[head], g.blocks[head])
+        assert np.array_equal(merged[got.layout.blocks[head][0]], g.blocks[head].ravel())
 
 
 @pytest.mark.parametrize("project_against", MODES)
@@ -147,7 +144,7 @@ def test_shared_grams_change_no_bit(scope, project_against, grads, seed):
     # the trainer computes each group's Gram matrix once and hands it to both
     stack = stack_of(grads)
     grams = group_grams(stack, scope)
-    groups = scope_groups(grads[0], scope)
+    groups = scope_groups(stack[0], scope)
     assert len(grams) == len(groups)
     for gram, (_, bids) in zip(grams, groups):
         v = np.stack([group_vector(g, bids) for g in grads])

@@ -1,68 +1,61 @@
 """The flat parameter vector and the (T, P) gradient rows share one layout."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fd_gradient, random_batch, random_model
 
-from ortho_lora import (
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import (
     CLASSIFICATION,
     FLAT,
     PER_MATRIX,
     PER_ROLE_CONCAT,
     REGRESSION,
-    BlockId,
     GradientStack,
-    Rng,
     build_model,
     joint_gradient,
     predict,
     task_loss_and_gradient,
 )
-from ortho_lora.surgery import _group_columns, scope_groups
+from ortho_lora.surgery import scope_groups
 
 
 def test_every_block_is_a_view_into_params():
     model = random_model(0, layer_dims=(6, 5, 4), randomize_b=True)
+    blocks = model.layout.blocks
     views = ([layer.adapter.a for layer in model.layers] + [layer.adapter.b for layer in model.layers]
-             + [model.heads, *model.heads] + list(model.trainable_blocks().values())
-             + [model.block(bid) for bid in model.layout])
+             + [model.heads, *model.heads])
     assert all(np.shares_memory(view, model.params) for view in views)
-    for bid, (sl, shape) in model.layout.items():
-        assert model.block(bid).shape == shape
-        assert np.array_equal(model.block(bid).ravel(), model.params[sl])
-    assert sum(sl.stop - sl.start for sl, _ in model.layout.values()) == model.params.size
-
-
-def test_copy_owns_its_buffer():
-    model = random_model(1, randomize_b=True)
-    before = model.params.copy()
-    twin = model.copy()
-    assert not np.shares_memory(twin.params, model.params)
-    assert np.array_equal(twin.params, before)
-    twin.layers[0].adapter.b[...] += 1.0
-    twin.heads[1][...] = 0.0
-    twin.params[0] += 1.0
-    assert np.array_equal(model.params, before)
-    assert np.shares_memory(twin.heads[1], twin.params)
+    named = ([(f"L{i}.A", layer.adapter.a) for i, layer in enumerate(model.layers)]
+             + [(f"L{i}.B", layer.adapter.b) for i, layer in enumerate(model.layers)]
+             + [(f"HEAD{t}", head) for t, head in enumerate(model.heads)])
+    assert [name for name, _ in named] == list(blocks)
+    for name, view in named:
+        sl, shape = blocks[name]
+        assert view.shape == shape
+        assert np.array_equal(view.ravel(), model.params[sl])
+    assert sum(sl.stop - sl.start for sl, _ in blocks.values()) == model.params.size
 
 
 def test_fd_perturbation_reaches_predict():
     model = random_model(2, randomize_b=True)
     x = Rng(3).standard_normal((model.in_dim, 4))
     base = predict(model, 0, x)
-    for bid in (BlockId("A", 1), BlockId("B", 0), BlockId("HEAD", 0)):
-        start = model.layout[bid][0].start
+    for name in ("L1.A", "L0.B", "HEAD0"):
+        start = model.layout.blocks[name][0].start
         saved = model.params[start]
         model.params[start] = saved + 0.1
-        assert not np.array_equal(predict(model, 0, x), base), bid
+        assert not np.array_equal(predict(model, 0, x), base), name
         model.params[start] = saved
     assert np.array_equal(predict(model, 0, x), base)
     # fd_gradient perturbs params the same way, so it sees the analytic gradient
     batch = random_batch(model, 0, 4, seed=4)
-    analytic = task_loss_and_gradient(model, batch)[1][0].blocks[BlockId("A", 0)]
-    fd = fd_gradient(model, batch, BlockId("A", 0), h=1e-5)
+    analytic = task_loss_and_gradient(model, batch)[1][0].blocks["L0.A"]
+    fd = fd_gradient(model, batch, "L0.A", h=1e-5)
     assert np.abs(fd).max() > 0
     assert np.abs(fd - analytic).max() < 1e-5 * np.abs(analytic).max()
 
@@ -76,25 +69,40 @@ def test_stack_rows_are_zero_in_other_tasks_heads():
     for t in range(3):
         for row in (stack.rows[t], singles[t].rows[0]):
             for u in range(3):
-                head = row[model.layout[BlockId("HEAD", u)][0]]
+                head = row[model.layout.blocks[f"HEAD{u}"][0]]
                 assert np.any(head) == (u == t), (t, u)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dims=st.lists(st.integers(2, 6), min_size=2, max_size=4),
-       num_tasks=st.integers(1, 3), out_dim=st.integers(1, 4), data=st.data())
+       num_tasks=st.integers(1, 16), out_dim=st.integers(1, 4), data=st.data())
 def test_scope_group_slices_cover_exactly_their_blocks(dims, num_tasks, out_dim, data):
     rank = data.draw(st.integers(1, min(dims)))
     model = build_model(dims, rank, 2.0, 0.1, [REGRESSION] * num_tasks, out_dim, Rng(0))
-    stack = GradientStack(list(range(num_tasks)), np.zeros((num_tasks, model.params.size)),
-                          model.layout)
-    for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
-        groups = scope_groups(stack[0], scope)
-        columns = _group_columns(stack, scope)
-        assert [label for label, _ in groups] == [label for label, _ in columns]
-        covered = []
-        for (_, bids), (_, cols) in zip(groups, columns):
-            want = [i for b in bids for i in range(model.layout[b][0].start, model.layout[b][0].stop)]
-            assert list(range(cols.start, cols.stop)) == want
-            covered += want
-        assert sorted(covered) == list(range(model.adapter_param_count()))
+    layout = model.layout
+    layers = range(len(dims) - 1)
+    adapter_cols = sum(layer.adapter.a.size + layer.adapter.b.size for layer in model.layers)
+    assert layout.heads == slice(adapter_cols, model.params.size)
+    stack = GradientStack(list(range(num_tasks)), np.zeros((num_tasks, model.params.size)), layout)
+    labels = {FLAT: ["flat"], PER_MATRIX: [f"L{i}.{role}" for i in layers for role in "AB"],
+              PER_ROLE_CONCAT: ["A", "B"]}
+    for scope, want_labels in labels.items():
+        groups = layout.groups(scope)
+        # the labels in the order the conflict report writes them
+        assert [label for label, _ in groups] == want_labels
+        # the groups tile the adapter columns [0, heads.start): no gap, no overlap, no head
+        spans = sorted((cols.start, cols.stop) for _, cols in groups)
+        assert spans[0][0] == 0 and spans[-1][1] == layout.heads.start
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        # scope_groups names exactly the blocks whose columns lie inside each group
+        for (label, cols), (named_label, names) in zip(groups, scope_groups(stack[0], scope)):
+            assert named_label == label
+            inside = [name for name, (sl, _) in layout.blocks.items()
+                      if cols.start <= sl.start and sl.stop <= cols.stop]
+            assert names == inside and names
+            assert not any(name.startswith("HEAD") for name in names)
+            # disjoint blocks inside the group that add up to its width fill it
+            widths = [layout.blocks[name][0].stop - layout.blocks[name][0].start for name in names]
+            assert sum(widths) == cols.stop - cols.start
+    with pytest.raises(ParameterError, match="unknown projection scope"):
+        layout.groups("BOGUS")

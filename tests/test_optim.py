@@ -1,22 +1,14 @@
 import numpy as np
 import pytest
 
-from ortho_lora import (
-    AdamWHyper,
-    AdamWState,
-    BlockId,
-    NumericError,
-    ParameterError,
-    Rng,
-    ShapeError,
-    adamw_step,
-    linear_decay_lr,
-)
-from ortho_lora.model import param_layout
+from ortho_lora.dense import Rng
+from ortho_lora.errors import NumericError, ParameterError, ShapeError
+from ortho_lora.model import Layout
+from ortho_lora.optim import AdamWHyper, AdamWState, adamw_step, linear_decay_lr
 
 
 # a flat vector laid out as one layer's A (2x3), B (3x2) and one head (1x3)
-LAYOUT = param_layout([(2, 3)], [(3, 2)], [(1, 3)])
+LAYOUT = Layout([(2, 3)], [(3, 2)], (1, 3), 1)
 SIZE = 15
 
 
@@ -68,7 +60,7 @@ class TestAdamwStep:
         params = _params(6)
         before = params.copy()
         update = np.zeros(SIZE)
-        b_slice = LAYOUT[BlockId("B", 0)][0]
+        b_slice = LAYOUT.blocks["L0.B"][0]
         update[b_slice.start + 4] = np.nan
         state = AdamWState()
         with pytest.raises(NumericError, match=f"flat index {b_slice.start + 4}$"):

@@ -1,28 +1,34 @@
+import math
 import re
+import tempfile
+from pathlib import Path
+from statistics import fmean
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ortho_lora import (
-    JOINT,
-    ORTHO_FLAT,
-    ORTHO_STRUCTURED,
-    SINGLE_TASK,
-    ConflictPair,
-    ConflictReport,
-    MetricsLog,
-    ParameterError,
+from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import PER_MATRIX
+from ortho_lora.reporting import (
+    RankRow,
     build_summary,
-    conflict_frequency,
-    config_from_dict,
+    format_summary,
     rank_sweep,
+    read_metrics,
+    read_rank_rows,
     recovery,
-    run_experiment,
     summarize_dir,
     write_metrics,
+    write_rank_rows,
 )
-from ortho_lora.reporting import format_summary, read_metrics, read_rank_rows, write_rank_rows
-from ortho_lora.trainer import EvalRecord
+from ortho_lora.surgery import ConflictPair, ConflictReport
+from ortho_lora.trainer import EvalRecord, MetricsLog, StepRecord, run_experiment
+
+# any finite float, with -0.0, the smallest subnormals and +-max always in the mix
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
 
 
 def small_config(**overrides):
@@ -65,31 +71,6 @@ class TestRecovery:
             recovery(90.0, 90.0, 95.0)
 
 
-class TestConflictFrequency:
-    def _log_with_dots(self, dots):
-        log = MetricsLog(mode=JOINT)
-        log.conflicts.append(ConflictReport(
-            step=0,
-            scope="PER_MATRIX",
-            pairs=[ConflictPair(0, 1, "L0.A", d, 0.0, d < 0) for d in dots],
-        ))
-        return log
-
-    def test_all_positive(self):
-        assert conflict_frequency(self._log_with_dots([0.1, 0.2, 0.0])) == 0.0
-
-    def test_all_negative(self):
-        assert conflict_frequency(self._log_with_dots([-0.1, -0.2])) == 1.0
-
-    def test_three_of_eight(self):
-        dots = [-1.0, 0.5, -0.2, 0.1, 0.9, -0.3, 0.4, 0.7]
-        assert conflict_frequency(self._log_with_dots(dots)) == 0.375
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(ParameterError):
-            conflict_frequency(MetricsLog(mode=JOINT))
-
-
 class TestCsvRoundTrip:
     def test_metrics_round_trip_exact(self, tmp_path):
         cfg = small_config()
@@ -108,13 +89,46 @@ class TestCsvRoundTrip:
         assert summarize_dir(tmp_path) == build_summary(result.logs)
 
     def test_rank_rows_round_trip(self, tmp_path):
-        from ortho_lora import RankRow
-
         # adversarial float values must survive the 17-digit serialization
         rows = [RankRow(2, 0.1 + 0.2, -1e-17, 3.0000000000000004)]
         path = tmp_path / "rank_sweep.csv"
         write_rank_rows(rows, path)
         assert read_rank_rows(path) == rows
+
+
+def _log_bits(log):
+    """Every field of a log, floats as their exact hex spelling (-0.0 differs from 0.0)."""
+    return ([(r.step, r.task, r.loss.hex(), r.lr.hex()) for r in log.steps],
+            [(c.step, c.scope, [(p.i, p.j, p.block, p.dot.hex(), p.cosine.hex(), p.conflicted)
+                                for p in c.pairs]) for c in log.conflicts],
+            [(r.epoch, r.mode, r.task, r.metric.hex()) for r in log.evals])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
+    log = MetricsLog(mode=JOINT)
+    for step in range(data.draw(st.integers(0, 3))):
+        log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
+                      for task in range(2)]
+        if data.draw(st.booleans()):
+            dots = [data.draw(FINITE) for _ in range(2)]
+            log.conflicts.append(ConflictReport(step, PER_MATRIX, [
+                ConflictPair(0, 1, label, dot, data.draw(FINITE), dot < 0.0)
+                for label, dot in zip(("L0.A", "L0.B"), dots)]))
+    for epoch in range(data.draw(st.integers(1, 2))):
+        metrics = data.draw(st.lists(FINITE, min_size=1, max_size=3))
+        try:
+            avg = fmean(metrics)
+        except OverflowError:  # the exact sum leaves the float range
+            avg = math.inf
+        assume(math.isfinite(avg))
+        log.evals += [EvalRecord(epoch, JOINT, str(t), m) for t, m in enumerate(metrics)]
+        log.evals.append(EvalRecord(epoch, JOINT, "avg", avg))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_metrics(log, Path(tmp))
+        back = read_metrics(Path(tmp), JOINT)
+    assert _log_bits(back) == _log_bits(log)
 
 
 class TestBuildSummary:

@@ -10,23 +10,21 @@ two must agree bit for bit.
 import numpy as np
 import pytest
 
-from helpers import random_batch, random_model
+from helpers import own_copy, random_batch, random_model
 
-from ortho_lora import (
+from ortho_lora.config import SINGLE_TASK
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import (
     CLASSIFICATION,
     PER_MATRIX,
     REGRESSION,
-    SINGLE_TASK,
-    AdamWHyper,
-    AdamWState,
-    ParameterError,
-    Rng,
-    adamw_step,
-    merge,
     stack_copies,
     task_loss_and_gradient,
-    train_step,
 )
+from ortho_lora.optim import AdamWHyper, AdamWState, adamw_step
+from ortho_lora.surgery import merge
+from ortho_lora.trainer import train_step
 
 STEPS = 4
 
@@ -43,7 +41,7 @@ def _batches(model, step, n=8):
 
 def _reference(base, hyper, steps):
     """Per-model loop: the task's own gradient and its own AdamW state."""
-    models = [base.copy() for _ in range(base.num_tasks)]
+    models = [own_copy(base) for _ in range(base.num_tasks)]
     states = [AdamWState(hyper=hyper) for _ in models]
     losses = []
     for step in range(steps):
@@ -125,7 +123,7 @@ def test_batch_list_must_hold_each_task_once(task_ids):
 
 
 @pytest.mark.parametrize("build", [
-    lambda base: [base.copy() for _ in range(3)],
+    lambda base: [own_copy(base) for _ in range(3)],
     lambda base: stack_copies(base, 3)[::-1],
     lambda base: stack_copies(base, 4)[:3],
 ], ids=["separate buffers", "rows out of order", "rows of a larger stack"])

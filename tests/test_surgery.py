@@ -8,25 +8,14 @@ from helpers import (
     random_batch,
     random_model,
     stack_of,
+    surgery_floats,
     task_gradient,
 )
 
-from ortho_lora import (
-    FLAT,
-    PER_MATRIX,
-    PER_ROLE_CONCAT,
-    BlockId,
-    NumericError,
-    Rng,
-    ShapeError,
-    SurgeryStats,
-    build_conflict_report,
-    merge,
-    project_pair,
-    surgery,
-)
-from ortho_lora.model import block_views
-from ortho_lora.surgery import scope_groups
+from ortho_lora.dense import Rng
+from ortho_lora.errors import NumericError, ShapeError
+from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
+from ortho_lora.surgery import build_conflict_report, merge, project_pair, scope_groups, surgery
 
 
 def _two_grads(a1, a2, b1=None, b2=None):
@@ -48,7 +37,7 @@ def report_cosine(g1, g2, scope, block="flat"):
 class TestPairwiseCosine:
     def test_self_similarity(self):
         g1, _ = _two_grads([[1.0, 2.0]], [[0.0, 0.0]])
-        twin = grad_of(1, [g1.blocks[BlockId("A", 0)]], [g1.blocks[BlockId("B", 0)]], head=[[0.0]])
+        twin = grad_of(1, [g1.blocks["L0.A"]], [g1.blocks["L0.B"]], head=[[0.0, 0.0]])
         assert report_cosine(g1, twin, FLAT) == pytest.approx(1.0, abs=1e-15)
 
     def test_antipodal(self):
@@ -153,7 +142,7 @@ class TestSurgery:
         per_matrix = surgery(stack_of([g1, g2]), PER_MATRIX, Rng(3))
         flat = surgery(stack_of([g1, g2]), FLAT, Rng(3))
 
-        a_id, b_id = BlockId("A", 0), BlockId("B", 0)
+        a_id, b_id = "L0.A", "L0.B"
         # PER_MATRIX: only A blocks move
         assert not np.array_equal(per_matrix[0].blocks[a_id], g1.blocks[a_id])
         assert np.array_equal(per_matrix[0].blocks[b_id], g1.blocks[b_id])
@@ -167,19 +156,20 @@ class TestSurgery:
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [1.0]]], head=[[3.0, 4.0]])
         g2 = grad_of(1, [[[-1.0, 0.0]]], [[[-1.0], [-1.0]]], head=[[5.0, 6.0]])
         out = surgery(stack_of([g1, g2]), FLAT, Rng(4))
-        assert np.array_equal(out[0].blocks[BlockId("HEAD", 0)], g1.blocks[BlockId("HEAD", 0)])
-        assert np.array_equal(out[1].blocks[BlockId("HEAD", 1)], g2.blocks[BlockId("HEAD", 1)])
+        assert np.array_equal(out[0].blocks["HEAD0"], g1.blocks["HEAD0"])
+        assert np.array_equal(out[1].blocks["HEAD1"], g2.blocks["HEAD1"])
 
     def test_two_task_orthogonality_postcondition(self):
         rng = Rng(5)
         for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
             g1 = grad_of(0, [rng.standard_normal((2, 3))], [rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
-            g2 = grad_of(1, [-g1.blocks[BlockId("A", 0)] + 0.1 * rng.standard_normal((2, 3))],
-                         [-g1.blocks[BlockId("B", 0)] + 0.1 * rng.standard_normal((3, 2))],
+            g2 = grad_of(1, [-g1.blocks["L0.A"] + 0.1 * rng.standard_normal((2, 3))],
+                         [-g1.blocks["L0.B"] + 0.1 * rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
-            out = surgery(stack_of([g1, g2]), scope, Rng(6))
-            for label, bids in scope_groups(g1, scope):
+            stack = stack_of([g1, g2])
+            out = surgery(stack, scope, Rng(6))
+            for label, bids in scope_groups(stack[0], scope):
                 for gi_new, gj_orig in ((out[0], g2), (out[1], g1)):
                     vi = group_vector(gi_new, bids)
                     vj = group_vector(gj_orig, bids)
@@ -199,9 +189,10 @@ class TestSurgery:
             for t in range(3)
         ]
         seed = 11
-        out = surgery(stack_of(grads), FLAT, Rng(seed))
+        stack = stack_of(grads)
+        out = surgery(stack, FLAT, Rng(seed))
         order = Rng(seed).permutation(3)
-        (label, bids), = scope_groups(grads[0], FLAT)
+        (label, bids), = scope_groups(stack[0], FLAT)
         originals = [group_vector(g, bids) for g in grads]
         for i in order:
             # replay the cumulative projection to find the last fired j
@@ -243,25 +234,26 @@ class TestSurgery:
     def test_stats_count_adapter_floats(self):
         model = random_model(12, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
         grads = [task_gradient(model, random_batch(model, t, 4, seed=t)) for t in range(2)]
-        stats = SurgeryStats()
-        surgery(stack_of(grads), PER_MATRIX, Rng(13), stats=stats)
-        assert stats.floats_touched == 2 * model.adapter_param_count()
+        stack = stack_of(grads)
+        surgery(stack, PER_MATRIX, Rng(13))
+        assert surgery_floats(stack, PER_MATRIX) == 2 * model.layout.heads.start
 
 
 class TestMerge:
     def test_single_identity(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0, 2.0]])
         stack = stack_of([g])
-        merged = block_views(merge(stack), stack.layout)
-        assert all(np.array_equal(merged[b], g.blocks[b]) for b in g.blocks)
+        merged = merge(stack)
+        assert all(np.array_equal(merged[stack.layout.blocks[b][0]], g.blocks[b].ravel())
+                   for b in g.blocks)
 
     def test_opposites_cancel(self):
         g1 = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0]])
         g2 = grad_of(1, [[[-1.0, -2.0]]], [[[-0.5], [-0.25]]], head=[[9.0]])
         stack = stack_of([g1, g2])
-        merged = block_views(merge(stack), stack.layout)
-        assert np.array_equal(merged[BlockId("A", 0)], np.zeros((1, 2)))
-        assert np.array_equal(merged[BlockId("B", 0)], np.zeros((2, 1)))
+        merged = merge(stack)
+        assert np.array_equal(merged[stack.layout.blocks["L0.A"][0]], np.zeros(2))
+        assert np.array_equal(merged[stack.layout.blocks["L0.B"][0]], np.zeros(2))
 
     def test_random_sum_oracle(self):
         rng = Rng(14)
@@ -272,20 +264,20 @@ class TestMerge:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        merged = block_views(merge(stack), stack.layout)
+        merged = merge(stack)
         for i in range(2):
             for role in ("A", "B"):
-                bid = BlockId(role, i)
-                want = grads[0].blocks[bid] + grads[1].blocks[bid] + grads[2].blocks[bid]
-                assert np.array_equal(merged[bid], want)
+                name = f"L{i}.{role}"
+                want = grads[0].blocks[name] + grads[1].blocks[name] + grads[2].blocks[name]
+                assert np.array_equal(merged[stack.layout.blocks[name][0]], want.ravel())
 
     def test_heads_from_own_tasks_only(self):
         g1 = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[7.0]])
         g2 = grad_of(1, [[[2.0]]], [[[2.0]]], head=[[8.0]])
         stack = stack_of([g1, g2])
-        merged = block_views(merge(stack), stack.layout)
-        assert np.array_equal(merged[BlockId("HEAD", 0)], [[7.0]])
-        assert np.array_equal(merged[BlockId("HEAD", 1)], [[8.0]])
+        merged = merge(stack)
+        assert np.array_equal(merged[stack.layout.blocks["HEAD0"][0]], [7.0])
+        assert np.array_equal(merged[stack.layout.blocks["HEAD1"][0]], [8.0])
 
 
 class TestConflictReport:

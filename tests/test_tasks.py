@@ -3,17 +3,13 @@ import pytest
 
 from helpers import dump_csv, stack_of, task_gradient
 
-from ortho_lora import (
-    CLASSIFICATION,
-    REGRESSION,
-    ParameterError,
-    Rng,
-    build_conflict_report,
-    build_model,
-    make_conflict_set,
-    subset_batch,
-)
-from ortho_lora.surgery import PER_MATRIX
+from ortho_lora.config import config_from_dict
+from ortho_lora.dense import Rng
+from ortho_lora.errors import ParameterError
+from ortho_lora.model import CLASSIFICATION, PER_MATRIX, REGRESSION, build_model
+from ortho_lora.surgery import build_conflict_report
+from ortho_lora.tasks import make_conflict_set, subset_batch
+from ortho_lora.trainer import run_experiment
 
 
 class TestRegressionConflict:
@@ -121,12 +117,10 @@ class TestClassificationConflict:
 def test_conflict_frequency_monotone_in_conflict_level():
     # measured conflict frequency during joint training is non-decreasing in
     # the conflict level, averaged over 5 seeds
-    import ortho_lora as ol
-
     def mean_freq(level):
         freqs = []
         for seed in range(5):
-            cfg = ol.config_from_dict({
+            cfg = config_from_dict({
                 "version": 1, "seed": seed, "modes": ["JOINT"],
                 "model": {"layer_dims": [16, 16], "rank": 4, "alpha": 16.0, "sigma_init": 0.02},
                 "optimizer": {"lr_base": 0.01},
@@ -135,8 +129,10 @@ def test_conflict_frequency_monotone_in_conflict_level():
                           "conflict_level": level, "noise_sigma": 0.0, "shared_scale": 1.0,
                           "n_train": 480, "n_eval": 16},
             })
-            result = ol.run_experiment(cfg)
-            freqs.append(ol.conflict_frequency(result.logs["JOINT"]))
+            # the fraction of recorded (step, pair, block) rows whose dot is negative
+            pairs = [p for report in run_experiment(cfg).logs["JOINT"].conflicts
+                     for p in report.pairs]
+            freqs.append(sum(p.conflicted for p in pairs) / len(pairs))
         return sum(freqs) / len(freqs)
 
     freq_0 = mean_freq(0.0)

@@ -6,9 +6,11 @@ Usage: python tools/output_gate.py <parent-rev>
 Exports <parent-rev> with ``git archive`` into a temporary directory, runs
 ``ortho-lora run`` on each gate config with that tree's ``src/`` and with
 this tree's ``src/``, and compares every file the runs write (CSVs, adapter
-dumps, config.json) with ``cmp``. Exits 0 when every file is identical, 1
-after listing the files that differ or that only one tree wrote, and 2 on a
-usage error or a revision git cannot export.
+dumps, config.json) with ``cmp``. Each tree then runs ``ortho-lora
+summarize`` on each of its run directories, and the two trees' stdout and
+exit codes are compared. Exits 0 when every file and every summary is
+identical, 1 after listing the files or summaries that differ or that only
+one tree wrote, and 2 on a usage error or a revision git cannot export.
 
 The gate configs are all built from this tree's configs/default.json:
 
@@ -69,6 +71,17 @@ def run_all(src: Path, configs: Path, out: Path) -> None:
                        stdout=subprocess.DEVNULL)
 
 
+def summarize_all(src: Path, runs: Path) -> dict[str, tuple[int, str]]:
+    """(exit code, stdout) of ``ortho-lora summarize`` per run directory."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = {}
+    for run_dir in sorted(p for p in runs.iterdir() if p.is_dir()):
+        done = subprocess.run([sys.executable, "-m", "ortho_lora.cli", "summarize", str(run_dir)],
+                              env=env, capture_output=True, text=True)
+        out[run_dir.name] = (done.returncode, done.stdout)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/output_gate.py <parent-rev>", file=sys.stderr)
@@ -82,10 +95,11 @@ def main(argv: list[str]) -> int:
         configs.mkdir()
         for name, raw in gate_configs(default).items():
             (configs / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")
-        runs = {}
+        runs, summaries = {}, {}
         for label, src in (("parent", tmp / "parent" / "src"), ("this", ROOT / "src")):
             runs[label] = tmp / f"runs_{label}"
             run_all(src, configs, runs[label])
+            summaries[label] = summarize_all(src, runs[label])
         files = {label: {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
                  for label, run in runs.items()}
         differ = sorted(files["parent"] ^ files["this"])
@@ -94,13 +108,17 @@ def main(argv: list[str]) -> int:
                                str(runs["this"] / rel)]).returncode != 0:
                 differ.append(rel)
     compared = len(files["parent"] | files["this"])
-    if differ:
-        print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files differ")
-        for rel in sorted(differ):
+    run_names = sorted(summaries["parent"].keys() | summaries["this"].keys())
+    summaries_differ = [f"summarize {name}" for name in run_names
+                        if summaries["parent"].get(name) != summaries["this"].get(name)]
+    if differ or summaries_differ:
+        print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files and "
+              f"{len(summaries_differ)} of {len(run_names)} summaries differ")
+        for rel in sorted(differ) + summaries_differ:
             print(f"  {rel}")
         return 1
-    print(f"output gate passed against {argv[0]}: all {compared} files byte-identical "
-          f"on {len(gate_configs(default))} configs")
+    print(f"output gate passed against {argv[0]}: all {compared} files byte-identical and "
+          f"all {len(run_names)} summarize outputs identical on {len(gate_configs(default))} configs")
     return 0
 
 
