@@ -8,8 +8,8 @@ Subcommands:
 * ``summarize <dir>``              - recompute the summary from written CSVs
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
-(including a ``sweep-rank`` rank the config rejects or ``--seeds`` below 1,
-caught before the run directory is made).
+(including a ``sweep-rank`` rank the config rejects or repeats, or
+``--seeds`` below 1, caught before the run directory is made).
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -103,6 +103,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
     for rank in args.ranks:  # the config's own rank bound, before anything is written
+        if args.ranks.count(rank) > 1:
+            raise ConfigError(f"--ranks {rank}: repeated; each rank is trained once")
         try:
             config.with_updates(rank=rank)
         except ConfigError as exc:

@@ -60,6 +60,18 @@ PER_ROLE_CONCAT = "PER_ROLE_CONCAT"
 SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
 
 
+def scope_labels(scope: str, num_layers: int) -> list[str]:
+    """The labels of scope's groups on num_layers adapter layers, in group order:
+    "flat"; every matrix by layer, A before B; or "A" then "B"."""
+    if scope == FLAT:
+        return ["flat"]
+    if scope == PER_MATRIX:
+        return [f"L{i}.{role}" for i in range(num_layers) for role in "AB"]
+    if scope == PER_ROLE_CONCAT:
+        return ["A", "B"]
+    raise ParameterError(f"unknown projection scope {scope!r}; expected one of {SCOPES}")
+
+
 class Layout:
     """The flat parameter format [A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...].
 
@@ -67,8 +79,10 @@ class Layout:
     "L0.B", "HEAD0"), to its (column slice, shape); a[i] and b[i] are layer
     i's A and B columns and heads the contiguous HEAD columns. Each
     projection scope's groups are contiguous spans of adapter columns,
-    labelled and ordered as the conflict report writes them: "flat"; every
-    matrix by layer, A before B; or "A" then "B".
+    labelled and ordered by ``scope_labels``, as the conflict report writes
+    them. pair_entries, for the conflict report, indexes a flattened
+    num_tasks x num_tasks Gram matrix: the entry of every task pair i < j in
+    row-major order, then each pair's (i, i) entries, then its (j, j) ones.
     """
 
     def __init__(self, a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
@@ -86,13 +100,15 @@ class Layout:
         self.a = [self.blocks[f"L{i}.A"][0] for i in layers]
         self.b = [self.blocks[f"L{i}.B"][0] for i in layers]
         self.heads = slice(self.b[-1].stop, start)
-        self._scopes = {
-            FLAT: [("flat", slice(0, self.heads.start))],
-            PER_MATRIX: [(name, self.blocks[name][0])
-                         for i in layers for name in (f"L{i}.A", f"L{i}.B")],
-            PER_ROLE_CONCAT: [("A", slice(0, self.b[0].start)),
-                              ("B", slice(self.b[0].start, self.heads.start))],
-        }
+        spans = {"flat": slice(0, self.heads.start), "A": slice(0, self.b[0].start),
+                 "B": slice(self.b[0].start, self.heads.start),
+                 **{name: sl for name, (sl, _) in self.blocks.items()}}
+        self._scopes = {scope: [(label, spans[label]) for label in scope_labels(scope, len(layers))]
+                        for scope in SCOPES}
+        self.num_tasks = num_tasks
+        rows, cols = np.triu_indices(num_tasks, 1)
+        self.pair_entries = np.concatenate((rows * num_tasks + cols, rows * (num_tasks + 1),
+                                            cols * (num_tasks + 1)))
 
     def groups(self, scope: str) -> list[tuple[str, slice]]:
         """The (label, column slice) groups that scope projects one at a time."""
@@ -278,56 +294,76 @@ def predict(model: MultiTaskModel, task_id: int, x: Matrix) -> Matrix:
     return out
 
 
-def _check_batch(model: MultiTaskModel, batch: TaskBatch) -> None:
-    if not 0 <= batch.task_id < model.num_tasks:
-        raise ParameterError(f"task_id {batch.task_id} outside [0, {model.num_tasks})")
-    kind = model.kinds[batch.task_id]
-    out_dim = model.out_dim
-    n = batch.x.shape[1]
+def _stacked_targets(model: MultiTaskModel, ordered: list[TaskBatch],
+                     n: int) -> list[tuple[str, list[int], np.ndarray]]:
+    """(kind, positions in ordered, stacked targets) for each task kind present.
+
+    Checks the batches of n examples, one shape and range test per kind:
+    task ids in range, n >= 1, (out_dim, n) regression targets and n class
+    labels in [0, out_dim). An error names the offending task.
+    """
+    ids = [b.task_id for b in ordered]
+    if min(ids) < 0 or max(ids) >= model.num_tasks:
+        bad = next(t for t in ids if not 0 <= t < model.num_tasks)
+        raise ParameterError(f"task_id {bad} outside [0, {model.num_tasks})")
     if n < 1:
         raise ParameterError("batch must contain at least one example")
-    if kind == REGRESSION:
-        if batch.y.shape != (out_dim, n):
-            raise ShapeError(
-                f"regression targets {batch.y.shape} do not match (out_dim={out_dim}, n={n})"
-            )
-    elif kind == CLASSIFICATION:
-        if batch.y.shape != (n,):
-            raise ShapeError(f"labels {batch.y.shape} do not match batch size {n}")
-        if batch.y.min() < 0 or batch.y.max() >= out_dim:
-            raise ParameterError(f"labels outside [0, {out_dim}) for task {batch.task_id}")
-    else:
-        raise ParameterError(f"unknown task kind {kind!r}")
+    out_dim = model.out_dim
+    kinds = [model.kinds[t] for t in ids]
+    targets = []
+    for kind, shape in ((REGRESSION, (out_dim, n)), (CLASSIFICATION, (n,))):
+        pos = [p for p, k in enumerate(kinds) if k == kind]
+        if not pos:
+            continue
+        ys = [ordered[p].y for p in pos]
+        try:
+            y = np.array(ys)  # as np.stack does, at a fraction of its call overhead
+        except ValueError:  # the targets' shapes differ
+            y = None
+        if y is None or y.shape[1:] != shape:
+            p, y = next((p, y) for p, y in zip(pos, ys) if y.shape != shape)
+            raise ShapeError(f"{kind} targets {y.shape} of task {ids[p]} do not match {shape} "
+                             f"(out_dim={out_dim}, n={n})")
+        if kind == CLASSIFICATION:
+            outside = ((y < 0) | (y >= out_dim)).any(axis=1)
+            if outside.any():
+                raise ParameterError(f"labels outside [0, {out_dim}) for task "
+                                     f"{ids[pos[int(outside.argmax())]]}")
+        targets.append((kind, pos, y))
+    unknown = set(kinds) - {REGRESSION, CLASSIFICATION}
+    if unknown:
+        raise ParameterError(f"unknown task kind {sorted(unknown)[0]!r}")
+    return targets
 
 
-def _losses(kinds: list[str], out: np.ndarray,
-            ys: list[np.ndarray]) -> tuple[list[float], np.ndarray]:
+def _losses(out: np.ndarray,
+            targets: list[tuple[str, list[int], np.ndarray]]) -> tuple[list[float], np.ndarray]:
     """Mean per-example loss of every (o, n) slab of out, and dloss/dout.
 
     Regression: half squared error summed over output dims, averaged over the
     batch. Classification: softmax cross-entropy averaged over the batch. The
-    slabs of one kind are computed together.
+    slabs of one kind are computed together, against that kind's stacked
+    targets from ``_stacked_targets``.
     """
     n = out.shape[2]
-    losses = np.empty(len(kinds))
+    losses = np.empty(len(out))
     g_out = np.empty_like(out)
-    reg = [t for t, kind in enumerate(kinds) if kind == REGRESSION]
-    if reg:
-        resid = out[reg] - np.stack([ys[t] for t in reg])
-        losses[reg] = 0.5 * (resid * resid).reshape(len(reg), -1).sum(axis=1) / n
-        g_out[reg] = resid / n
-    cls = [t for t, kind in enumerate(kinds) if kind == CLASSIFICATION]
-    if cls:
-        logits = out[cls]
+    for kind, pos, y in targets:
+        if kind == REGRESSION:
+            resid = out[pos] - y
+            losses[pos] = 0.5 * (resid * resid).reshape(len(pos), -1).sum(axis=1) / n
+            g_out[pos] = resid / n
+            continue
+        logits = out[pos]
         shifted = logits - logits.max(axis=1, keepdims=True)
         expz = np.exp(shifted)
         denom = expz.sum(axis=1, keepdims=True)
         log_probs = shifted - np.log(denom)
-        picked = (np.arange(len(cls))[:, None], np.stack([ys[t] for t in cls]), np.arange(n))
-        losses[cls] = -log_probs[picked].sum(axis=1) / n
+        picked = (np.arange(len(pos))[:, None], y, np.arange(n))
+        losses[pos] = -log_probs[picked].sum(axis=1) / n
         grad = expz / denom
         grad[picked] -= 1.0
-        g_out[cls] = grad / n
+        g_out[pos] = grad / n
     return losses.tolist(), g_out
 
 
@@ -377,16 +413,15 @@ def _gradient_rows(models: list[MultiTaskModel], ordered: list[TaskBatch],
     if sizes.count(sizes[0]) != len(sizes):
         raise ParameterError(f"need equal batch sizes, got {sizes}")
     base = models[0]
-    for b in ordered:
-        _check_batch(base, b)
+    targets = _stacked_targets(base, ordered, sizes[0])
     task_ids = [b.task_id for b in ordered]
-    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
-    heads = np.stack([m.heads[t] for m, t in zip(models, task_ids)])
+    features, caches = forward_features(base, np.array([b.x for b in ordered]), adapters)
+    heads = np.array([m.heads[t] for m, t in zip(models, task_ids)])
     out = heads @ features
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite activations at head {task_ids[int(finite.argmin())]}")
-    losses, g_out = _losses([base.kinds[t] for t in task_ids], out, [b.y for b in ordered])
+    losses, g_out = _losses(out, targets)
     count = len(ordered)
     rows = np.zeros((count, base.params.size))
     # a (T, num_tasks, o*d) view of the rows' head columns
@@ -446,7 +481,7 @@ def stacked_gradient(models: list[MultiTaskModel],
 
 def eval_metric(model: MultiTaskModel, batch: TaskBatch) -> float:
     """Held-out metric: accuracy for classification, plain MSE for regression."""
-    _check_batch(model, batch)
+    _stacked_targets(model, [batch], batch.x.shape[1])
     out = predict(model, batch.task_id, batch.x)
     if model.kinds[batch.task_id] == CLASSIFICATION:
         return float(np.mean(out.argmax(axis=0) == batch.y))

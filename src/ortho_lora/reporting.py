@@ -4,14 +4,27 @@ CSV schemas (headers are part of the contract):
 
 * steps.csv: ``step,task,loss,lr,scope,pair_i,pair_j,block,dot,cosine,conflicted``
   Loss rows fill the first four columns; conflict rows fill the rest. The
-  empty columns of each row kind stay empty.
+  empty columns of each row kind stay empty. Each step's loss rows come
+  first, then its conflict rows: pair-major, block-minor, one row per
+  (i < j) task pair in task-id order and scope group.
 * eval.csv:  ``epoch,mode,task,metric`` with one row per task per epoch plus
   an ``avg`` row.
-* rank_sweep.csv: ``rank,joint,ortho,delta``.
+* rank_sweep.csv: ``rank,joint,ortho,delta``, one row per rank.
 
 All floats are serialized with 17 significant digits, which round-trips
 float64 exactly, so summaries recomputed from disk match the in-memory ones
-bit for bit.
+bit for bit. steps.csv is written as f-string rows, one chunk per step,
+with ``\r\n`` line ends; its reader takes ``\n`` too.
+
+The reader rebuilds the columnar conflict reports of ``surgery`` without an
+object per row, and rejects, with a ConfigError naming ``path:line``, every
+conflict row no run writes: a non-finite dot or cosine, a cosine outside
+[-1, 1] by more than rounding (``COSINE_ROUNDING``), a ``conflicted`` cell
+other than 1 for a negative dot and 0 otherwise, a pair with i >= j, a
+(step, pair, block) repeated, a block that is not one of the scope's
+labels, a second scope, and a conflict step whose (pair, block) rows are
+not those of the first conflict step, which must hold every pair of its
+tasks. rank_sweep.csv may not repeat a rank.
 """
 
 from __future__ import annotations
@@ -21,13 +34,16 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from statistics import fmean
 
+import numpy as np
+
 from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig
 from .errors import ConfigError, ParameterError
-from .surgery import ConflictPair, ConflictReport
+from .model import scope_labels
+from .surgery import ConflictReport
 from .trainer import AVG_TASK, EvalRecord, MetricsLog, StepRecord, run_experiment
 
 STEPS_HEADER = ["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
@@ -38,6 +54,12 @@ RANK_HEADER = ["rank", "joint", "ortho", "delta"]
 STEPS_FILE = "steps.csv"
 EVAL_FILE = "eval.csv"
 RANK_FILE = "rank_sweep.csv"
+
+# How far a written cosine may pass +-1 by rounding, in ulps of 1.0: the
+# cosine of two parallel gradients, dot / (||gi|| ||gj||) from one Gram
+# matrix, landed at most 10 ulps past 1 over 80,000 random pairs of up to
+# 4,096 entries.
+COSINE_ROUNDING = 64 * 2.0**-52
 
 
 def fmt(x: float) -> str:
@@ -97,28 +119,30 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     mode_dir = Path(mode_dir)
     mode_dir.mkdir(parents=True, exist_ok=True)
     conflicts_by_step: dict[int, ConflictReport] = {r.step: r for r in log.conflicts}
+    # the scope, pair and block cells of each conflict row, per report structure
+    middles: dict[tuple, list[str]] = {}
 
     with open(mode_dir / STEPS_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STEPS_HEADER)
+        fh.write(",".join(STEPS_HEADER) + "\r\n")
         for step, records in groupby(log.steps, key=lambda rec: rec.step):
-            for rec in records:
-                writer.writerow([rec.step, rec.task, fmt(rec.loss), fmt(rec.lr),
-                                 "", "", "", "", "", "", ""])
-            if step in conflicts_by_step:  # a step's conflict rows follow its loss rows
-                _write_conflicts(writer, conflicts_by_step[step])
+            rows = [f"{rec.step},{rec.task},{rec.loss:.17g},{rec.lr:.17g},,,,,,,\r\n"
+                    for rec in records]
+            report = conflicts_by_step.get(step)
+            if report is not None:  # a step's conflict rows follow its loss rows
+                key = (report.scope, tuple(report.labels), tuple(report.task_ids))
+                if key not in middles:
+                    middles[key] = [f",,,,{report.scope},{i},{j},{label},"
+                                    for i, j in report.pair_ids() for label in report.labels]
+                rows += [f"{step}{middle}{d:.17g},{c:.17g},{'1' if d < 0.0 else '0'}\r\n"
+                         for middle, d, c in zip(middles[key], report.dot.ravel().tolist(),
+                                                 report.cosine.ravel().tolist())]
+            fh.write("".join(rows))
 
     with open(mode_dir / EVAL_FILE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVAL_HEADER)
         for rec in log.evals:
             writer.writerow([rec.epoch, rec.mode, rec.task, fmt(rec.metric)])
-
-
-def _write_conflicts(writer, report: ConflictReport) -> None:
-    for p in report.pairs:
-        writer.writerow([report.step, "", "", "", report.scope, p.i, p.j, p.block,
-                         fmt(p.dot), fmt(p.cosine), int(p.conflicted)])
 
 
 def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
@@ -157,32 +181,145 @@ def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], objec
     return out
 
 
+def _expected_cells(first: list[list[str]]) -> tuple[list[str], list[int], list[list[str]]]:
+    """The labels, the task ids and the per-row (scope, i, j, block) cells of
+    the conflict step a run writes for the scope and the tasks that first,
+    the cells of a file's first conflict step, names."""
+    scope = first[0][0]
+    first_pair = next((k for k, cells in enumerate(first) if cells[1:3] != first[0][1:3]),
+                      len(first))  # the first pair's rows, one per label
+    labels = scope_labels(scope, max(1, (first_pair + 1) // 2))
+    ids = sorted({int(cells[c]) for cells in first for c in (1, 2)})
+    return labels, ids, [[scope, str(i), str(j), label]
+                         for i, j in combinations(ids, 2) for label in labels]
+
+
+def _row_fault(got: list[str], want: list[list[str]], pos: int, labels: list[str]) -> str:
+    """Why the (scope, i, j, block) cells of a conflict row are not want[pos],
+    the cells a run writes at that row's place in its step."""
+    scope, i, j, block = got
+    if int(i) >= int(j):  # first: want is empty when no row of the first step has i < j
+        return f"pair ({i}, {j}) is not ordered i < j"
+    if scope != want[0][0]:
+        return f"second scope {scope!r} in a file of {want[0][0]} rows"
+    if block not in labels:
+        return f"block {block!r} is not one of the {scope} blocks {labels}"
+    if got in want[:pos]:  # the rows above it in its step
+        return f"repeats pair ({i}, {j}) block {block} of its step"
+    if pos >= len(want):
+        return f"a step has {len(want)} conflict rows, and this is one more"
+    _, wi, wj, wblock = want[pos]
+    return f"pair ({i}, {j}) block {block} where pair ({wi}, {wj}) block {wblock} belongs"
+
+
+def _check_columns(path: Path, dot: np.ndarray, cosine: np.ndarray, flags: list[str],
+                   lines: list[int]) -> None:
+    """ConfigError naming path:line at the first conflict row whose dot or cosine
+    is not finite, whose cosine is outside [-1, 1] by more than rounding, or
+    whose conflicted cell is not 1 for a negative dot and 0 otherwise."""
+    checks = [
+        (~np.isfinite([dot, cosine]).all(axis=0),
+         lambda k: f"non-finite dot {dot[k].item()!r} or cosine {cosine[k].item()!r}"),
+        (np.abs(cosine) > 1.0 + COSINE_ROUNDING,
+         lambda k: f"cosine {cosine[k].item()!r} is outside [-1, 1]"),
+        (np.array(flags) != np.where(dot < 0.0, "1", "0"),
+         lambda k: f"conflicted {flags[k]!r} is not {int(dot[k] < 0.0)}, as dot {dot[k].item()!r} "
+                   "says"),
+    ]
+    for bad, message in checks:
+        if bad.any():
+            k = int(bad.argmax())
+            raise ConfigError(f"{path}:{lines[k]}: {message(k)}")
+
+
+def _read_steps(path: Path, log: MetricsLog) -> None:
+    """steps.csv's loss rows into log.steps, its conflict rows into columnar
+    log.conflicts; a bad header or row raises ConfigError naming path:line.
+
+    The first conflict step must hold the rows a run writes: every pair
+    i < j of the tasks it names, in task-id order, times one scope's labels.
+    Every later conflict step must hold the same rows in the same order.
+    """
+    steps: list[int] = []  # each conflict step, in file order
+    first: list[list[str]] = []  # the (scope, i, j, block) cells of the first step's rows
+    want: list[list[str]] = []  # the cells every step's rows must have, once first is checked
+    labels: list[str] = []
+    ids: list[int] = []
+    dots: list[float] = []
+    cosines: list[float] = []
+    flags: list[str] = []
+    lines: list[int] = []  # each conflict row's line
+    pos = 0  # rows read of the current conflict step
+
+    def end_step() -> None:
+        nonlocal want, labels, ids
+        if not want:  # the first conflict step ends
+            labels, ids, want = _expected_cells(first)
+            start = len(lines) - len(first)
+            for k, cells in enumerate(first):
+                if k >= len(want) or cells != want[k]:
+                    raise ConfigError(f"{path}:{lines[start + k]}: "
+                                      f"{_row_fault(cells, want, k, labels)}")
+        if pos < len(want):
+            raise ConfigError(f"{path}:{lines[-1]}: step {steps[-1]} ends after {pos} of the "
+                              f"{len(want)} conflict rows each step has")
+
+    header = ",".join(STEPS_HEADER)
+    lineno = 1
+    # universal newlines: a run writes \r\n line ends, hand-made files may use \n
+    with open(path, encoding="utf-8") as fh:
+        try:
+            found = fh.readline().rstrip("\n")
+            if found != header:
+                raise ValueError(f"unexpected header {found!r}")
+            for lineno, line in enumerate(fh, 2):
+                row = line.rstrip("\n").split(",")
+                if len(row) != len(STEPS_HEADER):
+                    raise ValueError(f"expected {len(STEPS_HEADER)} fields, got {len(row)}")
+                if row[1]:
+                    log.steps.append(StepRecord(step=int(row[0]), task=int(row[1]),
+                                                loss=_finite(row[2]), lr=_finite(row[3])))
+                    continue
+                step = int(row[0])
+                if not steps or step != steps[-1]:
+                    if steps:
+                        end_step()
+                        if step < steps[-1]:
+                            raise ValueError(f"conflict rows of step {step} after those of "
+                                             f"step {steps[-1]}")
+                    steps.append(step)
+                    pos = 0
+                cells = row[4:8]
+                if len(steps) == 1:  # a bad scope or pair cell fails at its own line
+                    scope_labels(cells[0], 0), int(cells[1]), int(cells[2])
+                    first.append(cells)
+                elif pos >= len(want) or cells != want[pos]:
+                    raise ValueError(_row_fault(cells, want, pos, labels))
+                pos += 1
+                dots.append(float(row[8]))
+                cosines.append(float(row[9]))
+                flags.append(row[10])
+                lines.append(lineno)
+        except ConfigError:  # from end_step, naming its own line
+            raise
+        except ValueError as exc:  # bad numbers and cells, text that is not UTF-8
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    if not steps:
+        return
+    end_step()
+    dot, cosine = np.array(dots), np.array(cosines)
+    _check_columns(path, dot, cosine, flags, lines)
+    shape = (len(steps), len(want) // len(labels), len(labels))
+    log.conflicts = [ConflictReport(step, want[0][0], labels, ids, d, c)
+                     for step, d, c in zip(steps, dot.reshape(shape), cosine.reshape(shape))]
+
+
 def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     mode_dir = Path(mode_dir)
     log = MetricsLog(mode=mode)
     steps_path = mode_dir / STEPS_FILE
     if steps_path.is_file():
-        reports: dict[int, ConflictReport] = {}
-
-        def step_row(row: list[str]) -> None:
-            step = int(row[0])
-            if row[1] != "":
-                log.steps.append(StepRecord(step=step, task=int(row[1]),
-                                            loss=_finite(row[2]), lr=_finite(row[3])))
-                return
-            report = reports.get(step)
-            if report is None:
-                report = reports[step] = ConflictReport(step=step, scope=row[4])
-                log.conflicts.append(report)
-            dot = _finite(row[8])
-            conflicted = dot < 0.0
-            if row[10] != ("1" if conflicted else "0"):
-                raise ValueError(f"conflicted {row[10]!r} is not {int(conflicted)}, as dot {row[8]} "
-                                 "says")
-            report.pairs.append(ConflictPair(i=int(row[5]), j=int(row[6]), block=row[7], dot=dot,
-                                             cosine=_finite(row[9]), conflicted=conflicted))
-
-        _read_rows(steps_path, STEPS_HEADER, step_row)
+        _read_steps(steps_path, log)
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
@@ -204,8 +341,17 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
 
 
 def read_rank_rows(path: str | Path) -> list[RankRow]:
-    return _read_rows(Path(path), RANK_HEADER, lambda row: RankRow(
-        rank=int(row[0]), joint=_finite(row[1]), ortho=_finite(row[2]), delta=_finite(row[3])))
+    seen: set[int] = set()
+
+    def rank_row(row: list[str]) -> RankRow:
+        rank = int(row[0])
+        if rank in seen:
+            raise ValueError(f"rank {rank} repeats an earlier row")
+        seen.add(rank)
+        return RankRow(rank=rank, joint=_finite(row[1]), ortho=_finite(row[2]),
+                       delta=_finite(row[3]))
+
+    return _read_rows(Path(path), RANK_HEADER, rank_row)
 
 
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
@@ -250,6 +396,9 @@ def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -
         raise ParameterError("rank_sweep needs at least one rank")
     if num_seeds < 1:
         raise ParameterError(f"num_seeds must be >= 1, got {num_seeds}")
+    repeated = [r for r in ranks if ranks.count(r) > 1]
+    if repeated:
+        raise ParameterError(f"rank {repeated[0]} repeats in ranks {ranks}")
     # revalidated copies: a rank the config rejects fails before any training
     configs = [config.with_updates(rank=r, modes=[JOINT, ORTHO_STRUCTURED]) for r in sorted(ranks)]
     rows: list[RankRow] = []

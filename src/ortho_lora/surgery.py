@@ -23,22 +23,28 @@ The gradients arrive as a GradientStack: one row per task in the model's
 flat parameter layout, whose ``groups(scope)`` gives every scope group as
 one contiguous column slice V (row t: task t's original gradient over the
 group). Report and projection read the group's Gram matrix G = V V^T,
-which ``group_grams`` computes once for both. Under the original rule
-every working gradient is c^T V for a coefficient row c, so each inner
-product it needs is an entry of C G and the projected gradients are C V. ``project_pair`` is the same
-rule on explicit vectors; the mutated rule uses it. Merge sums the rows.
+which ``group_grams`` computes once for both, as one (groups, T, T) stack.
+Under the original rule every working gradient is c^T V for a coefficient
+row c, so each inner product it needs is an entry of C G and the projected
+gradients are C V. ``project_pair`` is the same rule on explicit vectors;
+the mutated rule uses it. Merge sums the rows.
+
+The conflict report is columnar: one (pairs, groups) array of dots and one
+of cosines per step, read off the Gram stack above its diagonal, with no
+object per row. ``ConflictReport.pairs`` builds per-row objects on demand
+for callers that want them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .dense import Rng
 from .errors import NumericError, ParameterError, ShapeError
-from .model import PER_MATRIX, GradientStack, TaskGradient
+from .model import GradientStack, TaskGradient
 
 PROJECT_AGAINST_ORIGINAL = "original"
 PROJECT_AGAINST_MUTATED = "mutated"
@@ -48,8 +54,10 @@ PROJECT_AGAINST_MUTATED = "mutated"
 DEGENERATE_NORM = 1e-30
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConflictPair:
+    """One conflict row, as ``ConflictReport.pairs`` lists it."""
+
     i: int
     j: int
     block: str
@@ -58,11 +66,49 @@ class ConflictPair:
     conflicted: bool
 
 
-@dataclass
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@dataclass(eq=False)
 class ConflictReport:
+    """One step's conflict rows as columns.
+
+    dot and cosine are (pairs, groups) arrays: row p is the p-th unordered
+    task pair (i < j) in task-id order, as ``pair_ids`` lists them, and
+    column g the scope group labels[g]. A row is conflicted when its dot is
+    negative. Two reports are equal when every field, and every bit of both
+    arrays, is.
+    """
+
     step: int
-    scope: str = PER_MATRIX
-    pairs: list[ConflictPair] = field(default_factory=list)
+    scope: str
+    labels: list[str]
+    task_ids: list[int]
+    dot: np.ndarray
+    cosine: np.ndarray
+
+    @property
+    def conflicted(self) -> np.ndarray:
+        return self.dot < 0.0
+
+    def pair_ids(self) -> list[tuple[int, int]]:
+        return list(combinations(sorted(self.task_ids), 2))
+
+    @property
+    def pairs(self) -> list[ConflictPair]:
+        """The rows as objects, pair-major and group-minor; built on each access."""
+        return [ConflictPair(i, j, label, d, c, d < 0.0)
+                for (i, j), dots, cosines in zip(self.pair_ids(), self.dot.tolist(),
+                                                 self.cosine.tolist())
+                for label, d, c in zip(self.labels, dots, cosines)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConflictReport):
+            return NotImplemented
+        return ((self.step, self.scope, self.labels, self.task_ids)
+                == (other.step, other.scope, other.labels, other.task_ids)
+                and _same_bits(self.dot, other.dot) and _same_bits(self.cosine, other.cosine))
 
 
 def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
@@ -73,19 +119,15 @@ def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
             for label, cols in grad.layout.groups(scope)]
 
 
-def group_grams(grads: GradientStack, scope: str) -> list[np.ndarray]:
-    """The Gram matrix V V^T of every scope group's columns V, in group order."""
-    grams = []
-    for _, cols in grads.layout.groups(scope):
+def group_grams(grads: GradientStack, scope: str) -> np.ndarray:
+    """The Gram matrix V V^T of every scope group's columns V: a (G, T, T) stack
+    in group order."""
+    groups = grads.layout.groups(scope)
+    grams = np.empty((len(groups), len(grads.task_ids), len(grads.task_ids)))
+    for gram, (_, cols) in zip(grams, groups):
         v = grads.rows[:, cols]
-        grams.append(v @ v.T)
+        np.matmul(v, v.T, out=gram)
     return grams
-
-
-def _cosine(dot: float, ni: float, nj: float) -> float:
-    if ni == 0.0 or nj == 0.0:
-        return 0.0
-    return dot / (ni * nj)
 
 
 def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
@@ -138,7 +180,7 @@ def surgery(
     scope: str,
     rng: Rng,
     project_against: str = PROJECT_AGAINST_ORIGINAL,
-    grams: list[np.ndarray] | None = None,
+    grams: np.ndarray | None = None,
 ) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
@@ -176,25 +218,31 @@ def merge(grads: GradientStack) -> np.ndarray:
 
 
 def build_conflict_report(step: int, grads: GradientStack, scope: str,
-                          grams: list[np.ndarray] | None = None) -> ConflictReport:
-    """Dot/cosine rows for every unordered task pair in every scoped block.
+                          grams: np.ndarray | None = None) -> ConflictReport:
+    """Dot/cosine rows for every unordered task pair in every scoped group.
 
     Read from the Gram matrices of the gradients as given (pre-surgery
     originals in the trainer), so the report does not depend on the shuffled
-    projection order. grams, when given, is ``group_grams(grads, scope)``.
+    projection order: the dots are the Gram entries above the diagonal, and
+    each cosine divides its dot by the two norms from the diagonal, or is
+    0.0 when a norm is. grams, when given, is ``group_grams(grads, scope)``.
     """
-    report = ConflictReport(step=step, scope=scope)
-    if len(grads.task_ids) < 2:
-        return report
-    labels = [label for label, _ in grads.layout.groups(scope)]
-    dots = [gram.tolist() for gram in (grams or group_grams(grads, scope))]
-    norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for gram in dots]
+    layout = grads.layout
     ids = grads.task_ids
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    for x, p in enumerate(order):
-        for q in order[x + 1:]:
-            for label, gram, norm in zip(labels, dots, norms):
-                dot = gram[p][q]
-                report.pairs.append(ConflictPair(ids[p], ids[q], label, dot,
-                                                 _cosine(dot, norm[p], norm[q]), dot < 0.0))
-    return report
+    if len(ids) != layout.num_tasks:
+        raise ShapeError(f"conflict report: {len(ids)} gradient rows for a layout of "
+                         f"{layout.num_tasks} tasks")
+    if grams is None:
+        grams = group_grams(grads, scope)
+    entries, count = layout.pair_entries, len(ids)
+    if ids != sorted(ids):  # rows not in task-id order
+        order = np.argsort(ids)
+        entries = order[entries // count] * count + order[entries % count]
+    picked = grams.reshape(len(grams), -1).T[entries]  # (3 * pairs, groups)
+    pairs = len(picked) // 3
+    dot = picked[:pairs]
+    norms = np.sqrt(picked[pairs:])
+    denom = norms[:pairs] * norms[pairs:]
+    cosine = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom != 0.0)
+    return ConflictReport(step, scope, [label for label, _ in layout.groups(scope)], list(ids),
+                          dot, cosine)

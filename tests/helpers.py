@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
+import math
 from collections import namedtuple
+from itertools import groupby
 
 import numpy as np
 
@@ -16,8 +19,8 @@ from ortho_lora.model import (
     Layout,
     TaskBatch,
     TaskGradient,
-    _check_batch,
     _check_tasks,
+    _stacked_targets,
     build_model,
     joint_gradient,
     predict,
@@ -68,7 +71,7 @@ def task_loss(model, batch) -> float:
     """batch's mean loss through its task's head, written out apart from the
     batched loss of the gradient path: half squared error summed over output
     dims, or softmax cross-entropy."""
-    _check_batch(model, batch)
+    _stacked_targets(model, [batch], batch.x.shape[1])
     out = predict(model, batch.task_id, batch.x)
     n = out.shape[1]
     if model.kinds[batch.task_id] == REGRESSION:
@@ -179,3 +182,42 @@ def blocks_equal(g1, g2) -> bool:
     if set(g1.blocks) != set(g2.blocks):
         return False
     return all(np.array_equal(g1.blocks[b], g2.blocks[b]) for b in g1.blocks)
+
+
+def reference_conflict_rows(grads: GradientStack, scope) -> list[tuple]:
+    """(i, j, block, dot, cosine) per conflict report row, by the per-pair loop
+    the columnar report replaced: every unordered pair in task-id order, every
+    group, cosine 0.0 when a norm is zero. Its Gram matrices are plain v @ v.T."""
+    groups = grads.layout.groups(scope)
+    dots = [(grads.rows[:, cols] @ grads.rows[:, cols].T).tolist() for _, cols in groups]
+    norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for gram in dots]
+    ids = grads.task_ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rows = []
+    for x, p in enumerate(order):
+        for q in order[x + 1:]:
+            for (label, _), gram, norm in zip(groups, dots, norms):
+                dot = gram[p][q]
+                cosine = 0.0 if norm[p] == 0.0 or norm[q] == 0.0 else dot / (norm[p] * norm[q])
+                rows.append((ids[p], ids[q], label, dot, cosine))
+    return rows
+
+
+def reference_steps_csv(log) -> bytes:
+    """steps.csv as csv.writer renders it: each step's loss rows, then its
+    conflict rows, 17-digit floats, \\r\\n line ends, empty cells left empty."""
+    conflicts = {r.step: r for r in log.conflicts}
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
+                     "dot", "cosine", "conflicted"])
+    for step, records in groupby(log.steps, key=lambda rec: rec.step):
+        for rec in records:
+            writer.writerow([rec.step, rec.task, f"{rec.loss:.17g}", f"{rec.lr:.17g}",
+                             "", "", "", "", "", "", ""])
+        if step in conflicts:
+            report = conflicts[step]
+            for p in report.pairs:
+                writer.writerow([step, "", "", "", report.scope, p.i, p.j, p.block,
+                                 f"{p.dot:.17g}", f"{p.cosine:.17g}", int(p.conflicted)])
+    return out.getvalue().encode("utf-8")

@@ -145,7 +145,8 @@ def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
     (["--ranks", "0"], "--ranks 0"),
     (["--ranks", "2", "7"], "--ranks 7"),  # sorts after a valid rank, which must not train first
     (["--ranks", "2", "--seeds", "0"], "--seeds 0"),
-], ids=["rank 0", "late bad rank", "seeds 0"])
+    (["--ranks", "2", "3", "2"], "--ranks 2"),  # a repeated rank would train and write twice
+], ids=["rank 0", "late bad rank", "seeds 0", "repeated rank"])
 def test_sweep_rank_bad_input_exits_2_before_writing(tmp_path, capsys, args, named):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     out = tmp_path / "s"
@@ -174,23 +175,53 @@ def _eval_rows(mode, tasks=("0", "1", "avg")):
     return [f"1,{mode},{t},0.5" for t in tasks]
 
 
-# (file, its data rows, where the error must point); the other files stay valid
+def _conflict(step, i, j, block, dot="0.5", cosine="0.5", conflicted="0", scope="PER_MATRIX"):
+    return f"{step},,,,{scope},{i},{j},{block},{dot},{cosine},{conflicted}"
+
+
+LOSS = "0,0,0.5,0.01,,,,,,,"
+STEP_0 = [_conflict(0, 0, 1, "L0.A"), _conflict(0, 0, 1, "L0.B")]  # a run's rows for 2 tasks
+
+# (file, its data rows, where the error must point, a fragment of the message);
+# the other files stay valid
 BAD_RUN_FILES = {
-    "non-numeric metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,abc", "1,JOINT,avg,0.5"], 3),
-    "short row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 3),
-    "nan metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"], 4),
-    "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None),
-    "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2),
-    "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3),
+    "non-numeric metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,abc", "1,JOINT,avg,0.5"], 3,
+                           "'abc'"),
+    "short row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 3, "fields"),
+    "nan metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"], 4,
+                   "non-finite"),
+    "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None, "lacks"),
+    "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2, "non-finite"),
+    "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3, "'oops'"),
+    "repeated rank": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "2,0.5,0.4,-0.1"], 3, "rank 2 repeats"),
     "earlier final epoch": ("JOINT/eval.csv", [f"0,JOINT,{t},0.5" for t in ("0", "1", "avg")],
-                            None),
+                            None, "differs"),
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
-                                                 "1,JOINT,avg,0.5"], 4),
-    "header only": ("JOINT/eval.csv", [], None),
-    "conflicted not 0 or 1": ("JOINT/steps.csv", ["0,0,0.5,0.01,,,,,,,",
-                                                   "0,,,,PER_MATRIX,0,1,L0.A,-0.5,5.0,7"], 3),
-    "conflicted disagrees with dot": ("JOINT/steps.csv", ["0,0,0.5,0.01,,,,,,,",
-                                                           "0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,1"], 3),
+                                                 "1,JOINT,avg,0.5"], 4, "not the mean"),
+    "header only": ("JOINT/eval.csv", [], None, "no eval records"),
+    "conflicted not 0 or 1": (
+        "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]], 3,
+        "conflicted '7'"),
+    "conflicted disagrees with dot": (
+        "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "0.5", "0.5", "1"), STEP_0[1]], 3,
+        "conflicted '1' is not 0"),
+    "cosine outside [-1, 1]": (
+        "JOINT/steps.csv", [LOSS, STEP_0[0], _conflict(0, 0, 1, "L0.B", "-0.5", "-1.5", "1")], 4,
+        "outside [-1, 1]"),
+    "repeated step, pair and block": ("JOINT/steps.csv", [LOSS, STEP_0[0], *STEP_0], 4, "repeats"),
+    "pair i >= j": (
+        "JOINT/steps.csv", [LOSS, _conflict(0, 1, 0, "L0.A"), _conflict(0, 1, 0, "L0.B")], 3,
+        "i < j"),
+    "block of no scope": ("JOINT/steps.csv", [LOSS, STEP_0[0], _conflict(0, 0, 1, "L9.Z")], 4,
+                          "'L9.Z' is not one of"),
+    "step rows differ from the first step's": (
+        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.B"), _conflict(1, 0, 1, "L0.A")],
+        5, "belongs"),
+    "step lacks a row of the first step's": (
+        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.A"), "2,0,0.5,0.01,,,,,,,"],
+        5, "ends after 1 of the 2"),
+    "second scope": ("JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "flat", scope="FLAT")],
+                     5, "second scope 'FLAT'"),
 }
 
 
@@ -201,10 +232,11 @@ def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
         (tmp_path / mode).mkdir()
         (tmp_path / mode / "eval.csv").write_text(
             ",".join(EVAL_HEADER) + "\n" + "\n".join(_eval_rows(mode)) + "\n")
-    rel, rows, line = BAD_RUN_FILES[case]
+    rel, rows, line, fragment = BAD_RUN_FILES[case]
     path = tmp_path / rel
     path.write_text("".join(f"{text}\n" for text in [",".join(headers[path.name]), *rows]))
     assert run_cli(["summarize", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert (f"{path}:{line}:" if line else f"{path}:") in err, err
+    assert fragment in err, err
     assert "Traceback" not in err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import generator, random_batch, random_model
 
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError
+from ortho_lora.errors import ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -116,6 +116,24 @@ def test_empty_batch_rejected(entry):
     batches = [random_batch(model, 0, 0, seed=1), random_batch(model, 1, 0, seed=2)]
     models, call = _entry_call(entry, model, batches)
     with pytest.raises(ParameterError, match="at least one example"):
+        call()
+    assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+@pytest.mark.parametrize("entry", ["task_loss_and_gradient", "joint_gradient",
+                                   "stacked_gradient"])
+@pytest.mark.parametrize("task,target,error,match", [
+    (0, np.zeros((1, 5)), ShapeError, "task 0"),
+    (1, np.zeros((5, 1), dtype=np.int64), ShapeError, "task 1"),
+    (1, np.array([0, 1, 3, 0, 1]), ParameterError, r"labels outside \[0, 3\) for task 1"),
+], ids=["regression shape", "label shape", "label range"])
+def test_bad_targets_rejected_naming_the_task(entry, task, target, error, match):
+    model = random_model(50, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
+    batches = [random_batch(model, t, 5, seed=1 + t) for t in range(2)]
+    batches[task].y = target
+    batches.insert(0, batches.pop(task))  # first: the batch the one-task entry point reads
+    models, call = _entry_call(entry, model, batches)
+    with pytest.raises(error, match=match):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
 

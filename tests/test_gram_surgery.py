@@ -10,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import grad_of, group_vector, stack_of
+from helpers import grad_of, group_vector, reference_conflict_rows, stack_of
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError
-from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
+from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT, GradientStack, Layout
 from ortho_lora.surgery import (
     build_conflict_report,
     group_grams,
@@ -159,3 +159,42 @@ def test_shared_grams_change_no_bit(scope, project_against, grads, seed):
         return
     got = surgery(stack, scope, Rng(seed), project_against, grams=grams)
     assert np.array_equal(got.rows, want.rows)
+
+
+@st.composite
+def gradient_stacks(draw):
+    """2-16 task rows over 1-3 adapter layers, with all-zero, duplicated and
+    negated rows, under distinct task ids in any order."""
+    num_tasks = draw(st.integers(2, 16))
+    dims = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3)) + 1)]
+    rank = draw(st.integers(1, min(dims)))
+    layout = Layout([(rank, k) for k in dims[:-1]], [(d, rank) for d in dims[1:]],
+                    (1, dims[-1]), num_tasks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((num_tasks, layout.size)) * 3.0
+    if draw(st.booleans()):  # exact sums, so exact ties at dot == 0
+        rows = np.round(rows)
+    for t in range(num_tasks):
+        kind = draw(st.sampled_from(["own", "own", "zero", "duplicate", "negated"]))
+        src = draw(st.integers(0, num_tasks - 1))
+        if kind == "zero":
+            rows[t] = 0.0
+        elif kind != "own":
+            rows[t] = rows[src] if kind == "duplicate" else -rows[src]
+    ids = draw(st.lists(st.integers(0, 99), min_size=num_tasks, max_size=num_tasks, unique=True))
+    return GradientStack(ids, rows, layout)
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@settings(max_examples=60, deadline=None)
+@given(stack=gradient_stacks())
+def test_report_columns_equal_per_pair_loop_bit_for_bit(scope, stack):
+    report = build_conflict_report(7, stack, scope)
+    want = reference_conflict_rows(stack, scope)
+    assert [(i, j, label) for i, j in report.pair_ids()
+            for label in report.labels] == [row[:3] for row in want]
+    assert report.dot.shape == report.cosine.shape == (len(want) // len(report.labels),
+                                                       len(report.labels))
+    assert [x.hex() for x in report.dot.ravel().tolist()] == [row[3].hex() for row in want]
+    assert [x.hex() for x in report.cosine.ravel().tolist()] == [row[4].hex() for row in want]
+    assert np.array_equal(report.conflicted.ravel(), [row[3] < 0.0 for row in want])

@@ -4,13 +4,16 @@ import tempfile
 from pathlib import Path
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_steps_csv
+
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
 from ortho_lora.errors import ParameterError
-from ortho_lora.model import PER_MATRIX
+from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
 from ortho_lora.reporting import (
     RankRow,
     build_summary,
@@ -23,7 +26,7 @@ from ortho_lora.reporting import (
     write_metrics,
     write_rank_rows,
 )
-from ortho_lora.surgery import ConflictPair, ConflictReport
+from ortho_lora.surgery import ConflictReport
 from ortho_lora.trainer import EvalRecord, MetricsLog, StepRecord, run_experiment
 
 # any finite float, with -0.0, the smallest subnormals and +-max always in the mix
@@ -88,6 +91,17 @@ class TestCsvRoundTrip:
             write_metrics(log, tmp_path / mode)
         assert summarize_dir(tmp_path) == build_summary(result.logs)
 
+    def test_cosine_rounded_past_one_reads_back(self, tmp_path):
+        # parallel gradients give cosines a few ulps past +-1; a run can write them
+        log = MetricsLog(mode=JOINT)
+        log.steps.append(StepRecord(0, 0, 0.5, 0.01))
+        log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
+                                            np.array([[2.0], [-2.0], [1.0]]),
+                                            np.array([[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]])))
+        log.evals += [EvalRecord(0, JOINT, "0", 0.5), EvalRecord(0, JOINT, "avg", 0.5)]
+        write_metrics(log, tmp_path)
+        assert read_metrics(tmp_path, JOINT) == log
+
     def test_rank_rows_round_trip(self, tmp_path):
         # adversarial float values must survive the 17-digit serialization
         rows = [RankRow(2, 0.1 + 0.2, -1e-17, 3.0000000000000004)]
@@ -99,9 +113,13 @@ class TestCsvRoundTrip:
 def _log_bits(log):
     """Every field of a log, floats as their exact hex spelling (-0.0 differs from 0.0)."""
     return ([(r.step, r.task, r.loss.hex(), r.lr.hex()) for r in log.steps],
-            [(c.step, c.scope, [(p.i, p.j, p.block, p.dot.hex(), p.cosine.hex(), p.conflicted)
-                                for p in c.pairs]) for c in log.conflicts],
+            [(c.step, c.scope, c.labels, c.task_ids, [x.hex() for x in c.dot.ravel().tolist()],
+              [x.hex() for x in c.cosine.ravel().tolist()]) for c in log.conflicts],
             [(r.epoch, r.mode, r.task, r.metric.hex()) for r in log.evals])
+
+
+# a cosine in [-1, 1], with -0.0, the smallest subnormals and +-1 always in the mix
+COSINE = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -5e-324, 1.0, -1.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,10 +130,10 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
         log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
                       for task in range(2)]
         if data.draw(st.booleans()):
-            dots = [data.draw(FINITE) for _ in range(2)]
-            log.conflicts.append(ConflictReport(step, PER_MATRIX, [
-                ConflictPair(0, 1, label, dot, data.draw(FINITE), dot < 0.0)
-                for label, dot in zip(("L0.A", "L0.B"), dots)]))
+            log.conflicts.append(ConflictReport(
+                step, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
+                np.array([[data.draw(FINITE), data.draw(FINITE)]]),
+                np.array([[data.draw(COSINE), data.draw(COSINE)]])))
     for epoch in range(data.draw(st.integers(1, 2))):
         metrics = data.draw(st.lists(FINITE, min_size=1, max_size=3))
         try:
@@ -129,6 +147,28 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
         write_metrics(log, Path(tmp))
         back = read_metrics(Path(tmp), JOINT)
     assert _log_bits(back) == _log_bits(log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_metrics_steps_bytes_equal_csv_writer_rendering(data):
+    scope, labels = data.draw(st.sampled_from([(FLAT, ["flat"]), (PER_ROLE_CONCAT, ["A", "B"]),
+                                               (PER_MATRIX, ["L0.A", "L0.B", "L1.A", "L1.B"])]))
+    ids = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
+    shape = (len(ids) * (len(ids) - 1) // 2, len(labels))
+    log = MetricsLog(mode=JOINT)
+    for step in range(data.draw(st.integers(0, 3))):
+        log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
+                      for task in range(len(ids))]
+        if data.draw(st.booleans()):  # JOINT without diagnostics writes no conflict rows
+            log.conflicts.append(ConflictReport(
+                step, scope, labels, ids,
+                np.array([data.draw(FINITE) for _ in range(shape[0] * shape[1])]).reshape(shape),
+                np.array([data.draw(FINITE) for _ in range(shape[0] * shape[1])]).reshape(shape)))
+    log.evals.append(EvalRecord(0, JOINT, "avg", 0.5))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_metrics(log, Path(tmp))
+        assert (Path(tmp) / "steps.csv").read_bytes() == reference_steps_csv(log)
 
 
 class TestBuildSummary:
@@ -207,6 +247,10 @@ class TestRankSweep:
         cfg = small_config()
         with pytest.raises(ParameterError):
             rank_sweep(cfg, [64], num_seeds=1)
+
+    def test_repeated_rank_rejected_before_training(self):
+        with pytest.raises(ParameterError, match="rank 2 repeats"):
+            rank_sweep(small_config(modes=[JOINT]), [2, 4, 2], num_seeds=1)
 
     def test_empty_ranks_rejected(self):
         with pytest.raises(ParameterError):

@@ -20,7 +20,10 @@ The gate configs are all built from this tree's configs/default.json:
                       classification tasks, weight_decay 0.05, 4 epochs,
                       PER_ROLE_CONCAT scope, projection against the original
                       gradients, all four modes;
-* mixed-matrix-mut  - the same under PER_MATRIX, against the mutated ones.
+* mixed-matrix-mut  - the same under PER_MATRIX, against the mutated ones;
+* two-tasks-quiet   - 2 tasks with ``record_conflicts`` false, all four
+                      modes: JOINT writes no conflict rows, and the ORTHO
+                      modes report a single task pair.
 """
 
 from __future__ import annotations
@@ -51,8 +54,11 @@ def gate_configs(default: dict) -> dict[str, dict]:
     role, matrix = copy.deepcopy(mixed), copy.deepcopy(mixed)
     role["surgery"].update(scope="PER_ROLE_CONCAT", project_against="original")
     matrix["surgery"].update(scope="PER_MATRIX", project_against="mutated")
+    quiet = copy.deepcopy(base)
+    quiet["tasks"]["num_tasks"] = 2
+    quiet["surgery"]["record_conflicts"] = False
     return {"default": base, "many-tasks": many, "mixed-role-orig": role,
-            "mixed-matrix-mut": matrix}
+            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet}
 
 
 def export(rev: str, dest: Path) -> None:
