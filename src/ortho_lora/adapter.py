@@ -17,6 +17,7 @@ import numpy as np
 
 from .dense import Matrix, Rng, as_matrix, gaussian_matrix
 from .errors import ConfigError, ParameterError
+from .files import atomic_write
 
 ADAPTER_FORMAT = "ortho-lora-adapter"
 ADAPTER_FORMAT_VERSION = 1
@@ -75,7 +76,8 @@ def save_adapter(adapter: LoraAdapter, path: str | Path) -> None:
         "a": adapter.a.tolist(),
         "b": adapter.b.tolist(),
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def load_adapter(path: str | Path) -> LoraAdapter:

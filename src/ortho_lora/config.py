@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .files import atomic_write
 from .model import CLASSIFICATION, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
 from .optim import AdamWHyper
 from .surgery import PROJECT_AGAINST_MUTATED, PROJECT_AGAINST_ORIGINAL
@@ -307,5 +308,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")

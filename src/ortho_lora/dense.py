@@ -50,8 +50,8 @@ class Rng:
         """Independent named substream; `stream` indices are fixed per use site."""
         return Rng(self.seed, self.spawn_key + (int(stream),))
 
-    def permutation(self, n: int) -> list[int]:
-        return [int(i) for i in self._gen.permutation(n)]
+    def permutation(self, n: int) -> np.ndarray:
+        return self._gen.permutation(n)
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

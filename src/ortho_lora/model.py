@@ -35,6 +35,11 @@ runs stacked models, with each layer's adapter read as (T, r, k) and
 (T, d, r) views of the parameter stack. Row t of the result gets the outer
 products above from batch t's slab alone.
 
+``eval_metric`` evaluates every task of a mode in one call: each task runs
+its own (k, n) forward through ``forward_features``, the one copy of the
+layer math, into activation and output arrays allocated once per call and
+reused by every task.
+
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
 """
@@ -259,39 +264,40 @@ def _check_finite(arr: Matrix, where: str) -> None:
 
 
 def forward_features(model: MultiTaskModel, x: Matrix,
-                     adapters: list[tuple[Matrix, Matrix]] | None = None) -> tuple[Matrix, list[dict]]:
+                     adapters: list[tuple[Matrix, Matrix]] | None = None,
+                     buffers: list[tuple[Matrix, Matrix, Matrix]] | None = None
+                     ) -> tuple[Matrix, list[dict]]:
     """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
 
     x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
     pair per layer, replaces the model's own: stacked (T, r, k) and (T, d, r)
-    pairs run T models at once on a (T, k, n) input.
+    pairs run T models at once on a (T, k, n) input. buffers, one (a@h, z,
+    b@a@h) triple of output arrays per layer, receives the layer's products
+    in place of fresh arrays, and its z array the layer's output.
     Cache per layer: the a and b used, layer input h_in, the low-rank midterm
     a@h_in, and the activated output h_out (needed for the tanh derivative).
     """
     if adapters is None:
         adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
+    if buffers is None:
+        buffers = [(None, None, None)] * model.num_layers
     if x.shape[-2:-1] != (model.in_dim,):
         raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
     h = x
     caches: list[dict] = []
-    for i, (layer, (a, b)) in enumerate(zip(model.layers, adapters)):
+    for i, (layer, (a, b), (ah_out, z_out, low_out)) in enumerate(
+            zip(model.layers, adapters, buffers)):
         with np.errstate(over="ignore", invalid="ignore"):
-            ah = a @ h
-            z = layer.w0 @ h + layer.adapter.scale * (b @ ah)
+            ah = np.matmul(a, h, out=ah_out)
+            z = np.matmul(layer.w0, h, out=z_out)
+            low = np.matmul(b, ah, out=low_out)
+            low *= layer.adapter.scale
+            z += low
         _check_finite(z, f"layer {i}")
-        h_out = np.tanh(z)
+        h_out = np.tanh(z, out=z)
         caches.append({"a": a, "b": b, "h_in": h, "ah": ah, "h_out": h_out})
         h = h_out
     return h, caches
-
-
-def predict(model: MultiTaskModel, task_id: int, x: Matrix) -> Matrix:
-    if not 0 <= task_id < model.num_tasks:
-        raise ParameterError(f"task_id {task_id} outside [0, {model.num_tasks})")
-    features, _ = forward_features(model, x)
-    out = model.heads[task_id] @ features
-    _check_finite(out, f"head {task_id}")
-    return out
 
 
 def _stacked_targets(model: MultiTaskModel, ordered: list[TaskBatch],
@@ -479,10 +485,35 @@ def stacked_gradient(models: list[MultiTaskModel],
     return rows, losses
 
 
-def eval_metric(model: MultiTaskModel, batch: TaskBatch) -> float:
-    """Held-out metric: accuracy for classification, plain MSE for regression."""
-    _stacked_targets(model, [batch], batch.x.shape[1])
-    out = predict(model, batch.task_id, batch.x)
-    if model.kinds[batch.task_id] == CLASSIFICATION:
-        return float(np.mean(out.argmax(axis=0) == batch.y))
-    return float(np.mean((out - batch.y) ** 2))
+def eval_metric(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[float]:
+    """Held-out metric of every batch: accuracy for classification, plain MSE
+    for regression.
+
+    Batch t runs through models[t] and its task's head: one call evaluates
+    a mode, with SINGLE_TASK's model of each task or the one shared model
+    repeated. Each batch runs its own (k, n) forward; the activation and
+    output arrays are allocated once per call and reused by every batch.
+    """
+    if len(models) != len(batches) or not batches:
+        raise ParameterError(f"need one model per batch, got {len(models)} models "
+                             f"for {len(batches)} batches")
+    sizes = [b.x.shape[-1] for b in batches]
+    if sizes.count(sizes[0]) != len(sizes):
+        raise ParameterError(f"need equal batch sizes, got {sizes}")
+    base = models[0]
+    n = sizes[0]
+    _stacked_targets(base, batches, n)
+    buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
+                np.empty((len(layer.w0), n))) for layer in base.layers]
+    out = np.empty((base.out_dim, n))
+    metrics = []
+    for model, batch in zip(models, batches):
+        features, _ = forward_features(model, batch.x, buffers=buffers)
+        np.matmul(model.heads[batch.task_id], features, out=out)
+        _check_finite(out, f"head {batch.task_id}")
+        if model.kinds[batch.task_id] == CLASSIFICATION:
+            metrics.append(float(np.mean(out.argmax(axis=0) == batch.y)))
+        else:
+            np.subtract(out, batch.y, out=out)
+            metrics.append(float(np.mean(np.square(out, out=out))))
+    return metrics

@@ -24,7 +24,9 @@ other than 1 for a negative dot and 0 otherwise, a pair with i >= j, a
 (step, pair, block) repeated, a block that is not one of the scope's
 labels, a second scope, and a conflict step whose (pair, block) rows are
 not those of the first conflict step, which must hold every pair of its
-tasks. rank_sweep.csv may not repeat a rank.
+tasks. It also rejects a loss row that repeats a (step, task) and a loss
+row of a task that eval.csv does not list. rank_sweep.csv may not repeat a
+rank. Every file is written through ``files.atomic_write``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean
 
@@ -42,6 +45,7 @@ import numpy as np
 
 from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig
 from .errors import ConfigError, ParameterError
+from .files import atomic_write
 from .model import scope_labels
 from .surgery import ConflictReport
 from .trainer import AVG_TASK, EvalRecord, MetricsLog, StepRecord, run_experiment
@@ -122,7 +126,7 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     # the scope, pair and block cells of each conflict row, per report structure
     middles: dict[tuple, list[str]] = {}
 
-    with open(mode_dir / STEPS_FILE, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(mode_dir / STEPS_FILE, newline="") as fh:
         fh.write(",".join(STEPS_HEADER) + "\r\n")
         for step, records in groupby(log.steps, key=lambda rec: rec.step):
             rows = [f"{rec.step},{rec.task},{rec.loss:.17g},{rec.lr:.17g},,,,,,,\r\n"
@@ -138,7 +142,7 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
                                                  report.cosine.ravel().tolist())]
             fh.write("".join(rows))
 
-    with open(mode_dir / EVAL_FILE, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(mode_dir / EVAL_FILE, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVAL_HEADER)
         for rec in log.evals:
@@ -146,7 +150,7 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
 
 
 def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RANK_HEADER)
         for r in rows:
@@ -232,14 +236,17 @@ def _check_columns(path: Path, dot: np.ndarray, cosine: np.ndarray, flags: list[
             raise ConfigError(f"{path}:{lines[k]}: {message(k)}")
 
 
-def _read_steps(path: Path, log: MetricsLog) -> None:
+def _read_steps(path: Path, log: MetricsLog) -> list[int]:
     """steps.csv's loss rows into log.steps, its conflict rows into columnar
     log.conflicts; a bad header or row raises ConfigError naming path:line.
+    Returns the line of each loss row.
 
-    The first conflict step must hold the rows a run writes: every pair
-    i < j of the tasks it names, in task-id order, times one scope's labels.
-    Every later conflict step must hold the same rows in the same order.
+    No (step, task) may have two loss rows. The first conflict step must
+    hold the rows a run writes: every pair i < j of the tasks it names, in
+    task-id order, times one scope's labels. Every later conflict step must
+    hold the same rows in the same order.
     """
+    loss_lines: list[int] = []
     steps: list[int] = []  # each conflict step, in file order
     first: list[list[str]] = []  # the (scope, i, j, block) cells of the first step's rows
     want: list[list[str]] = []  # the cells every step's rows must have, once first is checked
@@ -279,6 +286,7 @@ def _read_steps(path: Path, log: MetricsLog) -> None:
                 if row[1]:
                     log.steps.append(StepRecord(step=int(row[0]), task=int(row[1]),
                                                 loss=_finite(row[2]), lr=_finite(row[3])))
+                    loss_lines.append(lineno)
                     continue
                 step = int(row[0])
                 if not steps or step != steps[-1]:
@@ -304,22 +312,36 @@ def _read_steps(path: Path, log: MetricsLog) -> None:
             raise
         except ValueError as exc:  # bad numbers and cells, text that is not UTF-8
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    count = len(log.steps)
+    try:
+        step_ids = np.fromiter(map(attrgetter("step"), log.steps), np.int64, count)
+        task_ids = np.fromiter(map(attrgetter("task"), log.steps), np.int64, count)
+    except OverflowError:  # an id past 64 bits, which no run writes
+        k = next(k for k, rec in enumerate(log.steps)
+                 if not -2**63 <= min(rec.step, rec.task) <= max(rec.step, rec.task) < 2**63)
+        raise ConfigError(f"{path}:{loss_lines[k]}: step or task does not fit 64 bits") from None
+    order = np.lexsort((task_ids, step_ids))  # stable: a repeat sorts after its first row
+    repeats = order[1:][(np.diff(step_ids[order]) == 0) & (np.diff(task_ids[order]) == 0)]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ConfigError(f"{path}:{loss_lines[k]}: repeats the loss row of step {step_ids[k]} "
+                          f"task {task_ids[k]}")
     if not steps:
-        return
+        return loss_lines
     end_step()
     dot, cosine = np.array(dots), np.array(cosines)
     _check_columns(path, dot, cosine, flags, lines)
     shape = (len(steps), len(want) // len(labels), len(labels))
     log.conflicts = [ConflictReport(step, want[0][0], labels, ids, d, c)
                      for step, d, c in zip(steps, dot.reshape(shape), cosine.reshape(shape))]
+    return loss_lines
 
 
 def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     mode_dir = Path(mode_dir)
     log = MetricsLog(mode=mode)
     steps_path = mode_dir / STEPS_FILE
-    if steps_path.is_file():
-        _read_steps(steps_path, log)
+    loss_lines = _read_steps(steps_path, log) if steps_path.is_file() else []
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
@@ -337,6 +359,13 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)
     if not log.evals:
         raise ConfigError(f"{eval_path}: no eval records")
+    listed = {rec.task for rec in log.evals}
+    unknown = {task for task in set(map(attrgetter("task"), log.steps)) if str(task) not in listed}
+    if unknown:
+        line, task = next((line, rec.task) for rec, line in zip(log.steps, loss_lines)
+                          if rec.task in unknown)
+        raise ConfigError(f"{steps_path}:{line}: loss row of task {task}, which {eval_path} "
+                          "does not list")
     return log
 
 

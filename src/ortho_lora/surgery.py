@@ -191,7 +191,7 @@ def surgery(
     if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
         raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
     groups = grads.layout.groups(scope)
-    order = rng.permutation(len(grads.task_ids))
+    order = rng.permutation(len(grads.task_ids)).tolist()
     rows = grads.rows.copy()
     if grams is None and project_against == PROJECT_AGAINST_ORIGINAL:
         grams = group_grams(grads, scope)

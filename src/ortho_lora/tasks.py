@@ -20,6 +20,12 @@ of a pool) are retried on an incremented substream; the bump count is part
 of no other stream, so unaffected tasks keep their data. Note that a pure
 rank-1 teacher (shared_scale=0) can only realize two distinct argmax
 labels, so noiseless classification with shared_scale=0 needs out_dim=2.
+
+The training examples live in one stacked ``TaskPool``: every task's inputs
+in one array and the targets stacked per task kind, one row per example.
+Each step's batches come from ``subset_batch``: one gather per array for a
+(T, n) index block, whose T batches are views of the gathered arrays. The
+eval examples stay one batch per task.
 """
 
 from __future__ import annotations
@@ -37,12 +43,42 @@ MAX_LABEL_RETRIES = 100
 
 
 @dataclass
+class TaskPool:
+    """Every task's N examples in stacked arrays, one row per example.
+
+    x is (T, N, k): x[t, j] is task t's input j. targets holds, for each
+    task kind present, the kind's task ids in order and their targets
+    stacked: (R, N, o) regression values or (C, N) class labels. A step's
+    gather then copies whole rows, a few cache lines per example, where
+    columns of a (k, N) input would touch a line per entry.
+    """
+
+    x: np.ndarray
+    targets: list[tuple[list[int], np.ndarray]]
+
+    @property
+    def size(self) -> int:
+        """N, the examples of each task."""
+        return self.x.shape[1]
+
+
+def _batches(x: np.ndarray, targets: list[tuple[list[int], np.ndarray]]) -> list[TaskBatch]:
+    """Batch t of task t: x[t] and task t's slab of its kind's stacked targets."""
+    ys: list[np.ndarray | None] = [None] * len(x)
+    for ids, y in targets:
+        for t, y_t in zip(ids, y):
+            ys[t] = y_t
+    return list(map(TaskBatch, range(len(x)), x, ys))
+
+
+@dataclass
 class SyntheticTaskSet:
     kinds: list[str]
     teachers: list[Matrix]
     conflict_level: float
     noise_sigma: float
-    train: list[TaskBatch]
+    train_pool: TaskPool
+    train: list[TaskBatch]  # task t's whole train pool, as views of train_pool
     eval: list[TaskBatch]
 
     @property
@@ -122,7 +158,15 @@ def make_conflict_set(
             raise ParameterError(f"classification needs >= 2 classes, got {out_dim}")
 
     teachers = _teachers(in_dim, out_dim, num_tasks, conflict_level, shared_scale, rng)
-    train: list[TaskBatch] = []
+    targets = []
+    for kind, shape, dtype in ((REGRESSION, (n_train, out_dim), np.float64),
+                               (CLASSIFICATION, (n_train,), np.int64)):
+        ids = [t for t, k in enumerate(kinds) if k == kind]
+        if ids:
+            targets.append((ids, np.empty((len(ids), *shape), dtype)))
+    pool = TaskPool(np.empty((num_tasks, n_train, in_dim)), targets)
+    # task t's whole pool as batch t: transposed views of the stacked arrays
+    train = _batches(pool.x.swapaxes(1, -1), [(ids, y.swapaxes(1, -1)) for ids, y in targets])
     eval_: list[TaskBatch] = []
     for t, kind in enumerate(kinds):
         w_t = teachers[t]
@@ -133,8 +177,6 @@ def make_conflict_set(
             y = w_t @ x
             if noise_sigma > 0:
                 y = y + noise_sigma * r.standard_normal(y.shape)
-            train.append(TaskBatch(t, x[:, :n_train].copy(), y[:, :n_train].copy()))
-            eval_.append(TaskBatch(t, x[:, n_train:].copy(), y[:, n_train:].copy()))
         else:
             def logits(x: Matrix, r: Rng) -> Matrix:
                 z = w_t @ x
@@ -142,22 +184,50 @@ def make_conflict_set(
                     z = z + noise_sigma * r.standard_normal(z.shape)
                 return z
 
-            x, labels = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream)
-            train.append(TaskBatch(t, x[:, :n_train].copy(), labels[:n_train].copy()))
-            eval_.append(TaskBatch(t, x[:, n_train:].copy(), labels[n_train:].copy()))
+            x, y = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream)
+        train[t].x[...] = x[:, :n_train]
+        train[t].y[...] = y[..., :n_train]
+        eval_.append(TaskBatch(t, x[:, n_train:].copy(), y[..., n_train:].copy()))
     return SyntheticTaskSet(
         kinds=list(kinds),
         teachers=teachers,
         conflict_level=conflict_level,
         noise_sigma=noise_sigma,
+        train_pool=pool,
         train=train,
         eval=eval_,
     )
 
 
-def subset_batch(batch: TaskBatch, cols: list[int] | np.ndarray) -> TaskBatch:
-    """A batch restricted to the given example columns (row-major copies, not views)."""
-    x = batch.x.take(cols, axis=1)
-    y = batch.y.take(cols, axis=-1)
-    return TaskBatch(batch.task_id, x, y)
+def _rows(idx: np.ndarray, size: int) -> np.ndarray:
+    """The flat row of example idx[t, j] of slab t in a (T * size, ...) view,
+    for every t and j in order."""
+    return (idx + np.arange(0, len(idx) * size, size)[:, None]).ravel()
 
+
+def _gather(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The examples at rows (see ``_rows``) of a (T, N, ...) stack, as one
+    take, with the examples moved last: (T, ..., n)."""
+    count = len(stack)
+    picked = stack.reshape(count * stack.shape[1], -1).take(rows, axis=0)
+    moved = picked.reshape(count, -1, picked.shape[1]).swapaxes(1, 2)
+    return np.ascontiguousarray(moved).reshape(count, *stack.shape[2:], -1)
+
+
+def subset_batch(pool: TaskPool, idx: list | np.ndarray) -> list[TaskBatch]:
+    """Task t's batch of the pool examples idx[t], for every t of a (T, n) index block.
+
+    One take gathers the inputs into a new (T, k, n) array, and one per task
+    kind gathers the targets; the batches are views of those copies.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    size = pool.size
+    if idx.ndim != 2 or len(idx) != len(pool.x):
+        raise ParameterError(f"need a ({len(pool.x)}, n) index block, got shape {idx.shape}")
+    # as unsigned, a negative index is huge: one max bounds both ends
+    if idx.size and idx.view(np.uint64).max() >= size:
+        raise ParameterError(f"example indices must be in [0, {size})")
+    rows = _rows(idx, size)
+    return _batches(_gather(pool.x, rows),
+                    [(ids, _gather(y, rows if len(ids) == len(idx) else _rows(idx[ids], size)))
+                     for ids, y in pool.targets])

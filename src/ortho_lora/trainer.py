@@ -23,12 +23,21 @@ step moves the whole stack, each row by its own model's gradient. Head
 gradients bypass projection in every mode. All modes draw identical batch
 sequences for a given seed: data order, task generation, model init and the
 surgery shuffle each consume their own named substream.
+
+The data path keeps tasks as one array axis too. Each epoch draws its data
+orders as one (T, N) block, and each step gathers every task's batch from
+the stacked train pool with one ``subset_batch`` call (``epoch_batches``).
+Each epoch ends with one ``eval_metric`` call over every task's held-out
+pool. A one-task run keeps no conflict report, as it has no task pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import fmean
+
+import numpy as np
 
 from .config import (
     JOINT,
@@ -52,7 +61,7 @@ from .model import (
 )
 from .optim import AdamWState, adamw_step, linear_decay_lr
 from .surgery import ConflictReport, build_conflict_report, group_grams, merge, surgery
-from .tasks import SyntheticTaskSet, make_conflict_set, subset_batch
+from .tasks import SyntheticTaskSet, TaskPool, make_conflict_set, subset_batch
 
 # Substream indices off the master seed; fixed so that consuming one stream
 # (e.g. the surgery shuffle) can never perturb another (e.g. batch order).
@@ -108,7 +117,8 @@ def train_step(
     record_conflicts: bool = True,
 ) -> tuple[list[StepRecord], ConflictReport | None]:
     """One optimization step; returns per-task loss records and the conflict
-    report (ORTHO always, JOINT only when diagnostics are on).
+    report (ORTHO always, JOINT only when diagnostics are on; never for one
+    task, which has no pair).
 
     SINGLE_TASK takes one model per task, made by ``stack_copies``; every
     mode takes one optimizer state.
@@ -129,7 +139,8 @@ def train_step(
         grams = None
         if mode != JOINT or record_conflicts:
             grams = group_grams(grads, scope)
-            report = build_conflict_report(step, grads, scope, grams=grams)
+            if num_tasks > 1:  # one task has no pair to report
+                report = build_conflict_report(step, grads, scope, grams=grams)
         if mode != JOINT:
             grads = surgery(grads, scope, surgery_rng, project_against, grams=grams)
         adamw_step(models[0].params, merge(grads), opt_states[0], lr)
@@ -167,6 +178,30 @@ def build_task_set(config: ExperimentConfig) -> SyntheticTaskSet:
     )
 
 
+def epoch_batches(pool: TaskPool, data_rng: Rng, batch_size: int,
+                  steps: int) -> Iterator[list[TaskBatch]]:
+    """One epoch's steps of batches, one per task.
+
+    The epoch draws a (T, N) block of data orders, row t task t's
+    permutation of its pool, drawn in task order; each step gathers the next
+    batch_size columns of every row with one ``subset_batch`` call. When the
+    columns run out, all tasks at once, the epoch draws a fresh block.
+    """
+    num_tasks, size = len(pool.x), pool.size
+
+    def orders() -> np.ndarray:
+        return np.array([data_rng.permutation(size) for _ in range(num_tasks)])
+
+    block = orders()
+    cursor = 0
+    for _ in range(steps):
+        if cursor + batch_size > size:
+            block = orders()
+            cursor = 0
+        yield subset_batch(pool, block[:, cursor:cursor + batch_size])
+        cursor += batch_size
+
+
 def run_mode(config: ExperimentConfig, mode: str,
              task_set: SyntheticTaskSet | None = None) -> tuple[MetricsLog, list[MultiTaskModel]]:
     """Train one mode from config; deterministic in (config, mode)."""
@@ -196,32 +231,18 @@ def run_mode(config: ExperimentConfig, mode: str,
     log = MetricsLog(mode=mode)
 
     def evaluate(epoch: int) -> None:
-        metrics = []
-        for t in range(num_tasks):
-            model = models[t] if mode == SINGLE_TASK else models[0]
-            metric = eval_metric(model, task_set.eval[t])
-            metrics.append(metric)
-            log.evals.append(EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric))
+        metrics = eval_metric(models if mode == SINGLE_TASK else models * num_tasks, task_set.eval)
+        log.evals += [EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
+                      for t, metric in enumerate(metrics)]
         log.evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))
 
     evaluate(0)
     spe = config.steps_per_epoch()
     total_steps = config.total_steps()
     batch_size = config.schedule.batch_size
-    n_train = config.tasks.n_train
     step = 0
     for epoch in range(1, config.schedule.epochs + 1):
-        orders = [data_rng.permutation(n_train) for _ in range(num_tasks)]
-        cursors = [0] * num_tasks
-        for _ in range(spe):
-            batches = []
-            for t in range(num_tasks):
-                if cursors[t] + batch_size > n_train:
-                    orders[t] = data_rng.permutation(n_train)
-                    cursors[t] = 0
-                idx = orders[t][cursors[t] : cursors[t] + batch_size]
-                cursors[t] += batch_size
-                batches.append(subset_batch(task_set.train[t], idx))
+        for batches in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
             lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
             records, report = train_step(
                 mode, models, batches, opt_states, step, lr, surgery_rng, scope,

@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError
+from ortho_lora.errors import NumericError, ParameterError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -22,8 +22,8 @@ from ortho_lora.model import (
     _check_tasks,
     _stacked_targets,
     build_model,
+    forward_features,
     joint_gradient,
-    predict,
     stack_copies,
     task_loss_and_gradient,
 )
@@ -65,6 +65,17 @@ def random_batch(model, task_id, n, seed):
     else:
         y = rng.integers(0, model.out_dim, n).astype(np.int64)
     return TaskBatch(task_id, x, y)
+
+
+def predict(model, task_id, x):
+    """Task task_id's outputs for the inputs x, through its own head."""
+    if not 0 <= task_id < model.num_tasks:
+        raise ParameterError(f"task_id {task_id} outside [0, {model.num_tasks})")
+    features, _ = forward_features(model, x)
+    out = model.heads[task_id] @ features
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite activations at head {task_id}")
+    return out
 
 
 def task_loss(model, batch) -> float:

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, generator, measure_surgery_floats, task_gradient, task_loss
+from helpers import (
+    fd_gradient,
+    generator,
+    measure_surgery_floats,
+    predict,
+    task_gradient,
+    task_loss,
+)
 
 from ortho_lora.cli import run_cli
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, load_config
@@ -28,7 +35,6 @@ from ortho_lora.model import (
     GradientStack,
     TaskBatch,
     build_model,
-    predict,
     task_loss_and_gradient,
 )
 from ortho_lora.optim import AdamWState

@@ -192,6 +192,12 @@ BAD_RUN_FILES = {
                    "non-finite"),
     "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None, "lacks"),
     "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2, "non-finite"),
+    "repeated loss row": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.01,,,,,,,", LOSS], 4,
+                          "repeats the loss row of step 0 task 0"),
+    "loss row of a task eval.csv lacks": ("JOINT/steps.csv", [LOSS, "5,9,0.5,0.01,,,,,,,"], 3,
+                                          "task 9, which"),
+    "loss row step past 64 bits": ("JOINT/steps.csv", [LOSS, f"{2**63},1,0.5,0.01,,,,,,,"], 3,
+                                   "does not fit 64 bits"),
     "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3, "'oops'"),
     "repeated rank": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "2,0.5,0.4,-0.1"], 3, "rank 2 repeats"),
     "earlier final epoch": ("JOINT/eval.csv", [f"0,JOINT,{t},0.5" for t in ("0", "1", "avg")],

@@ -55,4 +55,4 @@ class TestRng:
         assert not np.array_equal(a1, b)
 
     def test_permutation_deterministic(self):
-        assert Rng(3).permutation(10) == Rng(3).permutation(10)
+        assert np.array_equal(Rng(3).permutation(10), Rng(3).permutation(10))

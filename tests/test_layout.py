@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, random_batch, random_model
+from helpers import fd_gradient, predict, random_batch, random_model
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
@@ -18,7 +18,6 @@ from ortho_lora.model import (
     GradientStack,
     build_model,
     joint_gradient,
-    predict,
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import scope_groups

@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fd_gradient,
     generator,
     joint_loss,
+    predict,
     random_batch,
     random_model,
     task_gradient,
@@ -23,7 +26,7 @@ from ortho_lora.model import (
     build_model,
     eval_metric,
     joint_gradient,
-    predict,
+    stack_copies,
 )
 from ortho_lora.surgery import merge
 
@@ -216,17 +219,92 @@ class TestJointGradient:
         assert total == pytest.approx(parts, rel=1e-12)
 
 
+def reference_metric(model, batch):
+    """One task's eval written out on its own: a fresh forward with no output
+    buffers, the task's head, then MSE or accuracy; the same products and the
+    same NumericError messages as eval_metric."""
+    h = batch.x
+    for i, layer in enumerate(model.layers):
+        ad = layer.adapter
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = layer.w0 @ h + ad.scale * (ad.b @ (ad.a @ h))
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activations at layer {i}")
+        h = np.tanh(z)
+    out = model.heads[batch.task_id] @ h
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite activations at head {batch.task_id}")
+    if model.kinds[batch.task_id] == CLASSIFICATION:
+        return float(np.mean(out.argmax(axis=0) == batch.y))
+    return float(np.mean((out - batch.y) ** 2))
+
+
+def _eval_models(model, count, stacked, seed):
+    """count models for eval_metric: the one model repeated, or stacked copies
+    each moved to its own point."""
+    if not stacked:
+        return [model] * count
+    models = stack_copies(model, count)
+    params = models[0].params.base
+    params += 0.1 * Rng(seed).standard_normal(params.shape)
+    return models
+
+
 class TestEvalMetric:
     def test_perfect_regression_mse_zero(self):
         model = random_model(23, randomize_b=True)
         x = Rng(4).standard_normal((model.in_dim, 6))
-        assert eval_metric(model, TaskBatch(0, x, predict(model, 0, x))) == 0.0
+        assert eval_metric([model], [TaskBatch(0, x, predict(model, 0, x))]) == [0.0]
 
     def test_classification_accuracy_of_own_argmax(self):
         model = random_model(24, randomize_b=True)
         x = Rng(5).standard_normal((model.in_dim, 6))
         labels = predict(model, 1, x).argmax(axis=0)
-        assert eval_metric(model, TaskBatch(1, x, labels)) == 1.0
+        assert eval_metric([model], [TaskBatch(1, x, labels)]) == [1.0]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    def test_bit_identical_at_trainer_shapes(self, stacked):
+        # 16x16 layer, rank 4, 16 tasks of 2000 held-out examples: many-tasks' eval
+        model = random_model(26, layer_dims=(16, 16), rank=4, alpha=16.0,
+                             kinds=[REGRESSION] * 16, out_dim=4, randomize_b=True)
+        models = _eval_models(model, 16, stacked, seed=27)
+        batches = [random_batch(model, t, 2000, seed=60 + t) for t in range(16)]
+        assert eval_metric(models, batches) == [
+            reference_metric(m, b) for m, b in zip(models, batches)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=1, max_size=16),
+           dims=st.lists(st.integers(2, 8), min_size=2, max_size=4), out_dim=st.integers(2, 4),
+           n=st.integers(1, 40), stacked=st.booleans(), seed=st.integers(0, 2**16))
+    def test_equals_per_task_reference(self, kinds, dims, out_dim, n, stacked, seed):
+        # 1-3 layers, mixed kinds, one shared model or T stacked ones
+        model = random_model(seed, layer_dims=dims, rank=min(2, *dims), kinds=kinds,
+                             out_dim=out_dim, randomize_b=True)
+        models = _eval_models(model, len(kinds), stacked, seed)
+        batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
+        assert eval_metric(models, batches) == [
+            reference_metric(m, b) for m, b in zip(models, batches)]
+
+    @pytest.mark.parametrize("where", ["layer 1", "head 1"])
+    def test_non_finite_names_the_layer_or_head(self, where):
+        model = random_model(28, layer_dims=(6, 5, 4), randomize_b=True)
+        if where == "layer 1":
+            model.layers[1].w0[0, 0] = np.inf
+        else:
+            model.heads[1][0, 0] = np.nan
+        batches = [random_batch(model, t, 5, seed=70 + t) for t in range(2)]
+        for check in (lambda: eval_metric([model] * 2, batches),
+                      lambda: reference_metric(model, batches[1])):
+            with pytest.raises(NumericError, match=where):
+                check()
+
+    def test_one_model_per_batch_of_one_size(self):
+        model = random_model(29, randomize_b=True)
+        batches = [random_batch(model, 0, 5, seed=80), random_batch(model, 1, 6, seed=81)]
+        with pytest.raises(ParameterError, match="one model per batch"):
+            eval_metric([model], batches)
+        with pytest.raises(ParameterError, match="equal batch sizes"):
+            eval_metric([model] * 2, batches)
 
 
 def test_build_model_frozen_dims_compose():

@@ -84,6 +84,17 @@ class TestCsvRoundTrip:
             back = read_metrics(mode_dir, mode)
             assert back == log
 
+    @pytest.mark.parametrize("mode", [JOINT, ORTHO_STRUCTURED])
+    def test_one_task_run_round_trips(self, tmp_path, mode):
+        # one task has no pair, so its run keeps no conflict report
+        cfg = small_config(modes=[mode], tasks={
+            "kind": "regression", "num_tasks": 1, "in_dim": 6, "out_dim": 2,
+            "conflict_level": 0.0, "noise_sigma": 0.0, "n_train": 32, "n_eval": 16})
+        log = run_experiment(cfg).logs[mode]
+        assert log.steps and log.conflicts == []
+        write_metrics(log, tmp_path)
+        assert read_metrics(tmp_path, mode) == log
+
     def test_summarize_equals_in_memory(self, tmp_path):
         cfg = small_config()
         result = run_experiment(cfg)
@@ -135,7 +146,8 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
                 np.array([[data.draw(FINITE), data.draw(FINITE)]]),
                 np.array([[data.draw(COSINE), data.draw(COSINE)]])))
     for epoch in range(data.draw(st.integers(1, 2))):
-        metrics = data.draw(st.lists(FINITE, min_size=1, max_size=3))
+        # eval.csv lists every task with loss rows (tasks 0 and 1), and may list more
+        metrics = data.draw(st.lists(FINITE, min_size=2, max_size=3))
         try:
             avg = fmean(metrics)
         except OverflowError:  # the exact sum leaves the float range

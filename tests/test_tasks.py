@@ -27,8 +27,7 @@ class TestRegressionConflict:
             head[...] = model.heads[0]
         shared_x = ts.train[0].x
         grads = []
-        for t in range(3):
-            batch = subset_batch(ts.train[t], list(range(16)))
+        for t, batch in enumerate(subset_batch(ts.train_pool, [list(range(16))] * 3)):
             batch.x[...] = shared_x[:, :16]
             batch.y[...] = ts.teachers[t] @ batch.x
             grads.append(task_gradient(model, batch))
@@ -148,13 +147,63 @@ def test_subset_batch_copies_rows_once(kind, as_array):
     ts = make_conflict_set([kind], 3, 2, 0.0, 0.0, 12, 2, Rng(12))
     pool = ts.train[0]
     cols = [5, 0, 7, 7]
-    sub = subset_batch(pool, np.array(cols) if as_array else cols)
+    (sub,) = subset_batch(ts.train_pool, np.array([cols]) if as_array else [cols])
     assert not np.shares_memory(sub.x, pool.x) and not np.shares_memory(sub.y, pool.y)
     assert sub.x.flags["C_CONTIGUOUS"] and sub.y.flags["C_CONTIGUOUS"]
     assert np.array_equal(sub.x, pool.x[:, cols])
     assert np.array_equal(sub.y, pool.y[..., cols])
     sub.x[...] = 0.0
     assert np.count_nonzero(pool.x[:, cols]) == pool.x[:, cols].size
+
+
+def test_train_pool_is_one_stack_of_views():
+    kinds = [CLASSIFICATION, REGRESSION, CLASSIFICATION, REGRESSION]
+    ts = make_conflict_set(kinds, 3, 2, 0.5, 0.1, 9, 4, Rng(13))
+    pool = ts.train_pool
+    # one row per example: (T, N, k) inputs, (R, N, o) values, (C, N) labels
+    assert pool.x.shape == (4, 9, 3)
+    assert [(ids, y.shape) for ids, y in pool.targets] == [([1, 3], (2, 9, 2)), ([0, 2], (2, 9))]
+    for t, batch in enumerate(ts.train):
+        assert batch.task_id == t
+        assert batch.x.shape == (3, 9) and np.shares_memory(batch.x, pool.x)
+        assert np.array_equal(batch.x, pool.x[t].T)
+        (ids, y), = [(ids, y) for ids, y in pool.targets if t in ids]
+        assert np.shares_memory(batch.y, y)
+        assert np.array_equal(batch.y, y[ids.index(t)].T)
+
+
+def _per_task_take(ts, idx):
+    """The reference gather: one take per task from its own pool batch."""
+    return [(pool.x.take(cols, axis=1), pool.y.take(cols, axis=-1))
+            for pool, cols in zip(ts.train, idx)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subset_batch_equals_per_task_take(seed):
+    rng = np.random.default_rng(seed)
+    kinds = [CLASSIFICATION if rng.integers(0, 2) else REGRESSION
+             for _ in range(int(rng.integers(1, 17)))]
+    ts = make_conflict_set(kinds, 4, 3, 0.0, 0.1, 20, 4, Rng(seed))
+    idx = rng.integers(0, 20, size=(len(kinds), int(rng.integers(1, 21))))
+    got = subset_batch(ts.train_pool, idx)
+    xs = got[0].x.base
+    for t, (batch, (x, y)) in enumerate(zip(got, _per_task_take(ts, idx))):
+        assert batch.task_id == t
+        assert batch.x.base is xs  # views of one gathered (T, k, n) array
+        assert np.array_equal(batch.x, x) and batch.x.dtype == x.dtype
+        assert np.array_equal(batch.y, y) and batch.y.dtype == y.dtype
+        assert batch.x.flags["C_CONTIGUOUS"] and batch.y.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("idx,match", [
+    ([[0, 1]], r"\(2, n\) index block"),
+    ([[0, 1], [2, 8]], r"in \[0, 8\)"),
+    ([[0, -1], [2, 3]], r"in \[0, 8\)"),
+], ids=["one row for two tasks", "index past the pool", "negative index"])
+def test_subset_batch_rejects_bad_index_block(idx, match):
+    ts = make_conflict_set([REGRESSION, CLASSIFICATION], 3, 2, 0.5, 0.0, 8, 2, Rng(14))
+    with pytest.raises(ParameterError, match=match):
+        subset_batch(ts.train_pool, idx)
 
 
 def test_dump_csv(tmp_path):

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import measure_surgery_floats, own_copy, random_batch, random_model
+from helpers import measure_surgery_floats, own_copy, predict, random_batch, random_model
 
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
-from ortho_lora.model import PER_MATRIX, REGRESSION, TaskBatch, predict, stack_copies
+from ortho_lora.model import (
+    CLASSIFICATION,
+    PER_MATRIX,
+    REGRESSION,
+    TaskBatch,
+    stack_copies,
+)
 from ortho_lora.optim import AdamWState
-from ortho_lora.trainer import build_task_set, run_experiment, run_mode, train_step
+from ortho_lora.tasks import make_conflict_set
+from ortho_lora.trainer import build_task_set, epoch_batches, run_experiment, run_mode, train_step
 
 
 def tiny_config(**overrides):
@@ -190,3 +197,39 @@ class TestRunExperiment:
         for l0, l1 in zip(models[0].layers, models[1].layers):
             assert np.array_equal(l0.w0, l1.w0)
             assert np.array_equal(l0.adapter.a, l1.adapter.a)
+
+
+def _per_task_batches(ts, data_rng, batch_size, steps):
+    """The reference data order: one permutation and one cursor per task, a
+    reshuffle per task when its cursor runs out, and one take per task."""
+    size = ts.train[0].x.shape[1]
+    orders = [data_rng.permutation(size).tolist() for _ in range(ts.num_tasks)]
+    cursors = [0] * ts.num_tasks
+    for _ in range(steps):
+        batches = []
+        for t, pool in enumerate(ts.train):
+            if cursors[t] + batch_size > size:
+                orders[t] = data_rng.permutation(size).tolist()
+                cursors[t] = 0
+            cols = orders[t][cursors[t]:cursors[t] + batch_size]
+            cursors[t] += batch_size
+            batches.append((pool.x.take(cols, axis=1), pool.y.take(cols, axis=-1)))
+        yield batches
+
+
+@pytest.mark.parametrize("size,batch_size,steps", [(40, 16, 7), (48, 16, 3), (20, 20, 4)],
+                         ids=["reshuffle mid-epoch", "one pass", "reshuffle every step"])
+def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
+    kinds = [REGRESSION, CLASSIFICATION, CLASSIFICATION, REGRESSION, REGRESSION]
+    ts = make_conflict_set(kinds, 4, 3, 0.5, 0.1, size, 4, Rng(3))
+    got_rng, want_rng = Rng(9).child(2), Rng(9).child(2)
+    for epoch in range(3):
+        got = list(epoch_batches(ts.train_pool, got_rng, batch_size, steps))
+        want = list(_per_task_batches(ts, want_rng, batch_size, steps))
+        assert len(got) == len(want) == steps
+        for step_got, step_want in zip(got, want):
+            assert [b.task_id for b in step_got] == list(range(len(kinds)))
+            for batch, (x, y) in zip(step_got, step_want):
+                assert np.array_equal(batch.x, x) and np.array_equal(batch.y, y)
+        # both consumed the data stream alike: their next draws agree
+        assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))

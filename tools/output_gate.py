@@ -24,6 +24,10 @@ The gate configs are all built from this tree's configs/default.json:
 * two-tasks-quiet   - 2 tasks with ``record_conflicts`` false, all four
                       modes: JOINT writes no conflict rows, and the ORTHO
                       modes report a single task pair.
+* reshuffle         - n_train 40, batch_size 16 and steps_per_epoch 7, so
+                      every epoch draws fresh data orders three times
+                      mid-epoch; regression and classification tasks, 4
+                      epochs, all four modes.
 """
 
 from __future__ import annotations
@@ -57,8 +61,11 @@ def gate_configs(default: dict) -> dict[str, dict]:
     quiet = copy.deepcopy(base)
     quiet["tasks"]["num_tasks"] = 2
     quiet["surgery"]["record_conflicts"] = False
+    reshuffle = copy.deepcopy(base)
+    reshuffle["tasks"].update(n_train=40, kind=["regression", "classification", "regression"])
+    reshuffle["schedule"].update(epochs=4, batch_size=16, steps_per_epoch=7)
     return {"default": base, "many-tasks": many, "mixed-role-orig": role,
-            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet}
+            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle}
 
 
 def export(rev: str, dest: Path) -> None:
