@@ -13,9 +13,11 @@ a view into it, and ``model.heads`` is one (T, o, d) view of its contiguous
 HEAD columns, so ``model.heads[t]`` is task t's head. ``model.layout``, built
 once per model, is the one place that knows this order: every block's
 columns and every projection scope's column groups. A ``GradientStack``
-holds task gradients as the rows of one (T, P) matrix in the same layout.
-``stack_copies`` makes T models whose params are the rows of one (T, P)
-matrix, so that SINGLE_TASK's independent models train together.
+holds task gradients as the rows of one (T, R) matrix, each row only what
+its task trains: the A = ``layout.heads.start`` adapter columns, then its
+own (o, d) head, R = A + o*d at any T. ``stack_copies`` makes SINGLE_TASK's
+T one-task models, adapters and one head each, whose params are the rows of
+one (T, R) matrix, so that they train together.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -31,9 +33,9 @@ product for the outputs, one loss call that is vectorized within each task
 kind, one product for the head gradients and one for d(loss)/d(features).
 ``task_loss_and_gradient`` is the T = 1 case; ``joint_gradient`` runs one
 model, whose 2-D adapters broadcast over the T batches; ``stacked_gradient``
-runs stacked models, with each layer's adapter read as (T, r, k) and
-(T, d, r) views of the parameter stack. Row t of the result gets the outer
-products above from batch t's slab alone.
+runs stacked models, with each layer's adapter and the heads read as
+(T, r, k), (T, d, r) and (T, o, d) views of the parameter stack. Row t of
+the result gets the outer products above from batch t's slab alone.
 
 ``eval_metric`` evaluates every task of a mode in one call: each task runs
 its own (k, n) forward through ``forward_features``, the one copy of the
@@ -82,10 +84,10 @@ class Layout:
 
     blocks maps each trainable matrix's name, as steps.csv writes it ("L0.A",
     "L0.B", "HEAD0"), to its (column slice, shape); a[i] and b[i] are layer
-    i's A and B columns and heads the contiguous HEAD columns. Each
-    projection scope's groups are contiguous spans of adapter columns,
-    labelled and ordered by ``scope_labels``, as the conflict report writes
-    them. pair_entries, for the conflict report, indexes a flattened
+    i's A and B columns, heads the contiguous HEAD columns, each of
+    head_shape. Each projection scope's groups are contiguous spans of
+    adapter columns, labelled and ordered by ``scope_labels``, as the
+    conflict report writes them. pair_entries, for the conflict report, indexes a flattened
     num_tasks x num_tasks Gram matrix: the entry of every task pair i < j in
     row-major order, then each pair's (i, i) entries, then its (j, j) ones.
     """
@@ -105,6 +107,7 @@ class Layout:
         self.a = [self.blocks[f"L{i}.A"][0] for i in layers]
         self.b = [self.blocks[f"L{i}.B"][0] for i in layers]
         self.heads = slice(self.b[-1].stop, start)
+        self.head_shape = tuple(head_shape)
         spans = {"flat": slice(0, self.heads.start), "A": slice(0, self.b[0].start),
                  "B": slice(self.b[0].start, self.heads.start),
                  **{name: sl for name, (sl, _) in self.blocks.items()}}
@@ -147,11 +150,11 @@ class TaskGradient:
 
 @dataclass(eq=False)
 class GradientStack:
-    """Several tasks' gradients as the rows of one (T, P) matrix in a parameter layout.
+    """Several tasks' gradients as the rows of one (T, R) matrix for a parameter layout.
 
-    Row t is task task_ids[t]'s full gradient: every adapter block and its own
-    head; the other tasks' head entries are zero. Indexing yields the row as
-    a TaskGradient of block views.
+    Row t is task task_ids[t]'s full gradient: the layout's A adapter columns,
+    then its own head, R = A + o*d. Indexing yields the row as a TaskGradient
+    of block views.
     """
 
     task_ids: list[int]
@@ -161,11 +164,11 @@ class GradientStack:
     def __getitem__(self, pos: int) -> TaskGradient:
         task_id = self.task_ids[pos]
         row = self.rows[pos]
-        own_head = f"HEAD{task_id}"
-        return TaskGradient(task_id, {name: row[sl].reshape(shape)
-                                      for name, (sl, shape) in self.layout.blocks.items()
-                                      if sl.start < self.layout.heads.start or name == own_head},
-                            self.layout)
+        adapter_cols = self.layout.heads.start
+        blocks = {name: row[sl].reshape(shape) for name, (sl, shape) in self.layout.blocks.items()
+                  if sl.start < adapter_cols}
+        blocks[f"HEAD{task_id}"] = row[adapter_cols:].reshape(self.layout.head_shape)
+        return TaskGradient(task_id, blocks, self.layout)
 
 
 @dataclass(eq=False)
@@ -221,12 +224,13 @@ class MultiTaskModel:
         return self.layers[0].w0.shape[1]
 
 
-def stack_copies(base: MultiTaskModel, count: int) -> list[MultiTaskModel]:
-    """count copies of base whose params are the rows of one (count, P) matrix,
-    each copy's ``params.base``. The copies share base's frozen w0 matrices."""
-    stack = np.empty((count, base.params.size))
-    return [MultiTaskModel(base.layers, base.heads, list(base.kinds), params=row)
-            for row in stack]
+def stack_copies(base: MultiTaskModel) -> list[MultiTaskModel]:
+    """One one-task copy of base per task, base's adapters and the task's head
+    and kind, whose params are the rows of one (T, A + o*d) matrix, each
+    copy's ``params.base``. The copies share base's frozen w0 matrices."""
+    stack = np.empty((base.num_tasks, base.layout.heads.start + base.heads[0].size))
+    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row)
+            for t, (kind, row) in enumerate(zip(base.kinds, stack))]
 
 
 def build_model(
@@ -300,22 +304,16 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     return h, caches
 
 
-def _stacked_targets(model: MultiTaskModel, ordered: list[TaskBatch],
+def _stacked_targets(kinds: list[str], out_dim: int, ordered: list[TaskBatch],
                      n: int) -> list[tuple[str, list[int], np.ndarray]]:
-    """(kind, positions in ordered, stacked targets) for each task kind present.
+    """(kind, positions in ordered, stacked targets) for each kind in kinds, batch p's.
 
     Checks the batches of n examples, one shape and range test per kind:
-    task ids in range, n >= 1, (out_dim, n) regression targets and n class
-    labels in [0, out_dim). An error names the offending task.
+    n >= 1, (out_dim, n) regression targets and n class labels in
+    [0, out_dim). An error names the offending task.
     """
-    ids = [b.task_id for b in ordered]
-    if min(ids) < 0 or max(ids) >= model.num_tasks:
-        bad = next(t for t in ids if not 0 <= t < model.num_tasks)
-        raise ParameterError(f"task_id {bad} outside [0, {model.num_tasks})")
     if n < 1:
         raise ParameterError("batch must contain at least one example")
-    out_dim = model.out_dim
-    kinds = [model.kinds[t] for t in ids]
     targets = []
     for kind, shape in ((REGRESSION, (out_dim, n)), (CLASSIFICATION, (n,))):
         pos = [p for p, k in enumerate(kinds) if k == kind]
@@ -328,13 +326,13 @@ def _stacked_targets(model: MultiTaskModel, ordered: list[TaskBatch],
             y = None
         if y is None or y.shape[1:] != shape:
             p, y = next((p, y) for p, y in zip(pos, ys) if y.shape != shape)
-            raise ShapeError(f"{kind} targets {y.shape} of task {ids[p]} do not match {shape} "
+            raise ShapeError(f"{kind} targets {y.shape} of task {ordered[p].task_id} do not match {shape} "
                              f"(out_dim={out_dim}, n={n})")
         if kind == CLASSIFICATION:
             outside = ((y < 0) | (y >= out_dim)).any(axis=1)
             if outside.any():
                 raise ParameterError(f"labels outside [0, {out_dim}) for task "
-                                     f"{ids[pos[int(outside.argmax())]]}")
+                                     f"{ordered[pos[int(outside.argmax())]].task_id}")
         targets.append((kind, pos, y))
     unknown = set(kinds) - {REGRESSION, CLASSIFICATION}
     if unknown:
@@ -373,13 +371,13 @@ def _losses(out: np.ndarray,
     return losses.tolist(), g_out
 
 
-def _check_tasks(model: MultiTaskModel, batches: list[TaskBatch]) -> list[TaskBatch]:
-    """The batches in task order; ParameterError unless there is exactly one per task."""
+def _check_tasks(num_tasks: int, batches: list[TaskBatch]) -> list[TaskBatch]:
+    """The batches in task order; ParameterError unless exactly one per task 0..num_tasks-1."""
     ordered = sorted(batches, key=lambda b: b.task_id)
     seen = [b.task_id for b in ordered]
-    if seen != list(range(model.num_tasks)):
+    if seen != list(range(num_tasks)):
         raise ParameterError(
-            f"need exactly one batch per task 0..{model.num_tasks - 1}, got task_ids {seen}"
+            f"need exactly one batch per task 0..{num_tasks - 1}, got task_ids {seen}"
         )
     return ordered
 
@@ -403,43 +401,40 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: n
             delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
 
 
-def _gradient_rows(models: list[MultiTaskModel], ordered: list[TaskBatch],
-                   adapters: list[tuple[Matrix, Matrix]] | None = None
+def _gradient_rows(model: MultiTaskModel, ordered: list[TaskBatch], heads: np.ndarray,
+                   kinds: list[str], adapters: list[tuple[Matrix, Matrix]] | None = None
                    ) -> tuple[np.ndarray, list[float]]:
-    """Row t and loss t: batch t's gradient through models[t]'s head, all from
-    one forward and one backward pass.
+    """Row t and loss t: batch t's gradient through heads[t] (kind kinds[t]),
+    all from one forward and one backward pass.
 
     The equal-size batches run as one (T, k, n) input. Without adapters,
-    models[0]'s own 2-D adapters broadcast over the T batches; stacked
-    (T, r, k) and (T, d, r) adapters give each batch its own model. The head
-    each batch reads runs in one (T, o, d) stack, and its gradient lands in
-    that head's columns of the batch's row.
+    model's own 2-D adapters broadcast over the T batches; stacked (T, r, k)
+    and (T, d, r) adapters give each batch its own model. The (T, o, d)
+    heads run as one stack; row t is model's adapter columns, then head t.
     """
     sizes = [b.x.shape[1] for b in ordered]
     if sizes.count(sizes[0]) != len(sizes):
         raise ParameterError(f"need equal batch sizes, got {sizes}")
-    base = models[0]
-    targets = _stacked_targets(base, ordered, sizes[0])
-    task_ids = [b.task_id for b in ordered]
-    features, caches = forward_features(base, np.array([b.x for b in ordered]), adapters)
-    heads = np.array([m.heads[t] for m, t in zip(models, task_ids)])
+    targets = _stacked_targets(kinds, model.out_dim, ordered, sizes[0])
+    features, caches = forward_features(model, np.array([b.x for b in ordered]), adapters)
     out = heads @ features
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
-        raise NumericError(f"non-finite activations at head {task_ids[int(finite.argmin())]}")
+        raise NumericError(f"non-finite activations at head {ordered[int(finite.argmin())].task_id}")
     losses, g_out = _losses(out, targets)
-    count = len(ordered)
-    rows = np.zeros((count, base.params.size))
-    # a (T, num_tasks, o*d) view of the rows' head columns
-    head_cols = rows[:, base.layout.heads].reshape(count, base.num_tasks, -1)
-    head_cols[np.arange(count), task_ids] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
-    _backprop_stack(base, caches, heads.swapaxes(-1, -2) @ g_out, rows)
+    count, adapter_cols = len(ordered), model.layout.heads.start
+    rows = np.empty((count, adapter_cols + heads[0].size))
+    rows[:, adapter_cols:] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
+    _backprop_stack(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)
     return rows, losses
 
 
 def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
     """Loss plus a one-row stack: every adapter block and the task's own head."""
-    rows, losses = _gradient_rows([model], [batch])
+    t = batch.task_id
+    if not 0 <= t < model.num_tasks:
+        raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
+    rows, losses = _gradient_rows(model, [batch], model.heads[t:t + 1], [model.kinds[t]])
     model.backward_passes += 1
     return losses[0], GradientStack([batch.task_id], rows, model.layout)
 
@@ -450,8 +445,8 @@ def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[Gra
     The model's adapters run over all T batches at once; rows and losses are
     in task order.
     """
-    ordered = _check_tasks(model, batches)
-    rows, losses = _gradient_rows([model] * len(ordered), ordered)
+    ordered = _check_tasks(model.num_tasks, batches)
+    rows, losses = _gradient_rows(model, ordered, model.heads, model.kinds)
     model.backward_passes += 1
     return GradientStack([b.task_id for b in ordered], rows, model.layout), losses
 
@@ -460,26 +455,25 @@ def stacked_gradient(models: list[MultiTaskModel],
                      batches: list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
     """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
 
-    The models are the rows of one parameter stack (``stack_copies``); each
-    layer's A and B run as (T, r, k) and (T, d, r) views of the stack. Row t
-    of the returned (T, P) matrix is model t's gradient.
+    The one-task models are the rows of one (T, A + o*d) parameter stack
+    (``stack_copies``); each layer's A and B run as (T, r, k) and (T, d, r)
+    views of the stack, and the heads as one (T, o, d) view. Row t of the
+    returned (T, A + o*d) matrix is model t's gradient.
     """
     base = models[0]
     stack = base.params.base
     if stack is None or stack.shape != (len(models), base.params.size) or not all(
-            m.params.base is stack and np.may_share_memory(m.params, row)
+            m.num_tasks == 1 and m.params.base is stack and np.may_share_memory(m.params, row)
             for m, row in zip(models, stack)):
         raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
                              "order, of one parameter stack (see stack_copies)")
-    ordered = _check_tasks(base, batches)
-    if len(models) != len(ordered):
-        raise ParameterError(f"need one stacked model per task, got {len(models)} models "
-                             f"for {len(ordered)} tasks")
     count = len(models)
+    ordered = _check_tasks(count, batches)
     adapters = [(stack[:, a].reshape(count, *layer.adapter.a.shape),
                  stack[:, b].reshape(count, *layer.adapter.b.shape))
                 for layer, a, b in zip(base.layers, base.layout.a, base.layout.b)]
-    rows, losses = _gradient_rows(models, ordered, adapters)
+    heads = stack[:, base.layout.heads].reshape(count, *base.layout.head_shape)
+    rows, losses = _gradient_rows(base, ordered, heads, [m.kinds[0] for m in models], adapters)
     for m in models:
         m.backward_passes += 1
     return rows, losses
@@ -489,10 +483,11 @@ def eval_metric(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[
     """Held-out metric of every batch: accuracy for classification, plain MSE
     for regression.
 
-    Batch t runs through models[t] and its task's head: one call evaluates
-    a mode, with SINGLE_TASK's model of each task or the one shared model
-    repeated. Each batch runs its own (k, n) forward; the activation and
-    output arrays are allocated once per call and reused by every batch.
+    Batch t runs through models[t] and its task's head (a one-task model's
+    only head): one call evaluates a mode, with SINGLE_TASK's model of each
+    task or the one shared model repeated. Each batch runs its own (k, n)
+    forward; the activation and output arrays are allocated once per call
+    and reused by every batch.
     """
     if len(models) != len(batches) or not batches:
         raise ParameterError(f"need one model per batch, got {len(models)} models "
@@ -502,16 +497,21 @@ def eval_metric(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[
         raise ParameterError(f"need equal batch sizes, got {sizes}")
     base = models[0]
     n = sizes[0]
-    _stacked_targets(base, batches, n)
+    heads = [0 if m.num_tasks == 1 else b.task_id for m, b in zip(models, batches)]
+    bad = next((b.task_id for m, b, h in zip(models, batches, heads) if not 0 <= h < m.num_tasks), None)
+    if bad is not None:
+        raise ParameterError(f"task_id {bad} outside [0, {base.num_tasks})")
+    kinds = [m.kinds[h] for m, h in zip(models, heads)]
+    _stacked_targets(kinds, base.out_dim, batches, n)
     buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
                 np.empty((len(layer.w0), n))) for layer in base.layers]
     out = np.empty((base.out_dim, n))
     metrics = []
-    for model, batch in zip(models, batches):
+    for model, batch, head, kind in zip(models, batches, heads, kinds):
         features, _ = forward_features(model, batch.x, buffers=buffers)
-        np.matmul(model.heads[batch.task_id], features, out=out)
+        np.matmul(model.heads[head], features, out=out)
         _check_finite(out, f"head {batch.task_id}")
-        if model.kinds[batch.task_id] == CLASSIFICATION:
+        if kind == CLASSIFICATION:
             metrics.append(float(np.mean(out.argmax(axis=0) == batch.y)))
         else:
             np.subtract(out, batch.y, out=out)

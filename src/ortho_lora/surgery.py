@@ -19,15 +19,16 @@ order still matters because projections compound on the task being fixed).
 ``project_against="mutated"`` switches to projecting against whatever the
 other task's gradient currently is, for comparison.
 
-The gradients arrive as a GradientStack: one row per task in the model's
-flat parameter layout, whose ``groups(scope)`` gives every scope group as
-one contiguous column slice V (row t: task t's original gradient over the
+The gradients arrive as a GradientStack: one row per task, the adapter
+columns of the model's flat layout and then the task's own head. Its
+layout's ``groups(scope)`` gives every scope group as one contiguous column
+slice V (row t: task t's original gradient over the
 group). Report and projection read the group's Gram matrix G = V V^T,
 which ``group_grams`` computes once for both, as one (groups, T, T) stack.
 Under the original rule every working gradient is c^T V for a coefficient
 row c, so each inner product it needs is an entry of C G and the projected
 gradients are C V. ``project_pair`` is the same rule on explicit vectors;
-the mutated rule uses it. Merge sums the rows.
+the mutated rule uses it. Merge sums the rows into the flat layout.
 
 The conflict report is columnar: one (pairs, groups) array of dots and one
 of cosines per step, read off the Gram stack above its diagonal, with no
@@ -212,9 +213,14 @@ def surgery(
 
 
 def merge(grads: GradientStack) -> np.ndarray:
-    """The update in the flat layout: the sum of the rows, so each head enters
-    only from its own task's row."""
-    return grads.rows.sum(axis=0)
+    """The update in the flat layout: the rows' adapter columns summed, and each
+    row's head in its task's head columns (zero for a task with no row)."""
+    layout, rows = grads.layout, grads.rows
+    update = np.zeros(layout.size)
+    rows[:, :layout.heads.start].sum(axis=0, out=update[:layout.heads.start])
+    # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
+    update[layout.heads].reshape(layout.num_tasks, -1)[grads.task_ids] = rows[:, layout.heads.start:] + 0.0
+    return update
 
 
 def build_conflict_report(step: int, grads: GradientStack, scope: str,

@@ -13,11 +13,12 @@ Four modes:
 Every mode shares one gradient path: the T tasks' equal-size batches run as
 one (T, k, n) input through one forward and one backward pass, with the
 heads they read as one (T, o, d) stack, and task t's gradient is row t of a
-(T, P) matrix. JOINT and both ORTHO modes run one
-model (``joint_gradient``); the conflict report and the projection read
-per-group Gram matrices of its rows (computed once per step), merge sums
-them, and one AdamW step moves the model's flat parameter vector.
-SINGLE_TASK's T models are the rows of one (T, P) parameter stack
+(T, A + o*d) matrix: the adapter columns, then task t's head. JOINT and both
+ORTHO modes run one model (``joint_gradient``); the conflict report and the
+projection read per-group Gram matrices of its rows (computed once per
+step), merge sums them into the flat layout, and one AdamW step moves the
+model's parameter vector. SINGLE_TASK's T one-task models (adapters and one
+head each) are the rows of one (T, A + o*d) parameter stack
 (``stacked_gradient``, each model on its own task's batch), and one AdamW
 step moves the whole stack, each row by its own model's gradient. Head
 gradients bypass projection in every mode. All modes draw identical batch
@@ -123,7 +124,7 @@ def train_step(
     SINGLE_TASK takes one model per task, made by ``stack_copies``; every
     mode takes one optimizer state.
     """
-    num_tasks = models[0].num_tasks
+    num_tasks = len(models) if mode == SINGLE_TASK else models[0].num_tasks
     expected = num_tasks if mode == SINGLE_TASK else 1
     if len(models) != expected or len(opt_states) != 1:
         raise ParameterError(
@@ -221,7 +222,7 @@ def run_mode(config: ExperimentConfig, mode: str,
         config.tasks.out_dim,
         master.child(STREAM_INIT),
     )
-    models = stack_copies(base, num_tasks) if mode == SINGLE_TASK else [base]
+    models = stack_copies(base) if mode == SINGLE_TASK else [base]
     opt_states = [AdamWState(hyper=config.optimizer)]
     data_rng = master.child(STREAM_DATA)
     surgery_rng = master.child(STREAM_SURGERY)

@@ -17,6 +17,7 @@ from ortho_lora.model import (
     REGRESSION,
     GradientStack,
     Layout,
+    MultiTaskModel,
     TaskBatch,
     TaskGradient,
     _check_tasks,
@@ -24,7 +25,6 @@ from ortho_lora.model import (
     build_model,
     forward_features,
     joint_gradient,
-    stack_copies,
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import scope_groups
@@ -53,8 +53,8 @@ def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
 
 
 def own_copy(model):
-    """A model equal to model with its own parameter buffer: a one-row stack."""
-    return stack_copies(model, 1)[0]
+    """A model equal to model, every task's head included, with its own parameter buffer."""
+    return MultiTaskModel(model.layers, model.heads, list(model.kinds))
 
 
 def random_batch(model, task_id, n, seed):
@@ -82,8 +82,8 @@ def task_loss(model, batch) -> float:
     """batch's mean loss through its task's head, written out apart from the
     batched loss of the gradient path: half squared error summed over output
     dims, or softmax cross-entropy."""
-    _stacked_targets(model, [batch], batch.x.shape[1])
     out = predict(model, batch.task_id, batch.x)
+    _stacked_targets([model.kinds[batch.task_id]], model.out_dim, [batch], batch.x.shape[1])
     n = out.shape[1]
     if model.kinds[batch.task_id] == REGRESSION:
         return 0.5 * float(np.sum((out - batch.y) ** 2)) / n
@@ -121,7 +121,7 @@ def task_gradient(model, batch) -> TaskGradient:
 
 def joint_loss(model, batches, weights=None) -> float:
     """Weighted sum of the task losses; one batch per task."""
-    _check_tasks(model, batches)
+    _check_tasks(model.num_tasks, batches)
     if weights is None:
         weights = [1.0] * len(batches)
     if len(weights) != len(batches):
@@ -172,15 +172,18 @@ def grad_of(task_id, a_blocks, b_blocks, head) -> Grad:
 
 
 def stack_of(grads) -> GradientStack:
-    """The gradients of tasks 0..T-1, one head shape for all, as the rows of one GradientStack."""
+    """The gradients of tasks 0..T-1, one head shape for all, as the rows of one
+    GradientStack: each row its adapter columns, then its own head."""
     first = grads[0].blocks
     layers = range(sum(name.endswith(".A") for name in first))
     layout = Layout([first[f"L{i}.A"].shape for i in layers], [first[f"L{i}.B"].shape for i in layers],
                     first[f"HEAD{grads[0].task_id}"].shape, len(grads))
-    rows = np.zeros((len(grads), layout.size))
+    adapter_cols = layout.heads.start
+    rows = np.zeros((len(grads), adapter_cols + math.prod(layout.head_shape)))
     for row, g in zip(rows, grads):
         for name, arr in g.blocks.items():
-            row[layout.blocks[name][0]] = arr.ravel()
+            sl = slice(adapter_cols, None) if name.startswith("HEAD") else layout.blocks[name][0]
+            row[sl] = arr.ravel()
     return GradientStack([g.task_id for g in grads], rows, layout)
 
 

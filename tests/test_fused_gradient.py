@@ -76,13 +76,16 @@ def _mixed_kinds(num_tasks):
 @pytest.mark.parametrize("num_tasks", [1, 3, 16])
 @pytest.mark.parametrize("layer_dims", [(8, 7), (8, 7, 6), (8, 7, 6, 5)])
 def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
-    # T stacked copies of one model are that model: the two entry points agree bit for bit
+    # T stacked one-task copies of one model hold its adapters and their task's
+    # head: the two entry points agree bit for bit
     model = random_model(60, layer_dims=layer_dims, rank=3, kinds=_mixed_kinds(num_tasks),
                          out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=200 + t) for t in range(num_tasks)]
     stack, joint_losses = joint_gradient(model, batches)
-    models = stack_copies(model, num_tasks)
-    assert all(np.array_equal(m.params, model.params) for m in models)
+    models = stack_copies(model)
+    adapters = model.params[:model.layout.heads.start]
+    assert all(np.array_equal(m.params, np.concatenate((adapters, model.heads[t].ravel())))
+               for t, m in enumerate(models))
     rows, losses = stacked_gradient(models, batches)
     assert np.array_equal(rows, stack.rows)
     assert losses == joint_losses
@@ -94,7 +97,7 @@ def _entry_call(entry, model, batches):
         return [model], lambda: task_loss_and_gradient(model, batches[0])
     if entry == "joint_gradient":
         return [model], lambda: joint_gradient(model, batches)
-    models = stack_copies(model, 2)
+    models = stack_copies(model)
     return models, lambda: stacked_gradient(models, batches)
 
 
@@ -140,17 +143,21 @@ def test_bad_targets_rejected_naming_the_task(entry, task, target, error, match)
 
 def _per_task_heads(models, ordered, adapters=None):
     """Rows and losses with the heads run one task at a time: the reference for
-    the batched head step (same forward and backward, a per-task head loop)."""
+    the batched head step (same forward and backward, a per-task head loop).
+    Row t is the adapter columns, then the head's; a one-task model runs its
+    only head."""
     base = models[0]
     features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
-    rows = np.zeros((len(ordered), base.params.size))
+    adapter_cols = base.layout.heads.start
+    rows = np.zeros((len(ordered), adapter_cols + base.heads[0].size))
     delta = np.empty_like(features)
     losses = []
     for t, (m, b) in enumerate(zip(models, ordered)):
-        head = m.heads[b.task_id]
+        own = 0 if m.num_tasks == 1 else b.task_id
+        head = m.heads[own]
         out = head @ features[t]
         n = out.shape[1]
-        if m.kinds[b.task_id] == REGRESSION:
+        if m.kinds[own] == REGRESSION:
             resid = out - b.y
             losses.append(0.5 * float((resid * resid).sum()) / n)
             g_out = resid / n
@@ -164,7 +171,7 @@ def _per_task_heads(models, ordered, adapters=None):
             g_out = expz / denom
             g_out[b.y, idx] -= 1.0
             g_out = g_out / n
-        rows[t, base.layout.blocks[f"HEAD{b.task_id}"][0]] = (g_out @ features[t].T).ravel()
+        rows[t, adapter_cols:] = (g_out @ features[t].T).ravel()
         delta[t] = head.T @ g_out
     _backprop_stack(base, caches, delta, rows)
     return rows, losses
@@ -193,7 +200,7 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         stack, got_losses = joint_gradient(model, batches)
         got_rows = stack.rows
     else:
-        models = stack_copies(model, len(kinds))
+        models = stack_copies(model)
         params = models[0].params.base
         params += 0.1 * Rng(seed).standard_normal(params.shape)  # each model its own point
         adapters = [tuple(params[:, model.layout.blocks[f"L{i}.{role}"][0]].reshape(

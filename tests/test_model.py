@@ -27,6 +27,7 @@ from ortho_lora.model import (
     eval_metric,
     joint_gradient,
     stack_copies,
+    task_loss_and_gradient,
 )
 from ortho_lora.surgery import merge
 
@@ -221,8 +222,10 @@ class TestJointGradient:
 
 def reference_metric(model, batch):
     """One task's eval written out on its own: a fresh forward with no output
-    buffers, the task's head, then MSE or accuracy; the same products and the
-    same NumericError messages as eval_metric."""
+    buffers, the task's head (a one-task model's only head), then MSE or
+    accuracy; the same products and the same NumericError messages as
+    eval_metric."""
+    own = 0 if model.num_tasks == 1 else batch.task_id
     h = batch.x
     for i, layer in enumerate(model.layers):
         ad = layer.adapter
@@ -231,20 +234,20 @@ def reference_metric(model, batch):
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations at layer {i}")
         h = np.tanh(z)
-    out = model.heads[batch.task_id] @ h
+    out = model.heads[own] @ h
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite activations at head {batch.task_id}")
-    if model.kinds[batch.task_id] == CLASSIFICATION:
+    if model.kinds[own] == CLASSIFICATION:
         return float(np.mean(out.argmax(axis=0) == batch.y))
     return float(np.mean((out - batch.y) ** 2))
 
 
 def _eval_models(model, count, stacked, seed):
-    """count models for eval_metric: the one model repeated, or stacked copies
-    each moved to its own point."""
+    """count models for eval_metric: the one model repeated, or its count
+    stacked one-task copies each moved to its own point."""
     if not stacked:
         return [model] * count
-    models = stack_copies(model, count)
+    models = stack_copies(model)
     params = models[0].params.base
     params += 0.1 * Rng(seed).standard_normal(params.shape)
     return models
@@ -297,6 +300,20 @@ class TestEvalMetric:
                       lambda: reference_metric(model, batches[1])):
             with pytest.raises(NumericError, match=where):
                 check()
+
+    @pytest.mark.parametrize("task_id", [-1, 2])
+    def test_task_id_outside_the_model_rejected(self, task_id):
+        # a one-task model runs any batch through its only head; a wider one
+        # has no head for an id outside its tasks
+        model = random_model(31, randomize_b=True)
+        x = Rng(6).standard_normal((model.in_dim, 5))
+        batch = TaskBatch(task_id, x, np.zeros((model.out_dim, 5)))
+        for check in (lambda: eval_metric([model], [batch]),
+                      lambda: task_loss_and_gradient(model, batch)):
+            with pytest.raises(ParameterError, match=rf"task_id {task_id} outside \[0, 2\)"):
+                check()
+        one_task = stack_copies(random_model(31, kinds=[REGRESSION], randomize_b=True))[0]
+        assert eval_metric([one_task], [batch]) == [reference_metric(one_task, batch)]
 
     def test_one_model_per_batch_of_one_size(self):
         model = random_model(29, randomize_b=True)

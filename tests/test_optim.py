@@ -68,7 +68,7 @@ class TestAdamwStep:
         assert np.array_equal(params, before) and state.step == 0 and state.m is None
 
     def test_nonfinite_stack_entry_names_row_and_column(self):
-        # a (T, P) stack of parameter vectors: the error names the model's row
+        # a (T, R) stack of parameter vectors: the error names the model's row
         params = np.stack([_params(20 + t) for t in range(3)])
         state = AdamWState()
         adamw_step(params, np.ones_like(params), state, lr=0.01)

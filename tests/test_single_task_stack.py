@@ -1,10 +1,12 @@
 """SINGLE_TASK's stacked step against one model and one AdamW step at a time.
 
-``stack_copies`` puts the T models' parameters in the rows of one (T, P)
+``stack_copies`` makes T one-task models, model t holding the adapters and
+task t's head alone, whose parameters are the rows of one (T, A + o*d)
 matrix, and ``train_step`` moves them all with one batched forward and
 backward pass and one AdamW step. The reference below is the plain loop:
-each model's own ``task_loss_and_gradient`` and its own ``adamw_step``. The
-two must agree bit for bit.
+T full copies of the model, each with every task's head, its own
+``task_loss_and_gradient`` and its own ``adamw_step``. The two must agree
+bit for bit on everything a stacked model holds.
 """
 
 import numpy as np
@@ -55,8 +57,17 @@ def _reference(base, hyper, steps):
     return models, losses
 
 
+def _row_width(model):
+    return model.layout.heads.start + model.heads[0].size
+
+
+def _own_part(model, task_id):
+    """What the stacked model of task task_id holds: the adapters, then its head."""
+    return np.concatenate((model.params[:model.layout.heads.start], model.heads[task_id].ravel()))
+
+
 def _stacked(base, hyper, steps):
-    models = stack_copies(base, base.num_tasks)
+    models = stack_copies(base)
     states = [AdamWState(hyper=hyper)]
     losses = []
     for step in range(steps):
@@ -67,6 +78,9 @@ def _stacked(base, hyper, steps):
         assert report is None
         assert [r.task for r in records] == list(range(base.num_tasks))
         losses.append([r.loss for r in records])
+    # the stack and both AdamW moments hold one row of A + o*d columns per model
+    shape = (base.num_tasks, _row_width(base))
+    assert models[0].params.base.shape == states[0].m.shape == states[0].v.shape == shape
     return models, losses
 
 
@@ -82,23 +96,25 @@ def test_stacked_step_matches_per_model_loop(num_tasks, layer_dims, mixed, weigh
     got_models, got_losses = _stacked(base, hyper, STEPS)
     assert got_losses == want_losses
     for t, (got, want) in enumerate(zip(got_models, want_models)):
-        assert np.array_equal(got.params, want.params), f"model {t}"
+        assert np.array_equal(got.params, _own_part(want, t)), f"model {t}"
         assert got.backward_passes == want.backward_passes == STEPS
 
 
 def test_models_are_views_into_one_stack():
     base = random_model(6, kinds=_kinds(3, mixed=True))
-    models = stack_copies(base, 3)
+    models = stack_copies(base)
     stack = models[0].params.base
-    assert stack.shape == (3, base.params.size)
+    assert stack.shape == (3, _row_width(base))
     for t, model in enumerate(models):
         assert model.params.base is stack
         assert np.shares_memory(model.params, stack[t])
-        assert np.array_equal(model.params, base.params)
+        assert np.array_equal(model.params, _own_part(base, t))
         for layer in model.layers:
             assert np.shares_memory(layer.adapter.a, stack[t])
             assert np.shares_memory(layer.adapter.b, stack[t])
-        assert model.heads.shape == (3, base.out_dim, 4)
+        # one head, task t's, and its kind: no other task's head rides along
+        assert model.heads.shape == (1, base.out_dim, 4)
+        assert model.kinds == [base.kinds[t]]
         assert np.shares_memory(model.heads, stack[t])
     # a step moves each model through its row, and the base stays put
     before = base.params.copy()
@@ -114,7 +130,7 @@ def test_models_are_views_into_one_stack():
                          ids=["missing", "repeated", "extra"])
 def test_batch_list_must_hold_each_task_once(task_ids):
     base = random_model(7, kinds=_kinds(3, mixed=True))
-    models = stack_copies(base, 3)
+    models = stack_copies(base)
     before = models[0].params.base.copy()
     batches = [random_batch(base, t, 8, seed=i) for i, t in enumerate(task_ids)]
     with pytest.raises(ParameterError, match="one batch per task"):
@@ -124,8 +140,8 @@ def test_batch_list_must_hold_each_task_once(task_ids):
 
 @pytest.mark.parametrize("build", [
     lambda base: [own_copy(base) for _ in range(3)],
-    lambda base: stack_copies(base, 3)[::-1],
-    lambda base: stack_copies(base, 4)[:3],
+    lambda base: stack_copies(base)[::-1],
+    lambda base: stack_copies(random_model(8, kinds=_kinds(4, mixed=False)))[:3],
 ], ids=["separate buffers", "rows out of order", "rows of a larger stack"])
 def test_models_must_be_the_rows_of_one_stack_in_order(build):
     base = random_model(8, kinds=_kinds(3, mixed=False))
@@ -138,5 +154,5 @@ def test_unequal_batch_sizes_rejected():
     base = random_model(9, kinds=_kinds(3, mixed=False))
     batches = [random_batch(base, t, 8 + t, seed=t) for t in range(3)]
     with pytest.raises(ParameterError, match="equal batch sizes"):
-        train_step(SINGLE_TASK, stack_copies(base, 3), batches, [AdamWState()], 0, 0.01,
+        train_step(SINGLE_TASK, stack_copies(base), batches, [AdamWState()], 0, 0.01,
                    Rng(0), PER_MATRIX)

@@ -13,7 +13,8 @@ from ortho_lora.model import (
     TaskBatch,
     stack_copies,
 )
-from ortho_lora.optim import AdamWState
+from ortho_lora.optim import AdamWState, adamw_step
+from ortho_lora.surgery import merge
 from ortho_lora.tasks import make_conflict_set
 from ortho_lora.trainer import build_task_set, epoch_batches, run_experiment, run_mode, train_step
 
@@ -80,7 +81,8 @@ class TestTrainStep:
         batch = random_batch(model, 0, 8, seed=3)
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
-            m = own_copy(model)
+            # SINGLE_TASK's one model is the one row of its stack
+            m = stack_copies(model)[0] if mode == SINGLE_TASK else own_copy(model)
             _one_step(mode, m, [batch])
             results[mode] = snapshot(m)
         for mode in (ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
@@ -123,13 +125,43 @@ class TestTrainStep:
                 assert np.array_equal(lt.w0, li.w0)
 
 
+@pytest.mark.parametrize("mode", [SINGLE_TASK, JOINT, ORTHO_FLAT, ORTHO_STRUCTURED])
+def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatch):
+    # rows of A + o*d columns: SINGLE_TASK's stack gradient, the others' merge input
+    model = random_model(12, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
+    width = model.layout.heads.start + model.heads[0].size
+    batches = [random_batch(model, t, 4, seed=90 + t) for t in range(3)]
+    shapes = []
+
+    def merge_rows(grads):
+        shapes.append(("merge", grads.rows.shape))
+        return merge(grads)
+
+    def adamw(params, grad, state, lr):
+        shapes.append(("adamw", grad.shape, state.m is None))
+        adamw_step(params, grad, state, lr)
+        shapes.append(("moments", state.m.shape, state.v.shape))
+
+    monkeypatch.setattr("ortho_lora.trainer.merge", merge_rows)
+    monkeypatch.setattr("ortho_lora.trainer.adamw_step", adamw)
+    models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
+    train_step(mode, models, batches, [AdamWState()], step=0, lr=0.01, surgery_rng=Rng(0),
+               scope=PER_MATRIX)
+    if mode == SINGLE_TASK:
+        assert shapes == [("adamw", (3, width), True), ("moments", (3, width), (3, width))]
+    else:
+        size = model.params.size
+        assert shapes == [("merge", (3, width)), ("adamw", (size,), True),
+                          ("moments", (size,), (size,))]
+
+
 class TestBackwardCounting:
     @pytest.mark.parametrize("mode,expected", [(JOINT, 1), (ORTHO_FLAT, 1),
                                                (ORTHO_STRUCTURED, 1), (SINGLE_TASK, 2)])
     def test_instrumented_counts_match(self, mode, expected):
         model = random_model(8, kinds=[REGRESSION] * 2, randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
-        models = stack_copies(model, 2) if mode == SINGLE_TASK else [own_copy(model)]
+        models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
         states = [AdamWState()]
         train_step(mode, models, batches, states, step=0, lr=0.01,
                    surgery_rng=Rng(0), scope=PER_MATRIX, record_conflicts=False)

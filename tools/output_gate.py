@@ -28,6 +28,10 @@ The gate configs are all built from this tree's configs/default.json:
                       every epoch draws fresh data orders three times
                       mid-epoch; regression and classification tasks, 4
                       epochs, all four modes.
+* one-task          - 1 task, conflict_level 0, 2 epochs, all four modes:
+                      a gradient row is as wide as the model's parameter
+                      vector, SINGLE_TASK's stack has one row, and no mode
+                      has a task pair to report.
 """
 
 from __future__ import annotations
@@ -64,8 +68,12 @@ def gate_configs(default: dict) -> dict[str, dict]:
     reshuffle = copy.deepcopy(base)
     reshuffle["tasks"].update(n_train=40, kind=["regression", "classification", "regression"])
     reshuffle["schedule"].update(epochs=4, batch_size=16, steps_per_epoch=7)
+    one = copy.deepcopy(base)
+    one["tasks"].update(num_tasks=1, conflict_level=0.0)
+    one["schedule"]["epochs"] = 2
     return {"default": base, "many-tasks": many, "mixed-role-orig": role,
-            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle}
+            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle,
+            "one-task": one}
 
 
 def export(rev: str, dest: Path) -> None:
