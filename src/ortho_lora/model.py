@@ -4,20 +4,16 @@ The backbone is 1-3 frozen linear layers with a tanh after each one (smooth,
 so finite-difference checks stay clean); each layer carries a low-rank
 adapter. Per-task linear heads, all of one output size o, map the final d
 features to task outputs; ``model.kinds[t]`` says whether task t is
-regression or classification. The trainable parameters are the adapter
-pairs plus the heads; w0 matrices are never touched.
+regression or classification. Only the adapter pairs and the heads train.
 
 The trainable parameters live in one float64 vector, ``model.params``, laid
 out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix is
-a view into it, and ``model.heads`` is one (T, o, d) view of its contiguous
-HEAD columns, so ``model.heads[t]`` is task t's head. ``model.layout``, built
-once per model, is the one place that knows this order: every block's
-columns and every projection scope's column groups. A ``GradientStack``
-holds task gradients as the rows of one (T, R) matrix, each row only what
-its task trains: the A = ``layout.heads.start`` adapter columns, then its
-own (o, d) head, R = A + o*d at any T. ``stack_copies`` makes SINGLE_TASK's
-T one-task models, adapters and one head each, whose params are the rows of
-one (T, R) matrix, so that they train together.
+a view into it, and ``model.heads`` is one (T, o, d) view of its HEAD
+columns. ``model.layout``, built once per model, is the one place that knows
+this order. A ``GradientStack`` holds task gradients as the rows of one
+(T, R) matrix, row t the A = ``layout.heads.start`` adapter columns, then
+task t's own (o, d) head, R = A + o*d. ``stack_copies`` makes SINGLE_TASK's
+T one-task models, whose params are the rows of one (T, R) matrix.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -26,21 +22,14 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
     grad_a = s * b^T @ dz @ h^T
     delta_h = w0^T @ dz + s * a^T @ (b^T @ dz)
 
-All three gradient entry points share one body, ``_gradient_rows``: the T
-equal-size batches run as one (T, k, n) input through one forward and one
-backward pass, and the T heads they read run as one (T, o, d) stack: one
-product for the outputs, one loss call that is vectorized within each task
-kind, one product for the head gradients and one for d(loss)/d(features).
-``task_loss_and_gradient`` is the T = 1 case; ``joint_gradient`` runs one
-model, whose 2-D adapters broadcast over the T batches; ``stacked_gradient``
-runs stacked models, with each layer's adapter and the heads read as
-(T, r, k), (T, d, r) and (T, o, d) views of the parameter stack. Row t of
-the result gets the outer products above from batch t's slab alone.
-
-``eval_metric`` evaluates every task of a mode in one call: each task runs
-its own (k, n) forward through ``forward_features``, the one copy of the
-layer math, into activation and output arrays allocated once per call and
-reused by every task.
+All three gradient entry points share one body, ``_gradient_rows``, whose
+only input is a ``StepBatch``: T equal-size batches as one (T, k, n) input
+and their targets stacked per task kind, run through one forward and one
+backward pass, the T heads as one (T, o, d) stack. The trainer gathers each
+step's ``StepBatch`` from a train pool checked once per run; a ``TaskBatch``
+list passed to an entry point is checked and stacked by ``StepBatch.of``.
+``eval_metric`` evaluates every task of a mode in one call, each through
+``forward_features``, the one copy of the layer math.
 
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
@@ -139,6 +128,33 @@ class TaskBatch:
 
 
 @dataclass
+class StepBatch:
+    """One step's T equal-size batches, stacked: the gradient code's only input.
+
+    x is a C-contiguous (T, k, n) array, x[p] the inputs of task first + p;
+    targets is ``_stacked_targets``' (kind, positions p, stacked targets) list.
+    """
+
+    x: np.ndarray
+    targets: list[tuple[str, list[int], np.ndarray]]
+    first: int = 0
+
+    @classmethod
+    def of(cls, batches: list[TaskBatch], kinds: list[str], out_dim: int,
+           first: int = 0) -> StepBatch:
+        """The batches of tasks first + p of kinds[p], p < len(kinds), checked
+        by ``_stacked_targets`` and stacked; ParameterError unless there is
+        exactly one batch per task."""
+        ordered = sorted(batches, key=lambda b: b.task_id)
+        seen = [b.task_id for b in ordered]
+        if seen != list(range(first, first + len(kinds))):
+            raise ParameterError(f"need exactly one batch per task {first}..{first + len(kinds) - 1}, "
+                                 f"got task_ids {seen}")
+        targets = _stacked_targets(kinds, out_dim, ordered)
+        return cls(np.array([b.x for b in ordered]), targets, first)
+
+
+@dataclass
 class TaskGradient:
     """One task's gradient as views keyed by block name: every adapter block and
     the task's own head, in the given layout."""
@@ -181,7 +197,7 @@ class MultiTaskModel:
     adapter a/b and the heads into a params vector in that layout and
     rebinds them as views into it. That vector is a fresh buffer, or the
     given ``params`` (such as one row of a parameter stack), which the model
-    then writes through.
+    then writes through; ``stack_copies`` also sets ``stack_rows``.
     """
 
     layers: list[FrozenLayer]
@@ -189,6 +205,7 @@ class MultiTaskModel:
     kinds: list[str]
     backward_passes: int = 0
     params: np.ndarray | None = field(default=None, repr=False)
+    stack_rows: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     layout: Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -226,11 +243,12 @@ class MultiTaskModel:
 
 def stack_copies(base: MultiTaskModel) -> list[MultiTaskModel]:
     """One one-task copy of base per task, base's adapters and the task's head
-    and kind, whose params are the rows of one (T, A + o*d) matrix, each
-    copy's ``params.base``. The copies share base's frozen w0 matrices."""
-    stack = np.empty((base.num_tasks, base.layout.heads.start + base.heads[0].size))
-    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row)
-            for t, (kind, row) in enumerate(zip(base.kinds, stack))]
+    and kind, whose params are the rows of one (T, A + o*d) matrix: copy t's
+    params is row t of its ``stack_rows``, the row views of that matrix. The
+    copies share base's frozen w0 matrices."""
+    rows = tuple(np.empty((base.num_tasks, base.layout.heads.start + base.heads[0].size)))
+    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row, stack_rows=rows)
+            for t, (kind, row) in enumerate(zip(base.kinds, rows))]
 
 
 def build_model(
@@ -304,14 +322,16 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     return h, caches
 
 
-def _stacked_targets(kinds: list[str], out_dim: int, ordered: list[TaskBatch],
-                     n: int) -> list[tuple[str, list[int], np.ndarray]]:
-    """(kind, positions in ordered, stacked targets) for each kind in kinds, batch p's.
-
-    Checks the batches of n examples, one shape and range test per kind:
-    n >= 1, (out_dim, n) regression targets and n class labels in
-    [0, out_dim). An error names the offending task.
-    """
+def _stacked_targets(kinds: list[str], out_dim: int,
+                     ordered: list[TaskBatch]) -> list[tuple[str, list[int], np.ndarray]]:
+    """(kind, positions p, stacked targets of the batches ordered[p]) for each kind
+    in kinds: (R, o, n) regression values or (C, n) class labels. Checks n >= 1
+    examples in each batch, (out_dim, n) regression targets and n class labels
+    in [0, out_dim), one test per kind; an error names the offending task."""
+    sizes = [b.x.shape[-1] for b in ordered]
+    if sizes.count(sizes[0]) != len(sizes):
+        raise ParameterError(f"need equal batch sizes, got {sizes}")
+    n = sizes[0]
     if n < 1:
         raise ParameterError("batch must contain at least one example")
     targets = []
@@ -371,17 +391,6 @@ def _losses(out: np.ndarray,
     return losses.tolist(), g_out
 
 
-def _check_tasks(num_tasks: int, batches: list[TaskBatch]) -> list[TaskBatch]:
-    """The batches in task order; ParameterError unless exactly one per task 0..num_tasks-1."""
-    ordered = sorted(batches, key=lambda b: b.task_id)
-    seen = [b.task_id for b in ordered]
-    if seen != list(range(num_tasks)):
-        raise ParameterError(
-            f"need exactly one batch per task 0..{num_tasks - 1}, got task_ids {seen}"
-        )
-    return ordered
-
-
 def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: np.ndarray,
                     rows: np.ndarray) -> None:
     """Propagate d(loss)/d(features), (T, d, n), down the stack into the adapter
@@ -401,28 +410,22 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: n
             delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
 
 
-def _gradient_rows(model: MultiTaskModel, ordered: list[TaskBatch], heads: np.ndarray,
-                   kinds: list[str], adapters: list[tuple[Matrix, Matrix]] | None = None
+def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
+                   adapters: list[tuple[Matrix, Matrix]] | None = None
                    ) -> tuple[np.ndarray, list[float]]:
-    """Row t and loss t: batch t's gradient through heads[t] (kind kinds[t]),
-    all from one forward and one backward pass.
+    """Row p and loss p: slab p of batch through heads[p], all from one forward
+    and one backward pass; row p is the adapter columns, then head p.
 
-    The equal-size batches run as one (T, k, n) input. Without adapters,
-    model's own 2-D adapters broadcast over the T batches; stacked (T, r, k)
-    and (T, d, r) adapters give each batch its own model. The (T, o, d)
-    heads run as one stack; row t is model's adapter columns, then head t.
+    Without adapters, model's own 2-D adapters broadcast over the T slabs;
+    stacked (T, r, k) and (T, d, r) adapters give each slab its own model.
     """
-    sizes = [b.x.shape[1] for b in ordered]
-    if sizes.count(sizes[0]) != len(sizes):
-        raise ParameterError(f"need equal batch sizes, got {sizes}")
-    targets = _stacked_targets(kinds, model.out_dim, ordered, sizes[0])
-    features, caches = forward_features(model, np.array([b.x for b in ordered]), adapters)
+    features, caches = forward_features(model, batch.x, adapters)
     out = heads @ features
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
-        raise NumericError(f"non-finite activations at head {ordered[int(finite.argmin())].task_id}")
-    losses, g_out = _losses(out, targets)
-    count, adapter_cols = len(ordered), model.layout.heads.start
+        raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
+    losses, g_out = _losses(out, batch.targets)
+    count, adapter_cols = len(out), model.layout.heads.start
     rows = np.empty((count, adapter_cols + heads[0].size))
     rows[:, adapter_cols:] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
     _backprop_stack(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)
@@ -434,25 +437,28 @@ def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[flo
     t = batch.task_id
     if not 0 <= t < model.num_tasks:
         raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
-    rows, losses = _gradient_rows(model, [batch], model.heads[t:t + 1], [model.kinds[t]])
+    step = StepBatch.of([batch], [model.kinds[t]], model.out_dim, first=t)
+    rows, losses = _gradient_rows(model, step, model.heads[t:t + 1])
     model.backward_passes += 1
-    return losses[0], GradientStack([batch.task_id], rows, model.layout)
+    return losses[0], GradientStack([t], rows, model.layout)
 
 
-def joint_gradient(model: MultiTaskModel, batches: list[TaskBatch]) -> tuple[GradientStack, list[float]]:
+def joint_gradient(model: MultiTaskModel,
+                   batches: StepBatch | list[TaskBatch]) -> tuple[GradientStack, list[float]]:
     """Every task's gradient and loss from one forward and one backward pass.
 
     The model's adapters run over all T batches at once; rows and losses are
     in task order.
     """
-    ordered = _check_tasks(model.num_tasks, batches)
-    rows, losses = _gradient_rows(model, ordered, model.heads, model.kinds)
+    if not isinstance(batches, StepBatch):
+        batches = StepBatch.of(batches, model.kinds, model.out_dim)
+    rows, losses = _gradient_rows(model, batches, model.heads)
     model.backward_passes += 1
-    return GradientStack([b.task_id for b in ordered], rows, model.layout), losses
+    return GradientStack(list(range(model.num_tasks)), rows, model.layout), losses
 
 
 def stacked_gradient(models: list[MultiTaskModel],
-                     batches: list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
+                     batches: StepBatch | list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
     """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
 
     The one-task models are the rows of one (T, A + o*d) parameter stack
@@ -461,19 +467,19 @@ def stacked_gradient(models: list[MultiTaskModel],
     returned (T, A + o*d) matrix is model t's gradient.
     """
     base = models[0]
-    stack = base.params.base
-    if stack is None or stack.shape != (len(models), base.params.size) or not all(
-            m.num_tasks == 1 and m.params.base is stack and np.may_share_memory(m.params, row)
-            for m, row in zip(models, stack)):
+    stack_rows = base.stack_rows
+    if stack_rows is None or len(stack_rows) != len(models) or not all(
+            m.params is row and m.num_tasks == 1 for m, row in zip(models, stack_rows)):
         raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
                              "order, of one parameter stack (see stack_copies)")
-    count = len(models)
-    ordered = _check_tasks(count, batches)
+    stack, count = stack_rows[0].base, len(models)
+    if not isinstance(batches, StepBatch):
+        batches = StepBatch.of(batches, [m.kinds[0] for m in models], base.out_dim)
     adapters = [(stack[:, a].reshape(count, *layer.adapter.a.shape),
                  stack[:, b].reshape(count, *layer.adapter.b.shape))
                 for layer, a, b in zip(base.layers, base.layout.a, base.layout.b)]
     heads = stack[:, base.layout.heads].reshape(count, *base.layout.head_shape)
-    rows, losses = _gradient_rows(base, ordered, heads, [m.kinds[0] for m in models], adapters)
+    rows, losses = _gradient_rows(base, batches, heads, adapters)
     for m in models:
         m.backward_passes += 1
     return rows, losses
@@ -492,17 +498,14 @@ def eval_metric(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[
     if len(models) != len(batches) or not batches:
         raise ParameterError(f"need one model per batch, got {len(models)} models "
                              f"for {len(batches)} batches")
-    sizes = [b.x.shape[-1] for b in batches]
-    if sizes.count(sizes[0]) != len(sizes):
-        raise ParameterError(f"need equal batch sizes, got {sizes}")
     base = models[0]
-    n = sizes[0]
     heads = [0 if m.num_tasks == 1 else b.task_id for m, b in zip(models, batches)]
     bad = next((b.task_id for m, b, h in zip(models, batches, heads) if not 0 <= h < m.num_tasks), None)
     if bad is not None:
         raise ParameterError(f"task_id {bad} outside [0, {base.num_tasks})")
     kinds = [m.kinds[h] for m, h in zip(models, heads)]
-    _stacked_targets(kinds, base.out_dim, batches, n)
+    _stacked_targets(kinds, base.out_dim, batches)
+    n = batches[0].x.shape[-1]
     buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
                 np.empty((len(layer.w0), n))) for layer in base.layers]
     out = np.empty((base.out_dim, n))

@@ -216,10 +216,15 @@ def merge(grads: GradientStack) -> np.ndarray:
     """The update in the flat layout: the rows' adapter columns summed, and each
     row's head in its task's head columns (zero for a task with no row)."""
     layout, rows = grads.layout, grads.rows
-    update = np.zeros(layout.size)
-    rows[:, :layout.heads.start].sum(axis=0, out=update[:layout.heads.start])
+    heads = rows[:, layout.heads.start:]
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
-    update[layout.heads].reshape(layout.num_tasks, -1)[grads.task_ids] = rows[:, layout.heads.start:] + 0.0
+    if grads.task_ids == list(range(layout.num_tasks)):  # every head, in order: no zeros
+        update = np.empty(layout.size)
+        np.add(heads, 0.0, out=update[layout.heads].reshape(layout.num_tasks, -1))
+    else:
+        update = np.zeros(layout.size)
+        update[layout.heads].reshape(layout.num_tasks, -1)[grads.task_ids] = heads + 0.0
+    rows[:, :layout.heads.start].sum(axis=0, out=update[:layout.heads.start])
     return update
 
 

@@ -21,11 +21,10 @@ of no other stream, so unaffected tasks keep their data. Note that a pure
 rank-1 teacher (shared_scale=0) can only realize two distinct argmax
 labels, so noiseless classification with shared_scale=0 needs out_dim=2.
 
-The training examples live in one stacked ``TaskPool``: every task's inputs
-in one array and the targets stacked per task kind, one row per example.
-Each step's batches come from ``subset_batch``: one gather per array for a
-(T, n) index block, whose T batches are views of the gathered arrays. The
-eval examples stay one batch per task.
+The training examples live in one stacked ``TaskPool``, checked once per run
+(``SyntheticTaskSet.check_train``). Each step's ``StepBatch`` comes from
+``subset_batch``: one gather per array, straight into the stacked arrays the
+gradient code reads. The eval examples stay one batch per task.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .dense import Matrix, Rng
 from .errors import ParameterError
-from .model import CLASSIFICATION, REGRESSION, TaskBatch
+from .model import CLASSIFICATION, REGRESSION, StepBatch, TaskBatch
 
 MIN_CLASS_FRACTION = 0.10
 MAX_LABEL_RETRIES = 100
@@ -47,28 +46,14 @@ class TaskPool:
     """Every task's N examples in stacked arrays, one row per example.
 
     x is (T, N, k): x[t, j] is task t's input j. targets holds, for each
-    task kind present, the kind's task ids in order and their targets
-    stacked: (R, N, o) regression values or (C, N) class labels. A step's
+    task kind present, (kind, the kind's task ids in order, their targets
+    stacked): (R, N, o) regression values or (C, N) class labels. A step's
     gather then copies whole rows, a few cache lines per example, where
     columns of a (k, N) input would touch a line per entry.
     """
 
     x: np.ndarray
-    targets: list[tuple[list[int], np.ndarray]]
-
-    @property
-    def size(self) -> int:
-        """N, the examples of each task."""
-        return self.x.shape[1]
-
-
-def _batches(x: np.ndarray, targets: list[tuple[list[int], np.ndarray]]) -> list[TaskBatch]:
-    """Batch t of task t: x[t] and task t's slab of its kind's stacked targets."""
-    ys: list[np.ndarray | None] = [None] * len(x)
-    for ids, y in targets:
-        for t, y_t in zip(ids, y):
-            ys[t] = y_t
-    return list(map(TaskBatch, range(len(x)), x, ys))
+    targets: list[tuple[str, list[int], np.ndarray]]
 
 
 @dataclass
@@ -78,16 +63,31 @@ class SyntheticTaskSet:
     conflict_level: float
     noise_sigma: float
     train_pool: TaskPool
-    train: list[TaskBatch]  # task t's whole train pool, as views of train_pool
     eval: list[TaskBatch]
+
+    @property
+    def train(self) -> list[TaskBatch]:
+        """Task t's whole train pool as batch t: transposed views of train_pool."""
+        ys: list[np.ndarray | None] = [None] * len(self.train_pool.x)
+        for _, ids, y in self.train_pool.targets:
+            for t, y_t in zip(ids, y):
+                ys[t] = y_t.T
+        return list(map(TaskBatch, range(len(ys)), self.train_pool.x.swapaxes(1, 2), ys))
+
+    def check_train(self, out_dim: int) -> None:
+        """Check every train example once, for out_dim outputs: task t's kind in
+        the pool against kinds[t], then the whole pool as one step through
+        ``StepBatch.of``. A step's gathered ``StepBatch`` then needs no check."""
+        pool_kinds = {t: kind for kind, ids, _ in self.train_pool.targets for t in ids}
+        bad = next((t for t, kind in enumerate(self.kinds) if pool_kinds.get(t) != kind), None)
+        if bad is not None:
+            raise ParameterError(f"task {bad} is {pool_kinds.get(bad)} in the train pool, "
+                                 f"not {self.kinds[bad]}")
+        StepBatch.of(self.train, self.kinds, out_dim)
 
     @property
     def num_tasks(self) -> int:
         return len(self.teachers)
-
-    @property
-    def in_dim(self) -> int:
-        return self.teachers[0].shape[1]
 
 
 def _check_common(in_dim: int, out_dim: int, num_tasks: int, conflict_level: float,
@@ -163,12 +163,10 @@ def make_conflict_set(
                                (CLASSIFICATION, (n_train,), np.int64)):
         ids = [t for t, k in enumerate(kinds) if k == kind]
         if ids:
-            targets.append((ids, np.empty((len(ids), *shape), dtype)))
-    pool = TaskPool(np.empty((num_tasks, n_train, in_dim)), targets)
-    # task t's whole pool as batch t: transposed views of the stacked arrays
-    train = _batches(pool.x.swapaxes(1, -1), [(ids, y.swapaxes(1, -1)) for ids, y in targets])
-    eval_: list[TaskBatch] = []
-    for t, kind in enumerate(kinds):
+            targets.append((kind, ids, np.empty((len(ids), *shape), dtype)))
+    task_set = SyntheticTaskSet(list(kinds), teachers, conflict_level, noise_sigma,
+                                TaskPool(np.empty((num_tasks, n_train, in_dim)), targets), [])
+    for t, (kind, train) in enumerate(zip(kinds, task_set.train)):
         w_t = teachers[t]
         stream = rng.child(1).child(t)
         if kind == REGRESSION:
@@ -185,18 +183,10 @@ def make_conflict_set(
                 return z
 
             x, y = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream)
-        train[t].x[...] = x[:, :n_train]
-        train[t].y[...] = y[..., :n_train]
-        eval_.append(TaskBatch(t, x[:, n_train:].copy(), y[..., n_train:].copy()))
-    return SyntheticTaskSet(
-        kinds=list(kinds),
-        teachers=teachers,
-        conflict_level=conflict_level,
-        noise_sigma=noise_sigma,
-        train_pool=pool,
-        train=train,
-        eval=eval_,
-    )
+        train.x[...] = x[:, :n_train]
+        train.y[...] = y[..., :n_train]
+        task_set.eval.append(TaskBatch(t, x[:, n_train:].copy(), y[..., n_train:].copy()))
+    return task_set
 
 
 def _rows(idx: np.ndarray, size: int) -> np.ndarray:
@@ -207,27 +197,28 @@ def _rows(idx: np.ndarray, size: int) -> np.ndarray:
 
 def _gather(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The examples at rows (see ``_rows``) of a (T, N, ...) stack, as one
-    take, with the examples moved last: (T, ..., n)."""
+    take, with the examples moved last: (T, ..., n), C-contiguous."""
     count = len(stack)
     picked = stack.reshape(count * stack.shape[1], -1).take(rows, axis=0)
     moved = picked.reshape(count, -1, picked.shape[1]).swapaxes(1, 2)
     return np.ascontiguousarray(moved).reshape(count, *stack.shape[2:], -1)
 
 
-def subset_batch(pool: TaskPool, idx: list | np.ndarray) -> list[TaskBatch]:
-    """Task t's batch of the pool examples idx[t], for every t of a (T, n) index block.
+def subset_batch(pool: TaskPool, idx: list | np.ndarray) -> StepBatch:
+    """The StepBatch of the pool examples idx[t] of every task t, for a (T, n) index block.
 
     One take gathers the inputs into a new (T, k, n) array, and one per task
-    kind gathers the targets; the batches are views of those copies.
+    kind gathers the targets. Only the index block is checked: the pool's
+    examples are checked once per run (``SyntheticTaskSet.check_train``).
     """
     idx = np.asarray(idx, dtype=np.int64)
-    size = pool.size
-    if idx.ndim != 2 or len(idx) != len(pool.x):
-        raise ParameterError(f"need a ({len(pool.x)}, n) index block, got shape {idx.shape}")
+    count, size = pool.x.shape[:2]
+    if idx.ndim != 2 or len(idx) != count:
+        raise ParameterError(f"need a ({count}, n) index block, got shape {idx.shape}")
     # as unsigned, a negative index is huge: one max bounds both ends
     if idx.size and idx.view(np.uint64).max() >= size:
         raise ParameterError(f"example indices must be in [0, {size})")
     rows = _rows(idx, size)
-    return _batches(_gather(pool.x, rows),
-                    [(ids, _gather(y, rows if len(ids) == len(idx) else _rows(idx[ids], size)))
-                     for ids, y in pool.targets])
+    return StepBatch(_gather(pool.x, rows),
+                     [(kind, ids, _gather(y, rows if len(ids) == count else _rows(idx[ids], size)))
+                      for kind, ids, y in pool.targets])

@@ -10,26 +10,23 @@ Four modes:
                      adapter gradient, then the sum
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
-Every mode shares one gradient path: the T tasks' equal-size batches run as
-one (T, k, n) input through one forward and one backward pass, with the
-heads they read as one (T, o, d) stack, and task t's gradient is row t of a
-(T, A + o*d) matrix: the adapter columns, then task t's head. JOINT and both
-ORTHO modes run one model (``joint_gradient``); the conflict report and the
-projection read per-group Gram matrices of its rows (computed once per
-step), merge sums them into the flat layout, and one AdamW step moves the
-model's parameter vector. SINGLE_TASK's T one-task models (adapters and one
-head each) are the rows of one (T, A + o*d) parameter stack
-(``stacked_gradient``, each model on its own task's batch), and one AdamW
-step moves the whole stack, each row by its own model's gradient. Head
+Every mode shares one gradient path: one forward and one backward pass over
+the step's ``StepBatch``, and task t's gradient is row t of a (T, A + o*d)
+matrix: the adapter columns, then task t's head. JOINT and both ORTHO modes
+run one model (``joint_gradient``); the conflict report and the projection
+read per-group Gram matrices of its rows (computed once per step), merge
+sums them into the flat layout, and one AdamW step moves the model's
+parameter vector. SINGLE_TASK's T one-task models are the rows of one
+parameter stack (``stacked_gradient``), which one AdamW step moves. Head
 gradients bypass projection in every mode. All modes draw identical batch
 sequences for a given seed: data order, task generation, model init and the
 surgery shuffle each consume their own named substream.
 
-The data path keeps tasks as one array axis too. Each epoch draws its data
-orders as one (T, N) block, and each step gathers every task's batch from
-the stacked train pool with one ``subset_batch`` call (``epoch_batches``).
-Each epoch ends with one ``eval_metric`` call over every task's held-out
-pool. A one-task run keeps no conflict report, as it has no task pair.
+A run checks its train pool once, before its first step (``check_train``).
+Each epoch draws its data orders as one (T, N) block, and each step gathers
+its ``StepBatch`` with one ``subset_batch`` call (``epoch_batches``). Each
+epoch ends with one ``eval_metric`` call over every task's held-out pool. A
+one-task run keeps no conflict report, as it has no task pair.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ from .errors import ParameterError
 from .model import (
     FLAT,
     MultiTaskModel,
+    StepBatch,
     TaskBatch,
     build_model,
     eval_metric,
@@ -108,7 +106,7 @@ class MetricsLog:
 def train_step(
     mode: str,
     models: list[MultiTaskModel],
-    batches: list[TaskBatch],
+    batches: StepBatch | list[TaskBatch],
     opt_states: list[AdamWState],
     step: int,
     lr: float,
@@ -122,7 +120,8 @@ def train_step(
     task, which has no pair).
 
     SINGLE_TASK takes one model per task, made by ``stack_copies``; every
-    mode takes one optimizer state.
+    mode takes one optimizer state. batches is a gathered ``StepBatch`` or
+    one ``TaskBatch`` per task, which the gradient code checks and stacks.
     """
     num_tasks = len(models) if mode == SINGLE_TASK else models[0].num_tasks
     expected = num_tasks if mode == SINGLE_TASK else 1
@@ -180,15 +179,15 @@ def build_task_set(config: ExperimentConfig) -> SyntheticTaskSet:
 
 
 def epoch_batches(pool: TaskPool, data_rng: Rng, batch_size: int,
-                  steps: int) -> Iterator[list[TaskBatch]]:
-    """One epoch's steps of batches, one per task.
+                  steps: int) -> Iterator[StepBatch]:
+    """One epoch's steps, each one StepBatch of a batch per task.
 
     The epoch draws a (T, N) block of data orders, row t task t's
     permutation of its pool, drawn in task order; each step gathers the next
     batch_size columns of every row with one ``subset_batch`` call. When the
     columns run out, all tasks at once, the epoch draws a fresh block.
     """
-    num_tasks, size = len(pool.x), pool.size
+    num_tasks, size = pool.x.shape[:2]
 
     def orders() -> np.ndarray:
         return np.array([data_rng.permutation(size) for _ in range(num_tasks)])
@@ -222,6 +221,7 @@ def run_mode(config: ExperimentConfig, mode: str,
         config.tasks.out_dim,
         master.child(STREAM_INIT),
     )
+    task_set.check_train(base.out_dim)
     models = stack_copies(base) if mode == SINGLE_TASK else [base]
     opt_states = [AdamWState(hyper=config.optimizer)]
     data_rng = master.child(STREAM_DATA)

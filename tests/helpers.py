@@ -18,9 +18,9 @@ from ortho_lora.model import (
     GradientStack,
     Layout,
     MultiTaskModel,
+    StepBatch,
     TaskBatch,
     TaskGradient,
-    _check_tasks,
     _stacked_targets,
     build_model,
     forward_features,
@@ -83,7 +83,7 @@ def task_loss(model, batch) -> float:
     batched loss of the gradient path: half squared error summed over output
     dims, or softmax cross-entropy."""
     out = predict(model, batch.task_id, batch.x)
-    _stacked_targets([model.kinds[batch.task_id]], model.out_dim, [batch], batch.x.shape[1])
+    _stacked_targets([model.kinds[batch.task_id]], model.out_dim, [batch])
     n = out.shape[1]
     if model.kinds[batch.task_id] == REGRESSION:
         return 0.5 * float(np.sum((out - batch.y) ** 2)) / n
@@ -121,7 +121,7 @@ def task_gradient(model, batch) -> TaskGradient:
 
 def joint_loss(model, batches, weights=None) -> float:
     """Weighted sum of the task losses; one batch per task."""
-    _check_tasks(model.num_tasks, batches)
+    StepBatch.of(batches, model.kinds, model.out_dim)
     if weights is None:
         weights = [1.0] * len(batches)
     if len(weights) != len(batches):
@@ -131,7 +131,7 @@ def joint_loss(model, batches, weights=None) -> float:
 
 def dump_csv(task_set, path) -> None:
     """Inspection dump: one row per example with inputs and target columns."""
-    in_dim = task_set.in_dim
+    in_dim = task_set.teachers[0].shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "split", "example", *(f"x{i}" for i in range(in_dim)), "target"])

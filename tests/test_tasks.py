@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dump_csv, stack_of, task_gradient
+from helpers import dump_csv, random_model, stack_of, task_gradient
 
 from ortho_lora.config import config_from_dict
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
-from ortho_lora.model import CLASSIFICATION, PER_MATRIX, REGRESSION, build_model
+from ortho_lora.model import (
+    CLASSIFICATION,
+    PER_MATRIX,
+    REGRESSION,
+    TaskBatch,
+    build_model,
+    joint_gradient,
+    stack_copies,
+    stacked_gradient,
+)
 from ortho_lora.surgery import build_conflict_report
 from ortho_lora.tasks import make_conflict_set, subset_batch
 from ortho_lora.trainer import run_experiment
+
+KIND_ORDER = [REGRESSION, CLASSIFICATION]  # the pool's and a StepBatch's kind order
 
 
 class TestRegressionConflict:
@@ -25,12 +38,9 @@ class TestRegressionConflict:
             layer.adapter.b[...] = Rng(2).standard_normal(layer.adapter.b.shape)
         for head in model.heads[1:]:
             head[...] = model.heads[0]
-        shared_x = ts.train[0].x
-        grads = []
-        for t, batch in enumerate(subset_batch(ts.train_pool, [list(range(16))] * 3)):
-            batch.x[...] = shared_x[:, :16]
-            batch.y[...] = ts.teachers[t] @ batch.x
-            grads.append(task_gradient(model, batch))
+        shared_x = ts.train[0].x[:, :16]
+        grads = [task_gradient(model, TaskBatch(t, shared_x, ts.teachers[t] @ shared_x))
+                 for t in range(3)]
         report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
         for p in report.pairs:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
@@ -147,11 +157,13 @@ def test_subset_batch_copies_rows_once(kind, as_array):
     ts = make_conflict_set([kind], 3, 2, 0.0, 0.0, 12, 2, Rng(12))
     pool = ts.train[0]
     cols = [5, 0, 7, 7]
-    (sub,) = subset_batch(ts.train_pool, np.array([cols]) if as_array else [cols])
-    assert not np.shares_memory(sub.x, pool.x) and not np.shares_memory(sub.y, pool.y)
-    assert sub.x.flags["C_CONTIGUOUS"] and sub.y.flags["C_CONTIGUOUS"]
-    assert np.array_equal(sub.x, pool.x[:, cols])
-    assert np.array_equal(sub.y, pool.y[..., cols])
+    sub = subset_batch(ts.train_pool, np.array([cols]) if as_array else [cols])
+    ((sub_kind, ids, y),) = sub.targets
+    assert sub_kind == kind and ids == [0]
+    assert not np.shares_memory(sub.x, pool.x) and not np.shares_memory(y, pool.y)
+    assert sub.x.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
+    assert np.array_equal(sub.x, pool.x[None, :, cols])
+    assert np.array_equal(y, pool.y[None, ..., cols])
     sub.x[...] = 0.0
     assert np.count_nonzero(pool.x[:, cols]) == pool.x[:, cols].size
 
@@ -162,12 +174,14 @@ def test_train_pool_is_one_stack_of_views():
     pool = ts.train_pool
     # one row per example: (T, N, k) inputs, (R, N, o) values, (C, N) labels
     assert pool.x.shape == (4, 9, 3)
-    assert [(ids, y.shape) for ids, y in pool.targets] == [([1, 3], (2, 9, 2)), ([0, 2], (2, 9))]
+    assert [(kind, ids, y.shape) for kind, ids, y in pool.targets] == [
+        (REGRESSION, [1, 3], (2, 9, 2)), (CLASSIFICATION, [0, 2], (2, 9))]
     for t, batch in enumerate(ts.train):
         assert batch.task_id == t
         assert batch.x.shape == (3, 9) and np.shares_memory(batch.x, pool.x)
         assert np.array_equal(batch.x, pool.x[t].T)
-        (ids, y), = [(ids, y) for ids, y in pool.targets if t in ids]
+        (kind, ids, y), = [target for target in pool.targets if t in target[1]]
+        assert kind == kinds[t]
         assert np.shares_memory(batch.y, y)
         assert np.array_equal(batch.y, y[ids.index(t)].T)
 
@@ -178,6 +192,22 @@ def _per_task_take(ts, idx):
             for pool, cols in zip(ts.train, idx)]
 
 
+def _assert_step_equals_per_task_take(step, ts, idx):
+    """step holds the per-task takes bit for bit: a C-contiguous (T, k, n)
+    input and each kind's targets stacked in task order."""
+    want = _per_task_take(ts, idx)
+    assert step.first == 0 and step.x.flags["C_CONTIGUOUS"]
+    assert step.x.shape == (len(want), *want[0][0].shape)
+    for x_t, (x, _) in zip(step.x, want):
+        assert np.array_equal(x_t, x) and x_t.dtype == x.dtype
+    assert [kind for kind, _, _ in step.targets] == sorted(set(ts.kinds), key=KIND_ORDER.index)
+    for kind, ids, y in step.targets:
+        assert ids == [t for t, k in enumerate(ts.kinds) if k == kind]
+        assert y.flags["C_CONTIGUOUS"]
+        for y_t, t in zip(y, ids, strict=True):
+            assert np.array_equal(y_t, want[t][1]) and y_t.dtype == want[t][1].dtype
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_subset_batch_equals_per_task_take(seed):
     rng = np.random.default_rng(seed)
@@ -185,14 +215,30 @@ def test_subset_batch_equals_per_task_take(seed):
              for _ in range(int(rng.integers(1, 17)))]
     ts = make_conflict_set(kinds, 4, 3, 0.0, 0.1, 20, 4, Rng(seed))
     idx = rng.integers(0, 20, size=(len(kinds), int(rng.integers(1, 21))))
-    got = subset_batch(ts.train_pool, idx)
-    xs = got[0].x.base
-    for t, (batch, (x, y)) in enumerate(zip(got, _per_task_take(ts, idx))):
-        assert batch.task_id == t
-        assert batch.x.base is xs  # views of one gathered (T, k, n) array
-        assert np.array_equal(batch.x, x) and batch.x.dtype == x.dtype
-        assert np.array_equal(batch.y, y) and batch.y.dtype == y.dtype
-        assert batch.x.flags["C_CONTIGUOUS"] and batch.y.flags["C_CONTIGUOUS"]
+    _assert_step_equals_per_task_take(subset_batch(ts.train_pool, idx), ts, idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=16),
+       size=st.integers(10, 30), n=st.integers(1, 24), seed=st.integers(0, 2**16))
+def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
+    # the gathered StepBatch is the per-task takes, and both gradient entry
+    # points give on it, bit for bit, what they give on those takes as checked
+    # TaskBatch objects (in shuffled order)
+    ts = make_conflict_set(kinds, 4, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
+    idx = np.random.default_rng(seed).integers(0, size, size=(len(kinds), n))
+    step = subset_batch(ts.train_pool, idx)
+    _assert_step_equals_per_task_take(step, ts, idx)
+    batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
+    model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
+    (got, got_losses), (want, want_losses) = (joint_gradient(model, b) for b in (step, batches))
+    assert np.array_equal(got.rows, want.rows) and got.task_ids == want.task_ids
+    assert got_losses == want_losses
+    models = stack_copies(model)
+    models[0].params.base[...] += 0.1 * Rng(seed).standard_normal(models[0].params.base.shape)
+    (got_rows, got_losses), (want_rows, want_losses) = (
+        stacked_gradient(models, b) for b in (step, batches))
+    assert np.array_equal(got_rows, want_rows) and got_losses == want_losses
 
 
 @pytest.mark.parametrize("idx,match", [

@@ -17,6 +17,16 @@ from ortho_lora import ORTHO_STRUCTURED, config_from_dict
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def tiny_config():
+    return config_from_dict({
+        "version": 1, "seed": 0, "modes": [ORTHO_STRUCTURED],
+        "model": {"layer_dims": [6, 6], "rank": 2, "alpha": 4.0, "sigma_init": 0.02},
+        "schedule": {"epochs": 1, "batch_size": 8},
+        "tasks": {"kind": "regression", "num_tasks": 3, "in_dim": 6, "out_dim": 3,
+                  "conflict_level": 0.9, "n_train": 32, "n_eval": 8},
+    })
+
+
 @pytest.fixture(scope="module")
 def bench():
     sys.path.insert(0, str(PERFBENCH))
@@ -35,19 +45,27 @@ def test_every_target_resolves_to_a_callable(bench):
 
 def test_every_hook_reads_a_real_run(bench, tmp_path):
     spans = importlib.import_module("spans")
-    cfg = config_from_dict({
-        "version": 1, "seed": 0, "modes": [ORTHO_STRUCTURED],
-        "model": {"layer_dims": [6, 6], "rank": 2, "alpha": 4.0, "sigma_init": 0.02},
-        "schedule": {"epochs": 1, "batch_size": 8},
-        "tasks": {"kind": "regression", "num_tasks": 3, "in_dim": 6, "out_dim": 3,
-                  "conflict_level": 0.9, "n_train": 32, "n_eval": 8},
-    })
     tracer = spans.Tracer()
     with tracer.patched(bench.TARGETS) as absent:
-        log, _ = bench.trainer.run_mode(cfg, ORTHO_STRUCTURED)
+        log, _ = bench.trainer.run_mode(tiny_config(), ORTHO_STRUCTURED)
         bench.reporting.write_metrics(log, tmp_path)
     assert absent == []
     assert tracer.broken_hooks == set()
     counts = {name for (_, name) in tracer.counts}
     assert {"model.backward_passes", "surgery.pairs_checked", "surgery.groups_projected",
             "reporting.rows_written"} <= counts
+
+
+def test_one_gather_and_one_joint_gradient_per_step(bench):
+    # the per-layer metrics tasks.subset_batch and model.joint_gradient keep
+    # their meaning: one call each per optimizer step, none outside the steps
+    spans = importlib.import_module("spans")
+    cfg = tiny_config()
+    tracer = spans.Tracer()
+    with tracer.patched(bench.TARGETS):
+        bench.trainer.run_mode(cfg, ORTHO_STRUCTURED)
+    calls = {name: count for name, (count, _, _) in spans.span_totals(tracer.spans, {""}).items()}
+    steps = cfg.total_steps()
+    assert steps > 1
+    assert calls["trainer.train_step"] == calls["tasks.subset_batch"] == steps
+    assert calls["model.joint_gradient"] == steps

@@ -5,7 +5,7 @@ from helpers import measure_surgery_floats, own_copy, predict, random_batch, ran
 
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError
+from ortho_lora.errors import ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     PER_MATRIX,
@@ -260,8 +260,42 @@ def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
         want = list(_per_task_batches(ts, want_rng, batch_size, steps))
         assert len(got) == len(want) == steps
         for step_got, step_want in zip(got, want):
-            assert [b.task_id for b in step_got] == list(range(len(kinds)))
-            for batch, (x, y) in zip(step_got, step_want):
-                assert np.array_equal(batch.x, x) and np.array_equal(batch.y, y)
+            assert np.array_equal(step_got.x, np.array([x for x, _ in step_want]))
+            assert [(kind, ids) for kind, ids, _ in step_got.targets] == [
+                (REGRESSION, [0, 3, 4]), (CLASSIFICATION, [1, 2])]
+            for _, ids, y in step_got.targets:
+                assert np.array_equal(y, np.array([step_want[t][1] for t in ids]))
         # both consumed the data stream alike: their next draws agree
         assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))
+
+
+def _spoil_pool(ts, spoil):
+    """ts with one bad train pool entry: a label, a target shape or a task's kind."""
+    pool = ts.train_pool
+    (_, reg_ids, values), (_, cls_ids, labels) = pool.targets
+    if spoil == "label":
+        labels[0, 5] = 3
+    elif spoil == "shape":
+        pool.targets[0] = (REGRESSION, reg_ids, values[..., :2])
+    else:
+        ts.kinds[2] = CLASSIFICATION
+    return ts
+
+
+@pytest.mark.parametrize("mode", [SINGLE_TASK, JOINT])
+@pytest.mark.parametrize("spoil,error,match", [
+    ("label", ParameterError, r"labels outside \[0, 3\) for task 1"),
+    ("shape", ShapeError, r"targets \(2, 32\) of task 0 do not match \(3, 32\)"),
+    ("kind", ParameterError, "task 2 is regression in the train pool, not classification"),
+], ids=["label range", "target shape", "kind"])
+def test_bad_train_pool_fails_before_the_first_step(mode, spoil, error, match, monkeypatch):
+    cfg = tiny_config(tasks={"kind": [REGRESSION, CLASSIFICATION, REGRESSION], "num_tasks": 3,
+                             "conflict_level": 0.5})
+    ts = _spoil_pool(build_task_set(cfg), spoil)
+
+    def no_step(*args):
+        pytest.fail("a step gathered its batch from an unchecked pool")
+
+    monkeypatch.setattr("ortho_lora.trainer.subset_batch", no_step)
+    with pytest.raises(error, match=match):
+        run_mode(cfg, mode, task_set=ts)
