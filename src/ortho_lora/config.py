@@ -304,7 +304,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON or text encoding
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:

@@ -25,11 +25,12 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
 All three gradient entry points share one body, ``_gradient_rows``, whose
 only input is a ``StepBatch``: T equal-size batches as one (T, k, n) input
 and their targets stacked per task kind, run through one forward and one
-backward pass, the T heads as one (T, o, d) stack. The trainer gathers each
-step's ``StepBatch`` from a train pool checked once per run; a ``TaskBatch``
+backward pass, the T heads as one (T, o, d) stack. The trainer gathers
+``StepBatch`` objects from a train pool checked once per run; a ``TaskBatch``
 list passed to an entry point is checked and stacked by ``StepBatch.of``.
 ``eval_metric`` evaluates every task of a mode in one call, each through
-``forward_features``, the one copy of the layer math.
+``forward_features``, the one copy of the layer math, into the buffers of
+an ``EvalPool`` that a run checks and allocates once.
 
 Gradient code writes no parameter; its one side effect is the
 backward_passes instrumentation counter.
@@ -193,11 +194,11 @@ class MultiTaskModel:
 
     heads is a (T, o, d) array: task t's head maps d features to o outputs
     (o class logits for a classification task); kinds[t] is REGRESSION or
-    CLASSIFICATION. Construction builds the model's ``layout``, copies every
-    adapter a/b and the heads into a params vector in that layout and
-    rebinds them as views into it. That vector is a fresh buffer, or the
-    given ``params`` (such as one row of a parameter stack), which the model
-    then writes through; ``stack_copies`` also sets ``stack_rows``.
+    CLASSIFICATION. Construction builds the model's ``layout`` unless given
+    one, copies every adapter a/b and the heads into a params vector in that
+    layout and rebinds them as views into it. That vector is a fresh buffer,
+    or the given ``params`` (such as one row of a parameter stack), which the
+    model then writes through; ``stack_copies`` also sets ``stack_rows``.
     """
 
     layers: list[FrozenLayer]
@@ -206,13 +207,13 @@ class MultiTaskModel:
     backward_passes: int = 0
     params: np.ndarray | None = field(default=None, repr=False)
     stack_rows: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
-    layout: Layout = field(init=False, repr=False)
+    layout: Layout | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         ads = [layer.adapter for layer in self.layers]
         heads = np.asarray(self.heads)
-        layout = self.layout = Layout([ad.a.shape for ad in ads], [ad.b.shape for ad in ads],
-                                      heads.shape[1:], len(heads))
+        layout = self.layout = self.layout or Layout(
+            [ad.a.shape for ad in ads], [ad.b.shape for ad in ads], heads.shape[1:], len(heads))
         sources = [ad.a for ad in ads] + [ad.b for ad in ads] + [heads]
         if self.params is None:
             self.params = np.empty(layout.size)
@@ -245,10 +246,11 @@ def stack_copies(base: MultiTaskModel) -> list[MultiTaskModel]:
     """One one-task copy of base per task, base's adapters and the task's head
     and kind, whose params are the rows of one (T, A + o*d) matrix: copy t's
     params is row t of its ``stack_rows``, the row views of that matrix. The
-    copies share base's frozen w0 matrices."""
-    rows = tuple(np.empty((base.num_tasks, base.layout.heads.start + base.heads[0].size)))
-    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row, stack_rows=rows)
-            for t, (kind, row) in enumerate(zip(base.kinds, rows))]
+    copies share base's frozen w0 matrices and one one-task ``Layout``."""
+    layout = MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
+    rows = tuple(np.empty((base.num_tasks, layout.size)))
+    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row, stack_rows=rows,
+                           layout=layout) for t, (kind, row) in enumerate(zip(base.kinds, rows))]
 
 
 def build_model(
@@ -485,33 +487,60 @@ def stacked_gradient(models: list[MultiTaskModel],
     return rows, losses
 
 
-def eval_metric(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[float]:
-    """Held-out metric of every batch: accuracy for classification, plain MSE
-    for regression.
+@dataclass(eq=False)
+class EvalPool:
+    """Every task's held-out batch, checked once, and the activation and output
+    buffers that each ``eval_metric`` call on it reuses; kinds[p] is the kind
+    of the head that runs batches[p]. A run builds one with ``of``, so the
+    buffers live as long as the run."""
 
-    Batch t runs through models[t] and its task's head (a one-task model's
-    only head): one call evaluates a mode, with SINGLE_TASK's model of each
-    task or the one shared model repeated. Each batch runs its own (k, n)
-    forward; the activation and output arrays are allocated once per call
-    and reused by every batch.
-    """
-    if len(models) != len(batches) or not batches:
-        raise ParameterError(f"need one model per batch, got {len(models)} models "
-                             f"for {len(batches)} batches")
-    base = models[0]
+    batches: list[TaskBatch]
+    kinds: list[str]
+    buffers: list[tuple[Matrix, Matrix, Matrix]] = field(repr=False)
+    out: Matrix = field(repr=False)
+
+    @classmethod
+    def of(cls, batches: list[TaskBatch], model: MultiTaskModel) -> EvalPool:
+        """batches checked by ``_stacked_targets`` for the heads of model that
+        run them (see ``_heads``), with buffers for model's layer shapes."""
+        if not batches:
+            raise ParameterError("need at least one eval batch")
+        kinds = [model.kinds[h] for h in _heads([model] * len(batches), batches)]
+        _stacked_targets(kinds, model.out_dim, batches)
+        n = batches[0].x.shape[-1]
+        buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
+                    np.empty((len(layer.w0), n))) for layer in model.layers]
+        return cls(batches, kinds, buffers, np.empty((model.out_dim, n)))
+
+
+def _heads(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[int]:
+    """The head of models[p] (its only one, or batch p's task's) for batch p."""
     heads = [0 if m.num_tasks == 1 else b.task_id for m, b in zip(models, batches)]
     bad = next((b.task_id for m, b, h in zip(models, batches, heads) if not 0 <= h < m.num_tasks), None)
     if bad is not None:
-        raise ParameterError(f"task_id {bad} outside [0, {base.num_tasks})")
-    kinds = [m.kinds[h] for m, h in zip(models, heads)]
-    _stacked_targets(kinds, base.out_dim, batches)
-    n = batches[0].x.shape[-1]
-    buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
-                np.empty((len(layer.w0), n))) for layer in base.layers]
-    out = np.empty((base.out_dim, n))
-    metrics = []
-    for model, batch, head, kind in zip(models, batches, heads, kinds):
-        features, _ = forward_features(model, batch.x, buffers=buffers)
+        raise ParameterError(f"task_id {bad} outside [0, {models[0].num_tasks})")
+    return heads
+
+
+def eval_metric(models: list[MultiTaskModel], pool: EvalPool) -> list[float]:
+    """Held-out metric of every batch of pool: accuracy for classification,
+    plain MSE for regression.
+
+    Batch t runs through models[t] and its task's head (a one-task model's
+    only head): one call evaluates a mode, with SINGLE_TASK's model of each
+    task or the one shared model repeated. The models have the layer shapes
+    of the model the pool was built for, and heads of the pool's kinds. Each
+    batch runs its own (k, n) forward into the pool's buffers.
+    """
+    if len(models) != len(pool.batches):
+        raise ParameterError(f"need one model per batch, got {len(models)} models "
+                             f"for {len(pool.batches)} batches")
+    heads = _heads(models, pool.batches)
+    if [m.kinds[h] for m, h in zip(models, heads)] != pool.kinds:
+        raise ParameterError(f"the models' heads are not of the eval pool's kinds {pool.kinds}")
+    metrics, out = [], pool.out
+    for model, batch, head, kind in zip(models, pool.batches, heads, pool.kinds):
+        features, _ = forward_features(model, batch.x, buffers=pool.buffers)
         np.matmul(model.heads[head], features, out=out)
         _check_finite(out, f"head {batch.task_id}")
         if kind == CLASSIFICATION:

@@ -22,9 +22,9 @@ rank-1 teacher (shared_scale=0) can only realize two distinct argmax
 labels, so noiseless classification with shared_scale=0 needs out_dim=2.
 
 The training examples live in one stacked ``TaskPool``, checked once per run
-(``SyntheticTaskSet.check_train``). Each step's ``StepBatch`` comes from
-``subset_batch``: one gather per array, straight into the stacked arrays the
-gradient code reads. The eval examples stay one batch per task.
+(``SyntheticTaskSet.check_train``). ``subset_batch`` gathers many steps'
+``StepBatch`` objects at once, straight into the stacked arrays the gradient
+code reads. The eval examples stay one batch per task.
 """
 
 from __future__ import annotations
@@ -35,10 +35,14 @@ import numpy as np
 
 from .dense import Matrix, Rng
 from .errors import ParameterError
-from .model import CLASSIFICATION, REGRESSION, StepBatch, TaskBatch
+from .model import CLASSIFICATION, REGRESSION, StepBatch, TaskBatch, _stacked_targets
 
 MIN_CLASS_FRACTION = 0.10
 MAX_LABEL_RETRIES = 100
+# The most input entries (64 KiB) subset_batch gathers into one array: glibc
+# reuses heap blocks under its 128 KiB mmap threshold, but maps larger ones
+# afresh, and each gather would fault their pages in again.
+GATHER_ENTRIES = 8192
 
 
 @dataclass
@@ -76,14 +80,14 @@ class SyntheticTaskSet:
 
     def check_train(self, out_dim: int) -> None:
         """Check every train example once, for out_dim outputs: task t's kind in
-        the pool against kinds[t], then the whole pool as one step through
-        ``StepBatch.of``. A step's gathered ``StepBatch`` then needs no check."""
+        the pool against kinds[t], then every task's targets through
+        ``_stacked_targets``. A step's gathered ``StepBatch`` then needs no check."""
         pool_kinds = {t: kind for kind, ids, _ in self.train_pool.targets for t in ids}
         bad = next((t for t, kind in enumerate(self.kinds) if pool_kinds.get(t) != kind), None)
         if bad is not None:
             raise ParameterError(f"task {bad} is {pool_kinds.get(bad)} in the train pool, "
                                  f"not {self.kinds[bad]}")
-        StepBatch.of(self.train, self.kinds, out_dim)
+        _stacked_targets(self.kinds, out_dim, self.train)
 
     @property
     def num_tasks(self) -> int:
@@ -190,35 +194,40 @@ def make_conflict_set(
 
 
 def _rows(idx: np.ndarray, size: int) -> np.ndarray:
-    """The flat row of example idx[t, j] of slab t in a (T * size, ...) view,
-    for every t and j in order."""
-    return (idx + np.arange(0, len(idx) * size, size)[:, None]).ravel()
+    """The row of example idx[t, s, j] of slab t in a (T * size, ...) view, at
+    [s, t, j] of an (S, T, n) array."""
+    return (idx + np.arange(0, len(idx) * size, size)[:, None, None]).swapaxes(0, 1)
 
 
 def _gather(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The examples at rows (see ``_rows``) of a (T, N, ...) stack, as one
-    take, with the examples moved last: (T, ..., n), C-contiguous."""
-    count = len(stack)
-    picked = stack.reshape(count * stack.shape[1], -1).take(rows, axis=0)
-    moved = picked.reshape(count, -1, picked.shape[1]).swapaxes(1, 2)
-    return np.ascontiguousarray(moved).reshape(count, *stack.shape[2:], -1)
+    """The examples at the (S, T, n) rows (see ``_rows``) of a (T, N, ...) stack,
+    as one take, with the examples moved last: (S, T, ..., n), C-contiguous."""
+    picked = stack.reshape(len(stack) * stack.shape[1], -1).take(rows, axis=0)
+    return np.ascontiguousarray(picked.swapaxes(2, 3)).reshape(*rows.shape[:2], *stack.shape[2:], -1)
 
 
-def subset_batch(pool: TaskPool, idx: list | np.ndarray) -> StepBatch:
-    """The StepBatch of the pool examples idx[t] of every task t, for a (T, n) index block.
+def subset_batch(pool: TaskPool, idx: list | np.ndarray) -> list[StepBatch]:
+    """The StepBatch of every step s of a (T, S, n) index block: step s holds
+    the pool examples idx[t, s] of every task t.
 
-    One take gathers the inputs into a new (T, k, n) array, and one per task
-    kind gathers the targets. Only the index block is checked: the pool's
-    examples are checked once per run (``SyntheticTaskSet.check_train``).
+    Each run of steps with at most GATHER_ENTRIES input entries takes one
+    gather into a new (S', T, k, n) array and one per task kind for the
+    targets; its steps hold C-contiguous views of them. Only the index block
+    is checked: the pool is checked once per run (``check_train``).
     """
     idx = np.asarray(idx, dtype=np.int64)
     count, size = pool.x.shape[:2]
-    if idx.ndim != 2 or len(idx) != count:
-        raise ParameterError(f"need a ({count}, n) index block, got shape {idx.shape}")
+    if idx.ndim != 3 or len(idx) != count or not idx.shape[2]:
+        raise ParameterError(f"need a ({count}, S, n >= 1) index block, got shape {idx.shape}")
     # as unsigned, a negative index is huge: one max bounds both ends
     if idx.size and idx.view(np.uint64).max() >= size:
         raise ParameterError(f"example indices must be in [0, {size})")
-    rows = _rows(idx, size)
-    return StepBatch(_gather(pool.x, rows),
-                     [(kind, ids, _gather(y, rows if len(ids) == count else _rows(idx[ids], size)))
-                      for kind, ids, y in pool.targets])
+    per_run = max(1, GATHER_ENTRIES // (pool.x[:, 0].size * idx.shape[2]))
+    steps = []
+    for run in (idx[:, s:s + per_run] for s in range(0, idx.shape[1], per_run)):
+        rows = _rows(run, size)
+        targets = [(kind, ids, _gather(y, rows if len(ids) == count else _rows(run[ids], size)))
+                   for kind, ids, y in pool.targets]
+        steps += [StepBatch(x, [(kind, ids, y[s]) for kind, ids, y in targets])
+                  for s, x in enumerate(_gather(pool.x, rows))]
+    return steps

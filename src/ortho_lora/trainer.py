@@ -22,11 +22,12 @@ gradients bypass projection in every mode. All modes draw identical batch
 sequences for a given seed: data order, task generation, model init and the
 surgery shuffle each consume their own named substream.
 
-A run checks its train pool once, before its first step (``check_train``).
-Each epoch draws its data orders as one (T, N) block, and each step gathers
-its ``StepBatch`` with one ``subset_batch`` call (``epoch_batches``). Each
-epoch ends with one ``eval_metric`` call over every task's held-out pool. A
-one-task run keeps no conflict report, as it has no task pair.
+A run checks its train pool once, before its first step (``check_train``),
+and builds one ``EvalPool`` (checked eval batches and buffers). Each epoch
+draws its data orders as (T, N) blocks, and one ``subset_batch`` call
+gathers every step a block serves (``epoch_batches``). Each epoch ends with
+one ``eval_metric`` call. A one-task run keeps no conflict report, as it
+has no task pair.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .dense import Rng
 from .errors import ParameterError
 from .model import (
     FLAT,
+    EvalPool,
     MultiTaskModel,
     StepBatch,
     TaskBatch,
@@ -183,23 +185,19 @@ def epoch_batches(pool: TaskPool, data_rng: Rng, batch_size: int,
     """One epoch's steps, each one StepBatch of a batch per task.
 
     The epoch draws a (T, N) block of data orders, row t task t's
-    permutation of its pool, drawn in task order; each step gathers the next
-    batch_size columns of every row with one ``subset_batch`` call. When the
-    columns run out, all tasks at once, the epoch draws a fresh block.
+    permutation of its pool, drawn in task order; its next batch_size
+    columns of every row are the next step's batches. When the columns run
+    out, all tasks at once, the epoch draws a fresh block. One
+    ``subset_batch`` call gathers every step a block serves, at most N // batch_size.
     """
     num_tasks, size = pool.x.shape[:2]
-
-    def orders() -> np.ndarray:
-        return np.array([data_rng.permutation(size) for _ in range(num_tasks)])
-
-    block = orders()
-    cursor = 0
-    for _ in range(steps):
-        if cursor + batch_size > size:
-            block = orders()
-            cursor = 0
-        yield subset_batch(pool, block[:, cursor:cursor + batch_size])
-        cursor += batch_size
+    if not 1 <= batch_size <= size:
+        raise ParameterError(f"batch_size must be in [1, {size}], got {batch_size}")
+    while steps > 0:
+        block = np.array([data_rng.permutation(size) for _ in range(num_tasks)])
+        count = min(steps, size // batch_size)
+        yield from subset_batch(pool, block[:, :count * batch_size].reshape(num_tasks, count, -1))
+        steps -= count
 
 
 def run_mode(config: ExperimentConfig, mode: str,
@@ -222,6 +220,7 @@ def run_mode(config: ExperimentConfig, mode: str,
         master.child(STREAM_INIT),
     )
     task_set.check_train(base.out_dim)
+    eval_pool = EvalPool.of(task_set.eval, base)
     models = stack_copies(base) if mode == SINGLE_TASK else [base]
     opt_states = [AdamWState(hyper=config.optimizer)]
     data_rng = master.child(STREAM_DATA)
@@ -232,7 +231,7 @@ def run_mode(config: ExperimentConfig, mode: str,
     log = MetricsLog(mode=mode)
 
     def evaluate(epoch: int) -> None:
-        metrics = eval_metric(models if mode == SINGLE_TASK else models * num_tasks, task_set.eval)
+        metrics = eval_metric(models if mode == SINGLE_TASK else models * num_tasks, eval_pool)
         log.evals += [EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
                       for t, metric in enumerate(metrics)]
         log.evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))

@@ -78,6 +78,28 @@ def predict(model, task_id, x):
     return out
 
 
+def reference_metric(model, batch):
+    """One task's eval written out on its own: a fresh forward with no output
+    buffers, the task's head (a one-task model's only head), then MSE or
+    accuracy; the same products and the same NumericError messages as
+    eval_metric."""
+    own = 0 if model.num_tasks == 1 else batch.task_id
+    h = batch.x
+    for i, layer in enumerate(model.layers):
+        ad = layer.adapter
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = layer.w0 @ h + ad.scale * (ad.b @ (ad.a @ h))
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activations at layer {i}")
+        h = np.tanh(z)
+    out = model.heads[own] @ h
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite activations at head {batch.task_id}")
+    if model.kinds[own] == CLASSIFICATION:
+        return float(np.mean(out.argmax(axis=0) == batch.y))
+    return float(np.mean((out - batch.y) ** 2))
+
+
 def task_loss(model, batch) -> float:
     """batch's mean loss through its task's head, written out apart from the
     batched loss of the gradient path: half squared error summed over output

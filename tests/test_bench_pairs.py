@@ -1,0 +1,52 @@
+"""The statistics of ``tools/bench_pairs.py``: quartiles, wins and the gain rule."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    sys.path.insert(0, str(TOOLS))
+    try:
+        yield importlib.import_module("bench_pairs")
+    finally:
+        sys.path.remove(str(TOOLS))
+
+
+def test_quartiles_interpolate_between_order_statistics(pairs):
+    assert pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_gain_needs_nine_tenths_of_the_wins_and_a_gap_past_the_parent_iqr(pairs):
+    parent = [float(v) for v in range(10, 20)]  # quartiles 12.25 / 14.5 / 16.75
+    faster = [v - 5.0 for v in parent]  # median gap 5 > IQR 4.5, 10/10 wins
+    v = pairs.judge(parent, faster, "lower", 0.25)
+    assert v["wins"] == 10 and v["gain"] and not v["worse"]
+    assert v["rel"] == pytest.approx(-5.0 / 14.5)
+    # nine wins are enough; a tie counts for neither side
+    assert pairs.judge(parent, faster[:9] + [19.0], "lower", 0.25)["wins"] == 9
+    assert pairs.judge(parent, faster[:9] + [19.0], "lower", 0.25)["gain"]
+    # eight wins are not
+    eight = faster[:8] + [30.0, 30.0]
+    assert pairs.judge(parent, eight, "lower", 0.25)["wins"] == 8
+    assert not pairs.judge(parent, eight, "lower", 0.25)["gain"]
+    # every pair won, but the medians lie inside the parent's own spread
+    assert not pairs.judge(parent, [v - 4.0 for v in parent], "lower", 0.25)["gain"]
+
+
+def test_higher_is_better_and_the_worse_bound(pairs):
+    parent = [1.0] * 10
+    v = pairs.judge(parent, [1.5] * 10, "higher", 0.05)
+    assert v["wins"] == 10 and v["gain"] and not v["worse"]
+    v = pairs.judge(parent, [0.9] * 10, "higher", 0.05)
+    assert v["wins"] == 0 and not v["gain"] and v["worse"]
+    # 4% worse is inside a 5% bound
+    assert not pairs.judge(parent, [1.04] * 10, "lower", 0.05)["worse"]
+    assert pairs.judge(parent, [1.06] * 10, "lower", 0.05)["worse"]

@@ -40,6 +40,16 @@ def test_validate_bad_config_exits_2(tmp_path, capsys):
     assert "bogus_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["validate"], ["run", "--out", "out"]], ids=["validate", "run"])
+def test_bad_config_field_names_the_file_and_field(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "bad.json", schedule={"epochs": 1, "batch_size": 0})
+    assert run_cli([args[0], str(cfg), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: config.schedule.batch_size: must be >= 1, got 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert run_cli(["validate", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from helpers import (
     predict,
     random_batch,
     random_model,
+    reference_metric,
     task_gradient,
     task_loss,
 )
@@ -22,6 +23,7 @@ from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
+    EvalPool,
     TaskBatch,
     build_model,
     eval_metric,
@@ -220,28 +222,6 @@ class TestJointGradient:
         assert total == pytest.approx(parts, rel=1e-12)
 
 
-def reference_metric(model, batch):
-    """One task's eval written out on its own: a fresh forward with no output
-    buffers, the task's head (a one-task model's only head), then MSE or
-    accuracy; the same products and the same NumericError messages as
-    eval_metric."""
-    own = 0 if model.num_tasks == 1 else batch.task_id
-    h = batch.x
-    for i, layer in enumerate(model.layers):
-        ad = layer.adapter
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = layer.w0 @ h + ad.scale * (ad.b @ (ad.a @ h))
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite activations at layer {i}")
-        h = np.tanh(z)
-    out = model.heads[own] @ h
-    if not np.isfinite(out).all():
-        raise NumericError(f"non-finite activations at head {batch.task_id}")
-    if model.kinds[own] == CLASSIFICATION:
-        return float(np.mean(out.argmax(axis=0) == batch.y))
-    return float(np.mean((out - batch.y) ** 2))
-
-
 def _eval_models(model, count, stacked, seed):
     """count models for eval_metric: the one model repeated, or its count
     stacked one-task copies each moved to its own point."""
@@ -257,13 +237,14 @@ class TestEvalMetric:
     def test_perfect_regression_mse_zero(self):
         model = random_model(23, randomize_b=True)
         x = Rng(4).standard_normal((model.in_dim, 6))
-        assert eval_metric([model], [TaskBatch(0, x, predict(model, 0, x))]) == [0.0]
+        batches = [TaskBatch(0, x, predict(model, 0, x))]
+        assert eval_metric([model], EvalPool.of(batches, model)) == [0.0]
 
     def test_classification_accuracy_of_own_argmax(self):
         model = random_model(24, randomize_b=True)
         x = Rng(5).standard_normal((model.in_dim, 6))
         labels = predict(model, 1, x).argmax(axis=0)
-        assert eval_metric([model], [TaskBatch(1, x, labels)]) == [1.0]
+        assert eval_metric([model], EvalPool.of([TaskBatch(1, x, labels)], model)) == [1.0]
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
     def test_bit_identical_at_trainer_shapes(self, stacked):
@@ -272,7 +253,7 @@ class TestEvalMetric:
                              kinds=[REGRESSION] * 16, out_dim=4, randomize_b=True)
         models = _eval_models(model, 16, stacked, seed=27)
         batches = [random_batch(model, t, 2000, seed=60 + t) for t in range(16)]
-        assert eval_metric(models, batches) == [
+        assert eval_metric(models, EvalPool.of(batches, model)) == [
             reference_metric(m, b) for m, b in zip(models, batches)]
 
     @settings(max_examples=60, deadline=None)
@@ -285,7 +266,7 @@ class TestEvalMetric:
                              out_dim=out_dim, randomize_b=True)
         models = _eval_models(model, len(kinds), stacked, seed)
         batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
-        assert eval_metric(models, batches) == [
+        assert eval_metric(models, EvalPool.of(batches, model)) == [
             reference_metric(m, b) for m, b in zip(models, batches)]
 
     @pytest.mark.parametrize("where", ["layer 1", "head 1"])
@@ -296,7 +277,7 @@ class TestEvalMetric:
         else:
             model.heads[1][0, 0] = np.nan
         batches = [random_batch(model, t, 5, seed=70 + t) for t in range(2)]
-        for check in (lambda: eval_metric([model] * 2, batches),
+        for check in (lambda: eval_metric([model] * 2, EvalPool.of(batches, model)),
                       lambda: reference_metric(model, batches[1])):
             with pytest.raises(NumericError, match=where):
                 check()
@@ -308,20 +289,32 @@ class TestEvalMetric:
         model = random_model(31, randomize_b=True)
         x = Rng(6).standard_normal((model.in_dim, 5))
         batch = TaskBatch(task_id, x, np.zeros((model.out_dim, 5)))
-        for check in (lambda: eval_metric([model], [batch]),
+        one_task = stack_copies(random_model(31, kinds=[REGRESSION], randomize_b=True))[0]
+        pool = EvalPool.of([batch], one_task)
+        for check in (lambda: EvalPool.of([batch], model),
+                      lambda: eval_metric([model], pool),
                       lambda: task_loss_and_gradient(model, batch)):
             with pytest.raises(ParameterError, match=rf"task_id {task_id} outside \[0, 2\)"):
                 check()
-        one_task = stack_copies(random_model(31, kinds=[REGRESSION], randomize_b=True))[0]
-        assert eval_metric([one_task], [batch]) == [reference_metric(one_task, batch)]
+        assert eval_metric([one_task], pool) == [reference_metric(one_task, batch)]
 
     def test_one_model_per_batch_of_one_size(self):
         model = random_model(29, randomize_b=True)
-        batches = [random_batch(model, 0, 5, seed=80), random_batch(model, 1, 6, seed=81)]
+        batches = [random_batch(model, 0, 5, seed=80), random_batch(model, 1, 5, seed=81)]
         with pytest.raises(ParameterError, match="one model per batch"):
-            eval_metric([model], batches)
+            eval_metric([model], EvalPool.of(batches, model))
         with pytest.raises(ParameterError, match="equal batch sizes"):
-            eval_metric([model] * 2, batches)
+            EvalPool.of(batches[:1] + [random_batch(model, 1, 6, seed=81)], model)
+        with pytest.raises(ParameterError, match="at least one eval batch"):
+            EvalPool.of([], model)
+
+    def test_models_of_other_kinds_rejected(self):
+        # the pool's targets were checked for its model's task kinds
+        model = random_model(32, randomize_b=True)
+        pool = EvalPool.of([random_batch(model, t, 5, seed=90 + t) for t in range(2)], model)
+        swapped = random_model(32, kinds=[CLASSIFICATION, REGRESSION], randomize_b=True)
+        with pytest.raises(ParameterError, match="eval pool's kinds"):
+            eval_metric([swapped] * 2, pool)
 
 
 def test_build_model_frozen_dims_compose():

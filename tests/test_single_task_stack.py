@@ -21,6 +21,7 @@ from ortho_lora.model import (
     CLASSIFICATION,
     PER_MATRIX,
     REGRESSION,
+    MultiTaskModel,
     stack_copies,
     task_loss_and_gradient,
 )
@@ -116,6 +117,10 @@ def test_models_are_views_into_one_stack():
         assert model.heads.shape == (1, base.out_dim, 4)
         assert model.kinds == [base.kinds[t]]
         assert np.shares_memory(model.heads, stack[t])
+    # the copies share one one-task Layout, the one a copy would build alone
+    alone = MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
+    assert all(model.layout is models[0].layout for model in models)
+    assert models[0].layout.blocks == alone.blocks and models[0].layout.num_tasks == 1
     # a step moves each model through its row, and the base stays put
     before = base.params.copy()
     train_step(SINGLE_TASK, models, _batches(base, 0), [AdamWState()], 0, 0.01, Rng(0),

@@ -19,6 +19,7 @@ from ortho_lora.model import (
     stacked_gradient,
 )
 from ortho_lora.surgery import build_conflict_report
+from ortho_lora import tasks
 from ortho_lora.tasks import make_conflict_set, subset_batch
 from ortho_lora.trainer import run_experiment
 
@@ -157,7 +158,7 @@ def test_subset_batch_copies_rows_once(kind, as_array):
     ts = make_conflict_set([kind], 3, 2, 0.0, 0.0, 12, 2, Rng(12))
     pool = ts.train[0]
     cols = [5, 0, 7, 7]
-    sub = subset_batch(ts.train_pool, np.array([cols]) if as_array else [cols])
+    (sub,) = subset_batch(ts.train_pool, np.array([[cols]]) if as_array else [[cols]])
     ((sub_kind, ids, y),) = sub.targets
     assert sub_kind == kind and ids == [0]
     assert not np.shares_memory(sub.x, pool.x) and not np.shares_memory(y, pool.y)
@@ -209,13 +210,20 @@ def _assert_step_equals_per_task_take(step, ts, idx):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_subset_batch_equals_per_task_take(seed):
+def test_subset_batch_equals_per_task_take(seed, monkeypatch):
+    # a (T, S, n) block gives S steps, step s the per-task takes of idx[:, s],
+    # gathered in one run of steps or in several
     rng = np.random.default_rng(seed)
     kinds = [CLASSIFICATION if rng.integers(0, 2) else REGRESSION
              for _ in range(int(rng.integers(1, 17)))]
     ts = make_conflict_set(kinds, 4, 3, 0.0, 0.1, 20, 4, Rng(seed))
-    idx = rng.integers(0, 20, size=(len(kinds), int(rng.integers(1, 21))))
-    _assert_step_equals_per_task_take(subset_batch(ts.train_pool, idx), ts, idx)
+    idx = rng.integers(0, 20, size=(len(kinds), int(rng.integers(1, 5)), int(rng.integers(1, 21))))
+    for gather_entries in (1, 300, tasks.GATHER_ENTRIES):
+        monkeypatch.setattr(tasks, "GATHER_ENTRIES", gather_entries)
+        steps = subset_batch(ts.train_pool, idx)
+        assert len(steps) == idx.shape[1]
+        for s, step in enumerate(steps):
+            _assert_step_equals_per_task_take(step, ts, idx[:, s])
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +235,7 @@ def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     # TaskBatch objects (in shuffled order)
     ts = make_conflict_set(kinds, 4, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     idx = np.random.default_rng(seed).integers(0, size, size=(len(kinds), n))
-    step = subset_batch(ts.train_pool, idx)
+    (step,) = subset_batch(ts.train_pool, idx[:, None])
     _assert_step_equals_per_task_take(step, ts, idx)
     batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
@@ -242,10 +250,13 @@ def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
 
 
 @pytest.mark.parametrize("idx,match", [
-    ([[0, 1]], r"\(2, n\) index block"),
-    ([[0, 1], [2, 8]], r"in \[0, 8\)"),
-    ([[0, -1], [2, 3]], r"in \[0, 8\)"),
-], ids=["one row for two tasks", "index past the pool", "negative index"])
+    ([[[0, 1]]], r"\(2, S, n >= 1\) index block"),
+    ([[0, 1], [2, 3]], r"\(2, S, n >= 1\) index block"),
+    ([[[]], [[]]], r"\(2, S, n >= 1\) index block, got shape \(2, 1, 0\)"),
+    ([[[0, 1]], [[2, 8]]], r"in \[0, 8\)"),
+    ([[[0, -1]], [[2, 3]]], r"in \[0, 8\)"),
+], ids=["one row for two tasks", "one step without its axis", "empty batches",
+        "index past the pool", "negative index"])
 def test_subset_batch_rejects_bad_index_block(idx, match):
     ts = make_conflict_set([REGRESSION, CLASSIFICATION], 3, 2, 0.5, 0.0, 8, 2, Rng(14))
     with pytest.raises(ParameterError, match=match):

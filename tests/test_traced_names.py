@@ -17,11 +17,11 @@ from ortho_lora import ORTHO_STRUCTURED, config_from_dict
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def tiny_config():
+def tiny_config(**schedule):
     return config_from_dict({
         "version": 1, "seed": 0, "modes": [ORTHO_STRUCTURED],
         "model": {"layer_dims": [6, 6], "rank": 2, "alpha": 4.0, "sigma_init": 0.02},
-        "schedule": {"epochs": 1, "batch_size": 8},
+        "schedule": {"epochs": 1, "batch_size": 8, **schedule},
         "tasks": {"kind": "regression", "num_tasks": 3, "in_dim": 6, "out_dim": 3,
                   "conflict_level": 0.9, "n_train": 32, "n_eval": 8},
     })
@@ -56,16 +56,16 @@ def test_every_hook_reads_a_real_run(bench, tmp_path):
             "reporting.rows_written"} <= counts
 
 
-def test_one_gather_and_one_joint_gradient_per_step(bench):
-    # the per-layer metrics tasks.subset_batch and model.joint_gradient keep
-    # their meaning: one call each per optimizer step, none outside the steps
+def test_one_gather_per_order_block_and_one_joint_gradient_per_step(bench):
+    # tasks.subset_batch counts drawn data-order blocks: 32 examples in
+    # batches of 8 serve 4 of an epoch's 7 steps, so each epoch draws two;
+    # model.joint_gradient keeps one call per optimizer step
     spans = importlib.import_module("spans")
-    cfg = tiny_config()
+    cfg = tiny_config(epochs=2, steps_per_epoch=7)
     tracer = spans.Tracer()
     with tracer.patched(bench.TARGETS):
         bench.trainer.run_mode(cfg, ORTHO_STRUCTURED)
     calls = {name: count for name, (count, _, _) in spans.span_totals(tracer.spans, {""}).items()}
-    steps = cfg.total_steps()
-    assert steps > 1
-    assert calls["trainer.train_step"] == calls["tasks.subset_batch"] == steps
-    assert calls["model.joint_gradient"] == steps
+    assert cfg.total_steps() == 14
+    assert calls["tasks.subset_batch"] == 4
+    assert calls["trainer.train_step"] == calls["model.joint_gradient"] == 14

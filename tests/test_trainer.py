@@ -1,7 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import measure_surgery_floats, own_copy, predict, random_batch, random_model
+from helpers import (
+    measure_surgery_floats,
+    own_copy,
+    predict,
+    random_batch,
+    random_model,
+    reference_metric,
+)
 
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
 from ortho_lora.dense import Rng
@@ -11,10 +22,12 @@ from ortho_lora.model import (
     PER_MATRIX,
     REGRESSION,
     TaskBatch,
+    eval_metric,
     stack_copies,
 )
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import merge
+from ortho_lora import tasks
 from ortho_lora.tasks import make_conflict_set
 from ortho_lora.trainer import build_task_set, epoch_batches, run_experiment, run_mode, train_step
 
@@ -267,6 +280,74 @@ def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
                 assert np.array_equal(y, np.array([step_want[t][1] for t in ids]))
         # both consumed the data stream alike: their next draws agree
         assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))
+
+
+def _root(arr):
+    """The array that owns arr's memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=1, max_size=16),
+       size=st.integers(8, 40), data=st.data(), seed=st.integers(0, 2**16),
+       gather_entries=st.sampled_from([1, 100, 1000, tasks.GATHER_ENTRIES]))
+def test_epoch_batches_equal_per_task_reference_any_shape(kinds, size, data, seed, gather_entries):
+    # any task count and kind mix; blocks used up, redrawn mid-epoch or left
+    # partly used, and gathered in one run of steps or in several: each step
+    # is the per-task takes, bit for bit, C-contiguous, and gathered into an
+    # array of at most gather_entries inputs (or one step's), never more than
+    # the pool
+    batch_size = data.draw(st.integers(1, size), label="batch_size")
+    steps = data.draw(st.integers(1, 3 * (size // batch_size) + 2), label="steps")
+    ts = make_conflict_set(kinds, 3, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
+    pool = ts.train_pool
+    got_rng, want_rng = Rng(seed).child(2), Rng(seed).child(2)
+    with mock.patch.object(tasks, "GATHER_ENTRIES", gather_entries):
+        got = list(epoch_batches(pool, got_rng, batch_size, steps))
+    want = list(_per_task_batches(ts, want_rng, batch_size, steps))
+    assert len(got) == len(want) == steps
+    for step_got, step_want in zip(got, want):
+        assert step_got.x.flags["C_CONTIGUOUS"]
+        assert np.array_equal(step_got.x, np.array([x for x, _ in step_want]))
+        assert _root(step_got.x).size <= min(max(gather_entries, step_got.x.size), pool.x.size)
+        assert [(kind, ids) for kind, ids, _ in step_got.targets] == [
+            (kind, ids) for kind, ids, _ in pool.targets]
+        for (_, ids, y), (_, _, pool_y) in zip(step_got.targets, pool.targets):
+            assert y.flags["C_CONTIGUOUS"] and _root(y).size <= pool_y.size
+            assert np.array_equal(y, np.array([step_want[t][1] for t in ids]))
+    assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))
+
+
+@pytest.mark.parametrize("batch_size", [0, 33])
+def test_epoch_batches_rejects_a_batch_size_outside_the_pool(batch_size):
+    ts = build_task_set(tiny_config())
+    with pytest.raises(ParameterError, match=r"batch_size must be in \[1, 32\], got"):
+        next(epoch_batches(ts.train_pool, Rng(0), batch_size, 3))
+
+
+@pytest.mark.parametrize("mode", [SINGLE_TASK, JOINT])
+def test_eval_pool_built_once_equals_fresh_forwards_every_epoch(mode, monkeypatch):
+    # run_mode checks its eval pool and allocates its buffers once; as the
+    # parameters move from epoch to epoch, every eval call still gives the
+    # bits of fresh per-task forwards, so no stale buffer leaks into a metric
+    cfg = tiny_config(schedule={"epochs": 3}, tasks={
+        "kind": [REGRESSION, CLASSIFICATION, REGRESSION], "num_tasks": 3, "conflict_level": 0.5})
+    ts = build_task_set(cfg)
+    pools, params = [], []
+
+    def checked(models, pool):
+        got = eval_metric(models, pool)
+        assert got == [reference_metric(m, b) for m, b in zip(models, ts.eval)]
+        pools.append(pool)
+        params.append(models[0].params.copy())
+        return got
+
+    monkeypatch.setattr("ortho_lora.trainer.eval_metric", checked)
+    run_mode(cfg, mode, task_set=ts)
+    assert len(pools) == 4 and all(pool is pools[0] for pool in pools)
+    assert all(not np.array_equal(a, b) for a, b in zip(params, params[1:]))
 
 
 def _spoil_pool(ts, spoil):
