@@ -95,6 +95,8 @@ def load_adapter(path: str | Path) -> LoraAdapter:
                        ("alpha", float)):
         if name not in payload:
             raise ConfigError(f"{path}: missing field {name!r}")
+        if read is int and type(payload[name]) is not int:  # int() truncates 2.9 and reads true as 1
+            raise ConfigError(f"{path}: field {name!r}: must be an integer, got {payload[name]!r}")
         try:
             fields[name] = read(payload[name])
         except (TypeError, ValueError) as exc:

@@ -13,7 +13,8 @@ columns. ``model.layout``, built once per model, is the one place that knows
 this order. A ``GradientStack`` holds task gradients as the rows of one
 (T, R) matrix, row t the A = ``layout.heads.start`` adapter columns, then
 task t's own (o, d) head, R = A + o*d. ``stack_copies`` makes SINGLE_TASK's
-T one-task models, whose params are the rows of one (T, R) matrix.
+T one-task models, whose params are the rows of one (T, R) matrix; their
+``ParamStack`` holds it with its (T, r, k), (T, d, r) and (T, o, d) views.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -25,15 +26,15 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
 All three gradient entry points share one body, ``_gradient_rows``, whose
 only input is a ``StepBatch``: T equal-size batches as one (T, k, n) input
 and their targets stacked per task kind, run through one forward and one
-backward pass, the T heads as one (T, o, d) stack. The trainer gathers
+backward pass, the T heads as one (T, o, d) stack. Each call returns a
+fresh (T, R) array, every head and adapter gradient computed by ``np.matmul``
+straight into a (T, ., .) view of its columns. The trainer gathers
 ``StepBatch`` objects from a train pool checked once per run; a ``TaskBatch``
 list passed to an entry point is checked and stacked by ``StepBatch.of``.
 ``eval_metric`` evaluates every task of a mode in one call, each through
 ``forward_features``, the one copy of the layer math, into the buffers of
-an ``EvalPool`` that a run checks and allocates once.
-
-Gradient code writes no parameter; its one side effect is the
-backward_passes instrumentation counter.
+an ``EvalPool`` that a run checks and allocates once. Gradient code writes
+no parameter; its one side effect is the backward_passes counter.
 """
 
 from __future__ import annotations
@@ -189,6 +190,16 @@ class GradientStack:
 
 
 @dataclass(eq=False)
+class ParamStack:
+    """SINGLE_TASK's (T, A + o*d) parameter matrix and its views, built once."""
+
+    matrix: np.ndarray
+    rows: tuple[np.ndarray, ...]  # rows[t]: one-task copy t's params
+    adapters: list[tuple[np.ndarray, np.ndarray]]  # per layer: (T, r, k) A, (T, d, r) B
+    heads: np.ndarray  # (T, o, d)
+
+
+@dataclass(eq=False)
 class MultiTaskModel:
     """Frozen layers, adapters and heads; the trainable ones are views into params.
 
@@ -198,7 +209,7 @@ class MultiTaskModel:
     one, copies every adapter a/b and the heads into a params vector in that
     layout and rebinds them as views into it. That vector is a fresh buffer,
     or the given ``params`` (such as one row of a parameter stack), which the
-    model then writes through; ``stack_copies`` also sets ``stack_rows``.
+    model then writes through; ``stack_copies`` also sets ``stack``.
     """
 
     layers: list[FrozenLayer]
@@ -206,7 +217,7 @@ class MultiTaskModel:
     kinds: list[str]
     backward_passes: int = 0
     params: np.ndarray | None = field(default=None, repr=False)
-    stack_rows: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    stack: ParamStack | None = field(default=None, repr=False)
     layout: Layout | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -244,13 +255,18 @@ class MultiTaskModel:
 
 def stack_copies(base: MultiTaskModel) -> list[MultiTaskModel]:
     """One one-task copy of base per task, base's adapters and the task's head
-    and kind, whose params are the rows of one (T, A + o*d) matrix: copy t's
-    params is row t of its ``stack_rows``, the row views of that matrix. The
-    copies share base's frozen w0 matrices and one one-task ``Layout``."""
+    and kind, whose params are the rows of one (T, A + o*d) matrix, held with
+    its stacked views in their one shared ``stack``. The copies share base's
+    frozen w0 matrices and one one-task ``Layout``."""
     layout = MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
-    rows = tuple(np.empty((base.num_tasks, layout.size)))
-    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=row, stack_rows=rows,
-                           layout=layout) for t, (kind, row) in enumerate(zip(base.kinds, rows))]
+    matrix = np.empty((base.num_tasks, layout.size))
+    stack = ParamStack(matrix, tuple(matrix), [
+        (matrix[:, a].reshape(len(matrix), *layer.adapter.a.shape),
+         matrix[:, b].reshape(len(matrix), *layer.adapter.b.shape))
+        for layer, a, b in zip(base.layers, layout.a, layout.b)],
+        matrix[:, layout.heads].reshape(len(matrix), *layout.head_shape))
+    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=stack.rows[t],
+                           stack=stack, layout=layout) for t, kind in enumerate(base.kinds)]
 
 
 def build_model(
@@ -290,7 +306,7 @@ def _check_finite(arr: Matrix, where: str) -> None:
 def forward_features(model: MultiTaskModel, x: Matrix,
                      adapters: list[tuple[Matrix, Matrix]] | None = None,
                      buffers: list[tuple[Matrix, Matrix, Matrix]] | None = None
-                     ) -> tuple[Matrix, list[dict]]:
+                     ) -> tuple[Matrix, list[tuple]]:
     """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
 
     x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
@@ -298,8 +314,8 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     pairs run T models at once on a (T, k, n) input. buffers, one (a@h, z,
     b@a@h) triple of output arrays per layer, receives the layer's products
     in place of fresh arrays, and its z array the layer's output.
-    Cache per layer: the a and b used, layer input h_in, the low-rank midterm
-    a@h_in, and the activated output h_out (needed for the tanh derivative).
+    Cache per layer, a tuple: the a and b used, layer input h_in, the low-rank
+    midterm a@h_in, and the activated output h_out (for the tanh derivative).
     """
     if adapters is None:
         adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
@@ -308,7 +324,7 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     if x.shape[-2:-1] != (model.in_dim,):
         raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
     h = x
-    caches: list[dict] = []
+    caches: list[tuple] = []
     for i, (layer, (a, b), (ah_out, z_out, low_out)) in enumerate(
             zip(model.layers, adapters, buffers)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +335,7 @@ def forward_features(model: MultiTaskModel, x: Matrix,
             z += low
         _check_finite(z, f"layer {i}")
         h_out = np.tanh(z, out=z)
-        caches.append({"a": a, "b": b, "h_in": h, "ah": ah, "h_out": h_out})
+        caches.append((a, b, h, ah, h_out))
         h = h_out
     return h, caches
 
@@ -375,9 +391,10 @@ def _losses(out: np.ndarray,
     losses = np.empty(len(out))
     g_out = np.empty_like(out)
     for kind, pos, y in targets:
+        pos = slice(None) if len(pos) == len(out) else pos  # one kind: views, no copies
         if kind == REGRESSION:
             resid = out[pos] - y
-            losses[pos] = 0.5 * (resid * resid).reshape(len(pos), -1).sum(axis=1) / n
+            losses[pos] = 0.5 * (resid * resid).reshape(len(y), -1).sum(axis=1) / n
             g_out[pos] = resid / n
             continue
         logits = out[pos]
@@ -385,7 +402,7 @@ def _losses(out: np.ndarray,
         expz = np.exp(shifted)
         denom = expz.sum(axis=1, keepdims=True)
         log_probs = shifted - np.log(denom)
-        picked = (np.arange(len(pos))[:, None], y, np.arange(n))
+        picked = (np.arange(len(y))[:, None], y, np.arange(n))
         losses[pos] = -log_probs[picked].sum(axis=1) / n
         grad = expz / denom
         grad[picked] -= 1.0
@@ -393,7 +410,7 @@ def _losses(out: np.ndarray,
     return losses.tolist(), g_out
 
 
-def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: np.ndarray,
+def _backprop_stack(model: MultiTaskModel, caches: list[tuple], delta_features: np.ndarray,
                     rows: np.ndarray) -> None:
     """Propagate d(loss)/d(features), (T, d, n), down the stack into the adapter
     columns of rows: row t gets the outer products of batch t's slab."""
@@ -401,15 +418,19 @@ def _backprop_stack(model: MultiTaskModel, caches: list[dict], delta_features: n
     for i in reversed(range(model.num_layers)):
         layer = model.layers[i]
         scale = layer.adapter.scale
-        cache = caches[i]
-        dz = delta_h * (1.0 - cache["h_out"] * cache["h_out"])
-        rows[:, model.layout.b[i]] = (
-            scale * (dz @ cache["ah"].swapaxes(-1, -2))).reshape(len(rows), -1)
-        bt_dz = cache["b"].swapaxes(-1, -2) @ dz
-        rows[:, model.layout.a[i]] = (
-            scale * (bt_dz @ cache["h_in"].swapaxes(-1, -2))).reshape(len(rows), -1)
+        a, b, h_in, ah, h_out = caches[i]
+        dz = h_out * h_out
+        np.subtract(1.0, dz, out=dz)
+        dz *= delta_h
+        grad_b = rows[:, model.layout.b[i]].reshape(len(rows), *layer.adapter.b.shape)
+        np.matmul(dz, ah.swapaxes(-1, -2), out=grad_b)
+        grad_b *= scale
+        bt_dz = b.swapaxes(-1, -2) @ dz
+        grad_a = rows[:, model.layout.a[i]].reshape(len(rows), *layer.adapter.a.shape)
+        np.matmul(bt_dz, h_in.swapaxes(-1, -2), out=grad_a)
+        grad_a *= scale
         if i > 0:
-            delta_h = layer.w0.T @ dz + scale * (cache["a"].swapaxes(-1, -2) @ bt_dz)
+            delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
 
 
 def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
@@ -423,13 +444,12 @@ def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
     """
     features, caches = forward_features(model, batch.x, adapters)
     out = heads @ features
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).all(axis=(1, 2))
         raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
     losses, g_out = _losses(out, batch.targets)
-    count, adapter_cols = len(out), model.layout.heads.start
-    rows = np.empty((count, adapter_cols + heads[0].size))
-    rows[:, adapter_cols:] = (g_out @ features.swapaxes(-1, -2)).reshape(count, -1)
+    rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
+    np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
     _backprop_stack(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)
     return rows, losses
 
@@ -464,24 +484,18 @@ def stacked_gradient(models: list[MultiTaskModel],
     """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
 
     The one-task models are the rows of one (T, A + o*d) parameter stack
-    (``stack_copies``); each layer's A and B run as (T, r, k) and (T, d, r)
-    views of the stack, and the heads as one (T, o, d) view. Row t of the
+    (``stack_copies``); each layer's A and B run as the stack's (T, r, k) and
+    (T, d, r) views, and the heads as its (T, o, d) view. Row t of the
     returned (T, A + o*d) matrix is model t's gradient.
     """
-    base = models[0]
-    stack_rows = base.stack_rows
-    if stack_rows is None or len(stack_rows) != len(models) or not all(
-            m.params is row and m.num_tasks == 1 for m, row in zip(models, stack_rows)):
+    base, stack = models[0], models[0].stack
+    if stack is None or len(stack.rows) != len(models) or not all(
+            m.params is row and m.num_tasks == 1 for m, row in zip(models, stack.rows)):
         raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
                              "order, of one parameter stack (see stack_copies)")
-    stack, count = stack_rows[0].base, len(models)
     if not isinstance(batches, StepBatch):
         batches = StepBatch.of(batches, [m.kinds[0] for m in models], base.out_dim)
-    adapters = [(stack[:, a].reshape(count, *layer.adapter.a.shape),
-                 stack[:, b].reshape(count, *layer.adapter.b.shape))
-                for layer, a, b in zip(base.layers, base.layout.a, base.layout.b)]
-    heads = stack[:, base.layout.heads].reshape(count, *base.layout.head_shape)
-    rows, losses = _gradient_rows(base, batches, heads, adapters)
+    rows, losses = _gradient_rows(base, batches, stack.heads, stack.adapters)
     for m in models:
         m.backward_passes += 1
     return rows, losses

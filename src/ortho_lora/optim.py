@@ -38,8 +38,8 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
     Bad input is rejected before the state or a parameter changes; a
     non-finite entry of a stack is named by its row (the model) and column.
     """
-    if lr < 0:
-        raise ParameterError(f"learning rate must be >= 0, got {lr}")
+    if not 0 <= lr < float("inf"):
+        raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
     if grad.shape != params.shape:
         raise ShapeError(f"gradient {grad.shape} vs parameters {params.shape}")
     finite = np.isfinite(grad)
@@ -65,7 +65,8 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
     np.sqrt(denom, out=denom)
     denom += h.eps
     update /= denom
-    update += h.weight_decay * params
+    if h.weight_decay:  # adding 0 * params moves no finite parameter by a bit
+        update += h.weight_decay * params
     update *= lr
     params -= update
 

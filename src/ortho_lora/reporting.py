@@ -25,8 +25,10 @@ other than 1 for a negative dot and 0 otherwise, a pair with i >= j, a
 labels, a second scope, and a conflict step whose (pair, block) rows are
 not those of the first conflict step, which must hold every pair of its
 tasks. It also rejects a loss row that repeats a (step, task) and a loss
-row of a task that eval.csv does not list. rank_sweep.csv may not repeat a
-rank. Every file is written through ``files.atomic_write``.
+row of a task that eval.csv does not list. An eval.csv row may not repeat
+an (epoch, task), name a mode other than its directory's, or a task that is
+neither a task id nor ``avg``. rank_sweep.csv may not repeat a rank.
+Every file is written through ``files.atomic_write``.
 """
 
 from __future__ import annotations
@@ -345,15 +347,21 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
-    task_metrics: dict[int, list[float]] = {}
+    metrics: dict[int, dict[str, float]] = {}  # epoch -> metric by task label, rows so far
 
     def eval_row(row: list[str]) -> EvalRecord:
         rec = EvalRecord(epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3]))
-        if rec.task != AVG_TASK:
-            task_metrics.setdefault(rec.epoch, []).append(rec.metric)
-        elif rec.metric != fmean(task_metrics.get(rec.epoch, [math.nan])):
+        read = metrics.setdefault(rec.epoch, {})
+        if rec.mode != mode:
+            raise ValueError(f"mode {rec.mode!r} is not {mode!r}, the mode of its directory")
+        if rec.task != AVG_TASK and not (rec.task.isdecimal() and str(int(rec.task)) == rec.task):
+            raise ValueError(f"task {rec.task!r} is neither a task id nor {AVG_TASK!r}")
+        if rec.task in read:
+            raise ValueError(f"repeats the row of epoch {rec.epoch} task {rec.task}")
+        if rec.task == AVG_TASK and rec.metric != (fmean(read.values()) if read else math.nan):
             raise ValueError(f"avg {row[3]} is not the mean of the task rows above it "
                              f"for epoch {rec.epoch}")
+        read[rec.task] = rec.metric
         return rec
 
     log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)

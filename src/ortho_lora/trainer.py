@@ -135,7 +135,7 @@ def train_step(
     report: ConflictReport | None = None
     if mode == SINGLE_TASK:
         grads, losses = stacked_gradient(models, batches)
-        adamw_step(models[0].params.base, grads, opt_states[0], lr)  # the checked stack
+        adamw_step(models[0].stack.matrix, grads, opt_states[0], lr)  # the checked stack
     elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
         grads, losses = joint_gradient(models[0], batches)
         grams = None

@@ -148,6 +148,10 @@ def _dump(tmp_path, edit):
                  id="alpha 0"),
     pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": -2.0'), "'alpha'",
                  id="alpha negative"),
+    pytest.param(lambda text: text.replace('"d": 4', '"d": 4.9'), "'d'", id="d 4.9"),
+    pytest.param(lambda text: text.replace('"k": 3', '"k": true'), "'k'", id="k true"),
+    pytest.param(lambda text: text.replace('"rank": 2', '"rank": 2.0'), "'rank'", id="rank 2.0"),
+    pytest.param(lambda text: text.replace('"rank": 2', '"rank": "2"'), "'rank'", id="rank text"),
 ])
 def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field):
     path = _dump(tmp_path, edit)

@@ -1,6 +1,7 @@
-"""The statistics of ``tools/bench_pairs.py``: quartiles, wins and the gain rule."""
+"""``tools/bench_pairs.py``: quartiles, wins, the gain rule and the seed of each pair."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +51,34 @@ def test_higher_is_better_and_the_worse_bound(pairs):
     # 4% worse is inside a 5% bound
     assert not pairs.judge(parent, [1.04] * 10, "lower", 0.05)["worse"]
     assert pairs.judge(parent, [1.06] * 10, "lower", 0.05)["worse"]
+
+
+def test_pair_i_runs_seed_first_seed_plus_i_in_both_trees(pairs, monkeypatch, capsys):
+    declared = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = {m["name"]: {"value": 1.0} for m in declared}
+    runs = []
+
+    def bench(tree, workload, seed, seconds):
+        runs.append((tree == pairs.ROOT, workload, seed, seconds))
+        return {"failed": 0, "attempted": 4, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "bench", bench)
+    assert pairs.main(["HEAD", "--workload", "many-tasks", "--pairs", "3", "--seconds", "0",
+                       "--first-seed", "7"]) == 0
+    # even pairs run the parent first, odd pairs this tree
+    assert runs == [(False, "many-tasks", 7, 0.0), (True, "many-tasks", 7, 0.0),
+                    (True, "many-tasks", 8, 0.0), (False, "many-tasks", 8, 0.0),
+                    (False, "many-tasks", 9, 0.0), (True, "many-tasks", 9, 0.0)]
+    assert "seeds 7..9" in capsys.readouterr().out
+    runs.clear()
+    assert pairs.main(["HEAD", "--workload", "many-tasks", "--pairs", "2", "--seconds", "0"]) == 0
+    assert [seed for _, _, seed, _ in runs] == [0, 0, 1, 1]
+
+
+def test_negative_first_seed_is_a_usage_error(pairs, monkeypatch):
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as info:
+        pairs.main(["HEAD", "--workload", "many-tasks", "--pairs", "1", "--seconds", "0",
+                    "--first-seed", "-1"])
+    assert info.value.code == 2

@@ -215,6 +215,14 @@ BAD_RUN_FILES = {
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
                                                  "1,JOINT,avg,0.5"], 4, "not the mean"),
     "header only": ("JOINT/eval.csv", [], None, "no eval records"),
+    "repeated eval row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,0,0.5",
+                                             "1,JOINT,avg,0.5"], 4,
+                          "repeats the row of epoch 1 task 0"),
+    "eval mode not its directory's": ("JOINT/eval.csv", _eval_rows("SINGLE_TASK"), 2,
+                                      "'SINGLE_TASK' is not 'JOINT'"),
+    "eval task neither id nor avg": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,foo,0.5",
+                                                        "1,JOINT,avg,0.5"], 3,
+                                     "task 'foo' is neither"),
     "conflicted not 0 or 1": (
         "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]], 3,
         "conflicted '7'"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import generator, random_batch, random_model
 
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError, ShapeError
+from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -139,6 +139,40 @@ def test_bad_targets_rejected_naming_the_task(entry, task, target, error, match)
     with pytest.raises(error, match=match):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+@pytest.mark.parametrize("entry", ["task_loss_and_gradient", "joint_gradient",
+                                   "stacked_gradient"])
+def test_non_finite_head_output_names_the_task(entry):
+    model = random_model(51, layer_dims=(6, 5, 4), rank=2,
+                         kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
+    model.heads[2][0, 0] = np.nan
+    batches = [random_batch(model, t, 5, seed=1 + t) for t in (2, 0, 1)]
+    models, call = _entry_call(entry, model, batches)
+    with pytest.raises(NumericError, match="non-finite activations at head 2$"):
+        call()
+    assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+@pytest.mark.parametrize("entry", ["joint_gradient", "stacked_gradient"])
+def test_each_call_returns_its_own_rows(entry):
+    # callers keep a step's rows: the next call must not write into them
+    model = random_model(52, layer_dims=(6, 5, 4), rank=2,
+                         kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
+    steps = [[random_batch(model, t, 5, seed=10 * s + t) for t in range(3)] for s in range(2)]
+    models = stack_copies(model)
+
+    def call(batches):
+        if entry == "joint_gradient":
+            return joint_gradient(model, batches)[0].rows
+        return stacked_gradient(models, batches)[0]
+
+    kept = call(steps[0])
+    first = kept.copy()
+    second = call(steps[1])
+    assert not np.shares_memory(second, kept)
+    assert np.array_equal(kept, first)
+    assert not np.array_equal(second, first)
 
 
 def _per_task_heads(models, ordered, adapters=None):

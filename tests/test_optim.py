@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError, ShapeError
@@ -99,6 +103,18 @@ class TestAdamwStep:
             adamw_step(params, np.ones(SIZE), state, lr=-0.1)
         assert np.array_equal(params, before) and state.step == 0
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lr_rejected_before_anything_moves(self, lr):
+        params = _params(12)
+        state = AdamWState()
+        adamw_step(params, np.ones(SIZE), state, lr=0.01)
+        before = (params.copy(), state.m.copy(), state.v.copy())
+        with pytest.raises(ParameterError, match="finite"):
+            adamw_step(params, np.ones(SIZE), state, lr=lr)
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            assert np.array_equal(now, then)
+
     def test_shape_mismatch_rejected(self):
         params = _params(11)
         before = params.copy()
@@ -106,6 +122,45 @@ class TestAdamwStep:
         with pytest.raises(ShapeError):
             adamw_step(params, np.ones(SIZE - 1), state, lr=0.01)
         assert np.array_equal(params, before) and state.step == 0
+
+
+def _textbook_adamw(params, grads, lrs, hyper):
+    """AdamW written out one operation at a time, always adding weight_decay *
+    theta: the (params, m, v) after one step per (grad, lr)."""
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, (grad, lr) in enumerate(zip(grads, lrs), start=1):
+        m = hyper.beta1 * m + (1.0 - hyper.beta1) * grad
+        v = hyper.beta2 * v + (1.0 - hyper.beta2) * (grad * grad)
+        m_hat = m / (1.0 - hyper.beta1**t)
+        v_hat = v / (1.0 - hyper.beta2**t)
+        params = params - lr * (m_hat / (np.sqrt(v_hat) + hyper.eps) + hyper.weight_decay * params)
+    return params, m, v
+
+
+# zeros of both signs, so that zero updates meet +-0.0 parameters
+VALUE = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from([(SIZE,), (3, 5)]), weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+       steps=st.integers(1, 4), data=st.data())
+def test_adamw_step_equals_textbook_reference_bit_for_bit(shape, weight_decay, steps, data):
+    def draw():
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(VALUE, min_size=size, max_size=size))).reshape(shape)
+
+    params = draw()
+    grads = [draw() for _ in range(steps)]
+    lrs = [data.draw(st.floats(0.0, 0.1)) for _ in range(steps)]
+    hyper = AdamWHyper(weight_decay=weight_decay)
+    want = _textbook_adamw(params, grads, lrs, hyper)
+    state = AdamWState(hyper=hyper)
+    for grad, lr in zip(grads, lrs):
+        adamw_step(params, grad, state, lr)
+    assert state.step == steps
+    for got, ref in zip((params, state.m, state.v), want):
+        assert got.tobytes() == ref.tobytes()  # -0.0 and 0.0 differ here
 
 
 class TestLinearDecay:

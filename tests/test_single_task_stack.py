@@ -131,6 +131,24 @@ def test_models_are_views_into_one_stack():
         assert np.array_equal(model.params, stack[t])
 
 
+def test_copies_share_one_stack_of_views():
+    base = random_model(9, kinds=_kinds(3, mixed=True))
+    models = stack_copies(base)
+    stack = models[0].stack
+    assert all(model.stack is stack for model in models)
+    assert stack.matrix is models[0].params.base
+    assert all(row is model.params for row, model in zip(stack.rows, models))
+    train_step(SINGLE_TASK, models, _batches(base, 0), [AdamWState()], 0, 0.01, Rng(0),
+               PER_MATRIX)
+    # the views, built once, still show each model's moved parameters
+    for t, model in enumerate(models):
+        for (a, b), layer in zip(stack.adapters, model.layers):
+            assert np.shares_memory(a, stack.matrix) and np.shares_memory(b, stack.matrix)
+            assert np.array_equal(a[t], layer.adapter.a) and np.array_equal(b[t], layer.adapter.b)
+        assert np.shares_memory(stack.heads, stack.matrix)
+        assert np.array_equal(stack.heads[t], model.heads[0])
+
+
 @pytest.mark.parametrize("task_ids", [[0, 2], [0, 0, 1], [0, 1, 1, 2]],
                          ids=["missing", "repeated", "extra"])
 def test_batch_list_must_hold_each_task_once(task_ids):

@@ -2,10 +2,12 @@
 """Alternate benchmark runs of this tree and a parent revision, and judge every metric.
 
 Usage: python tools/bench_pairs.py <parent-rev> --workload W --pairs N --seconds S
+       [--first-seed F]
 
 Exports <parent-rev> with ``git archive``, as ``output_gate.py`` does, then
-runs ``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once
-in each tree for every pair i < N. Even pairs run the parent first and odd
+runs ``perfbench/run.py --workload W --seed F+i --seconds S --trace 0`` once
+in each tree for every pair i < N; F defaults to 0, and a fresh F checks a
+claim again on seeds not used while writing the change. Even pairs run the parent first and odd
 pairs this tree first, so neither side always runs second on a machine whose
 speed drifts. For every end-to-end metric ``BENCHMARK.json`` declares, it
 prints each side's median and quartiles, the change's relative gap, its wins
@@ -72,9 +74,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 0:
-        parser.error("--pairs must be >= 1 and --seconds >= 0")
+    if args.pairs < 1 or args.seconds < 0 or args.first_seed < 0:
+        parser.error("--pairs must be >= 1, and --seconds and --first-seed >= 0")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -84,11 +87,13 @@ def main(argv: list[str]) -> int:
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 print(f"pair {i} {side}", file=sys.stderr, flush=True)
                 try:
-                    results[side].append(bench(trees[side], args.workload, i, args.seconds))
+                    results[side].append(bench(trees[side], args.workload, args.first_seed + i,
+                                               args.seconds))
                 except RuntimeError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1
-    print(f"{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s runs against {args.parent}")
+    print(f"{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s runs against "
+          f"{args.parent}, seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
     for side, runs in results.items():
         print(f"  {side} failed {sum(r['failed'] for r in runs)} of "
               f"{sum(r['attempted'] for r in runs)} mode runs")
