@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .files import atomic_write
 from .model import CLASSIFICATION, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
 from .optim import AdamWHyper
-from .surgery import PROJECT_AGAINST_MUTATED, PROJECT_AGAINST_ORIGINAL
 
 CONFIG_VERSION = 1
 
@@ -27,6 +26,9 @@ ORTHO_STRUCTURED = "ORTHO_STRUCTURED"
 VALID_MODES = (SINGLE_TASK, JOINT, ORTHO_FLAT, ORTHO_STRUCTURED)
 
 STRUCTURED_SCOPES = (PER_MATRIX, PER_ROLE_CONCAT)
+# surgery projects against the other tasks' original gradients; the field
+# stays so that saved configs keep loading
+PROJECT_AGAINST_ORIGINAL = "original"
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -277,12 +279,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     surgery = SurgeryConfig(
         scope=_as_str(_get(gd, "config.surgery", "scope", required=False, default=PER_MATRIX),
                       "config.surgery.scope", STRUCTURED_SCOPES),
-        project_against=_as_str(
-            _get(gd, "config.surgery", "project_against", required=False,
-                 default=PROJECT_AGAINST_ORIGINAL),
-            "config.surgery.project_against",
-            (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED),
-        ),
+        project_against=_as_str(_get(gd, "config.surgery", "project_against", required=False,
+                                     default=PROJECT_AGAINST_ORIGINAL),
+                                "config.surgery.project_against", (PROJECT_AGAINST_ORIGINAL,)),
         record_conflicts=record,
     )
 

@@ -27,7 +27,9 @@ not those of the first conflict step, which must hold every pair of its
 tasks. It also rejects a loss row that repeats a (step, task) and a loss
 row of a task that eval.csv does not list. An eval.csv row may not repeat
 an (epoch, task), name a mode other than its directory's, or a task that is
-neither a task id nor ``avg``. rank_sweep.csv may not repeat a rank.
+neither a task id nor ``avg``; epochs ascend, every epoch ends with its
+``avg`` row, after its task rows, and lists the first epoch's tasks.
+rank_sweep.csv may not repeat a rank.
 Every file is written through ``files.atomic_write``.
 """
 
@@ -351,13 +353,28 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
 
     def eval_row(row: list[str]) -> EvalRecord:
         rec = EvalRecord(epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3]))
+        last = next(reversed(metrics), rec.epoch)
+        if rec.epoch < last:
+            raise ValueError(f"epoch {rec.epoch} follows epoch {last}")
+        if rec.epoch > last and AVG_TASK not in metrics[last]:
+            raise ValueError(f"epoch {rec.epoch} starts before the avg row of epoch {last}")
         read = metrics.setdefault(rec.epoch, {})
+        first_epoch, first = next(iter(metrics.items()))
         if rec.mode != mode:
             raise ValueError(f"mode {rec.mode!r} is not {mode!r}, the mode of its directory")
         if rec.task != AVG_TASK and not (rec.task.isdecimal() and str(int(rec.task)) == rec.task):
             raise ValueError(f"task {rec.task!r} is neither a task id nor {AVG_TASK!r}")
         if rec.task in read:
             raise ValueError(f"repeats the row of epoch {rec.epoch} task {rec.task}")
+        if AVG_TASK in read:
+            raise ValueError(f"task {rec.task} follows the avg row of epoch {rec.epoch}")
+        if read is not first:  # a later epoch lists the first epoch's tasks, then avg
+            if rec.task not in first:
+                raise ValueError(f"task {rec.task} is not one of the tasks of epoch {first_epoch}")
+            if rec.task == AVG_TASK and len(read) + 1 != len(first):
+                raise ValueError(f"epoch {rec.epoch} lacks task(s) "
+                                 f"{sorted(first.keys() - read.keys() - {AVG_TASK})} of epoch "
+                                 f"{first_epoch}")
         if rec.task == AVG_TASK and rec.metric != (fmean(read.values()) if read else math.nan):
             raise ValueError(f"avg {row[3]} is not the mean of the task rows above it "
                              f"for epoch {rec.epoch}")
@@ -367,6 +384,8 @@ def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)
     if not log.evals:
         raise ConfigError(f"{eval_path}: no eval records")
+    if AVG_TASK not in metrics[log.evals[-1].epoch]:
+        raise ConfigError(f"{eval_path}: epoch {log.evals[-1].epoch} ends without its avg row")
     listed = {rec.task for rec in log.evals}
     unknown = {task for task in set(map(attrgetter("task"), log.steps)) if str(task) not in listed}
     if unknown:

@@ -13,11 +13,10 @@ freshly shuffled order each step. The scope controls what "a gradient" means:
 * PER_MATRIX      - each (layer, A|B) matrix projected independently
 * PER_ROLE_CONCAT - all A blocks as one vector, all B blocks as another
 
-Head gradients are never projected. By default each task is projected
-against the other tasks' ORIGINAL gradients (order-robust; the randomized
-order still matters because projections compound on the task being fixed).
-``project_against="mutated"`` switches to projecting against whatever the
-other task's gradient currently is, for comparison.
+Head gradients are never projected. Each task is projected against the
+other tasks' ORIGINAL gradients, as in the paper and PCGrad (order-robust;
+the randomized order still matters because projections compound on the
+task being fixed).
 
 The gradients arrive as a GradientStack: one row per task, the adapter
 columns of the model's flat layout and then the task's own head. Its
@@ -25,10 +24,10 @@ layout's ``groups(scope)`` gives every scope group as one contiguous column
 slice V (row t: task t's original gradient over the
 group). Report and projection read the group's Gram matrix G = V V^T,
 which ``group_grams`` computes once for both, as one (groups, T, T) stack.
-Under the original rule every working gradient is c^T V for a coefficient
-row c, so each inner product it needs is an entry of C G and the projected
-gradients are C V. ``project_pair`` is the same rule on explicit vectors;
-the mutated rule uses it. Merge sums the rows into the flat layout.
+Every working gradient is c^T V for a coefficient row c, so each inner
+product it needs is an entry of C G and the projected gradients are C V.
+``project_pair`` is the same rule on explicit vectors, the reference the
+Gram path is tested against. Merge sums the rows into the flat layout.
 
 The conflict report is columnar: one (pairs, groups) array of dots and one
 of cosines per step, read off the Gram stack above its diagonal, with no
@@ -44,11 +43,8 @@ from itertools import combinations
 import numpy as np
 
 from .dense import Rng
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ShapeError
 from .model import GradientStack, TaskGradient
-
-PROJECT_AGAINST_ORIGINAL = "original"
-PROJECT_AGAINST_MUTATED = "mutated"
 
 # ||gj|| below this with a negative dot means the conflict test itself sits
 # inside rounding noise; refusing is safer than dividing by ~0.
@@ -176,39 +172,22 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
     return np.array(coeffs) if fired else None
 
 
-def surgery(
-    grads: GradientStack,
-    scope: str,
-    rng: Rng,
-    project_against: str = PROJECT_AGAINST_ORIGINAL,
-    grams: np.ndarray | None = None,
-) -> GradientStack:
+def surgery(grads: GradientStack, scope: str, rng: Rng,
+            grams: np.ndarray | None = None) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
     The input is not mutated: each group is projected inside a copy of the
     rows. Heads pass through. grams, when given, is ``group_grams(grads,
     scope)``.
     """
-    if project_against not in (PROJECT_AGAINST_ORIGINAL, PROJECT_AGAINST_MUTATED):
-        raise ParameterError(f"project_against must be 'original' or 'mutated', got {project_against!r}")
-    groups = grads.layout.groups(scope)
     order = rng.permutation(len(grads.task_ids)).tolist()
     rows = grads.rows.copy()
-    if grams is None and project_against == PROJECT_AGAINST_ORIGINAL:
+    if grams is None:
         grams = group_grams(grads, scope)
-    for g, (_, cols) in enumerate(groups):
-        v = rows[:, cols]
-        if project_against == PROJECT_AGAINST_MUTATED:
-            # explicit rows: dots of already-projected gradients read from G
-            # lose all precision once such a gradient cancels to rounding noise
-            for i in order:
-                for j in order:
-                    if j != i:
-                        v[i] = project_pair(v[i], v[j])
-            continue
-        coeffs = _coefficients(grams[g], order)
+    for gram, (_, cols) in zip(grams, grads.layout.groups(scope), strict=True):
+        coeffs = _coefficients(gram, order)
         if coeffs is not None:
-            rows[:, cols] = coeffs @ v
+            rows[:, cols] = coeffs @ rows[:, cols]
     return GradientStack(grads.task_ids, rows, grads.layout)
 
 

@@ -64,8 +64,6 @@ class TaskPool:
 class SyntheticTaskSet:
     kinds: list[str]
     teachers: list[Matrix]
-    conflict_level: float
-    noise_sigma: float
     train_pool: TaskPool
     eval: list[TaskBatch]
 
@@ -168,7 +166,7 @@ def make_conflict_set(
         ids = [t for t, k in enumerate(kinds) if k == kind]
         if ids:
             targets.append((kind, ids, np.empty((len(ids), *shape), dtype)))
-    task_set = SyntheticTaskSet(list(kinds), teachers, conflict_level, noise_sigma,
+    task_set = SyntheticTaskSet(list(kinds), teachers,
                                 TaskPool(np.empty((num_tasks, n_train, in_dim)), targets), [])
     for t, (kind, train) in enumerate(zip(kinds, task_set.train)):
         w_t = teachers[t]

@@ -6,8 +6,9 @@ Four modes:
                      task only (the per-task upper bound; T times the params)
 * JOINT            - one shared model updated with the sum of the task
                      gradients, i.e. the gradient of the summed loss
-* ORTHO_FLAT       - conditional projection over each task's flattened
-                     adapter gradient, then the sum
+* ORTHO_FLAT       - conditional projection of each task's flattened
+                     adapter gradient against the other tasks' original
+                     ones, then the sum
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
 Every mode shares one gradient path: one forward and one backward pass over
@@ -114,7 +115,6 @@ def train_step(
     lr: float,
     surgery_rng: Rng,
     scope: str,
-    project_against: str = "original",
     record_conflicts: bool = True,
 ) -> tuple[list[StepRecord], ConflictReport | None]:
     """One optimization step; returns per-task loss records and the conflict
@@ -144,7 +144,7 @@ def train_step(
             if num_tasks > 1:  # one task has no pair to report
                 report = build_conflict_report(step, grads, scope, grams=grams)
         if mode != JOINT:
-            grads = surgery(grads, scope, surgery_rng, project_against, grams=grams)
+            grads = surgery(grads, scope, surgery_rng, grams=grams)
         adamw_step(models[0].params, merge(grads), opt_states[0], lr)
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
@@ -246,7 +246,6 @@ def run_mode(config: ExperimentConfig, mode: str,
             lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
             records, report = train_step(
                 mode, models, batches, opt_states, step, lr, surgery_rng, scope,
-                project_against=config.surgery.project_against,
                 record_conflicts=config.surgery.record_conflicts,
             )
             log.steps.extend(records)

@@ -223,6 +223,23 @@ BAD_RUN_FILES = {
     "eval task neither id nor avg": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,foo,0.5",
                                                         "1,JOINT,avg,0.5"], 3,
                                      "task 'foo' is neither"),
+    "eval task row after its epoch's avg": (
+        "JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,avg,0.5", "1,JOINT,1,0.25"], 4,
+        "task 1 follows the avg row of epoch 1"),
+    "eval epochs out of order": (
+        "JOINT/eval.csv", [*_eval_rows("JOINT"), "0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5"],
+        5, "epoch 0 follows epoch 1"),
+    "eval epoch lacks a task of the first": (
+        "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5", "1,JOINT,0,0.5",
+                           "1,JOINT,avg,0.5"], 6, "epoch 1 lacks task(s) ['1'] of epoch 0"),
+    "eval epoch lists a task the first does not": (
+        "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5", "1,JOINT,0,0.5",
+                           "1,JOINT,2,0.5"], 6, "task 2 is not one of the tasks of epoch 0"),
+    "eval epoch before the last one's avg": (
+        "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", *_eval_rows("JOINT")], 4,
+        "epoch 1 starts before the avg row of epoch 0"),
+    "eval final epoch without avg": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "1")), None,
+                                     "epoch 1 ends without its avg row"),
     "conflicted not 0 or 1": (
         "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]], 3,
         "conflicted '7'"),

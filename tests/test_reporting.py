@@ -145,9 +145,11 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
                 step, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
                 np.array([[data.draw(FINITE), data.draw(FINITE)]]),
                 np.array([[data.draw(COSINE), data.draw(COSINE)]])))
+    # eval.csv lists every task with loss rows (tasks 0 and 1), and may list more;
+    # like a run, every epoch lists the same tasks
+    num_tasks = data.draw(st.integers(2, 3))
     for epoch in range(data.draw(st.integers(1, 2))):
-        # eval.csv lists every task with loss rows (tasks 0 and 1), and may list more
-        metrics = data.draw(st.lists(FINITE, min_size=2, max_size=3))
+        metrics = data.draw(st.lists(FINITE, min_size=num_tasks, max_size=num_tasks))
         try:
             avg = fmean(metrics)
         except OverflowError:  # the exact sum leaves the float range

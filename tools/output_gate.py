@@ -20,7 +20,7 @@ The gate configs are all built from this tree's configs/default.json:
                       classification tasks, weight_decay 0.05, 4 epochs,
                       PER_ROLE_CONCAT scope, projection against the original
                       gradients, all four modes;
-* mixed-matrix-mut  - the same under PER_MATRIX, against the mutated ones;
+* mixed-matrix-orig - the same under PER_MATRIX;
 * two-tasks-quiet   - 2 tasks with ``record_conflicts`` false, all four
                       modes: JOINT writes no conflict rows, and the ORTHO
                       modes report a single task pair.
@@ -61,7 +61,7 @@ def gate_configs(default: dict) -> dict[str, dict]:
     mixed["tasks"]["kind"] = ["regression", "classification", "regression"]
     role, matrix = copy.deepcopy(mixed), copy.deepcopy(mixed)
     role["surgery"].update(scope="PER_ROLE_CONCAT", project_against="original")
-    matrix["surgery"].update(scope="PER_MATRIX", project_against="mutated")
+    matrix["surgery"].update(scope="PER_MATRIX", project_against="original")
     quiet = copy.deepcopy(base)
     quiet["tasks"]["num_tasks"] = 2
     quiet["surgery"]["record_conflicts"] = False
@@ -72,7 +72,7 @@ def gate_configs(default: dict) -> dict[str, dict]:
     one["tasks"].update(num_tasks=1, conflict_level=0.0)
     one["schedule"]["epochs"] = 2
     return {"default": base, "many-tasks": many, "mixed-role-orig": role,
-            "mixed-matrix-mut": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle,
+            "mixed-matrix-orig": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle,
             "one-task": one}
 
 
