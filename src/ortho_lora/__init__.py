@@ -7,11 +7,9 @@ negative inner products are projected onto each other's normal planes before
 the update. Synthetic task families with a dialable conflict level make the
 optimizer's properties measurable on a laptop.
 
-Everything is imported from its submodule (``ortho_lora.model``,
-``ortho_lora.trainer``, ...); the package root keeps only
-``config_from_dict`` and ``ORTHO_STRUCTURED``.
+Everything is imported from its submodule (``ortho_lora.config``,
+``ortho_lora.model``, ``ortho_lora.trainer``, ...); the package root
+exports nothing but ``__version__``.
 """
-
-from .config import ORTHO_STRUCTURED, config_from_dict
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Subcommands:
 * ``validate <config>``            - check a config file, write nothing
 * ``run <config> [--out DIR]``     - run all configured modes, write CSVs
 * ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep
-* ``summarize <dir>``              - recompute the summary from written CSVs
+* ``summarize <dir>``              - recompute the summary from the CSVs of a
+                                     ``run`` or ``sweep-rank`` directory
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
@@ -28,6 +29,7 @@ from .config import SINGLE_TASK, ExperimentConfig, load_config, save_config
 from .errors import ConfigError, OrthoLoraError
 from .reporting import (
     RANK_FILE,
+    SummaryTable,
     build_summary,
     format_summary,
     rank_sweep,
@@ -116,9 +118,7 @@ def _cmd_sweep_rank(args) -> int:
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
     write_rank_rows(rows, run_dir / RANK_FILE)
     print(f"wrote {run_dir / RANK_FILE}")
-    print("rank  joint         ortho         delta")
-    for r in rows:
-        print(f"{r.rank:<5d} {r.joint:<13.6g} {r.ortho:<13.6g} {r.delta:+.6g}")
+    print(format_summary(SummaryTable(rank_rows=rows)))
     return 0
 
 

@@ -147,7 +147,7 @@ class ExperimentConfig:
         return raw
 
     def with_updates(self, *, seed: int | None = None, modes: list[str] | None = None,
-                     rank: int | None = None, output_dir: str | None = None) -> "ExperimentConfig":
+                     rank: int | None = None) -> "ExperimentConfig":
         """Revalidated copy with a few commonly swept fields replaced."""
         raw = self.to_dict()
         if seed is not None:
@@ -156,8 +156,6 @@ class ExperimentConfig:
             raw["modes"] = modes
         if rank is not None:
             raw["model"]["rank"] = rank
-        if output_dir is not None:
-            raw["output_dir"] = output_dir
         return config_from_dict(raw)
 
 

@@ -29,7 +29,7 @@ row of a task that eval.csv does not list. An eval.csv row may not repeat
 an (epoch, task), name a mode other than its directory's, or a task that is
 neither a task id nor ``avg``; epochs ascend, every epoch ends with its
 ``avg`` row, after its task rows, and lists the first epoch's tasks.
-rank_sweep.csv may not repeat a rank.
+rank_sweep.csv holds at least one rank, and may not repeat one.
 Every file is written through ``files.atomic_write``.
 """
 
@@ -344,11 +344,11 @@ def _read_steps(path: Path, log: MetricsLog) -> list[int]:
 def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     mode_dir = Path(mode_dir)
     log = MetricsLog(mode=mode)
-    steps_path = mode_dir / STEPS_FILE
-    loss_lines = _read_steps(steps_path, log) if steps_path.is_file() else []
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
+    steps_path = mode_dir / STEPS_FILE
+    loss_lines = _read_steps(steps_path, log) if steps_path.is_file() else []
     metrics: dict[int, dict[str, float]] = {}  # epoch -> metric by task label, rows so far
 
     def eval_row(row: list[str]) -> EvalRecord:
@@ -407,27 +407,35 @@ def read_rank_rows(path: str | Path) -> list[RankRow]:
         return RankRow(rank=rank, joint=_finite(row[1]), ortho=_finite(row[2]),
                        delta=_finite(row[3]))
 
-    return _read_rows(Path(path), RANK_HEADER, rank_row)
+    rows = _read_rows(Path(path), RANK_HEADER, rank_row)
+    if not rows:
+        raise ConfigError(f"{path}: no rank rows")
+    return rows
 
 
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
     """Recompute the summary from the CSVs under a run directory.
 
-    Every mode must end at the same final epoch and report the same task
-    labels there, and every ``avg`` row must be exactly the mean of its
-    epoch's task rows (the 17-digit CSV floats round-trip exactly).
+    Every subdirectory that holds an ``eval.csv`` or a ``steps.csv`` is a
+    mode, and must hold an ``eval.csv``. Every mode must end at the same
+    final epoch and report the same task labels there, and every ``avg`` row
+    must be exactly the mean of its epoch's task rows (the 17-digit CSV
+    floats round-trip exactly). A ``sweep-rank`` directory holds a
+    ``rank_sweep.csv`` and no modes.
     """
     run_dir = Path(run_dir)
     logs: dict[str, MetricsLog] = {}
     for child in sorted(run_dir.iterdir()) if run_dir.is_dir() else []:
-        if child.is_dir() and (child / EVAL_FILE).is_file():
+        if (child / EVAL_FILE).is_file() or (child / STEPS_FILE).is_file():
             logs[child.name] = read_metrics(child, child.name)
-    if not logs:
-        raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} found")
+    rank_path = run_dir / RANK_FILE
+    if not logs and not rank_path.is_file():
+        raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} and no {RANK_FILE} "
+                          "found")
     table = build_summary(logs)
     finals = {mode: max(r.epoch for r in log.evals) for mode, log in logs.items()}
     counts = Counter(finals.values())
-    common = max(counts, key=lambda epoch: (counts[epoch], epoch))
+    common = max(counts, key=lambda epoch: (counts[epoch], epoch), default=None)
     for mode, epoch in finals.items():
         if epoch != common:
             raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch {epoch} differs from "
@@ -437,7 +445,6 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
         if labels - set(cells):
             raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch lacks task(s) "
                               f"{sorted(labels - set(cells))} that another mode reports")
-    rank_path = run_dir / RANK_FILE
     if rank_path.is_file():
         table.rank_rows = read_rank_rows(rank_path)
     return table

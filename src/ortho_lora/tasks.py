@@ -21,6 +21,9 @@ of no other stream, so unaffected tasks keep their data. Note that a pure
 rank-1 teacher (shared_scale=0) can only realize two distinct argmax
 labels, so noiseless classification with shared_scale=0 needs out_dim=2.
 
+``make_conflict_set`` reads the config's ``tasks`` section as
+``config_from_dict`` checked it, and checks none of its values again.
+
 The training examples live in one stacked ``TaskPool``, checked once per run
 (``SyntheticTaskSet.check_train``). ``subset_batch`` gathers many steps'
 ``StepBatch`` objects at once, straight into the stacked arrays the gradient
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TasksConfig
 from .dense import Matrix, Rng
 from .errors import ParameterError
 from .model import CLASSIFICATION, REGRESSION, StepBatch, TaskBatch, _stacked_targets
@@ -92,31 +96,15 @@ class SyntheticTaskSet:
         return len(self.teachers)
 
 
-def _check_common(in_dim: int, out_dim: int, num_tasks: int, conflict_level: float,
-                  noise_sigma: float, n_train: int, n_eval: int) -> None:
-    if in_dim < 1 or out_dim < 1:
-        raise ParameterError(f"dims must be >= 1, got in_dim={in_dim}, out_dim={out_dim}")
-    if num_tasks < 1:
-        raise ParameterError(f"num_tasks must be >= 1, got {num_tasks}")
-    if not 0.0 <= conflict_level <= 1.0:
-        raise ParameterError(f"conflict_level must be in [0, 1], got {conflict_level}")
-    if conflict_level > 0 and num_tasks < 2:
-        raise ParameterError("conflict_level > 0 needs at least 2 tasks")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if n_train < 1 or n_eval < 1:
-        raise ParameterError(f"pool sizes must be >= 1, got n_train={n_train}, n_eval={n_eval}")
-
-
-def _teachers(in_dim: int, out_dim: int, num_tasks: int, conflict_level: float,
-              shared_scale: float, rng: Rng) -> list[Matrix]:
+def _teachers(tasks: TasksConfig, rng: Rng) -> list[Matrix]:
     r = rng.child(0)
-    shared = shared_scale * r.standard_normal((out_dim, in_dim))
+    out_dim, in_dim = tasks.out_dim, tasks.in_dim
+    shared = tasks.shared_scale * r.standard_normal((out_dim, in_dim))
     u = r.standard_normal((out_dim, 1))
     v = r.standard_normal((1, in_dim))
     bump = (u / np.linalg.norm(u)) @ (v / np.linalg.norm(v)) * np.sqrt(out_dim * in_dim)
-    return [shared + (1.0 if t % 2 == 0 else -1.0) * conflict_level * bump
-            for t in range(num_tasks)]
+    return [shared + (1.0 if t % 2 == 0 else -1.0) * tasks.conflict_level * bump
+            for t in range(tasks.num_tasks)]
 
 
 def _labels_balanced(logits_fn, n_train: int, n_eval: int, in_dim: int, classes: int,
@@ -139,27 +127,11 @@ def _labels_balanced(logits_fn, n_train: int, n_eval: int, in_dim: int, classes:
     )
 
 
-def make_conflict_set(
-    kinds: list[str],
-    in_dim: int,
-    out_dim: int,
-    conflict_level: float,
-    noise_sigma: float,
-    n_train: int,
-    n_eval: int,
-    rng: Rng,
-    shared_scale: float = 1.0,
-) -> SyntheticTaskSet:
-    """Build one task per entry of `kinds` over a shared conflict structure."""
-    num_tasks = len(kinds)
-    _check_common(in_dim, out_dim, num_tasks, conflict_level, noise_sigma, n_train, n_eval)
-    for kind in kinds:
-        if kind not in (REGRESSION, CLASSIFICATION):
-            raise ParameterError(f"unknown task kind {kind!r}")
-        if kind == CLASSIFICATION and out_dim < 2:
-            raise ParameterError(f"classification needs >= 2 classes, got {out_dim}")
-
-    teachers = _teachers(in_dim, out_dim, num_tasks, conflict_level, shared_scale, rng)
+def make_conflict_set(tasks: TasksConfig, rng: Rng) -> SyntheticTaskSet:
+    """Build one task per entry of the checked tasks.kinds over a shared conflict structure."""
+    kinds, in_dim, out_dim = tasks.kinds, tasks.in_dim, tasks.out_dim
+    n_train, n_eval, noise_sigma = tasks.n_train, tasks.n_eval, tasks.noise_sigma
+    teachers = _teachers(tasks, rng)
     targets = []
     for kind, shape, dtype in ((REGRESSION, (n_train, out_dim), np.float64),
                                (CLASSIFICATION, (n_train,), np.int64)):
@@ -167,7 +139,7 @@ def make_conflict_set(
         if ids:
             targets.append((kind, ids, np.empty((len(ids), *shape), dtype)))
     task_set = SyntheticTaskSet(list(kinds), teachers,
-                                TaskPool(np.empty((num_tasks, n_train, in_dim)), targets), [])
+                                TaskPool(np.empty((len(kinds), n_train, in_dim)), targets), [])
     for t, (kind, train) in enumerate(zip(kinds, task_set.train)):
         w_t = teachers[t]
         stream = rng.child(1).child(t)

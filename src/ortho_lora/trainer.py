@@ -23,12 +23,13 @@ gradients bypass projection in every mode. All modes draw identical batch
 sequences for a given seed: data order, task generation, model init and the
 surgery shuffle each consume their own named substream.
 
-A run checks its train pool once, before its first step (``check_train``),
-and builds one ``EvalPool`` (checked eval batches and buffers). Each epoch
-draws its data orders as (T, N) blocks, and one ``subset_batch`` call
-gathers every step a block serves (``epoch_batches``). Each epoch ends with
-one ``eval_metric`` call. A one-task run keeps no conflict report, as it
-has no task pair.
+``build_task_set`` hands the config's checked ``tasks`` section and the
+tasks substream to ``make_conflict_set``. A run checks its train pool once,
+before its first step (``check_train``), and builds one ``EvalPool``
+(checked eval batches and buffers). Each epoch draws its data orders as
+(T, N) blocks, and one ``subset_batch`` call gathers every step a block
+serves (``epoch_batches``). Each epoch ends with one ``eval_metric`` call.
+A one-task run keeps no conflict report, as it has no task pair.
 """
 
 from __future__ import annotations
@@ -166,18 +167,7 @@ class ExperimentResult:
 
 
 def build_task_set(config: ExperimentConfig) -> SyntheticTaskSet:
-    t = config.tasks
-    return make_conflict_set(
-        kinds=t.kinds,
-        in_dim=t.in_dim,
-        out_dim=t.out_dim,
-        conflict_level=t.conflict_level,
-        noise_sigma=t.noise_sigma,
-        n_train=t.n_train,
-        n_eval=t.n_eval,
-        rng=Rng(config.seed).child(STREAM_TASKS),
-        shared_scale=t.shared_scale,
-    )
+    return make_conflict_set(config.tasks, Rng(config.seed).child(STREAM_TASKS))
 
 
 def epoch_batches(pool: TaskPool, data_rng: Rng, batch_size: int,

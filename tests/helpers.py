@@ -10,6 +10,7 @@ from itertools import groupby
 
 import numpy as np
 
+from ortho_lora.config import TasksConfig
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError
 from ortho_lora.model import (
@@ -28,6 +29,7 @@ from ortho_lora.model import (
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import scope_groups
+from ortho_lora.tasks import make_conflict_set
 
 # A task gradient assembled by hand: per-task blocks keyed by block name.
 Grad = namedtuple("Grad", ["task_id", "blocks"])
@@ -50,6 +52,15 @@ def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
         for layer in model.layers:
             layer.adapter.b[...] = brng.standard_normal(layer.adapter.b.shape) * 0.1
     return model
+
+
+def conflict_set(kinds, in_dim, out_dim, conflict_level, noise_sigma, n_train, n_eval, rng,
+                 shared_scale=1.0):
+    """make_conflict_set on the tasks section of these values, which must be
+    values config_from_dict accepts: make_conflict_set checks none of them."""
+    section = TasksConfig(list(kinds), in_dim, out_dim, conflict_level, noise_sigma, shared_scale,
+                          n_train, n_eval)
+    return make_conflict_set(section, rng)
 
 
 def own_copy(model):

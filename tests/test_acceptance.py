@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    conflict_set,
     fd_gradient,
     generator,
     measure_surgery_floats,
@@ -40,7 +41,6 @@ from ortho_lora.model import (
 from ortho_lora.optim import AdamWState
 from ortho_lora.reporting import rank_sweep, recovery
 from ortho_lora.surgery import project_pair, scope_groups, surgery
-from ortho_lora.tasks import make_conflict_set
 from ortho_lora.trainer import run_experiment, train_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -182,8 +182,8 @@ def test_criterion_05_local_non_harm():
     while checked < 20:
         state += 1
         rng = Rng(100 + state)
-        tasks = make_conflict_set([REGRESSION] * 2, 12, 3, 1.0, 0.0, 128, 16,
-                                  rng.child(1), shared_scale=0.3)
+        tasks = conflict_set([REGRESSION] * 2, 12, 3, 1.0, 0.0, 128, 16,
+                             rng.child(1), shared_scale=0.3)
         model = build_model([12, 12], 4, 8.0, 0.02, tasks.kinds, 3, rng.child(0))
         models, opt_states = [model], [AdamWState()]
         steps = int(generator(100 + state, 2).integers(1, 30))  # the stream of rng.child(2)

@@ -152,6 +152,11 @@ def _dump(tmp_path, edit):
     pytest.param(lambda text: text.replace('"k": 3', '"k": true'), "'k'", id="k true"),
     pytest.param(lambda text: text.replace('"rank": 2', '"rank": 2.0'), "'rank'", id="rank 2.0"),
     pytest.param(lambda text: text.replace('"rank": 2', '"rank": "2"'), "'rank'", id="rank text"),
+    pytest.param(lambda text: text.replace('"version": 1', '"version": 2'),
+                 "unsupported adapter format version 2", id="version 2"),
+    pytest.param(lambda text: text.replace('"k": 3', '"k": 5'),
+                 "stored shapes a=(2, 3), b=(4, 2) disagree with header (d=4, k=5, rank=2)",
+                 id="k disagrees with a"),
 ])
 def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field):
     path = _dump(tmp_path, edit)

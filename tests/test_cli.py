@@ -143,6 +143,41 @@ def test_sweep_rank_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("2,") and lines[2].startswith("4,")
 
 
+def test_summarize_sweep_dir_prints_the_rank_table_sweep_rank_printed(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "4", "2", "--seeds", "1",
+                    "--out", str(out)]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    assert swept[0] == f"wrote {out / 'rank_sweep.csv'}"
+    assert swept[1] == "rank sweep (seed-averaged final metric):" and len(swept) == 5
+    assert run_cli(["summarize", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == swept[1:]
+
+
+def test_summarize_mode_without_eval_csv_exits_2(tmp_path, capsys):
+    # a mode directory that lost its eval.csv fails; it is not left out of the summary
+    cfg = write_config(tmp_path / "exp.json", modes=["SINGLE_TASK", "JOINT"])
+    out = tmp_path / "run"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+    (out / "JOINT" / "eval.csv").unlink()
+    capsys.readouterr()
+    assert run_cli(["summarize", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: missing {out / 'JOINT' / 'eval.csv'}" in err
+    assert "Traceback" not in err
+
+
+def test_run_out_an_existing_file_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert run_cli(["run", str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     assert run_cli(["sweep-rank", str(cfg), "--ranks", "999", "--out", str(tmp_path / "s")]) == 2
@@ -192,8 +227,8 @@ def _conflict(step, i, j, block, dot="0.5", cosine="0.5", conflicted="0", scope=
 LOSS = "0,0,0.5,0.01,,,,,,,"
 STEP_0 = [_conflict(0, 0, 1, "L0.A"), _conflict(0, 0, 1, "L0.B")]  # a run's rows for 2 tasks
 
-# (file, its data rows, where the error must point, a fragment of the message);
-# the other files stay valid
+# (file, its data rows, where the error must point, a fragment of the message[,
+# the header that replaces the file's own]); the other files stay valid
 BAD_RUN_FILES = {
     "non-numeric metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,abc", "1,JOINT,avg,0.5"], 3,
                            "'abc'"),
@@ -210,6 +245,7 @@ BAD_RUN_FILES = {
                                    "does not fit 64 bits"),
     "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3, "'oops'"),
     "repeated rank": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "2,0.5,0.4,-0.1"], 3, "rank 2 repeats"),
+    "rank header only": ("rank_sweep.csv", [], None, "no rank rows"),
     "earlier final epoch": ("JOINT/eval.csv", [f"0,JOINT,{t},0.5" for t in ("0", "1", "avg")],
                             None, "differs"),
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
@@ -263,6 +299,19 @@ BAD_RUN_FILES = {
         5, "ends after 1 of the 2"),
     "second scope": ("JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "flat", scope="FLAT")],
                      5, "second scope 'FLAT'"),
+    "steps header": ("JOINT/steps.csv", [LOSS], 1, "unexpected header 'step,task,loss,lr'",
+                     "step,task,loss,lr"),
+    "steps row field count": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.01,,,"], 3,
+                              "expected 11 fields, got 7"),
+    "conflict step after a later step": (
+        "JOINT/steps.csv", [LOSS, _conflict(1, 0, 1, "L0.A"), _conflict(1, 0, 1, "L0.B"), *STEP_0],
+        5, "conflict rows of step 0 after those of step 1"),
+    "extra conflict row of a new pair": (
+        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.A"), _conflict(1, 0, 1, "L0.B"),
+                            _conflict(1, 0, 2, "L0.A")],
+        7, "a step has 2 conflict rows, and this is one more"),
+    "eval header": ("JOINT/eval.csv", _eval_rows("JOINT"), 1, "unexpected header",
+                    "epoch,mode,metric"),
 }
 
 
@@ -273,9 +322,10 @@ def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
         (tmp_path / mode).mkdir()
         (tmp_path / mode / "eval.csv").write_text(
             ",".join(EVAL_HEADER) + "\n" + "\n".join(_eval_rows(mode)) + "\n")
-    rel, rows, line, fragment = BAD_RUN_FILES[case]
+    rel, rows, line, fragment, *header = BAD_RUN_FILES[case]
     path = tmp_path / rel
-    path.write_text("".join(f"{text}\n" for text in [",".join(headers[path.name]), *rows]))
+    header = header[0] if header else ",".join(headers[path.name])
+    path.write_text("".join(f"{text}\n" for text in [header, *rows]))
     assert run_cli(["summarize", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert (f"{path}:{line}:" if line else f"{path}:") in err, err

@@ -242,6 +242,12 @@ def test_every_gate_config_is_valid(output_gate):
         assert config.modes == output_gate.ALL_MODES, name
 
 
+def test_gate_sweep_config_is_valid_at_every_sweep_rank(output_gate):
+    config = config_from_dict(output_gate.sweep_config(DEFAULT))
+    for rank in output_gate.SWEEP_RANKS:
+        assert config.with_updates(rank=int(rank)).model.rank == int(rank)
+
+
 @pytest.mark.parametrize("name", ["default.json", "no_conflict.json"])
 def test_committed_config_resaves_byte_identical(tmp_path, name):
     first, second = tmp_path / "first.json", tmp_path / "second.json"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ortho_lora import ORTHO_STRUCTURED, config_from_dict
+from ortho_lora.config import ORTHO_STRUCTURED, config_from_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    conflict_set,
     measure_surgery_floats,
     own_copy,
     predict,
@@ -28,7 +29,6 @@ from ortho_lora.model import (
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import merge
 from ortho_lora import tasks
-from ortho_lora.tasks import make_conflict_set
 from ortho_lora.trainer import build_task_set, epoch_batches, run_experiment, run_mode, train_step
 
 
@@ -266,7 +266,7 @@ def _per_task_batches(ts, data_rng, batch_size, steps):
                          ids=["reshuffle mid-epoch", "one pass", "reshuffle every step"])
 def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
     kinds = [REGRESSION, CLASSIFICATION, CLASSIFICATION, REGRESSION, REGRESSION]
-    ts = make_conflict_set(kinds, 4, 3, 0.5, 0.1, size, 4, Rng(3))
+    ts = conflict_set(kinds, 4, 3, 0.5, 0.1, size, 4, Rng(3))
     got_rng, want_rng = Rng(9).child(2), Rng(9).child(2)
     for epoch in range(3):
         got = list(epoch_batches(ts.train_pool, got_rng, batch_size, steps))
@@ -301,7 +301,7 @@ def test_epoch_batches_equal_per_task_reference_any_shape(kinds, size, data, see
     # the pool
     batch_size = data.draw(st.integers(1, size), label="batch_size")
     steps = data.draw(st.integers(1, 3 * (size // batch_size) + 2), label="steps")
-    ts = make_conflict_set(kinds, 3, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
+    ts = conflict_set(kinds, 3, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     pool = ts.train_pool
     got_rng, want_rng = Rng(seed).child(2), Rng(seed).child(2)
     with mock.patch.object(tasks, "GATHER_ENTRIES", gather_entries):

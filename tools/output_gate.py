@@ -8,9 +8,13 @@ Exports <parent-rev> with ``git archive`` into a temporary directory, runs
 this tree's ``src/``, and compares every file the runs write (CSVs, adapter
 dumps, config.json) with ``cmp``. Each tree then runs ``ortho-lora
 summarize`` on each of its run directories, and the two trees' stdout and
-exit codes are compared. Exits 0 when every file and every summary is
-identical, 1 after listing the files or summaries that differ or that only
-one tree wrote, and 2 on a usage error or a revision git cannot export.
+exit codes are compared. Each tree also runs ``ortho-lora sweep-rank`` with
+ranks 2 and 4 and one seed on the sweep config, and the two
+``rank_sweep.csv`` files are compared with ``cmp``. The sweep directory is
+not summarized: a parent older than ``summarize`` on sweep directories
+rejects it. Exits 0 when every file and every summary is identical, 1
+after listing the files or summaries that differ or that only one tree
+wrote, and 2 on a usage error or a revision git cannot export.
 
 The gate configs are all built from this tree's configs/default.json:
 
@@ -32,6 +36,8 @@ The gate configs are all built from this tree's configs/default.json:
                       a gradient row is as wide as the model's parameter
                       vector, SINGLE_TASK's stack has one row, and no mode
                       has a task pair to report.
+
+The sweep config is configs/default.json with 2 epochs.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALL_MODES = ["SINGLE_TASK", "JOINT", "ORTHO_FLAT", "ORTHO_STRUCTURED"]
+SWEEP_RANKS = ["2", "4"]
+RANK_FILE = Path("sweep-rank") / "rank_sweep.csv"
 
 
 def gate_configs(default: dict) -> dict[str, dict]:
@@ -76,6 +84,12 @@ def gate_configs(default: dict) -> dict[str, dict]:
             "one-task": one}
 
 
+def sweep_config(default: dict) -> dict:
+    short = copy.deepcopy(default)
+    short["schedule"]["epochs"] = 2
+    return short
+
+
 def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
     if archive.returncode != 0:
@@ -90,6 +104,13 @@ def run_all(src: Path, configs: Path, out: Path) -> None:
         subprocess.run([sys.executable, "-m", "ortho_lora.cli", "run", str(cfg),
                         "--out", str(out / cfg.stem)], env=env, check=True,
                        stdout=subprocess.DEVNULL)
+
+
+def sweep(src: Path, config: Path, out: Path) -> None:
+    subprocess.run([sys.executable, "-m", "ortho_lora.cli", "sweep-rank", str(config),
+                    "--ranks", *SWEEP_RANKS, "--seeds", "1", "--out", str(out)],
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def summarize_all(src: Path, runs: Path) -> dict[str, tuple[int, str]]:
@@ -116,19 +137,25 @@ def main(argv: list[str]) -> int:
         configs.mkdir()
         for name, raw in gate_configs(default).items():
             (configs / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")
-        runs, summaries = {}, {}
+        sweep_cfg = tmp / "sweep-rank.json"
+        sweep_cfg.write_text(json.dumps(sweep_config(default)), encoding="utf-8")
+        runs, sweeps, summaries = {}, {}, {}
         for label, src in (("parent", tmp / "parent" / "src"), ("this", ROOT / "src")):
             runs[label] = tmp / f"runs_{label}"
             run_all(src, configs, runs[label])
             summaries[label] = summarize_all(src, runs[label])
+            sweeps[label] = tmp / f"sweeps_{label}"  # apart from runs, so not summarized
+            sweep(src, sweep_cfg, sweeps[label] / RANK_FILE.parent)
         files = {label: {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
                  for label, run in runs.items()}
         differ = sorted(files["parent"] ^ files["this"])
-        for rel in sorted(files["parent"] & files["this"]):
-            if subprocess.run(["cmp", "-s", str(runs["parent"] / rel),
-                               str(runs["this"] / rel)]).returncode != 0:
+        pairs = [(rel, runs["parent"] / rel, runs["this"] / rel)
+                 for rel in sorted(files["parent"] & files["this"])]
+        pairs.append((RANK_FILE, sweeps["parent"] / RANK_FILE, sweeps["this"] / RANK_FILE))
+        for rel, parent, this in pairs:
+            if subprocess.run(["cmp", "-s", str(parent), str(this)]).returncode != 0:
                 differ.append(rel)
-    compared = len(files["parent"] | files["this"])
+    compared = len(files["parent"] | files["this"]) + 1  # and the sweep's rank_sweep.csv
     run_names = sorted(summaries["parent"].keys() | summaries["this"].keys())
     summaries_differ = [f"summarize {name}" for name in run_names
                         if summaries["parent"].get(name) != summaries["this"].get(name)]
@@ -139,7 +166,8 @@ def main(argv: list[str]) -> int:
             print(f"  {rel}")
         return 1
     print(f"output gate passed against {argv[0]}: all {compared} files byte-identical and "
-          f"all {len(run_names)} summarize outputs identical on {len(gate_configs(default))} configs")
+          f"all {len(run_names)} summarize outputs identical on {len(gate_configs(default))} configs "
+          f"and one rank sweep")
     return 0
 
 
