@@ -4,13 +4,19 @@ Subcommands:
 
 * ``validate <config>``            - check a config file, write nothing
 * ``run <config> [--out DIR]``     - run all configured modes, write CSVs
-* ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep
+* ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep;
+                                     writes ``rank_sweep.csv``, the resolved
+                                     ``config.json`` and ``sweep.json`` (the
+                                     ranks and the seed count)
 * ``summarize <dir>``              - recompute the summary from the CSVs of a
                                      ``run`` or ``sweep-rank`` directory
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
-``--seeds`` below 1, caught before the run directory is made).
+``--seeds`` below 1, caught before the run directory is made, and a ``run``
+directory that already holds a mode directory the config does not run,
+caught before anything is trained or written, so that ``summarize`` never
+mixes two runs).
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -20,6 +26,7 @@ an explicit run directory.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -27,11 +34,13 @@ from pathlib import Path
 from .adapter import save_adapter
 from .config import SINGLE_TASK, ExperimentConfig, load_config, save_config
 from .errors import ConfigError, OrthoLoraError
+from .files import atomic_write
 from .reporting import (
     RANK_FILE,
     SummaryTable,
     build_summary,
     format_summary,
+    mode_dirs,
     rank_sweep,
     summarize_dir,
     write_metrics,
@@ -40,6 +49,7 @@ from .reporting import (
 from .trainer import run_experiment
 
 ENV_OUT = "ORTHO_LORA_OUT"
+SWEEP_FILE = "sweep.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,6 +96,10 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     run_dir = resolve_run_dir(config, args.config, args.out)
+    stale = [child for child in mode_dirs(run_dir) if child.name not in config.modes]
+    if stale:
+        raise ConfigError(f"{stale[0]}: a mode directory of another run, and this config runs "
+                          f"only {', '.join(config.modes)}; choose another run directory")
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
 
@@ -115,6 +129,9 @@ def _cmd_sweep_rank(args) -> int:
         raise ConfigError(f"--seeds {args.seeds}: must be >= 1")
     run_dir = resolve_run_dir(config, args.config, args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
+    save_config(config, run_dir / "config.json")
+    with atomic_write(run_dir / SWEEP_FILE) as fh:
+        fh.write(json.dumps({"ranks": sorted(args.ranks), "seeds": args.seeds}, indent=2) + "\n")
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
     write_rank_rows(rows, run_dir / RANK_FILE)
     print(f"wrote {run_dir / RANK_FILE}")

@@ -81,6 +81,8 @@ class Layout:
     conflict report writes them. pair_entries, for the conflict report, indexes a flattened
     num_tasks x num_tasks Gram matrix: the entry of every task pair i < j in
     row-major order, then each pair's (i, i) entries, then its (j, j) ones.
+    task_ids (0..num_tasks-1) and ``labels(scope)`` are built once, so every
+    gradient stack and conflict report of a run shares one list of each.
     """
 
     def __init__(self, a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
@@ -104,7 +106,9 @@ class Layout:
                  **{name: sl for name, (sl, _) in self.blocks.items()}}
         self._scopes = {scope: [(label, spans[label]) for label in scope_labels(scope, len(layers))]
                         for scope in SCOPES}
+        self._labels = {scope: [label for label, _ in groups] for scope, groups in self._scopes.items()}
         self.num_tasks = num_tasks
+        self.task_ids = list(range(num_tasks))
         rows, cols = np.triu_indices(num_tasks, 1)
         self.pair_entries = np.concatenate((rows * num_tasks + cols, rows * (num_tasks + 1),
                                             cols * (num_tasks + 1)))
@@ -114,6 +118,11 @@ class Layout:
         if scope not in self._scopes:
             raise ParameterError(f"unknown projection scope {scope!r}; expected one of {SCOPES}")
         return self._scopes[scope]
+
+    def labels(self, scope: str) -> list[str]:
+        """The labels of scope's groups, in group order; one shared list per scope."""
+        self.groups(scope)  # ParameterError for an unknown scope
+        return self._labels[scope]
 
 
 @dataclass
@@ -476,7 +485,7 @@ def joint_gradient(model: MultiTaskModel,
         batches = StepBatch.of(batches, model.kinds, model.out_dim)
     rows, losses = _gradient_rows(model, batches, model.heads)
     model.backward_passes += 1
-    return GradientStack(list(range(model.num_tasks)), rows, model.layout), losses
+    return GradientStack(model.layout.task_ids, rows, model.layout), losses
 
 
 def stacked_gradient(models: list[MultiTaskModel],

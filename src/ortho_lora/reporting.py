@@ -413,6 +413,13 @@ def read_rank_rows(path: str | Path) -> list[RankRow]:
     return rows
 
 
+def mode_dirs(run_dir: Path) -> list[Path]:
+    """The subdirectories of run_dir that hold an ``eval.csv`` or a
+    ``steps.csv``, by name; none when run_dir is not a directory."""
+    return [child for child in (sorted(run_dir.iterdir()) if run_dir.is_dir() else [])
+            if (child / EVAL_FILE).is_file() or (child / STEPS_FILE).is_file()]
+
+
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
     """Recompute the summary from the CSVs under a run directory.
 
@@ -421,13 +428,14 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
     final epoch and report the same task labels there, and every ``avg`` row
     must be exactly the mean of its epoch's task rows (the 17-digit CSV
     floats round-trip exactly). A ``sweep-rank`` directory holds a
-    ``rank_sweep.csv`` and no modes.
+    ``rank_sweep.csv`` and no modes. Each mode's loss and conflict rows are
+    dropped once ``read_metrics`` has checked them: the summary reads only
+    eval rows, so at most one mode's step rows are held at a time.
     """
     run_dir = Path(run_dir)
     logs: dict[str, MetricsLog] = {}
-    for child in sorted(run_dir.iterdir()) if run_dir.is_dir() else []:
-        if (child / EVAL_FILE).is_file() or (child / STEPS_FILE).is_file():
-            logs[child.name] = read_metrics(child, child.name)
+    for child in mode_dirs(run_dir):
+        logs[child.name] = MetricsLog(child.name, evals=read_metrics(child, child.name).evals)
     rank_path = run_dir / RANK_FILE
     if not logs and not rank_path.is_file():
         raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} and no {RANK_FILE} "

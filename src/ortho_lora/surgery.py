@@ -67,7 +67,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class ConflictReport:
     """One step's conflict rows as columns.
 
@@ -75,7 +75,9 @@ class ConflictReport:
     task pair (i < j) in task-id order, as ``pair_ids`` lists them, and
     column g the scope group labels[g]. A row is conflicted when its dot is
     negative. Two reports are equal when every field, and every bit of both
-    arrays, is.
+    arrays, is. The reports of one run share its layout's labels and
+    task-id lists, and each owns its two small arrays, so a run's log holds
+    no per-step copies of either list and no larger buffer.
     """
 
     step: int
@@ -197,7 +199,7 @@ def merge(grads: GradientStack) -> np.ndarray:
     layout, rows = grads.layout, grads.rows
     heads = rows[:, layout.heads.start:]
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
-    if grads.task_ids == list(range(layout.num_tasks)):  # every head, in order: no zeros
+    if grads.task_ids == layout.task_ids:  # every head, in order: no zeros
         update = np.empty(layout.size)
         np.add(heads, 0.0, out=update[layout.heads].reshape(layout.num_tasks, -1))
     else:
@@ -230,9 +232,9 @@ def build_conflict_report(step: int, grads: GradientStack, scope: str,
         entries = order[entries // count] * count + order[entries % count]
     picked = grams.reshape(len(grams), -1).T[entries]  # (3 * pairs, groups)
     pairs = len(picked) // 3
-    dot = picked[:pairs]
+    dot = picked[:pairs].copy()  # the log keeps dot, not the 3x larger picked
     norms = np.sqrt(picked[pairs:])
     denom = norms[:pairs] * norms[pairs:]
     cosine = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom != 0.0)
-    return ConflictReport(step, scope, [label for label, _ in layout.groups(scope)], list(ids),
-                          dot, cosine)
+    return ConflictReport(step, scope, layout.labels(scope),
+                          layout.task_ids if ids == layout.task_ids else list(ids), dot, cosine)

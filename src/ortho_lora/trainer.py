@@ -76,7 +76,7 @@ STREAM_SURGERY = 3
 AVG_TASK = "avg"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int
     task: int
@@ -84,7 +84,7 @@ class StepRecord:
     lr: float
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     epoch: int
     mode: str

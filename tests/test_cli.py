@@ -5,6 +5,7 @@ from statistics import fmean
 import pytest
 
 from ortho_lora.cli import run_cli
+from ortho_lora.config import load_config
 from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER, fmt, summarize_dir
 
 
@@ -143,6 +144,21 @@ def test_sweep_rank_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("2,") and lines[2].startswith("4,")
 
 
+def test_sweep_rank_saves_its_config_and_ranks(tmp_path, capsys):
+    # a rank table says which config, ranks and seed count it came from
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run_cli(["sweep-rank", str(cfg), "--ranks", "4", "2", "--seeds", "1",
+                        "--out", str(out)]) == 0
+    assert sorted(p.name for p in outs[0].iterdir()) == ["config.json", "rank_sweep.csv",
+                                                        "sweep.json"]
+    assert load_config(outs[0] / "config.json") == load_config(cfg)
+    assert json.loads((outs[0] / "sweep.json").read_text()) == {"ranks": [2, 4], "seeds": 1}
+    for name in ("config.json", "sweep.json"):  # deterministic
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_summarize_sweep_dir_prints_the_rank_table_sweep_rank_printed(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     out = tmp_path / "sweep"
@@ -176,6 +192,23 @@ def test_run_out_an_existing_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert taken.read_text() == "not a directory"
+
+
+def test_run_into_a_directory_of_another_run_exits_2_before_writing(tmp_path, capsys):
+    # a mode the second config does not run would be summarized beside its modes
+    out = tmp_path / "d"
+    first = write_config(tmp_path / "a.json", seed=0, modes=["SINGLE_TASK", "JOINT", "ORTHO_FLAT"])
+    assert run_cli(["run", str(first), "--out", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    second = write_config(tmp_path / "b.json", seed=7, modes=["SINGLE_TASK", "JOINT"])
+    capsys.readouterr()
+    assert run_cli(["run", str(second), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'ORTHO_FLAT'}: ") and "Traceback" not in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # the same config may run into it again
+    assert run_cli(["run", str(first), "--out", str(out)]) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
