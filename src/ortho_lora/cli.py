@@ -5,18 +5,20 @@ Subcommands:
 * ``validate <config>``            - check a config file, write nothing
 * ``run <config> [--out DIR]``     - run all configured modes, write CSVs
 * ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep;
-                                     writes ``rank_sweep.csv``, the resolved
-                                     ``config.json`` and ``sweep.json`` (the
-                                     ranks and the seed count)
+                                     writes ``rank_sweep.csv``, then the
+                                     resolved ``config.json`` and ``sweep.json``
+                                     (the ranks and the seed count)
 * ``summarize <dir>``              - recompute the summary from the CSVs of a
                                      ``run`` or ``sweep-rank`` directory
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
 ``--seeds`` below 1, caught before the run directory is made, and a ``run``
-directory that already holds a mode directory the config does not run,
-caught before anything is trained or written, so that ``summarize`` never
-mixes two runs).
+directory that already holds a mode directory the config does not run or a
+``rank_sweep.csv``, or a ``sweep-rank`` directory that holds any mode
+directory, caught before anything is trained or written, so that
+``summarize`` never mixes two runs and ``config.json`` describes the
+directory it is in).
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -100,6 +102,8 @@ def _cmd_run(args) -> int:
     if stale:
         raise ConfigError(f"{stale[0]}: a mode directory of another run, and this config runs "
                           f"only {', '.join(config.modes)}; choose another run directory")
+    if (run_dir / RANK_FILE).is_file():
+        raise ConfigError(f"{run_dir / RANK_FILE}: a sweep-rank table; choose another run directory")
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
 
@@ -128,12 +132,15 @@ def _cmd_sweep_rank(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds {args.seeds}: must be >= 1")
     run_dir = resolve_run_dir(config, args.config, args.out)
+    modes = mode_dirs(run_dir)
+    if modes:
+        raise ConfigError(f"{modes[0]}: a mode directory of a run; choose another sweep directory")
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, run_dir / "config.json")
-    with atomic_write(run_dir / SWEEP_FILE) as fh:
-        fh.write(json.dumps({"ranks": sorted(args.ranks), "seeds": args.seeds}, indent=2) + "\n")
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
     write_rank_rows(rows, run_dir / RANK_FILE)
+    save_config(config, run_dir / "config.json")  # written last: they describe the table
+    with atomic_write(run_dir / SWEEP_FILE) as fh:
+        fh.write(json.dumps({"ranks": sorted(args.ranks), "seeds": args.seeds}, indent=2) + "\n")
     print(f"wrote {run_dir / RANK_FILE}")
     print(format_summary(SummaryTable(rank_rows=rows)))
     return 0

@@ -211,6 +211,28 @@ def test_run_into_a_directory_of_another_run_exits_2_before_writing(tmp_path, ca
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def test_run_and_sweep_rank_do_not_share_a_directory(tmp_path, capsys):
+    # either one's config.json would stop describing the other's files
+    cfg = write_config(tmp_path / "exp.json", seed=5, modes=["JOINT"])
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert run_cli(["run", str(cfg), "--out", str(run_out)]) == 0
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "2", "--seeds", "1",
+                    "--out", str(sweep_out)]) == 0
+    trees = {out: {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+             for out in (run_out, sweep_out)}
+    other = write_config(tmp_path / "other.json", seed=9, modes=["JOINT"])
+    capsys.readouterr()
+    assert run_cli(["sweep-rank", str(other), "--ranks", "2", "--seeds", "1",
+                    "--out", str(run_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_out / 'JOINT'}: ") and "Traceback" not in err
+    assert run_cli(["run", str(other), "--out", str(sweep_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sweep_out / 'rank_sweep.csv'}: ") and "Traceback" not in err
+    for out, tree in trees.items():
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == tree
+
+
 def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     assert run_cli(["sweep-rank", str(cfg), "--ranks", "999", "--out", str(tmp_path / "s")]) == 2

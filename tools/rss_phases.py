@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Resident memory after each phase of a benchmark worker, with and without the harness floor.
 
-Usage: python tools/rss_phases.py --workload W [--repeats N] [--seed S]
+Usage: python tools/rss_phases.py --workload W [--repeats N]
 
 Runs two child processes of this script, each doing what one
-``perfbench/worker.py`` does, in the same order and with the same
-``perfbench/bench.py`` calls, for exactly N repetitions (default 8) of the
-workload's seed-S config (default 0):
+``perfbench/worker.py`` does, with the same ``perfbench/bench.py`` calls,
+for exactly N repetitions (default 8) of the workload's seed-0 config:
 
 * ``harness`` - as the worker: setup (package import, config load, task
   generation), ``bench.setup_kernel`` and one calibration run, then the
@@ -14,16 +13,15 @@ workload's seed-S config (default 0):
 * ``program`` - the same without ``bench.setup_kernel``, so the peak it
   reads is the program's own.
 
-A repetition trains each mode with ``trainer.run_mode``, writes its CSVs and
-adapter dumps, and then runs ``reporting.summarize_dir`` on the run
-directory, with a calibration run after every mode and after the summary,
-as ``bench.run_repeat`` does. Each child prints its current and peak RSS
-(MiB) after setup, after the setup kernel, after each mode's training and
-after its writes, and after each summary. The script then prints the
-harness floor (the harness child's peak after the setup kernel), the
-harness child's final peak (what a worker reports as ``peak_rss_mb``) and
-the program's peak over setup (the program child's final peak minus its
-RSS after setup). It imports ``perfbench/`` and changes nothing there.
+A repetition is one ``bench.repeat_in`` call, whose calibration runs are
+wrapped to mark the RSS first. Each child prints its current and peak RSS
+(MiB) after setup, after the setup kernel, at each repetition's start,
+after each mode's writes, after each summary, and at its end. The script
+then prints the harness floor (the harness child's peak after the setup
+kernel), the harness child's final peak (what a worker reports as
+``peak_rss_mb``) and the program's peak over setup (the program child's
+final peak minus its RSS after setup). It imports ``perfbench/`` and
+changes nothing there.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import argparse
 import json
 import os
 import resource
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,7 +47,7 @@ def rss_mib() -> tuple[float, float]:
     return current, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def child(variant: str, workload: str, seed: int, repeats: int, work: Path) -> None:
+def child(variant: str, workload: str, repeats: int, work: Path) -> None:
     """One worker-shaped process; prints one line per phase, then a JSON line."""
     import bench
     from workloads import build_config
@@ -62,7 +59,7 @@ def child(variant: str, workload: str, seed: int, repeats: int, work: Path) -> N
         print(f"  {variant:<8} {phase:<34} {rows[-1][1]:>8.2f} {rows[-1][2]:>8.2f}", flush=True)
 
     config_path = work / "config.json"
-    config_path.write_text(json.dumps(build_config(ROOT, workload, seed)), encoding="utf-8")
+    config_path.write_text(json.dumps(build_config(ROOT, workload, 0)), encoding="utf-8")
     cfg = bench.config.load_config(config_path)
     task_set = bench.trainer.build_task_set(cfg)
     mark("setup")
@@ -73,35 +70,15 @@ def child(variant: str, workload: str, seed: int, repeats: int, work: Path) -> N
     mark("setup kernel" if variant == "harness" else "calibration (no setup kernel)")
     floor = rows[-1][2]
     for rep in range(repeats):
-        run_dir = work / f"rep{rep}"
-        run_dir.mkdir()
-        logs = {}
-        calibrate()
-        for i, mode in enumerate(cfg.modes):  # the body of bench.run_repeat
-            if i == 0:
-                bench.config.save_config(cfg, run_dir / "config.json")
-            log, models = bench.trainer.run_mode(cfg, mode, task_set)
-            mark(f"rep {rep} {mode} trained")
-            mode_dir = run_dir / mode
-            bench.reporting.write_metrics(log, mode_dir)
-            for idx, model in enumerate(models):
-                prefix = f"task{idx}_" if mode == bench.config.SINGLE_TASK else ""
-                for li, layer in enumerate(model.layers):
-                    bench.adapter.save_adapter(layer.adapter,
-                                               mode_dir / f"{prefix}adapter_L{li}.json")
-            logs[mode] = log
-            if i == len(cfg.modes) - 1:
-                memory = bench.reporting.build_summary(logs)
-            calibrate()
-            mark(f"rep {rep} {mode} written")
-        disk = bench.reporting.summarize_dir(run_dir)
-        calibrate()
-        failures = bench.check_modes(cfg, memory, disk, None)
-        if failures:
-            raise SystemExit(f"rep {rep}: " + "; ".join(failures))
-        mark(f"rep {rep} summarize")
-        del logs, log, models, memory, disk
-        shutil.rmtree(run_dir)
+        # run_repeat calibrates before its first mode, after each mode's
+        # writes and after the summary: mark each of those points, then calibrate
+        phases = iter([f"rep {rep} start", *(f"rep {rep} {mode} written" for mode in cfg.modes),
+                       f"rep {rep} summarize"])
+        repeat = bench.repeat_in(work, rep, cfg, task_set, None,
+                                 calibrate=lambda: (mark(next(phases)), calibrate())[1])
+        if repeat.failures:
+            raise SystemExit(f"rep {rep}: " + "; ".join(repeat.failures))
+    mark("end")
     print(json.dumps({"setup": rows[0][1], "floor": floor, "peak": rows[-1][2]}))
 
 
@@ -109,7 +86,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--repeats", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--child", choices=VARIANTS, help=argparse.SUPPRESS)
     parser.add_argument("--work", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -118,20 +94,20 @@ def main(argv: list[str]) -> int:
 
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; expected one of {sorted(WORKLOADS)}")
-    if args.repeats < 1 or args.seed < 0:
-        parser.error("--repeats must be >= 1 and --seed >= 0")
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     if args.child:
-        child(args.child, args.workload, args.seed, args.repeats, Path(args.work))
+        child(args.child, args.workload, args.repeats, Path(args.work))
         return 0
 
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})  # as perfbench/run.py
-    print(f"{args.workload}, seed {args.seed}, {args.repeats} repetition(s); RSS in MiB")
+    print(f"{args.workload}, seed 0, {args.repeats} repetition(s); RSS in MiB")
     print(f"  {'child':<8} {'after':<34} {'current':>8} {'peak':>8}")
     results = {}
     for variant in VARIANTS:
         with tempfile.TemporaryDirectory(prefix="rss_phases_") as work:
             cmd = [sys.executable, __file__, "--workload", args.workload, "--repeats",
-                   str(args.repeats), "--seed", str(args.seed), "--child", variant, "--work", work]
+                   str(args.repeats), "--child", variant, "--work", work]
             done = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
             if done.returncode != 0:
                 print(done.stdout, end="")
