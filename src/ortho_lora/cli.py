@@ -14,11 +14,12 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
 ``--seeds`` below 1, caught before the run directory is made, and a ``run``
-directory that already holds a mode directory the config does not run or a
-``rank_sweep.csv``, or a ``sweep-rank`` directory that holds any mode
-directory, caught before anything is trained or written, so that
-``summarize`` never mixes two runs and ``config.json`` describes the
-directory it is in).
+directory that already holds a mode directory the config does not run, an
+adapter dump the config would not overwrite (one of a run with more tasks
+or layers) or a ``rank_sweep.csv``, or a ``sweep-rank`` directory that
+holds any mode directory, caught before anything is trained or written, so
+that ``summarize`` never mixes two runs, no adapter dump outlives its run
+and ``config.json`` describes the directory it is in).
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -95,6 +96,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _adapter_file(mode: str, idx: int, layer: int) -> str:
+    """The name of model idx's layer dump: SINGLE_TASK trains one model per task."""
+    return f"{f'task{idx}_' if mode == SINGLE_TASK else ''}adapter_L{layer}.json"
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     run_dir = resolve_run_dir(config, args.config, args.out)
@@ -104,6 +110,14 @@ def _cmd_run(args) -> int:
                           f"only {', '.join(config.modes)}; choose another run directory")
     if (run_dir / RANK_FILE).is_file():
         raise ConfigError(f"{run_dir / RANK_FILE}: a sweep-rank table; choose another run directory")
+    for mode_dir in mode_dirs(run_dir):
+        models = config.tasks.num_tasks if mode_dir.name == SINGLE_TASK else 1
+        written = {_adapter_file(mode_dir.name, idx, li) for idx in range(models)
+                   for li in range(len(config.model.layer_dims) - 1)}
+        other = [p for p in sorted(mode_dir.glob("*adapter_L*.json")) if p.name not in written]
+        if other:
+            raise ConfigError(f"{other[0]}: an adapter dump of another run, which this config "
+                              "would not overwrite; choose another run directory")
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.json")
 
@@ -112,9 +126,8 @@ def _cmd_run(args) -> int:
         mode_dir = run_dir / mode
         write_metrics(log, mode_dir)
         for idx, model in enumerate(result.models[mode]):
-            prefix = f"task{idx}_" if mode == SINGLE_TASK else ""
             for li, layer in enumerate(model.layers):
-                save_adapter(layer.adapter, mode_dir / f"{prefix}adapter_L{li}.json")
+                save_adapter(layer.adapter, mode_dir / _adapter_file(mode, idx, li))
     print(f"wrote metrics for {len(result.logs)} mode(s) under {run_dir}")
     print(format_summary(build_summary(result.logs)))
     return 0

@@ -1,15 +1,21 @@
 """Declarative experiment configs: versioned JSON, strictly validated.
 
-Unknown keys are rejected at every nesting level so a typo in an ablation
-sweep fails loudly instead of silently running defaults. Every validation
-error names the offending field path.
+Each field is declared once, as ``dataclasses.field`` metadata on its
+section's dataclass (``AdamWHyper`` for the optimizer): its JSON type,
+bounds, choices and nullability, with the dataclass default as its default.
+One loop, ``_read``, reads every section against those declarations. It
+rejects unknown keys at every nesting level, so a typo in an ablation sweep
+fails loudly instead of silently running defaults. The few fields that are
+not plain scalars have short readers, and the rules that tie two fields
+together follow the loop. Every error names the offending field path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -31,83 +37,127 @@ STRUCTURED_SCOPES = (PER_MATRIX, PER_ROLE_CONCAT)
 PROJECT_AGAINST_ORIGINAL = "original"
 
 
-def _expect_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string"), bool: (bool, "a boolean")}
+_BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # operator names and their signs
+_POSITIVE_INT = {"type": int, "ge": 1}
+_MODE = {"type": str, "choices": VALID_MODES}
+_KIND = {"type": str, "choices": (REGRESSION, CLASSIFICATION)}
 
 
-def _reject_unknown(d: dict, path: str, allowed: set[str]) -> None:
-    unknown = sorted(set(d) - allowed)
+def _field(type_: type, default=MISSING, **rules):
+    """A scalar field, declared once: its JSON type (int, float, str or bool), its rules
+    (bounds ``ge``, ``gt``, ``le``, ``lt``; ``choices``; ``equals``; ``null`` if None is
+    allowed; ``noun`` naming the type in errors) and its default (none: it is required)."""
+    return field(default=default, metadata={"type": type_, **rules})
+
+
+def _check(value, path: str, spec):
+    """value, checked against a scalar declaration; a number comes back a finite float."""
+    if value is None and spec.get("null"):
+        return None
+    accepts, noun = _TYPES[spec["type"]]
+    if isinstance(value, bool) is not (spec["type"] is bool) or not isinstance(value, accepts):
+        raise ConfigError(f"{path}: expected {spec.get('noun', noun)}, got {value!r}")
+    if spec["type"] is float:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    for rule, sign in _BOUNDS.items():
+        if rule in spec and not getattr(operator, rule)(value, spec[rule]):
+            raise ConfigError(f"{path}: must be {sign} {spec[rule]}, got {value}")
+    if "choices" in spec and value not in spec["choices"]:
+        raise ConfigError(f"{path}: must be one of {list(spec['choices'])}, got {value!r}")
+    if "equals" in spec and value != spec["equals"]:
+        raise ConfigError(f"{path}: expected {spec['equals']}, got {value!r}")
+    return value
+
+
+def _read(cls, raw, path: str, extra: tuple[str, ...] = ()):
+    """The section raw, read into a cls. A field's metadata is a scalar declaration (see
+    _field), or its ``read`` is a section dataclass, read by this loop in turn, or a function
+    of (value, path, section); ``key`` renames it in JSON. A reader reads the ``extra`` keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    specs = fields(cls)
+    unknown = sorted(set(raw) - {f.metadata.get("key", f.name) for f in specs} - set(extra))
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {unknown}")
+    values = {}
+    for f in specs:
+        key = f.metadata.get("key", f.name)
+        where = f"{path}.{key}"
+        if key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing required field")
+            continue  # the dataclass applies the default
+        read = f.metadata.get("read")
+        if read is None:
+            values[f.name] = _check(raw[key], where, f.metadata)
+        elif isinstance(read, type):
+            values[f.name] = _read(read, raw[key], where, f.metadata.get("extra", ()))
+        else:
+            values[f.name] = read(raw[key], where, raw)
+    return cls(**values)
 
 
-def _get(d: dict, path: str, key: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return d[key]
+def _modes(value, path: str, _section: dict) -> list[str]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of mode names")
+    modes = [_check(m, f"{path}[{i}]", _MODE) for i, m in enumerate(value)]
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"{path}: duplicate modes")
+    return modes
 
 
-def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
-    return value
+def _layer_dims(value, path: str, _section: dict) -> list[int]:
+    if not isinstance(value, list) or not 2 <= len(value) <= 4:
+        raise ConfigError(f"{path}: expected a list of 2-4 dims (1-3 layers)")
+    return [_check(v, f"{path}[{i}]", _POSITIVE_INT) for i, v in enumerate(value)]
 
 
-def _as_float(value, path: str, minimum: float | None = None,
-              exclusive_min: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if exclusive_min is not None and value <= exclusive_min:
-        raise ConfigError(f"{path}: must be > {exclusive_min}, got {value}")
-    return value
-
-
-def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}: must be one of {list(choices)}, got {value!r}")
-    return value
+def _kinds(value, path: str, section: dict) -> list[str]:
+    """The task kinds: one kind and num_tasks, or a list with its length optionally repeated."""
+    num_tasks, count_path = section.get("num_tasks"), path.rpartition(".")[0] + ".num_tasks"
+    if isinstance(value, list):
+        kinds = [_check(k, f"{path}[{i}]", _KIND) for i, k in enumerate(value)]
+        if num_tasks is not None and _check(num_tasks, count_path, {"type": int}) != len(kinds):
+            raise ConfigError(f"{count_path}: does not match length of kind list")
+    else:
+        kind = _check(value, path, _KIND)
+        if num_tasks is None:
+            raise ConfigError(f"{count_path}: required when kind is a single string")
+        kinds = [kind] * _check(num_tasks, count_path, _POSITIVE_INT)
+    if not kinds:
+        raise ConfigError(f"{path}: at least one task required")
+    return kinds
 
 
 @dataclass
 class ModelConfig:
-    layer_dims: list[int]
-    rank: int
-    alpha: float
-    sigma_init: float
+    layer_dims: list[int] = field(metadata={"read": _layer_dims})
+    rank: int = _field(int, ge=1)
+    alpha: float = _field(float, gt=0.0)
+    sigma_init: float = _field(float, gt=0.0)
 
 
 @dataclass
 class ScheduleConfig:
-    epochs: int
-    batch_size: int
-    steps_per_epoch: int | None  # None: one pass over the train pool
+    epochs: int = _field(int, ge=0)
+    batch_size: int = _field(int, ge=1)
+    steps_per_epoch: int | None = _field(int, None, ge=1, null=True)  # None: one pass over the pool
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TasksConfig:
-    kinds: list[str]
-    in_dim: int
-    out_dim: int
-    conflict_level: float
-    noise_sigma: float
-    shared_scale: float
-    n_train: int
-    n_eval: int
+    kinds: list[str] = field(metadata={"key": "kind", "read": _kinds})
+    in_dim: int = _field(int, ge=1)
+    out_dim: int = _field(int, ge=1)
+    conflict_level: float = _field(float, 0.0, ge=0.0, le=1)
+    noise_sigma: float = _field(float, 0.0, ge=0.0)
+    shared_scale: float = _field(float, 1.0, ge=0.0)
+    n_train: int = _field(int, ge=1)
+    n_eval: int = _field(int, ge=1)
 
     @property
     def num_tasks(self) -> int:
@@ -116,21 +166,22 @@ class TasksConfig:
 
 @dataclass
 class SurgeryConfig:
-    scope: str = PER_MATRIX  # structured scope used by ORTHO_STRUCTURED
-    project_against: str = PROJECT_AGAINST_ORIGINAL
-    record_conflicts: bool = True  # also log conflict diagnostics during JOINT
+    scope: str = _field(str, PER_MATRIX, choices=STRUCTURED_SCOPES)  # used by ORTHO_STRUCTURED
+    project_against: str = _field(str, PROJECT_AGAINST_ORIGINAL, choices=(PROJECT_AGAINST_ORIGINAL,))
+    record_conflicts: bool = _field(bool, True)  # also log conflict diagnostics during JOINT
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    seed: int
-    modes: list[str]
-    model: ModelConfig
-    optimizer: AdamWHyper
-    schedule: ScheduleConfig
-    tasks: TasksConfig
-    surgery: SurgeryConfig = field(default_factory=SurgeryConfig)
-    output_dir: str | None = None
+    version: int = _field(int, equals=CONFIG_VERSION)
+    seed: int = _field(int, ge=0, le=2**64 - 1)
+    modes: list[str] = field(metadata={"read": _modes})
+    model: ModelConfig = field(metadata={"read": ModelConfig})
+    optimizer: AdamWHyper = field(default_factory=AdamWHyper, metadata={"read": AdamWHyper})
+    schedule: ScheduleConfig = field(metadata={"read": ScheduleConfig})
+    tasks: TasksConfig = field(metadata={"read": TasksConfig, "extra": ("num_tasks",)})
+    surgery: SurgeryConfig = field(default_factory=SurgeryConfig, metadata={"read": SurgeryConfig})
+    output_dir: str | None = _field(str, None, null=True, noun="a string path")
 
     def steps_per_epoch(self) -> int:
         if self.schedule.steps_per_epoch is not None:
@@ -142,7 +193,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The raw config that config_from_dict reads back to an equal config."""
-        raw = {"version": CONFIG_VERSION, **asdict(self)}
+        raw = asdict(self)
         raw["tasks"]["kind"] = raw["tasks"].pop("kinds")
         return raw
 
@@ -160,137 +211,23 @@ class ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    root = _expect_mapping(raw, "config")
-    _reject_unknown(
-        root, "config",
-        {"version", "seed", "modes", "model", "optimizer", "schedule", "tasks", "surgery", "output_dir"},
-    )
-    version = _as_int(_get(root, "config", "version"), "config.version")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {version}")
-    seed = _as_int(_get(root, "config", "seed"), "config.seed", minimum=0, maximum=2**64 - 1)
-
-    modes_raw = _get(root, "config", "modes")
-    if not isinstance(modes_raw, list) or not modes_raw:
-        raise ConfigError("config.modes: expected a non-empty list of mode names")
-    modes = [_as_str(m, f"config.modes[{i}]", VALID_MODES) for i, m in enumerate(modes_raw)]
-    if len(set(modes)) != len(modes):
-        raise ConfigError("config.modes: duplicate modes")
-
-    md = _expect_mapping(_get(root, "config", "model"), "config.model")
-    _reject_unknown(md, "config.model", {"layer_dims", "rank", "alpha", "sigma_init"})
-    dims_raw = _get(md, "config.model", "layer_dims")
-    if not isinstance(dims_raw, list) or len(dims_raw) < 2 or len(dims_raw) > 4:
-        raise ConfigError("config.model.layer_dims: expected a list of 2-4 dims (1-3 layers)")
-    layer_dims = [_as_int(v, f"config.model.layer_dims[{i}]", minimum=1) for i, v in enumerate(dims_raw)]
-    rank = _as_int(_get(md, "config.model", "rank"), "config.model.rank", minimum=1)
-    if rank > min(layer_dims):
+    config = _read(ExperimentConfig, raw, "config")
+    # the rules that tie two fields together
+    model, tasks = config.model, config.tasks
+    if model.rank > min(model.layer_dims):
         raise ConfigError(
-            f"config.model.rank: {rank} exceeds min layer dim {min(layer_dims)}"
-        )
-    alpha = _as_float(_get(md, "config.model", "alpha"), "config.model.alpha", exclusive_min=0.0)
-    sigma_init = _as_float(_get(md, "config.model", "sigma_init"), "config.model.sigma_init",
-                           exclusive_min=0.0)
-    model = ModelConfig(layer_dims=layer_dims, rank=rank, alpha=alpha, sigma_init=sigma_init)
-
-    od = _expect_mapping(_get(root, "config", "optimizer", required=False, default={}), "config.optimizer")
-    bounds = {"lr_base": {"minimum": 0.0}, "beta1": {"minimum": 0.0}, "beta2": {"minimum": 0.0},
-              "eps": {"exclusive_min": 0.0}, "weight_decay": {"minimum": 0.0}}
-    _reject_unknown(od, "config.optimizer", set(bounds))
-    optimizer = AdamWHyper(**{  # an absent field takes AdamWHyper's default
-        name: _as_float(od.get(name, getattr(AdamWHyper, name)), f"config.optimizer.{name}", **bound)
-        for name, bound in bounds.items()})
-    if not optimizer.beta1 < 1.0:
-        raise ConfigError(f"config.optimizer.beta1: must be < 1, got {optimizer.beta1}")
-    if not optimizer.beta2 < 1.0:
-        raise ConfigError(f"config.optimizer.beta2: must be < 1, got {optimizer.beta2}")
-
-    sd = _expect_mapping(_get(root, "config", "schedule"), "config.schedule")
-    _reject_unknown(sd, "config.schedule", {"epochs", "batch_size", "steps_per_epoch"})
-    schedule = ScheduleConfig(
-        epochs=_as_int(_get(sd, "config.schedule", "epochs"), "config.schedule.epochs", minimum=0),
-        batch_size=_as_int(_get(sd, "config.schedule", "batch_size"), "config.schedule.batch_size",
-                           minimum=1),
-        steps_per_epoch=(
-            None
-            if _get(sd, "config.schedule", "steps_per_epoch", required=False) is None
-            else _as_int(sd["steps_per_epoch"], "config.schedule.steps_per_epoch", minimum=1)
-        ),
-    )
-
-    td = _expect_mapping(_get(root, "config", "tasks"), "config.tasks")
-    _reject_unknown(
-        td, "config.tasks",
-        {"kind", "num_tasks", "in_dim", "out_dim", "conflict_level", "noise_sigma",
-         "shared_scale", "n_train", "n_eval"},
-    )
-    kind_raw = _get(td, "config.tasks", "kind")
-    num_tasks = _get(td, "config.tasks", "num_tasks", required=False)
-    if isinstance(kind_raw, list):
-        kinds = [
-            _as_str(k, f"config.tasks.kind[{i}]", (REGRESSION, CLASSIFICATION))
-            for i, k in enumerate(kind_raw)
-        ]
-        if num_tasks is not None and _as_int(num_tasks, "config.tasks.num_tasks") != len(kinds):
-            raise ConfigError("config.tasks.num_tasks: does not match length of kind list")
-    else:
-        kind = _as_str(kind_raw, "config.tasks.kind", (REGRESSION, CLASSIFICATION))
-        if num_tasks is None:
-            raise ConfigError("config.tasks.num_tasks: required when kind is a single string")
-        kinds = [kind] * _as_int(num_tasks, "config.tasks.num_tasks", minimum=1)
-    if not kinds:
-        raise ConfigError("config.tasks.kind: at least one task required")
-
-    tasks = TasksConfig(
-        kinds=kinds,
-        in_dim=_as_int(_get(td, "config.tasks", "in_dim"), "config.tasks.in_dim", minimum=1),
-        out_dim=_as_int(_get(td, "config.tasks", "out_dim"), "config.tasks.out_dim", minimum=1),
-        conflict_level=_as_float(_get(td, "config.tasks", "conflict_level", required=False, default=0.0),
-                                 "config.tasks.conflict_level", minimum=0.0),
-        noise_sigma=_as_float(_get(td, "config.tasks", "noise_sigma", required=False, default=0.0),
-                              "config.tasks.noise_sigma", minimum=0.0),
-        shared_scale=_as_float(_get(td, "config.tasks", "shared_scale", required=False, default=1.0),
-                               "config.tasks.shared_scale", minimum=0.0),
-        n_train=_as_int(_get(td, "config.tasks", "n_train"), "config.tasks.n_train", minimum=1),
-        n_eval=_as_int(_get(td, "config.tasks", "n_eval"), "config.tasks.n_eval", minimum=1),
-    )
-    if tasks.conflict_level > 1.0:
-        raise ConfigError(f"config.tasks.conflict_level: must be <= 1, got {tasks.conflict_level}")
+            f"config.model.rank: {model.rank} exceeds min layer dim {min(model.layer_dims)}")
     if tasks.conflict_level > 0 and tasks.num_tasks < 2:
         raise ConfigError("config.tasks.num_tasks: conflict_level > 0 needs at least 2 tasks")
-    if any(k == CLASSIFICATION for k in kinds) and tasks.out_dim < 2:
+    if CLASSIFICATION in tasks.kinds and tasks.out_dim < 2:
         raise ConfigError("config.tasks.out_dim: classification needs >= 2 classes")
-    if tasks.in_dim != layer_dims[0]:
-        raise ConfigError(
-            f"config.tasks.in_dim: {tasks.in_dim} does not match model.layer_dims[0]={layer_dims[0]}"
-        )
-    if schedule.batch_size > tasks.n_train:
-        raise ConfigError(
-            f"config.schedule.batch_size: {schedule.batch_size} exceeds tasks.n_train={tasks.n_train}"
-        )
-
-    gd = _expect_mapping(_get(root, "config", "surgery", required=False, default={}), "config.surgery")
-    _reject_unknown(gd, "config.surgery", {"scope", "project_against", "record_conflicts"})
-    record = _get(gd, "config.surgery", "record_conflicts", required=False, default=True)
-    if not isinstance(record, bool):
-        raise ConfigError(f"config.surgery.record_conflicts: expected a boolean, got {record!r}")
-    surgery = SurgeryConfig(
-        scope=_as_str(_get(gd, "config.surgery", "scope", required=False, default=PER_MATRIX),
-                      "config.surgery.scope", STRUCTURED_SCOPES),
-        project_against=_as_str(_get(gd, "config.surgery", "project_against", required=False,
-                                     default=PROJECT_AGAINST_ORIGINAL),
-                                "config.surgery.project_against", (PROJECT_AGAINST_ORIGINAL,)),
-        record_conflicts=record,
-    )
-
-    output_dir = _get(root, "config", "output_dir", required=False)
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"config.output_dir: expected a string path, got {output_dir!r}")
-
-    return ExperimentConfig(
-        seed=seed, modes=modes, model=model, optimizer=optimizer,
-        schedule=schedule, tasks=tasks, surgery=surgery, output_dir=output_dir,
-    )
+    if tasks.in_dim != model.layer_dims[0]:
+        raise ConfigError(f"config.tasks.in_dim: {tasks.in_dim} does not match "
+                          f"model.layer_dims[0]={model.layer_dims[0]}")
+    if config.schedule.batch_size > tasks.n_train:
+        raise ConfigError(f"config.schedule.batch_size: {config.schedule.batch_size} "
+                          f"exceeds tasks.n_train={tasks.n_train}")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

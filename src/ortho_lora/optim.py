@@ -9,13 +9,13 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-@dataclass
+@dataclass  # also the config's optimizer section: the metadata declares how config.py reads it
 class AdamWHyper:
-    lr_base: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr_base: float = field(default=5e-4, metadata={"type": float, "ge": 0.0})
+    beta1: float = field(default=0.9, metadata={"type": float, "ge": 0.0, "lt": 1})
+    beta2: float = field(default=0.999, metadata={"type": float, "ge": 0.0, "lt": 1})
+    eps: float = field(default=1e-8, metadata={"type": float, "gt": 0.0})
+    weight_decay: float = field(default=0.0, metadata={"type": float, "ge": 0.0})
 
 
 @dataclass

@@ -58,8 +58,9 @@ def conflict_set(kinds, in_dim, out_dim, conflict_level, noise_sigma, n_train, n
                  shared_scale=1.0):
     """make_conflict_set on the tasks section of these values, which must be
     values config_from_dict accepts: make_conflict_set checks none of them."""
-    section = TasksConfig(list(kinds), in_dim, out_dim, conflict_level, noise_sigma, shared_scale,
-                          n_train, n_eval)
+    section = TasksConfig(kinds=list(kinds), in_dim=in_dim, out_dim=out_dim,
+                          conflict_level=conflict_level, noise_sigma=noise_sigma,
+                          shared_scale=shared_scale, n_train=n_train, n_eval=n_eval)
     return make_conflict_set(section, rng)
 
 

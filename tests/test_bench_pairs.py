@@ -1,7 +1,10 @@
-"""``tools/bench_pairs.py``: quartiles, wins, the gain rule and the seed of each pair."""
+"""``tools/bench_pairs.py``: quartiles, wins, the gain rule, the seed of each pair, and
+the trees and environment each run gets."""
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,10 +62,11 @@ def test_pair_i_runs_seed_first_seed_plus_i_in_both_trees(pairs, monkeypatch, ca
     runs = []
 
     def bench(tree, workload, seed, seconds):
-        runs.append((tree == pairs.ROOT, workload, seed, seconds))
+        runs.append((tree.name == "change", workload, seed, seconds))
         return {"failed": 0, "attempted": 4, "metrics": metrics}
 
     monkeypatch.setattr(pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "copy_tree", lambda dest: None)
     monkeypatch.setattr(pairs, "bench", bench)
     assert pairs.main(["HEAD", "--workload", "many-tasks", "--pairs", "3", "--seconds", "0",
                        "--first-seed", "7"]) == 0
@@ -82,3 +86,39 @@ def test_negative_first_seed_is_a_usage_error(pairs, monkeypatch):
         pairs.main(["HEAD", "--workload", "many-tasks", "--pairs", "1", "--seconds", "0",
                     "--first-seed", "-1"])
     assert info.value.code == 2
+
+
+def test_bench_runs_in_the_tree_and_writes_no_bytecode(pairs, monkeypatch, tmp_path):
+    seen = {}
+
+    def run(cmd, cwd, env, **kwargs):
+        seen.update(cmd=cmd, cwd=cwd, env=env)
+        return subprocess.CompletedProcess(cmd, 0, stdout='log\n{"failed": 0}\n', stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    assert pairs.bench(tmp_path, "paper-default", 3, 1.5) == {"failed": 0}
+    assert seen["cwd"] == tmp_path and seen["cmd"][1] == str(tmp_path / "perfbench" / "run.py")
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["env"]["PATH"] == os.environ["PATH"]
+
+
+def test_the_change_tree_copies_what_git_would_commit_and_no_bytecode_cache(
+        pairs, monkeypatch, tmp_path):
+    tree, dest = tmp_path / "tree", tmp_path / "copy"
+    for name, text in {".gitignore": "__pycache__/\n", "src/a.py": "a = 1\n",
+                       "src/gone.py": "", "src/__pycache__/a.cpython-311.pyc": "stale"}.items():
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    subprocess.run(["git", "-C", str(tree), "add", "."], check=True)
+    (tree / "src" / "gone.py").unlink()  # tracked, deleted in the tree
+    (tree / "src" / "a.py").write_text("a = 2\n")  # an uncommitted edit
+    (tree / "src" / "new.py").write_text("")  # untracked, not ignored
+    monkeypatch.setattr(pairs, "ROOT", tree)
+    pairs.copy_tree(dest)
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/a.py", "src/new.py"]
+    assert (dest / "src" / "a.py").read_text() == "a = 2\n"
+    # this repository ignores its bytecode caches too
+    assert "__pycache__/" in (TOOLS.parent / ".gitignore").read_text().splitlines()

@@ -211,6 +211,28 @@ def test_run_into_a_directory_of_another_run_exits_2_before_writing(tmp_path, ca
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+TWO_TASKS = {"kind": "classification", "num_tasks": 2, "in_dim": 6, "out_dim": 2,
+             "conflict_level": 0.9, "noise_sigma": 0.0, "n_train": 32, "n_eval": 16}
+MODEL = {"layer_dims": [6, 6], "rank": 2, "alpha": 4.0, "sigma_init": 0.02}
+
+
+@pytest.mark.parametrize("first, stale", [
+    ({"tasks": {**TWO_TASKS, "num_tasks": 3}}, "SINGLE_TASK/task2_adapter_L0.json"),
+    ({"model": {**MODEL, "layer_dims": [6, 6, 6]}}, "JOINT/adapter_L1.json"),
+], ids=["fewer tasks", "fewer layers"])
+def test_run_into_a_run_with_more_adapter_dumps_exits_2_before_writing(
+        tmp_path, capsys, first, stale):
+    # the first run's extra dumps would outlive it beside the 2-task, 1-layer run's files
+    out = tmp_path / "d"
+    assert run_cli(["run", str(write_config(tmp_path / "a.json", **first)), "--out", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run_cli(["run", str(write_config(tmp_path / "b.json")), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / stale}: ") and "Traceback" not in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_run_and_sweep_rank_do_not_share_a_directory(tmp_path, capsys):
     # either one's config.json would stop describing the other's files
     cfg = write_config(tmp_path / "exp.json", seed=5, modes=["JOINT"])

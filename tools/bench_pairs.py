@@ -4,12 +4,16 @@
 Usage: python tools/bench_pairs.py <parent-rev> --workload W --pairs N --seconds S
        [--first-seed F]
 
-Exports <parent-rev> with ``git archive``, as ``output_gate.py`` does, then
-runs ``perfbench/run.py --workload W --seed F+i --seconds S --trace 0`` once
-in each tree for every pair i < N; F defaults to 0, and a fresh F checks a
-claim again on seeds not used while writing the change. Even pairs run the parent first and odd
-pairs this tree first, so neither side always runs second on a machine whose
-speed drifts. For every end-to-end metric ``BENCHMARK.json`` declares, it
+Exports <parent-rev> with ``git archive``, as ``output_gate.py`` does, and
+copies the files of this tree that git tracks or would track (its uncommitted
+edits included, no bytecode cache or run output), each into a new directory.
+Then it runs ``perfbench/run.py --workload W --seed F+i --seconds S --trace 0``
+once in each copy for every pair i < N, with ``PYTHONDONTWRITEBYTECODE=1``:
+no run finds a cache of ``src/``, so every worker compiles it, as in a fresh
+checkout. F defaults to 0, and a fresh F checks a claim again on seeds not
+used while writing the change. Even pairs run the parent first and odd pairs
+this tree first, so neither side always runs second on a machine whose speed
+drifts. For every end-to-end metric ``BENCHMARK.json`` declares, it
 prints each side's median and quartiles, the change's relative gap, its wins
 (pairs where it reads better than the parent; ties count for neither side)
 and two verdicts:
@@ -27,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,11 +63,22 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
             "worse": -gap > bound * abs(pm)}
 
 
+def copy_tree(dest: Path) -> None:
+    """Copy this tree's files that git tracks or would track to dest."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        if (ROOT / name).is_file():  # not a tracked file deleted in the tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run's result: the last stdout line of perfbench/run.py."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # a run leaves no cache for the next
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         print(done.stdout + done.stderr, file=sys.stderr)
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}")
@@ -81,8 +98,10 @@ def main(argv: list[str]) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        trees["parent"].mkdir()
         export(args.parent, trees["parent"])
+        copy_tree(trees["change"])
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 print(f"pair {i} {side}", file=sys.stderr, flush=True)
