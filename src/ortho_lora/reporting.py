@@ -5,49 +5,49 @@ CSV schemas (headers are part of the contract):
 * steps.csv: ``step,task,loss,lr,scope,pair_i,pair_j,block,dot,cosine,conflicted``
   Loss rows fill the first four columns; conflict rows fill the rest. The
   empty columns of each row kind stay empty. Each step's loss rows come
-  first, then its conflict rows: pair-major, block-minor, one row per
-  (i < j) task pair in task-id order and scope group.
+  first, one per task in task order, then its conflict rows, if it has
+  any: pair-major, block-minor, one row per (i < j) task pair in task-id
+  order and scope group.
 * eval.csv:  ``epoch,mode,task,metric`` with one row per task per epoch plus
   an ``avg`` row.
 * rank_sweep.csv: ``rank,joint,ortho,delta``, one row per rank.
 
 All floats are serialized with 17 significant digits, which round-trips
 float64 exactly, so summaries recomputed from disk match the in-memory ones
-bit for bit. steps.csv is written as f-string rows, one chunk per step,
-with ``\r\n`` line ends; its reader takes ``\n`` too.
+bit for bit. Each row kind has one template, which the writer and the reader
+share; lines end in ``\r\n``. Every file is written through
+``files.atomic_write``.
 
-The reader rebuilds the columnar conflict reports of ``surgery`` without an
-object per row, and rejects, with a ConfigError naming ``path:line``, every
-conflict row no run writes: a non-finite dot or cosine, a cosine outside
-[-1, 1] by more than rounding (``COSINE_ROUNDING``), a ``conflicted`` cell
-other than 1 for a negative dot and 0 otherwise, a pair with i >= j, a
-(step, pair, block) repeated, a block that is not one of the scope's
-labels, a second scope, and a conflict step whose (pair, block) rows are
-not those of the first conflict step, which must hold every pair of its
-tasks. It also rejects a loss row that repeats a (step, task) and a loss
-row of a task that eval.csv does not list. An eval.csv row may not repeat
-an (epoch, task), name a mode other than its directory's, or a task that is
-neither a task id nor ``avg``; epochs ascend, every epoch ends with its
-``avg`` row, after its task rows, and lists the first epoch's tasks.
-rank_sweep.csv holds at least one rank, and may not repeat one.
-Every file is written through ``files.atomic_write``.
+The reader has one rule: a run file is the text the writer renders for it.
+It infers the file's shape (the tasks eval.csv lists, steps.csv's step
+count, and the scope and labels of its first conflict step), renders each
+expected line with the templates, and raises a ConfigError at the first
+line that differs: ``path:line: expected '<rendered>', got '<found>'``. Free
+float cells (loss, lr, dot, cosine, metric, joint, ortho) keep the file's
+own spelling. Derived cells are rendered from the values read:
+``conflicted`` is 1 exactly when dot < 0, a step's lr is its first loss
+row's, ``avg`` is the mean of its epoch's task metrics and ``delta`` is
+ortho - joint. Steps run 0..S-1, epochs step by one, ranks ascend. Only what
+rendering cannot show is checked apart: a field count, a number that does
+not parse, a non-finite value, and a cosine outside [-1, 1] by more than
+rounding (``COSINE_ROUNDING``). The reader takes ``\n`` line ends too.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import chain, combinations, groupby
 from pathlib import Path
 from statistics import fmean
+from typing import TextIO
 
 import numpy as np
 
-from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig
+from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, VALID_MODES, ExperimentConfig
 from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
@@ -68,6 +68,8 @@ RANK_FILE = "rank_sweep.csv"
 # matrix, landed at most 10 ulps past 1 over 80,000 random pairs of up to
 # 4,096 entries.
 COSINE_ROUNDING = 64 * 2.0**-52
+
+MISSING = "…"  # each cell of the line past a file's last, in the line expected there
 
 
 def fmt(x: float) -> str:
@@ -120,7 +122,38 @@ def build_summary(logs: dict[str, MetricsLog]) -> SummaryTable:
     return table
 
 
+# --- CSV rows: the writer renders them, and the reader renders the lines it expects ---
+
+
+def loss_row(step: int, task: int, loss: str, lr: str) -> str:
+    return f"{step},{task},{loss},{lr},,,,,,,"
+
+
+def conflict_middles(scope: str, labels: list[str], task_ids: list[int]) -> list[str]:
+    """The scope, pair and block cells, commas around them, of a step's conflict
+    rows: pair-major over (i < j) in task-id order, block-minor."""
+    return [f",,,,{scope},{i},{j},{label}," for i, j in combinations(sorted(task_ids), 2)
+            for label in labels]
+
+
+def conflict_row(step: int, middle: str, dot: str, cosine: str, conflicted: str) -> str:
+    return f"{step}{middle}{dot},{cosine},{conflicted}"
+
+
+def eval_row(epoch: int, mode: str, task: int | str, metric: str) -> str:
+    return f"{epoch},{mode},{task},{metric}"
+
+
+def rank_row(rank: int | str, joint: str, ortho: str, delta: str) -> str:
+    return f"{rank},{joint},{ortho},{delta}"
+
+
 # --- CSV writing ---
+
+
+def _write_rows(path: Path, header: list[str], rows: Iterable[str]) -> None:
+    with atomic_write(path, newline="") as fh:
+        fh.write("".join(f"{row}\r\n" for row in chain([",".join(header)], rows)))
 
 
 def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
@@ -133,32 +166,28 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     with atomic_write(mode_dir / STEPS_FILE, newline="") as fh:
         fh.write(",".join(STEPS_HEADER) + "\r\n")
         for step, records in groupby(log.steps, key=lambda rec: rec.step):
-            rows = [f"{rec.step},{rec.task},{rec.loss:.17g},{rec.lr:.17g},,,,,,,\r\n"
+            # floats formatted in place, as fmt does: a call per float slowed the
+            # many-tasks writer by about 4%
+            rows = [loss_row(step, rec.task, f"{rec.loss:.17g}", f"{rec.lr:.17g}")
                     for rec in records]
             report = conflicts_by_step.get(step)
             if report is not None:  # a step's conflict rows follow its loss rows
                 key = (report.scope, tuple(report.labels), tuple(report.task_ids))
                 if key not in middles:
-                    middles[key] = [f",,,,{report.scope},{i},{j},{label},"
-                                    for i, j in report.pair_ids() for label in report.labels]
-                rows += [f"{step}{middle}{d:.17g},{c:.17g},{'1' if d < 0.0 else '0'}\r\n"
+                    middles[key] = conflict_middles(report.scope, report.labels, report.task_ids)
+                rows += [conflict_row(step, middle, f"{d:.17g}", f"{c:.17g}",
+                                      "1" if d < 0.0 else "0")
                          for middle, d, c in zip(middles[key], report.dot.ravel().tolist(),
                                                  report.cosine.ravel().tolist())]
-            fh.write("".join(rows))
+            fh.write("\r\n".join(rows) + "\r\n")
 
-    with atomic_write(mode_dir / EVAL_FILE, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVAL_HEADER)
-        for rec in log.evals:
-            writer.writerow([rec.epoch, rec.mode, rec.task, fmt(rec.metric)])
+    _write_rows(mode_dir / EVAL_FILE, EVAL_HEADER,
+                (eval_row(rec.epoch, rec.mode, rec.task, fmt(rec.metric)) for rec in log.evals))
 
 
 def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RANK_HEADER)
-        for r in rows:
-            writer.writerow([r.rank, fmt(r.joint), fmt(r.ortho), fmt(r.delta)])
+    _write_rows(Path(path), RANK_HEADER,
+                (rank_row(r.rank, fmt(r.joint), fmt(r.ortho), fmt(r.delta)) for r in rows))
 
 
 # --- CSV reading ---
@@ -171,246 +200,172 @@ def _finite(text: str) -> float:
     return value
 
 
-def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> list:
-    """parse() of every data row; a bad header or row raises ConfigError naming path:line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = next(reader, None)
-            if found != header:
-                raise ValueError(f"unexpected header {found}")
-            out = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                out.append(parse(row))
-        except ValueError as exc:  # bad numbers, short rows, text that is not UTF-8
-            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
-    return out
+class _Lines:
+    """A run file read one line at a time: text and cells are the current
+    line's. Past the last line, text is None and every cell reads MISSING."""
+
+    def __init__(self, fh: TextIO, width: int) -> None:
+        self._source: Iterator[str] = iter(fh)
+        self.width = width
+        self.lineno = 0
+
+    def advance(self) -> None:
+        self.lineno += 1
+        line = next(self._source, None)
+        if line is None:
+            self.text, self.cells = None, [MISSING] * self.width
+            return
+        self.text = line.rstrip("\n")
+        self.cells = self.text.split(",")
+        if len(self.cells) != self.width and self.lineno > 1:  # the header is compared whole
+            raise ValueError(f"expected {self.width} fields, got {len(self.cells)}")
+
+    def expect(self, want: str | None) -> None:
+        """Raise a ValueError naming both unless the current line is want;
+        None wants no line, past the last."""
+        if self.text != want:
+            raise ValueError(f"expected {'end of file' if want is None else repr(want)}, got "
+                             f"{'end of file' if self.text is None else repr(self.text)}")
+
+    def run_length(self, keep: Callable[[list[str]], bool]) -> int:
+        """How many lines in a row keep(cells) holds for, from the current one
+        on, which it must hold for; the lines read ahead stay unread."""
+        count, held = 1, []
+        for line in self._source:
+            held.append(line)
+            if not keep(line.rstrip("\n").split(",")):
+                break
+            count += 1
+        self._source = chain(held, self._source)
+        return count
 
 
-def _expected_cells(first: list[list[str]]) -> tuple[list[str], list[int], list[list[str]]]:
-    """The labels, the task ids and the per-row (scope, i, j, block) cells of
-    the conflict step a run writes for the scope and the tasks that first,
-    the cells of a file's first conflict step, names."""
-    scope = first[0][0]
-    first_pair = next((k for k, cells in enumerate(first) if cells[1:3] != first[0][1:3]),
-                      len(first))  # the first pair's rows, one per label
-    labels = scope_labels(scope, max(1, (first_pair + 1) // 2))
-    ids = sorted({int(cells[c]) for cells in first for c in (1, 2)})
-    return labels, ids, [[scope, str(i), str(j), label]
-                         for i, j in combinations(ids, 2) for label in labels]
-
-
-def _row_fault(got: list[str], want: list[list[str]], pos: int, labels: list[str]) -> str:
-    """Why the (scope, i, j, block) cells of a conflict row are not want[pos],
-    the cells a run writes at that row's place in its step."""
-    scope, i, j, block = got
-    if int(i) >= int(j):  # first: want is empty when no row of the first step has i < j
-        return f"pair ({i}, {j}) is not ordered i < j"
-    if scope != want[0][0]:
-        return f"second scope {scope!r} in a file of {want[0][0]} rows"
-    if block not in labels:
-        return f"block {block!r} is not one of the {scope} blocks {labels}"
-    if got in want[:pos]:  # the rows above it in its step
-        return f"repeats pair ({i}, {j}) block {block} of its step"
-    if pos >= len(want):
-        return f"a step has {len(want)} conflict rows, and this is one more"
-    _, wi, wj, wblock = want[pos]
-    return f"pair ({i}, {j}) block {block} where pair ({wi}, {wj}) block {wblock} belongs"
-
-
-def _check_columns(path: Path, dot: np.ndarray, cosine: np.ndarray, flags: list[str],
-                   lines: list[int]) -> None:
-    """ConfigError naming path:line at the first conflict row whose dot or cosine
-    is not finite, whose cosine is outside [-1, 1] by more than rounding, or
-    whose conflicted cell is not 1 for a negative dot and 0 otherwise."""
-    checks = [
-        (~np.isfinite([dot, cosine]).all(axis=0),
-         lambda k: f"non-finite dot {dot[k].item()!r} or cosine {cosine[k].item()!r}"),
-        (np.abs(cosine) > 1.0 + COSINE_ROUNDING,
-         lambda k: f"cosine {cosine[k].item()!r} is outside [-1, 1]"),
-        (np.array(flags) != np.where(dot < 0.0, "1", "0"),
-         lambda k: f"conflicted {flags[k]!r} is not {int(dot[k] < 0.0)}, as dot {dot[k].item()!r} "
-                   "says"),
-    ]
-    for bad, message in checks:
-        if bad.any():
-            k = int(bad.argmax())
-            raise ConfigError(f"{path}:{lines[k]}: {message(k)}")
-
-
-def _read_steps(path: Path, log: MetricsLog) -> list[int]:
-    """steps.csv's loss rows into log.steps, its conflict rows into columnar
-    log.conflicts; a bad header or row raises ConfigError naming path:line.
-    Returns the line of each loss row.
-
-    No (step, task) may have two loss rows. The first conflict step must
-    hold the rows a run writes: every pair i < j of the tasks it names, in
-    task-id order, times one scope's labels. Every later conflict step must
-    hold the same rows in the same order.
-    """
-    loss_lines: list[int] = []
-    steps: list[int] = []  # each conflict step, in file order
-    first: list[list[str]] = []  # the (scope, i, j, block) cells of the first step's rows
-    want: list[list[str]] = []  # the cells every step's rows must have, once first is checked
-    labels: list[str] = []
-    ids: list[int] = []
-    dots: list[float] = []
-    cosines: list[float] = []
-    flags: list[str] = []
-    lines: list[int] = []  # each conflict row's line
-    pos = 0  # rows read of the current conflict step
-
-    def end_step() -> None:
-        nonlocal want, labels, ids
-        if not want:  # the first conflict step ends
-            labels, ids, want = _expected_cells(first)
-            start = len(lines) - len(first)
-            for k, cells in enumerate(first):
-                if k >= len(want) or cells != want[k]:
-                    raise ConfigError(f"{path}:{lines[start + k]}: "
-                                      f"{_row_fault(cells, want, k, labels)}")
-        if pos < len(want):
-            raise ConfigError(f"{path}:{lines[-1]}: step {steps[-1]} ends after {pos} of the "
-                              f"{len(want)} conflict rows each step has")
-
-    header = ",".join(STEPS_HEADER)
-    lineno = 1
+@contextmanager
+def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
+    """path's lines after its header, which must be header. A ValueError
+    inside the block (a line other than the one expected, a cell that does
+    not parse, text that is not UTF-8) or an overflow becomes a ConfigError
+    naming path:line."""
     # universal newlines: a run writes \r\n line ends, hand-made files may use \n
     with open(path, encoding="utf-8") as fh:
+        lines = _Lines(fh, len(header))
         try:
-            found = fh.readline().rstrip("\n")
-            if found != header:
-                raise ValueError(f"unexpected header {found!r}")
-            for lineno, line in enumerate(fh, 2):
-                row = line.rstrip("\n").split(",")
-                if len(row) != len(STEPS_HEADER):
-                    raise ValueError(f"expected {len(STEPS_HEADER)} fields, got {len(row)}")
-                if row[1]:
-                    log.steps.append(StepRecord(step=int(row[0]), task=int(row[1]),
-                                                loss=_finite(row[2]), lr=_finite(row[3])))
-                    loss_lines.append(lineno)
-                    continue
-                step = int(row[0])
-                if not steps or step != steps[-1]:
-                    if steps:
-                        end_step()
-                        if step < steps[-1]:
-                            raise ValueError(f"conflict rows of step {step} after those of "
-                                             f"step {steps[-1]}")
-                    steps.append(step)
-                    pos = 0
-                cells = row[4:8]
-                if len(steps) == 1:  # a bad scope or pair cell fails at its own line
-                    scope_labels(cells[0], 0), int(cells[1]), int(cells[2])
-                    first.append(cells)
-                elif pos >= len(want) or cells != want[pos]:
-                    raise ValueError(_row_fault(cells, want, pos, labels))
-                pos += 1
-                dots.append(float(row[8]))
-                cosines.append(float(row[9]))
-                flags.append(row[10])
-                lines.append(lineno)
-        except ConfigError:  # from end_step, naming its own line
-            raise
-        except ValueError as exc:  # bad numbers and cells, text that is not UTF-8
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    count = len(log.steps)
-    try:
-        step_ids = np.fromiter(map(attrgetter("step"), log.steps), np.int64, count)
-        task_ids = np.fromiter(map(attrgetter("task"), log.steps), np.int64, count)
-    except OverflowError:  # an id past 64 bits, which no run writes
-        k = next(k for k, rec in enumerate(log.steps)
-                 if not -2**63 <= min(rec.step, rec.task) <= max(rec.step, rec.task) < 2**63)
-        raise ConfigError(f"{path}:{loss_lines[k]}: step or task does not fit 64 bits") from None
-    order = np.lexsort((task_ids, step_ids))  # stable: a repeat sorts after its first row
-    repeats = order[1:][(np.diff(step_ids[order]) == 0) & (np.diff(task_ids[order]) == 0)]
-    if repeats.size:
-        k = int(repeats.min())
-        raise ConfigError(f"{path}:{loss_lines[k]}: repeats the loss row of step {step_ids[k]} "
-                          f"task {task_ids[k]}")
-    if not steps:
-        return loss_lines
-    end_step()
-    dot, cosine = np.array(dots), np.array(cosines)
-    _check_columns(path, dot, cosine, flags, lines)
-    shape = (len(steps), len(want) // len(labels), len(labels))
-    log.conflicts = [ConflictReport(step, want[0][0], labels, ids, d, c)
-                     for step, d, c in zip(steps, dot.reshape(shape), cosine.reshape(shape))]
-    return loss_lines
+            lines.advance()
+            lines.expect(",".join(header))
+            lines.advance()
+            yield lines
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
+
+
+def _read_steps(path: Path, log: MetricsLog, num_tasks: int) -> None:
+    """steps.csv's loss rows into log.steps and its conflict rows into
+    columnar log.conflicts, each line compared with the one a run of
+    num_tasks tasks writes there. Every conflict step has the first one's
+    scope, and labels for as many layers as that step's first pair's rows."""
+    ids = list(range(num_tasks))
+    scope, labels, middles = "", [], []
+    steps: list[int] = []  # each conflict step
+    dots: list[float] = []
+    cosines: list[float] = []
+    with _read_lines(path, STEPS_HEADER) as lines:
+        step = 0
+        while lines.text is not None:  # a step's loss rows, then its conflict rows if any
+            lr_text = lines.cells[3]
+            for task in ids:
+                cells = lines.cells
+                lines.expect(loss_row(step, task, cells[2], lr_text))
+                if task == 0:
+                    lr = _finite(lr_text)
+                log.steps.append(StepRecord(step, task, _finite(cells[2]), lr))
+                lines.advance()
+            head = [str(step), ""]
+            if lines.cells[:2] == head:  # a conflict row of this step
+                if not middles:
+                    scope, pair = lines.cells[4], lines.cells[5:7]
+                    count = lines.run_length(lambda cells: cells[:2] == head and cells[5:7] == pair)
+                    labels = scope_labels(scope, (count + 1) // 2)
+                    middles = conflict_middles(scope, labels, ids)
+                for middle in middles:
+                    cells = lines.cells
+                    try:
+                        dot, cosine = float(cells[8]), float(cells[9])
+                        flag = "1" if dot < 0.0 else "0"
+                    except ValueError:  # compared first, with its own flag: a row of another kind
+                        dot, cosine, flag = math.nan, math.nan, cells[10]
+                    lines.expect(conflict_row(step, middle, cells[8], cells[9], flag))
+                    if not (math.isfinite(dot) and abs(cosine) <= 1.0 + COSINE_ROUNDING):
+                        _finite(cells[8]), _finite(cells[9])
+                        raise ValueError(f"cosine {cells[9]} is outside [-1, 1]")
+                    dots.append(dot)
+                    cosines.append(cosine)
+                    lines.advance()
+                steps.append(step)
+            step += 1
+    if steps:
+        shape = (len(steps), len(middles) // len(labels), len(labels))
+        dot, cosine = np.array(dots).reshape(shape), np.array(cosines).reshape(shape)
+        log.conflicts = [ConflictReport(s, scope, labels, ids, d, c)
+                         for s, d, c in zip(steps, dot, cosine)]
+
+
+def _read_evals(path: Path, mode: str) -> list[EvalRecord]:
+    """eval.csv's rows, each line compared with the one a run of mode writes
+    there, for the tasks its first epoch lists."""
+    evals: list[EvalRecord] = []
+    with _read_lines(path, EVAL_HEADER) as lines:
+        first = lines.cells[0]
+        num_tasks = lines.run_length(lambda cells: cells[0] == first and cells[2] != AVG_TASK)
+        epoch = 0 if lines.text is None else int(first)
+        while True:  # an epoch's task rows, then its avg row
+            metrics: list[float] = []
+            for task in range(num_tasks):
+                lines.expect(eval_row(epoch, mode, task, lines.cells[3]))
+                metrics.append(_finite(lines.cells[3]))
+                evals.append(EvalRecord(epoch, mode, lines.cells[2], metrics[-1]))
+                lines.advance()
+            avg = fmean(metrics)
+            lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(avg)))
+            evals.append(EvalRecord(epoch, mode, AVG_TASK, avg))
+            lines.advance()
+            if lines.text is None:
+                return evals
+            epoch += 1
 
 
 def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
     mode_dir = Path(mode_dir)
-    log = MetricsLog(mode=mode)
     eval_path = mode_dir / EVAL_FILE
     if not eval_path.is_file():
         raise ConfigError(f"missing {eval_path}")
+    log = MetricsLog(mode=mode, evals=_read_evals(eval_path, mode))
     steps_path = mode_dir / STEPS_FILE
-    loss_lines = _read_steps(steps_path, log) if steps_path.is_file() else []
-    metrics: dict[int, dict[str, float]] = {}  # epoch -> metric by task label, rows so far
-
-    def eval_row(row: list[str]) -> EvalRecord:
-        rec = EvalRecord(epoch=int(row[0]), mode=row[1], task=row[2], metric=_finite(row[3]))
-        last = next(reversed(metrics), rec.epoch)
-        if rec.epoch < last:
-            raise ValueError(f"epoch {rec.epoch} follows epoch {last}")
-        if rec.epoch > last and AVG_TASK not in metrics[last]:
-            raise ValueError(f"epoch {rec.epoch} starts before the avg row of epoch {last}")
-        read = metrics.setdefault(rec.epoch, {})
-        first_epoch, first = next(iter(metrics.items()))
-        if rec.mode != mode:
-            raise ValueError(f"mode {rec.mode!r} is not {mode!r}, the mode of its directory")
-        if rec.task != AVG_TASK and not (rec.task.isdecimal() and str(int(rec.task)) == rec.task):
-            raise ValueError(f"task {rec.task!r} is neither a task id nor {AVG_TASK!r}")
-        if rec.task in read:
-            raise ValueError(f"repeats the row of epoch {rec.epoch} task {rec.task}")
-        if AVG_TASK in read:
-            raise ValueError(f"task {rec.task} follows the avg row of epoch {rec.epoch}")
-        if read is not first:  # a later epoch lists the first epoch's tasks, then avg
-            if rec.task not in first:
-                raise ValueError(f"task {rec.task} is not one of the tasks of epoch {first_epoch}")
-            if rec.task == AVG_TASK and len(read) + 1 != len(first):
-                raise ValueError(f"epoch {rec.epoch} lacks task(s) "
-                                 f"{sorted(first.keys() - read.keys() - {AVG_TASK})} of epoch "
-                                 f"{first_epoch}")
-        if rec.task == AVG_TASK and rec.metric != (fmean(read.values()) if read else math.nan):
-            raise ValueError(f"avg {row[3]} is not the mean of the task rows above it "
-                             f"for epoch {rec.epoch}")
-        read[rec.task] = rec.metric
-        return rec
-
-    log.evals = _read_rows(eval_path, EVAL_HEADER, eval_row)
-    if not log.evals:
-        raise ConfigError(f"{eval_path}: no eval records")
-    if AVG_TASK not in metrics[log.evals[-1].epoch]:
-        raise ConfigError(f"{eval_path}: epoch {log.evals[-1].epoch} ends without its avg row")
-    listed = {rec.task for rec in log.evals}
-    unknown = {task for task in set(map(attrgetter("task"), log.steps)) if str(task) not in listed}
-    if unknown:
-        line, task = next((line, rec.task) for rec, line in zip(log.steps, loss_lines)
-                          if rec.task in unknown)
-        raise ConfigError(f"{steps_path}:{line}: loss row of task {task}, which {eval_path} "
-                          "does not list")
+    if steps_path.is_file():
+        num_tasks = next(k for k, rec in enumerate(log.evals) if rec.task == AVG_TASK)
+        _read_steps(steps_path, log, num_tasks)
     return log
 
 
 def read_rank_rows(path: str | Path) -> list[RankRow]:
-    seen: set[int] = set()
-
-    def rank_row(row: list[str]) -> RankRow:
-        rank = int(row[0])
-        if rank in seen:
-            raise ValueError(f"rank {rank} repeats an earlier row")
-        seen.add(rank)
-        return RankRow(rank=rank, joint=_finite(row[1]), ortho=_finite(row[2]),
-                       delta=_finite(row[3]))
-
-    rows = _read_rows(Path(path), RANK_HEADER, rank_row)
-    if not rows:
-        raise ConfigError(f"{path}: no rank rows")
-    return rows
+    """rank_sweep.csv's rows, the first of each rank; then each line compared
+    with the one the writer renders there for them, by ascending rank."""
+    path = Path(path)
+    rows: dict[int, tuple[list[str], RankRow]] = {}
+    with _read_lines(path, RANK_HEADER) as lines:
+        while lines.text is not None:
+            cells = lines.cells
+            rank, joint, ortho = int(cells[0]), _finite(cells[1]), _finite(cells[2])
+            rows.setdefault(rank, (cells[1:3], RankRow(rank, joint, ortho, ortho - joint)))
+            lines.advance()
+    table = [rows[rank] for rank in sorted(rows)]
+    want = [rank_row(row.rank, *texts, fmt(row.delta)) for texts, row in table]
+    with _read_lines(path, RANK_HEADER) as lines:
+        for line in want or [rank_row(MISSING, MISSING, MISSING, MISSING)]:  # one rank at least
+            lines.expect(line)
+            _finite(lines.cells[3])  # ortho - joint may overflow
+            lines.advance()
+        lines.expect(None)
+    return [row for _, row in table]
 
 
 def mode_dirs(run_dir: Path) -> list[Path]:
@@ -424,17 +379,19 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
     """Recompute the summary from the CSVs under a run directory.
 
     Every subdirectory that holds an ``eval.csv`` or a ``steps.csv`` is a
-    mode, and must hold an ``eval.csv``. Every mode must end at the same
-    final epoch and report the same task labels there, and every ``avg`` row
-    must be exactly the mean of its epoch's task rows (the 17-digit CSV
-    floats round-trip exactly). A ``sweep-rank`` directory holds a
-    ``rank_sweep.csv`` and no modes. Each mode's loss and conflict rows are
-    dropped once ``read_metrics`` has checked them: the summary reads only
-    eval rows, so at most one mode's step rows are held at a time.
+    mode, must be named after one and must hold an ``eval.csv``. Every mode
+    must end at the same final epoch and report the same task labels there.
+    A ``sweep-rank`` directory holds a ``rank_sweep.csv`` and no modes. Each
+    mode's loss and conflict rows are dropped once ``read_metrics`` has
+    checked them: the summary reads only eval rows, so at most one mode's
+    step rows are held at a time.
     """
     run_dir = Path(run_dir)
     logs: dict[str, MetricsLog] = {}
     for child in mode_dirs(run_dir):
+        if child.name not in VALID_MODES:
+            raise ConfigError(f"{child}: {child.name!r} is not a mode; a run writes only "
+                              f"{', '.join(VALID_MODES)}")
         logs[child.name] = MetricsLog(child.name, evals=read_metrics(child, child.name).evals)
     rank_path = run_dir / RANK_FILE
     if not logs and not rank_path.is_file():

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 from statistics import fmean
 
@@ -184,6 +185,20 @@ def test_summarize_mode_without_eval_csv_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_summarize_directory_named_after_no_mode_exits_2(tmp_path, capsys):
+    # a copy of JOINT/ named Joint/ would print as a fifth mode beside JOINT
+    cfg = write_config(tmp_path / "exp.json", modes=["SINGLE_TASK", "JOINT"])
+    out = tmp_path / "run"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+    copy = out / "Joint"
+    shutil.copytree(out / "JOINT", copy)
+    (copy / "eval.csv").write_text((copy / "eval.csv").read_text().replace(",JOINT,", ",Joint,"))
+    capsys.readouterr()
+    assert run_cli(["summarize", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {copy}: 'Joint' is not a mode") and "Traceback" not in err
+
+
 def test_run_out_an_existing_file_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
     taken = tmp_path / "taken"
@@ -301,6 +316,11 @@ def _conflict(step, i, j, block, dot="0.5", cosine="0.5", conflicted="0", scope=
     return f"{step},,,,{scope},{i},{j},{block},{dot},{cosine},{conflicted}"
 
 
+def _losses(step):
+    """A run's loss rows of one step, for 2 tasks."""
+    return [f"{step},{task},0.5,0.01,,,,,,," for task in (0, 1)]
+
+
 LOSS = "0,0,0.5,0.01,,,,,,,"
 STEP_0 = [_conflict(0, 0, 1, "L0.A"), _conflict(0, 0, 1, "L0.B")]  # a run's rows for 2 tasks
 
@@ -311,83 +331,115 @@ BAD_RUN_FILES = {
                            "'abc'"),
     "short row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 3, "fields"),
     "nan metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"], 4,
-                   "non-finite"),
+                   "expected '1,JOINT,avg,0.5', got '1,JOINT,avg,nan'"),
+    "nan task metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,nan", "1,JOINT,avg,0.5"], 3,
+                        "non-finite value 'nan'"),
     "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None, "lacks"),
     "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2, "non-finite"),
-    "repeated loss row": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.01,,,,,,,", LOSS], 4,
-                          "repeats the loss row of step 0 task 0"),
+    "repeated loss row": ("JOINT/steps.csv", [*_losses(0), LOSS], 4,
+                          "expected '1,0,0.5,0.01,,,,,,,', got '0,0,0.5,0.01,,,,,,,'"),
     "loss row of a task eval.csv lacks": ("JOINT/steps.csv", [LOSS, "5,9,0.5,0.01,,,,,,,"], 3,
-                                          "task 9, which"),
+                                          "expected '0,1,0.5,0.01,,,,,,,', got '5,9,"),
     "loss row step past 64 bits": ("JOINT/steps.csv", [LOSS, f"{2**63},1,0.5,0.01,,,,,,,"], 3,
-                                   "does not fit 64 bits"),
-    "bad rank row": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "4,0.5,oops,0.1"], 3, "'oops'"),
-    "repeated rank": ("rank_sweep.csv", ["2,0.5,0.4,-0.1", "2,0.5,0.4,-0.1"], 3, "rank 2 repeats"),
-    "rank header only": ("rank_sweep.csv", [], None, "no rank rows"),
+                                   f"got '{2**63},1,"),
+    "second lr in a step": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.02,,,,,,,"], 3,
+                            "expected '0,1,0.5,0.01,,,,,,,', got '0,1,0.5,0.02,,,,,,,'"),
+    "skipped steps": ("JOINT/steps.csv",
+                      [*_losses(0), "3,0,0.5,0.01,,,,,,,", "3,1,0.5,0.01,,,,,,,"], 4,
+                      "expected '1,0,0.5,0.01,,,,,,,', got '3,0,"),
+    "step lacks a task's loss row": ("JOINT/steps.csv", [*_losses(0), "1,0,0.5,0.01,,,,,,,"], 5,
+                                     "expected '1,1,…,0.01,,,,,,,', got end of file"),
+    "bad rank row": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,oops,0.1"], 3, "'oops'"),
+    "repeated rank": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "2,0.5,0.25,-0.25"], 3,
+                      "expected end of file, got '2,0.5,0.25,-0.25'"),
+    "rank delta not ortho - joint": ("rank_sweep.csv", ["2,0.5,0.25,9"], 2,
+                                     "expected '2,0.5,0.25,-0.25', got '2,0.5,0.25,9'"),
+    "ranks out of order": ("rank_sweep.csv", ["4,0.5,0.75,0.25", "2,0.5,0.25,-0.25"], 2,
+                           "expected '2,0.5,0.25,-0.25', got '4,0.5,0.75,0.25'"),
+    "rank header only": ("rank_sweep.csv", [], 2, "got end of file"),
+    "rank delta past the float range": ("rank_sweep.csv", ["2,-1e308,1e308,inf"], 2,
+                                        "non-finite value 'inf'"),
+    "avg past the float range": ("JOINT/eval.csv", ["1,JOINT,0,1e308", "1,JOINT,1,1e308",
+                                                    "1,JOINT,avg,1e308"], 4, "overflow"),
     "earlier final epoch": ("JOINT/eval.csv", [f"0,JOINT,{t},0.5" for t in ("0", "1", "avg")],
                             None, "differs"),
     "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
-                                                 "1,JOINT,avg,0.5"], 4, "not the mean"),
-    "header only": ("JOINT/eval.csv", [], None, "no eval records"),
+                                                 "1,JOINT,avg,0.5"], 4,
+                              "expected '1,JOINT,avg,0.375', got '1,JOINT,avg,0.5'"),
+    "header only": ("JOINT/eval.csv", [], 2, "expected '0,JOINT,0,…', got end of file"),
     "repeated eval row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,0,0.5",
                                              "1,JOINT,avg,0.5"], 4,
-                          "repeats the row of epoch 1 task 0"),
+                          "expected '1,JOINT,2,0.5', got '1,JOINT,0,0.5'"),
     "eval mode not its directory's": ("JOINT/eval.csv", _eval_rows("SINGLE_TASK"), 2,
-                                      "'SINGLE_TASK' is not 'JOINT'"),
+                                      "expected '1,JOINT,0,0.5', got '1,SINGLE_TASK,0,0.5'"),
     "eval task neither id nor avg": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,foo,0.5",
                                                         "1,JOINT,avg,0.5"], 3,
-                                     "task 'foo' is neither"),
+                                     "expected '1,JOINT,1,0.5', got '1,JOINT,foo,0.5'"),
     "eval task row after its epoch's avg": (
         "JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,avg,0.5", "1,JOINT,1,0.25"], 4,
-        "task 1 follows the avg row of epoch 1"),
+        "expected '2,JOINT,0,0.25', got '1,JOINT,1,0.25'"),
     "eval epochs out of order": (
         "JOINT/eval.csv", [*_eval_rows("JOINT"), "0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5"],
-        5, "epoch 0 follows epoch 1"),
+        5, "expected '2,JOINT,0,0.5', got '0,JOINT,0,0.5'"),
     "eval epoch lacks a task of the first": (
         "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5", "1,JOINT,0,0.5",
-                           "1,JOINT,avg,0.5"], 6, "epoch 1 lacks task(s) ['1'] of epoch 0"),
+                           "1,JOINT,avg,0.5"], 6,
+        "expected '1,JOINT,1,0.5', got '1,JOINT,avg,0.5'"),
     "eval epoch lists a task the first does not": (
         "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5", "1,JOINT,0,0.5",
-                           "1,JOINT,2,0.5"], 6, "task 2 is not one of the tasks of epoch 0"),
+                           "1,JOINT,2,0.5"], 6, "expected '1,JOINT,1,0.5', got '1,JOINT,2,0.5'"),
     "eval epoch before the last one's avg": (
         "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", *_eval_rows("JOINT")], 4,
-        "epoch 1 starts before the avg row of epoch 0"),
-    "eval final epoch without avg": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "1")), None,
-                                     "epoch 1 ends without its avg row"),
+        "expected '0,JOINT,avg,0.5', got '1,JOINT,0,0.5'"),
+    "eval final epoch without avg": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "1")), 4,
+                                     "expected '1,JOINT,avg,0.5', got end of file"),
     "conflicted not 0 or 1": (
-        "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]], 3,
-        "conflicted '7'"),
+        "JOINT/steps.csv", [*_losses(0), _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]],
+        4, "expected '0,,,,PER_MATRIX,0,1,L0.A,-0.5,0.5,1', "
+           "got '0,,,,PER_MATRIX,0,1,L0.A,-0.5,0.5,7'"),
     "conflicted disagrees with dot": (
-        "JOINT/steps.csv", [LOSS, _conflict(0, 0, 1, "L0.A", "0.5", "0.5", "1"), STEP_0[1]], 3,
-        "conflicted '1' is not 0"),
+        "JOINT/steps.csv", [*_losses(0), _conflict(0, 0, 1, "L0.A", "0.5", "0.5", "1"), STEP_0[1]],
+        4, "expected '0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0', "
+           "got '0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,1'"),
     "cosine outside [-1, 1]": (
-        "JOINT/steps.csv", [LOSS, STEP_0[0], _conflict(0, 0, 1, "L0.B", "-0.5", "-1.5", "1")], 4,
+        "JOINT/steps.csv",
+        [*_losses(0), STEP_0[0], _conflict(0, 0, 1, "L0.B", "-0.5", "-1.5", "1")], 5,
         "outside [-1, 1]"),
-    "repeated step, pair and block": ("JOINT/steps.csv", [LOSS, STEP_0[0], *STEP_0], 4, "repeats"),
+    "repeated step, pair and block": ("JOINT/steps.csv", [*_losses(0), STEP_0[0], *STEP_0], 5,
+                                      "expected '0,,,,PER_MATRIX,0,1,L0.B,0.5,0.5,0', got "
+                                      "'0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0'"),
     "pair i >= j": (
-        "JOINT/steps.csv", [LOSS, _conflict(0, 1, 0, "L0.A"), _conflict(0, 1, 0, "L0.B")], 3,
-        "i < j"),
-    "block of no scope": ("JOINT/steps.csv", [LOSS, STEP_0[0], _conflict(0, 0, 1, "L9.Z")], 4,
-                          "'L9.Z' is not one of"),
+        "JOINT/steps.csv", [*_losses(0), _conflict(0, 1, 0, "L0.A"), _conflict(0, 1, 0, "L0.B")], 4,
+        "expected '0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0', got '0,,,,PER_MATRIX,1,0,L0.A,"),
+    "block of no scope": ("JOINT/steps.csv", [*_losses(0), STEP_0[0], _conflict(0, 0, 1, "L9.Z")],
+                          5, "expected '0,,,,PER_MATRIX,0,1,L0.B,0.5,0.5,0', got "
+                             "'0,,,,PER_MATRIX,0,1,L9.Z,"),
     "step rows differ from the first step's": (
-        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.B"), _conflict(1, 0, 1, "L0.A")],
-        5, "belongs"),
+        "JOINT/steps.csv", [*_losses(0), *STEP_0, *_losses(1), _conflict(1, 0, 1, "L0.B"),
+                            _conflict(1, 0, 1, "L0.A")],
+        8, "expected '1,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0', got '1,,,,PER_MATRIX,0,1,L0.B,"),
     "step lacks a row of the first step's": (
-        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.A"), "2,0,0.5,0.01,,,,,,,"],
-        5, "ends after 1 of the 2"),
-    "second scope": ("JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "flat", scope="FLAT")],
-                     5, "second scope 'FLAT'"),
-    "steps header": ("JOINT/steps.csv", [LOSS], 1, "unexpected header 'step,task,loss,lr'",
-                     "step,task,loss,lr"),
+        "JOINT/steps.csv", [*_losses(0), *STEP_0, *_losses(1), _conflict(1, 0, 1, "L0.A"),
+                            "2,0,0.5,0.01,,,,,,,"],
+        9, "expected '1,,,,PER_MATRIX,0,1,L0.B,,,', got '2,0,0.5,0.01,,,,,,,'"),
+    "second scope": ("JOINT/steps.csv", [*_losses(0), *STEP_0, *_losses(1),
+                                         _conflict(1, 0, 1, "flat", scope="FLAT")],
+                     8, "expected '1,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0', got '1,,,,FLAT,"),
+    "steps header": ("JOINT/steps.csv", [LOSS], 1,
+                     "expected 'step,task,loss,lr,scope,pair_i,pair_j,block,dot,cosine,"
+                     "conflicted', got 'step,task,loss,lr'", "step,task,loss,lr"),
     "steps row field count": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.01,,,"], 3,
                               "expected 11 fields, got 7"),
     "conflict step after a later step": (
-        "JOINT/steps.csv", [LOSS, _conflict(1, 0, 1, "L0.A"), _conflict(1, 0, 1, "L0.B"), *STEP_0],
-        5, "conflict rows of step 0 after those of step 1"),
+        "JOINT/steps.csv", [*_losses(0), *_losses(1), _conflict(1, 0, 1, "L0.A"),
+                            _conflict(1, 0, 1, "L0.B"), *STEP_0],
+        8, "expected '2,0,,,,,,,,,', got '0,,,,PER_MATRIX,0,1,L0.A,"),
     "extra conflict row of a new pair": (
-        "JOINT/steps.csv", [LOSS, *STEP_0, _conflict(1, 0, 1, "L0.A"), _conflict(1, 0, 1, "L0.B"),
-                            _conflict(1, 0, 2, "L0.A")],
-        7, "a step has 2 conflict rows, and this is one more"),
-    "eval header": ("JOINT/eval.csv", _eval_rows("JOINT"), 1, "unexpected header",
+        "JOINT/steps.csv", [*_losses(0), *STEP_0, *_losses(1), _conflict(1, 0, 1, "L0.A"),
+                            _conflict(1, 0, 1, "L0.B"), _conflict(1, 0, 2, "L0.A")],
+        10, "expected '2,0,,,,,,,,,', got '1,,,,PER_MATRIX,0,2,L0.A,"),
+    "eval header": ("JOINT/eval.csv", _eval_rows("JOINT"), 1,
+                    "expected 'epoch,mode,task,metric', got 'epoch,mode,metric'",
                     "epoch,mode,metric"),
 }
 

@@ -54,7 +54,7 @@ def test_writers_leave_only_their_targets(tmp_path):
         "tasks": {"kind": "regression", "num_tasks": 2, "in_dim": 4, "out_dim": 2,
                   "conflict_level": 0.5, "noise_sigma": 0.0, "n_train": 8, "n_eval": 4}})
     adapter = init_adapter(4, 4, 2, 0.02, 2.0, Rng(0))
-    rows = [RankRow(2, 0.5, 0.4, -0.1)]
+    rows = [RankRow(2, 0.5, 0.25, -0.25)]  # delta = ortho - joint, as sweep-rank writes it
     for _ in range(2):  # the second round replaces every file
         save_config(cfg, tmp_path / "config.json")
         save_adapter(adapter, tmp_path / "adapter.json")

@@ -105,17 +105,19 @@ class TestCsvRoundTrip:
     def test_cosine_rounded_past_one_reads_back(self, tmp_path):
         # parallel gradients give cosines a few ulps past +-1; a run can write them
         log = MetricsLog(mode=JOINT)
-        log.steps.append(StepRecord(0, 0, 0.5, 0.01))
+        log.steps += [StepRecord(0, task, 0.5, 0.01) for task in range(3)]
         log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
                                             np.array([[2.0], [-2.0], [1.0]]),
                                             np.array([[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]])))
-        log.evals += [EvalRecord(0, JOINT, "0", 0.5), EvalRecord(0, JOINT, "avg", 0.5)]
+        log.evals += [EvalRecord(0, JOINT, str(task), 0.5) for task in range(3)]
+        log.evals.append(EvalRecord(0, JOINT, "avg", 0.5))
         write_metrics(log, tmp_path)
         assert read_metrics(tmp_path, JOINT) == log
 
     def test_rank_rows_round_trip(self, tmp_path):
         # adversarial float values must survive the 17-digit serialization
-        rows = [RankRow(2, 0.1 + 0.2, -1e-17, 3.0000000000000004)]
+        rows = [RankRow(2, 0.1 + 0.2, -1e-17, -1e-17 - (0.1 + 0.2)),
+                RankRow(4, 3.0000000000000004, 5e-324, 5e-324 - 3.0000000000000004)]
         path = tmp_path / "rank_sweep.csv"
         write_rank_rows(rows, path)
         assert read_rank_rows(path) == rows
@@ -138,16 +140,15 @@ COSINE = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -5e-324, 1.0, -1.
 def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
     log = MetricsLog(mode=JOINT)
     for step in range(data.draw(st.integers(0, 3))):
-        log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
-                      for task in range(2)]
+        lr = data.draw(FINITE)  # one lr per step, as a run writes it
+        log.steps += [StepRecord(step, task, data.draw(FINITE), lr) for task in range(2)]
         if data.draw(st.booleans()):
             log.conflicts.append(ConflictReport(
                 step, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
                 np.array([[data.draw(FINITE), data.draw(FINITE)]]),
                 np.array([[data.draw(COSINE), data.draw(COSINE)]])))
-    # eval.csv lists every task with loss rows (tasks 0 and 1), and may list more;
-    # like a run, every epoch lists the same tasks
-    num_tasks = data.draw(st.integers(2, 3))
+    # like a run, every epoch of eval.csv lists the tasks with loss rows (tasks 0 and 1)
+    num_tasks = 2
     for epoch in range(data.draw(st.integers(1, 2))):
         metrics = data.draw(st.lists(FINITE, min_size=num_tasks, max_size=num_tasks))
         try:

@@ -9,12 +9,13 @@ this tree's ``src/``, and compares every file the runs write (CSVs, adapter
 dumps, config.json) with ``cmp``. Each tree then runs ``ortho-lora
 summarize`` on each of its run directories, and the two trees' stdout and
 exit codes are compared. Each tree also runs ``ortho-lora sweep-rank`` with
-ranks 2 and 4 and one seed on the sweep config, and the two
-``rank_sweep.csv`` files are compared with ``cmp``. The sweep directory is
-not summarized: a parent older than ``summarize`` on sweep directories
-rejects it. Exits 0 when every file and every summary is identical, 1
-after listing the files or summaries that differ or that only one tree
-wrote, and 2 on a usage error or a revision git cannot export.
+ranks 2 and 4 and one seed on the sweep config; the two ``rank_sweep.csv``
+files are compared with ``cmp``, and the sweep directory is summarized and
+compared like a run directory. A parent older than ``summarize`` on sweep
+directories exits 2 there, so it fails the gate. Exits 0 when
+every file and every summary is identical, 1 after listing the files or
+summaries that differ or that only one tree wrote, and 2 on a usage error
+or a revision git cannot export.
 
 The gate configs are all built from this tree's configs/default.json:
 
@@ -113,11 +114,11 @@ def sweep(src: Path, config: Path, out: Path) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def summarize_all(src: Path, runs: Path) -> dict[str, tuple[int, str]]:
-    """(exit code, stdout) of ``ortho-lora summarize`` per run directory."""
+def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]:
+    """(exit code, stdout) of ``ortho-lora summarize`` per run directory, by name."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = {}
-    for run_dir in sorted(p for p in runs.iterdir() if p.is_dir()):
+    for run_dir in run_dirs:
         done = subprocess.run([sys.executable, "-m", "ortho_lora.cli", "summarize", str(run_dir)],
                               env=env, capture_output=True, text=True)
         out[run_dir.name] = (done.returncode, done.stdout)
@@ -143,9 +144,10 @@ def main(argv: list[str]) -> int:
         for label, src in (("parent", tmp / "parent" / "src"), ("this", ROOT / "src")):
             runs[label] = tmp / f"runs_{label}"
             run_all(src, configs, runs[label])
-            summaries[label] = summarize_all(src, runs[label])
-            sweeps[label] = tmp / f"sweeps_{label}"  # apart from runs, so not summarized
+            sweeps[label] = tmp / f"sweeps_{label}"  # apart from runs: not a gate config's
             sweep(src, sweep_cfg, sweeps[label] / RANK_FILE.parent)
+            run_dirs = sorted(p for p in runs[label].iterdir() if p.is_dir())
+            summaries[label] = summarize_all(src, [*run_dirs, sweeps[label] / RANK_FILE.parent])
         files = {label: {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
                  for label, run in runs.items()}
         differ = sorted(files["parent"] ^ files["this"])
