@@ -9,7 +9,9 @@ Subcommands:
                                      resolved ``config.json`` and ``sweep.json``
                                      (the ranks and the seed count)
 * ``summarize <dir>``              - recompute the summary from the CSVs of a
-                                     ``run`` or ``sweep-rank`` directory
+                                     ``run`` directory, each read against its
+                                     ``config.json``, or of a ``sweep-rank``
+                                     directory
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
@@ -19,7 +21,11 @@ adapter dump the config would not overwrite (one of a run with more tasks
 or layers) or a ``rank_sweep.csv``, or a ``sweep-rank`` directory that
 holds any mode directory, caught before anything is trained or written, so
 that ``summarize`` never mixes two runs, no adapter dump outlives its run
-and ``config.json`` describes the directory it is in).
+and ``config.json`` describes the directory it is in). ``summarize`` exits 2
+on a run file other than the one a run of the directory's ``config.json``
+writes (naming the file and the first line that differs), a missing or
+invalid ``config.json``, a missing CSV, a mode directory the config does
+not list, and a mode directory beside a ``rank_sweep.csv``.
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -39,6 +45,7 @@ from .config import SINGLE_TASK, ExperimentConfig, load_config, save_config
 from .errors import ConfigError, OrthoLoraError
 from .files import atomic_write
 from .reporting import (
+    CONFIG_FILE,
     RANK_FILE,
     SummaryTable,
     build_summary,
@@ -119,7 +126,7 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"{other[0]}: an adapter dump of another run, which this config "
                               "would not overwrite; choose another run directory")
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, run_dir / "config.json")
+    save_config(config, run_dir / CONFIG_FILE)
 
     result = run_experiment(config)
     for mode, log in result.logs.items():
@@ -151,7 +158,7 @@ def _cmd_sweep_rank(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
     write_rank_rows(rows, run_dir / RANK_FILE)
-    save_config(config, run_dir / "config.json")  # written last: they describe the table
+    save_config(config, run_dir / CONFIG_FILE)  # written last: they describe the table
     with atomic_write(run_dir / SWEEP_FILE) as fh:
         fh.write(json.dumps({"ranks": sorted(args.ranks), "seeds": args.seeds}, indent=2) + "\n")
     print(f"wrote {run_dir / RANK_FILE}")

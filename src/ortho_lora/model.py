@@ -29,8 +29,8 @@ and their targets stacked per task kind, run through one forward and one
 backward pass, the T heads as one (T, o, d) stack. Each call returns a
 fresh (T, R) array, every head and adapter gradient computed by ``np.matmul``
 straight into a (T, ., .) view of its columns. The trainer gathers
-``StepBatch`` objects from a train pool checked once per run; a ``TaskBatch``
-list passed to an entry point is checked and stacked by ``StepBatch.of``.
+``StepBatch`` objects from a train pool checked once per run, and
+``task_loss_and_gradient`` checks and stacks its one ``TaskBatch`` itself.
 ``eval_metric`` evaluates every task of a mode in one call, each through
 ``forward_features``, the one copy of the layer math, into the buffers of
 an ``EvalPool`` that a run checks and allocates once. Gradient code writes
@@ -149,20 +149,6 @@ class StepBatch:
     x: np.ndarray
     targets: list[tuple[str, list[int], np.ndarray]]
     first: int = 0
-
-    @classmethod
-    def of(cls, batches: list[TaskBatch], kinds: list[str], out_dim: int,
-           first: int = 0) -> StepBatch:
-        """The batches of tasks first + p of kinds[p], p < len(kinds), checked
-        by ``_stacked_targets`` and stacked; ParameterError unless there is
-        exactly one batch per task."""
-        ordered = sorted(batches, key=lambda b: b.task_id)
-        seen = [b.task_id for b in ordered]
-        if seen != list(range(first, first + len(kinds))):
-            raise ParameterError(f"need exactly one batch per task {first}..{first + len(kinds) - 1}, "
-                                 f"got task_ids {seen}")
-        targets = _stacked_targets(kinds, out_dim, ordered)
-        return cls(np.array([b.x for b in ordered]), targets, first)
 
 
 @dataclass
@@ -468,28 +454,26 @@ def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[flo
     t = batch.task_id
     if not 0 <= t < model.num_tasks:
         raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
-    step = StepBatch.of([batch], [model.kinds[t]], model.out_dim, first=t)
+    targets = _stacked_targets([model.kinds[t]], model.out_dim, [batch])
+    step = StepBatch(np.array([batch.x]), targets, first=t)
     rows, losses = _gradient_rows(model, step, model.heads[t:t + 1])
     model.backward_passes += 1
     return losses[0], GradientStack([t], rows, model.layout)
 
 
-def joint_gradient(model: MultiTaskModel,
-                   batches: StepBatch | list[TaskBatch]) -> tuple[GradientStack, list[float]]:
+def joint_gradient(model: MultiTaskModel, batch: StepBatch) -> tuple[GradientStack, list[float]]:
     """Every task's gradient and loss from one forward and one backward pass.
 
-    The model's adapters run over all T batches at once; rows and losses are
-    in task order.
+    The model's adapters run over all T batches of the step at once; rows
+    and losses are in task order.
     """
-    if not isinstance(batches, StepBatch):
-        batches = StepBatch.of(batches, model.kinds, model.out_dim)
-    rows, losses = _gradient_rows(model, batches, model.heads)
+    rows, losses = _gradient_rows(model, batch, model.heads)
     model.backward_passes += 1
     return GradientStack(model.layout.task_ids, rows, model.layout), losses
 
 
 def stacked_gradient(models: list[MultiTaskModel],
-                     batches: StepBatch | list[TaskBatch]) -> tuple[np.ndarray, list[float]]:
+                     batch: StepBatch) -> tuple[np.ndarray, list[float]]:
     """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
 
     The one-task models are the rows of one (T, A + o*d) parameter stack
@@ -502,9 +486,7 @@ def stacked_gradient(models: list[MultiTaskModel],
             m.params is row and m.num_tasks == 1 for m, row in zip(models, stack.rows)):
         raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
                              "order, of one parameter stack (see stack_copies)")
-    if not isinstance(batches, StepBatch):
-        batches = StepBatch.of(batches, [m.kinds[0] for m in models], base.out_dim)
-    rows, losses = _gradient_rows(base, batches, stack.heads, stack.adapters)
+    rows, losses = _gradient_rows(base, batch, stack.heads, stack.adapters)
     for m in models:
         m.backward_passes += 1
     return rows, losses

@@ -18,26 +18,28 @@ bit for bit. Each row kind has one template, which the writer and the reader
 share; lines end in ``\r\n``. Every file is written through
 ``files.atomic_write``.
 
-The reader has one rule: a run file is the text the writer renders for it.
-It infers the file's shape (the tasks eval.csv lists, steps.csv's step
-count, and the scope and labels of its first conflict step), renders each
-expected line with the templates, and raises a ConfigError at the first
-line that differs: ``path:line: expected '<rendered>', got '<found>'``. Free
-float cells (loss, lr, dot, cosine, metric, joint, ortho) keep the file's
-own spelling. Derived cells are rendered from the values read:
-``conflicted`` is 1 exactly when dot < 0, a step's lr is its first loss
-row's, ``avg`` is the mean of its epoch's task metrics and ``delta`` is
-ortho - joint. Steps run 0..S-1, epochs step by one, ranks ascend. Only what
-rendering cannot show is checked apart: a field count, a number that does
-not parse, a non-finite value, and a cosine outside [-1, 1] by more than
-rounding (``COSINE_ROUNDING``). The reader takes ``\n`` line ends too.
+The reader has one rule: a run file is the text that a run of the run
+directory's ``config.json`` writes for it. The config fixes each file's
+shape, and the reader infers none from the file: tasks 0..T-1, steps
+0..total_steps()-1, epochs 0..epochs, and each step's conflict rows exactly
+when ``conflict_scope`` gives the mode a scope, with that scope's labels.
+The reader renders each expected line with the templates, then end of file,
+and raises a ConfigError at the first line that differs: ``path:line:
+expected '<rendered>', got '<found>'``. Free float cells (loss, lr, dot,
+cosine, metric, joint, ortho) keep the file's own spelling. Derived cells
+are rendered from the values read: ``conflicted`` is 1 exactly when dot <
+0, a step's lr is its first loss row's, ``avg`` is the mean of its epoch's
+task metrics and ``delta`` is ortho - joint. rank_sweep.csv's ranks ascend,
+as many as the file holds. Only what rendering cannot show is checked
+apart: a field count, a number that does not parse, a non-finite value, and
+a cosine outside [-1, 1] by more than rounding (``COSINE_ROUNDING``). The
+reader takes ``\n`` line ends too.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby
@@ -47,12 +49,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, VALID_MODES, ExperimentConfig
+from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig, load_config
 from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
 from .surgery import ConflictReport
-from .trainer import AVG_TASK, EvalRecord, MetricsLog, StepRecord, run_experiment
+from .trainer import AVG_TASK, EvalRecord, MetricsLog, StepRecord, conflict_scope, run_experiment
 
 STEPS_HEADER = ["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
                 "dot", "cosine", "conflicted"]
@@ -62,6 +64,7 @@ RANK_HEADER = ["rank", "joint", "ortho", "delta"]
 STEPS_FILE = "steps.csv"
 EVAL_FILE = "eval.csv"
 RANK_FILE = "rank_sweep.csv"
+CONFIG_FILE = "config.json"
 
 # How far a written cosine may pass +-1 by rounding, in ulps of 1.0: the
 # cosine of two parallel gradients, dot / (||gi|| ||gj||) from one Gram
@@ -227,18 +230,6 @@ class _Lines:
             raise ValueError(f"expected {'end of file' if want is None else repr(want)}, got "
                              f"{'end of file' if self.text is None else repr(self.text)}")
 
-    def run_length(self, keep: Callable[[list[str]], bool]) -> int:
-        """How many lines in a row keep(cells) holds for, from the current one
-        on, which it must hold for; the lines read ahead stay unread."""
-        count, held = 1, []
-        for line in self._source:
-            held.append(line)
-            if not keep(line.rstrip("\n").split(",")):
-                break
-            count += 1
-        self._source = chain(held, self._source)
-        return count
-
 
 @contextmanager
 def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
@@ -258,19 +249,18 @@ def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
             raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
 
 
-def _read_steps(path: Path, log: MetricsLog, num_tasks: int) -> None:
-    """steps.csv's loss rows into log.steps and its conflict rows into
-    columnar log.conflicts, each line compared with the one a run of
-    num_tasks tasks writes there. Every conflict step has the first one's
-    scope, and labels for as many layers as that step's first pair's rows."""
-    ids = list(range(num_tasks))
-    scope, labels, middles = "", [], []
-    steps: list[int] = []  # each conflict step
+def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
+    """steps.csv's loss rows into log.steps and its conflict rows into columnar
+    log.conflicts, each line compared with the one a run of config writes
+    there for log.mode."""
+    ids = list(range(config.tasks.num_tasks))
+    scope = conflict_scope(config, log.mode)
+    labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
+    middles = conflict_middles(scope, labels, ids) if scope else []
     dots: list[float] = []
     cosines: list[float] = []
     with _read_lines(path, STEPS_HEADER) as lines:
-        step = 0
-        while lines.text is not None:  # a step's loss rows, then its conflict rows if any
+        for step in range(config.total_steps()):  # a step's loss rows, then its conflict rows
             lr_text = lines.cells[3]
             for task in ids:
                 cells = lines.cells
@@ -279,47 +269,36 @@ def _read_steps(path: Path, log: MetricsLog, num_tasks: int) -> None:
                     lr = _finite(lr_text)
                 log.steps.append(StepRecord(step, task, _finite(cells[2]), lr))
                 lines.advance()
-            head = [str(step), ""]
-            if lines.cells[:2] == head:  # a conflict row of this step
-                if not middles:
-                    scope, pair = lines.cells[4], lines.cells[5:7]
-                    count = lines.run_length(lambda cells: cells[:2] == head and cells[5:7] == pair)
-                    labels = scope_labels(scope, (count + 1) // 2)
-                    middles = conflict_middles(scope, labels, ids)
-                for middle in middles:
-                    cells = lines.cells
-                    try:
-                        dot, cosine = float(cells[8]), float(cells[9])
-                        flag = "1" if dot < 0.0 else "0"
-                    except ValueError:  # compared first, with its own flag: a row of another kind
-                        dot, cosine, flag = math.nan, math.nan, cells[10]
-                    lines.expect(conflict_row(step, middle, cells[8], cells[9], flag))
-                    if not (math.isfinite(dot) and abs(cosine) <= 1.0 + COSINE_ROUNDING):
-                        _finite(cells[8]), _finite(cells[9])
-                        raise ValueError(f"cosine {cells[9]} is outside [-1, 1]")
-                    dots.append(dot)
-                    cosines.append(cosine)
-                    lines.advance()
-                steps.append(step)
-            step += 1
-    if steps:
-        shape = (len(steps), len(middles) // len(labels), len(labels))
+            for middle in middles:
+                cells = lines.cells
+                try:
+                    dot, cosine = float(cells[8]), float(cells[9])
+                    flag = "1" if dot < 0.0 else "0"
+                except ValueError:  # compared first, with its own flag: a row of another kind
+                    dot, cosine, flag = math.nan, math.nan, cells[10]
+                lines.expect(conflict_row(step, middle, cells[8], cells[9], flag))
+                if not (math.isfinite(dot) and abs(cosine) <= 1.0 + COSINE_ROUNDING):
+                    _finite(cells[8]), _finite(cells[9])
+                    raise ValueError(f"cosine {cells[9]} is outside [-1, 1]")
+                dots.append(dot)
+                cosines.append(cosine)
+                lines.advance()
+        lines.expect(None)
+    if middles:
+        shape = (config.total_steps(), len(middles) // len(labels), len(labels))
         dot, cosine = np.array(dots).reshape(shape), np.array(cosines).reshape(shape)
-        log.conflicts = [ConflictReport(s, scope, labels, ids, d, c)
-                         for s, d, c in zip(steps, dot, cosine)]
+        log.conflicts = [ConflictReport(step, scope, labels, ids, d, c)
+                         for step, (d, c) in enumerate(zip(dot, cosine))]
 
 
-def _read_evals(path: Path, mode: str) -> list[EvalRecord]:
-    """eval.csv's rows, each line compared with the one a run of mode writes
-    there, for the tasks its first epoch lists."""
+def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> list[EvalRecord]:
+    """eval.csv's rows, each line compared with the one a run of config writes
+    there for mode."""
     evals: list[EvalRecord] = []
     with _read_lines(path, EVAL_HEADER) as lines:
-        first = lines.cells[0]
-        num_tasks = lines.run_length(lambda cells: cells[0] == first and cells[2] != AVG_TASK)
-        epoch = 0 if lines.text is None else int(first)
-        while True:  # an epoch's task rows, then its avg row
+        for epoch in range(config.schedule.epochs + 1):  # an epoch's task rows, then its avg row
             metrics: list[float] = []
-            for task in range(num_tasks):
+            for task in range(config.tasks.num_tasks):
                 lines.expect(eval_row(epoch, mode, task, lines.cells[3]))
                 metrics.append(_finite(lines.cells[3]))
                 evals.append(EvalRecord(epoch, mode, lines.cells[2], metrics[-1]))
@@ -328,21 +307,19 @@ def _read_evals(path: Path, mode: str) -> list[EvalRecord]:
             lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(avg)))
             evals.append(EvalRecord(epoch, mode, AVG_TASK, avg))
             lines.advance()
-            if lines.text is None:
-                return evals
-            epoch += 1
+        lines.expect(None)
+    return evals
 
 
-def read_metrics(mode_dir: str | Path, mode: str) -> MetricsLog:
+def read_metrics(mode_dir: str | Path, mode: str, config: ExperimentConfig) -> MetricsLog:
+    """mode's eval.csv and steps.csv in mode_dir, read against config."""
     mode_dir = Path(mode_dir)
-    eval_path = mode_dir / EVAL_FILE
-    if not eval_path.is_file():
-        raise ConfigError(f"missing {eval_path}")
-    log = MetricsLog(mode=mode, evals=_read_evals(eval_path, mode))
-    steps_path = mode_dir / STEPS_FILE
-    if steps_path.is_file():
-        num_tasks = next(k for k, rec in enumerate(log.evals) if rec.task == AVG_TASK)
-        _read_steps(steps_path, log, num_tasks)
+    eval_path, steps_path = mode_dir / EVAL_FILE, mode_dir / STEPS_FILE
+    for path in (eval_path, steps_path):
+        if not path.is_file():
+            raise ConfigError(f"missing {path}")
+    log = MetricsLog(mode=mode, evals=_read_evals(eval_path, mode, config))
+    _read_steps(steps_path, log, config)
     return log
 
 
@@ -376,43 +353,32 @@ def mode_dirs(run_dir: Path) -> list[Path]:
 
 
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
-    """Recompute the summary from the CSVs under a run directory.
+    """Recompute the summary from the files of a ``run`` or ``sweep-rank`` directory.
 
-    Every subdirectory that holds an ``eval.csv`` or a ``steps.csv`` is a
-    mode, must be named after one and must hold an ``eval.csv``. Every mode
-    must end at the same final epoch and report the same task labels there.
-    A ``sweep-rank`` directory holds a ``rank_sweep.csv`` and no modes. Each
-    mode's loss and conflict rows are dropped once ``read_metrics`` has
-    checked them: the summary reads only eval rows, so at most one mode's
-    step rows are held at a time.
+    A directory with a ``rank_sweep.csv`` is a sweep directory and holds no
+    mode directory (see ``mode_dirs``). Any other is a run directory: its
+    ``config.json`` and one mode directory per mode the config lists, and
+    no other, each read against the config by ``read_metrics``. Each mode's
+    loss and conflict rows are dropped once checked: the summary reads only
+    eval rows, so at most one mode's step rows are held at a time.
     """
     run_dir = Path(run_dir)
-    logs: dict[str, MetricsLog] = {}
-    for child in mode_dirs(run_dir):
-        if child.name not in VALID_MODES:
-            raise ConfigError(f"{child}: {child.name!r} is not a mode; a run writes only "
-                              f"{', '.join(VALID_MODES)}")
-        logs[child.name] = MetricsLog(child.name, evals=read_metrics(child, child.name).evals)
     rank_path = run_dir / RANK_FILE
-    if not logs and not rank_path.is_file():
-        raise ConfigError(f"{run_dir}: no mode subdirectories with {EVAL_FILE} and no {RANK_FILE} "
-                          "found")
-    table = build_summary(logs)
-    finals = {mode: max(r.epoch for r in log.evals) for mode, log in logs.items()}
-    counts = Counter(finals.values())
-    common = max(counts, key=lambda epoch: (counts[epoch], epoch), default=None)
-    for mode, epoch in finals.items():
-        if epoch != common:
-            raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch {epoch} differs from "
-                              f"the final epoch {common} of the other modes")
-    labels = set().union(*table.metrics.values())
-    for mode, cells in table.metrics.items():
-        if labels - set(cells):
-            raise ConfigError(f"{run_dir / mode / EVAL_FILE}: final epoch lacks task(s) "
-                              f"{sorted(labels - set(cells))} that another mode reports")
+    modes = mode_dirs(run_dir)
     if rank_path.is_file():
-        table.rank_rows = read_rank_rows(rank_path)
-    return table
+        if modes:
+            raise ConfigError(f"{modes[0]}: a mode directory beside {rank_path}, which a "
+                              "sweep-rank directory does not hold")
+        return SummaryTable(rank_rows=read_rank_rows(rank_path))
+    config_path = run_dir / CONFIG_FILE
+    config = load_config(config_path)
+    other = [child for child in modes if child.name not in config.modes]
+    if other:
+        raise ConfigError(f"{other[0]}: not a mode of {config_path}, which runs only "
+                          f"{', '.join(config.modes)}")
+    logs = {mode: MetricsLog(mode, evals=read_metrics(run_dir / mode, mode, config).evals)
+            for mode in config.modes}
+    return build_summary(logs)
 
 
 # --- rank sweep ---

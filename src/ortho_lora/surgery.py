@@ -174,18 +174,14 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
     return np.array(coeffs) if fired else None
 
 
-def surgery(grads: GradientStack, scope: str, rng: Rng,
-            grams: np.ndarray | None = None) -> GradientStack:
+def surgery(grads: GradientStack, scope: str, rng: Rng, grams: np.ndarray) -> GradientStack:
     """Pairwise conditional projection over all tasks, in one shuffled order.
 
     The input is not mutated: each group is projected inside a copy of the
-    rows. Heads pass through. grams, when given, is ``group_grams(grads,
-    scope)``.
+    rows. Heads pass through. grams is ``group_grams(grads, scope)``.
     """
     order = rng.permutation(len(grads.task_ids)).tolist()
     rows = grads.rows.copy()
-    if grams is None:
-        grams = group_grams(grads, scope)
     for gram, (_, cols) in zip(grams, grads.layout.groups(scope), strict=True):
         coeffs = _coefficients(gram, order)
         if coeffs is not None:
@@ -210,22 +206,20 @@ def merge(grads: GradientStack) -> np.ndarray:
 
 
 def build_conflict_report(step: int, grads: GradientStack, scope: str,
-                          grams: np.ndarray | None = None) -> ConflictReport:
+                          grams: np.ndarray) -> ConflictReport:
     """Dot/cosine rows for every unordered task pair in every scoped group.
 
     Read from the Gram matrices of the gradients as given (pre-surgery
     originals in the trainer), so the report does not depend on the shuffled
     projection order: the dots are the Gram entries above the diagonal, and
     each cosine divides its dot by the two norms from the diagonal, or is
-    0.0 when a norm is. grams, when given, is ``group_grams(grads, scope)``.
+    0.0 when a norm is. grams is ``group_grams(grads, scope)``.
     """
     layout = grads.layout
     ids = grads.task_ids
     if len(ids) != layout.num_tasks:
         raise ShapeError(f"conflict report: {len(ids)} gradient rows for a layout of "
                          f"{layout.num_tasks} tasks")
-    if grams is None:
-        grams = group_grams(grads, scope)
     entries, count = layout.pair_entries, len(ids)
     if ids != sorted(ids):  # rows not in task-id order
         order = np.argsort(ids)

@@ -29,7 +29,9 @@ before its first step (``check_train``), and builds one ``EvalPool``
 (checked eval batches and buffers). Each epoch draws its data orders as
 (T, N) blocks, and one ``subset_batch`` call gathers every step a block
 serves (``epoch_batches``). Each epoch ends with one ``eval_metric`` call.
-A one-task run keeps no conflict report, as it has no task pair.
+``conflict_scope`` is the one rule for which modes keep a conflict report
+every step, and in which scope: the trainer follows it, and the steps.csv
+reader expects conflict rows by it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .model import (
     EvalPool,
     MultiTaskModel,
     StepBatch,
-    TaskBatch,
     build_model,
     eval_metric,
     joint_gradient,
@@ -107,24 +108,36 @@ class MetricsLog:
         return {r.task: r.metric for r in self.evals if r.epoch == last}
 
 
+def conflict_scope(config: ExperimentConfig, mode: str) -> str | None:
+    """The scope of the conflict report that mode keeps every step of a run of
+    config, or None when it keeps none: SINGLE_TASK has no shared gradient,
+    one task has no pair and JOINT reports only with ``record_conflicts``
+    on. ORTHO_FLAT projects and reports FLAT, the other modes report (and
+    ORTHO_STRUCTURED projects) in ``surgery.scope``."""
+    if (mode == SINGLE_TASK or config.tasks.num_tasks < 2
+            or (mode == JOINT and not config.surgery.record_conflicts)):
+        return None
+    return FLAT if mode == ORTHO_FLAT else config.surgery.scope
+
+
 def train_step(
     mode: str,
     models: list[MultiTaskModel],
-    batches: StepBatch | list[TaskBatch],
+    batch: StepBatch,
     opt_states: list[AdamWState],
     step: int,
     lr: float,
     surgery_rng: Rng,
-    scope: str,
-    record_conflicts: bool = True,
+    scope: str | None,
 ) -> tuple[list[StepRecord], ConflictReport | None]:
-    """One optimization step; returns per-task loss records and the conflict
-    report (ORTHO always, JOINT only when diagnostics are on; never for one
-    task, which has no pair).
+    """One optimization step; returns per-task loss records and the step's
+    conflict report in scope, which a run takes from ``conflict_scope``.
+    ORTHO modes project in scope. With scope None the step reports and
+    projects nothing; of the ORTHO runs only a one-task one, with no pair to
+    project, gets None.
 
     SINGLE_TASK takes one model per task, made by ``stack_copies``; every
-    mode takes one optimizer state. batches is a gathered ``StepBatch`` or
-    one ``TaskBatch`` per task, which the gradient code checks and stacks.
+    mode takes one optimizer state.
     """
     num_tasks = len(models) if mode == SINGLE_TASK else models[0].num_tasks
     expected = num_tasks if mode == SINGLE_TASK else 1
@@ -135,17 +148,15 @@ def train_step(
 
     report: ConflictReport | None = None
     if mode == SINGLE_TASK:
-        grads, losses = stacked_gradient(models, batches)
+        grads, losses = stacked_gradient(models, batch)
         adamw_step(models[0].stack.matrix, grads, opt_states[0], lr)  # the checked stack
     elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
-        grads, losses = joint_gradient(models[0], batches)
-        grams = None
-        if mode != JOINT or record_conflicts:
+        grads, losses = joint_gradient(models[0], batch)
+        if scope is not None:
             grams = group_grams(grads, scope)
-            if num_tasks > 1:  # one task has no pair to report
-                report = build_conflict_report(step, grads, scope, grams=grams)
-        if mode != JOINT:
-            grads = surgery(grads, scope, surgery_rng, grams=grams)
+            report = build_conflict_report(step, grads, scope, grams)
+            if mode != JOINT:
+                grads = surgery(grads, scope, surgery_rng, grams)
         adamw_step(models[0].params, merge(grads), opt_states[0], lr)
     else:
         raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
@@ -215,8 +226,7 @@ def run_mode(config: ExperimentConfig, mode: str,
     opt_states = [AdamWState(hyper=config.optimizer)]
     data_rng = master.child(STREAM_DATA)
     surgery_rng = master.child(STREAM_SURGERY)
-    # ORTHO_FLAT projects FLAT; the other modes report in the configured scope
-    scope = FLAT if mode == ORTHO_FLAT else config.surgery.scope
+    scope = conflict_scope(config, mode)
 
     log = MetricsLog(mode=mode)
 
@@ -232,12 +242,10 @@ def run_mode(config: ExperimentConfig, mode: str,
     batch_size = config.schedule.batch_size
     step = 0
     for epoch in range(1, config.schedule.epochs + 1):
-        for batches in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
+        for batch in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
             lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
-            records, report = train_step(
-                mode, models, batches, opt_states, step, lr, surgery_rng, scope,
-                record_conflicts=config.surgery.record_conflicts,
-            )
+            records, report = train_step(mode, models, batch, opt_states, step, lr,
+                                         surgery_rng, scope)
             log.steps.extend(records)
             if report is not None:
                 log.conflicts.append(report)

@@ -153,9 +153,23 @@ def task_gradient(model, batch) -> TaskGradient:
     return task_loss_and_gradient(model, batch)[1][0]
 
 
+def step_batch(model, batches) -> StepBatch:
+    """The StepBatch a run gathers for model's tasks: batches, one per task in
+    any order, checked by ``_stacked_targets`` and stacked in task order;
+    ParameterError unless there is exactly one batch per task. For
+    SINGLE_TASK's stack, model is the model it copies."""
+    ordered = sorted(batches, key=lambda b: b.task_id)
+    seen = [b.task_id for b in ordered]
+    if seen != list(range(model.num_tasks)):
+        raise ParameterError(f"need exactly one batch per task 0..{model.num_tasks - 1}, "
+                             f"got task_ids {seen}")
+    targets = _stacked_targets(model.kinds, model.out_dim, ordered)
+    return StepBatch(np.array([b.x for b in ordered]), targets)
+
+
 def joint_loss(model, batches, weights=None) -> float:
     """Weighted sum of the task losses; one batch per task."""
-    StepBatch.of(batches, model.kinds, model.out_dim)
+    step_batch(model, batches)
     if weights is None:
         weights = [1.0] * len(batches)
     if len(weights) != len(batches):
@@ -192,7 +206,7 @@ def surgery_floats(grads: GradientStack, scope) -> int:
 
 def measure_surgery_floats(model, batches, scope) -> int:
     """surgery_floats of this model's gradients on batches."""
-    return surgery_floats(joint_gradient(model, batches)[0], scope)
+    return surgery_floats(joint_gradient(model, step_batch(model, batches))[0], scope)
 
 
 def grad_of(task_id, a_blocks, b_blocks, head) -> Grad:

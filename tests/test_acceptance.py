@@ -21,6 +21,7 @@ from helpers import (
     generator,
     measure_surgery_floats,
     predict,
+    step_batch,
     task_gradient,
     task_loss,
 )
@@ -40,7 +41,7 @@ from ortho_lora.model import (
 )
 from ortho_lora.optim import AdamWState
 from ortho_lora.reporting import rank_sweep, recovery
-from ortho_lora.surgery import project_pair, scope_groups, surgery
+from ortho_lora.surgery import group_grams, project_pair, scope_groups, surgery
 from ortho_lora.trainer import run_experiment, train_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -191,7 +192,7 @@ def test_criterion_05_local_non_harm():
         for step in range(steps):
             batches = [TaskBatch(t, tasks.train[t].x[:, :16], tasks.train[t].y[:, :16])
                        for t in range(2)]
-            train_step(ORTHO_STRUCTURED, models, batches, opt_states, step, 0.01,
+            train_step(ORTHO_STRUCTURED, models, step_batch(model, batches), opt_states, step, 0.01,
                        surgery_rng, PER_MATRIX)
         rows = [task_loss_and_gradient(model, tasks.train[t])[1].rows for t in range(2)]
         grads = GradientStack([0, 1], np.concatenate(rows), model.layout)
@@ -199,7 +200,7 @@ def test_criterion_05_local_non_harm():
         flat = [np.concatenate([g.blocks[b].ravel() for b in bids]) for g in grads]
         if float(flat[0] @ flat[1]) >= 0:
             continue
-        projected = surgery(grads, FLAT, Rng(100 + state))
+        projected = surgery(grads, FLAT, Rng(100 + state), group_grams(grads, FLAT))
         for i, j in ((0, 1), (1, 0)):
             derivative = _directional_fd(model, tasks.train[j], projected[i].blocks, h=5e-5)
             worst = min(worst, derivative)

@@ -56,6 +56,18 @@ def test_higher_is_better_and_the_worse_bound(pairs):
     assert pairs.judge(parent, [1.06] * 10, "lower", 0.05)["worse"]
 
 
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved(pairs):
+    parent = [float(v) for v in range(10, 20)]  # IQR 4.5 > 0.25 * median 14.5
+    v = pairs.judge(parent, list(parent), "lower", 0.25)
+    assert v["unresolved"] and not v["gain"] and not v["worse"]
+    # inside a wider bound the same runs read unchanged
+    assert not pairs.judge(parent, list(parent), "lower", 0.5)["unresolved"]
+    # unless every change run beats every parent run, in either direction
+    assert not pairs.judge(parent, [v - 10.5 for v in parent], "lower", 0.25)["unresolved"]
+    assert pairs.judge(parent, [v - 8.5 for v in parent], "lower", 0.25)["unresolved"]
+    assert not pairs.judge(parent, [v + 10.5 for v in parent], "higher", 0.25)["unresolved"]
+
+
 def test_pair_i_runs_seed_first_seed_plus_i_in_both_trees(pairs, monkeypatch, capsys):
     declared = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["end_to_end"]
     metrics = {m["name"]: {"value": 1.0} for m in declared}

@@ -105,7 +105,10 @@ def test_config_output_dir_used(tmp_path):
 
 def test_summarize_reference_fixture(tmp_path, capsys):
     # eval CSVs whose tasks reproduce the reference per-task recoveries; the
-    # avg rows are the exact task means, as a run writes them
+    # avg rows are the exact task means, as a run writes them. The run has no
+    # step: its steps.csv files hold the header alone
+    write_config(tmp_path / "config.json", schedule={"epochs": 0, "batch_size": 8},
+                 tasks={**TWO_TASKS, "num_tasks": 3})
     values = {
         "SINGLE_TASK": (87.4, 88.1, 94.2),
         "JOINT": (85.9, 86.5, 92.8),
@@ -115,8 +118,9 @@ def test_summarize_reference_fixture(tmp_path, capsys):
         mode_dir = tmp_path / mode
         mode_dir.mkdir()
         avg = fmt(fmean([t0, t1, t2]))
-        rows = [f"1,{mode},0,{t0}", f"1,{mode},1,{t1}", f"1,{mode},2,{t2}", f"1,{mode},avg,{avg}"]
+        rows = [f"0,{mode},0,{t0}", f"0,{mode},1,{t1}", f"0,{mode},2,{t2}", f"0,{mode},avg,{avg}"]
         (mode_dir / "eval.csv").write_text("epoch,mode,task,metric\n" + "\n".join(rows) + "\n")
+        (mode_dir / "steps.csv").write_text(",".join(STEPS_HEADER) + "\n")
     assert run_cli(["summarize", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "80.0%" in out
@@ -196,7 +200,8 @@ def test_summarize_directory_named_after_no_mode_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["summarize", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {copy}: 'Joint' is not a mode") and "Traceback" not in err
+    assert err.startswith(f"error: {copy}: not a mode of {out / 'config.json'}, which runs only "
+                          "SINGLE_TASK, JOINT") and "Traceback" not in err
 
 
 def test_run_out_an_existing_file_exits_1(tmp_path, capsys):
@@ -308,8 +313,8 @@ def test_validate_non_finite_number_exits_2(tmp_path, capsys, value):
     assert "config.optimizer.lr_base" in err and "finite" in err
 
 
-def _eval_rows(mode, tasks=("0", "1", "avg")):
-    return [f"1,{mode},{t},0.5" for t in tasks]
+def _eval_rows(mode, tasks=("0", "1", "avg"), epoch=1):
+    return [f"{epoch},{mode},{t},0.5" for t in tasks]
 
 
 def _conflict(step, i, j, block, dot="0.5", cosine="0.5", conflicted="0", scope="PER_MATRIX"):
@@ -323,20 +328,33 @@ def _losses(step):
 
 LOSS = "0,0,0.5,0.01,,,,,,,"
 STEP_0 = [_conflict(0, 0, 1, "L0.A"), _conflict(0, 0, 1, "L0.B")]  # a run's rows for 2 tasks
+EVAL_0 = _eval_rows("JOINT", epoch=0)
+# the run every case edits: JOINT on 2 tasks and one adapter layer (PER_MATRIX
+# blocks L0.A and L0.B), for 2 epochs of one step each
+RUN_CONFIG = {"modes": ["JOINT"], "schedule": {"epochs": 2, "batch_size": 8, "steps_per_epoch": 1}}
+RUN_FILES = {
+    "JOINT/eval.csv": [*EVAL_0, *_eval_rows("JOINT"), *_eval_rows("JOINT", epoch=2)],
+    "JOINT/steps.csv": [*_losses(0), *STEP_0, *_losses(1),
+                        _conflict(1, 0, 1, "L0.A"), _conflict(1, 0, 1, "L0.B")],
+}
 
 # (file, its data rows, where the error must point, a fragment of the message[,
-# the header that replaces the file's own]); the other files stay valid
+# the header that replaces the file's own]); the run's other files stay valid,
+# and a rank_sweep.csv is the only file of its directory
 BAD_RUN_FILES = {
-    "non-numeric metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,abc", "1,JOINT,avg,0.5"], 3,
-                           "'abc'"),
-    "short row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 3, "fields"),
-    "nan metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"], 4,
-                   "expected '1,JOINT,avg,0.5', got '1,JOINT,avg,nan'"),
-    "nan task metric": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,nan", "1,JOINT,avg,0.5"], 3,
-                        "non-finite value 'nan'"),
-    "missing final task": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "avg")), None, "lacks"),
+    "non-numeric metric": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,abc",
+                                              "1,JOINT,avg,0.5"], 6, "'abc'"),
+    "short row": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1", "1,JOINT,avg,0.5"], 6,
+                  "fields"),
+    "nan metric": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,avg,nan"],
+                   7, "expected '1,JOINT,avg,0.5', got '1,JOINT,avg,nan'"),
+    "nan task metric": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,nan",
+                                           "1,JOINT,avg,0.5"], 6, "non-finite value 'nan'"),
+    "missing final task": ("JOINT/eval.csv", [*EVAL_0, *_eval_rows("JOINT"),
+                                              *_eval_rows("JOINT", ("0", "avg"), epoch=2)], 9,
+                           "expected '2,JOINT,1,0.5', got '2,JOINT,avg,0.5'"),
     "infinite loss": ("JOINT/steps.csv", ["0,0,inf,0.01,,,,,,,"], 2, "non-finite"),
-    "repeated loss row": ("JOINT/steps.csv", [*_losses(0), LOSS], 4,
+    "repeated loss row": ("JOINT/steps.csv", [*_losses(0), *STEP_0, LOSS], 6,
                           "expected '1,0,0.5,0.01,,,,,,,', got '0,0,0.5,0.01,,,,,,,'"),
     "loss row of a task eval.csv lacks": ("JOINT/steps.csv", [LOSS, "5,9,0.5,0.01,,,,,,,"], 3,
                                           "expected '0,1,0.5,0.01,,,,,,,', got '5,9,"),
@@ -345,10 +363,16 @@ BAD_RUN_FILES = {
     "second lr in a step": ("JOINT/steps.csv", [LOSS, "0,1,0.5,0.02,,,,,,,"], 3,
                             "expected '0,1,0.5,0.01,,,,,,,', got '0,1,0.5,0.02,,,,,,,'"),
     "skipped steps": ("JOINT/steps.csv",
-                      [*_losses(0), "3,0,0.5,0.01,,,,,,,", "3,1,0.5,0.01,,,,,,,"], 4,
+                      [*_losses(0), *STEP_0, "3,0,0.5,0.01,,,,,,,", "3,1,0.5,0.01,,,,,,,"], 6,
                       "expected '1,0,0.5,0.01,,,,,,,', got '3,0,"),
-    "step lacks a task's loss row": ("JOINT/steps.csv", [*_losses(0), "1,0,0.5,0.01,,,,,,,"], 5,
-                                     "expected '1,1,…,0.01,,,,,,,', got end of file"),
+    "step lacks a task's loss row": ("JOINT/steps.csv", [*_losses(0), *STEP_0, "1,0,0.5,0.01,,,,,,,"],
+                                     7, "expected '1,1,…,0.01,,,,,,,', got end of file"),
+    "step lacks its conflict rows": ("JOINT/steps.csv", [*_losses(0), *_losses(1)], 4,
+                                     "expected '0,,,,PER_MATRIX,0,1,L0.A,,,', got '1,0,0.5,"),
+    "steps.csv cut at a step boundary": ("JOINT/steps.csv", [*_losses(0), *STEP_0], 6,
+                                         "expected '1,0,…,…,,,,,,,', got end of file"),
+    "eval.csv cut at an epoch boundary": ("JOINT/eval.csv", [*EVAL_0, *_eval_rows("JOINT")], 8,
+                                          "expected '2,JOINT,0,…', got end of file"),
     "bad rank row": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,oops,0.1"], 3, "'oops'"),
     "repeated rank": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "2,0.5,0.25,-0.25"], 3,
                       "expected end of file, got '2,0.5,0.25,-0.25'"),
@@ -359,28 +383,27 @@ BAD_RUN_FILES = {
     "rank header only": ("rank_sweep.csv", [], 2, "got end of file"),
     "rank delta past the float range": ("rank_sweep.csv", ["2,-1e308,1e308,inf"], 2,
                                         "non-finite value 'inf'"),
-    "avg past the float range": ("JOINT/eval.csv", ["1,JOINT,0,1e308", "1,JOINT,1,1e308",
-                                                    "1,JOINT,avg,1e308"], 4, "overflow"),
-    "earlier final epoch": ("JOINT/eval.csv", [f"0,JOINT,{t},0.5" for t in ("0", "1", "avg")],
-                            None, "differs"),
-    "avg not the task mean": ("JOINT/eval.csv", ["1,JOINT,0,0.25", "1,JOINT,1,0.5",
-                                                 "1,JOINT,avg,0.5"], 4,
+    "avg past the float range": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,1e308", "1,JOINT,1,1e308",
+                                                    "1,JOINT,avg,1e308"], 7, "overflow"),
+    "earlier final epoch": ("JOINT/eval.csv", EVAL_0, 5, "expected '1,JOINT,0,…', got end of file"),
+    "avg not the task mean": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.25", "1,JOINT,1,0.5",
+                                                 "1,JOINT,avg,0.5"], 7,
                               "expected '1,JOINT,avg,0.375', got '1,JOINT,avg,0.5'"),
     "header only": ("JOINT/eval.csv", [], 2, "expected '0,JOINT,0,…', got end of file"),
-    "repeated eval row": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,1,0.5", "1,JOINT,0,0.5",
-                                             "1,JOINT,avg,0.5"], 4,
-                          "expected '1,JOINT,2,0.5', got '1,JOINT,0,0.5'"),
-    "eval mode not its directory's": ("JOINT/eval.csv", _eval_rows("SINGLE_TASK"), 2,
+    "repeated eval row": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,0.5",
+                                             "1,JOINT,0,0.5", "1,JOINT,avg,0.5"], 7,
+                          "expected '1,JOINT,avg,0.5', got '1,JOINT,0,0.5'"),
+    "eval mode not its directory's": ("JOINT/eval.csv", [*EVAL_0, *_eval_rows("SINGLE_TASK")], 5,
                                       "expected '1,JOINT,0,0.5', got '1,SINGLE_TASK,0,0.5'"),
-    "eval task neither id nor avg": ("JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,foo,0.5",
-                                                        "1,JOINT,avg,0.5"], 3,
+    "eval task neither id nor avg": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,foo,0.5",
+                                                        "1,JOINT,avg,0.5"], 6,
                                      "expected '1,JOINT,1,0.5', got '1,JOINT,foo,0.5'"),
     "eval task row after its epoch's avg": (
-        "JOINT/eval.csv", ["1,JOINT,0,0.5", "1,JOINT,avg,0.5", "1,JOINT,1,0.25"], 4,
-        "expected '2,JOINT,0,0.25', got '1,JOINT,1,0.25'"),
+        "JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,avg,0.5", "1,JOINT,1,0.25"], 6,
+        "expected '1,JOINT,1,0.5', got '1,JOINT,avg,0.5'"),
     "eval epochs out of order": (
-        "JOINT/eval.csv", [*_eval_rows("JOINT"), "0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5"],
-        5, "expected '2,JOINT,0,0.5', got '0,JOINT,0,0.5'"),
+        "JOINT/eval.csv", [*_eval_rows("JOINT"), *EVAL_0], 2,
+        "expected '0,JOINT,0,0.5', got '1,JOINT,0,0.5'"),
     "eval epoch lacks a task of the first": (
         "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", "0,JOINT,avg,0.5", "1,JOINT,0,0.5",
                            "1,JOINT,avg,0.5"], 6,
@@ -391,8 +414,8 @@ BAD_RUN_FILES = {
     "eval epoch before the last one's avg": (
         "JOINT/eval.csv", ["0,JOINT,0,0.5", "0,JOINT,1,0.5", *_eval_rows("JOINT")], 4,
         "expected '0,JOINT,avg,0.5', got '1,JOINT,0,0.5'"),
-    "eval final epoch without avg": ("JOINT/eval.csv", _eval_rows("JOINT", ("0", "1")), 4,
-                                     "expected '1,JOINT,avg,0.5', got end of file"),
+    "eval final epoch without avg": ("JOINT/eval.csv", [*EVAL_0, *_eval_rows("JOINT", ("0", "1"))],
+                                     7, "expected '1,JOINT,avg,0.5', got end of file"),
     "conflicted not 0 or 1": (
         "JOINT/steps.csv", [*_losses(0), _conflict(0, 0, 1, "L0.A", "-0.5", "0.5", "7"), STEP_0[1]],
         4, "expected '0,,,,PER_MATRIX,0,1,L0.A,-0.5,0.5,1', "
@@ -433,30 +456,84 @@ BAD_RUN_FILES = {
     "conflict step after a later step": (
         "JOINT/steps.csv", [*_losses(0), *_losses(1), _conflict(1, 0, 1, "L0.A"),
                             _conflict(1, 0, 1, "L0.B"), *STEP_0],
-        8, "expected '2,0,,,,,,,,,', got '0,,,,PER_MATRIX,0,1,L0.A,"),
+        4, "expected '0,,,,PER_MATRIX,0,1,L0.A,,,', got '1,0,0.5,0.01,,,,,,,'"),
     "extra conflict row of a new pair": (
         "JOINT/steps.csv", [*_losses(0), *STEP_0, *_losses(1), _conflict(1, 0, 1, "L0.A"),
                             _conflict(1, 0, 1, "L0.B"), _conflict(1, 0, 2, "L0.A")],
-        10, "expected '2,0,,,,,,,,,', got '1,,,,PER_MATRIX,0,2,L0.A,"),
+        10, "expected end of file, got '1,,,,PER_MATRIX,0,2,L0.A,"),
     "eval header": ("JOINT/eval.csv", _eval_rows("JOINT"), 1,
                     "expected 'epoch,mode,task,metric', got 'epoch,mode,metric'",
                     "epoch,mode,metric"),
 }
+HEADERS = {"eval.csv": EVAL_HEADER, "steps.csv": STEPS_HEADER, "rank_sweep.csv": RANK_HEADER}
+
+
+def _write_rows(path, rows, header=None):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = header or ",".join(HEADERS[path.name])
+    path.write_text("".join(f"{text}\n" for text in [header, *rows]))
+
+
+def _write_run(run_dir):
+    """A run directory that summarize reads: RUN_CONFIG's config.json and RUN_FILES."""
+    run_dir.mkdir(exist_ok=True)
+    write_config(run_dir / "config.json", **RUN_CONFIG)
+    for rel, rows in RUN_FILES.items():
+        _write_rows(run_dir / rel, rows)
+
+
+def test_the_unedited_run_summarizes(tmp_path, capsys):
+    _write_run(tmp_path)
+    assert run_cli(["summarize", str(tmp_path)]) == 0
+    assert "JOINT" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", list(BAD_RUN_FILES))
 def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
-    headers = {"eval.csv": EVAL_HEADER, "steps.csv": STEPS_HEADER, "rank_sweep.csv": RANK_HEADER}
-    for mode in ("SINGLE_TASK", "JOINT"):
-        (tmp_path / mode).mkdir()
-        (tmp_path / mode / "eval.csv").write_text(
-            ",".join(EVAL_HEADER) + "\n" + "\n".join(_eval_rows(mode)) + "\n")
     rel, rows, line, fragment, *header = BAD_RUN_FILES[case]
+    if rel != "rank_sweep.csv":
+        _write_run(tmp_path)
     path = tmp_path / rel
-    header = header[0] if header else ",".join(headers[path.name])
-    path.write_text("".join(f"{text}\n" for text in [header, *rows]))
+    _write_rows(path, rows, *header)
     assert run_cli(["summarize", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert (f"{path}:{line}:" if line else f"{path}:") in err, err
+    assert f"{path}:{line}:" in err, err
     assert fragment in err, err
+    assert "Traceback" not in err
+
+
+def _remove(path):
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+
+
+# (an edit of a valid run directory, the path the error must name, a fragment
+# of the message): the directory's files, not a file's rows, are at fault
+BAD_RUN_DIRS = {
+    "mode directory the config does not list": (
+        lambda run: shutil.copytree(run / "JOINT", run / "SINGLE_TASK"), "SINGLE_TASK",
+        "not a mode of"),
+    "missing config.json": (lambda run: _remove(run / "config.json"), "config.json", "not found"),
+    "invalid config.json": (lambda run: (run / "config.json").write_text('{"version": 1}'),
+                            "config.json", "config.seed: missing required field"),
+    "config mode with no directory": (lambda run: _remove(run / "JOINT"), "JOINT/eval.csv",
+                                      "missing"),
+    "config mode without steps.csv": (lambda run: _remove(run / "JOINT" / "steps.csv"),
+                                      "JOINT/steps.csv", "missing"),
+    "sweep directory holding a mode directory": (
+        lambda run: _write_rows(run / "rank_sweep.csv", ["2,0.5,0.25,-0.25"]), "JOINT",
+        "a mode directory beside"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_DIRS))
+def test_summarize_bad_run_directory_exits_2_naming_the_path(tmp_path, capsys, case):
+    edit, rel, fragment = BAD_RUN_DIRS[case]
+    _write_run(tmp_path)
+    edit(tmp_path)
+    assert run_cli(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / rel}" in err and fragment in err, err
     assert "Traceback" not in err

@@ -15,6 +15,7 @@ from ortho_lora.config import (
     ORTHO_STRUCTURED,
     VALID_MODES,
     config_from_dict,
+    save_config,
 )
 from ortho_lora.model import FLAT
 from ortho_lora.reporting import read_metrics, summarize_dir, write_metrics
@@ -79,8 +80,9 @@ def test_summarize_holds_one_modes_step_rows_at_a_time(tmp_path):
     # the summary reads only eval rows, so each mode's read-back is dropped
     # once checked: the peak is about one read_metrics, not the sum of all
     result = run_experiment(CONFIG)
+    save_config(CONFIG, tmp_path / "config.json")
     for mode, log in result.logs.items():
         write_metrics(log, tmp_path / mode)
-    largest = max(_peak(read_metrics, tmp_path / mode, mode)
+    largest = max(_peak(read_metrics, tmp_path / mode, mode, CONFIG)
                   for mode in VALID_MODES)
     assert _peak(summarize_dir, tmp_path) <= 1.5 * largest

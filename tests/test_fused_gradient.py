@@ -1,19 +1,21 @@
 """The one gradient path: joint_gradient's rows against the one-task-at-a-time
 gradient and against stacked_gradient, the batched heads against a per-task
-head loop, and the batch checks all entry points share."""
+head loop, and the batch checks that task_loss_and_gradient and EvalPool.of
+share with a run's check of its train pool."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import generator, random_batch, random_model
+from helpers import generator, random_batch, random_model, step_batch
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
+    EvalPool,
     _backprop_stack,
     forward_features,
     joint_gradient,
@@ -38,7 +40,7 @@ def test_bit_identical_at_trainer_shapes(num_tasks):
     model = random_model(30, layer_dims=(16, 16), rank=4, alpha=16.0,
                          kinds=[REGRESSION] * num_tasks, out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 16, seed=40 + t) for t in range(num_tasks)]
-    stack, losses = joint_gradient(model, batches)
+    stack, losses = joint_gradient(model, step_batch(model, batches))
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == loss
         got = stack[t]
@@ -61,7 +63,7 @@ def test_random_stacks_with_mixed_heads(seed):
     model = random_model(seed, layer_dims=dims, rank=rank, kinds=kinds,
                          out_dim=int(rng.integers(2, 5)), randomize_b=True)
     batches = [random_batch(model, t, 6, seed=100 + t) for t in range(len(kinds))]
-    stack, losses = joint_gradient(model, batches)
+    stack, losses = joint_gradient(model, step_batch(model, batches))
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == pytest.approx(loss, rel=1e-14)
         for bid, arr in want.blocks.items():
@@ -81,12 +83,12 @@ def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
     model = random_model(60, layer_dims=layer_dims, rank=3, kinds=_mixed_kinds(num_tasks),
                          out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=200 + t) for t in range(num_tasks)]
-    stack, joint_losses = joint_gradient(model, batches)
+    stack, joint_losses = joint_gradient(model, step_batch(model, batches))
     models = stack_copies(model)
     adapters = model.params[:model.layout.heads.start]
     assert all(np.array_equal(m.params, np.concatenate((adapters, model.heads[t].ravel())))
                for t, m in enumerate(models))
-    rows, losses = stacked_gradient(models, batches)
+    rows, losses = stacked_gradient(models, step_batch(model, batches))
     assert np.array_equal(rows, stack.rows)
     assert losses == joint_losses
 
@@ -95,13 +97,23 @@ def _entry_call(entry, model, batches):
     """The models an entry point touches, and a call of it on batches."""
     if entry == "task_loss_and_gradient":
         return [model], lambda: task_loss_and_gradient(model, batches[0])
+    if entry == "EvalPool.of":
+        return [model], lambda: EvalPool.of(batches, model)
     if entry == "joint_gradient":
-        return [model], lambda: joint_gradient(model, batches)
+        return [model], lambda: joint_gradient(model, step_batch(model, batches))
     models = stack_copies(model)
-    return models, lambda: stacked_gradient(models, batches)
+    return models, lambda: stacked_gradient(models, step_batch(model, batches))
 
 
-@pytest.mark.parametrize("entry", ["joint_gradient", "stacked_gradient"])
+# the entry points that check their batches; a run checks its train pool the
+# same way (check_train), so the gradient code trusts a gathered StepBatch
+CHECKED = ["task_loss_and_gradient", "EvalPool.of"]
+# and the two that take a StepBatch, built by step_batch: a bad batch never
+# reaches them, since _stacked_targets, check_train's check, rejects it first
+GATHERED = ["joint_gradient", "stacked_gradient"]
+
+
+@pytest.mark.parametrize("entry", ["EvalPool.of", *GATHERED])
 def test_unequal_batch_sizes_rejected(entry):
     model = random_model(50, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
     batches = [random_batch(model, 0, 3, seed=1), random_batch(model, 1, 7, seed=2)]
@@ -111,8 +123,7 @@ def test_unequal_batch_sizes_rejected(entry):
     assert [m.backward_passes for m in models] == [0] * len(models)
 
 
-@pytest.mark.parametrize("entry", ["task_loss_and_gradient", "joint_gradient",
-                                   "stacked_gradient"])
+@pytest.mark.parametrize("entry", CHECKED + GATHERED)
 def test_empty_batch_rejected(entry):
     # one batch cannot differ in size from itself; the T = 1 path shares this check
     model = random_model(50, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
@@ -123,8 +134,7 @@ def test_empty_batch_rejected(entry):
     assert [m.backward_passes for m in models] == [0] * len(models)
 
 
-@pytest.mark.parametrize("entry", ["task_loss_and_gradient", "joint_gradient",
-                                   "stacked_gradient"])
+@pytest.mark.parametrize("entry", CHECKED + GATHERED)
 @pytest.mark.parametrize("task,target,error,match", [
     (0, np.zeros((1, 5)), ShapeError, "task 0"),
     (1, np.zeros((5, 1), dtype=np.int64), ShapeError, "task 1"),
@@ -139,6 +149,15 @@ def test_bad_targets_rejected_naming_the_task(entry, task, target, error, match)
     with pytest.raises(error, match=match):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+@pytest.mark.parametrize("entry", CHECKED)
+def test_unknown_task_kind_rejected(entry):
+    model = random_model(50, layer_dims=(6, 5, 4), rank=2, kinds=["ranking", REGRESSION])
+    models, call = _entry_call(entry, model, [random_batch(model, t, 5, seed=1 + t)
+                                              for t in range(2)])
+    with pytest.raises(ParameterError, match="unknown task kind 'ranking'"):
+        call()
 
 
 @pytest.mark.parametrize("entry", ["task_loss_and_gradient", "joint_gradient",
@@ -164,8 +183,8 @@ def test_each_call_returns_its_own_rows(entry):
 
     def call(batches):
         if entry == "joint_gradient":
-            return joint_gradient(model, batches)[0].rows
-        return stacked_gradient(models, batches)[0]
+            return joint_gradient(model, step_batch(model, batches))[0].rows
+        return stacked_gradient(models, step_batch(model, batches))[0]
 
     kept = call(steps[0])
     first = kept.copy()
@@ -231,7 +250,7 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         got_rows, got_losses = stack.rows, [loss]
     elif entry == "joint_gradient":
         rows, losses = _per_task_heads([model] * len(kinds), batches)
-        stack, got_losses = joint_gradient(model, batches)
+        stack, got_losses = joint_gradient(model, step_batch(model, batches))
         got_rows = stack.rows
     else:
         models = stack_copies(model)
@@ -241,6 +260,6 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
                         len(kinds), *model.layout.blocks[f"L{i}.{role}"][1]) for role in "AB")
                     for i in range(model.num_layers)]
         rows, losses = _per_task_heads(models, batches, adapters)
-        got_rows, got_losses = stacked_gradient(models, batches)
+        got_rows, got_losses = stacked_gradient(models, step_batch(model, batches))
     assert np.array_equal(got_rows, rows)
     assert got_losses == losses

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, predict, random_batch, random_model
+from helpers import fd_gradient, predict, random_batch, random_model, step_batch
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
@@ -64,7 +64,7 @@ def test_fd_perturbation_reaches_predict():
 def test_stack_rows_hold_adapters_and_own_head():
     model = random_model(5, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
-    stack, _ = joint_gradient(model, batches)
+    stack, _ = joint_gradient(model, step_batch(model, batches))
     singles = [task_loss_and_gradient(model, b)[1] for b in batches]
     adapter_cols = model.layout.heads.start
     width = adapter_cols + model.out_dim * 4
@@ -167,7 +167,7 @@ def test_merge_of_model_gradients_equals_zero_padded_row_sum(kinds, dims, out_di
                          out_dim=out_dim, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=seed + 1 + t) for t in range(len(kinds))]
     task = data.draw(st.integers(0, len(kinds) - 1))
-    for grads in (joint_gradient(model, batches)[0],
+    for grads in (joint_gradient(model, step_batch(model, batches))[0],
                   task_loss_and_gradient(model, batches[task])[1]):
         assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
         assert merge(grads).tobytes() == _zero_padded_row_sum(grads).tobytes()

@@ -14,6 +14,7 @@ from helpers import (
     random_batch,
     random_model,
     reference_metric,
+    step_batch,
     task_gradient,
     task_loss,
 )
@@ -202,7 +203,7 @@ class TestJointGradient:
     def test_linearity_matches_per_task_sum(self):
         model = random_model(21, randomize_b=True)
         batches = [random_batch(model, t, 5, seed=20 + t) for t in range(2)]
-        stack, losses = joint_gradient(model, batches)
+        stack, losses = joint_gradient(model, step_batch(model, batches))
         merged = merge(stack)
         per_task = [task_gradient(model, b) for b in batches]
         for name, (sl, shape) in model.layout.blocks.items():

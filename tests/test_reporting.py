@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import reference_steps_csv
 
-from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
+from ortho_lora.config import (
+    JOINT,
+    ORTHO_FLAT,
+    ORTHO_STRUCTURED,
+    SINGLE_TASK,
+    config_from_dict,
+    save_config,
+)
 from ortho_lora.errors import ParameterError
 from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
 from ortho_lora.reporting import (
@@ -49,6 +56,17 @@ def small_config(**overrides):
     return config_from_dict(raw)
 
 
+def log_config(mode, num_tasks, epochs, steps_per_epoch, record_conflicts=True):
+    """The config of a hand-made log of mode: num_tasks regression tasks, one adapter
+    layer (PER_MATRIX labels L0.A and L0.B) and epochs * steps_per_epoch steps."""
+    return small_config(
+        modes=[mode],
+        schedule={"epochs": epochs, "batch_size": 8, "steps_per_epoch": steps_per_epoch},
+        tasks={"kind": "regression", "num_tasks": num_tasks, "in_dim": 6, "out_dim": 2,
+               "conflict_level": 0.0, "noise_sigma": 0.0, "n_train": 32, "n_eval": 16},
+        surgery={"record_conflicts": record_conflicts})
+
+
 class TestRecovery:
     # the quadruples exercise the published summary-table arithmetic
     @pytest.mark.parametrize(
@@ -81,7 +99,7 @@ class TestCsvRoundTrip:
         for mode, log in result.logs.items():
             mode_dir = tmp_path / mode
             write_metrics(log, mode_dir)
-            back = read_metrics(mode_dir, mode)
+            back = read_metrics(mode_dir, mode, cfg)
             assert back == log
 
     @pytest.mark.parametrize("mode", [JOINT, ORTHO_STRUCTURED])
@@ -93,26 +111,28 @@ class TestCsvRoundTrip:
         log = run_experiment(cfg).logs[mode]
         assert log.steps and log.conflicts == []
         write_metrics(log, tmp_path)
-        assert read_metrics(tmp_path, mode) == log
+        assert read_metrics(tmp_path, mode, cfg) == log
 
     def test_summarize_equals_in_memory(self, tmp_path):
         cfg = small_config()
         result = run_experiment(cfg)
+        save_config(cfg, tmp_path / "config.json")
         for mode, log in result.logs.items():
             write_metrics(log, tmp_path / mode)
         assert summarize_dir(tmp_path) == build_summary(result.logs)
 
     def test_cosine_rounded_past_one_reads_back(self, tmp_path):
         # parallel gradients give cosines a few ulps past +-1; a run can write them
-        log = MetricsLog(mode=JOINT)
+        log = MetricsLog(mode=ORTHO_FLAT)
         log.steps += [StepRecord(0, task, 0.5, 0.01) for task in range(3)]
         log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
                                             np.array([[2.0], [-2.0], [1.0]]),
                                             np.array([[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]])))
-        log.evals += [EvalRecord(0, JOINT, str(task), 0.5) for task in range(3)]
-        log.evals.append(EvalRecord(0, JOINT, "avg", 0.5))
+        for epoch in range(2):
+            log.evals += [EvalRecord(epoch, ORTHO_FLAT, str(task), 0.5) for task in range(3)]
+            log.evals.append(EvalRecord(epoch, ORTHO_FLAT, "avg", 0.5))
         write_metrics(log, tmp_path)
-        assert read_metrics(tmp_path, JOINT) == log
+        assert read_metrics(tmp_path, ORTHO_FLAT, log_config(ORTHO_FLAT, 3, 1, 1)) == log
 
     def test_rank_rows_round_trip(self, tmp_path):
         # adversarial float values must survive the 17-digit serialization
@@ -138,19 +158,21 @@ COSINE = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -5e-324, 1.0, -1.
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
+    # like a run, every step has its conflict rows when JOINT records them, and
+    # every epoch of eval.csv lists the tasks with loss rows (tasks 0 and 1)
+    config = log_config(JOINT, 2, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)),
+                        record_conflicts=data.draw(st.booleans()))
     log = MetricsLog(mode=JOINT)
-    for step in range(data.draw(st.integers(0, 3))):
+    for step in range(config.total_steps()):
         lr = data.draw(FINITE)  # one lr per step, as a run writes it
         log.steps += [StepRecord(step, task, data.draw(FINITE), lr) for task in range(2)]
-        if data.draw(st.booleans()):
+        if config.surgery.record_conflicts:
             log.conflicts.append(ConflictReport(
                 step, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
                 np.array([[data.draw(FINITE), data.draw(FINITE)]]),
                 np.array([[data.draw(COSINE), data.draw(COSINE)]])))
-    # like a run, every epoch of eval.csv lists the tasks with loss rows (tasks 0 and 1)
-    num_tasks = 2
-    for epoch in range(data.draw(st.integers(1, 2))):
-        metrics = data.draw(st.lists(FINITE, min_size=num_tasks, max_size=num_tasks))
+    for epoch in range(config.schedule.epochs + 1):
+        metrics = data.draw(st.lists(FINITE, min_size=2, max_size=2))
         try:
             avg = fmean(metrics)
         except OverflowError:  # the exact sum leaves the float range
@@ -160,7 +182,7 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
         log.evals.append(EvalRecord(epoch, JOINT, "avg", avg))
     with tempfile.TemporaryDirectory() as tmp:
         write_metrics(log, Path(tmp))
-        back = read_metrics(Path(tmp), JOINT)
+        back = read_metrics(Path(tmp), JOINT, config)
     assert _log_bits(back) == _log_bits(log)
 
 

@@ -12,14 +12,13 @@ bit for bit on everything a stacked model holds.
 import numpy as np
 import pytest
 
-from helpers import own_copy, random_batch, random_model
+from helpers import own_copy, random_batch, random_model, step_batch
 
 from ortho_lora.config import SINGLE_TASK
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
 from ortho_lora.model import (
     CLASSIFICATION,
-    PER_MATRIX,
     REGRESSION,
     MultiTaskModel,
     stack_copies,
@@ -72,10 +71,8 @@ def _stacked(base, hyper, steps):
     states = [AdamWState(hyper=hyper)]
     losses = []
     for step in range(steps):
-        # shuffled batch order: the step sorts by task
-        batches = _batches(base, step)[::-1]
-        records, report = train_step(SINGLE_TASK, models, batches, states, step,
-                                     0.01 * (1 + step), Rng(0), PER_MATRIX)
+        records, report = train_step(SINGLE_TASK, models, step_batch(base, _batches(base, step)),
+                                     states, step, 0.01 * (1 + step), Rng(0), None)
         assert report is None
         assert [r.task for r in records] == list(range(base.num_tasks))
         losses.append([r.loss for r in records])
@@ -123,8 +120,8 @@ def test_models_are_views_into_one_stack():
     assert models[0].layout.blocks == alone.blocks and models[0].layout.num_tasks == 1
     # a step moves each model through its row, and the base stays put
     before = base.params.copy()
-    train_step(SINGLE_TASK, models, _batches(base, 0), [AdamWState()], 0, 0.01, Rng(0),
-               PER_MATRIX)
+    train_step(SINGLE_TASK, models, step_batch(base, _batches(base, 0)), [AdamWState()], 0, 0.01,
+               Rng(0), None)
     assert np.array_equal(base.params, before)
     for t, model in enumerate(models):
         assert not np.array_equal(model.params, before)
@@ -138,8 +135,8 @@ def test_copies_share_one_stack_of_views():
     assert all(model.stack is stack for model in models)
     assert stack.matrix is models[0].params.base
     assert all(row is model.params for row, model in zip(stack.rows, models))
-    train_step(SINGLE_TASK, models, _batches(base, 0), [AdamWState()], 0, 0.01, Rng(0),
-               PER_MATRIX)
+    train_step(SINGLE_TASK, models, step_batch(base, _batches(base, 0)), [AdamWState()], 0, 0.01,
+               Rng(0), None)
     # the views, built once, still show each model's moved parameters
     for t, model in enumerate(models):
         for (a, b), layer in zip(stack.adapters, model.layers):
@@ -149,6 +146,9 @@ def test_copies_share_one_stack_of_views():
         assert np.array_equal(stack.heads[t], model.heads[0])
 
 
+# a step's batches reach train_step as the StepBatch a run gathers for the
+# stack's base; step_batch builds it as a run checks its train pool, so a
+# bad list is rejected before any model moves
 @pytest.mark.parametrize("task_ids", [[0, 2], [0, 0, 1], [0, 1, 1, 2]],
                          ids=["missing", "repeated", "extra"])
 def test_batch_list_must_hold_each_task_once(task_ids):
@@ -157,7 +157,8 @@ def test_batch_list_must_hold_each_task_once(task_ids):
     before = models[0].params.base.copy()
     batches = [random_batch(base, t, 8, seed=i) for i, t in enumerate(task_ids)]
     with pytest.raises(ParameterError, match="one batch per task"):
-        train_step(SINGLE_TASK, models, batches, [AdamWState()], 0, 0.01, Rng(0), PER_MATRIX)
+        train_step(SINGLE_TASK, models, step_batch(base, batches), [AdamWState()], 0, 0.01,
+                   Rng(0), None)
     assert np.array_equal(models[0].params.base, before)
 
 
@@ -169,13 +170,16 @@ def test_batch_list_must_hold_each_task_once(task_ids):
 def test_models_must_be_the_rows_of_one_stack_in_order(build):
     base = random_model(8, kinds=_kinds(3, mixed=False))
     with pytest.raises(ParameterError, match="parameter stack"):
-        train_step(SINGLE_TASK, build(base), _batches(base, 0), [AdamWState()], 0, 0.01,
-                   Rng(0), PER_MATRIX)
+        train_step(SINGLE_TASK, build(base), step_batch(base, _batches(base, 0)), [AdamWState()],
+                   0, 0.01, Rng(0), None)
 
 
 def test_unequal_batch_sizes_rejected():
     base = random_model(9, kinds=_kinds(3, mixed=False))
+    models = stack_copies(base)
+    before = models[0].params.base.copy()
     batches = [random_batch(base, t, 8 + t, seed=t) for t in range(3)]
     with pytest.raises(ParameterError, match="equal batch sizes"):
-        train_step(SINGLE_TASK, stack_copies(base), batches, [AdamWState()], 0, 0.01,
-                   Rng(0), PER_MATRIX)
+        train_step(SINGLE_TASK, models, step_batch(base, batches), [AdamWState()], 0, 0.01,
+                   Rng(0), None)
+    assert np.array_equal(models[0].params.base, before)

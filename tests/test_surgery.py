@@ -15,7 +15,14 @@ from helpers import (
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ShapeError
 from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
-from ortho_lora.surgery import build_conflict_report, merge, project_pair, scope_groups, surgery
+from ortho_lora.surgery import (
+    build_conflict_report,
+    group_grams,
+    merge,
+    project_pair,
+    scope_groups,
+    surgery,
+)
 
 
 def _two_grads(a1, a2, b1=None, b2=None):
@@ -29,7 +36,8 @@ def _two_grads(a1, a2, b1=None, b2=None):
 
 def report_cosine(g1, g2, scope, block="flat"):
     """The conflict report's cosine column for the pair (g1, g2) in one group."""
-    report = build_conflict_report(0, stack_of([g1, g2]), scope)
+    stack = stack_of([g1, g2])
+    report = build_conflict_report(0, stack, scope, group_grams(stack, scope))
     (cosine,) = [p.cosine for p in report.pairs if p.block == block]
     return cosine
 
@@ -61,7 +69,8 @@ class TestPairwiseCosine:
     def test_block_required_for_per_matrix(self):
         # per-matrix cosines come one per named matrix, never as one flat value
         g1, g2 = _two_grads([[1.0, 0.0]], [[0.0, 1.0]])
-        report = build_conflict_report(0, stack_of([g1, g2]), PER_MATRIX)
+        stack = stack_of([g1, g2])
+        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
         assert [p.block for p in report.pairs] == ["L0.A", "L0.B"]
 
 
@@ -109,7 +118,8 @@ class TestProjectPair:
 class TestSurgery:
     def test_single_task_unchanged(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.5]]], head=[[1.0]])
-        out = surgery(stack_of([g]), PER_MATRIX, Rng(0))
+        stack = stack_of([g])
+        out = surgery(stack, PER_MATRIX, Rng(0), group_grams(stack, PER_MATRIX))
         assert blocks_equal(out[0], g)
 
     def test_no_conflict_identity_bit_exact(self):
@@ -119,8 +129,9 @@ class TestSurgery:
                      [np.abs(rng.standard_normal((3, 2)))], head=rng.standard_normal((1, 3)))
         g2 = grad_of(1, [np.abs(rng.standard_normal((2, 3)))],
                      [np.abs(rng.standard_normal((3, 2)))], head=rng.standard_normal((1, 3)))
+        stack = stack_of([g1, g2])
         for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
-            out = surgery(stack_of([g1, g2]), scope, Rng(2))
+            out = surgery(stack, scope, Rng(2), group_grams(stack, scope))
             assert blocks_equal(out[0], g1)
             assert blocks_equal(out[1], g2)
 
@@ -129,7 +140,7 @@ class TestSurgery:
         g2 = grad_of(1, [[[-1.0, 0.5]]], [[[-1.0], [0.5]]], head=[[2.0]])
         stack = stack_of([g1, g2])
         before = stack.rows.copy()
-        out = surgery(stack, FLAT, Rng(0))
+        out = surgery(stack, FLAT, Rng(0), group_grams(stack, FLAT))
         assert np.array_equal(stack.rows, before)
         assert not np.array_equal(out.rows, before)
 
@@ -139,8 +150,9 @@ class TestSurgery:
             a1=[[1.0, 0.0]], a2=[[-1.0, 0.1]],
             b1=[[0.1], [0.1]], b2=[[0.1], [0.1]],
         )
-        per_matrix = surgery(stack_of([g1, g2]), PER_MATRIX, Rng(3))
-        flat = surgery(stack_of([g1, g2]), FLAT, Rng(3))
+        stack = stack_of([g1, g2])
+        per_matrix = surgery(stack, PER_MATRIX, Rng(3), group_grams(stack, PER_MATRIX))
+        flat = surgery(stack, FLAT, Rng(3), group_grams(stack, FLAT))
 
         a_id, b_id = "L0.A", "L0.B"
         # PER_MATRIX: only A blocks move
@@ -155,7 +167,8 @@ class TestSurgery:
     def test_heads_pass_through_untouched(self):
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [1.0]]], head=[[3.0, 4.0]])
         g2 = grad_of(1, [[[-1.0, 0.0]]], [[[-1.0], [-1.0]]], head=[[5.0, 6.0]])
-        out = surgery(stack_of([g1, g2]), FLAT, Rng(4))
+        stack = stack_of([g1, g2])
+        out = surgery(stack, FLAT, Rng(4), group_grams(stack, FLAT))
         assert np.array_equal(out[0].blocks["HEAD0"], g1.blocks["HEAD0"])
         assert np.array_equal(out[1].blocks["HEAD1"], g2.blocks["HEAD1"])
 
@@ -168,7 +181,7 @@ class TestSurgery:
                          [-g1.blocks["L0.B"] + 0.1 * rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
             stack = stack_of([g1, g2])
-            out = surgery(stack, scope, Rng(6))
+            out = surgery(stack, scope, Rng(6), group_grams(stack, scope))
             for label, bids in scope_groups(stack[0], scope):
                 for gi_new, gj_orig in ((out[0], g2), (out[1], g1)):
                     vi = group_vector(gi_new, bids)
@@ -190,7 +203,7 @@ class TestSurgery:
         ]
         seed = 11
         stack = stack_of(grads)
-        out = surgery(stack, FLAT, Rng(seed))
+        out = surgery(stack, FLAT, Rng(seed), group_grams(stack, FLAT))
         order = Rng(seed).permutation(3)
         (label, bids), = scope_groups(stack[0], FLAT)
         originals = [group_vector(g, bids) for g in grads]
@@ -216,15 +229,16 @@ class TestSurgery:
                     head=rng.standard_normal((1, 3)))
             for t in range(3)
         ]
-        out1 = surgery(stack_of(grads), PER_MATRIX, Rng(9))
-        out2 = surgery(stack_of(grads), PER_MATRIX, Rng(9))
+        stack = stack_of(grads)
+        out1 = surgery(stack, PER_MATRIX, Rng(9), group_grams(stack, PER_MATRIX))
+        out2 = surgery(stack, PER_MATRIX, Rng(9), group_grams(stack, PER_MATRIX))
         assert all(blocks_equal(a, b) for a, b in zip(out1, out2))
 
     def test_stats_count_adapter_floats(self):
         model = random_model(12, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
         grads = [task_gradient(model, random_batch(model, t, 4, seed=t)) for t in range(2)]
         stack = stack_of(grads)
-        surgery(stack, PER_MATRIX, Rng(13))
+        surgery(stack, PER_MATRIX, Rng(13), group_grams(stack, PER_MATRIX))
         assert surgery_floats(stack, PER_MATRIX) == 2 * model.layout.heads.start
 
 
@@ -277,7 +291,8 @@ class TestConflictReport:
                     head=rng.standard_normal((1, 3)))
             for t in range(3)
         ]
-        report = build_conflict_report(4, stack_of(grads), PER_MATRIX)
+        stack = stack_of(grads)
+        report = build_conflict_report(4, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
         assert report.step == 4
         assert report.scope == PER_MATRIX
         assert len(report.pairs) == 3 * 2  # 3 unordered pairs x 2 blocks
@@ -287,4 +302,5 @@ class TestConflictReport:
 
     def test_single_task_empty(self):
         g = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[1.0]])
-        assert build_conflict_report(0, stack_of([g]), FLAT).pairs == []
+        stack = stack_of([g])
+        assert build_conflict_report(0, stack, FLAT, group_grams(stack, FLAT)).pairs == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conflict_set, dump_csv, random_model, stack_of, task_gradient
+from helpers import conflict_set, dump_csv, random_model, stack_of, step_batch, task_gradient
 
 from ortho_lora.config import config_from_dict
 from ortho_lora.dense import Rng
@@ -18,7 +18,7 @@ from ortho_lora.model import (
     stack_copies,
     stacked_gradient,
 )
-from ortho_lora.surgery import build_conflict_report
+from ortho_lora.surgery import build_conflict_report, group_grams
 from ortho_lora import tasks
 from ortho_lora.tasks import subset_batch
 from ortho_lora.trainer import run_experiment
@@ -42,7 +42,8 @@ class TestRegressionConflict:
         shared_x = ts.train[0].x[:, :16]
         grads = [task_gradient(model, TaskBatch(t, shared_x, ts.teachers[t] @ shared_x))
                  for t in range(3)]
-        report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
+        stack = stack_of(grads)
+        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
         for p in report.pairs:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
 
@@ -58,7 +59,8 @@ class TestRegressionConflict:
                           rng=Rng(4), shared_scale=0.0)
         model = build_model([6, 5], 2, 4.0, 0.02, ts.kinds, 3, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
-        report = build_conflict_report(0, stack_of(grads), PER_MATRIX)
+        stack = stack_of(grads)
+        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
         assert any(p.conflicted for p in report.pairs)
 
     def test_pool_sizes_and_disjointness(self):
@@ -218,20 +220,21 @@ def test_subset_batch_equals_per_task_take(seed, monkeypatch):
 def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     # the gathered StepBatch is the per-task takes, and both gradient entry
     # points give on it, bit for bit, what they give on those takes as checked
-    # TaskBatch objects (in shuffled order)
+    # TaskBatch objects (in shuffled order) stacked by step_batch
     ts = conflict_set(kinds, 4, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     idx = np.random.default_rng(seed).integers(0, size, size=(len(kinds), n))
     (step,) = subset_batch(ts.train_pool, idx[:, None])
     _assert_step_equals_per_task_take(step, ts, idx)
     batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
-    (got, got_losses), (want, want_losses) = (joint_gradient(model, b) for b in (step, batches))
+    stacked = step_batch(model, batches)
+    (got, got_losses), (want, want_losses) = (joint_gradient(model, b) for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got.task_ids == want.task_ids
     assert got_losses == want_losses
     models = stack_copies(model)
     models[0].params.base[...] += 0.1 * Rng(seed).standard_normal(models[0].params.base.shape)
     (got_rows, got_losses), (want_rows, want_losses) = (
-        stacked_gradient(models, b) for b in (step, batches))
+        stacked_gradient(models, b) for b in (step, stacked))
     assert np.array_equal(got_rows, want_rows) and got_losses == want_losses
 
 

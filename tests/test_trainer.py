@@ -13,6 +13,7 @@ from helpers import (
     random_batch,
     random_model,
     reference_metric,
+    step_batch,
 )
 
 from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
@@ -20,7 +21,9 @@ from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
+    FLAT,
     PER_MATRIX,
+    PER_ROLE_CONCAT,
     REGRESSION,
     TaskBatch,
     eval_metric,
@@ -29,7 +32,14 @@ from ortho_lora.model import (
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import merge
 from ortho_lora import tasks
-from ortho_lora.trainer import build_task_set, epoch_batches, run_experiment, run_mode, train_step
+from ortho_lora.trainer import (
+    build_task_set,
+    conflict_scope,
+    epoch_batches,
+    run_experiment,
+    run_mode,
+    train_step,
+)
 
 
 def tiny_config(**overrides):
@@ -64,12 +74,10 @@ def max_rel_diff(s1, s2):
     return out
 
 
-def _one_step(mode, model_or_models, batches, scope=PER_MATRIX, seed=0):
-    models = model_or_models if isinstance(model_or_models, list) else [model_or_models]
-    states = [AdamWState() for _ in models]
-    records, report = train_step(mode, models, batches, states, step=0, lr=0.01,
-                                 surgery_rng=Rng(seed), scope=scope)
-    return records, report, models
+def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
+    records, report = train_step(mode, [model], step_batch(model, batches), [AdamWState()],
+                                 step=0, lr=0.01, surgery_rng=Rng(seed), scope=scope)
+    return records, report
 
 
 class TestTrainStep:
@@ -82,7 +90,7 @@ class TestTrainStep:
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
             model = own_copy(base)
-            _, report, _ = _one_step(mode, model, batches)
+            _, report = _one_step(mode, model, batches)
             if mode != JOINT:
                 assert report is not None and not any(p.conflicted for p in report.pairs)
             results[mode] = snapshot(model)
@@ -112,7 +120,7 @@ class TestTrainStep:
         batches = [TaskBatch(0, x, np.zeros_like(out)), TaskBatch(1, x, 2.0 * out)]
 
         before = snapshot(model)
-        _, report, _ = _one_step(ORTHO_STRUCTURED, model, batches)
+        _, report = _one_step(ORTHO_STRUCTURED, model, batches)
         assert report is not None and any(p.conflicted for p in report.pairs)
         after = snapshot(model)
         for name in model.layout.blocks:
@@ -158,8 +166,8 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
     monkeypatch.setattr("ortho_lora.trainer.merge", merge_rows)
     monkeypatch.setattr("ortho_lora.trainer.adamw_step", adamw)
     models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
-    train_step(mode, models, batches, [AdamWState()], step=0, lr=0.01, surgery_rng=Rng(0),
-               scope=PER_MATRIX)
+    train_step(mode, models, step_batch(model, batches), [AdamWState()], step=0, lr=0.01,
+               surgery_rng=Rng(0), scope=PER_MATRIX)
     if mode == SINGLE_TASK:
         assert shapes == [("adamw", (3, width), True), ("moments", (3, width), (3, width))]
     else:
@@ -176,8 +184,8 @@ class TestBackwardCounting:
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
         models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
         states = [AdamWState()]
-        train_step(mode, models, batches, states, step=0, lr=0.01,
-                   surgery_rng=Rng(0), scope=PER_MATRIX, record_conflicts=False)
+        train_step(mode, models, step_batch(model, batches), states, step=0, lr=0.01,
+                   surgery_rng=Rng(0), scope=PER_MATRIX)
         assert sum(m.backward_passes for m in models) == expected
         # one fused backward per step; SINGLE_TASK's 2 models take one sweep each
         assert expected == (2 if mode == SINGLE_TASK else 1)
@@ -234,6 +242,25 @@ class TestRunExperiment:
         assert run_experiment(quiet).logs[JOINT].conflicts == []
         loud = tiny_config(surgery={"record_conflicts": True})
         assert len(run_experiment(loud).logs[JOINT].conflicts) == loud.total_steps()
+
+    @pytest.mark.parametrize("mode,overrides,scope", [
+        (SINGLE_TASK, {}, None),
+        (JOINT, {}, PER_MATRIX),
+        (JOINT, {"surgery": {"record_conflicts": False}}, None),
+        (JOINT, {"tasks": {"num_tasks": 1}}, None),
+        (ORTHO_FLAT, {"surgery": {"scope": PER_ROLE_CONCAT}}, FLAT),
+        (ORTHO_FLAT, {"tasks": {"num_tasks": 1}}, None),
+        (ORTHO_STRUCTURED, {"surgery": {"scope": PER_ROLE_CONCAT, "record_conflicts": False}},
+         PER_ROLE_CONCAT),
+        (ORTHO_STRUCTURED, {"tasks": {"num_tasks": 1}}, None),
+    ])
+    def test_run_keeps_a_report_every_step_exactly_in_its_conflict_scope(self, mode, overrides,
+                                                                         scope):
+        cfg = tiny_config(modes=[mode], **overrides)
+        assert conflict_scope(cfg, mode) == scope
+        log, _ = run_mode(cfg, mode)
+        assert [r.step for r in log.conflicts] == (list(range(cfg.total_steps())) if scope else [])
+        assert {r.scope for r in log.conflicts} <= {scope}
 
     def test_single_task_models_start_identical(self):
         cfg = tiny_config(modes=[SINGLE_TASK], schedule={"epochs": 0})

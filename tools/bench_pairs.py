@@ -16,12 +16,16 @@ this tree first, so neither side always runs second on a machine whose speed
 drifts. For every end-to-end metric ``BENCHMARK.json`` declares, it
 prints each side's median and quartiles, the change's relative gap, its wins
 (pairs where it reads better than the parent; ties count for neither side)
-and two verdicts:
+and its verdicts:
 
 * ``gain``: the change wins at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
 * ``worse``: its median is worse than the parent's by more than the metric's
-  bound.
+  bound;
+* ``unresolved``, in place of ``-`` (neither verdict): the parent's
+  interquartile range is wider than the metric's bound times its median, so
+  the runs spread too widely to call the metric unchanged, and not every
+  run of the change reads better than every run of the parent.
 
 It also prints each side's failed mode runs. Exits 0 after the table, 1 if a
 benchmark run fails, and 2 on a usage error or a revision git cannot export.
@@ -57,10 +61,12 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True))
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     gap = sign * (pm - cm)  # > 0: the change's median is better
+    every_run_better = min(sign * p for p in parent) > max(sign * c for c in change)
     return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
             "rel": (cm - pm) / pm if pm else 0.0,
             "gain": 10 * wins >= 9 * len(parent) and gap > p3 - p1,
-            "worse": -gap > bound * abs(pm)}
+            "worse": -gap > bound * abs(pm),
+            "unresolved": p3 - p1 > bound * abs(pm) and not every_run_better}
 
 
 def copy_tree(dest: Path) -> None:
@@ -123,7 +129,8 @@ def main(argv: list[str]) -> int:
         parent, change = ([r["metrics"][name]["value"] for r in results[side]]
                           for side in ("parent", "change"))
         v = judge(parent, change, metric["better"], metric["bound"])
-        verdict = ", ".join(word for word in ("gain", "worse") if v[word]) or "-"
+        verdict = (", ".join(word for word in ("gain", "worse") if v[word])
+                   or ("unresolved" if v["unresolved"] else "-"))
         print(f"  {name:<26} {' / '.join(f'{q:.4g}' for q in v['parent']):>34}"
               f" {' / '.join(f'{q:.4g}' for q in v['change']):>34} {v['rel']:>+8.1%}"
               f" {v['wins']:>3}/{args.pairs:<2}  {verdict}")
