@@ -11,7 +11,7 @@ Subcommands:
 * ``summarize <dir>``              - recompute the summary from the CSVs of a
                                      ``run`` directory, each read against its
                                      ``config.json``, or of a ``sweep-rank``
-                                     directory
+                                     directory, read against its ``sweep.json``
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
@@ -23,9 +23,11 @@ holds any mode directory, caught before anything is trained or written, so
 that ``summarize`` never mixes two runs, no adapter dump outlives its run
 and ``config.json`` describes the directory it is in). ``summarize`` exits 2
 on a run file other than the one a run of the directory's ``config.json``
-writes (naming the file and the first line that differs), a missing or
-invalid ``config.json``, a missing CSV, a mode directory the config does
-not list, and a mode directory beside a ``rank_sweep.csv``.
+writes, or a ``rank_sweep.csv`` whose ranks are not its ``sweep.json``'s
+(naming the file and the first line that differs), a missing or invalid
+``config.json`` or ``sweep.json`` (naming the file and the field), a missing
+CSV, a mode directory the config does not list, and a mode directory beside
+a ``rank_sweep.csv``.
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -35,18 +37,24 @@ an explicit run directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .adapter import save_adapter
-from .config import SINGLE_TASK, ExperimentConfig, load_config, save_config
+from .config import (
+    SINGLE_TASK,
+    ExperimentConfig,
+    SweepRecord,
+    load_config,
+    save_config,
+    save_sweep,
+)
 from .errors import ConfigError, OrthoLoraError
-from .files import atomic_write
 from .reporting import (
     CONFIG_FILE,
     RANK_FILE,
+    SWEEP_FILE,
     SummaryTable,
     build_summary,
     format_summary,
@@ -59,7 +67,6 @@ from .reporting import (
 from .trainer import run_experiment
 
 ENV_OUT = "ORTHO_LORA_OUT"
-SWEEP_FILE = "sweep.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,8 +166,7 @@ def _cmd_sweep_rank(args) -> int:
     rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
     write_rank_rows(rows, run_dir / RANK_FILE)
     save_config(config, run_dir / CONFIG_FILE)  # written last: they describe the table
-    with atomic_write(run_dir / SWEEP_FILE) as fh:
-        fh.write(json.dumps({"ranks": sorted(args.ranks), "seeds": args.seeds}, indent=2) + "\n")
+    save_sweep(SweepRecord(sorted(args.ranks), args.seeds), run_dir / SWEEP_FILE)
     print(f"wrote {run_dir / RANK_FILE}")
     print(format_summary(SummaryTable(rank_rows=rows)))
     return 0

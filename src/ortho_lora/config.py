@@ -8,6 +8,7 @@ rejects unknown keys at every nesting level, so a typo in an ablation sweep
 fails loudly instead of silently running defaults. The few fields that are
 not plain scalars have short readers, and the rules that tie two fields
 together follow the loop. Every error names the offending field path.
+A sweep-rank directory's ``sweep.json`` (``SweepRecord``) is read the same way.
 """
 
 from __future__ import annotations
@@ -230,20 +231,50 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _load(path: str | Path, name: str, read):
+    """read applied to the JSON object of the file at path; a ConfigError names the file."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{name} file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON or text encoding
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     try:
-        return config_from_dict(raw)
+        return read(raw)
     except ConfigError as exc:
         raise ConfigError(f"{p}: {exc}") from None
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return _load(path, "config", config_from_dict)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _ranks(value, path: str, _section: dict) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of ranks")
+    ranks = [_check(r, f"{path}[{i}]", _POSITIVE_INT) for i, r in enumerate(value)]
+    if ranks != sorted(set(ranks)):
+        raise ConfigError(f"{path}: expected ascending ranks with no repeats, got {ranks}")
+    return ranks
+
+
+@dataclass
+class SweepRecord:
+    """What a sweep-rank table holds: its ranks, ascending, and its seed count."""
+    ranks: list[int] = field(metadata={"read": _ranks})
+    seeds: int = _field(int, ge=1)
+
+
+def load_sweep(path: str | Path) -> SweepRecord:
+    return _load(path, "sweep", lambda raw: _read(SweepRecord, raw, "sweep"))
+
+
+def save_sweep(sweep: SweepRecord, path: str | Path) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(asdict(sweep), indent=2) + "\n")

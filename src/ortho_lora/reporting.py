@@ -29,9 +29,9 @@ expected '<rendered>', got '<found>'``. Free float cells (loss, lr, dot,
 cosine, metric, joint, ortho) keep the file's own spelling. Derived cells
 are rendered from the values read: ``conflicted`` is 1 exactly when dot <
 0, a step's lr is its first loss row's, ``avg`` is the mean of its epoch's
-task metrics and ``delta`` is ortho - joint. rank_sweep.csv's ranks ascend,
-as many as the file holds. Only what rendering cannot show is checked
-apart: a field count, a number that does not parse, a non-finite value, and
+task metrics and ``delta`` is ortho - joint. rank_sweep.csv holds exactly
+the ranks of its directory's ``sweep.json``, in order. Only what rendering
+cannot show is checked apart: a field count, a number that does not parse, a non-finite value, and
 a cosine outside [-1, 1] by more than rounding (``COSINE_ROUNDING``). The
 reader takes ``\n`` line ends too.
 """
@@ -49,7 +49,15 @@ from typing import TextIO
 
 import numpy as np
 
-from .config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, ExperimentConfig, load_config
+from .config import (
+    JOINT,
+    ORTHO_FLAT,
+    ORTHO_STRUCTURED,
+    SINGLE_TASK,
+    ExperimentConfig,
+    load_config,
+    load_sweep,
+)
 from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
@@ -65,6 +73,7 @@ STEPS_FILE = "steps.csv"
 EVAL_FILE = "eval.csv"
 RANK_FILE = "rank_sweep.csv"
 CONFIG_FILE = "config.json"
+SWEEP_FILE = "sweep.json"
 
 # How far a written cosine may pass +-1 by rounding, in ulps of 1.0: the
 # cosine of two parallel gradients, dot / (||gi|| ||gj||) from one Gram
@@ -323,26 +332,24 @@ def read_metrics(mode_dir: str | Path, mode: str, config: ExperimentConfig) -> M
     return log
 
 
-def read_rank_rows(path: str | Path) -> list[RankRow]:
-    """rank_sweep.csv's rows, the first of each rank; then each line compared
-    with the one the writer renders there for them, by ascending rank."""
-    path = Path(path)
-    rows: dict[int, tuple[list[str], RankRow]] = {}
-    with _read_lines(path, RANK_HEADER) as lines:
-        while lines.text is not None:
+def read_rank_rows(path: str | Path, ranks: list[int]) -> list[RankRow]:
+    """rank_sweep.csv's rows, each line compared with the one the writer renders
+    there for the next of ranks, then end of file."""
+    rows: list[RankRow] = []
+    with _read_lines(Path(path), RANK_HEADER) as lines:
+        for rank in ranks:
             cells = lines.cells
-            rank, joint, ortho = int(cells[0]), _finite(cells[1]), _finite(cells[2])
-            rows.setdefault(rank, (cells[1:3], RankRow(rank, joint, ortho, ortho - joint)))
-            lines.advance()
-    table = [rows[rank] for rank in sorted(rows)]
-    want = [rank_row(row.rank, *texts, fmt(row.delta)) for texts, row in table]
-    with _read_lines(path, RANK_HEADER) as lines:
-        for line in want or [rank_row(MISSING, MISSING, MISSING, MISSING)]:  # one rank at least
-            lines.expect(line)
-            _finite(lines.cells[3])  # ortho - joint may overflow
+            try:
+                delta = fmt(float(cells[2]) - float(cells[1]))
+            except ValueError:  # compared first, with its own delta: a line of another kind
+                delta = cells[3]
+            lines.expect(rank_row(rank, cells[1], cells[2], delta))
+            joint, ortho = _finite(cells[1]), _finite(cells[2])
+            _finite(cells[3])  # ortho - joint may overflow
+            rows.append(RankRow(rank, joint, ortho, ortho - joint))
             lines.advance()
         lines.expect(None)
-    return [row for _, row in table]
+    return rows
 
 
 def mode_dirs(run_dir: Path) -> list[Path]:
@@ -355,12 +362,14 @@ def mode_dirs(run_dir: Path) -> list[Path]:
 def summarize_dir(run_dir: str | Path) -> SummaryTable:
     """Recompute the summary from the files of a ``run`` or ``sweep-rank`` directory.
 
-    A directory with a ``rank_sweep.csv`` is a sweep directory and holds no
-    mode directory (see ``mode_dirs``). Any other is a run directory: its
-    ``config.json`` and one mode directory per mode the config lists, and
-    no other, each read against the config by ``read_metrics``. Each mode's
-    loss and conflict rows are dropped once checked: the summary reads only
-    eval rows, so at most one mode's step rows are held at a time.
+    A directory with a ``rank_sweep.csv`` is a sweep directory: it holds no
+    mode directory (see ``mode_dirs``), and its ``sweep.json`` lists the
+    ranks that ``read_rank_rows`` reads the table against. Any other is a
+    run directory: its ``config.json`` and one mode directory per mode the
+    config lists, and no other, each read against the config by
+    ``read_metrics``. Each mode's loss and conflict rows are dropped once
+    checked: the summary reads only eval rows, so at most one mode's step
+    rows are held at a time.
     """
     run_dir = Path(run_dir)
     rank_path = run_dir / RANK_FILE
@@ -369,7 +378,8 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
         if modes:
             raise ConfigError(f"{modes[0]}: a mode directory beside {rank_path}, which a "
                               "sweep-rank directory does not hold")
-        return SummaryTable(rank_rows=read_rank_rows(rank_path))
+        sweep = load_sweep(run_dir / SWEEP_FILE)
+        return SummaryTable(rank_rows=read_rank_rows(rank_path, sweep.ranks))
     config_path = run_dir / CONFIG_FILE
     config = load_config(config_path)
     other = [child for child in modes if child.name not in config.modes]

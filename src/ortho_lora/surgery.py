@@ -24,8 +24,9 @@ layout's ``groups(scope)`` gives every scope group as one contiguous column
 slice V (row t: task t's original gradient over the
 group). Report and projection read the group's Gram matrix G = V V^T,
 which ``group_grams`` computes once for both, as one (groups, T, T) stack.
-Every working gradient is c^T V for a coefficient row c, so each inner
-product it needs is an entry of C G and the projected gradients are C V.
+Every working gradient is c^T V for a coefficient row c, so the projected
+gradients are C V, and each inner product a pair test needs is computed from
+G and the projections the row has fired so far, only when it is tested.
 ``project_pair`` is the same rule on explicit vectors, the reference the
 Gram path is tested against. Merge sums the rows into the flat layout.
 
@@ -153,25 +154,36 @@ def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
 def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
     """C of the original rule for one scope group, or None when no pair conflicts.
 
-    Row i of dots = C G holds <w_i, g_k> for every k, so each pair test is a
-    lookup and only a conflict costs an O(T) row update.
+    Row i keeps the projections it has fired, as (coef, G[k]) pairs in fire
+    order, and each pair test computes its dot <w_i, g_j> on demand: G[i][j],
+    then minus coef * G[k][j] for each fired pair. These are the operands,
+    products and subtractions, in the same order, of updating the whole dot
+    row after every fire, so the tested dots, C and the NumericError text are
+    bit-identical to that form, while a fire costs one append.
     """
     originals = gram.tolist()
-    coeffs = np.eye(len(gram)).tolist()
-    dots = [row[:] for row in originals]
-    fired = False
+    size = len(originals)
+    coeffs = [[0.0] * size for _ in originals]
+    count = 0
     for i in order:
+        row, own, fired = coeffs[i], originals[i], []
+        row[i] = 1.0
         for j in order:
-            if j == i or dots[i][j] >= 0.0:
+            if j == i:
+                continue
+            dot = own[j]
+            for coef, gk in fired:
+                dot -= coef * gk[j]
+            if dot >= 0.0:
                 continue
             if originals[j][j] < DEGENERATE_NORM * DEGENERATE_NORM:
-                raise NumericError(f"surgery: conflicting dot {dots[i][j]} against a gradient "
+                raise NumericError(f"surgery: conflicting dot {dot} against a gradient "
                                    f"of norm {np.sqrt(originals[j][j])} below {DEGENERATE_NORM}")
-            coef = dots[i][j] / originals[j][j]
-            coeffs[i][j] -= coef
-            dots[i] = [a - coef * b for a, b in zip(dots[i], originals[j])]
-            fired = True
-    return np.array(coeffs) if fired else None
+            coef = dot / originals[j][j]
+            row[j] -= coef
+            fired.append((coef, originals[j]))
+        count += len(fired)
+    return np.array(coeffs) if count else None
 
 
 def surgery(grads: GradientStack, scope: str, rng: Rng, grams: np.ndarray) -> GradientStack:

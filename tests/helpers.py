@@ -28,7 +28,7 @@ from ortho_lora.model import (
     joint_gradient,
     task_loss_and_gradient,
 )
-from ortho_lora.surgery import scope_groups
+from ortho_lora.surgery import DEGENERATE_NORM, scope_groups
 from ortho_lora.tasks import make_conflict_set
 
 # A task gradient assembled by hand: per-task blocks keyed by block name.
@@ -283,3 +283,26 @@ def reference_steps_csv(log) -> bytes:
                 writer.writerow([step, "", "", "", report.scope, p.i, p.j, p.block,
                                  f"{p.dot:.17g}", f"{p.cosine:.17g}", int(p.conflicted)])
     return out.getvalue().encode("utf-8")
+
+
+def eager_coefficients(gram, order):
+    """surgery._coefficients written as the loop it replaced: row i of dots = C G
+    holds <w_i, g_k> for every k, each pair test looks its dot up, and each
+    fire rewrites the whole dot row. The reference the on-demand dots are
+    checked against, bit for bit and message for message."""
+    originals = gram.tolist()
+    coeffs = np.eye(len(gram)).tolist()
+    dots = [row[:] for row in originals]
+    fired = False
+    for i in order:
+        for j in order:
+            if j == i or dots[i][j] >= 0.0:
+                continue
+            if originals[j][j] < DEGENERATE_NORM * DEGENERATE_NORM:
+                raise NumericError(f"surgery: conflicting dot {dots[i][j]} against a gradient "
+                                   f"of norm {np.sqrt(originals[j][j])} below {DEGENERATE_NORM}")
+            coef = dots[i][j] / originals[j][j]
+            coeffs[i][j] -= coef
+            dots[i] = [a - coef * b for a, b in zip(dots[i], originals[j])]
+            fired = True
+    return np.array(coeffs) if fired else None

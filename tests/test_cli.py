@@ -176,6 +176,22 @@ def test_summarize_sweep_dir_prints_the_rank_table_sweep_rank_printed(tmp_path, 
     assert capsys.readouterr().out.splitlines() == swept[1:]
 
 
+def test_summarize_sweep_dir_missing_a_rank_of_its_sweep_json_exits_2(tmp_path, capsys):
+    # a table cut at a rank boundary still parses: only sweep.json says it is short
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "2", "4", "--seeds", "1",
+                    "--out", str(out)]) == 0
+    path = out / "rank_sweep.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[2].startswith(b"4,")
+    path.write_bytes(b"".join(lines[:2]))
+    capsys.readouterr()
+    assert run_cli(["summarize", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: expected '4,…,…,…', got end of file"), err
+
+
 def test_summarize_mode_without_eval_csv_exits_2(tmp_path, capsys):
     # a mode directory that lost its eval.csv fails; it is not left out of the summary
     cfg = write_config(tmp_path / "exp.json", modes=["SINGLE_TASK", "JOINT"])
@@ -340,7 +356,7 @@ RUN_FILES = {
 
 # (file, its data rows, where the error must point, a fragment of the message[,
 # the header that replaces the file's own]); the run's other files stay valid,
-# and a rank_sweep.csv is the only file of its directory
+# and a rank_sweep.csv has only SWEEP's sweep.json beside it
 BAD_RUN_FILES = {
     "non-numeric metric": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,abc",
                                               "1,JOINT,avg,0.5"], 6, "'abc'"),
@@ -375,12 +391,17 @@ BAD_RUN_FILES = {
                                           "expected '2,JOINT,0,…', got end of file"),
     "bad rank row": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,oops,0.1"], 3, "'oops'"),
     "repeated rank": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "2,0.5,0.25,-0.25"], 3,
-                      "expected end of file, got '2,0.5,0.25,-0.25'"),
+                      "expected '4,0.5,0.25,-0.25', got '2,0.5,0.25,-0.25'"),
     "rank delta not ortho - joint": ("rank_sweep.csv", ["2,0.5,0.25,9"], 2,
                                      "expected '2,0.5,0.25,-0.25', got '2,0.5,0.25,9'"),
     "ranks out of order": ("rank_sweep.csv", ["4,0.5,0.75,0.25", "2,0.5,0.25,-0.25"], 2,
-                           "expected '2,0.5,0.25,-0.25', got '4,0.5,0.75,0.25'"),
-    "rank header only": ("rank_sweep.csv", [], 2, "got end of file"),
+                           "expected '2,0.5,0.75,0.25', got '4,0.5,0.75,0.25'"),
+    "rank header only": ("rank_sweep.csv", [], 2, "expected '2,…,…,…', got end of file"),
+    "rank of sweep.json missing": ("rank_sweep.csv", ["2,0.5,0.25,-0.25"], 3,
+                                   "expected '4,…,…,…', got end of file"),
+    "rank sweep.json does not list": ("rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,0.25,-0.25",
+                                                         "8,0.5,0.25,-0.25"], 4,
+                                      "expected end of file, got '8,0.5,0.25,-0.25'"),
     "rank delta past the float range": ("rank_sweep.csv", ["2,-1e308,1e308,inf"], 2,
                                         "non-finite value 'inf'"),
     "avg past the float range": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,1e308", "1,JOINT,1,1e308",
@@ -466,6 +487,7 @@ BAD_RUN_FILES = {
                     "epoch,mode,metric"),
 }
 HEADERS = {"eval.csv": EVAL_HEADER, "steps.csv": STEPS_HEADER, "rank_sweep.csv": RANK_HEADER}
+SWEEP = {"ranks": [2, 4], "seeds": 1}
 
 
 def _write_rows(path, rows, header=None):
@@ -491,7 +513,9 @@ def test_the_unedited_run_summarizes(tmp_path, capsys):
 @pytest.mark.parametrize("case", list(BAD_RUN_FILES))
 def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
     rel, rows, line, fragment, *header = BAD_RUN_FILES[case]
-    if rel != "rank_sweep.csv":
+    if rel == "rank_sweep.csv":
+        (tmp_path / "sweep.json").write_text(json.dumps(SWEEP))
+    else:
         _write_run(tmp_path)
     path = tmp_path / rel
     _write_rows(path, rows, *header)
@@ -537,3 +561,40 @@ def test_summarize_bad_run_directory_exits_2_naming_the_path(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert f"{tmp_path / rel}" in err and fragment in err, err
     assert "Traceback" not in err
+
+
+# (the text of a sweep directory's sweep.json, or None for no file, and the
+# message that must follow the file's path): the rank table beside it is valid
+BAD_SWEEP_FILES = {
+    "missing": (None, "sweep file not found"),
+    "invalid JSON": ("{", "invalid JSON"),
+    "not an object": ("[2, 4]", "sweep: expected an object, got list"),
+    "unknown field": ('{"ranks": [2, 4], "seeds": 1, "modes": []}',
+                      "sweep: unknown field(s) ['modes']"),
+    "ranks missing": ('{"seeds": 1}', "sweep.ranks: missing required field"),
+    "ranks empty": ('{"ranks": [], "seeds": 1}', "sweep.ranks: expected a non-empty list of ranks"),
+    "rank not an integer": ('{"ranks": [2, "4"], "seeds": 1}',
+                            "sweep.ranks[1]: expected an integer, got '4'"),
+    "rank 0": ('{"ranks": [0, 2], "seeds": 1}', "sweep.ranks[0]: must be >= 1, got 0"),
+    "ranks out of order": ('{"ranks": [4, 2], "seeds": 1}',
+                           "sweep.ranks: expected ascending ranks with no repeats, got [4, 2]"),
+    "repeated rank": ('{"ranks": [2, 2, 4], "seeds": 1}',
+                      "sweep.ranks: expected ascending ranks with no repeats, got [2, 2, 4]"),
+    "seeds missing": ('{"ranks": [2, 4]}', "sweep.seeds: missing required field"),
+    "seeds 0": ('{"ranks": [2, 4], "seeds": 0}', "sweep.seeds: must be >= 1, got 0"),
+    "seeds a boolean": ('{"ranks": [2, 4], "seeds": true}',
+                        "sweep.seeds: expected an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SWEEP_FILES))
+def test_summarize_bad_sweep_json_exits_2_naming_the_file_and_field(tmp_path, capsys, case):
+    text, message = BAD_SWEEP_FILES[case]
+    _write_rows(tmp_path / "rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,0.75,0.25"])
+    path = tmp_path / "sweep.json"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    want = f"{message}: {path}" if text is None else f"{path}: {message}"
+    assert err.startswith(f"error: {want}"), err

@@ -63,5 +63,5 @@ def test_writers_leave_only_their_targets(tmp_path):
     assert sorted(map(str, _files(tmp_path))) == [
         "JOINT/eval.csv", "JOINT/steps.csv", "adapter.json", "config.json", "rank_sweep.csv"]
     assert load_config(tmp_path / "config.json") == cfg
-    assert read_rank_rows(tmp_path / "rank_sweep.csv") == rows
+    assert read_rank_rows(tmp_path / "rank_sweep.csv", [2]) == rows
     assert (load_adapter(tmp_path / "adapter.json").a == adapter.a).all()

@@ -3,19 +3,27 @@
 The reference below is the projection rule written out on explicit group
 vectors: ``project_pair`` looped over every ordered task pair in the same
 shuffled order, against the original gradients. Test ids name that rule.
+The pair loop's on-demand dots are also checked bit for bit against the
+eager dot-row update they replaced (``helpers.eager_coefficients``).
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import grad_of, group_vector, reference_conflict_rows, stack_of
+from helpers import eager_coefficients, grad_of, group_vector, reference_conflict_rows, stack_of
 
+from ortho_lora import surgery as surgery_module
+from ortho_lora.config import ORTHO_FLAT, ORTHO_STRUCTURED, config_from_dict
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError
 from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT, GradientStack, Layout
 from ortho_lora.surgery import (
+    _coefficients,
     build_conflict_report,
     group_grams,
     merge,
@@ -23,6 +31,7 @@ from ortho_lora.surgery import (
     scope_groups,
     surgery,
 )
+from ortho_lora.trainer import run_mode
 
 REL = 1e-12
 SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
@@ -45,9 +54,10 @@ def reference_surgery(grads, scope, seed):
 
 
 @st.composite
-def task_gradients(draw):
-    """1-8 tasks over 1-2 adapter layers, with zero blocks, duplicates and negations."""
-    num_tasks = draw(st.integers(1, 8))
+def task_gradients(draw, max_tasks=8, tiny=False):
+    """1-max_tasks tasks over 1-2 adapter layers, with zero blocks, duplicates
+    and negations; with tiny, also tasks scaled far below DEGENERATE_NORM."""
+    num_tasks = draw(st.integers(1, max_tasks))
     layers = [(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
               for _ in range(draw(st.integers(1, 2)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -65,10 +75,11 @@ def task_gradients(draw):
                 a[...] = 0.0
     for t in range(1, num_tasks):
         src = draw(st.integers(0, t - 1))
-        kind = draw(st.sampled_from(["own", "own", "duplicate", "negated"]))
+        kind = draw(st.sampled_from(["own", "own", "duplicate", "negated"]
+                                    + ["tiny"] * tiny))
         if kind != "own":
-            sign = 1.0 if kind == "duplicate" else -1.0
-            tasks[t] = tuple([sign * m for m in mats] for mats in tasks[src])
+            scale = {"duplicate": 1.0, "negated": -1.0, "tiny": 1e-31}[kind]
+            tasks[t] = tuple([scale * m for m in mats] for mats in tasks[src])
     return [grad_of(t, a, b, head=[[float(t)]]) for t, (a, b) in enumerate(tasks)]
 
 
@@ -132,8 +143,60 @@ def test_degenerate_conflict_raises_in_both_paths(scope):
     with pytest.raises(NumericError):
         reference_surgery([big, tiny], scope, seed)
     stack = stack_of([big, tiny])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"^surgery: conflicting dot -\S+ against a gradient "
+                                           r"of norm \S+ below 1e-30$"):
         surgery(stack, scope, Rng(seed), group_grams(stack, scope))
+
+
+@st.composite
+def gram_orders(draw):
+    """One scope group's Gram matrix of 1-16 task gradients drawn as
+    task_gradients draws them, some far below DEGENERATE_NORM, and a
+    random order of the tasks."""
+    grads = draw(task_gradients(max_tasks=16, tiny=True))
+    grams = group_grams(stack_of(grads), draw(st.sampled_from(SCOPES)))
+    return grams[draw(st.integers(0, len(grams) - 1))], draw(st.permutations(range(len(grads))))
+
+
+def same_coefficients(got, want) -> bool:
+    if want is None or got is None:
+        return got is None and want is None
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=gram_orders())
+def test_on_demand_dots_equal_the_eager_row_update_bit_for_bit(case):
+    gram, order = case
+    try:
+        want = eager_coefficients(gram, order)
+    except NumericError as exc:
+        with pytest.raises(NumericError) as info:
+            _coefficients(gram, order)
+        assert str(info.value) == str(exc)
+        return
+    assert same_coefficients(_coefficients(gram, order), want)
+
+
+@pytest.mark.parametrize("mode", [ORTHO_FLAT, ORTHO_STRUCTURED])
+def test_on_demand_dots_equal_the_eager_row_update_over_a_many_task_run(mode, monkeypatch):
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json")
+                     .read_text(encoding="utf-8"))
+    raw["tasks"]["num_tasks"], raw["schedule"]["epochs"], raw["modes"] = 16, 2, [mode]
+    calls, fired, mismatches = 0, 0, 0
+    on_demand = surgery_module._coefficients
+
+    def compare(gram, order):
+        nonlocal calls, fired, mismatches
+        got, want = on_demand(gram, order), eager_coefficients(gram, order)
+        calls, fired = calls + 1, fired + (want is not None)
+        mismatches += not same_coefficients(got, want)
+        return got
+
+    monkeypatch.setattr(surgery_module, "_coefficients", compare)
+    run_mode(config_from_dict(raw), mode)
+    assert mismatches == 0
+    assert calls == 60 * (1 if mode == ORTHO_FLAT else 2) and fired > 0
 
 
 @pytest.mark.parametrize("scope", SCOPES, ids=RULE_IDS)
