@@ -12,6 +12,7 @@ Subcommands:
                                      ``run`` directory, each read against its
                                      ``config.json``, or of a ``sweep-rank``
                                      directory, read against its ``sweep.json``
+                                     and ``config.json``
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or
@@ -25,9 +26,10 @@ and ``config.json`` describes the directory it is in). ``summarize`` exits 2
 on a run file other than the one a run of the directory's ``config.json``
 writes, or a ``rank_sweep.csv`` whose ranks are not its ``sweep.json``'s
 (naming the file and the first line that differs), a missing or invalid
-``config.json`` or ``sweep.json`` (naming the file and the field), a missing
-CSV, a mode directory the config does not list, and a mode directory beside
-a ``rank_sweep.csv``.
+``config.json`` or ``sweep.json`` (naming the file and the field), a
+``sweep.json`` rank its ``config.json`` rejects, a missing CSV, a mode
+directory the config does not list, and a mode directory beside a
+``rank_sweep.csv``.
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -64,7 +66,7 @@ from .reporting import (
     write_metrics,
     write_rank_rows,
 )
-from .trainer import run_experiment
+from .trainer import run_count, run_experiment
 
 ENV_OUT = "ORTHO_LORA_OUT"
 
@@ -111,7 +113,7 @@ def _cmd_validate(args) -> int:
 
 
 def _adapter_file(mode: str, idx: int, layer: int) -> str:
-    """The name of model idx's layer dump: SINGLE_TASK trains one model per task."""
+    """The name of model idx's layer dump, task-prefixed in SINGLE_TASK."""
     return f"{f'task{idx}_' if mode == SINGLE_TASK else ''}adapter_L{layer}.json"
 
 
@@ -125,8 +127,8 @@ def _cmd_run(args) -> int:
     if (run_dir / RANK_FILE).is_file():
         raise ConfigError(f"{run_dir / RANK_FILE}: a sweep-rank table; choose another run directory")
     for mode_dir in mode_dirs(run_dir):
-        models = config.tasks.num_tasks if mode_dir.name == SINGLE_TASK else 1
-        written = {_adapter_file(mode_dir.name, idx, li) for idx in range(models)
+        written = {_adapter_file(mode_dir.name, idx, li)
+                   for idx in range(run_count(config, mode_dir.name))
                    for li in range(len(config.model.layer_dims) - 1)}
         other = [p for p in sorted(mode_dir.glob("*adapter_L*.json")) if p.name not in written]
         if other:

@@ -6,15 +6,14 @@ adapter. Per-task linear heads, all of one output size o, map the final d
 features to task outputs; ``model.kinds[t]`` says whether task t is
 regression or classification. Only the adapter pairs and the heads train.
 
-The trainable parameters live in one float64 vector, ``model.params``, laid
-out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]``; each adapter matrix is
-a view into it, and ``model.heads`` is one (T, o, d) view of its HEAD
-columns. ``model.layout``, built once per model, is the one place that knows
-this order. A ``GradientStack`` holds task gradients as the rows of one
-(T, R) matrix, row t the A = ``layout.heads.start`` adapter columns, then
-task t's own (o, d) head, R = A + o*d. ``stack_copies`` makes SINGLE_TASK's
-T one-task models, whose params are the rows of one (T, R) matrix; their
-``ParamStack`` holds it with its (T, r, k), (T, d, r) and (T, o, d) views.
+A model's trainable parameters live in one float64 vector, ``model.params``,
+laid out ``[A0, A1, ..., B0, B1, ..., HEAD0, HEAD1, ...]`` by its
+``layout``; each adapter matrix is a view into it, and ``model.heads`` one
+(H, o, d) view. Every mode trains one ``ParamStack``: R runs of a model as
+the rows of one (R, P) matrix, R*H = T, JOINT and the ORTHO modes one run of
+T heads and SINGLE_TASK T runs of one. Task gradients are the rows of a
+``GradientStack``: row t the A = ``layout.heads.start`` adapter columns of
+task t's run, then head t.
 
 Gradients are computed by hand-rolled reverse mode. For a layer with input h,
 effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
@@ -23,18 +22,16 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
     grad_a = s * b^T @ dz @ h^T
     delta_h = w0^T @ dz + s * a^T @ (b^T @ dz)
 
-All three gradient entry points share one body, ``_gradient_rows``, whose
-only input is a ``StepBatch``: T equal-size batches as one (T, k, n) input
-and their targets stacked per task kind, run through one forward and one
-backward pass, the T heads as one (T, o, d) stack. Each call returns a
-fresh (T, R) array, every head and adapter gradient computed by ``np.matmul``
-straight into a (T, ., .) view of its columns. The trainer gathers
-``StepBatch`` objects from a train pool checked once per run, and
-``task_loss_and_gradient`` checks and stacks its one ``TaskBatch`` itself.
-``eval_metric`` evaluates every task of a mode in one call, each through
-``forward_features``, the one copy of the layer math, into the buffers of
-an ``EvalPool`` that a run checks and allocates once. Gradient code writes
-no parameter; its one side effect is the backward_passes counter.
+``joint_gradient`` (a stack, over a ``StepBatch`` of T equal-size batches
+that a run gathers from its checked train pool) and
+``task_loss_and_gradient`` (one model, one ``TaskBatch`` it checks itself)
+share one body, ``_gradient_rows``: one forward and one backward pass, the
+heads as one (T, o, d) stack, every gradient computed by ``np.matmul``
+straight into a view of a fresh (T, A + o*d) array. ``eval_metric``
+evaluates every task of a stack in one call through ``forward_features``,
+the one copy of the layer math, into the buffers of a run's ``EvalPool``.
+Gradient code writes no parameter; its one side effect is the
+backward_passes counter.
 """
 
 from __future__ import annotations
@@ -185,16 +182,6 @@ class GradientStack:
 
 
 @dataclass(eq=False)
-class ParamStack:
-    """SINGLE_TASK's (T, A + o*d) parameter matrix and its views, built once."""
-
-    matrix: np.ndarray
-    rows: tuple[np.ndarray, ...]  # rows[t]: one-task copy t's params
-    adapters: list[tuple[np.ndarray, np.ndarray]]  # per layer: (T, r, k) A, (T, d, r) B
-    heads: np.ndarray  # (T, o, d)
-
-
-@dataclass(eq=False)
 class MultiTaskModel:
     """Frozen layers, adapters and heads; the trainable ones are views into params.
 
@@ -203,8 +190,8 @@ class MultiTaskModel:
     CLASSIFICATION. Construction builds the model's ``layout`` unless given
     one, copies every adapter a/b and the heads into a params vector in that
     layout and rebinds them as views into it. That vector is a fresh buffer,
-    or the given ``params`` (such as one row of a parameter stack), which the
-    model then writes through; ``stack_copies`` also sets ``stack``.
+    or the given ``params`` (one row of a ``ParamStack``), which the model
+    then writes through.
     """
 
     layers: list[FrozenLayer]
@@ -212,7 +199,6 @@ class MultiTaskModel:
     kinds: list[str]
     backward_passes: int = 0
     params: np.ndarray | None = field(default=None, repr=False)
-    stack: ParamStack | None = field(default=None, repr=False)
     layout: Layout | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -248,20 +234,41 @@ class MultiTaskModel:
         return self.layers[0].w0.shape[1]
 
 
-def stack_copies(base: MultiTaskModel) -> list[MultiTaskModel]:
-    """One one-task copy of base per task, base's adapters and the task's head
-    and kind, whose params are the rows of one (T, A + o*d) matrix, held with
-    its stacked views in their one shared ``stack``. The copies share base's
-    frozen w0 matrices and one one-task ``Layout``."""
-    layout = MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
-    matrix = np.empty((base.num_tasks, layout.size))
-    stack = ParamStack(matrix, tuple(matrix), [
-        (matrix[:, a].reshape(len(matrix), *layer.adapter.a.shape),
-         matrix[:, b].reshape(len(matrix), *layer.adapter.b.shape))
-        for layer, a, b in zip(base.layers, layout.a, layout.b)],
-        matrix[:, layout.heads].reshape(len(matrix), *layout.head_shape))
-    return [MultiTaskModel(base.layers, base.heads[t:t + 1], [kind], params=stack.rows[t],
-                           stack=stack, layout=layout) for t, kind in enumerate(base.kinds)]
+@dataclass(eq=False)
+class ParamStack:
+    """R runs' parameters as the rows of one (R, P) matrix, with views built once.
+
+    models[r] is run r, a MultiTaskModel over row r with H heads, R*H = T;
+    heads is every run's heads as one (T, o, d) view, head t run t // H's;
+    adapters holds each layer's (R, r, k) A and (R, d, r) B views. task_ids
+    are the T tasks of the gradient rows, the layout's own list when R = 1.
+    """
+
+    matrix: np.ndarray
+    models: list[MultiTaskModel]
+    adapters: list[tuple[np.ndarray, np.ndarray]]
+    heads: np.ndarray
+    task_ids: list[int]
+
+
+def stack_runs(base: MultiTaskModel, runs: int) -> ParamStack:
+    """base's parameters as 1 run with all T heads (JOINT and the ORTHO modes)
+    or T runs with one head each (SINGLE_TASK), each run a copy of base's
+    adapters; the runs share base's frozen w0 matrices and one Layout."""
+    tasks = base.num_tasks
+    if runs not in (1, tasks):
+        raise ParameterError(f"a model of {tasks} tasks stacks as 1 or {tasks} runs, not {runs}")
+    h = tasks // runs
+    layout = base.layout if runs == 1 else MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
+    matrix = np.empty((runs, layout.size))
+    models = [MultiTaskModel(base.layers, base.heads[r * h:r * h + h], base.kinds[r * h:r * h + h],
+                             params=matrix[r], layout=layout) for r in range(runs)]
+    adapters = [(matrix[:, a].reshape(runs, *layer.adapter.a.shape),
+                 matrix[:, b].reshape(runs, *layer.adapter.b.shape))
+                for layer, a, b in zip(base.layers, layout.a, layout.b)]
+    heads = matrix[:, layout.heads].reshape(tasks, *layout.head_shape)
+    return ParamStack(matrix, models, adapters, heads,
+                      layout.task_ids if runs == 1 else list(range(tasks)))
 
 
 def build_model(
@@ -305,10 +312,11 @@ def forward_features(model: MultiTaskModel, x: Matrix,
     """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
 
     x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
-    pair per layer, replaces the model's own: stacked (T, r, k) and (T, d, r)
-    pairs run T models at once on a (T, k, n) input. buffers, one (a@h, z,
-    b@a@h) triple of output arrays per layer, receives the layer's products
-    in place of fresh arrays, and its z array the layer's output.
+    pair per layer, replaces the model's own: a stack's (R, r, k) and
+    (R, d, r) views, R = 1 or T, run its R runs at once on a (T, k, n)
+    input. buffers, one (a@h, z, b@a@h) triple of output arrays per layer,
+    receives the layer's products in place of fresh arrays, and its z array
+    the layer's output.
     Cache per layer, a tuple: the a and b used, layer input h_in, the low-rank
     midterm a@h_in, and the activated output h_out (for the tanh derivative).
     """
@@ -435,7 +443,7 @@ def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
     and one backward pass; row p is the adapter columns, then head p.
 
     Without adapters, model's own 2-D adapters broadcast over the T slabs;
-    stacked (T, r, k) and (T, d, r) adapters give each slab its own model.
+    ``forward_features`` says how a stack's adapter views run.
     """
     features, caches = forward_features(model, batch.x, adapters)
     out = heads @ features
@@ -461,43 +469,25 @@ def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[flo
     return losses[0], GradientStack([t], rows, model.layout)
 
 
-def joint_gradient(model: MultiTaskModel, batch: StepBatch) -> tuple[GradientStack, list[float]]:
+def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, list[float]]:
     """Every task's gradient and loss from one forward and one backward pass.
 
-    The model's adapters run over all T batches of the step at once; rows
-    and losses are in task order.
+    Each run's adapters run over its tasks' batches of the step, as the
+    stack's (R, r, k) and (R, d, r) views; rows and losses are in task order,
+    row t the adapter columns of task t's run, then head t.
     """
-    rows, losses = _gradient_rows(model, batch, model.heads)
-    model.backward_passes += 1
-    return GradientStack(model.layout.task_ids, rows, model.layout), losses
-
-
-def stacked_gradient(models: list[MultiTaskModel],
-                     batch: StepBatch) -> tuple[np.ndarray, list[float]]:
-    """Model t's gradient and loss on task t's batch, for every t at once (SINGLE_TASK).
-
-    The one-task models are the rows of one (T, A + o*d) parameter stack
-    (``stack_copies``); each layer's A and B run as the stack's (T, r, k) and
-    (T, d, r) views, and the heads as its (T, o, d) view. Row t of the
-    returned (T, A + o*d) matrix is model t's gradient.
-    """
-    base, stack = models[0], models[0].stack
-    if stack is None or len(stack.rows) != len(models) or not all(
-            m.params is row and m.num_tasks == 1 for m, row in zip(models, stack.rows)):
-        raise ParameterError(f"the params of these {len(models)} models are not the rows, in "
-                             "order, of one parameter stack (see stack_copies)")
-    rows, losses = _gradient_rows(base, batch, stack.heads, stack.adapters)
-    for m in models:
-        m.backward_passes += 1
-    return rows, losses
+    rows, losses = _gradient_rows(stack.models[0], batch, stack.heads, stack.adapters)
+    for model in stack.models:
+        model.backward_passes += 1
+    return GradientStack(stack.task_ids, rows, stack.models[0].layout), losses
 
 
 @dataclass(eq=False)
 class EvalPool:
-    """Every task's held-out batch, checked once, and the activation and output
-    buffers that each ``eval_metric`` call on it reuses; kinds[p] is the kind
-    of the head that runs batches[p]. A run builds one with ``of``, so the
-    buffers live as long as the run."""
+    """Held-out batches of a model's tasks, checked once, and the activation and
+    output buffers that each ``eval_metric`` call on it reuses; kinds are the
+    model's task kinds. A run builds one with ``of``, so the buffers live as
+    long as the run."""
 
     batches: list[TaskBatch]
     kinds: list[str]
@@ -506,49 +496,40 @@ class EvalPool:
 
     @classmethod
     def of(cls, batches: list[TaskBatch], model: MultiTaskModel) -> EvalPool:
-        """batches checked by ``_stacked_targets`` for the heads of model that
-        run them (see ``_heads``), with buffers for model's layer shapes."""
+        """batches checked by ``_stacked_targets`` for the heads of model's
+        tasks, with buffers for model's layer shapes."""
         if not batches:
             raise ParameterError("need at least one eval batch")
-        kinds = [model.kinds[h] for h in _heads([model] * len(batches), batches)]
-        _stacked_targets(kinds, model.out_dim, batches)
+        bad = next((b.task_id for b in batches if not 0 <= b.task_id < model.num_tasks), None)
+        if bad is not None:
+            raise ParameterError(f"task_id {bad} outside [0, {model.num_tasks})")
+        _stacked_targets([model.kinds[b.task_id] for b in batches], model.out_dim, batches)
         n = batches[0].x.shape[-1]
         buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
                     np.empty((len(layer.w0), n))) for layer in model.layers]
-        return cls(batches, kinds, buffers, np.empty((model.out_dim, n)))
+        return cls(batches, model.kinds, buffers, np.empty((model.out_dim, n)))
 
 
-def _heads(models: list[MultiTaskModel], batches: list[TaskBatch]) -> list[int]:
-    """The head of models[p] (its only one, or batch p's task's) for batch p."""
-    heads = [0 if m.num_tasks == 1 else b.task_id for m, b in zip(models, batches)]
-    bad = next((b.task_id for m, b, h in zip(models, batches, heads) if not 0 <= h < m.num_tasks), None)
-    if bad is not None:
-        raise ParameterError(f"task_id {bad} outside [0, {models[0].num_tasks})")
-    return heads
-
-
-def eval_metric(models: list[MultiTaskModel], pool: EvalPool) -> list[float]:
+def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
     """Held-out metric of every batch of pool: accuracy for classification,
     plain MSE for regression.
 
-    Batch t runs through models[t] and its task's head (a one-task model's
-    only head): one call evaluates a mode, with SINGLE_TASK's model of each
-    task or the one shared model repeated. The models have the layer shapes
-    of the model the pool was built for, and heads of the pool's kinds. Each
-    batch runs its own (k, n) forward into the pool's buffers.
+    The batch of task t runs through run t // H of the stack and head t, so
+    one call evaluates a mode. The runs have the layer shapes of the model
+    the pool was built for, and its task kinds. Each batch runs its own
+    (k, n) forward into the pool's buffers.
     """
-    if len(models) != len(pool.batches):
-        raise ParameterError(f"need one model per batch, got {len(models)} models "
-                             f"for {len(pool.batches)} batches")
-    heads = _heads(models, pool.batches)
-    if [m.kinds[h] for m, h in zip(models, heads)] != pool.kinds:
-        raise ParameterError(f"the models' heads are not of the eval pool's kinds {pool.kinds}")
+    kinds = [kind for model in stack.models for kind in model.kinds]
+    if kinds != pool.kinds:
+        raise ParameterError(f"the stack's heads are not of the eval pool's kinds {pool.kinds}")
+    per_run = len(kinds) // len(stack.models)
     metrics, out = [], pool.out
-    for model, batch, head, kind in zip(models, pool.batches, heads, pool.kinds):
-        features, _ = forward_features(model, batch.x, buffers=pool.buffers)
-        np.matmul(model.heads[head], features, out=out)
+    for batch in pool.batches:
+        features, _ = forward_features(stack.models[batch.task_id // per_run], batch.x,
+                                       buffers=pool.buffers)
+        np.matmul(stack.heads[batch.task_id], features, out=out)
         _check_finite(out, f"head {batch.task_id}")
-        if kind == CLASSIFICATION:
+        if kinds[batch.task_id] == CLASSIFICATION:
             metrics.append(float(np.mean(out.argmax(axis=0) == batch.y)))
         else:
             np.subtract(out, batch.y, out=out)

@@ -29,14 +29,14 @@ class AdamWState:
 
 
 def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float) -> None:
-    """One AdamW step, in place on a flat parameter vector or a (T, R) stack of them.
+    """One AdamW step, in place on a flat parameter vector or an (R, P) stack of them.
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
 
     Every entry moves, so params holds only what trains: never the frozen
     backbone weights, nor, in SINGLE_TASK's stack, another task's head.
     Bad input is rejected before the state or a parameter changes; a
-    non-finite entry of a stack is named by its row (the model) and column.
+    non-finite entry of a stack is named by its row (the run) and column.
     """
     if not 0 <= lr < float("inf"):
         raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")

@@ -364,23 +364,29 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
 
     A directory with a ``rank_sweep.csv`` is a sweep directory: it holds no
     mode directory (see ``mode_dirs``), and its ``sweep.json`` lists the
-    ranks that ``read_rank_rows`` reads the table against. Any other is a
-    run directory: its ``config.json`` and one mode directory per mode the
-    config lists, and no other, each read against the config by
-    ``read_metrics``. Each mode's loss and conflict rows are dropped once
+    ranks, each one its ``config.json`` accepts, that ``read_rank_rows``
+    reads the table against. Any other is a run directory: its
+    ``config.json`` and one mode directory per mode the config lists, and no
+    other, each read against the config by ``read_metrics``. Each mode's loss and conflict rows are dropped once
     checked: the summary reads only eval rows, so at most one mode's step
     rows are held at a time.
     """
     run_dir = Path(run_dir)
     rank_path = run_dir / RANK_FILE
     modes = mode_dirs(run_dir)
+    config_path = run_dir / CONFIG_FILE
     if rank_path.is_file():
         if modes:
             raise ConfigError(f"{modes[0]}: a mode directory beside {rank_path}, which a "
                               "sweep-rank directory does not hold")
-        sweep = load_sweep(run_dir / SWEEP_FILE)
+        sweep, config = load_sweep(run_dir / SWEEP_FILE), load_config(config_path)
+        for rank in sweep.ranks:
+            try:
+                config.with_updates(rank=rank)
+            except ConfigError as exc:
+                raise ConfigError(f"{run_dir / SWEEP_FILE}: sweep.ranks: {rank} is rejected by "
+                                  f"{config_path}: {exc}") from None
         return SummaryTable(rank_rows=read_rank_rows(rank_path, sweep.ranks))
-    config_path = run_dir / CONFIG_FILE
     config = load_config(config_path)
     other = [child for child in modes if child.name not in config.modes]
     if other:

@@ -28,7 +28,7 @@ Every working gradient is c^T V for a coefficient row c, so the projected
 gradients are C V, and each inner product a pair test needs is computed from
 G and the projections the row has fired so far, only when it is tested.
 ``project_pair`` is the same rule on explicit vectors, the reference the
-Gram path is tested against. Merge sums the rows into the flat layout.
+Gram path is tested against. Merge maps the rows to the stack's update.
 
 The conflict report is columnar: one (pairs, groups) array of dots and one
 of cosines per step, read off the Gram stack above its diagonal, with no
@@ -202,18 +202,18 @@ def surgery(grads: GradientStack, scope: str, rng: Rng, grams: np.ndarray) -> Gr
 
 
 def merge(grads: GradientStack) -> np.ndarray:
-    """The update in the flat layout: the rows' adapter columns summed, and each
-    row's head in its task's head columns (zero for a task with no row)."""
+    """The (R, P) update of the parameter stack the rows came from: one-head
+    runs' rows as they are, with no copy, or the rows of one run's T tasks as
+    one row, their adapter columns summed and row t's head in head t's."""
     layout, rows = grads.layout, grads.rows
-    heads = rows[:, layout.heads.start:]
+    if layout.num_tasks == 1:
+        return rows
+    if grads.task_ids != layout.task_ids:
+        raise ShapeError(f"merge: rows of tasks {grads.task_ids}, not of every task in order")
+    update = np.empty((1, layout.size))
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
-    if grads.task_ids == layout.task_ids:  # every head, in order: no zeros
-        update = np.empty(layout.size)
-        np.add(heads, 0.0, out=update[layout.heads].reshape(layout.num_tasks, -1))
-    else:
-        update = np.zeros(layout.size)
-        update[layout.heads].reshape(layout.num_tasks, -1)[grads.task_ids] = heads + 0.0
-    rows[:, :layout.heads.start].sum(axis=0, out=update[:layout.heads.start])
+    np.add(rows[:, layout.heads.start:], 0.0, out=update[0, layout.heads].reshape(len(rows), -1))
+    rows[:, :layout.heads.start].sum(axis=0, out=update[0, :layout.heads.start])
     return update
 
 

@@ -11,15 +11,15 @@ Four modes:
                      ones, then the sum
 * ORTHO_STRUCTURED - same, but projecting each adapter matrix independently
 
-Every mode shares one gradient path: one forward and one backward pass over
-the step's ``StepBatch``, and task t's gradient is row t of a (T, A + o*d)
-matrix: the adapter columns, then task t's head. JOINT and both ORTHO modes
-run one model (``joint_gradient``); the conflict report and the projection
-read per-group Gram matrices of its rows (computed once per step), merge
-sums them into the flat layout, and one AdamW step moves the model's
-parameter vector. SINGLE_TASK's T one-task models are the rows of one
-parameter stack (``stacked_gradient``), which one AdamW step moves. Head
-gradients bypass projection in every mode. All modes draw identical batch
+Every mode trains one parameter stack (``stack_runs``) through one step:
+one forward and one backward pass over the step's ``StepBatch``
+(``joint_gradient``), and task t's gradient is row t of a (T, A + o*d)
+matrix: the adapter columns of its run, then head t. JOINT and both ORTHO
+modes are one run with T heads, SINGLE_TASK T runs of one head each
+(``run_count``). The conflict report and the projection read per-group Gram
+matrices of the rows (computed once per step), merge maps them to the
+stack's (R, P) update, and one AdamW step moves the stack. Head gradients
+bypass projection in every mode. All modes draw identical batch
 sequences for a given seed: data order, task generation, model init and the
 surgery shuffle each consume their own named substream.
 
@@ -45,7 +45,6 @@ import numpy as np
 from .config import (
     JOINT,
     ORTHO_FLAT,
-    ORTHO_STRUCTURED,
     SINGLE_TASK,
     VALID_MODES,
     ExperimentConfig,
@@ -56,12 +55,12 @@ from .model import (
     FLAT,
     EvalPool,
     MultiTaskModel,
+    ParamStack,
     StepBatch,
     build_model,
     eval_metric,
     joint_gradient,
-    stack_copies,
-    stacked_gradient,
+    stack_runs,
 )
 from .optim import AdamWState, adamw_step, linear_decay_lr
 from .surgery import ConflictReport, build_conflict_report, group_grams, merge, surgery
@@ -120,48 +119,29 @@ def conflict_scope(config: ExperimentConfig, mode: str) -> str | None:
     return FLAT if mode == ORTHO_FLAT else config.surgery.scope
 
 
-def train_step(
-    mode: str,
-    models: list[MultiTaskModel],
-    batch: StepBatch,
-    opt_states: list[AdamWState],
-    step: int,
-    lr: float,
-    surgery_rng: Rng,
-    scope: str | None,
-) -> tuple[list[StepRecord], ConflictReport | None]:
-    """One optimization step; returns per-task loss records and the step's
-    conflict report in scope, which a run takes from ``conflict_scope``.
-    ORTHO modes project in scope. With scope None the step reports and
-    projects nothing; of the ORTHO runs only a one-task one, with no pair to
-    project, gets None.
+def run_count(config: ExperimentConfig, mode: str) -> int:
+    """The runs of mode's parameter stack in a run of config: SINGLE_TASK trains
+    one model per task, every other mode one model with every task's head."""
+    return config.tasks.num_tasks if mode == SINGLE_TASK else 1
 
-    SINGLE_TASK takes one model per task, made by ``stack_copies``; every
-    mode takes one optimizer state.
+
+def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWState, step: int,
+               lr: float, surgery_rng: Rng, scope: str | None
+               ) -> tuple[list[StepRecord], ConflictReport | None]:
+    """One optimization step of every run of stack; returns per-task loss
+    records and the step's conflict report in scope, which a run takes from
+    ``conflict_scope``. ORTHO modes project in scope. With scope None the
+    step reports and projects nothing, as SINGLE_TASK's stack of one-head
+    runs must.
     """
-    num_tasks = len(models) if mode == SINGLE_TASK else models[0].num_tasks
-    expected = num_tasks if mode == SINGLE_TASK else 1
-    if len(models) != expected or len(opt_states) != 1:
-        raise ParameterError(
-            f"mode {mode} needs {expected} model(s) and 1 state, got {len(models)}/{len(opt_states)}"
-        )
-
+    grads, losses = joint_gradient(stack, batch)
     report: ConflictReport | None = None
-    if mode == SINGLE_TASK:
-        grads, losses = stacked_gradient(models, batch)
-        adamw_step(models[0].stack.matrix, grads, opt_states[0], lr)  # the checked stack
-    elif mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
-        grads, losses = joint_gradient(models[0], batch)
-        if scope is not None:
-            grams = group_grams(grads, scope)
-            report = build_conflict_report(step, grads, scope, grams)
-            if mode != JOINT:
-                grads = surgery(grads, scope, surgery_rng, grams)
-        adamw_step(models[0].params, merge(grads), opt_states[0], lr)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {VALID_MODES}")
-
-    # both gradient paths check for one batch per task and return losses in task order
+    if scope is not None:
+        grams = group_grams(grads, scope)
+        report = build_conflict_report(step, grads, scope, grams)
+        if mode != JOINT:
+            grads = surgery(grads, scope, surgery_rng, grams)
+    adamw_step(stack.matrix, merge(grads), opt_state, lr)
     records = [StepRecord(step=step, task=t, loss=loss, lr=lr) for t, loss in enumerate(losses)]
     return records, report
 
@@ -209,7 +189,6 @@ def run_mode(config: ExperimentConfig, mode: str,
     master = Rng(config.seed)
     if task_set is None:
         task_set = build_task_set(config)
-    num_tasks = task_set.num_tasks
 
     base = build_model(
         config.model.layer_dims,
@@ -222,8 +201,8 @@ def run_mode(config: ExperimentConfig, mode: str,
     )
     task_set.check_train(base.out_dim)
     eval_pool = EvalPool.of(task_set.eval, base)
-    models = stack_copies(base) if mode == SINGLE_TASK else [base]
-    opt_states = [AdamWState(hyper=config.optimizer)]
+    stack = stack_runs(base, run_count(config, mode))
+    opt_state = AdamWState(hyper=config.optimizer)
     data_rng = master.child(STREAM_DATA)
     surgery_rng = master.child(STREAM_SURGERY)
     scope = conflict_scope(config, mode)
@@ -231,7 +210,7 @@ def run_mode(config: ExperimentConfig, mode: str,
     log = MetricsLog(mode=mode)
 
     def evaluate(epoch: int) -> None:
-        metrics = eval_metric(models if mode == SINGLE_TASK else models * num_tasks, eval_pool)
+        metrics = eval_metric(stack, eval_pool)
         log.evals += [EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
                       for t, metric in enumerate(metrics)]
         log.evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))
@@ -244,14 +223,14 @@ def run_mode(config: ExperimentConfig, mode: str,
     for epoch in range(1, config.schedule.epochs + 1):
         for batch in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
             lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
-            records, report = train_step(mode, models, batch, opt_states, step, lr,
+            records, report = train_step(mode, stack, batch, opt_state, step, lr,
                                          surgery_rng, scope)
             log.steps.extend(records)
             if report is not None:
                 log.conflicts.append(report)
             step += 1
         evaluate(epoch)
-    return log, models
+    return log, stack.models
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

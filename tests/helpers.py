@@ -26,6 +26,7 @@ from ortho_lora.model import (
     build_model,
     forward_features,
     joint_gradient,
+    stack_runs,
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import DEGENERATE_NORM, scope_groups
@@ -156,8 +157,8 @@ def task_gradient(model, batch) -> TaskGradient:
 def step_batch(model, batches) -> StepBatch:
     """The StepBatch a run gathers for model's tasks: batches, one per task in
     any order, checked by ``_stacked_targets`` and stacked in task order;
-    ParameterError unless there is exactly one batch per task. For
-    SINGLE_TASK's stack, model is the model it copies."""
+    ParameterError unless there is exactly one batch per task. For a stack,
+    model is the model it stacks."""
     ordered = sorted(batches, key=lambda b: b.task_id)
     seen = [b.task_id for b in ordered]
     if seen != list(range(model.num_tasks)):
@@ -206,7 +207,23 @@ def surgery_floats(grads: GradientStack, scope) -> int:
 
 def measure_surgery_floats(model, batches, scope) -> int:
     """surgery_floats of this model's gradients on batches."""
-    return surgery_floats(joint_gradient(model, step_batch(model, batches))[0], scope)
+    grads, _ = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    return surgery_floats(grads, scope)
+
+
+def padded_update(grads: GradientStack) -> np.ndarray:
+    """The flat update of gradient rows of any of the layout's tasks, in any
+    order: each row widened to the full layout, zero in every head but its
+    task's, then summed with sum(axis=0). merge gives these bits for every
+    task in order; for one task's row of ``task_loss_and_gradient`` this is
+    that task's update alone."""
+    layout = grads.layout
+    adapter_cols = layout.heads.start
+    padded = np.zeros((len(grads.task_ids), layout.size))
+    padded[:, :adapter_cols] = grads.rows[:, :adapter_cols]
+    for wide, task_id, row in zip(padded, grads.task_ids, grads.rows):
+        wide[layout.blocks[f"HEAD{task_id}"][0]] = row[adapter_cols:]
+    return padded.sum(axis=0)
 
 
 def grad_of(task_id, a_blocks, b_blocks, head) -> Grad:

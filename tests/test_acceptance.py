@@ -37,6 +37,7 @@ from ortho_lora.model import (
     GradientStack,
     TaskBatch,
     build_model,
+    stack_runs,
     task_loss_and_gradient,
 )
 from ortho_lora.optim import AdamWState
@@ -185,14 +186,14 @@ def test_criterion_05_local_non_harm():
         rng = Rng(100 + state)
         tasks = conflict_set([REGRESSION] * 2, 12, 3, 1.0, 0.0, 128, 16,
                              rng.child(1), shared_scale=0.3)
-        model = build_model([12, 12], 4, 8.0, 0.02, tasks.kinds, 3, rng.child(0))
-        models, opt_states = [model], [AdamWState()]
+        stack = stack_runs(build_model([12, 12], 4, 8.0, 0.02, tasks.kinds, 3, rng.child(0)), 1)
+        model, opt_state = stack.models[0], AdamWState()
         steps = int(generator(100 + state, 2).integers(1, 30))  # the stream of rng.child(2)
         surgery_rng = rng.child(3)
         for step in range(steps):
             batches = [TaskBatch(t, tasks.train[t].x[:, :16], tasks.train[t].y[:, :16])
                        for t in range(2)]
-            train_step(ORTHO_STRUCTURED, models, step_batch(model, batches), opt_states, step, 0.01,
+            train_step(ORTHO_STRUCTURED, stack, step_batch(model, batches), opt_state, step, 0.01,
                        surgery_rng, PER_MATRIX)
         rows = [task_loss_and_gradient(model, tasks.train[t])[1].rows for t in range(2)]
         grads = GradientStack([0, 1], np.concatenate(rows), model.layout)

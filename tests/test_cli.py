@@ -356,7 +356,7 @@ RUN_FILES = {
 
 # (file, its data rows, where the error must point, a fragment of the message[,
 # the header that replaces the file's own]); the run's other files stay valid,
-# and a rank_sweep.csv has only SWEEP's sweep.json beside it
+# and a rank_sweep.csv has the sweep.json and config.json of _write_sweep beside it
 BAD_RUN_FILES = {
     "non-numeric metric": ("JOINT/eval.csv", [*EVAL_0, "1,JOINT,0,0.5", "1,JOINT,1,abc",
                                               "1,JOINT,avg,0.5"], 6, "'abc'"),
@@ -504,6 +504,14 @@ def _write_run(run_dir):
         _write_rows(run_dir / rel, rows)
 
 
+def _write_sweep(sweep_dir):
+    """A sweep directory that summarize reads: RUN_CONFIG's config.json, SWEEP's
+    sweep.json and a rank table of its ranks."""
+    write_config(sweep_dir / "config.json", **RUN_CONFIG)
+    (sweep_dir / "sweep.json").write_text(json.dumps(SWEEP))
+    _write_rows(sweep_dir / "rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,0.75,0.25"])
+
+
 def test_the_unedited_run_summarizes(tmp_path, capsys):
     _write_run(tmp_path)
     assert run_cli(["summarize", str(tmp_path)]) == 0
@@ -514,7 +522,7 @@ def test_the_unedited_run_summarizes(tmp_path, capsys):
 def test_summarize_bad_row_exits_2_naming_path_and_line(tmp_path, capsys, case):
     rel, rows, line, fragment, *header = BAD_RUN_FILES[case]
     if rel == "rank_sweep.csv":
-        (tmp_path / "sweep.json").write_text(json.dumps(SWEEP))
+        _write_sweep(tmp_path)
     else:
         _write_run(tmp_path)
     path = tmp_path / rel
@@ -590,11 +598,41 @@ BAD_SWEEP_FILES = {
 @pytest.mark.parametrize("case", list(BAD_SWEEP_FILES))
 def test_summarize_bad_sweep_json_exits_2_naming_the_file_and_field(tmp_path, capsys, case):
     text, message = BAD_SWEEP_FILES[case]
-    _write_rows(tmp_path / "rank_sweep.csv", ["2,0.5,0.25,-0.25", "4,0.5,0.75,0.25"])
+    _write_sweep(tmp_path)
     path = tmp_path / "sweep.json"
+    path.unlink()
     if text is not None:
         path.write_text(text)
     assert run_cli(["summarize", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     want = f"{message}: {path}" if text is None else f"{path}: {message}"
     assert err.startswith(f"error: {want}"), err
+
+
+# (the text of a sweep directory's config.json, its fields over RUN_CONFIG's,
+# or None for no file; the file the error must name; a fragment of the
+# message): sweep.json and the rank table beside it are valid
+BAD_SWEEP_CONFIGS = {
+    "missing config.json": (None, "config.json", "config file not found"),
+    "invalid config.json": ('{"version": 1}', "config.json", "config.seed: missing required field"),
+    "a rank the config rejects": (
+        {"model": {**MODEL, "layer_dims": [6, 3]}}, "sweep.json",
+        "sweep.ranks: 4 is rejected by {dir}/config.json: config.model.rank: 4 exceeds min layer "
+        "dim 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SWEEP_CONFIGS))
+def test_summarize_sweep_dir_reads_its_config_json(tmp_path, capsys, case):
+    text, named, fragment = BAD_SWEEP_CONFIGS[case]
+    _write_sweep(tmp_path)
+    path = tmp_path / "config.json"
+    path.unlink()
+    if isinstance(text, dict):
+        write_config(path, **{**RUN_CONFIG, **text})
+    elif text is not None:
+        path.write_text(text)
+    assert run_cli(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / named) in err, err
+    assert fragment.format(dir=tmp_path) in err and "Traceback" not in err, err

@@ -1,7 +1,8 @@
 """The one gradient path: joint_gradient's rows against the one-task-at-a-time
-gradient and against stacked_gradient, the batched heads against a per-task
-head loop, and the batch checks that task_loss_and_gradient and EvalPool.of
-share with a run's check of its train pool."""
+gradient, on a stack of one run and on a stack of one-head runs, the
+batched heads against a per-task head loop, and the batch checks that
+task_loss_and_gradient and EvalPool.of share with a run's check of its
+train pool."""
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from ortho_lora.model import (
     _backprop_stack,
     forward_features,
     joint_gradient,
-    stack_copies,
-    stacked_gradient,
+    stack_runs,
     task_loss_and_gradient,
 )
 
@@ -40,7 +40,7 @@ def test_bit_identical_at_trainer_shapes(num_tasks):
     model = random_model(30, layer_dims=(16, 16), rank=4, alpha=16.0,
                          kinds=[REGRESSION] * num_tasks, out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 16, seed=40 + t) for t in range(num_tasks)]
-    stack, losses = joint_gradient(model, step_batch(model, batches))
+    stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == loss
         got = stack[t]
@@ -63,7 +63,7 @@ def test_random_stacks_with_mixed_heads(seed):
     model = random_model(seed, layer_dims=dims, rank=rank, kinds=kinds,
                          out_dim=int(rng.integers(2, 5)), randomize_b=True)
     batches = [random_batch(model, t, 6, seed=100 + t) for t in range(len(kinds))]
-    stack, losses = joint_gradient(model, step_batch(model, batches))
+    stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == pytest.approx(loss, rel=1e-14)
         for bid, arr in want.blocks.items():
@@ -78,38 +78,39 @@ def _mixed_kinds(num_tasks):
 @pytest.mark.parametrize("num_tasks", [1, 3, 16])
 @pytest.mark.parametrize("layer_dims", [(8, 7), (8, 7, 6), (8, 7, 6, 5)])
 def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
-    # T stacked one-task copies of one model hold its adapters and their task's
-    # head: the two entry points agree bit for bit
+    # T one-head runs of one model hold its adapters and their task's head:
+    # they give the rows of its one run bit for bit
     model = random_model(60, layer_dims=layer_dims, rank=3, kinds=_mixed_kinds(num_tasks),
                          out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=200 + t) for t in range(num_tasks)]
-    stack, joint_losses = joint_gradient(model, step_batch(model, batches))
-    models = stack_copies(model)
+    stack, joint_losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    runs = stack_runs(model, num_tasks)
     adapters = model.params[:model.layout.heads.start]
     assert all(np.array_equal(m.params, np.concatenate((adapters, model.heads[t].ravel())))
-               for t, m in enumerate(models))
-    rows, losses = stacked_gradient(models, step_batch(model, batches))
-    assert np.array_equal(rows, stack.rows)
+               for t, m in enumerate(runs.models))
+    rows, losses = joint_gradient(runs, step_batch(model, batches))
+    assert np.array_equal(rows.rows, stack.rows)
     assert losses == joint_losses
 
 
 def _entry_call(entry, model, batches):
-    """The models an entry point touches, and a call of it on batches."""
+    """The models an entry point touches, and a call of it on batches;
+    "stacked_gradient" is joint_gradient on a stack of one-head runs, as
+    SINGLE_TASK trains."""
     if entry == "task_loss_and_gradient":
         return [model], lambda: task_loss_and_gradient(model, batches[0])
     if entry == "EvalPool.of":
         return [model], lambda: EvalPool.of(batches, model)
-    if entry == "joint_gradient":
-        return [model], lambda: joint_gradient(model, step_batch(model, batches))
-    models = stack_copies(model)
-    return models, lambda: stacked_gradient(models, step_batch(model, batches))
+    stack = stack_runs(model, 1 if entry == "joint_gradient" else model.num_tasks)
+    return stack.models, lambda: joint_gradient(stack, step_batch(model, batches))
 
 
 # the entry points that check their batches; a run checks its train pool the
 # same way (check_train), so the gradient code trusts a gathered StepBatch
 CHECKED = ["task_loss_and_gradient", "EvalPool.of"]
-# and the two that take a StepBatch, built by step_batch: a bad batch never
-# reaches them, since _stacked_targets, check_train's check, rejects it first
+# and joint_gradient on both kinds of stack, which takes a StepBatch built by
+# step_batch: a bad batch never reaches it, since _stacked_targets,
+# check_train's check, rejects it first
 GATHERED = ["joint_gradient", "stacked_gradient"]
 
 
@@ -179,12 +180,10 @@ def test_each_call_returns_its_own_rows(entry):
     model = random_model(52, layer_dims=(6, 5, 4), rank=2,
                          kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     steps = [[random_batch(model, t, 5, seed=10 * s + t) for t in range(3)] for s in range(2)]
-    models = stack_copies(model)
+    stack = stack_runs(model, 1 if entry == "joint_gradient" else 3)
 
     def call(batches):
-        if entry == "joint_gradient":
-            return joint_gradient(model, step_batch(model, batches))[0].rows
-        return stacked_gradient(models, step_batch(model, batches))[0]
+        return joint_gradient(stack, step_batch(model, batches))[0].rows
 
     kept = call(steps[0])
     first = kept.copy()
@@ -250,16 +249,17 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         got_rows, got_losses = stack.rows, [loss]
     elif entry == "joint_gradient":
         rows, losses = _per_task_heads([model] * len(kinds), batches)
-        stack, got_losses = joint_gradient(model, step_batch(model, batches))
+        stack, got_losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
         got_rows = stack.rows
     else:
-        models = stack_copies(model)
-        params = models[0].params.base
-        params += 0.1 * Rng(seed).standard_normal(params.shape)  # each model its own point
+        stack = stack_runs(model, len(kinds))
+        params = stack.matrix
+        params += 0.1 * Rng(seed).standard_normal(params.shape)  # each run its own point
         adapters = [tuple(params[:, model.layout.blocks[f"L{i}.{role}"][0]].reshape(
                         len(kinds), *model.layout.blocks[f"L{i}.{role}"][1]) for role in "AB")
                     for i in range(model.num_layers)]
-        rows, losses = _per_task_heads(models, batches, adapters)
-        got_rows, got_losses = stacked_gradient(models, step_batch(model, batches))
+        rows, losses = _per_task_heads(stack.models, batches, adapters)
+        grads, got_losses = joint_gradient(stack, step_batch(model, batches))
+        got_rows = grads.rows
     assert np.array_equal(got_rows, rows)
     assert got_losses == losses

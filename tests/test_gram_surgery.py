@@ -120,7 +120,7 @@ def test_gram_path_equals_vector_path(scope, grads, seed):
             surgery(stack, scope, Rng(seed), group_grams(stack, scope))
         return
     got = surgery(stack, scope, Rng(seed), group_grams(stack, scope))
-    merged = merge(got)
+    (merged,) = merge(got)
     for label, bids in groups:
         scale = max(np.linalg.norm(o[label]) for o in originals)
         for t, g in enumerate(got):

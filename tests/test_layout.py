@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, predict, random_batch, random_model, step_batch
+from helpers import fd_gradient, padded_update, predict, random_batch, random_model, step_batch
 
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError
+from ortho_lora.errors import ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     FLAT,
@@ -20,6 +20,7 @@ from ortho_lora.model import (
     Layout,
     build_model,
     joint_gradient,
+    stack_runs,
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import merge, scope_groups
@@ -64,7 +65,7 @@ def test_fd_perturbation_reaches_predict():
 def test_stack_rows_hold_adapters_and_own_head():
     model = random_model(5, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
-    stack, _ = joint_gradient(model, step_batch(model, batches))
+    stack, _ = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     singles = [task_loss_and_gradient(model, b)[1] for b in batches]
     adapter_cols = model.layout.heads.start
     width = adapter_cols + model.out_dim * 4
@@ -78,10 +79,11 @@ def test_stack_rows_hold_adapters_and_own_head():
             head = grad.blocks[f"HEAD{t}"]
             assert head.shape == (model.out_dim, 4) and np.any(head)
             assert np.shares_memory(head, grads.rows[:, adapter_cols:])
-    # merge puts each row's head into its task's columns of the flat layout
-    heads = merge(stack)[model.layout.heads].reshape(3, -1)
+    # merge puts each row's head into its task's columns of the flat layout,
+    # and a one-task row's update holds its own head alone
+    heads = merge(stack)[0, model.layout.heads].reshape(3, -1)
     assert np.array_equal(heads, stack.rows[:, adapter_cols:])
-    one = merge(singles[1])[model.layout.heads].reshape(3, -1)
+    one = padded_update(singles[1])[model.layout.heads].reshape(3, -1)
     assert np.array_equal(one[1], singles[1].rows[0, adapter_cols:])
     assert not np.any(one[[0, 2]])
 
@@ -123,36 +125,32 @@ def test_scope_group_slices_cover_exactly_their_blocks(dims, num_tasks, out_dim,
         layout.groups("BOGUS")
 
 
-def _zero_padded_row_sum(grads):
-    """The update the zero-padded format gave: each row widened to the full
-    layout, zero in every head but its task's, then summed with sum(axis=0)."""
-    layout = grads.layout
-    adapter_cols = layout.heads.start
-    padded = np.zeros((len(grads.task_ids), layout.size))
-    padded[:, :adapter_cols] = grads.rows[:, :adapter_cols]
-    for wide, task_id, row in zip(padded, grads.task_ids, grads.rows):
-        wide[layout.blocks[f"HEAD{task_id}"][0]] = row[adapter_cols:]
-    return padded.sum(axis=0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(num_tasks=st.integers(1, 16), dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
        out_dim=st.integers(1, 4), data=st.data())
 def test_merge_equals_zero_padded_row_sum_bit_for_bit(num_tasks, dims, out_dim, data):
-    # any subset of tasks in any order; signed zeros, ties and large entries
+    # every task in order; signed zeros, ties and large entries. Rows of
+    # one-head runs are their update as they are
     rank = data.draw(st.integers(1, min(dims)))
-    layout = Layout([(rank, k) for k in dims[:-1]], [(d, rank) for d in dims[1:]],
-                    (out_dim, dims[-1]), num_tasks)
-    ids = data.draw(st.permutations(range(num_tasks)))[:data.draw(st.integers(1, num_tasks))]
+    shapes = ([(rank, k) for k in dims[:-1]], [(d, rank) for d in dims[1:]], (out_dim, dims[-1]))
+    layout = Layout(*shapes, num_tasks)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = rng.standard_normal((len(ids), layout.heads.start + out_dim * dims[-1]))
+    rows = rng.standard_normal((num_tasks, layout.heads.start + out_dim * dims[-1]))
     rows *= 10.0 ** rng.integers(-300, 300, rows.shape)
     rows[rng.random(rows.shape) < 0.2] = 0.0
     rows[rng.random(rows.shape) < 0.2] = -0.0
     if data.draw(st.booleans()):
         rows = np.round(rows)
-    grads = GradientStack(ids, rows, layout)
-    assert merge(grads).tobytes() == _zero_padded_row_sum(grads).tobytes()
+    ids = list(range(num_tasks))
+    assert merge(GradientStack(ids, rows, Layout(*shapes, 1))) is rows
+    if num_tasks > 1:
+        grads = GradientStack(ids, rows, layout)
+        assert merge(grads).tobytes() == padded_update(grads).tobytes()
+        # any other subset or order of the tasks is no stack's update
+        other = data.draw(st.permutations(ids))[:data.draw(st.integers(1, num_tasks))]
+        if other != ids:
+            with pytest.raises(ShapeError, match="merge: rows of tasks"):
+                merge(GradientStack(other, rows[:len(other)], layout))
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,14 +158,20 @@ def test_merge_equals_zero_padded_row_sum_bit_for_bit(num_tasks, dims, out_dim, 
        dims=st.lists(st.integers(2, 6), min_size=2, max_size=4), out_dim=st.integers(2, 4),
        data=st.data())
 def test_merge_of_model_gradients_equals_zero_padded_row_sum(kinds, dims, out_dim, data):
-    # 1-3 layers, mixed kinds: every task's rows from joint_gradient, and a
-    # one-row stack of any task id from task_loss_and_gradient
+    # 1-3 layers, mixed kinds: every task's rows from joint_gradient; a one-row
+    # stack of task_loss_and_gradient is no stack's update unless the model
+    # has one task
     seed = data.draw(st.integers(0, 2**16))
     model = random_model(seed, layer_dims=dims, rank=min(2, *dims), kinds=kinds,
                          out_dim=out_dim, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=seed + 1 + t) for t in range(len(kinds))]
     task = data.draw(st.integers(0, len(kinds) - 1))
-    for grads in (joint_gradient(model, step_batch(model, batches))[0],
-                  task_loss_and_gradient(model, batches[task])[1]):
-        assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
-        assert merge(grads).tobytes() == _zero_padded_row_sum(grads).tobytes()
+    grads = joint_gradient(stack_runs(model, 1), step_batch(model, batches))[0]
+    assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
+    one = task_loss_and_gradient(model, batches[task])[1]
+    if len(kinds) == 1:
+        assert merge(grads) is grads.rows and merge(one) is one.rows
+    else:
+        assert merge(grads).tobytes() == padded_update(grads).tobytes()
+        with pytest.raises(ShapeError, match="merge: rows of tasks"):
+            merge(one)

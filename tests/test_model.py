@@ -29,7 +29,7 @@ from ortho_lora.model import (
     build_model,
     eval_metric,
     joint_gradient,
-    stack_copies,
+    stack_runs,
     task_loss_and_gradient,
 )
 from ortho_lora.surgery import merge
@@ -203,8 +203,8 @@ class TestJointGradient:
     def test_linearity_matches_per_task_sum(self):
         model = random_model(21, randomize_b=True)
         batches = [random_batch(model, t, 5, seed=20 + t) for t in range(2)]
-        stack, losses = joint_gradient(model, step_batch(model, batches))
-        merged = merge(stack)
+        stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+        (merged,) = merge(stack)
         per_task = [task_gradient(model, b) for b in batches]
         for name, (sl, shape) in model.layout.blocks.items():
             if name.startswith("HEAD"):
@@ -223,15 +223,14 @@ class TestJointGradient:
         assert total == pytest.approx(parts, rel=1e-12)
 
 
-def _eval_models(model, count, stacked, seed):
-    """count models for eval_metric: the one model repeated, or its count
-    stacked one-task copies each moved to its own point."""
+def _eval_stack(model, stacked, seed):
+    """The stack of model for eval_metric and the run of each task: one run of
+    every task, or one run per task, each moved to its own point."""
     if not stacked:
-        return [model] * count
-    models = stack_copies(model)
-    params = models[0].params.base
-    params += 0.1 * Rng(seed).standard_normal(params.shape)
-    return models
+        return stack_runs(model, 1), [0] * model.num_tasks
+    stack = stack_runs(model, model.num_tasks)
+    stack.matrix += 0.1 * Rng(seed).standard_normal(stack.matrix.shape)
+    return stack, list(range(model.num_tasks))
 
 
 class TestEvalMetric:
@@ -239,23 +238,24 @@ class TestEvalMetric:
         model = random_model(23, randomize_b=True)
         x = Rng(4).standard_normal((model.in_dim, 6))
         batches = [TaskBatch(0, x, predict(model, 0, x))]
-        assert eval_metric([model], EvalPool.of(batches, model)) == [0.0]
+        assert eval_metric(stack_runs(model, 1), EvalPool.of(batches, model)) == [0.0]
 
     def test_classification_accuracy_of_own_argmax(self):
         model = random_model(24, randomize_b=True)
         x = Rng(5).standard_normal((model.in_dim, 6))
         labels = predict(model, 1, x).argmax(axis=0)
-        assert eval_metric([model], EvalPool.of([TaskBatch(1, x, labels)], model)) == [1.0]
+        pool = EvalPool.of([TaskBatch(1, x, labels)], model)
+        assert eval_metric(stack_runs(model, 1), pool) == [1.0]
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
     def test_bit_identical_at_trainer_shapes(self, stacked):
         # 16x16 layer, rank 4, 16 tasks of 2000 held-out examples: many-tasks' eval
         model = random_model(26, layer_dims=(16, 16), rank=4, alpha=16.0,
                              kinds=[REGRESSION] * 16, out_dim=4, randomize_b=True)
-        models = _eval_models(model, 16, stacked, seed=27)
+        stack, runs = _eval_stack(model, stacked, seed=27)
         batches = [random_batch(model, t, 2000, seed=60 + t) for t in range(16)]
-        assert eval_metric(models, EvalPool.of(batches, model)) == [
-            reference_metric(m, b) for m, b in zip(models, batches)]
+        assert eval_metric(stack, EvalPool.of(batches, model)) == [
+            reference_metric(stack.models[r], b) for r, b in zip(runs, batches)]
 
     @settings(max_examples=60, deadline=None)
     @given(kinds=st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=1, max_size=16),
@@ -265,10 +265,10 @@ class TestEvalMetric:
         # 1-3 layers, mixed kinds, one shared model or T stacked ones
         model = random_model(seed, layer_dims=dims, rank=min(2, *dims), kinds=kinds,
                              out_dim=out_dim, randomize_b=True)
-        models = _eval_models(model, len(kinds), stacked, seed)
+        stack, runs = _eval_stack(model, stacked, seed)
         batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
-        assert eval_metric(models, EvalPool.of(batches, model)) == [
-            reference_metric(m, b) for m, b in zip(models, batches)]
+        assert eval_metric(stack, EvalPool.of(batches, model)) == [
+            reference_metric(stack.models[r], b) for r, b in zip(runs, batches)]
 
     @pytest.mark.parametrize("where", ["layer 1", "head 1"])
     def test_non_finite_names_the_layer_or_head(self, where):
@@ -278,44 +278,42 @@ class TestEvalMetric:
         else:
             model.heads[1][0, 0] = np.nan
         batches = [random_batch(model, t, 5, seed=70 + t) for t in range(2)]
-        for check in (lambda: eval_metric([model] * 2, EvalPool.of(batches, model)),
+        for check in (lambda: eval_metric(stack_runs(model, 1), EvalPool.of(batches, model)),
                       lambda: reference_metric(model, batches[1])):
             with pytest.raises(NumericError, match=where):
                 check()
 
     @pytest.mark.parametrize("task_id", [-1, 2])
     def test_task_id_outside_the_model_rejected(self, task_id):
-        # a one-task model runs any batch through its only head; a wider one
-        # has no head for an id outside its tasks
+        # the model has no head for an id outside its tasks, and a stack of
+        # it evaluates only a pool built for its tasks
         model = random_model(31, randomize_b=True)
         x = Rng(6).standard_normal((model.in_dim, 5))
         batch = TaskBatch(task_id, x, np.zeros((model.out_dim, 5)))
-        one_task = stack_copies(random_model(31, kinds=[REGRESSION], randomize_b=True))[0]
-        pool = EvalPool.of([batch], one_task)
         for check in (lambda: EvalPool.of([batch], model),
-                      lambda: eval_metric([model], pool),
                       lambda: task_loss_and_gradient(model, batch)):
             with pytest.raises(ParameterError, match=rf"task_id {task_id} outside \[0, 2\)"):
                 check()
-        assert eval_metric([one_task], pool) == [reference_metric(one_task, batch)]
 
     def test_one_model_per_batch_of_one_size(self):
+        # a stack runs each task's batch through the one run that holds its head
         model = random_model(29, randomize_b=True)
         batches = [random_batch(model, 0, 5, seed=80), random_batch(model, 1, 5, seed=81)]
-        with pytest.raises(ParameterError, match="one model per batch"):
-            eval_metric([model], EvalPool.of(batches, model))
         with pytest.raises(ParameterError, match="equal batch sizes"):
             EvalPool.of(batches[:1] + [random_batch(model, 1, 6, seed=81)], model)
         with pytest.raises(ParameterError, match="at least one eval batch"):
             EvalPool.of([], model)
 
     def test_models_of_other_kinds_rejected(self):
-        # the pool's targets were checked for its model's task kinds
+        # the pool's targets were checked for its model's task kinds, and
+        # every one of them is a task a stack of that model runs
         model = random_model(32, randomize_b=True)
         pool = EvalPool.of([random_batch(model, t, 5, seed=90 + t) for t in range(2)], model)
         swapped = random_model(32, kinds=[CLASSIFICATION, REGRESSION], randomize_b=True)
-        with pytest.raises(ParameterError, match="eval pool's kinds"):
-            eval_metric([swapped] * 2, pool)
+        wider = random_model(32, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
+        for other in (stack_runs(swapped, 1), stack_runs(wider, 3)):
+            with pytest.raises(ParameterError, match="eval pool's kinds"):
+                eval_metric(other, pool)
 
 
 def test_build_model_frozen_dims_compose():

@@ -246,7 +246,7 @@ class TestMerge:
     def test_single_identity(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0, 2.0]])
         stack = stack_of([g])
-        merged = merge(stack)
+        (merged,) = merge(stack)
         assert all(np.array_equal(merged[stack.layout.blocks[b][0]], g.blocks[b].ravel())
                    for b in g.blocks)
 
@@ -254,7 +254,7 @@ class TestMerge:
         g1 = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0]])
         g2 = grad_of(1, [[[-1.0, -2.0]]], [[[-0.5], [-0.25]]], head=[[9.0]])
         stack = stack_of([g1, g2])
-        merged = merge(stack)
+        (merged,) = merge(stack)
         assert np.array_equal(merged[stack.layout.blocks["L0.A"][0]], np.zeros(2))
         assert np.array_equal(merged[stack.layout.blocks["L0.B"][0]], np.zeros(2))
 
@@ -267,7 +267,7 @@ class TestMerge:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        merged = merge(stack)
+        (merged,) = merge(stack)
         for i in range(2):
             for role in ("A", "B"):
                 name = f"L{i}.{role}"
@@ -278,7 +278,7 @@ class TestMerge:
         g1 = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[7.0]])
         g2 = grad_of(1, [[[2.0]]], [[[2.0]]], head=[[8.0]])
         stack = stack_of([g1, g2])
-        merged = merge(stack)
+        (merged,) = merge(stack)
         assert np.array_equal(merged[stack.layout.blocks["HEAD0"][0]], [7.0])
         assert np.array_equal(merged[stack.layout.blocks["HEAD1"][0]], [8.0])
 

@@ -15,8 +15,7 @@ from ortho_lora.model import (
     TaskBatch,
     build_model,
     joint_gradient,
-    stack_copies,
-    stacked_gradient,
+    stack_runs,
 )
 from ortho_lora.surgery import build_conflict_report, group_grams
 from ortho_lora import tasks
@@ -218,8 +217,8 @@ def test_subset_batch_equals_per_task_take(seed, monkeypatch):
 @given(kinds=st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=16),
        size=st.integers(10, 30), n=st.integers(1, 24), seed=st.integers(0, 2**16))
 def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
-    # the gathered StepBatch is the per-task takes, and both gradient entry
-    # points give on it, bit for bit, what they give on those takes as checked
+    # the gathered StepBatch is the per-task takes, and joint_gradient on
+    # both kinds of stack gives on it, bit for bit, what it gives on those takes as checked
     # TaskBatch objects (in shuffled order) stacked by step_batch
     ts = conflict_set(kinds, 4, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     idx = np.random.default_rng(seed).integers(0, size, size=(len(kinds), n))
@@ -228,14 +227,14 @@ def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
     stacked = step_batch(model, batches)
-    (got, got_losses), (want, want_losses) = (joint_gradient(model, b) for b in (step, stacked))
+    one_run = stack_runs(model, 1)
+    (got, got_losses), (want, want_losses) = (joint_gradient(one_run, b) for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got.task_ids == want.task_ids
     assert got_losses == want_losses
-    models = stack_copies(model)
-    models[0].params.base[...] += 0.1 * Rng(seed).standard_normal(models[0].params.base.shape)
-    (got_rows, got_losses), (want_rows, want_losses) = (
-        stacked_gradient(models, b) for b in (step, stacked))
-    assert np.array_equal(got_rows, want_rows) and got_losses == want_losses
+    runs = stack_runs(model, len(kinds))
+    runs.matrix += 0.1 * Rng(seed).standard_normal(runs.matrix.shape)
+    (got, got_losses), (want, want_losses) = (joint_gradient(runs, b) for b in (step, stacked))
+    assert np.array_equal(got.rows, want.rows) and got_losses == want_losses
 
 
 @pytest.mark.parametrize("idx,match", [

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from ortho_lora.config import ORTHO_STRUCTURED, config_from_dict
+from ortho_lora.adapter import LoraAdapter
+from ortho_lora.config import (
+    ORTHO_FLAT,
+    ORTHO_STRUCTURED,
+    SINGLE_TASK,
+    VALID_MODES,
+    config_from_dict,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,17 +50,29 @@ def test_every_target_resolves_to_a_callable(bench):
     assert callable(importlib.import_module("ortho_lora.trainer").surgery)
 
 
-def test_every_hook_reads_a_real_run(bench, tmp_path):
+@pytest.mark.parametrize("mode", VALID_MODES)
+def test_every_hook_reads_a_real_run(bench, tmp_path, mode):
+    # the benchmark counts backward passes over the models run_mode returns,
+    # and dumps every returned model's 2-D adapters, task-prefixed in SINGLE_TASK
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
+    cfg = tiny_config()
     with tracer.patched(bench.TARGETS) as absent:
-        log, _ = bench.trainer.run_mode(tiny_config(), ORTHO_STRUCTURED)
+        log, models = bench.trainer.run_mode(cfg, mode)
         bench.reporting.write_metrics(log, tmp_path)
     assert absent == []
     assert tracer.broken_hooks == set()
     counts = {name for (_, name) in tracer.counts}
-    assert {"model.backward_passes", "surgery.pairs_checked", "surgery.groups_projected",
-            "reporting.rows_written"} <= counts
+    assert {"model.backward_passes", "reporting.rows_written"} <= counts
+    if mode in (ORTHO_FLAT, ORTHO_STRUCTURED):
+        assert {"surgery.pairs_checked", "surgery.groups_projected"} <= counts
+    runs = cfg.tasks.num_tasks if mode == SINGLE_TASK else 1
+    assert len(models) == runs
+    assert sum(m.backward_passes for m in models) / cfg.total_steps() == runs
+    for model in models:
+        for layer in model.layers:
+            assert isinstance(layer.adapter, LoraAdapter)
+            assert layer.adapter.a.ndim == layer.adapter.b.ndim == 2
 
 
 def test_one_gather_per_order_block_and_one_joint_gradient_per_step(bench):

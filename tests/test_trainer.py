@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import (
     conflict_set,
     measure_surgery_floats,
-    own_copy,
     predict,
     random_batch,
     random_model,
@@ -27,7 +26,7 @@ from ortho_lora.model import (
     REGRESSION,
     TaskBatch,
     eval_metric,
-    stack_copies,
+    stack_runs,
 )
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import merge
@@ -74,10 +73,18 @@ def max_rel_diff(s1, s2):
     return out
 
 
+def _stack(mode, model):
+    """mode's stack of model: one run per task in SINGLE_TASK, else one run."""
+    return stack_runs(model, model.num_tasks if mode == SINGLE_TASK else 1)
+
+
 def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
-    records, report = train_step(mode, [model], step_batch(model, batches), [AdamWState()],
+    """One step of mode's stack of model; returns the records, the report and
+    the first run, moved."""
+    stack = _stack(mode, model)
+    records, report = train_step(mode, stack, step_batch(model, batches), AdamWState(),
                                  step=0, lr=0.01, surgery_rng=Rng(seed), scope=scope)
-    return records, report
+    return records, report, stack.models[0]
 
 
 class TestTrainStep:
@@ -89,8 +96,7 @@ class TestTrainStep:
 
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
-            model = own_copy(base)
-            _, report = _one_step(mode, model, batches)
+            _, report, model = _one_step(mode, base, batches)
             if mode != JOINT:
                 assert report is not None and not any(p.conflicted for p in report.pairs)
             results[mode] = snapshot(model)
@@ -102,10 +108,8 @@ class TestTrainStep:
         batch = random_batch(model, 0, 8, seed=3)
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
-            # SINGLE_TASK's one model is the one row of its stack
-            m = stack_copies(model)[0] if mode == SINGLE_TASK else own_copy(model)
-            _one_step(mode, m, [batch])
-            results[mode] = snapshot(m)
+            # every mode's stack of one task is one run
+            results[mode] = snapshot(_one_step(mode, model, [batch])[2])
         for mode in (ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK):
             assert max_rel_diff(results[JOINT], results[mode]) == 0.0
 
@@ -120,9 +124,9 @@ class TestTrainStep:
         batches = [TaskBatch(0, x, np.zeros_like(out)), TaskBatch(1, x, 2.0 * out)]
 
         before = snapshot(model)
-        _, report = _one_step(ORTHO_STRUCTURED, model, batches)
+        _, report, moved = _one_step(ORTHO_STRUCTURED, model, batches)
         assert report is not None and any(p.conflicted for p in report.pairs)
-        after = snapshot(model)
+        after = snapshot(moved)
         for name in model.layout.blocks:
             if name.startswith("HEAD"):
                 assert not np.array_equal(after[name], before[name]), f"{name} did not move"
@@ -130,10 +134,11 @@ class TestTrainStep:
                 assert np.array_equal(after[name], before[name]), f"{name} moved"
 
     def test_wrong_model_arity(self):
+        # a stack of a 2-task model holds one run of both tasks or one run per task
         model = random_model(7)
-        batches = [random_batch(model, t, 4, seed=t) for t in range(2)]
-        with pytest.raises(ParameterError):
-            _one_step(SINGLE_TASK, model, batches)  # needs 2 models
+        for runs in (0, 3):
+            with pytest.raises(ParameterError, match=f"1 or 2 runs, not {runs}"):
+                stack_runs(model, runs)
 
     def test_backbone_frozen_across_steps(self):
         cfg = tiny_config(modes=[ORTHO_STRUCTURED],
@@ -165,15 +170,11 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
 
     monkeypatch.setattr("ortho_lora.trainer.merge", merge_rows)
     monkeypatch.setattr("ortho_lora.trainer.adamw_step", adamw)
-    models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
-    train_step(mode, models, step_batch(model, batches), [AdamWState()], step=0, lr=0.01,
-               surgery_rng=Rng(0), scope=PER_MATRIX)
-    if mode == SINGLE_TASK:
-        assert shapes == [("adamw", (3, width), True), ("moments", (3, width), (3, width))]
-    else:
-        size = model.params.size
-        assert shapes == [("merge", (3, width)), ("adamw", (size,), True),
-                          ("moments", (size,), (size,))]
+    train_step(mode, _stack(mode, model), step_batch(model, batches), AdamWState(), step=0,
+               lr=0.01, surgery_rng=Rng(0), scope=None if mode == SINGLE_TASK else PER_MATRIX)
+    # the (R, P) update and moments: 3 one-head runs, or one run of every head
+    shape = (3, width) if mode == SINGLE_TASK else (1, model.params.size)
+    assert shapes == [("merge", (3, width)), ("adamw", shape, True), ("moments", shape, shape)]
 
 
 class TestBackwardCounting:
@@ -182,11 +183,10 @@ class TestBackwardCounting:
     def test_instrumented_counts_match(self, mode, expected):
         model = random_model(8, kinds=[REGRESSION] * 2, randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
-        models = stack_copies(model) if mode == SINGLE_TASK else [own_copy(model)]
-        states = [AdamWState()]
-        train_step(mode, models, step_batch(model, batches), states, step=0, lr=0.01,
-                   surgery_rng=Rng(0), scope=PER_MATRIX)
-        assert sum(m.backward_passes for m in models) == expected
+        stack = _stack(mode, model)
+        train_step(mode, stack, step_batch(model, batches), AdamWState(), step=0, lr=0.01,
+                   surgery_rng=Rng(0), scope=None if mode == SINGLE_TASK else PER_MATRIX)
+        assert sum(m.backward_passes for m in stack.models) == expected
         # one fused backward per step; SINGLE_TASK's 2 models take one sweep each
         assert expected == (2 if mode == SINGLE_TASK else 1)
 
@@ -364,11 +364,12 @@ def test_eval_pool_built_once_equals_fresh_forwards_every_epoch(mode, monkeypatc
     ts = build_task_set(cfg)
     pools, params = [], []
 
-    def checked(models, pool):
-        got = eval_metric(models, pool)
-        assert got == [reference_metric(m, b) for m, b in zip(models, ts.eval)]
+    def checked(stack, pool):
+        got = eval_metric(stack, pool)
+        runs = stack.models * 3 if len(stack.models) == 1 else stack.models
+        assert got == [reference_metric(m, b) for m, b in zip(runs, ts.eval)]
         pools.append(pool)
-        params.append(models[0].params.copy())
+        params.append(stack.matrix.copy())
         return got
 
     monkeypatch.setattr("ortho_lora.trainer.eval_metric", checked)
