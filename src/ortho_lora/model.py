@@ -27,7 +27,9 @@ that a run gathers from its checked train pool) and
 ``task_loss_and_gradient`` (one model, one ``TaskBatch`` it checks itself)
 share one body, ``_gradient_rows``: one forward and one backward pass, the
 heads as one (T, o, d) stack, every gradient computed by ``np.matmul``
-straight into a view of a fresh (T, A + o*d) array. ``eval_metric``
+straight into a view of a fresh (T, A + o*d) array, and the A adapter
+columns scaled by s once, after the layer loop (a model's layers share one
+s). ``eval_metric``
 evaluates every task of a stack in one call through ``forward_features``,
 the one copy of the layer math, into the buffers of a run's ``EvalPool``.
 Gradient code writes no parameter; its one side effect is the
@@ -191,7 +193,8 @@ class MultiTaskModel:
     one, copies every adapter a/b and the heads into a params vector in that
     layout and rebinds them as views into it. That vector is a fresh buffer,
     or the given ``params`` (one row of a ``ParamStack``), which the model
-    then writes through.
+    then writes through. Every layer's adapter has the same scale alpha/rank,
+    or construction raises ParameterError.
     """
 
     layers: list[FrozenLayer]
@@ -203,6 +206,8 @@ class MultiTaskModel:
 
     def __post_init__(self) -> None:
         ads = [layer.adapter for layer in self.layers]
+        if len({ad.scale for ad in ads}) > 1:
+            raise ParameterError(f"adapter scales alpha / rank {[ad.scale for ad in ads]} differ")
         heads = np.asarray(self.heads)
         layout = self.layout = self.layout or Layout(
             [ad.a.shape for ad in ads], [ad.b.shape for ad in ads], heads.shape[1:], len(heads))
@@ -388,52 +393,60 @@ def _losses(out: np.ndarray,
     Regression: half squared error summed over output dims, averaged over the
     batch. Classification: softmax cross-entropy averaged over the batch. The
     slabs of one kind are computed together, against that kind's stacked
-    targets from ``_stacked_targets``.
+    targets from ``_stacked_targets``; when one kind covers every slab, its
+    arrays are the result, with no scatter into fresh ones.
     """
-    n = out.shape[2]
-    losses = np.empty(len(out))
-    g_out = np.empty_like(out)
+    if len(targets) == 1:
+        losses, g_out = _kind_losses(targets[0][0], out, targets[0][2])
+        return losses.tolist(), g_out
+    losses, g_out = np.empty(len(out)), np.empty_like(out)
     for kind, pos, y in targets:
-        pos = slice(None) if len(pos) == len(out) else pos  # one kind: views, no copies
-        if kind == REGRESSION:
-            resid = out[pos] - y
-            losses[pos] = 0.5 * (resid * resid).reshape(len(y), -1).sum(axis=1) / n
-            g_out[pos] = resid / n
-            continue
-        logits = out[pos]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        denom = expz.sum(axis=1, keepdims=True)
-        log_probs = shifted - np.log(denom)
-        picked = (np.arange(len(y))[:, None], y, np.arange(n))
-        losses[pos] = -log_probs[picked].sum(axis=1) / n
-        grad = expz / denom
-        grad[picked] -= 1.0
-        g_out[pos] = grad / n
+        losses[pos], g_out[pos] = _kind_losses(kind, out[pos], y)
     return losses.tolist(), g_out
+
+
+def _kind_losses(kind: str, out: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_losses`` of (R, o, n) slabs out of one kind, against its stacked
+    targets y, as two fresh arrays."""
+    n = out.shape[2]
+    if kind == REGRESSION:
+        resid = out - y
+        losses = 0.5 * np.add.reduce((resid * resid).reshape(len(y), -1), axis=1) / n
+        resid /= n
+        return losses, resid
+    shifted = out - out.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(denom)
+    picked = (np.arange(len(y))[:, None], y, np.arange(n))
+    losses = -np.add.reduce(log_probs[picked], axis=1) / n
+    grad = expz / denom
+    grad[picked] -= 1.0
+    grad /= n
+    return losses, grad
 
 
 def _backprop_stack(model: MultiTaskModel, caches: list[tuple], delta_features: np.ndarray,
                     rows: np.ndarray) -> None:
     """Propagate d(loss)/d(features), (T, d, n), down the stack into the adapter
-    columns of rows: row t gets the outer products of batch t's slab."""
+    columns of rows: row t gets the outer products of batch t's slab, every
+    adapter column scaled once at the end by the model's one scale."""
     delta_h = delta_features
+    scale = model.layers[0].adapter.scale
     for i in reversed(range(model.num_layers)):
         layer = model.layers[i]
-        scale = layer.adapter.scale
         a, b, h_in, ah, h_out = caches[i]
         dz = h_out * h_out
         np.subtract(1.0, dz, out=dz)
         dz *= delta_h
         grad_b = rows[:, model.layout.b[i]].reshape(len(rows), *layer.adapter.b.shape)
         np.matmul(dz, ah.swapaxes(-1, -2), out=grad_b)
-        grad_b *= scale
         bt_dz = b.swapaxes(-1, -2) @ dz
         grad_a = rows[:, model.layout.a[i]].reshape(len(rows), *layer.adapter.a.shape)
         np.matmul(bt_dz, h_in.swapaxes(-1, -2), out=grad_a)
-        grad_a *= scale
         if i > 0:
             delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
+    rows[:, :model.layout.heads.start] *= scale
 
 
 def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
@@ -530,8 +543,8 @@ def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
         np.matmul(stack.heads[batch.task_id], features, out=out)
         _check_finite(out, f"head {batch.task_id}")
         if kinds[batch.task_id] == CLASSIFICATION:
-            metrics.append(float(np.mean(out.argmax(axis=0) == batch.y)))
+            metrics.append(np.count_nonzero(out.argmax(axis=0) == batch.y) / len(batch.y))
         else:
             np.subtract(out, batch.y, out=out)
-            metrics.append(float(np.mean(np.square(out, out=out))))
+            metrics.append(float(np.add.reduce(np.square(out, out=out), axis=None)) / out.size)
     return metrics

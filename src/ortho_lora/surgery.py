@@ -213,7 +213,7 @@ def merge(grads: GradientStack) -> np.ndarray:
     update = np.empty((1, layout.size))
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
     np.add(rows[:, layout.heads.start:], 0.0, out=update[0, layout.heads].reshape(len(rows), -1))
-    rows[:, :layout.heads.start].sum(axis=0, out=update[0, :layout.heads.start])
+    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=update[0, :layout.heads.start])
     return update
 
 

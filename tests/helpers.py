@@ -323,3 +323,58 @@ def eager_coefficients(gram, order):
             dots[i] = [a - coef * b for a, b in zip(dots[i], originals[j])]
             fired = True
     return np.array(coeffs) if fired else None
+
+
+def scatter_losses(out, targets):
+    """model._losses written as the form it replaced: every kind's losses and
+    dloss/dout scattered into fresh (T,) and (T, o, n) arrays, one kind
+    included. The reference the one-kind path is checked against, bit for bit."""
+    n = out.shape[2]
+    losses = np.empty(len(out))
+    g_out = np.empty_like(out)
+    for kind, pos, y in targets:
+        pos = slice(None) if len(pos) == len(out) else pos
+        if kind == REGRESSION:
+            resid = out[pos] - y
+            losses[pos] = 0.5 * (resid * resid).reshape(len(y), -1).sum(axis=1) / n
+            g_out[pos] = resid / n
+            continue
+        logits = out[pos]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expz = np.exp(shifted)
+        denom = expz.sum(axis=1, keepdims=True)
+        log_probs = shifted - np.log(denom)
+        picked = (np.arange(len(y))[:, None], y, np.arange(n))
+        losses[pos] = -log_probs[picked].sum(axis=1) / n
+        grad = expz / denom
+        grad[picked] -= 1.0
+        g_out[pos] = grad / n
+    return losses.tolist(), g_out
+
+
+def per_block_gradient_rows(model, batch, heads, adapters=None):
+    """model._gradient_rows written as the form it replaced: ``scatter_losses``,
+    and each layer's B and A gradient blocks scaled by that layer's alpha/rank
+    right after their product. The reference the one rescale per call is
+    checked against, bit for bit."""
+    features, caches = forward_features(model, batch.x, adapters)
+    out = heads @ features
+    losses, g_out = scatter_losses(out, batch.targets)
+    rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
+    np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
+    delta_h = heads.swapaxes(-1, -2) @ g_out
+    for i in reversed(range(model.num_layers)):
+        layer = model.layers[i]
+        scale = layer.adapter.scale
+        a, b, h_in, ah, h_out = caches[i]
+        dz = (1.0 - h_out * h_out) * delta_h
+        grad_b = rows[:, model.layout.b[i]].reshape(len(rows), *layer.adapter.b.shape)
+        np.matmul(dz, ah.swapaxes(-1, -2), out=grad_b)
+        grad_b *= scale
+        bt_dz = b.swapaxes(-1, -2) @ dz
+        grad_a = rows[:, model.layout.a[i]].reshape(len(rows), *layer.adapter.a.shape)
+        np.matmul(bt_dz, h_in.swapaxes(-1, -2), out=grad_a)
+        grad_a *= scale
+        if i > 0:
+            delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
+    return rows, losses

@@ -1,11 +1,13 @@
-"""``tools/bench_pairs.py``: quartiles, wins, the gain rule, the seed of each pair, and
-the trees and environment each run gets."""
+"""``tools/bench_pairs.py``: quartiles, wins, the gain rule, the seed of each pair, the
+trees and environment each run gets, and what SIGTERM leaves behind."""
 
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,7 +110,7 @@ def test_bench_runs_in_the_tree_and_writes_no_bytecode(pairs, monkeypatch, tmp_p
         return subprocess.CompletedProcess(cmd, 0, stdout='log\n{"failed": 0}\n', stderr="")
 
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
-    monkeypatch.setattr(pairs.subprocess, "run", run)
+    monkeypatch.setattr(pairs, "run_in_session", run)
     assert pairs.bench(tmp_path, "paper-default", 3, 1.5) == {"failed": 0}
     assert seen["cwd"] == tmp_path and seen["cmd"][1] == str(tmp_path / "perfbench" / "run.py")
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
@@ -134,3 +136,57 @@ def test_the_change_tree_copies_what_git_would_commit_and_no_bytecode_cache(
     assert (dest / "src" / "a.py").read_text() == "a = 2\n"
     # this repository ignores its bytecode caches too
     assert "__pycache__/" in (TOOLS.parent / ".gitignore").read_text().splitlines()
+
+
+def _processes() -> list[tuple[int, int, int]]:
+    """(pid, parent pid, session id) of every live process /proc lists; a zombie
+    has exited and is left out."""
+    procs = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid, _, session = stat.read_text().rpartition(")")[2].split()[:4]
+        except OSError:  # exited while listed
+            continue
+        if state != "Z":
+            procs.append((int(stat.parent.name), int(ppid), int(session)))
+    return procs
+
+
+def _wait_for(predicate, timeout=60.0):
+    """predicate()'s first truthy value, polled until timeout seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()):
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.05)
+    return value
+
+
+def _children(pid: int) -> list[int]:
+    return [p for p, ppid, _ in _processes() if ppid == pid]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="lists processes through /proc")
+@pytest.mark.skipif(subprocess.run(["git", "-C", str(TOOLS.parent), "rev-parse", "HEAD"],
+                                   capture_output=True).returncode != 0,
+                    reason="exports HEAD of a git checkout")
+def test_sigterm_kills_the_running_session_and_removes_the_copies(tmp_path):
+    """SIGTERM while pair 0's first run and its worker run: the tool exits 143, its
+    temporary directory is gone and no process of the run's session is left."""
+    tool = subprocess.Popen(
+        [sys.executable, str(TOOLS / "bench_pairs.py"), "HEAD", "--workload", "paper-default",
+         "--pairs", "1", "--seconds", "60"],
+        cwd=TOOLS.parent, env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        assert tool.stderr.readline() == "pair 0 parent\n"
+        [run] = _wait_for(lambda: _children(tool.pid))
+        _wait_for(lambda: _children(run))  # the run's worker has started
+        assert [s for p, _, s in _processes() if p == run] == [run]  # a session of its own
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        tool.kill()
+        tool.wait()
+        tool.stderr.close()
+    assert list(tmp_path.iterdir()) == []
+    _wait_for(lambda: all(s != run for _, _, s in _processes()), timeout=10)

@@ -1,23 +1,38 @@
 """The one gradient path: joint_gradient's rows against the one-task-at-a-time
 gradient, on a stack of one run and on a stack of one-head runs, the
-batched heads against a per-task head loop, and the batch checks that
+batched heads against a per-task head loop, the loss step and the adapter
+rescale against the forms they replaced, and the batch checks that
 task_loss_and_gradient and EvalPool.of share with a run's check of its
 train pool."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import generator, random_batch, random_model, step_batch
+from helpers import (
+    generator,
+    per_block_gradient_rows,
+    random_batch,
+    random_model,
+    scatter_losses,
+    step_batch,
+)
 
+from ortho_lora.adapter import FrozenLayer, init_adapter
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
     EvalPool,
+    MultiTaskModel,
+    TaskBatch,
     _backprop_stack,
+    _losses,
+    _stacked_targets,
     forward_features,
     joint_gradient,
     stack_runs,
@@ -263,3 +278,56 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         got_rows = grads.rows
     assert np.array_equal(got_rows, rows)
     assert got_losses == losses
+
+
+_ONE_KIND = st.sampled_from([REGRESSION, CLASSIFICATION]).flatmap(
+    lambda kind: st.lists(st.just(kind), min_size=1, max_size=16))
+_BOTH_KINDS = st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=2,
+                       max_size=16).filter(lambda kinds: len(set(kinds)) == 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.one_of(_ONE_KIND, _BOTH_KINDS), out_dim=st.integers(2, 4),
+       n=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_losses_equal_the_scatter_form(kinds, out_dim, n, seed):
+    # one kind returns its own arrays, mixed kinds scatter: the same bits either way
+    rng = generator(seed)
+    out = 3.0 * rng.standard_normal((len(kinds), out_dim, n))
+    batches = [TaskBatch(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
+                         if kind == REGRESSION else rng.integers(0, out_dim, n))
+               for t, kind in enumerate(kinds)]
+    targets = _stacked_targets(kinds, out_dim, batches)
+    kept = out.copy()
+    want_losses, want_g = scatter_losses(out, targets)
+    losses, g_out = _losses(out, targets)
+    assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+    assert g_out.shape == want_g.shape and g_out.tobytes() == want_g.tobytes()
+    assert np.array_equal(out, kept) and not np.shares_memory(g_out, out)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_one_adapter_rescale_equals_the_per_block_rescale(depth):
+    # rank 3, alpha 16: s = 16/3 is no power of two, so every scaled product rounds
+    kinds = [REGRESSION, CLASSIFICATION, REGRESSION]
+    model = random_model(60 + depth, layer_dims=(7, 6, 5, 4)[:depth + 1], rank=3, alpha=16.0,
+                         kinds=kinds, randomize_b=True)
+    batches = [random_batch(model, t, 5, seed=70 + t) for t in range(len(kinds))]
+    step = step_batch(model, batches)
+    for runs in (1, len(kinds)):
+        stack = stack_runs(model, runs)
+        stack.matrix += 0.1 * Rng(depth).standard_normal(stack.matrix.shape)
+        want_rows, want_losses = per_block_gradient_rows(model, step, stack.heads, stack.adapters)
+        grads, losses = joint_gradient(stack, step)
+        assert grads.rows.tobytes() == want_rows.tobytes(), f"{runs} run(s)"
+        assert losses == want_losses
+
+
+def test_a_model_has_one_adapter_scale():
+    model = random_model(80, layer_dims=(6, 5, 4), rank=2, alpha=2.0)
+    first, second = model.layers
+    rescaled = FrozenLayer(second.w0, replace(second.adapter, alpha=4.0))
+    with pytest.raises(ParameterError, match=r"adapter scales alpha / rank \[1.0, 2.0\] differ"):
+        MultiTaskModel([first, rescaled], model.heads, list(model.kinds))
+    # ranks and alphas may differ where their ratio does not
+    rank1 = FrozenLayer(second.w0, init_adapter(4, 5, 1, 0.1, 1.0, Rng(0)))
+    assert MultiTaskModel([first, rank1], model.heads, list(model.kinds)).num_layers == 2

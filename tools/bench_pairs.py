@@ -29,6 +29,8 @@ and its verdicts:
 
 It also prints each side's failed mode runs. Exits 0 after the table, 1 if a
 benchmark run fails, and 2 on a usage error or a revision git cannot export.
+Each run starts in a new session; on SIGTERM the tool kills the running
+run's process group, its worker included, removes both copies and exits 143.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from output_gate import ROOT, export
+from output_gate import ROOT, exit_on_sigterm, export, run_in_session
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -84,7 +86,8 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # a run leaves no cache for the next
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
+    done = run_in_session(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env)
     if done.returncode != 0:
         print(done.stdout + done.stderr, file=sys.stderr)
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}")
@@ -138,4 +141,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main(sys.argv[1:]))

@@ -15,7 +15,8 @@ compared like a run directory. A parent older than ``summarize`` on sweep
 directories exits 2 there, so it fails the gate. Exits 0 when
 every file and every summary is identical, 1 after listing the files or
 summaries that differ or that only one tree wrote, and 2 on a usage error
-or a revision git cannot export.
+or a revision git cannot export. On SIGTERM it exits 143 after killing the
+running ``ortho-lora`` process and removing its temporary directory.
 
 The gate configs are all built from this tree's configs/default.json:
 
@@ -43,9 +44,11 @@ The sweep config is configs/default.json with 2 epochs.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -99,19 +102,40 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit(143), so that ``with`` and ``finally``
+    blocks unwind: children are killed and temporary directories removed."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
+def run_in_session(cmd: list[str], **popen_kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run`` with the child in a new session. If this process
+    unwinds while the child runs (an exception, or SIGTERM after
+    ``exit_on_sigterm``), the child's process group is killed, with every
+    process the child started in it."""
+    with subprocess.Popen(cmd, start_new_session=True, **popen_kwargs) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def run_all(src: Path, configs: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
     for cfg in sorted(configs.glob("*.json")):
-        subprocess.run([sys.executable, "-m", "ortho_lora.cli", "run", str(cfg),
-                        "--out", str(out / cfg.stem)], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        run_in_session([sys.executable, "-m", "ortho_lora.cli", "run", str(cfg),
+                        "--out", str(out / cfg.stem)], env=env,
+                       stdout=subprocess.DEVNULL).check_returncode()
 
 
 def sweep(src: Path, config: Path, out: Path) -> None:
-    subprocess.run([sys.executable, "-m", "ortho_lora.cli", "sweep-rank", str(config),
+    run_in_session([sys.executable, "-m", "ortho_lora.cli", "sweep-rank", str(config),
                     "--ranks", *SWEEP_RANKS, "--seeds", "1", "--out", str(out)],
-                   env=dict(os.environ, PYTHONPATH=str(src)), check=True,
-                   stdout=subprocess.DEVNULL)
+                   env=dict(os.environ, PYTHONPATH=str(src)),
+                   stdout=subprocess.DEVNULL).check_returncode()
 
 
 def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]:
@@ -119,8 +143,8 @@ def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = {}
     for run_dir in run_dirs:
-        done = subprocess.run([sys.executable, "-m", "ortho_lora.cli", "summarize", str(run_dir)],
-                              env=env, capture_output=True, text=True)
+        done = run_in_session([sys.executable, "-m", "ortho_lora.cli", "summarize", str(run_dir)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         out[run_dir.name] = (done.returncode, done.stdout)
     return out
 
@@ -174,4 +198,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main(sys.argv[1:]))
