@@ -15,21 +15,21 @@ Subcommands:
                                      and ``config.json``
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
-(including a ``sweep-rank`` rank the config rejects or repeats, or
-``--seeds`` below 1, caught before the run directory is made, and a ``run``
-directory that already holds a mode directory the config does not run, an
-adapter dump the config would not overwrite (one of a run with more tasks
-or layers) or a ``rank_sweep.csv``, or a ``sweep-rank`` directory that
-holds any mode directory, caught before anything is trained or written, so
-that ``summarize`` never mixes two runs, no adapter dump outlives its run
-and ``config.json`` describes the directory it is in). ``summarize`` exits 2
-on a run file other than the one a run of the directory's ``config.json``
-writes, or a ``rank_sweep.csv`` whose ranks are not its ``sweep.json``'s
-(naming the file and the first line that differs), a missing or invalid
-``config.json`` or ``sweep.json`` (naming the file and the field), a
-``sweep.json`` rank its ``config.json`` rejects, a missing CSV, a mode
-directory the config does not list, and a mode directory beside a
-``rank_sweep.csv``.
+(including a ``sweep-rank`` rank the config rejects or repeats, or a
+``--seeds`` below 1 or whose last seed the config rejects, caught before the
+run directory is made, and a ``run`` directory that already holds a mode
+directory the config does not run, an adapter dump the config would not
+overwrite (one of a run with more tasks or layers) or a ``rank_sweep.csv``,
+or a ``sweep-rank`` directory that holds any mode directory, caught before
+anything is trained or written, so that ``summarize`` never mixes two runs,
+no adapter dump outlives its run and ``config.json`` describes the directory
+it is in). ``summarize`` exits 2 on a run file other than the one a run of
+the directory's ``config.json`` writes, or a ``rank_sweep.csv`` whose ranks
+are not its ``sweep.json``'s (naming the file and the first line that
+differs), a missing or invalid ``config.json`` or ``sweep.json`` (naming the
+file and the field), a ``sweep.json`` rank its ``config.json`` rejects, a
+missing CSV, a mode directory the config does not list, and a mode directory
+beside a ``rank_sweep.csv``.
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -151,15 +151,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
-    for rank in args.ranks:  # the config's own rank bound, before anything is written
-        if args.ranks.count(rank) > 1:
-            raise ConfigError(f"--ranks {rank}: repeated; each rank is trained once")
-        try:
-            config.with_updates(rank=rank)
-        except ConfigError as exc:
-            raise ConfigError(f"--ranks {rank}: {exc}") from None
+    repeated = [rank for rank in args.ranks if args.ranks.count(rank) > 1]
+    if repeated:
+        raise ConfigError(f"--ranks {repeated[0]}: repeated; each rank is trained once")
     if args.seeds < 1:
         raise ConfigError(f"--seeds {args.seeds}: must be >= 1")
+    # the config's own bounds on each rank and on the last seed, before anything is written
+    updates = [(f"--ranks {rank}", {"rank": rank}) for rank in args.ranks]
+    for flag, update in updates + [(f"--seeds {args.seeds}", {"seed": config.seed + args.seeds - 1})]:
+        try:
+            config.with_updates(**update)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     run_dir = resolve_run_dir(config, args.config, args.out)
     modes = mode_dirs(run_dir)
     if modes:

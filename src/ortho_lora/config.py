@@ -7,8 +7,10 @@ One loop, ``_read``, reads every section against those declarations. It
 rejects unknown keys at every nesting level, so a typo in an ablation sweep
 fails loudly instead of silently running defaults. The few fields that are
 not plain scalars have short readers, and the rules that tie two fields
-together follow the loop. Every error names the offending field path.
-A sweep-rank directory's ``sweep.json`` (``SweepRecord``) is read the same way.
+together follow the loop. Every error names the offending field path. A
+sweep's ``sweep.json`` (``SweepRecord``) and an adapter dump
+(``adapter.AdapterRecord``) are read the same way; the mode, task-kind and
+scope names live here too, so that config imports nothing from ``model``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .files import atomic_write
-from .model import CLASSIFICATION, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
 from .optim import AdamWHyper
 
 CONFIG_VERSION = 1
@@ -32,6 +33,12 @@ ORTHO_FLAT = "ORTHO_FLAT"
 ORTHO_STRUCTURED = "ORTHO_STRUCTURED"
 VALID_MODES = (SINGLE_TASK, JOINT, ORTHO_FLAT, ORTHO_STRUCTURED)
 
+REGRESSION = "regression"
+CLASSIFICATION = "classification"
+
+FLAT = "FLAT"
+PER_MATRIX = "PER_MATRIX"
+PER_ROLE_CONCAT = "PER_ROLE_CONCAT"
 STRUCTURED_SCOPES = (PER_MATRIX, PER_ROLE_CONCAT)
 # surgery projects against the other tasks' original gradients; the field
 # stays so that saved configs keep loading
@@ -61,7 +68,10 @@ def _check(value, path: str, spec):
     if isinstance(value, bool) is not (spec["type"] is bool) or not isinstance(value, accepts):
         raise ConfigError(f"{path}: expected {spec.get('noun', noun)}, got {value!r}")
     if spec["type"] is float:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     for rule, sign in _BOUNDS.items():

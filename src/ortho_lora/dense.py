@@ -1,8 +1,7 @@
-"""The float64 matrix type, its validation, and seeded randomness.
+"""The float64 matrix type and seeded randomness.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order,
-double precision throughout; numerics are numpy's own. ``as_matrix``
-validates matrices read from adapter dumps.
+double precision throughout; numerics are numpy's own.
 
 Randomness: :class:`Rng` wraps ``numpy.random.Generator`` seeded from a
 PCG64 bit generator. Normal deviates come from numpy's ziggurat sampler on
@@ -16,17 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 Matrix = np.ndarray
-
-
-def as_matrix(data) -> Matrix:
-    """Coerce nested lists / arrays to a 2-D float64 row-major matrix."""
-    m = np.array(data, dtype=np.float64, order="C")
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"expected a 2-D matrix, got array of shape {m.shape}")
-    return m
 
 
 class Rng:

@@ -44,16 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import FrozenLayer, LoraAdapter, init_adapter
+from .config import CLASSIFICATION, FLAT, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
 from .dense import Matrix, Rng, gaussian_matrix
 from .errors import NumericError, ParameterError, ShapeError
 
-REGRESSION = "regression"
-CLASSIFICATION = "classification"
-
-
-FLAT = "FLAT"
-PER_MATRIX = "PER_MATRIX"
-PER_ROLE_CONCAT = "PER_ROLE_CONCAT"
 SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
 
 
@@ -264,13 +258,14 @@ def stack_runs(base: MultiTaskModel, runs: int) -> ParamStack:
     if runs not in (1, tasks):
         raise ParameterError(f"a model of {tasks} tasks stacks as 1 or {tasks} runs, not {runs}")
     h = tasks // runs
-    layout = base.layout if runs == 1 else MultiTaskModel(base.layers, base.heads[:1], base.kinds[:1]).layout
+    ads = [layer.adapter for layer in base.layers]
+    layout = base.layout if runs == 1 else Layout(
+        [ad.a.shape for ad in ads], [ad.b.shape for ad in ads], base.layout.head_shape, 1)
     matrix = np.empty((runs, layout.size))
     models = [MultiTaskModel(base.layers, base.heads[r * h:r * h + h], base.kinds[r * h:r * h + h],
                              params=matrix[r], layout=layout) for r in range(runs)]
-    adapters = [(matrix[:, a].reshape(runs, *layer.adapter.a.shape),
-                 matrix[:, b].reshape(runs, *layer.adapter.b.shape))
-                for layer, a, b in zip(base.layers, layout.a, layout.b)]
+    adapters = [(matrix[:, a].reshape(runs, *ad.a.shape), matrix[:, b].reshape(runs, *ad.b.shape))
+                for ad, a, b in zip(ads, layout.a, layout.b)]
     heads = matrix[:, layout.heads].reshape(tasks, *layout.head_shape)
     return ParamStack(matrix, models, adapters, heads,
                       layout.task_ids if runs == 1 else list(range(tasks)))

@@ -409,8 +409,9 @@ def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -
     repeated = [r for r in ranks if ranks.count(r) > 1]
     if repeated:
         raise ParameterError(f"rank {repeated[0]} repeats in ranks {ranks}")
-    # revalidated copies: a rank the config rejects fails before any training
+    # revalidated copies: a rank or a last seed the config rejects fails before any training
     configs = [config.with_updates(rank=r, modes=[JOINT, ORTHO_STRUCTURED]) for r in sorted(ranks)]
+    config.with_updates(seed=config.seed + num_seeds - 1)
     rows: list[RankRow] = []
     for rank_config in configs:
         joint_vals: list[float] = []

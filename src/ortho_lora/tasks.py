@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TasksConfig
+from .config import CLASSIFICATION, REGRESSION, TasksConfig
 from .dense import Matrix, Rng
 from .errors import ParameterError
-from .model import CLASSIFICATION, REGRESSION, StepBatch, TaskBatch, _stacked_targets
+from .model import StepBatch, TaskBatch, _stacked_targets
 
 MIN_CLASS_FRACTION = 0.10
 MAX_LABEL_RETRIES = 100

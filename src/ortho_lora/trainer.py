@@ -43,6 +43,7 @@ from statistics import fmean
 import numpy as np
 
 from .config import (
+    FLAT,
     JOINT,
     ORTHO_FLAT,
     SINGLE_TASK,
@@ -52,7 +53,6 @@ from .config import (
 from .dense import Rng
 from .errors import ParameterError
 from .model import (
-    FLAT,
     EvalPool,
     MultiTaskModel,
     ParamStack,

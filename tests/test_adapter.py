@@ -1,3 +1,4 @@
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ortho_lora.adapter import FrozenLayer, LoraAdapter, init_adapter, load_adapter, save_adapter
+from ortho_lora.adapter import (
+    ADAPTER_FORMAT,
+    FrozenLayer,
+    LoraAdapter,
+    init_adapter,
+    load_adapter,
+    save_adapter,
+)
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ConfigError, ParameterError, ShapeError
 from ortho_lora.model import REGRESSION, MultiTaskModel, forward_features
@@ -103,6 +111,17 @@ def test_serialization_round_trip_exact(tmp_path):
     assert np.array_equal(back.b, ad.b)
 
 
+def test_load_reads_integer_entries_as_c_ordered_float64(tmp_path):
+    path = tmp_path / "adapter.json"
+    path.write_text('{"format": "ortho-lora-adapter", "version": 1, "d": 3, "k": 2, "rank": 1, '
+                    '"alpha": 2, "a": [[1, -2]], "b": [[0], [3], [-0.0]]}')
+    back = load_adapter(path)
+    for got, want in ((back.a, [[1.0, -2.0]]), (back.b, [[0.0], [3.0], [-0.0]])):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    assert np.signbit(back.b[2, 0]) and back.alpha == 2.0 and type(back.alpha) is float
+
+
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(1, 4), k=st.integers(1, 4), rank=st.integers(1, 3),
        alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), data=st.data())
@@ -122,7 +141,7 @@ def test_save_load_round_trip_bit_exact_on_any_finite_floats(d, k, rank, alpha, 
 def test_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="adapter.format"):
         load_adapter(path)
 
 
@@ -134,28 +153,47 @@ def _dump(tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit,field", [
-    (lambda text: text[: len(text) // 2], "JSON"),
-    (lambda text: text.replace('"a":', '"a_renamed":'), "'a'"),
-    (lambda text: text.replace('"b": [', '"b": 7, "unused": ['), "'b'"),
-    pytest.param(lambda text: re.sub(r'"a": \[\[[^,]+', '"a": [[NaN', text), "'a'", id="a NaN"),
-    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[Infinity'), "'b'", id="b inf"),
-    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[-Infinity'), "'b'", id="b -inf"),
-    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": NaN'), "'alpha'",
+    pytest.param(lambda text: text[: len(text) // 2], "invalid JSON", id="invalid JSON"),
+    pytest.param(lambda text: re.sub(r'"a": \[\[.*?\]\], ', "", text),
+                 "adapter.a: missing required field", id="a missing"),
+    pytest.param(lambda text: re.sub(r'"b": \[\[.*\]\]', '"b": 7', text),
+                 "adapter.b: expected a list of rows", id="b not a list"),
+    pytest.param(lambda text: text.replace('"b": [', '"b": [7, '),
+                 "adapter.b: expected a list of rows", id="b row not a list"),
+    pytest.param(lambda text: text.replace('"b": [', '"unused": [], "b": ['),
+                 "adapter: unknown field(s) ['unused']", id="unknown key"),
+    pytest.param(lambda text: re.sub(r'"a": \[\[[^,]+', '"a": [[NaN', text), "adapter.a[0][0]",
+                 id="a NaN"),
+    pytest.param(lambda text: re.sub(r'"a": \[\[[^,]+', '"a": [["0.5"', text), "adapter.a[0][0]",
+                 id="a text"),
+    pytest.param(lambda text: re.sub(r'"a": \[\[[^,]+', '"a": [[1' + "0" * 400, text),
+                 "adapter.a[0][0]: expected a finite number", id="a integer past the float range"),
+    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[Infinity'), "adapter.b[0][0]",
+                 id="b inf"),
+    pytest.param(lambda text: text.replace('"b": [[0.0', '"b": [[-Infinity'), "adapter.b[0][0]",
+                 id="b -inf"),
+    pytest.param(lambda text: text.replace('"b": [[0.0, 0.0', '"b": [[0.0, true'), "adapter.b[0][1]",
+                 id="b true"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": NaN'), "adapter.alpha",
                  id="alpha NaN"),
-    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": Infinity'), "'alpha'",
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": Infinity'), "adapter.alpha",
                  id="alpha inf"),
-    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": 0.0'), "'alpha'",
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": 0.0'), "adapter.alpha",
                  id="alpha 0"),
-    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": -2.0'), "'alpha'",
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": -2.0'), "adapter.alpha",
                  id="alpha negative"),
-    pytest.param(lambda text: text.replace('"d": 4', '"d": 4.9'), "'d'", id="d 4.9"),
-    pytest.param(lambda text: text.replace('"k": 3', '"k": true'), "'k'", id="k true"),
-    pytest.param(lambda text: text.replace('"rank": 2', '"rank": 2.0'), "'rank'", id="rank 2.0"),
-    pytest.param(lambda text: text.replace('"rank": 2', '"rank": "2"'), "'rank'", id="rank text"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": "2.5"'),
+                 "adapter.alpha: expected a number, got '2.5'", id="alpha text"),
+    pytest.param(lambda text: text.replace('"alpha": 2.0', '"alpha": true'),
+                 "adapter.alpha: expected a number, got True", id="alpha true"),
+    pytest.param(lambda text: text.replace('"d": 4', '"d": 4.9'), "adapter.d", id="d 4.9"),
+    pytest.param(lambda text: text.replace('"k": 3', '"k": true'), "adapter.k", id="k true"),
+    pytest.param(lambda text: text.replace('"rank": 2', '"rank": 2.0'), "adapter.rank", id="rank 2.0"),
+    pytest.param(lambda text: text.replace('"rank": 2', '"rank": "2"'), "adapter.rank", id="rank text"),
     pytest.param(lambda text: text.replace('"version": 1', '"version": 2'),
-                 "unsupported adapter format version 2", id="version 2"),
+                 "adapter.version: expected 1, got 2", id="version 2"),
     pytest.param(lambda text: text.replace('"k": 3', '"k": 5'),
-                 "stored shapes a=(2, 3), b=(4, 2) disagree with header (d=4, k=5, rank=2)",
+                 "adapter.a: expected 2 rows of 5 numbers, as the header d=4, k=5, rank=2 says",
                  id="k disagrees with a"),
 ])
 def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field):
@@ -164,3 +202,38 @@ def test_load_rejects_malformed_dump_naming_file_and_field(tmp_path, edit, field
         load_adapter(path)
     assert str(path) in str(info.value)
     assert field in str(info.value)
+
+
+@pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+def test_load_of_no_file_names_the_path(tmp_path, make):
+    path = tmp_path / "adapter.json"
+    make(path)
+    with pytest.raises(ConfigError, match=f"adapter file not found: {re.escape(str(path))}"):
+        load_adapter(path)
+
+
+HEADER = ["format", "version", "d", "k", "rank", "alpha"]
+NOT_A_VALUE = (st.text().filter(lambda s: s != ADAPTER_FORMAT) | st.booleans() | st.none()
+               | st.lists(st.integers(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(),
+                                                                     max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), k=st.integers(1, 3), data=st.data(), bad=NOT_A_VALUE)
+def test_load_names_the_field_of_any_non_value(d, k, data, bad):
+    rank = data.draw(st.integers(1, min(d, k)))
+    raw = {"format": ADAPTER_FORMAT, "version": 1, "d": d, "k": k, "rank": rank, "alpha": 1.5,
+           "a": [[0.25] * k for _ in range(rank)], "b": [[-0.5] * rank for _ in range(d)]}
+    entries = [(name, i, j) for name in "ab" for i, row in enumerate(raw[name]) for j in range(len(row))]
+    target = data.draw(st.sampled_from(HEADER + entries))
+    if isinstance(target, str):
+        raw[target], field = bad, f"adapter.{target}"
+    else:
+        name, i, j = target
+        raw[name][i][j], field = bad, f"adapter.{name}[{i}][{j}]"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "adapter.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as info:
+            load_adapter(path)
+    assert str(info.value).startswith(f"{path}: {field}: ")

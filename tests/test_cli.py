@@ -5,9 +5,11 @@ from statistics import fmean
 
 import pytest
 
+from ortho_lora.adapter import load_adapter
 from ortho_lora.cli import run_cli
 from ortho_lora.config import load_config
 from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER, fmt, summarize_dir
+from ortho_lora.trainer import run_experiment
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -77,6 +79,33 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert (out / "JOINT" / "adapter_L0.json").is_file()
     assert (out / "SINGLE_TASK" / "task0_adapter_L0.json").is_file()
     assert (out / "SINGLE_TASK" / "task1_adapter_L0.json").is_file()
+
+
+def test_every_adapter_dump_of_a_run_loads_back_bit_for_bit(tmp_path, capsys, monkeypatch):
+    results = []
+
+    def run_and_keep(config):
+        results.append(run_experiment(config))
+        return results[-1]
+
+    monkeypatch.setattr("ortho_lora.cli.run_experiment", run_and_keep)
+    modes = ["SINGLE_TASK", "JOINT", "ORTHO_FLAT", "ORTHO_STRUCTURED"]
+    cfg = write_config(tmp_path / "exp.json", modes=modes,
+                       model={"layer_dims": [6, 5, 4], "rank": 2, "alpha": 3.0, "sigma_init": 0.02})
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 0
+    [result] = results
+    for mode in modes:
+        dumps = sorted(p.name for p in (out / mode).glob("*adapter_L*.json"))
+        models = result.models[mode]
+        prefixes = [f"task{idx}_" for idx in range(2)] if mode == "SINGLE_TASK" else [""]
+        assert dumps == [f"{prefix}adapter_L{li}.json" for prefix in prefixes for li in (0, 1)]
+        for prefix, model in zip(prefixes, models, strict=True):
+            for li, layer in enumerate(model.layers):
+                back = load_adapter(out / mode / f"{prefix}adapter_L{li}.json")
+                assert (back.rank, back.alpha) == (layer.adapter.rank, layer.adapter.alpha)
+                for got, want in ((back.a, layer.adapter.a), (back.b, layer.adapter.b)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -299,14 +328,16 @@ def test_sweep_rank_invalid_rank_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.parametrize("args,named", [
-    (["--ranks", "0"], "--ranks 0"),
-    (["--ranks", "2", "7"], "--ranks 7"),  # sorts after a valid rank, which must not train first
-    (["--ranks", "2", "--seeds", "0"], "--seeds 0"),
-    (["--ranks", "2", "3", "2"], "--ranks 2"),  # a repeated rank would train and write twice
-], ids=["rank 0", "late bad rank", "seeds 0", "repeated rank"])
-def test_sweep_rank_bad_input_exits_2_before_writing(tmp_path, capsys, args, named):
-    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+@pytest.mark.parametrize("args,named,seed", [
+    (["--ranks", "0"], "--ranks 0", 5),
+    (["--ranks", "2", "7"], "--ranks 7", 5),  # sorts after a valid rank, which must not train first
+    (["--ranks", "2", "--seeds", "0"], "--seeds 0", 5),
+    (["--ranks", "2", "3", "2"], "--ranks 2", 5),  # a repeated rank would train and write twice
+    # seed 0 of the sweep is valid, and seed 1 is past the config's seed range
+    (["--ranks", "2", "--seeds", "2"], "--seeds 2: config.seed: must be <=", 2**64 - 1),
+], ids=["rank 0", "late bad rank", "seeds 0", "repeated rank", "last seed past the seed range"])
+def test_sweep_rank_bad_input_exits_2_before_writing(tmp_path, capsys, args, named, seed):
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"], seed=seed)
     out = tmp_path / "s"
     assert run_cli(["sweep-rank", str(cfg), *args, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
@@ -320,7 +351,8 @@ def test_validate_non_utf8_config_exits_2(tmp_path, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "integer past the float range"])
 def test_validate_non_finite_number_exits_2(tmp_path, capsys, value):
     cfg = write_config(tmp_path / "exp.json")
     cfg.write_text(cfg.read_text().replace('"lr_base": 0.01', f'"lr_base": {value}'))

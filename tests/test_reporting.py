@@ -292,3 +292,8 @@ class TestRankSweep:
     def test_empty_ranks_rejected(self):
         with pytest.raises(ParameterError):
             rank_sweep(small_config(), [], num_seeds=1)
+
+    def test_last_seed_past_the_seed_range_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr("ortho_lora.reporting.run_experiment", lambda config: pytest.fail("trained"))
+        with pytest.raises(ParameterError, match="config.seed: must be <="):
+            rank_sweep(small_config(modes=[JOINT], seed=2**64 - 1), [2], num_seeds=2)
