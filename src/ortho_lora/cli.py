@@ -63,6 +63,7 @@ from .reporting import (
     mode_dirs,
     rank_sweep,
     summarize_dir,
+    sweep_configs,
     write_metrics,
     write_rank_rows,
 )
@@ -151,18 +152,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
-    repeated = [rank for rank in args.ranks if args.ranks.count(rank) > 1]
-    if repeated:
-        raise ConfigError(f"--ranks {repeated[0]}: repeated; each rank is trained once")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds {args.seeds}: must be >= 1")
-    # the config's own bounds on each rank and on the last seed, before anything is written
-    updates = [(f"--ranks {rank}", {"rank": rank}) for rank in args.ranks]
-    for flag, update in updates + [(f"--seeds {args.seeds}", {"seed": config.seed + args.seeds - 1})]:
-        try:
-            config.with_updates(**update)
-        except ConfigError as exc:
-            raise ConfigError(f"{flag}: {exc}") from None
+    sweep_configs(config, args.ranks, args.seeds)  # the sweep's inputs, before anything is written
     run_dir = resolve_run_dir(config, args.config, args.out)
     modes = mode_dirs(run_dir)
     if modes:

@@ -171,9 +171,15 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[str]) -> None:
 def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     mode_dir = Path(mode_dir)
     mode_dir.mkdir(parents=True, exist_ok=True)
-    conflicts_by_step: dict[int, ConflictReport] = {r.step: r for r in log.conflicts}
-    # the scope, pair and block cells of each conflict row, per report structure
-    middles: dict[tuple, list[str]] = {}
+    # each step's conflict cells: the scope, pair and block ones, then dots and cosines
+    conflicts_by_step: dict[int, tuple[list[str], list[float], list[float]]] = {}
+    for report in log.conflicts:
+        middles = conflict_middles(report.scope, report.labels, report.task_ids)
+        size = len(report.steps), len(middles)
+        conflicts_by_step.update(
+            (step, (middles, dots, cosines)) for step, dots, cosines in
+            zip(report.steps, report.dot.reshape(size).tolist(),
+                report.cosine.reshape(size).tolist()))
 
     with atomic_write(mode_dir / STEPS_FILE, newline="") as fh:
         fh.write(",".join(STEPS_HEADER) + "\r\n")
@@ -182,15 +188,11 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
             # many-tasks writer by about 4%
             rows = [loss_row(step, rec.task, f"{rec.loss:.17g}", f"{rec.lr:.17g}")
                     for rec in records]
-            report = conflicts_by_step.get(step)
-            if report is not None:  # a step's conflict rows follow its loss rows
-                key = (report.scope, tuple(report.labels), tuple(report.task_ids))
-                if key not in middles:
-                    middles[key] = conflict_middles(report.scope, report.labels, report.task_ids)
+            conflicts = conflicts_by_step.get(step)
+            if conflicts is not None:  # a step's conflict rows follow its loss rows
                 rows += [conflict_row(step, middle, f"{d:.17g}", f"{c:.17g}",
                                       "1" if d < 0.0 else "0")
-                         for middle, d, c in zip(middles[key], report.dot.ravel().tolist(),
-                                                 report.cosine.ravel().tolist())]
+                         for middle, d, c in zip(*conflicts)]
             fh.write("\r\n".join(rows) + "\r\n")
 
     _write_rows(mode_dir / EVAL_FILE, EVAL_HEADER,
@@ -259,9 +261,9 @@ def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
 
 
 def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
-    """steps.csv's loss rows into log.steps and its conflict rows into columnar
-    log.conflicts, each line compared with the one a run of config writes
-    there for log.mode."""
+    """steps.csv's loss rows into log.steps and its conflict rows into the one
+    columnar report of log.conflicts, as a run keeps it, each line compared
+    with the one a run of config writes there for log.mode."""
     ids = list(range(config.tasks.num_tasks))
     scope = conflict_scope(config, log.mode)
     labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
@@ -293,11 +295,10 @@ def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
                 cosines.append(cosine)
                 lines.advance()
         lines.expect(None)
-    if middles:
+    if middles and config.total_steps():
         shape = (config.total_steps(), len(middles) // len(labels), len(labels))
-        dot, cosine = np.array(dots).reshape(shape), np.array(cosines).reshape(shape)
-        log.conflicts = [ConflictReport(step, scope, labels, ids, d, c)
-                         for step, (d, c) in enumerate(zip(dot, cosine))]
+        log.conflicts = [ConflictReport(0, scope, labels, ids, np.array(dots).reshape(shape),
+                                        np.array(cosines).reshape(shape))]
 
 
 def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> list[EvalRecord]:
@@ -400,20 +401,35 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
 # --- rank sweep ---
 
 
-def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -> list[RankRow]:
-    """JOINT vs ORTHO_STRUCTURED final average metric per rank, seed-averaged."""
+def sweep_configs(config: ExperimentConfig, ranks: list[int], seeds: int
+                  ) -> list[ExperimentConfig]:
+    """Each rank's JOINT and ORTHO_STRUCTURED config, by rank, once config accepts
+    every rank and the last seed; a ConfigError names the flag at fault."""
     if not ranks:
-        raise ParameterError("rank_sweep needs at least one rank")
-    if num_seeds < 1:
-        raise ParameterError(f"num_seeds must be >= 1, got {num_seeds}")
-    repeated = [r for r in ranks if ranks.count(r) > 1]
+        raise ConfigError("--ranks: expected at least one rank")
+    repeated = [rank for rank in ranks if ranks.count(rank) > 1]
     if repeated:
-        raise ParameterError(f"rank {repeated[0]} repeats in ranks {ranks}")
-    # revalidated copies: a rank or a last seed the config rejects fails before any training
-    configs = [config.with_updates(rank=r, modes=[JOINT, ORTHO_STRUCTURED]) for r in sorted(ranks)]
-    config.with_updates(seed=config.seed + num_seeds - 1)
+        raise ConfigError(f"--ranks {repeated[0]}: repeated; each rank is trained once")
+    if seeds < 1:
+        raise ConfigError(f"--seeds {seeds}: must be >= 1")
+
+    def accepted(flag: str, **updates) -> ExperimentConfig:
+        try:
+            return config.with_updates(**updates)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
+
+    configs = {rank: accepted(f"--ranks {rank}", rank=rank, modes=[JOINT, ORTHO_STRUCTURED])
+               for rank in ranks}
+    accepted(f"--seeds {seeds}", seed=config.seed + seeds - 1)
+    return [configs[rank] for rank in sorted(ranks)]
+
+
+def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -> list[RankRow]:
+    """JOINT vs ORTHO_STRUCTURED final average metric per rank, seed-averaged,
+    over the configs ``sweep_configs`` checks and returns."""
     rows: list[RankRow] = []
-    for rank_config in configs:
+    for rank_config in sweep_configs(config, ranks, num_seeds):
         joint_vals: list[float] = []
         ortho_vals: list[float] = []
         for s in range(num_seeds):

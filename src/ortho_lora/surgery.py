@@ -27,13 +27,12 @@ which ``group_grams`` computes once for both, as one (groups, T, T) stack.
 Every working gradient is c^T V for a coefficient row c, so the projected
 gradients are C V, and each inner product a pair test needs is computed from
 G and the projections the row has fired so far, only when it is tested.
-``project_pair`` is the same rule on explicit vectors, the reference the
-Gram path is tested against. Merge maps the rows to the stack's update.
+Merge maps the rows to the stack's update.
 
-The conflict report is columnar: one (pairs, groups) array of dots and one
-of cosines per step, read off the Gram stack above its diagonal, with no
-object per row. ``ConflictReport.pairs`` builds per-row objects on demand
-for callers that want them.
+The conflict report is columnar and covers a run: one (steps, pairs, groups)
+array of dots and one of cosines, read off the run's stacked Gram matrices by
+one ``build_conflict_report`` call, with no object per row or per step.
+``ConflictReport.pairs`` builds per-row objects on demand.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 
 from .dense import Rng
 from .errors import NumericError, ShapeError
-from .model import GradientStack, TaskGradient
+from .model import GradientStack, Layout, TaskGradient
 
 # ||gj|| below this with a negative dot means the conflict test itself sits
 # inside rounding noise; refusing is safer than dividing by ~0.
@@ -56,6 +55,7 @@ DEGENERATE_NORM = 1e-30
 class ConflictPair:
     """One conflict row, as ``ConflictReport.pairs`` lists it."""
 
+    step: int
     i: int
     j: int
     block: str
@@ -70,15 +70,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @dataclass(slots=True, eq=False)
 class ConflictReport:
-    """One step's conflict rows as columns.
+    """A run's conflict rows as columns.
 
-    dot and cosine are (pairs, groups) arrays: row p is the p-th unordered
-    task pair (i < j) in task-id order, as ``pair_ids`` lists them, and
-    column g the scope group labels[g]. A row is conflicted when its dot is
-    negative. Two reports are equal when every field, and every bit of both
-    arrays, is. The reports of one run share its layout's labels and
-    task-id lists, and each owns its two small arrays, so a run's log holds
-    no per-step copies of either list and no larger buffer.
+    dot and cosine are (steps, pairs, groups) arrays: [s, p, g] is step
+    step + s, the p-th unordered task pair (i < j) in task-id order, as
+    ``pair_ids`` lists them, and the scope group labels[g]. A row is
+    conflicted when its dot is negative. Two reports are equal when every
+    field, and every bit of both arrays, is. A run keeps one report, which
+    shares its layout's labels and task-id lists and owns its two arrays,
+    so a run's log holds no per-step object and no larger buffer.
     """
 
     step: int
@@ -89,6 +89,10 @@ class ConflictReport:
     cosine: np.ndarray
 
     @property
+    def steps(self) -> range:
+        return range(self.step, self.step + len(self.dot))
+
+    @property
     def conflicted(self) -> np.ndarray:
         return self.dot < 0.0
 
@@ -97,10 +101,13 @@ class ConflictReport:
 
     @property
     def pairs(self) -> list[ConflictPair]:
-        """The rows as objects, pair-major and group-minor; built on each access."""
-        return [ConflictPair(i, j, label, d, c, d < 0.0)
-                for (i, j), dots, cosines in zip(self.pair_ids(), self.dot.tolist(),
-                                                 self.cosine.tolist())
+        """The rows as objects, step-major, then pair-major and group-minor;
+        built on each access."""
+        ids = self.pair_ids()
+        return [ConflictPair(step, i, j, label, d, c, d < 0.0)
+                for step, step_dots, step_cosines in zip(self.steps, self.dot.tolist(),
+                                                         self.cosine.tolist())
+                for (i, j), dots, cosines in zip(ids, step_dots, step_cosines)
                 for label, d, c in zip(self.labels, dots, cosines)]
 
     def __eq__(self, other: object) -> bool:
@@ -128,27 +135,6 @@ def group_grams(grads: GradientStack, scope: str) -> np.ndarray:
         v = grads.rows[:, cols]
         np.matmul(v, v.T, out=gram)
     return grams
-
-
-def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
-    """Conditional projection of gi onto the normal plane of gj.
-
-    Returns gi unchanged when the dot is non-negative; otherwise removes the
-    component along gj, which zeroes the mutual inner product and can only
-    shrink the norm.
-    """
-    if gi_vec.shape != gj_vec.shape:
-        raise ShapeError(f"project_pair: lengths {gi_vec.shape} and {gj_vec.shape} differ")
-    dot = float(gi_vec @ gj_vec)
-    if dot >= 0.0:
-        return gi_vec
-    nj_sq = float(gj_vec @ gj_vec)
-    if nj_sq < DEGENERATE_NORM * DEGENERATE_NORM:
-        raise NumericError(
-            f"project_pair: conflicting dot {dot} against a vector of norm "
-            f"{np.sqrt(nj_sq)} below {DEGENERATE_NORM}"
-        )
-    return gi_vec - (dot / nj_sq) * gj_vec
 
 
 def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
@@ -217,30 +203,33 @@ def merge(grads: GradientStack) -> np.ndarray:
     return update
 
 
-def build_conflict_report(step: int, grads: GradientStack, scope: str,
+def build_conflict_report(step: int, layout: Layout, task_ids: list[int], scope: str,
                           grams: np.ndarray) -> ConflictReport:
-    """Dot/cosine rows for every unordered task pair in every scoped group.
+    """Dot/cosine rows for every unordered task pair in every scoped group of
+    steps step, step + 1, ... of a run, in one call.
 
-    Read from the Gram matrices of the gradients as given (pre-surgery
-    originals in the trainer), so the report does not depend on the shuffled
-    projection order: the dots are the Gram entries above the diagonal, and
+    grams stacks each step's ``group_grams(grads, scope)`` as a (steps,
+    groups, T, T) array, of gradient rows in task_ids order: the pre-surgery
+    originals in the trainer, so the report does not depend on the shuffled
+    projection order. The dots are the Gram entries above the diagonal, and
     each cosine divides its dot by the two norms from the diagonal, or is
-    0.0 when a norm is. grams is ``group_grams(grads, scope)``.
+    0.0 when a norm is: elementwise, so each step's entries have the bits
+    of a report of that step alone.
     """
-    layout = grads.layout
-    ids = grads.task_ids
-    if len(ids) != layout.num_tasks:
-        raise ShapeError(f"conflict report: {len(ids)} gradient rows for a layout of "
+    if len(task_ids) != layout.num_tasks:
+        raise ShapeError(f"conflict report: {len(task_ids)} gradient rows for a layout of "
                          f"{layout.num_tasks} tasks")
-    entries, count = layout.pair_entries, len(ids)
-    if ids != sorted(ids):  # rows not in task-id order
-        order = np.argsort(ids)
+    entries, count = layout.pair_entries, len(task_ids)
+    if task_ids != sorted(task_ids):  # rows not in task-id order
+        order = np.argsort(task_ids)
         entries = order[entries // count] * count + order[entries % count]
-    picked = grams.reshape(len(grams), -1).T[entries]  # (3 * pairs, groups)
-    pairs = len(picked) // 3
-    dot = picked[:pairs].copy()  # the log keeps dot, not the 3x larger picked
-    norms = np.sqrt(picked[pairs:])
-    denom = norms[:pairs] * norms[pairs:]
+    picked = grams.reshape(*grams.shape[:2], count * count)[:, :, entries]
+    picked = picked.swapaxes(1, 2)  # (steps, 3 * pairs, groups)
+    pairs = picked.shape[1] // 3
+    dot = picked[:, :pairs].copy()  # the log keeps dot, not the 3x larger picked
+    norms = np.sqrt(picked[:, pairs:])
+    denom = norms[:, :pairs] * norms[:, pairs:]
     cosine = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom != 0.0)
     return ConflictReport(step, scope, layout.labels(scope),
-                          layout.task_ids if ids == layout.task_ids else list(ids), dot, cosine)
+                          layout.task_ids if task_ids == layout.task_ids else list(task_ids),
+                          dot, cosine)

@@ -16,12 +16,14 @@ one forward and one backward pass over the step's ``StepBatch``
 (``joint_gradient``), and task t's gradient is row t of a (T, A + o*d)
 matrix: the adapter columns of its run, then head t. JOINT and both ORTHO
 modes are one run with T heads, SINGLE_TASK T runs of one head each
-(``run_count``). The conflict report and the projection read per-group Gram
-matrices of the rows (computed once per step), merge maps them to the
-stack's (R, P) update, and one AdamW step moves the stack. Head gradients
-bypass projection in every mode. All modes draw identical batch
-sequences for a given seed: data order, task generation, model init and the
-surgery shuffle each consume their own named substream.
+(``run_count``). The projection reads per-group Gram matrices of the rows
+(computed once per step), merge maps them to the stack's (R, P) update, and
+one AdamW step moves the stack. A run keeps each step's Gram matrices until
+its last step, then one ``build_conflict_report`` call turns them all into
+its one columnar conflict report. Head gradients bypass projection in every
+mode. All modes draw identical batch sequences for a given seed: data order,
+task generation, model init and the surgery shuffle each consume their own
+named substream.
 
 ``build_task_set`` hands the config's checked ``tasks`` section and the
 tasks substream to ``make_conflict_set``. A run checks its train pool once,
@@ -29,9 +31,9 @@ before its first step (``check_train``), and builds one ``EvalPool``
 (checked eval batches and buffers). Each epoch draws its data orders as
 (T, N) blocks, and one ``subset_batch`` call gathers every step a block
 serves (``epoch_batches``). Each epoch ends with one ``eval_metric`` call.
-``conflict_scope`` is the one rule for which modes keep a conflict report
-every step, and in which scope: the trainer follows it, and the steps.csv
-reader expects conflict rows by it.
+``conflict_scope`` is the one rule for which modes report conflicts every
+step, and in which scope: the trainer follows it, and the steps.csv reader
+expects conflict rows by it.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class EvalRecord:
 class MetricsLog:
     mode: str
     steps: list[StepRecord] = field(default_factory=list)
-    conflicts: list[ConflictReport] = field(default_factory=list)
+    conflicts: list[ConflictReport] = field(default_factory=list)  # a run keeps at most one
     evals: list[EvalRecord] = field(default_factory=list)
 
     def final_metrics(self) -> dict[str, float]:
@@ -108,8 +110,8 @@ class MetricsLog:
 
 
 def conflict_scope(config: ExperimentConfig, mode: str) -> str | None:
-    """The scope of the conflict report that mode keeps every step of a run of
-    config, or None when it keeps none: SINGLE_TASK has no shared gradient,
+    """The scope in which mode reports conflicts every step of a run of config,
+    or None when it reports none: SINGLE_TASK has no shared gradient,
     one task has no pair and JOINT reports only with ``record_conflicts``
     on. ORTHO_FLAT projects and reports FLAT, the other modes report (and
     ORTHO_STRUCTURED projects) in ``surgery.scope``."""
@@ -127,23 +129,22 @@ def run_count(config: ExperimentConfig, mode: str) -> int:
 
 def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWState, step: int,
                lr: float, surgery_rng: Rng, scope: str | None
-               ) -> tuple[list[StepRecord], ConflictReport | None]:
+               ) -> tuple[list[StepRecord], np.ndarray | None]:
     """One optimization step of every run of stack; returns per-task loss
-    records and the step's conflict report in scope, which a run takes from
-    ``conflict_scope``. ORTHO modes project in scope. With scope None the
-    step reports and projects nothing, as SINGLE_TASK's stack of one-head
-    runs must.
+    records and the step's (G, T, T) ``group_grams`` stack in scope, which a
+    run takes from ``conflict_scope``. ORTHO modes project in scope. With
+    scope None the step reports and projects nothing, as SINGLE_TASK's stack
+    of one-head runs must.
     """
     grads, losses = joint_gradient(stack, batch)
-    report: ConflictReport | None = None
+    grams: np.ndarray | None = None
     if scope is not None:
         grams = group_grams(grads, scope)
-        report = build_conflict_report(step, grads, scope, grams)
         if mode != JOINT:
             grads = surgery(grads, scope, surgery_rng, grams)
     adamw_step(stack.matrix, merge(grads), opt_state, lr)
     records = [StepRecord(step=step, task=t, loss=loss, lr=lr) for t, loss in enumerate(losses)]
-    return records, report
+    return records, grams
 
 
 @dataclass
@@ -208,6 +209,7 @@ def run_mode(config: ExperimentConfig, mode: str,
     scope = conflict_scope(config, mode)
 
     log = MetricsLog(mode=mode)
+    grams: list[np.ndarray] = []  # each step's Gram stack in scope, until the report
 
     def evaluate(epoch: int) -> None:
         metrics = eval_metric(stack, eval_pool)
@@ -223,13 +225,16 @@ def run_mode(config: ExperimentConfig, mode: str,
     for epoch in range(1, config.schedule.epochs + 1):
         for batch in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
             lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
-            records, report = train_step(mode, stack, batch, opt_state, step, lr,
-                                         surgery_rng, scope)
+            records, step_grams = train_step(mode, stack, batch, opt_state, step, lr,
+                                             surgery_rng, scope)
             log.steps.extend(records)
-            if report is not None:
-                log.conflicts.append(report)
+            if step_grams is not None:
+                grams.append(step_grams)
             step += 1
         evaluate(epoch)
+    if grams:
+        log.conflicts.append(build_conflict_report(0, base.layout, stack.task_ids, scope,
+                                                   np.stack(grams)))
     return log, stack.models
 
 

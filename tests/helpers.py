@@ -12,7 +12,7 @@ import numpy as np
 
 from ortho_lora.config import TasksConfig
 from ortho_lora.dense import Rng
-from ortho_lora.errors import NumericError, ParameterError
+from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -29,7 +29,7 @@ from ortho_lora.model import (
     stack_runs,
     task_loss_and_gradient,
 )
-from ortho_lora.surgery import DEGENERATE_NORM, scope_groups
+from ortho_lora.surgery import DEGENERATE_NORM, build_conflict_report, group_grams, scope_groups
 from ortho_lora.tasks import make_conflict_set
 
 # A task gradient assembled by hand: per-task blocks keyed by block name.
@@ -282,10 +282,43 @@ def reference_conflict_rows(grads: GradientStack, scope) -> list[tuple]:
     return rows
 
 
+def step_report(step, grads: GradientStack, scope, grams=None):
+    """The conflict report of one step's gradient rows, as a run of that one
+    step builds it; grams defaults to ``group_grams(grads, scope)``."""
+    if grams is None:
+        grams = group_grams(grads, scope)
+    return build_conflict_report(step, grads.layout, grads.task_ids, scope, grams[None])
+
+
+def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
+    """Conditional projection of gi onto the normal plane of gj: the surgery
+    rule on explicit vectors, the reference the Gram path is tested against.
+
+    Returns gi unchanged when the dot is non-negative; otherwise removes the
+    component along gj, which zeroes the mutual inner product and can only
+    shrink the norm.
+    """
+    if gi_vec.shape != gj_vec.shape:
+        raise ShapeError(f"project_pair: lengths {gi_vec.shape} and {gj_vec.shape} differ")
+    dot = float(gi_vec @ gj_vec)
+    if dot >= 0.0:
+        return gi_vec
+    nj_sq = float(gj_vec @ gj_vec)
+    if nj_sq < DEGENERATE_NORM * DEGENERATE_NORM:
+        raise NumericError(
+            f"project_pair: conflicting dot {dot} against a vector of norm "
+            f"{np.sqrt(nj_sq)} below {DEGENERATE_NORM}"
+        )
+    return gi_vec - (dot / nj_sq) * gj_vec
+
+
 def reference_steps_csv(log) -> bytes:
     """steps.csv as csv.writer renders it: each step's loss rows, then its
     conflict rows, 17-digit floats, \\r\\n line ends, empty cells left empty."""
-    conflicts = {r.step: r for r in log.conflicts}
+    conflicts: dict[int, list] = {}
+    for report in log.conflicts:
+        for p in report.pairs:
+            conflicts.setdefault(p.step, []).append((report.scope, p))
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
@@ -294,11 +327,9 @@ def reference_steps_csv(log) -> bytes:
         for rec in records:
             writer.writerow([rec.step, rec.task, f"{rec.loss:.17g}", f"{rec.lr:.17g}",
                              "", "", "", "", "", "", ""])
-        if step in conflicts:
-            report = conflicts[step]
-            for p in report.pairs:
-                writer.writerow([step, "", "", "", report.scope, p.i, p.j, p.block,
-                                 f"{p.dot:.17g}", f"{p.cosine:.17g}", int(p.conflicted)])
+        for scope, p in conflicts.get(step, []):
+            writer.writerow([step, "", "", "", scope, p.i, p.j, p.block,
+                             f"{p.dot:.17g}", f"{p.cosine:.17g}", int(p.conflicted)])
     return out.getvalue().encode("utf-8")
 
 

@@ -21,6 +21,7 @@ from helpers import (
     generator,
     measure_surgery_floats,
     predict,
+    project_pair,
     step_batch,
     task_gradient,
     task_loss,
@@ -42,7 +43,7 @@ from ortho_lora.model import (
 )
 from ortho_lora.optim import AdamWState
 from ortho_lora.reporting import rank_sweep, recovery
-from ortho_lora.surgery import group_grams, project_pair, scope_groups, surgery
+from ortho_lora.surgery import group_grams, scope_groups, surgery
 from ortho_lora.trainer import run_experiment, train_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -1,8 +1,9 @@
 """The rows a run logs and that summarize reads back stay compact.
 
-A run's log holds one StepRecord per (step, task), one ConflictReport per
-step and a few EvalRecords per epoch, and ``summarize`` reads every mode's
-rows back; per-row Python objects, not arrays, set a run's peak memory.
+A run's log holds one StepRecord per (step, task), one columnar
+ConflictReport for the whole run and a few EvalRecords per epoch, and
+``summarize`` reads every mode's rows back; per-row Python objects, not
+arrays, set a run's peak memory.
 """
 
 import tracemalloc
@@ -49,20 +50,25 @@ def test_records_have_slots_and_no_instance_dict(record):
 
 @pytest.mark.parametrize("mode", [JOINT, ORTHO_FLAT, ORTHO_STRUCTURED])
 def test_reports_of_a_run_share_one_labels_list_and_one_task_id_list(mode):
-    log, _ = run_mode(CONFIG, mode)
-    first = log.conflicts[0]
-    assert len(log.conflicts) == len(log.steps) // 3
-    assert all(r.labels is first.labels and r.task_ids is first.task_ids for r in log.conflicts)
-    assert first.task_ids == [0, 1, 2]
+    log, models = run_mode(CONFIG, mode)
+    (report,) = log.conflicts
+    layout = models[0].layout
+    assert report.labels is layout.labels(report.scope)
+    assert report.task_ids is layout.task_ids
+    assert report.task_ids == [0, 1, 2]
 
 
 @pytest.mark.parametrize("mode", [JOINT, ORTHO_FLAT, ORTHO_STRUCTURED])
 def test_report_dot_owns_only_its_own_rows(mode):
-    # a view would keep the 3x larger (dots, both diagonals) array alive with it
+    # a view would keep the 3x larger (dots, both diagonals) array alive with
+    # it, and the log keeps no Gram array: the one report owns its (S, P, G) columns
     log, _ = run_mode(CONFIG, mode)
-    for report in log.conflicts:
-        assert report.dot.base is None and report.cosine.base is None
-        assert report.dot.nbytes == 3 * len(report.labels) * report.dot.itemsize
+    (report,) = log.conflicts
+    shape = (CONFIG.total_steps(), 3, len(report.labels))
+    for column in (report.dot, report.cosine):
+        assert column.base is None and column.shape == shape
+        assert column.nbytes == shape[0] * shape[1] * shape[2] * 8
+    assert set(vars(log)) == {"mode", "steps", "conflicts", "evals"}
 
 
 def _peak(fn, *args):

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import eager_coefficients, grad_of, group_vector, reference_conflict_rows, stack_of
+from helpers import (
+    eager_coefficients,
+    grad_of,
+    group_vector,
+    project_pair,
+    reference_conflict_rows,
+    stack_of,
+    step_report,
+)
 
 from ortho_lora import surgery as surgery_module
 from ortho_lora.config import ORTHO_FLAT, ORTHO_STRUCTURED, config_from_dict
@@ -27,7 +35,6 @@ from ortho_lora.surgery import (
     build_conflict_report,
     group_grams,
     merge,
-    project_pair,
     scope_groups,
     surgery,
 )
@@ -92,7 +99,7 @@ def check_report(grads, scope):
     groups = scope_groups(stack_of(grads)[0], scope)
     originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
     stack = stack_of(grads)
-    report = build_conflict_report(3, stack, scope, group_grams(stack, scope))
+    report = step_report(3, stack, scope)
     labels = [label for label, _ in groups]
     expected = [(i, j, label) for i in range(len(grads)) for j in range(i + 1, len(grads))
                 for label in labels]
@@ -213,14 +220,14 @@ def test_shared_grams_change_no_bit(scope, grads, seed):
         v = np.stack([group_vector(g, bids) for g in grads])
         assert np.array_equal(gram, v @ v.T)
     before = grams.copy()
-    report = build_conflict_report(3, stack, scope, grams)
+    report = step_report(3, stack, scope, grams)
     assert np.array_equal(grams, before)
     try:
         surgery(stack, scope, Rng(seed), grams)
     except NumericError:
         pass
     assert np.array_equal(grams, before)
-    assert build_conflict_report(3, stack, scope, grams) == report
+    assert step_report(3, stack, scope, grams) == report
 
 
 @st.composite
@@ -251,12 +258,60 @@ def gradient_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(stack=gradient_stacks())
 def test_report_columns_equal_per_pair_loop_bit_for_bit(scope, stack):
-    report = build_conflict_report(7, stack, scope, group_grams(stack, scope))
+    report = step_report(7, stack, scope)
     want = reference_conflict_rows(stack, scope)
     assert [(i, j, label) for i, j in report.pair_ids()
             for label in report.labels] == [row[:3] for row in want]
-    assert report.dot.shape == report.cosine.shape == (len(want) // len(report.labels),
+    assert report.dot.shape == report.cosine.shape == (1, len(want) // len(report.labels),
                                                        len(report.labels))
     assert [x.hex() for x in report.dot.ravel().tolist()] == [row[3].hex() for row in want]
     assert [x.hex() for x in report.cosine.ravel().tolist()] == [row[4].hex() for row in want]
     assert np.array_equal(report.conflicted.ravel(), [row[3] < 0.0 for row in want])
+
+
+@st.composite
+def gram_runs(draw):
+    """A run's Gram stacks: 1-8 steps of 1-6 task rows over a 1- or 2-layer
+    layout in one scope (1, 2 or 4 groups), some groups of some rows all
+    zero, under distinct task ids in or out of order."""
+    num_tasks = draw(st.integers(1, 6))
+    dims = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 2)) + 1)]
+    layout = Layout([(1, k) for k in dims[:-1]], [(d, 1) for d in dims[1:]], (1, dims[-1]),
+                    num_tasks)
+    scope = draw(st.sampled_from(SCOPES))
+    ids = draw(st.lists(st.integers(0, 99), min_size=num_tasks, max_size=num_tasks, unique=True))
+    if draw(st.booleans()):
+        ids.sort()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacks = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = rng.standard_normal((num_tasks, layout.size))
+        for t in range(num_tasks):
+            for _, cols in layout.groups(scope):
+                if draw(st.integers(0, 3)) == 0:  # a zero norm: cosine 0.0
+                    rows[t, cols] = 0.0
+        stacks.append(GradientStack(ids, rows, layout))
+    return scope, stacks
+
+
+def _row_bits(pairs):
+    return [(p.step, p.i, p.j, p.block, p.dot.hex(), p.cosine.hex(), p.conflicted)
+            for p in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=gram_runs(), first=st.integers(0, 50))
+def test_one_run_report_equals_its_one_step_reports_bit_for_bit(run, first):
+    # the trainer builds one report from a run's stacked Gram matrices; each
+    # step's slice of it must be the report of that step alone
+    scope, stacks = run
+    grams = np.stack([group_grams(stack, scope) for stack in stacks])
+    layout, ids = stacks[0].layout, stacks[0].task_ids
+    report = build_conflict_report(first, layout, ids, scope, grams)
+    singles = [step_report(first + s, stack, scope) for s, stack in enumerate(stacks)]
+    assert report.steps == range(first, first + len(stacks))
+    assert (report.scope, report.labels, report.task_ids) == (scope, layout.labels(scope), ids)
+    for s, single in enumerate(singles):
+        for got, want in ((report.dot[s], single.dot[0]), (report.cosine[s], single.cosine[0])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert _row_bits(report.pairs) == [row for single in singles for row in _row_bits(single.pairs)]

@@ -126,8 +126,8 @@ class TestCsvRoundTrip:
         log = MetricsLog(mode=ORTHO_FLAT)
         log.steps += [StepRecord(0, task, 0.5, 0.01) for task in range(3)]
         log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
-                                            np.array([[2.0], [-2.0], [1.0]]),
-                                            np.array([[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]])))
+                                            np.array([[[2.0], [-2.0], [1.0]]]),
+                                            np.array([[[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]]])))
         for epoch in range(2):
             log.evals += [EvalRecord(epoch, ORTHO_FLAT, str(task), 0.5) for task in range(3)]
             log.evals.append(EvalRecord(epoch, ORTHO_FLAT, "avg", 0.5))
@@ -163,14 +163,16 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
     config = log_config(JOINT, 2, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)),
                         record_conflicts=data.draw(st.booleans()))
     log = MetricsLog(mode=JOINT)
+    dots, cosines = [], []
     for step in range(config.total_steps()):
         lr = data.draw(FINITE)  # one lr per step, as a run writes it
         log.steps += [StepRecord(step, task, data.draw(FINITE), lr) for task in range(2)]
         if config.surgery.record_conflicts:
-            log.conflicts.append(ConflictReport(
-                step, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
-                np.array([[data.draw(FINITE), data.draw(FINITE)]]),
-                np.array([[data.draw(COSINE), data.draw(COSINE)]])))
+            dots.append([[data.draw(FINITE), data.draw(FINITE)]])
+            cosines.append([[data.draw(COSINE), data.draw(COSINE)]])
+    if dots:  # one report for the run, as a run keeps it
+        log.conflicts.append(ConflictReport(0, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
+                                            np.array(dots), np.array(cosines)))
     for epoch in range(config.schedule.epochs + 1):
         metrics = data.draw(st.lists(FINITE, min_size=2, max_size=2))
         try:
@@ -192,7 +194,7 @@ def test_write_metrics_steps_bytes_equal_csv_writer_rendering(data):
     scope, labels = data.draw(st.sampled_from([(FLAT, ["flat"]), (PER_ROLE_CONCAT, ["A", "B"]),
                                                (PER_MATRIX, ["L0.A", "L0.B", "L1.A", "L1.B"])]))
     ids = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
-    shape = (len(ids) * (len(ids) - 1) // 2, len(labels))
+    shape = (1, len(ids) * (len(ids) - 1) // 2, len(labels))
     log = MetricsLog(mode=JOINT)
     for step in range(data.draw(st.integers(0, 3))):
         log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
@@ -200,8 +202,8 @@ def test_write_metrics_steps_bytes_equal_csv_writer_rendering(data):
         if data.draw(st.booleans()):  # JOINT without diagnostics writes no conflict rows
             log.conflicts.append(ConflictReport(
                 step, scope, labels, ids,
-                np.array([data.draw(FINITE) for _ in range(shape[0] * shape[1])]).reshape(shape),
-                np.array([data.draw(FINITE) for _ in range(shape[0] * shape[1])]).reshape(shape)))
+                np.array([data.draw(FINITE) for _ in range(shape[1] * shape[2])]).reshape(shape),
+                np.array([data.draw(FINITE) for _ in range(shape[1] * shape[2])]).reshape(shape)))
     log.evals.append(EvalRecord(0, JOINT, "avg", 0.5))
     with tempfile.TemporaryDirectory() as tmp:
         write_metrics(log, Path(tmp))
@@ -286,7 +288,7 @@ class TestRankSweep:
             rank_sweep(cfg, [64], num_seeds=1)
 
     def test_repeated_rank_rejected_before_training(self):
-        with pytest.raises(ParameterError, match="rank 2 repeats"):
+        with pytest.raises(ParameterError, match="--ranks 2: repeated"):
             rank_sweep(small_config(modes=[JOINT]), [2, 4, 2], num_seeds=1)
 
     def test_empty_ranks_rejected(self):

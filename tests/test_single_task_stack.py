@@ -74,9 +74,9 @@ def _stacked(base, hyper, steps):
     state = AdamWState(hyper=hyper)
     losses = []
     for step in range(steps):
-        records, report = train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, step)),
-                                     state, step, 0.01 * (1 + step), Rng(0), None)
-        assert report is None
+        records, grams = train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, step)),
+                                    state, step, 0.01 * (1 + step), Rng(0), None)
+        assert grams is None
         assert [r.task for r in records] == list(range(base.num_tasks))
         losses.append([r.loss for r in records])
     # the stack and both AdamW moments hold one row of A + o*d columns per run

@@ -5,9 +5,11 @@ from helpers import (
     blocks_equal,
     grad_of,
     group_vector,
+    project_pair,
     random_batch,
     random_model,
     stack_of,
+    step_report,
     surgery_floats,
     task_gradient,
 )
@@ -16,10 +18,8 @@ from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ShapeError
 from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
 from ortho_lora.surgery import (
-    build_conflict_report,
     group_grams,
     merge,
-    project_pair,
     scope_groups,
     surgery,
 )
@@ -37,7 +37,7 @@ def _two_grads(a1, a2, b1=None, b2=None):
 def report_cosine(g1, g2, scope, block="flat"):
     """The conflict report's cosine column for the pair (g1, g2) in one group."""
     stack = stack_of([g1, g2])
-    report = build_conflict_report(0, stack, scope, group_grams(stack, scope))
+    report = step_report(0, stack, scope)
     (cosine,) = [p.cosine for p in report.pairs if p.block == block]
     return cosine
 
@@ -70,7 +70,7 @@ class TestPairwiseCosine:
         # per-matrix cosines come one per named matrix, never as one flat value
         g1, g2 = _two_grads([[1.0, 0.0]], [[0.0, 1.0]])
         stack = stack_of([g1, g2])
-        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
+        report = step_report(0, stack, PER_MATRIX)
         assert [p.block for p in report.pairs] == ["L0.A", "L0.B"]
 
 
@@ -292,7 +292,7 @@ class TestConflictReport:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        report = build_conflict_report(4, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
+        report = step_report(4, stack, PER_MATRIX)
         assert report.step == 4
         assert report.scope == PER_MATRIX
         assert len(report.pairs) == 3 * 2  # 3 unordered pairs x 2 blocks
@@ -303,4 +303,4 @@ class TestConflictReport:
     def test_single_task_empty(self):
         g = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[1.0]])
         stack = stack_of([g])
-        assert build_conflict_report(0, stack, FLAT, group_grams(stack, FLAT)).pairs == []
+        assert step_report(0, stack, FLAT).pairs == []

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conflict_set, dump_csv, random_model, stack_of, step_batch, task_gradient
+from helpers import (
+    conflict_set,
+    dump_csv,
+    random_model,
+    stack_of,
+    step_batch,
+    step_report,
+    task_gradient,
+)
 
 from ortho_lora.config import config_from_dict
 from ortho_lora.dense import Rng
@@ -17,7 +25,6 @@ from ortho_lora.model import (
     joint_gradient,
     stack_runs,
 )
-from ortho_lora.surgery import build_conflict_report, group_grams
 from ortho_lora import tasks
 from ortho_lora.tasks import subset_batch
 from ortho_lora.trainer import run_experiment
@@ -42,7 +49,7 @@ class TestRegressionConflict:
         grads = [task_gradient(model, TaskBatch(t, shared_x, ts.teachers[t] @ shared_x))
                  for t in range(3)]
         stack = stack_of(grads)
-        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
+        report = step_report(0, stack, PER_MATRIX)
         for p in report.pairs:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
 
@@ -59,7 +66,7 @@ class TestRegressionConflict:
         model = build_model([6, 5], 2, 4.0, 0.02, ts.kinds, 3, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
         stack = stack_of(grads)
-        report = build_conflict_report(0, stack, PER_MATRIX, group_grams(stack, PER_MATRIX))
+        report = step_report(0, stack, PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
 
     def test_pool_sizes_and_disjointness(self):

@@ -20,6 +20,8 @@ from ortho_lora.config import (
     VALID_MODES,
     config_from_dict,
 )
+from ortho_lora.model import scope_labels
+from ortho_lora.trainer import conflict_scope
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,3 +90,20 @@ def test_one_gather_per_order_block_and_one_joint_gradient_per_step(bench):
     assert cfg.total_steps() == 14
     assert calls["tasks.subset_batch"] == 4
     assert calls["trainer.train_step"] == calls["model.joint_gradient"] == 14
+
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+def test_one_conflict_report_per_run_in_a_conflict_scope(bench, mode):
+    # a run builds its one report from every step's Gram matrices after its
+    # last step; its rows are every step's 3 task pairs in every scope group
+    spans = importlib.import_module("spans")
+    cfg = tiny_config(epochs=2, steps_per_epoch=7)
+    tracer = spans.Tracer()
+    with tracer.patched(bench.TARGETS):
+        bench.trainer.run_mode(cfg, mode)
+    calls = {name: count for name, (count, _, _) in spans.span_totals(tracer.spans, {""}).items()}
+    scope = conflict_scope(cfg, mode)
+    groups = len(scope_labels(scope, 1)) if scope else 0
+    assert calls.get("surgery.build_conflict_report", 0) == (1 if scope else 0)
+    assert tracer.broken_hooks == set()
+    assert tracer.counts.get(("", "surgery.pairs_checked"), 0) == cfg.total_steps() * 3 * groups

@@ -29,7 +29,7 @@ from ortho_lora.model import (
     stack_runs,
 )
 from ortho_lora.optim import AdamWState, adamw_step
-from ortho_lora.surgery import merge
+from ortho_lora.surgery import build_conflict_report, merge
 from ortho_lora import tasks
 from ortho_lora.trainer import (
     build_task_set,
@@ -79,11 +79,13 @@ def _stack(mode, model):
 
 
 def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
-    """One step of mode's stack of model; returns the records, the report and
-    the first run, moved."""
+    """One step of mode's stack of model; returns the records, the report of
+    the step's Gram matrices and the first run, moved."""
     stack = _stack(mode, model)
-    records, report = train_step(mode, stack, step_batch(model, batches), AdamWState(),
-                                 step=0, lr=0.01, surgery_rng=Rng(seed), scope=scope)
+    records, grams = train_step(mode, stack, step_batch(model, batches), AdamWState(),
+                                step=0, lr=0.01, surgery_rng=Rng(seed), scope=scope)
+    report = None if grams is None else build_conflict_report(
+        0, stack.models[0].layout, stack.task_ids, scope, grams[None])
     return records, report, stack.models[0]
 
 
@@ -241,7 +243,8 @@ class TestRunExperiment:
         quiet = tiny_config(surgery={"record_conflicts": False})
         assert run_experiment(quiet).logs[JOINT].conflicts == []
         loud = tiny_config(surgery={"record_conflicts": True})
-        assert len(run_experiment(loud).logs[JOINT].conflicts) == loud.total_steps()
+        (report,) = run_experiment(loud).logs[JOINT].conflicts
+        assert report.steps == range(loud.total_steps())
 
     @pytest.mark.parametrize("mode,overrides,scope", [
         (SINGLE_TASK, {}, None),
@@ -259,7 +262,9 @@ class TestRunExperiment:
         cfg = tiny_config(modes=[mode], **overrides)
         assert conflict_scope(cfg, mode) == scope
         log, _ = run_mode(cfg, mode)
-        assert [r.step for r in log.conflicts] == (list(range(cfg.total_steps())) if scope else [])
+        assert len(log.conflicts) == (1 if scope else 0)
+        assert [s for r in log.conflicts for s in r.steps] == (list(range(cfg.total_steps()))
+                                                               if scope else [])
         assert {r.scope for r in log.conflicts} <= {scope}
 
     def test_single_task_models_start_identical(self):
