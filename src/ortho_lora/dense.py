@@ -41,11 +41,17 @@ class Rng:
         """Independent named substream; `stream` indices are fixed per use site."""
         return Rng(self.seed, self.spawn_key + (int(stream),))
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    def permutations(self, count: int, n: int) -> np.ndarray:
+        """count shuffles of range(n) as (count, n) int64 rows, in one call: the rows,
+        and the stream after them, of count ``Generator.permutation(n)`` draws."""
+        return self._gen.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay on flat parameter vectors, plus the linear LR schedule."""
+"""AdamW with decoupled weight decay on flat parameter vectors, plus a run's linear LR column."""
 
 from __future__ import annotations
 
@@ -71,10 +71,10 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
     params -= update
 
 
-def linear_decay_lr(step: int, total_steps: int, lr_base: float) -> float:
-    """lr_base * (1 - step / total_steps); hits zero at the final step."""
-    if total_steps < 1:
-        raise ParameterError(f"total_steps must be >= 1, got {total_steps}")
-    if not 0 <= step <= total_steps:
-        raise ParameterError(f"step {step} outside [0, {total_steps}]")
-    return lr_base * (1.0 - step / total_steps)
+def linear_decay_lr(total_steps: int, lr_base: float) -> np.ndarray:
+    """A run's (total_steps,) lr column: entry s is lr_base * (1 - s / total_steps),
+    bit for bit as that scalar formula, falling linearly towards the zero of
+    step total_steps. Zero steps give an empty column."""
+    if total_steps < 0:
+        raise ParameterError(f"total_steps must be >= 0, got {total_steps}")
+    return lr_base * (1.0 - np.arange(total_steps) / total_steps)

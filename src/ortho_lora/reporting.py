@@ -42,7 +42,7 @@ import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 from pathlib import Path
 from statistics import fmean
 from typing import TextIO
@@ -62,7 +62,7 @@ from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
 from .surgery import ConflictReport
-from .trainer import AVG_TASK, EvalRecord, MetricsLog, StepRecord, conflict_scope, run_experiment
+from .trainer import AVG_TASK, EvalRecord, MetricsLog, conflict_scope, run_experiment
 
 STEPS_HEADER = ["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
                 "dot", "cosine", "conflicted"]
@@ -183,11 +183,11 @@ def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
 
     with atomic_write(mode_dir / STEPS_FILE, newline="") as fh:
         fh.write(",".join(STEPS_HEADER) + "\r\n")
-        for step, records in groupby(log.steps, key=lambda rec: rec.step):
+        for step, (losses, lr) in enumerate(zip(log.losses.tolist(), log.lrs.tolist())):
             # floats formatted in place, as fmt does: a call per float slowed the
             # many-tasks writer by about 4%
-            rows = [loss_row(step, rec.task, f"{rec.loss:.17g}", f"{rec.lr:.17g}")
-                    for rec in records]
+            lr_text = f"{lr:.17g}"
+            rows = [loss_row(step, task, f"{loss:.17g}", lr_text) for task, loss in enumerate(losses)]
             conflicts = conflicts_by_step.get(step)
             if conflicts is not None:  # a step's conflict rows follow its loss rows
                 rows += [conflict_row(step, middle, f"{d:.17g}", f"{c:.17g}",
@@ -260,16 +260,15 @@ def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
             raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
 
 
-def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
-    """steps.csv's loss rows into log.steps and its conflict rows into the one
-    columnar report of log.conflicts, as a run keeps it, each line compared
-    with the one a run of config writes there for log.mode."""
+def _read_steps(path: Path, mode: str, config: ExperimentConfig, evals: list[EvalRecord]) -> MetricsLog:
+    """mode's log of evals and steps.csv: its loss rows as the loss and lr
+    columns, its conflict rows as the one columnar report a run keeps, each
+    line compared with the one a run of config writes there for mode."""
     ids = list(range(config.tasks.num_tasks))
-    scope = conflict_scope(config, log.mode)
+    scope = conflict_scope(config, mode)
     labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
     middles = conflict_middles(scope, labels, ids) if scope else []
-    dots: list[float] = []
-    cosines: list[float] = []
+    losses, lrs, dots, cosines = [], [], [], []  # lists of floats
     with _read_lines(path, STEPS_HEADER) as lines:
         for step in range(config.total_steps()):  # a step's loss rows, then its conflict rows
             lr_text = lines.cells[3]
@@ -277,8 +276,8 @@ def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
                 cells = lines.cells
                 lines.expect(loss_row(step, task, cells[2], lr_text))
                 if task == 0:
-                    lr = _finite(lr_text)
-                log.steps.append(StepRecord(step, task, _finite(cells[2]), lr))
+                    lrs.append(_finite(lr_text))
+                losses.append(_finite(cells[2]))
                 lines.advance()
             for middle in middles:
                 cells = lines.cells
@@ -295,10 +294,13 @@ def _read_steps(path: Path, log: MetricsLog, config: ExperimentConfig) -> None:
                 cosines.append(cosine)
                 lines.advance()
         lines.expect(None)
+    log = MetricsLog(mode, np.array(losses).reshape(len(lrs), len(ids)), np.array(lrs),
+                     evals=evals)
     if middles and config.total_steps():
         shape = (config.total_steps(), len(middles) // len(labels), len(labels))
-        log.conflicts = [ConflictReport(0, scope, labels, ids, np.array(dots).reshape(shape),
-                                        np.array(cosines).reshape(shape))]
+        log.conflicts.append(ConflictReport(0, scope, labels, ids, np.array(dots).reshape(shape),
+                                            np.array(cosines).reshape(shape)))
+    return log
 
 
 def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> list[EvalRecord]:
@@ -328,9 +330,7 @@ def read_metrics(mode_dir: str | Path, mode: str, config: ExperimentConfig) -> M
     for path in (eval_path, steps_path):
         if not path.is_file():
             raise ConfigError(f"missing {path}")
-    log = MetricsLog(mode=mode, evals=_read_evals(eval_path, mode, config))
-    _read_steps(steps_path, log, config)
-    return log
+    return _read_steps(steps_path, mode, config, _read_evals(eval_path, mode, config))
 
 
 def read_rank_rows(path: str | Path, ranks: list[int]) -> list[RankRow]:

@@ -7,7 +7,8 @@ the other task's gradient:
     gi <- gi - (gi . gj / ||gj||^2) gj      (applied only when gi . gj < 0)
 
 ``surgery`` runs the pairwise conditional projection over every task in a
-freshly shuffled order each step. The scope controls what "a gradient" means:
+freshly shuffled order each step, drawn before a run's first step. The scope
+controls what "a gradient" means:
 
 * FLAT            - all adapter blocks of a task concatenated into one vector
 * PER_MATRIX      - each (layer, A|B) matrix projected independently
@@ -30,8 +31,9 @@ G and the projections the row has fired so far, only when it is tested.
 Merge maps the rows to the stack's update.
 
 The conflict report is columnar and covers a run: one (steps, pairs, groups)
-array of dots and one of cosines, read off the run's stacked Gram matrices by
-one ``build_conflict_report`` call, with no object per row or per step.
+array of dots and one of cosines, read off the run's (steps, groups, T, T)
+Gram store by one ``build_conflict_report`` call, with no object per row or
+per step.
 ``ConflictReport.pairs`` builds per-row objects on demand.
 """
 
@@ -42,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dense import Rng
+from .dense import same_bits
 from .errors import NumericError, ShapeError
 from .model import GradientStack, Layout, TaskGradient
 
@@ -62,10 +64,6 @@ class ConflictPair:
     dot: float
     cosine: float
     conflicted: bool
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass(slots=True, eq=False)
@@ -115,7 +113,7 @@ class ConflictReport:
             return NotImplemented
         return ((self.step, self.scope, self.labels, self.task_ids)
                 == (other.step, other.scope, other.labels, other.task_ids)
-                and _same_bits(self.dot, other.dot) and _same_bits(self.cosine, other.cosine))
+                and same_bits(self.dot, other.dot) and same_bits(self.cosine, other.cosine))
 
 
 def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
@@ -126,11 +124,12 @@ def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
             for label, cols in grad.layout.groups(scope)]
 
 
-def group_grams(grads: GradientStack, scope: str) -> np.ndarray:
+def group_grams(grads: GradientStack, scope: str, out: np.ndarray | None = None) -> np.ndarray:
     """The Gram matrix V V^T of every scope group's columns V: a (G, T, T) stack
-    in group order."""
+    in group order, written into out when given (a run passes its step's slice
+    of its Gram store)."""
     groups = grads.layout.groups(scope)
-    grams = np.empty((len(groups), len(grads.task_ids), len(grads.task_ids)))
+    grams = out if out is not None else np.empty((len(groups),) + (len(grads.task_ids),) * 2)
     for gram, (_, cols) in zip(grams, groups):
         v = grads.rows[:, cols]
         np.matmul(v, v.T, out=gram)
@@ -172,13 +171,14 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
     return np.array(coeffs) if count else None
 
 
-def surgery(grads: GradientStack, scope: str, rng: Rng, grams: np.ndarray) -> GradientStack:
-    """Pairwise conditional projection over all tasks, in one shuffled order.
+def surgery(grads: GradientStack, scope: str, order: list[int],
+            grams: np.ndarray) -> GradientStack:
+    """Pairwise conditional projection over all tasks, in order: a shuffle of
+    the row indices, which a run draws for all its steps at once.
 
     The input is not mutated: each group is projected inside a copy of the
     rows. Heads pass through. grams is ``group_grams(grads, scope)``.
     """
-    order = rng.permutation(len(grads.task_ids)).tolist()
     rows = grads.rows.copy()
     for gram, (_, cols) in zip(grams, grads.layout.groups(scope), strict=True):
         coeffs = _coefficients(gram, order)

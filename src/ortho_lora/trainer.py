@@ -18,12 +18,15 @@ matrix: the adapter columns of its run, then head t. JOINT and both ORTHO
 modes are one run with T heads, SINGLE_TASK T runs of one head each
 (``run_count``). The projection reads per-group Gram matrices of the rows
 (computed once per step), merge maps them to the stack's (R, P) update, and
-one AdamW step moves the stack. A run keeps each step's Gram matrices until
-its last step, then one ``build_conflict_report`` call turns them all into
-its one columnar conflict report. Head gradients bypass projection in every
+one AdamW step moves the stack. Head gradients bypass projection in every
 mode. All modes draw identical batch sequences for a given seed: data order,
 task generation, model init and the surgery shuffle each consume their own
 named substream.
+
+A run draws its step schedule before its first step: the (S,) lr column, all
+surgery orders in one draw and one (S, G, T, T) Gram store; after its last
+step, one ``build_conflict_report`` call reads the store and its losses become
+one (S, T) array.
 
 ``build_task_set`` hands the config's checked ``tasks`` section and the
 tasks substream to ``make_conflict_set``. A run checks its train pool once,
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from statistics import fmean
 
 import numpy as np
@@ -52,7 +56,7 @@ from .config import (
     VALID_MODES,
     ExperimentConfig,
 )
-from .dense import Rng
+from .dense import Rng, same_bits
 from .errors import ParameterError
 from .model import (
     EvalPool,
@@ -94,12 +98,29 @@ class EvalRecord:
     metric: float
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricsLog:
+    """losses[s, t] is task t's loss at step s and lrs[s] step s's lr; two logs
+    are equal when every field, and every bit of both arrays, is."""
+
     mode: str
-    steps: list[StepRecord] = field(default_factory=list)
+    losses: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (steps, T)
+    lrs: np.ndarray = field(default_factory=lambda: np.empty(0))  # (steps,)
     conflicts: list[ConflictReport] = field(default_factory=list)  # a run keeps at most one
     evals: list[EvalRecord] = field(default_factory=list)
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        """The loss rows as objects, step-major; built on each access."""
+        return [StepRecord(step, task, loss, lr)
+                for step, (losses, lr) in enumerate(zip(self.losses.tolist(), self.lrs.tolist()))
+                for task, loss in enumerate(losses)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MetricsLog):
+            return NotImplemented
+        return ((self.mode, self.conflicts, self.evals) == (other.mode, other.conflicts, other.evals)
+                and same_bits(self.losses, other.losses) and same_bits(self.lrs, other.lrs))
 
     def final_metrics(self) -> dict[str, float]:
         """Metric per task label from the last recorded epoch."""
@@ -127,24 +148,22 @@ def run_count(config: ExperimentConfig, mode: str) -> int:
     return config.tasks.num_tasks if mode == SINGLE_TASK else 1
 
 
-def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWState, step: int,
-               lr: float, surgery_rng: Rng, scope: str | None
-               ) -> tuple[list[StepRecord], np.ndarray | None]:
-    """One optimization step of every run of stack; returns per-task loss
-    records and the step's (G, T, T) ``group_grams`` stack in scope, which a
-    run takes from ``conflict_scope``. ORTHO modes project in scope. With
-    scope None the step reports and projects nothing, as SINGLE_TASK's stack
-    of one-head runs must.
+def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWState, lr: float,
+               scope: str | None = None, grams: np.ndarray | None = None,
+               order: list[int] | None = None) -> list[float]:
+    """One optimization step of every run of stack; returns the per-task losses.
+
+    In scope (a run's ``conflict_scope``) the step writes its ``group_grams``
+    into the (G, T, T) grams, and ORTHO modes project in order. With scope
+    None it reports and projects nothing, as SINGLE_TASK's one-head runs must.
     """
     grads, losses = joint_gradient(stack, batch)
-    grams: np.ndarray | None = None
     if scope is not None:
-        grams = group_grams(grads, scope)
+        grams = group_grams(grads, scope, out=grams)
         if mode != JOINT:
-            grads = surgery(grads, scope, surgery_rng, grams)
+            grads = surgery(grads, scope, order, grams)
     adamw_step(stack.matrix, merge(grads), opt_state, lr)
-    records = [StepRecord(step=step, task=t, loss=loss, lr=lr) for t, loss in enumerate(losses)]
-    return records, grams
+    return losses
 
 
 @dataclass
@@ -176,7 +195,7 @@ def epoch_batches(pool: TaskPool, data_rng: Rng, batch_size: int,
     if not 1 <= batch_size <= size:
         raise ParameterError(f"batch_size must be in [1, {size}], got {batch_size}")
     while steps > 0:
-        block = np.array([data_rng.permutation(size) for _ in range(num_tasks)])
+        block = data_rng.permutations(num_tasks, size)
         count = min(steps, size // batch_size)
         yield from subset_batch(pool, block[:, :count * batch_size].reshape(num_tasks, count, -1))
         steps -= count
@@ -205,36 +224,36 @@ def run_mode(config: ExperimentConfig, mode: str,
     stack = stack_runs(base, run_count(config, mode))
     opt_state = AdamWState(hyper=config.optimizer)
     data_rng = master.child(STREAM_DATA)
-    surgery_rng = master.child(STREAM_SURGERY)
     scope = conflict_scope(config, mode)
+    total_steps, num_tasks = config.total_steps(), config.tasks.num_tasks
 
-    log = MetricsLog(mode=mode)
-    grams: list[np.ndarray] = []  # each step's Gram stack in scope, until the report
+    lrs = linear_decay_lr(total_steps, config.optimizer.lr_base)
+    grams = orders = repeat(None)
+    if scope is not None:
+        grams = np.empty((total_steps, len(base.layout.groups(scope)), num_tasks, num_tasks))
+        if mode != JOINT:
+            orders = master.child(STREAM_SURGERY).permutations(total_steps, num_tasks).tolist()
+    schedule = zip(lrs.tolist(), grams, orders)
+    evals: list[EvalRecord] = []
+    loss_rows: list[list[float]] = []
 
     def evaluate(epoch: int) -> None:
         metrics = eval_metric(stack, eval_pool)
-        log.evals += [EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
-                      for t, metric in enumerate(metrics)]
-        log.evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))
+        evals.extend(EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
+                     for t, metric in enumerate(metrics))
+        evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))
 
     evaluate(0)
-    spe = config.steps_per_epoch()
-    total_steps = config.total_steps()
-    batch_size = config.schedule.batch_size
-    step = 0
+    spe, batch_size = config.steps_per_epoch(), config.schedule.batch_size
     for epoch in range(1, config.schedule.epochs + 1):
-        for batch in epoch_batches(task_set.train_pool, data_rng, batch_size, spe):
-            lr = linear_decay_lr(step, total_steps, config.optimizer.lr_base)
-            records, step_grams = train_step(mode, stack, batch, opt_state, step, lr,
-                                             surgery_rng, scope)
-            log.steps.extend(records)
-            if step_grams is not None:
-                grams.append(step_grams)
-            step += 1
+        # zip draws the batch first, so an epoch's end leaves the schedule unread
+        for batch, (lr, gram, order) in zip(
+                epoch_batches(task_set.train_pool, data_rng, batch_size, spe), schedule):
+            loss_rows.append(train_step(mode, stack, batch, opt_state, lr, scope, gram, order))
         evaluate(epoch)
-    if grams:
-        log.conflicts.append(build_conflict_report(0, base.layout, stack.task_ids, scope,
-                                                   np.stack(grams)))
+    log = MetricsLog(mode, np.array(loss_rows).reshape(total_steps, num_tasks), lrs, evals=evals)
+    if scope is not None and total_steps:
+        log.conflicts.append(build_conflict_report(0, base.layout, stack.task_ids, scope, grams))
     return log, stack.models
 
 

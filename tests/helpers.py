@@ -10,12 +10,13 @@ from itertools import groupby
 
 import numpy as np
 
-from ortho_lora.config import TasksConfig
+from ortho_lora.config import JOINT, TasksConfig
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
+    EvalPool,
     GradientStack,
     Layout,
     MultiTaskModel,
@@ -24,13 +25,30 @@ from ortho_lora.model import (
     TaskGradient,
     _stacked_targets,
     build_model,
+    eval_metric,
     forward_features,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
 )
-from ortho_lora.surgery import DEGENERATE_NORM, build_conflict_report, group_grams, scope_groups
-from ortho_lora.tasks import make_conflict_set
+from ortho_lora.optim import AdamWState, adamw_step
+from ortho_lora.surgery import (
+    DEGENERATE_NORM,
+    build_conflict_report,
+    group_grams,
+    merge,
+    scope_groups,
+    surgery,
+)
+from ortho_lora.tasks import make_conflict_set, subset_batch
+from ortho_lora.trainer import (
+    STREAM_DATA,
+    STREAM_INIT,
+    STREAM_SURGERY,
+    build_task_set,
+    conflict_scope,
+    run_count,
+)
 
 # A task gradient assembled by hand: per-task blocks keyed by block name.
 Grad = namedtuple("Grad", ["task_id", "blocks"])
@@ -40,6 +58,13 @@ def generator(seed, *spawn_key):
     """The numpy Generator behind Rng(seed).child(k)...: the same draws, plus
     the integer draws Rng does not offer."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+def shuffle(seed, n, *spawn_key) -> list[int]:
+    """The first shuffle of range(n) on the stream of Rng(seed).child(k)...,
+    drawn by numpy's own ``Generator.permutation``: a surgery order that no
+    ``Rng`` method draws."""
+    return generator(seed, *spawn_key).permutation(n).tolist()
 
 
 def random_model(seed, layer_dims=(6, 5, 4), rank=2, alpha=2.0, sigma=0.1,
@@ -409,3 +434,51 @@ def per_block_gradient_rows(model, batch, heads, adapters=None):
         if i > 0:
             delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
     return rows, losses
+
+
+def reference_run(config, mode):
+    """run_mode written as the loop it replaced: each step's lr from the scalar
+    formula, each data-order block drawn one task's permutation at a time,
+    each step's surgery order by its own permutation, and a fresh Gram stack
+    per step, ``np.stack``ed into the one report after the last step. Draws
+    through numpy's own Generators, on the run's substreams. Returns the loss
+    rows, the lrs, the report (None without a conflict scope), every epoch's
+    eval metrics and the final parameter stack."""
+    task_set = build_task_set(config)
+    base = build_model(config.model.layer_dims, config.model.rank, config.model.alpha,
+                       config.model.sigma_init, task_set.kinds, config.tasks.out_dim,
+                       Rng(config.seed).child(STREAM_INIT))
+    task_set.check_train(base.out_dim)
+    eval_pool = EvalPool.of(task_set.eval, base)
+    stack = stack_runs(base, run_count(config, mode))
+    opt_state = AdamWState(hyper=config.optimizer)
+    data_gen = generator(config.seed, STREAM_DATA)
+    surgery_gen = generator(config.seed, STREAM_SURGERY)
+    scope = conflict_scope(config, mode)
+    pool, batch_size, total = task_set.train_pool, config.schedule.batch_size, config.total_steps()
+    num_tasks, size = pool.x.shape[:2]
+    losses, lrs, grams = [], [], []
+    metrics = [eval_metric(stack, eval_pool)]
+    for _ in range(config.schedule.epochs):
+        left = config.steps_per_epoch()
+        while left > 0:
+            block = np.array([data_gen.permutation(size) for _ in range(num_tasks)])
+            count = min(left, size // batch_size)
+            idx = block[:, :count * batch_size].reshape(num_tasks, count, -1)
+            for batch in subset_batch(pool, idx):
+                lr = config.optimizer.lr_base * (1.0 - len(lrs) / total)
+                grads, step_losses = joint_gradient(stack, batch)
+                if scope is not None:
+                    grams.append(group_grams(grads, scope))
+                    if mode != JOINT:
+                        grads = surgery(grads, scope, surgery_gen.permutation(num_tasks).tolist(),
+                                        grams[-1])
+                adamw_step(stack.matrix, merge(grads), opt_state, lr)
+                losses.append(step_losses)
+                lrs.append(lr)
+            left -= count
+        metrics.append(eval_metric(stack, eval_pool))
+    report = (build_conflict_report(0, base.layout, stack.task_ids, scope, np.stack(grams))
+              if grams else None)
+    return losses, lrs, report, metrics, stack.matrix
+

@@ -1,7 +1,8 @@
 """The rows a run logs and that summarize reads back stay compact.
 
-A run's log holds one StepRecord per (step, task), one columnar
-ConflictReport for the whole run and a few EvalRecords per epoch, and
+A run's log holds its losses and lrs as (steps, T) and (steps,) columns, one
+columnar ConflictReport for the whole run and a few EvalRecords per epoch
+(StepRecords are built only on demand, by ``MetricsLog.steps``), and
 ``summarize`` reads every mode's rows back; per-row Python objects, not
 arrays, set a run's peak memory.
 """
@@ -68,7 +69,10 @@ def test_report_dot_owns_only_its_own_rows(mode):
     for column in (report.dot, report.cosine):
         assert column.base is None and column.shape == shape
         assert column.nbytes == shape[0] * shape[1] * shape[2] * 8
-    assert set(vars(log)) == {"mode", "steps", "conflicts", "evals"}
+    assert set(vars(log)) == {"mode", "losses", "lrs", "conflicts", "evals"}
+    assert log.losses.shape == (CONFIG.total_steps(), 3) and log.lrs.shape == shape[:1]
+    assert log.losses.nbytes == 3 * log.lrs.nbytes == shape[0] * 3 * 8
+    assert len(log.steps) == log.losses.size
 
 
 def _peak(fn, *args):

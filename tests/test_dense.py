@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import generator
 
 from ortho_lora.dense import Rng, gaussian_matrix
 from ortho_lora.errors import ParameterError
@@ -55,4 +59,34 @@ class TestRng:
         assert not np.array_equal(a1, b)
 
     def test_permutation_deterministic(self):
-        assert np.array_equal(Rng(3).permutation(10), Rng(3).permutation(10))
+        assert np.array_equal(Rng(3).permutations(4, 10), Rng(3).permutations(4, 10))
+
+
+def _check_permutations(seed, spawn_key, count, n):
+    rng = Rng(seed)
+    for stream in spawn_key:
+        rng = rng.child(stream)
+    want = generator(seed, *spawn_key)
+    got = rng.permutations(count, n)
+    # the dtype and shape hold at count 0, where no row is drawn
+    assert got.dtype == np.int64 and got.shape == (count, n)
+    for row in got:
+        assert np.array_equal(row, want.permutation(n))
+    # the stream is left where count sequential draws leave it
+    assert np.array_equal(rng.permutations(1, n)[0], want.permutation(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), spawn_key=st.lists(st.integers(0, 7), max_size=2),
+       count=st.integers(0, 64), n=st.integers(1, 32))
+def test_permutations_equal_sequential_numpy_draws(seed, spawn_key, count, n):
+    # one Generator.permuted call over count copies of range(n) draws, and
+    # leaves the stream, as count Generator.permutation(n) calls in a row
+    _check_permutations(seed, spawn_key, count, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 64))
+def test_permutations_equal_sequential_numpy_draws_of_a_pool(seed, count):
+    # n = 480: the train pool of configs/default.json, a data-order block row
+    _check_permutations(seed, (2,), count, 480)

@@ -1,6 +1,7 @@
 """Atomic output files: a write that fails part-way keeps the old file and
 leaves no temporary file; a write that succeeds leaves only its target."""
 
+import numpy as np
 import pytest
 
 from ortho_lora.adapter import init_adapter, load_adapter, save_adapter
@@ -8,7 +9,7 @@ from ortho_lora.config import JOINT, config_from_dict, load_config, save_config
 from ortho_lora.dense import Rng
 from ortho_lora.files import atomic_write
 from ortho_lora.reporting import RankRow, read_rank_rows, write_metrics, write_rank_rows
-from ortho_lora.trainer import EvalRecord, MetricsLog, StepRecord
+from ortho_lora.trainer import EvalRecord, MetricsLog
 
 
 def _files(directory):
@@ -27,8 +28,9 @@ def test_failing_block_keeps_the_old_file(tmp_path):
 
 
 def _log(steps):
-    log = MetricsLog(mode=JOINT)
-    log.steps = [StepRecord(step, 0, loss, 0.01) for step, loss in enumerate(steps)]
+    """A one-task log of these losses; a None loss is an object cell the writer
+    fails on, after the rows before it."""
+    log = MetricsLog(JOINT, np.array([[loss] for loss in steps]), np.full(len(steps), 0.01))
     log.evals = [EvalRecord(0, JOINT, "0", 0.5), EvalRecord(0, JOINT, "avg", 0.5)]
     return log
 

@@ -164,19 +164,35 @@ def test_adamw_step_equals_textbook_reference_bit_for_bit(shape, weight_decay, s
 
 
 class TestLinearDecay:
+    """linear_decay_lr gives a run's whole (S,) lr column in one call."""
+
     def test_schedule_start(self):
-        assert linear_decay_lr(0, 100, 5e-4) == 5e-4
+        assert linear_decay_lr(100, 5e-4)[0] == 5e-4
 
     def test_schedule_end(self):
-        assert linear_decay_lr(100, 100, 5e-4) == 0.0
+        # the column stops one step short of zero: step S would have lr 0.0
+        column = linear_decay_lr(100, 5e-4)
+        assert column.shape == (100,) and column[-1] == 5e-4 * (1.0 - 99 / 100) > 0.0
+        assert linear_decay_lr(1, 5e-4).tolist() == [5e-4]
 
     def test_midpoint(self):
-        assert linear_decay_lr(50, 100, 5e-4) == pytest.approx(2.5e-4, rel=1e-15)
+        assert linear_decay_lr(100, 5e-4)[50] == pytest.approx(2.5e-4, rel=1e-15)
 
-    def test_step_past_end_rejected(self):
-        with pytest.raises(ParameterError):
-            linear_decay_lr(101, 100, 5e-4)
+    def test_zero_steps_give_an_empty_column(self):
+        column = linear_decay_lr(0, 5e-4)
+        assert column.shape == (0,) and column.dtype == np.float64
 
     def test_bad_total(self):
-        with pytest.raises(ParameterError):
-            linear_decay_lr(0, 0, 5e-4)
+        for total in (-1, -100):
+            with pytest.raises(ParameterError, match=f"total_steps must be >= 0, got {total}"):
+                linear_decay_lr(total, 5e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=st.integers(0, 5000), lr_base=st.floats(0.0, allow_infinity=False))
+    def test_column_equals_the_scalar_formula_bit_for_bit(self, total, lr_base):
+        # any lr_base the config accepts (finite, >= 0): each entry has the
+        # bits of lr_base * (1 - s / S), the per-step formula it replaced
+        column = linear_decay_lr(total, lr_base)
+        assert column.dtype == np.float64 and column.shape == (total,)
+        assert [x.hex() for x in column.tolist()] == [
+            (lr_base * (1.0 - s / total)).hex() for s in range(total)]

@@ -34,7 +34,7 @@ from ortho_lora.reporting import (
     write_rank_rows,
 )
 from ortho_lora.surgery import ConflictReport
-from ortho_lora.trainer import EvalRecord, MetricsLog, StepRecord, run_experiment
+from ortho_lora.trainer import EvalRecord, MetricsLog, run_experiment
 
 # any finite float, with -0.0, the smallest subnormals and +-max always in the mix
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -123,8 +123,7 @@ class TestCsvRoundTrip:
 
     def test_cosine_rounded_past_one_reads_back(self, tmp_path):
         # parallel gradients give cosines a few ulps past +-1; a run can write them
-        log = MetricsLog(mode=ORTHO_FLAT)
-        log.steps += [StepRecord(0, task, 0.5, 0.01) for task in range(3)]
+        log = MetricsLog(ORTHO_FLAT, np.full((1, 3), 0.5), np.array([0.01]))
         log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
                                             np.array([[[2.0], [-2.0], [1.0]]]),
                                             np.array([[[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]]])))
@@ -145,7 +144,7 @@ class TestCsvRoundTrip:
 
 def _log_bits(log):
     """Every field of a log, floats as their exact hex spelling (-0.0 differs from 0.0)."""
-    return ([(r.step, r.task, r.loss.hex(), r.lr.hex()) for r in log.steps],
+    return (log.losses.shape, [(r.step, r.task, r.loss.hex(), r.lr.hex()) for r in log.steps],
             [(c.step, c.scope, c.labels, c.task_ids, [x.hex() for x in c.dot.ravel().tolist()],
               [x.hex() for x in c.cosine.ravel().tolist()]) for c in log.conflicts],
             [(r.epoch, r.mode, r.task, r.metric.hex()) for r in log.evals])
@@ -162,11 +161,11 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
     # every epoch of eval.csv lists the tasks with loss rows (tasks 0 and 1)
     config = log_config(JOINT, 2, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)),
                         record_conflicts=data.draw(st.booleans()))
-    log = MetricsLog(mode=JOINT)
+    steps = config.total_steps()
+    losses = np.array([data.draw(FINITE) for _ in range(2 * steps)]).reshape(steps, 2)
+    log = MetricsLog(JOINT, losses, np.array([data.draw(FINITE) for _ in range(steps)]))
     dots, cosines = [], []
-    for step in range(config.total_steps()):
-        lr = data.draw(FINITE)  # one lr per step, as a run writes it
-        log.steps += [StepRecord(step, task, data.draw(FINITE), lr) for task in range(2)]
+    for step in range(steps):
         if config.surgery.record_conflicts:
             dots.append([[data.draw(FINITE), data.draw(FINITE)]])
             cosines.append([[data.draw(COSINE), data.draw(COSINE)]])
@@ -195,10 +194,10 @@ def test_write_metrics_steps_bytes_equal_csv_writer_rendering(data):
                                                (PER_MATRIX, ["L0.A", "L0.B", "L1.A", "L1.B"])]))
     ids = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
     shape = (1, len(ids) * (len(ids) - 1) // 2, len(labels))
-    log = MetricsLog(mode=JOINT)
-    for step in range(data.draw(st.integers(0, 3))):
-        log.steps += [StepRecord(step, task, data.draw(FINITE), data.draw(FINITE))
-                      for task in range(len(ids))]
+    steps = data.draw(st.integers(0, 3))
+    log = MetricsLog(JOINT, np.array([data.draw(FINITE) for _ in range(steps * len(ids))])
+                     .reshape(steps, len(ids)), np.array([data.draw(FINITE) for _ in range(steps)]))
+    for step in range(steps):
         if data.draw(st.booleans()):  # JOINT without diagnostics writes no conflict rows
             log.conflicts.append(ConflictReport(
                 step, scope, labels, ids,

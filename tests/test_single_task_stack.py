@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from helpers import own_copy, padded_update, random_batch, random_model, step_batch
 
 from ortho_lora.config import SINGLE_TASK
-from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError
 from ortho_lora.model import (
     CLASSIFICATION,
@@ -74,11 +73,10 @@ def _stacked(base, hyper, steps):
     state = AdamWState(hyper=hyper)
     losses = []
     for step in range(steps):
-        records, grams = train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, step)),
-                                    state, step, 0.01 * (1 + step), Rng(0), None)
-        assert grams is None
-        assert [r.task for r in records] == list(range(base.num_tasks))
-        losses.append([r.loss for r in records])
+        step_losses = train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, step)),
+                                 state, 0.01 * (1 + step))
+        assert len(step_losses) == base.num_tasks
+        losses.append(step_losses)
     # the stack and both AdamW moments hold one row of A + o*d columns per run
     shape = (base.num_tasks, _row_width(base))
     assert stack.matrix.shape == state.m.shape == state.v.shape == shape
@@ -123,8 +121,7 @@ def test_models_are_views_into_one_stack():
     assert models[0].layout.blocks == alone.blocks and models[0].layout.num_tasks == 1
     # a step moves each run through its row, and the base stays put
     before = base.params.copy()
-    train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, 0)), AdamWState(), 0, 0.01,
-               Rng(0), None)
+    train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, 0)), AdamWState(), 0.01)
     assert np.array_equal(base.params, before)
     for t, model in enumerate(models):
         assert not np.array_equal(model.params, before)
@@ -134,8 +131,7 @@ def test_models_are_views_into_one_stack():
 def test_copies_share_one_stack_of_views():
     base = random_model(9, kinds=_kinds(3, mixed=True))
     stack = stack_runs(base, 3)
-    train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, 0)), AdamWState(), 0, 0.01,
-               Rng(0), None)
+    train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, 0)), AdamWState(), 0.01)
     # the views, built once, still show each run's moved parameters
     for t, model in enumerate(stack.models):
         for (a, b), layer in zip(stack.adapters, model.layers):
@@ -193,8 +189,7 @@ def test_batch_list_must_hold_each_task_once(task_ids):
     before = stack.matrix.copy()
     batches = [random_batch(base, t, 8, seed=i) for i, t in enumerate(task_ids)]
     with pytest.raises(ParameterError, match="one batch per task"):
-        train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0, 0.01,
-                   Rng(0), None)
+        train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0.01)
     assert np.array_equal(stack.matrix, before)
 
 
@@ -204,6 +199,5 @@ def test_unequal_batch_sizes_rejected():
     before = stack.matrix.copy()
     batches = [random_batch(base, t, 8 + t, seed=t) for t in range(3)]
     with pytest.raises(ParameterError, match="equal batch sizes"):
-        train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0, 0.01,
-                   Rng(0), None)
+        train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0.01)
     assert np.array_equal(stack.matrix, before)

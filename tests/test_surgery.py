@@ -8,6 +8,7 @@ from helpers import (
     project_pair,
     random_batch,
     random_model,
+    shuffle,
     stack_of,
     step_report,
     surgery_floats,
@@ -119,7 +120,7 @@ class TestSurgery:
     def test_single_task_unchanged(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.5]]], head=[[1.0]])
         stack = stack_of([g])
-        out = surgery(stack, PER_MATRIX, Rng(0), group_grams(stack, PER_MATRIX))
+        out = surgery(stack, PER_MATRIX, shuffle(0, 1), group_grams(stack, PER_MATRIX))
         assert blocks_equal(out[0], g)
 
     def test_no_conflict_identity_bit_exact(self):
@@ -131,7 +132,7 @@ class TestSurgery:
                      [np.abs(rng.standard_normal((3, 2)))], head=rng.standard_normal((1, 3)))
         stack = stack_of([g1, g2])
         for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
-            out = surgery(stack, scope, Rng(2), group_grams(stack, scope))
+            out = surgery(stack, scope, shuffle(2, 2), group_grams(stack, scope))
             assert blocks_equal(out[0], g1)
             assert blocks_equal(out[1], g2)
 
@@ -140,7 +141,7 @@ class TestSurgery:
         g2 = grad_of(1, [[[-1.0, 0.5]]], [[[-1.0], [0.5]]], head=[[2.0]])
         stack = stack_of([g1, g2])
         before = stack.rows.copy()
-        out = surgery(stack, FLAT, Rng(0), group_grams(stack, FLAT))
+        out = surgery(stack, FLAT, shuffle(0, 2), group_grams(stack, FLAT))
         assert np.array_equal(stack.rows, before)
         assert not np.array_equal(out.rows, before)
 
@@ -151,8 +152,8 @@ class TestSurgery:
             b1=[[0.1], [0.1]], b2=[[0.1], [0.1]],
         )
         stack = stack_of([g1, g2])
-        per_matrix = surgery(stack, PER_MATRIX, Rng(3), group_grams(stack, PER_MATRIX))
-        flat = surgery(stack, FLAT, Rng(3), group_grams(stack, FLAT))
+        per_matrix = surgery(stack, PER_MATRIX, shuffle(3, 2), group_grams(stack, PER_MATRIX))
+        flat = surgery(stack, FLAT, shuffle(3, 2), group_grams(stack, FLAT))
 
         a_id, b_id = "L0.A", "L0.B"
         # PER_MATRIX: only A blocks move
@@ -168,7 +169,7 @@ class TestSurgery:
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [1.0]]], head=[[3.0, 4.0]])
         g2 = grad_of(1, [[[-1.0, 0.0]]], [[[-1.0], [-1.0]]], head=[[5.0, 6.0]])
         stack = stack_of([g1, g2])
-        out = surgery(stack, FLAT, Rng(4), group_grams(stack, FLAT))
+        out = surgery(stack, FLAT, shuffle(4, 2), group_grams(stack, FLAT))
         assert np.array_equal(out[0].blocks["HEAD0"], g1.blocks["HEAD0"])
         assert np.array_equal(out[1].blocks["HEAD1"], g2.blocks["HEAD1"])
 
@@ -181,7 +182,7 @@ class TestSurgery:
                          [-g1.blocks["L0.B"] + 0.1 * rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
             stack = stack_of([g1, g2])
-            out = surgery(stack, scope, Rng(6), group_grams(stack, scope))
+            out = surgery(stack, scope, shuffle(6, 2), group_grams(stack, scope))
             for label, bids in scope_groups(stack[0], scope):
                 for gi_new, gj_orig in ((out[0], g2), (out[1], g1)):
                     vi = group_vector(gi_new, bids)
@@ -203,8 +204,8 @@ class TestSurgery:
         ]
         seed = 11
         stack = stack_of(grads)
-        out = surgery(stack, FLAT, Rng(seed), group_grams(stack, FLAT))
-        order = Rng(seed).permutation(3)
+        out = surgery(stack, FLAT, shuffle(seed, 3), group_grams(stack, FLAT))
+        order = shuffle(seed, 3)
         (label, bids), = scope_groups(stack[0], FLAT)
         originals = [group_vector(g, bids) for g in grads]
         for i in order:
@@ -230,15 +231,15 @@ class TestSurgery:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        out1 = surgery(stack, PER_MATRIX, Rng(9), group_grams(stack, PER_MATRIX))
-        out2 = surgery(stack, PER_MATRIX, Rng(9), group_grams(stack, PER_MATRIX))
+        out1 = surgery(stack, PER_MATRIX, shuffle(9, 3), group_grams(stack, PER_MATRIX))
+        out2 = surgery(stack, PER_MATRIX, shuffle(9, 3), group_grams(stack, PER_MATRIX))
         assert all(blocks_equal(a, b) for a, b in zip(out1, out2))
 
     def test_stats_count_adapter_floats(self):
         model = random_model(12, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
         grads = [task_gradient(model, random_batch(model, t, 4, seed=t)) for t in range(2)]
         stack = stack_of(grads)
-        surgery(stack, PER_MATRIX, Rng(13), group_grams(stack, PER_MATRIX))
+        surgery(stack, PER_MATRIX, shuffle(13, 2), group_grams(stack, PER_MATRIX))
         assert surgery_floats(stack, PER_MATRIX) == 2 * model.layout.heads.start
 
 

@@ -107,3 +107,24 @@ def test_one_conflict_report_per_run_in_a_conflict_scope(bench, mode):
     assert calls.get("surgery.build_conflict_report", 0) == (1 if scope else 0)
     assert tracer.broken_hooks == set()
     assert tracer.counts.get(("", "surgery.pairs_checked"), 0) == cfg.total_steps() * 3 * groups
+
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_a_run_draws_its_schedule_once_and_steps_once_per_step(bench, mode, epochs):
+    # the lr column is one linear_decay_lr call per run, every step is one
+    # train_step call (backward_passes_per_step divides by them), the report
+    # at most one call, and the log still lists the S * T loss rows that
+    # _count_written counts
+    spans = importlib.import_module("spans")
+    cfg = tiny_config(epochs=epochs, steps_per_epoch=7)
+    tracer = spans.Tracer()
+    with tracer.patched(bench.TARGETS):
+        log, _ = bench.trainer.run_mode(cfg, mode)
+    calls = {name: count for name, (count, _, _) in spans.span_totals(tracer.spans, {""}).items()}
+    steps = cfg.total_steps()
+    assert steps == 7 * epochs
+    assert calls["optim.linear_decay_lr"] == 1
+    assert calls.get("trainer.train_step", 0) == steps
+    assert calls.get("surgery.build_conflict_report", 0) <= 1
+    assert len(log.steps) == steps * cfg.tasks.num_tasks == log.losses.size

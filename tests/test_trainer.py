@@ -1,3 +1,4 @@
+from statistics import fmean
 from unittest import mock
 
 import numpy as np
@@ -7,15 +8,25 @@ from hypothesis import strategies as st
 
 from helpers import (
     conflict_set,
+    generator,
     measure_surgery_floats,
     predict,
     random_batch,
     random_model,
     reference_metric,
+    reference_run,
+    shuffle,
     step_batch,
 )
 
-from ortho_lora.config import JOINT, ORTHO_FLAT, ORTHO_STRUCTURED, SINGLE_TASK, config_from_dict
+from ortho_lora.config import (
+    JOINT,
+    ORTHO_FLAT,
+    ORTHO_STRUCTURED,
+    SINGLE_TASK,
+    VALID_MODES,
+    config_from_dict,
+)
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError, ShapeError
 from ortho_lora.model import (
@@ -79,14 +90,16 @@ def _stack(mode, model):
 
 
 def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
-    """One step of mode's stack of model; returns the records, the report of
-    the step's Gram matrices and the first run, moved."""
+    """One step of mode's stack of model in scope, in the order shuffle(seed);
+    returns the losses, the report of the step's Gram matrices and the first
+    run, moved."""
     stack = _stack(mode, model)
-    records, grams = train_step(mode, stack, step_batch(model, batches), AdamWState(),
-                                step=0, lr=0.01, surgery_rng=Rng(seed), scope=scope)
-    report = None if grams is None else build_conflict_report(
-        0, stack.models[0].layout, stack.task_ids, scope, grams[None])
-    return records, report, stack.models[0]
+    count = len(stack.task_ids)
+    grams = np.empty((len(stack.models[0].layout.groups(scope)), count, count))
+    losses = train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01, scope,
+                        grams, shuffle(seed, count))
+    report = build_conflict_report(0, stack.models[0].layout, stack.task_ids, scope, grams[None])
+    return losses, report, stack.models[0]
 
 
 class TestTrainStep:
@@ -172,8 +185,8 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
 
     monkeypatch.setattr("ortho_lora.trainer.merge", merge_rows)
     monkeypatch.setattr("ortho_lora.trainer.adamw_step", adamw)
-    train_step(mode, _stack(mode, model), step_batch(model, batches), AdamWState(), step=0,
-               lr=0.01, surgery_rng=Rng(0), scope=None if mode == SINGLE_TASK else PER_MATRIX)
+    train_step(mode, _stack(mode, model), step_batch(model, batches), AdamWState(), 0.01,
+               None if mode == SINGLE_TASK else PER_MATRIX, order=shuffle(0, 3))
     # the (R, P) update and moments: 3 one-head runs, or one run of every head
     shape = (3, width) if mode == SINGLE_TASK else (1, model.params.size)
     assert shapes == [("merge", (3, width)), ("adamw", shape, True), ("moments", shape, shape)]
@@ -186,8 +199,8 @@ class TestBackwardCounting:
         model = random_model(8, kinds=[REGRESSION] * 2, randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
         stack = _stack(mode, model)
-        train_step(mode, stack, step_batch(model, batches), AdamWState(), step=0, lr=0.01,
-                   surgery_rng=Rng(0), scope=None if mode == SINGLE_TASK else PER_MATRIX)
+        train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01,
+                   None if mode == SINGLE_TASK else PER_MATRIX, order=shuffle(0, 2))
         assert sum(m.backward_passes for m in stack.models) == expected
         # one fused backward per step; SINGLE_TASK's 2 models take one sweep each
         assert expected == (2 if mode == SINGLE_TASK else 1)
@@ -212,7 +225,7 @@ class TestRunExperiment:
         cfg = tiny_config(schedule={"epochs": 0})
         result = run_experiment(cfg)
         log = result.logs[JOINT]
-        assert log.steps == []
+        assert log.losses.shape == (0, 2) and log.lrs.shape == (0,) and log.steps == []
         assert {r.epoch for r in log.evals} == {0}
         assert len(log.evals) == 3  # two tasks + avg
 
@@ -236,8 +249,8 @@ class TestRunExperiment:
         cfg = tiny_config(schedule={"epochs": 2})
         log = run_experiment(cfg).logs[JOINT]
         total = cfg.total_steps()
-        for rec in log.steps:
-            assert rec.lr == pytest.approx(cfg.optimizer.lr_base * (1 - rec.step / total), rel=1e-15)
+        assert log.lrs.tolist() == [cfg.optimizer.lr_base * (1 - s / total) for s in range(total)]
+        assert [rec.lr for rec in log.steps] == np.repeat(log.lrs, 2).tolist()
 
     def test_conflict_reports_only_when_recording(self):
         quiet = tiny_config(surgery={"record_conflicts": False})
@@ -276,17 +289,18 @@ class TestRunExperiment:
             assert np.array_equal(l0.adapter.a, l1.adapter.a)
 
 
-def _per_task_batches(ts, data_rng, batch_size, steps):
+def _per_task_batches(ts, data_gen, batch_size, steps):
     """The reference data order: one permutation and one cursor per task, a
-    reshuffle per task when its cursor runs out, and one take per task."""
+    reshuffle per task when its cursor runs out, and one take per task; data_gen
+    is a numpy Generator on the run's data stream."""
     size = ts.train[0].x.shape[1]
-    orders = [data_rng.permutation(size).tolist() for _ in range(ts.num_tasks)]
+    orders = [data_gen.permutation(size).tolist() for _ in range(ts.num_tasks)]
     cursors = [0] * ts.num_tasks
     for _ in range(steps):
         batches = []
         for t, pool in enumerate(ts.train):
             if cursors[t] + batch_size > size:
-                orders[t] = data_rng.permutation(size).tolist()
+                orders[t] = data_gen.permutation(size).tolist()
                 cursors[t] = 0
             cols = orders[t][cursors[t]:cursors[t] + batch_size]
             cursors[t] += batch_size
@@ -299,7 +313,7 @@ def _per_task_batches(ts, data_rng, batch_size, steps):
 def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
     kinds = [REGRESSION, CLASSIFICATION, CLASSIFICATION, REGRESSION, REGRESSION]
     ts = conflict_set(kinds, 4, 3, 0.5, 0.1, size, 4, Rng(3))
-    got_rng, want_rng = Rng(9).child(2), Rng(9).child(2)
+    got_rng, want_rng = Rng(9).child(2), generator(9, 2)
     for epoch in range(3):
         got = list(epoch_batches(ts.train_pool, got_rng, batch_size, steps))
         want = list(_per_task_batches(ts, want_rng, batch_size, steps))
@@ -311,7 +325,7 @@ def test_epoch_batches_equal_per_task_reference(size, batch_size, steps):
             for _, ids, y in step_got.targets:
                 assert np.array_equal(y, np.array([step_want[t][1] for t in ids]))
         # both consumed the data stream alike: their next draws agree
-        assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))
+        assert np.array_equal(got_rng.permutations(1, size)[0], want_rng.permutation(size))
 
 
 def _root(arr):
@@ -335,7 +349,7 @@ def test_epoch_batches_equal_per_task_reference_any_shape(kinds, size, data, see
     steps = data.draw(st.integers(1, 3 * (size // batch_size) + 2), label="steps")
     ts = conflict_set(kinds, 3, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     pool = ts.train_pool
-    got_rng, want_rng = Rng(seed).child(2), Rng(seed).child(2)
+    got_rng, want_rng = Rng(seed).child(2), generator(seed, 2)
     with mock.patch.object(tasks, "GATHER_ENTRIES", gather_entries):
         got = list(epoch_batches(pool, got_rng, batch_size, steps))
     want = list(_per_task_batches(ts, want_rng, batch_size, steps))
@@ -349,7 +363,7 @@ def test_epoch_batches_equal_per_task_reference_any_shape(kinds, size, data, see
         for (_, ids, y), (_, _, pool_y) in zip(step_got.targets, pool.targets):
             assert y.flags["C_CONTIGUOUS"] and _root(y).size <= pool_y.size
             assert np.array_equal(y, np.array([step_want[t][1] for t in ids]))
-    assert np.array_equal(got_rng.permutation(size), want_rng.permutation(size))
+    assert np.array_equal(got_rng.permutations(1, size)[0], want_rng.permutation(size))
 
 
 @pytest.mark.parametrize("batch_size", [0, 33])
@@ -413,3 +427,29 @@ def test_bad_train_pool_fails_before_the_first_step(mode, spoil, error, match, m
     monkeypatch.setattr("ortho_lora.trainer.subset_batch", no_step)
     with pytest.raises(error, match=match):
         run_mode(cfg, mode, task_set=ts)
+
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+@pytest.mark.parametrize("layer_dims", [[6, 6], [6, 5, 4]], ids=["1L", "2L"])
+@pytest.mark.parametrize("num_tasks", [1, 2, 3])
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("record", [False, True], ids=["quiet", "recording"])
+def test_run_mode_equals_the_per_step_reference_loop(mode, layer_dims, num_tasks, epochs, record):
+    # the schedule drawn once (lr column, surgery orders, Gram store) against
+    # a scalar lr, a permutation and a fresh Gram stack per step: every bit
+    # of the log, the report and the trained stack agrees
+    conflict_level = 0.9 if num_tasks > 1 else 0.0  # one task has no conflict
+    cfg = tiny_config(modes=[mode], model={"layer_dims": layer_dims},
+                      schedule={"epochs": epochs, "steps_per_epoch": 5},
+                      tasks={"num_tasks": num_tasks, "conflict_level": conflict_level},
+                      surgery={"record_conflicts": record})
+    log, models = run_mode(cfg, mode)
+    losses, lrs, report, metrics, matrix = reference_run(cfg, mode)
+    assert log.losses.shape == (cfg.total_steps(), num_tasks) and log.lrs.shape == (len(lrs),)
+    assert log.losses.tolist() == losses and log.lrs.tolist() == lrs
+    assert [r.hex() for r in log.losses.ravel().tolist()] == [
+        x.hex() for row in losses for x in row]
+    assert log.conflicts == ([] if report is None else [report])
+    assert [r.metric for r in log.evals] == [x for row in metrics for x in (*row, fmean(row))]
+    assert np.array([m.params for m in models]).tobytes() == matrix.tobytes()
+
