@@ -75,7 +75,7 @@ class Layout:
     num_tasks x num_tasks Gram matrix: the entry of every task pair i < j in
     row-major order, then each pair's (i, i) entries, then its (j, j) ones.
     task_ids (0..num_tasks-1) and ``labels(scope)`` are built once, so every
-    gradient stack and conflict report of a run shares one list of each.
+    gradient stack of a run shares one list of each.
     """
 
     def __init__(self, a_shapes: list[tuple[int, ...]], b_shapes: list[tuple[int, ...]],
@@ -240,7 +240,7 @@ class ParamStack:
     models[r] is run r, a MultiTaskModel over row r with H heads, R*H = T;
     heads is every run's heads as one (T, o, d) view, head t run t // H's;
     adapters holds each layer's (R, r, k) A and (R, d, r) B views. task_ids
-    are the T tasks of the gradient rows, the layout's own list when R = 1.
+    are the T tasks of the gradient rows, 0..T-1.
     """
 
     matrix: np.ndarray
@@ -267,8 +267,7 @@ def stack_runs(base: MultiTaskModel, runs: int) -> ParamStack:
     adapters = [(matrix[:, a].reshape(runs, *ad.a.shape), matrix[:, b].reshape(runs, *ad.b.shape))
                 for ad, a, b in zip(ads, layout.a, layout.b)]
     heads = matrix[:, layout.heads].reshape(tasks, *layout.head_shape)
-    return ParamStack(matrix, models, adapters, heads,
-                      layout.task_ids if runs == 1 else list(range(tasks)))
+    return ParamStack(matrix, models, adapters, heads, list(range(tasks)))
 
 
 def build_model(

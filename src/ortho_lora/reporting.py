@@ -6,7 +6,7 @@ CSV schemas (headers are part of the contract):
   Loss rows fill the first four columns; conflict rows fill the rest. The
   empty columns of each row kind stay empty. Each step's loss rows come
   first, one per task in task order, then its conflict rows, if it has
-  any: pair-major, block-minor, one row per (i < j) task pair in task-id
+  any: pair-major, block-minor, one row per task pair (i < j) in task
   order and scope group.
 * eval.csv:  ``epoch,mode,task,metric`` with one row per task per epoch plus
   an ``avg`` row.
@@ -33,7 +33,8 @@ task metrics and ``delta`` is ortho - joint. rank_sweep.csv holds exactly
 the ranks of its directory's ``sweep.json``, in order. Only what rendering
 cannot show is checked apart: a field count, a number that does not parse, a non-finite value, and
 a cosine outside [-1, 1] by more than rounding (``COSINE_ROUNDING``). The
-reader takes ``\n`` line ends too.
+reader takes ``\n`` line ends too. It returns the run's columnar log, with
+eval.csv's task metrics as the (epochs + 1, T) ``metrics`` array.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from statistics import fmean
 from typing import TextIO
@@ -62,7 +63,7 @@ from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
 from .surgery import ConflictReport
-from .trainer import AVG_TASK, EvalRecord, MetricsLog, conflict_scope, run_experiment
+from .trainer import AVG_TASK, MetricsLog, conflict_scope, run_experiment
 
 STEPS_HEADER = ["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
                 "dot", "cosine", "conflicted"]
@@ -141,10 +142,10 @@ def loss_row(step: int, task: int, loss: str, lr: str) -> str:
     return f"{step},{task},{loss},{lr},,,,,,,"
 
 
-def conflict_middles(scope: str, labels: list[str], task_ids: list[int]) -> list[str]:
+def conflict_middles(scope: str, labels: list[str], num_tasks: int) -> list[str]:
     """The scope, pair and block cells, commas around them, of a step's conflict
-    rows: pair-major over (i < j) in task-id order, block-minor."""
-    return [f",,,,{scope},{i},{j},{label}," for i, j in combinations(sorted(task_ids), 2)
+    rows: pair-major over the task pairs (i < j) in order, block-minor."""
+    return [f",,,,{scope},{i},{j},{label}," for i, j in combinations(range(num_tasks), 2)
             for label in labels]
 
 
@@ -171,32 +172,30 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[str]) -> None:
 def write_metrics(log: MetricsLog, mode_dir: str | Path) -> None:
     mode_dir = Path(mode_dir)
     mode_dir.mkdir(parents=True, exist_ok=True)
-    # each step's conflict cells: the scope, pair and block ones, then dots and cosines
-    conflicts_by_step: dict[int, tuple[list[str], list[float], list[float]]] = {}
-    for report in log.conflicts:
-        middles = conflict_middles(report.scope, report.labels, report.task_ids)
-        size = len(report.steps), len(middles)
-        conflicts_by_step.update(
-            (step, (middles, dots, cosines)) for step, dots, cosines in
-            zip(report.steps, report.dot.reshape(size).tolist(),
-                report.cosine.reshape(size).tolist()))
+    # each step's conflict cells: the scope, pair and block ones, then its dots and cosines
+    middles, conflicts = [], repeat(([], []), len(log.lrs))
+    for report in log.conflicts:  # a run keeps at most one, of every step
+        middles = conflict_middles(report.scope, report.labels, report.num_tasks)
+        size = len(report.dot), len(middles)
+        conflicts = zip(report.dot.reshape(size).tolist(), report.cosine.reshape(size).tolist())
 
     with atomic_write(mode_dir / STEPS_FILE, newline="") as fh:
         fh.write(",".join(STEPS_HEADER) + "\r\n")
-        for step, (losses, lr) in enumerate(zip(log.losses.tolist(), log.lrs.tolist())):
+        for step, (losses, lr, (dots, cosines)) in enumerate(
+                zip(log.losses.tolist(), log.lrs.tolist(), conflicts, strict=True)):
             # floats formatted in place, as fmt does: a call per float slowed the
             # many-tasks writer by about 4%
             lr_text = f"{lr:.17g}"
             rows = [loss_row(step, task, f"{loss:.17g}", lr_text) for task, loss in enumerate(losses)]
-            conflicts = conflicts_by_step.get(step)
-            if conflicts is not None:  # a step's conflict rows follow its loss rows
-                rows += [conflict_row(step, middle, f"{d:.17g}", f"{c:.17g}",
-                                      "1" if d < 0.0 else "0")
-                         for middle, d, c in zip(*conflicts)]
+            # a step's conflict rows follow its loss rows
+            rows += [conflict_row(step, middle, f"{d:.17g}", f"{c:.17g}", "1" if d < 0.0 else "0")
+                     for middle, d, c in zip(middles, dots, cosines)]
             fh.write("\r\n".join(rows) + "\r\n")
 
     _write_rows(mode_dir / EVAL_FILE, EVAL_HEADER,
-                (eval_row(rec.epoch, rec.mode, rec.task, fmt(rec.metric)) for rec in log.evals))
+                (eval_row(epoch, log.mode, task, fmt(metric))
+                 for epoch, row in enumerate(log.metrics.tolist())
+                 for task, metric in [*enumerate(row), (AVG_TASK, fmean(row))]))
 
 
 def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
@@ -260,19 +259,19 @@ def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
             raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
 
 
-def _read_steps(path: Path, mode: str, config: ExperimentConfig, evals: list[EvalRecord]) -> MetricsLog:
-    """mode's log of evals and steps.csv: its loss rows as the loss and lr
+def _read_steps(path: Path, mode: str, config: ExperimentConfig, metrics: np.ndarray) -> MetricsLog:
+    """mode's log of eval metrics and steps.csv: its loss rows as the loss and lr
     columns, its conflict rows as the one columnar report a run keeps, each
     line compared with the one a run of config writes there for mode."""
-    ids = list(range(config.tasks.num_tasks))
+    num_tasks = config.tasks.num_tasks
     scope = conflict_scope(config, mode)
     labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
-    middles = conflict_middles(scope, labels, ids) if scope else []
+    middles = conflict_middles(scope, labels, num_tasks) if scope else []
     losses, lrs, dots, cosines = [], [], [], []  # lists of floats
     with _read_lines(path, STEPS_HEADER) as lines:
         for step in range(config.total_steps()):  # a step's loss rows, then its conflict rows
             lr_text = lines.cells[3]
-            for task in ids:
+            for task in range(num_tasks):
                 cells = lines.cells
                 lines.expect(loss_row(step, task, cells[2], lr_text))
                 if task == 0:
@@ -294,33 +293,31 @@ def _read_steps(path: Path, mode: str, config: ExperimentConfig, evals: list[Eva
                 cosines.append(cosine)
                 lines.advance()
         lines.expect(None)
-    log = MetricsLog(mode, np.array(losses).reshape(len(lrs), len(ids)), np.array(lrs),
-                     evals=evals)
+    log = MetricsLog(mode, np.array(losses).reshape(len(lrs), num_tasks), np.array(lrs),
+                     metrics=metrics)
     if middles and config.total_steps():
         shape = (config.total_steps(), len(middles) // len(labels), len(labels))
-        log.conflicts.append(ConflictReport(0, scope, labels, ids, np.array(dots).reshape(shape),
+        log.conflicts.append(ConflictReport(scope, labels, num_tasks, np.array(dots).reshape(shape),
                                             np.array(cosines).reshape(shape)))
     return log
 
 
-def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> list[EvalRecord]:
-    """eval.csv's rows, each line compared with the one a run of config writes
-    there for mode."""
-    evals: list[EvalRecord] = []
+def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> np.ndarray:
+    """eval.csv's task metrics as an (epochs + 1, T) array, each line compared
+    with the one a run of config writes there for mode."""
+    rows: list[list[float]] = []
     with _read_lines(path, EVAL_HEADER) as lines:
         for epoch in range(config.schedule.epochs + 1):  # an epoch's task rows, then its avg row
             metrics: list[float] = []
             for task in range(config.tasks.num_tasks):
                 lines.expect(eval_row(epoch, mode, task, lines.cells[3]))
                 metrics.append(_finite(lines.cells[3]))
-                evals.append(EvalRecord(epoch, mode, lines.cells[2], metrics[-1]))
                 lines.advance()
-            avg = fmean(metrics)
-            lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(avg)))
-            evals.append(EvalRecord(epoch, mode, AVG_TASK, avg))
+            lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(fmean(metrics))))
+            rows.append(metrics)
             lines.advance()
         lines.expect(None)
-    return evals
+    return np.array(rows)
 
 
 def read_metrics(mode_dir: str | Path, mode: str, config: ExperimentConfig) -> MetricsLog:
@@ -393,7 +390,7 @@ def summarize_dir(run_dir: str | Path) -> SummaryTable:
     if other:
         raise ConfigError(f"{other[0]}: not a mode of {config_path}, which runs only "
                           f"{', '.join(config.modes)}")
-    logs = {mode: MetricsLog(mode, evals=read_metrics(run_dir / mode, mode, config).evals)
+    logs = {mode: MetricsLog(mode, metrics=read_metrics(run_dir / mode, mode, config).metrics)
             for mode in config.modes}
     return build_summary(logs)
 
@@ -444,11 +441,11 @@ def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -
 
 
 def format_summary(table: SummaryTable) -> str:
-    """Plain-text rendering for the CLI."""
+    """Plain-text rendering for the CLI: task columns in task order, then avg."""
     lines: list[str] = []
     if table.metrics:
         tasks = sorted({t for cells in table.metrics.values() for t in cells},
-                       key=lambda t: (t == AVG_TASK, t))
+                       key=lambda t: (t == AVG_TASK, 0 if t == AVG_TASK else int(t)))
         width = max(len(label) for label in
                     ["mode", *table.metrics, *(f"recovery {m}" for m in table.recovery)])
         lines.append("final eval metric per mode:")

@@ -30,10 +30,10 @@ gradients are C V, and each inner product a pair test needs is computed from
 G and the projections the row has fired so far, only when it is tested.
 Merge maps the rows to the stack's update.
 
-The conflict report is columnar and covers a run: one (steps, pairs, groups)
-array of dots and one of cosines, read off the run's (steps, groups, T, T)
-Gram store by one ``build_conflict_report`` call, with no object per row or
-per step.
+The conflict report is columnar and covers a whole run, steps from 0 and
+tasks in order: one (steps, pairs, groups) array of dots and one of cosines,
+read off the run's (steps, groups, T, T) Gram store by one
+``build_conflict_report`` call, with no object per row or per step.
 ``ConflictReport.pairs`` builds per-row objects on demand.
 """
 
@@ -70,32 +70,27 @@ class ConflictPair:
 class ConflictReport:
     """A run's conflict rows as columns.
 
-    dot and cosine are (steps, pairs, groups) arrays: [s, p, g] is step
-    step + s, the p-th unordered task pair (i < j) in task-id order, as
-    ``pair_ids`` lists them, and the scope group labels[g]. A row is
-    conflicted when its dot is negative. Two reports are equal when every
-    field, and every bit of both arrays, is. A run keeps one report, which
-    shares its layout's labels and task-id lists and owns its two arrays,
-    so a run's log holds no per-step object and no larger buffer.
+    dot and cosine are (steps, pairs, groups) arrays: [s, p, g] is step s,
+    the p-th unordered pair (i < j) of tasks 0..num_tasks-1, as ``pair_ids``
+    lists them, and the scope group labels[g]. A row is conflicted when its
+    dot is negative. Two reports are equal when every field, and every bit
+    of both arrays, is. A run keeps one report, which shares its layout's
+    labels list and owns its two arrays, so a run's log holds no per-step
+    object and no larger buffer.
     """
 
-    step: int
     scope: str
     labels: list[str]
-    task_ids: list[int]
+    num_tasks: int
     dot: np.ndarray
     cosine: np.ndarray
-
-    @property
-    def steps(self) -> range:
-        return range(self.step, self.step + len(self.dot))
 
     @property
     def conflicted(self) -> np.ndarray:
         return self.dot < 0.0
 
     def pair_ids(self) -> list[tuple[int, int]]:
-        return list(combinations(sorted(self.task_ids), 2))
+        return list(combinations(range(self.num_tasks), 2))
 
     @property
     def pairs(self) -> list[ConflictPair]:
@@ -103,16 +98,16 @@ class ConflictReport:
         built on each access."""
         ids = self.pair_ids()
         return [ConflictPair(step, i, j, label, d, c, d < 0.0)
-                for step, step_dots, step_cosines in zip(self.steps, self.dot.tolist(),
-                                                         self.cosine.tolist())
+                for step, (step_dots, step_cosines) in enumerate(zip(self.dot.tolist(),
+                                                                     self.cosine.tolist()))
                 for (i, j), dots, cosines in zip(ids, step_dots, step_cosines)
                 for label, d, c in zip(self.labels, dots, cosines)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConflictReport):
             return NotImplemented
-        return ((self.step, self.scope, self.labels, self.task_ids)
-                == (other.step, other.scope, other.labels, other.task_ids)
+        return ((self.scope, self.labels, self.num_tasks)
+                == (other.scope, other.labels, other.num_tasks)
                 and same_bits(self.dot, other.dot) and same_bits(self.cosine, other.cosine))
 
 
@@ -203,33 +198,24 @@ def merge(grads: GradientStack) -> np.ndarray:
     return update
 
 
-def build_conflict_report(step: int, layout: Layout, task_ids: list[int], scope: str,
-                          grams: np.ndarray) -> ConflictReport:
+def build_conflict_report(layout: Layout, scope: str, grams: np.ndarray) -> ConflictReport:
     """Dot/cosine rows for every unordered task pair in every scoped group of
-    steps step, step + 1, ... of a run, in one call.
+    every step of a run, in one call.
 
     grams stacks each step's ``group_grams(grads, scope)`` as a (steps,
-    groups, T, T) array, of gradient rows in task_ids order: the pre-surgery
+    groups, T, T) array of gradient rows in task order: the pre-surgery
     originals in the trainer, so the report does not depend on the shuffled
     projection order. The dots are the Gram entries above the diagonal, and
     each cosine divides its dot by the two norms from the diagonal, or is
     0.0 when a norm is: elementwise, so each step's entries have the bits
     of a report of that step alone.
     """
-    if len(task_ids) != layout.num_tasks:
-        raise ShapeError(f"conflict report: {len(task_ids)} gradient rows for a layout of "
-                         f"{layout.num_tasks} tasks")
-    entries, count = layout.pair_entries, len(task_ids)
-    if task_ids != sorted(task_ids):  # rows not in task-id order
-        order = np.argsort(task_ids)
-        entries = order[entries // count] * count + order[entries % count]
-    picked = grams.reshape(*grams.shape[:2], count * count)[:, :, entries]
+    count = layout.num_tasks
+    picked = grams.reshape(*grams.shape[:2], count * count)[:, :, layout.pair_entries]
     picked = picked.swapaxes(1, 2)  # (steps, 3 * pairs, groups)
     pairs = picked.shape[1] // 3
     dot = picked[:, :pairs].copy()  # the log keeps dot, not the 3x larger picked
     norms = np.sqrt(picked[:, pairs:])
     denom = norms[:, :pairs] * norms[:, pairs:]
     cosine = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom != 0.0)
-    return ConflictReport(step, scope, layout.labels(scope),
-                          layout.task_ids if task_ids == layout.task_ids else list(task_ids),
-                          dot, cosine)
+    return ConflictReport(scope, layout.labels(scope), count, dot, cosine)

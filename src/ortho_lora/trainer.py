@@ -25,8 +25,9 @@ named substream.
 
 A run draws its step schedule before its first step: the (S,) lr column, all
 surgery orders in one draw and one (S, G, T, T) Gram store; after its last
-step, one ``build_conflict_report`` call reads the store and its losses become
-one (S, T) array.
+step, one ``build_conflict_report`` call reads the store, its losses become
+one (S, T) array and its eval metrics one (E + 1, T) array: the log is
+columns, and builds its record objects only on demand.
 
 ``build_task_set`` hands the config's checked ``tasks`` section and the
 tasks substream to ``make_conflict_set``. A run checks its train pool once,
@@ -100,14 +101,15 @@ class EvalRecord:
 
 @dataclass(eq=False)
 class MetricsLog:
-    """losses[s, t] is task t's loss at step s and lrs[s] step s's lr; two logs
-    are equal when every field, and every bit of both arrays, is."""
+    """losses[s, t] is task t's loss at step s and lrs[s] step s's lr;
+    metrics[e, t] is task t's eval metric after epoch e, row 0 before training.
+    Two logs are equal when every field, and every bit of each array, is."""
 
     mode: str
     losses: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (steps, T)
     lrs: np.ndarray = field(default_factory=lambda: np.empty(0))  # (steps,)
     conflicts: list[ConflictReport] = field(default_factory=list)  # a run keeps at most one
-    evals: list[EvalRecord] = field(default_factory=list)
+    metrics: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (epochs + 1, T)
 
     @property
     def steps(self) -> list[StepRecord]:
@@ -116,18 +118,27 @@ class MetricsLog:
                 for step, (losses, lr) in enumerate(zip(self.losses.tolist(), self.lrs.tolist()))
                 for task, loss in enumerate(losses)]
 
+    @property
+    def evals(self) -> list[EvalRecord]:
+        """The eval rows as objects, epoch-major, each epoch's tasks then its
+        ``avg``; built on each access."""
+        return [EvalRecord(epoch, self.mode, str(task), metric)
+                for epoch, row in enumerate(self.metrics.tolist())
+                for task, metric in [*enumerate(row), (AVG_TASK, fmean(row))]]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsLog):
             return NotImplemented
-        return ((self.mode, self.conflicts, self.evals) == (other.mode, other.conflicts, other.evals)
-                and same_bits(self.losses, other.losses) and same_bits(self.lrs, other.lrs))
+        return ((self.mode, self.conflicts) == (other.mode, other.conflicts)
+                and same_bits(self.losses, other.losses) and same_bits(self.lrs, other.lrs)
+                and same_bits(self.metrics, other.metrics))
 
     def final_metrics(self) -> dict[str, float]:
-        """Metric per task label from the last recorded epoch."""
-        if not self.evals:
-            raise ParameterError(f"log for mode {self.mode} has no eval records")
-        last = max(r.epoch for r in self.evals)
-        return {r.task: r.metric for r in self.evals if r.epoch == last}
+        """Metric per task label, and their mean as ``avg``, after the last epoch."""
+        if not len(self.metrics):
+            raise ParameterError(f"log for mode {self.mode} has no eval metrics")
+        row = self.metrics[-1].tolist()
+        return {**{str(t): metric for t, metric in enumerate(row)}, AVG_TASK: fmean(row)}
 
 
 def conflict_scope(config: ExperimentConfig, mode: str) -> str | None:
@@ -168,8 +179,6 @@ def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWS
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    task_set: SyntheticTaskSet
     logs: dict[str, MetricsLog]
     models: dict[str, list[MultiTaskModel]]
 
@@ -234,26 +243,19 @@ def run_mode(config: ExperimentConfig, mode: str,
         if mode != JOINT:
             orders = master.child(STREAM_SURGERY).permutations(total_steps, num_tasks).tolist()
     schedule = zip(lrs.tolist(), grams, orders)
-    evals: list[EvalRecord] = []
     loss_rows: list[list[float]] = []
-
-    def evaluate(epoch: int) -> None:
-        metrics = eval_metric(stack, eval_pool)
-        evals.extend(EvalRecord(epoch=epoch, mode=mode, task=str(t), metric=metric)
-                     for t, metric in enumerate(metrics))
-        evals.append(EvalRecord(epoch=epoch, mode=mode, task=AVG_TASK, metric=fmean(metrics)))
-
-    evaluate(0)
+    metrics = [eval_metric(stack, eval_pool)]
     spe, batch_size = config.steps_per_epoch(), config.schedule.batch_size
-    for epoch in range(1, config.schedule.epochs + 1):
+    for _ in range(config.schedule.epochs):
         # zip draws the batch first, so an epoch's end leaves the schedule unread
         for batch, (lr, gram, order) in zip(
                 epoch_batches(task_set.train_pool, data_rng, batch_size, spe), schedule):
             loss_rows.append(train_step(mode, stack, batch, opt_state, lr, scope, gram, order))
-        evaluate(epoch)
-    log = MetricsLog(mode, np.array(loss_rows).reshape(total_steps, num_tasks), lrs, evals=evals)
+        metrics.append(eval_metric(stack, eval_pool))
+    log = MetricsLog(mode, np.array(loss_rows).reshape(total_steps, num_tasks), lrs,
+                     metrics=np.array(metrics))
     if scope is not None and total_steps:
-        log.conflicts.append(build_conflict_report(0, base.layout, stack.task_ids, scope, grams))
+        log.conflicts.append(build_conflict_report(base.layout, scope, grams))
     return log, stack.models
 
 
@@ -266,4 +268,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         log, mode_models = run_mode(config, mode, task_set=task_set)
         logs[mode] = log
         models[mode] = mode_models
-    return ExperimentResult(config=config, task_set=task_set, logs=logs, models=models)
+    return ExperimentResult(logs=logs, models=models)

@@ -7,6 +7,7 @@ import io
 import math
 from collections import namedtuple
 from itertools import groupby
+from statistics import fmean
 
 import numpy as np
 
@@ -42,9 +43,11 @@ from ortho_lora.surgery import (
 )
 from ortho_lora.tasks import make_conflict_set, subset_batch
 from ortho_lora.trainer import (
+    AVG_TASK,
     STREAM_DATA,
     STREAM_INIT,
     STREAM_SURGERY,
+    EvalRecord,
     build_task_set,
     conflict_scope,
     run_count,
@@ -290,29 +293,41 @@ def blocks_equal(g1, g2) -> bool:
 
 def reference_conflict_rows(grads: GradientStack, scope) -> list[tuple]:
     """(i, j, block, dot, cosine) per conflict report row, by the per-pair loop
-    the columnar report replaced: every unordered pair in task-id order, every
-    group, cosine 0.0 when a norm is zero. Its Gram matrices are plain v @ v.T."""
+    the columnar report replaced: every unordered pair of the rows in order,
+    every group, cosine 0.0 when a norm is zero. Its Gram matrices are plain
+    v @ v.T."""
     groups = grads.layout.groups(scope)
     dots = [(grads.rows[:, cols] @ grads.rows[:, cols].T).tolist() for _, cols in groups]
     norms = [[math.sqrt(row[k]) for k, row in enumerate(gram)] for gram in dots]
-    ids = grads.task_ids
-    order = sorted(range(len(ids)), key=ids.__getitem__)
+    count = len(grads.rows)
     rows = []
-    for x, p in enumerate(order):
-        for q in order[x + 1:]:
+    for p in range(count):
+        for q in range(p + 1, count):
             for (label, _), gram, norm in zip(groups, dots, norms):
                 dot = gram[p][q]
                 cosine = 0.0 if norm[p] == 0.0 or norm[q] == 0.0 else dot / (norm[p] * norm[q])
-                rows.append((ids[p], ids[q], label, dot, cosine))
+                rows.append((p, q, label, dot, cosine))
     return rows
 
 
-def step_report(step, grads: GradientStack, scope, grams=None):
+def step_report(grads: GradientStack, scope, grams=None):
     """The conflict report of one step's gradient rows, as a run of that one
     step builds it; grams defaults to ``group_grams(grads, scope)``."""
     if grams is None:
         grams = group_grams(grads, scope)
-    return build_conflict_report(step, grads.layout, grads.task_ids, scope, grams[None])
+    return build_conflict_report(grads.layout, scope, grams[None])
+
+
+def reference_evals(log) -> list[EvalRecord]:
+    """The eval records of log's metric rows, built as run_mode built them
+    before its log held an array: after each epoch, one record per task, then
+    the epoch's ``avg`` record, the fmean of the task metrics."""
+    evals = []
+    for epoch, metrics in enumerate(log.metrics.tolist()):
+        evals.extend(EvalRecord(epoch=epoch, mode=log.mode, task=str(t), metric=metric)
+                     for t, metric in enumerate(metrics))
+        evals.append(EvalRecord(epoch=epoch, mode=log.mode, task=AVG_TASK, metric=fmean(metrics)))
+    return evals
 
 
 def project_pair(gi_vec: np.ndarray, gj_vec: np.ndarray) -> np.ndarray:
@@ -478,7 +493,7 @@ def reference_run(config, mode):
                 lrs.append(lr)
             left -= count
         metrics.append(eval_metric(stack, eval_pool))
-    report = (build_conflict_report(0, base.layout, stack.task_ids, scope, np.stack(grams))
+    report = (build_conflict_report(base.layout, scope, np.stack(grams))
               if grams else None)
     return losses, lrs, report, metrics, stack.matrix
 

@@ -1,8 +1,9 @@
 """The rows a run logs and that summarize reads back stay compact.
 
 A run's log holds its losses and lrs as (steps, T) and (steps,) columns, one
-columnar ConflictReport for the whole run and a few EvalRecords per epoch
-(StepRecords are built only on demand, by ``MetricsLog.steps``), and
+columnar ConflictReport for the whole run and its eval metrics as an
+(epochs + 1, T) array (StepRecords and EvalRecords are built only on
+demand, by ``MetricsLog.steps`` and ``MetricsLog.evals``), and
 ``summarize`` reads every mode's rows back; per-row Python objects, not
 arrays, set a run's peak memory.
 """
@@ -41,7 +42,7 @@ CONFIG = config_from_dict({
 @pytest.mark.parametrize("record", [
     StepRecord(0, 0, 0.5, 0.01),
     EvalRecord(0, JOINT, "avg", 0.5),
-    ConflictReport(0, FLAT, ["flat"], [0, 1], None, None),
+    ConflictReport(FLAT, ["flat"], 2, None, None),
 ], ids=lambda r: type(r).__name__)
 def test_records_have_slots_and_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
@@ -50,13 +51,12 @@ def test_records_have_slots_and_no_instance_dict(record):
 
 
 @pytest.mark.parametrize("mode", [JOINT, ORTHO_FLAT, ORTHO_STRUCTURED])
-def test_reports_of_a_run_share_one_labels_list_and_one_task_id_list(mode):
+def test_reports_of_a_run_share_one_labels_list(mode):
     log, models = run_mode(CONFIG, mode)
     (report,) = log.conflicts
     layout = models[0].layout
     assert report.labels is layout.labels(report.scope)
-    assert report.task_ids is layout.task_ids
-    assert report.task_ids == [0, 1, 2]
+    assert report.num_tasks == 3 and report.pair_ids() == [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("mode", [JOINT, ORTHO_FLAT, ORTHO_STRUCTURED])
@@ -69,10 +69,11 @@ def test_report_dot_owns_only_its_own_rows(mode):
     for column in (report.dot, report.cosine):
         assert column.base is None and column.shape == shape
         assert column.nbytes == shape[0] * shape[1] * shape[2] * 8
-    assert set(vars(log)) == {"mode", "losses", "lrs", "conflicts", "evals"}
+    assert set(vars(log)) == {"mode", "losses", "lrs", "conflicts", "metrics"}
     assert log.losses.shape == (CONFIG.total_steps(), 3) and log.lrs.shape == shape[:1]
     assert log.losses.nbytes == 3 * log.lrs.nbytes == shape[0] * 3 * 8
-    assert len(log.steps) == log.losses.size
+    assert log.metrics.shape == (CONFIG.schedule.epochs + 1, 3)
+    assert len(log.steps) == log.losses.size and len(log.evals) == log.metrics.size + len(log.metrics)
 
 
 def _peak(fn, *args):

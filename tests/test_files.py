@@ -9,7 +9,7 @@ from ortho_lora.config import JOINT, config_from_dict, load_config, save_config
 from ortho_lora.dense import Rng
 from ortho_lora.files import atomic_write
 from ortho_lora.reporting import RankRow, read_rank_rows, write_metrics, write_rank_rows
-from ortho_lora.trainer import EvalRecord, MetricsLog
+from ortho_lora.trainer import MetricsLog
 
 
 def _files(directory):
@@ -30,9 +30,8 @@ def test_failing_block_keeps_the_old_file(tmp_path):
 def _log(steps):
     """A one-task log of these losses; a None loss is an object cell the writer
     fails on, after the rows before it."""
-    log = MetricsLog(JOINT, np.array([[loss] for loss in steps]), np.full(len(steps), 0.01))
-    log.evals = [EvalRecord(0, JOINT, "0", 0.5), EvalRecord(0, JOINT, "avg", 0.5)]
-    return log
+    return MetricsLog(JOINT, np.array([[loss] for loss in steps]), np.full(len(steps), 0.01),
+                      metrics=np.array([[0.5]]))
 
 
 @pytest.mark.parametrize("write,good,bad", [

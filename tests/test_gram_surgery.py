@@ -99,7 +99,7 @@ def check_report(grads, scope):
     groups = scope_groups(stack_of(grads)[0], scope)
     originals = [{label: group_vector(g, bids) for label, bids in groups} for g in grads]
     stack = stack_of(grads)
-    report = step_report(3, stack, scope)
+    report = step_report(stack, scope)
     labels = [label for label, _ in groups]
     expected = [(i, j, label) for i in range(len(grads)) for j in range(i + 1, len(grads))
                 for label in labels]
@@ -225,20 +225,20 @@ def test_shared_grams_change_no_bit(scope, grads, seed):
     assert np.shares_memory(written, store[1]) and store[1].tobytes() == grams.tobytes()
     assert np.isnan(store[0]).all()
     before = grams.copy()
-    report = step_report(3, stack, scope, grams)
+    report = step_report(stack, scope, grams)
     assert np.array_equal(grams, before)
     try:
         surgery(stack, scope, shuffle(seed, len(grads)), grams)
     except NumericError:
         pass
     assert np.array_equal(grams, before)
-    assert step_report(3, stack, scope, grams) == report
+    assert step_report(stack, scope, grams) == report
 
 
 @st.composite
 def gradient_stacks(draw):
     """2-16 task rows over 1-3 adapter layers, with all-zero, duplicated and
-    negated rows, under distinct task ids in any order."""
+    negated rows."""
     num_tasks = draw(st.integers(2, 16))
     dims = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3)) + 1)]
     rank = draw(st.integers(1, min(dims)))
@@ -255,15 +255,14 @@ def gradient_stacks(draw):
             rows[t] = 0.0
         elif kind != "own":
             rows[t] = rows[src] if kind == "duplicate" else -rows[src]
-    ids = draw(st.lists(st.integers(0, 99), min_size=num_tasks, max_size=num_tasks, unique=True))
-    return GradientStack(ids, rows, layout)
+    return GradientStack(layout.task_ids, rows, layout)
 
 
 @pytest.mark.parametrize("scope", SCOPES)
 @settings(max_examples=60, deadline=None)
 @given(stack=gradient_stacks())
 def test_report_columns_equal_per_pair_loop_bit_for_bit(scope, stack):
-    report = step_report(7, stack, scope)
+    report = step_report(stack, scope)
     want = reference_conflict_rows(stack, scope)
     assert [(i, j, label) for i, j in report.pair_ids()
             for label in report.labels] == [row[:3] for row in want]
@@ -278,15 +277,12 @@ def test_report_columns_equal_per_pair_loop_bit_for_bit(scope, stack):
 def gram_runs(draw):
     """A run's Gram stacks: 1-8 steps of 1-6 task rows over a 1- or 2-layer
     layout in one scope (1, 2 or 4 groups), some groups of some rows all
-    zero, under distinct task ids in or out of order."""
+    zero."""
     num_tasks = draw(st.integers(1, 6))
     dims = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 2)) + 1)]
     layout = Layout([(1, k) for k in dims[:-1]], [(d, 1) for d in dims[1:]], (1, dims[-1]),
                     num_tasks)
     scope = draw(st.sampled_from(SCOPES))
-    ids = draw(st.lists(st.integers(0, 99), min_size=num_tasks, max_size=num_tasks, unique=True))
-    if draw(st.booleans()):
-        ids.sort()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stacks = []
     for _ in range(draw(st.integers(1, 8))):
@@ -295,7 +291,7 @@ def gram_runs(draw):
             for _, cols in layout.groups(scope):
                 if draw(st.integers(0, 3)) == 0:  # a zero norm: cosine 0.0
                     rows[t, cols] = 0.0
-        stacks.append(GradientStack(ids, rows, layout))
+        stacks.append(GradientStack(layout.task_ids, rows, layout))
     return scope, stacks
 
 
@@ -305,18 +301,21 @@ def _row_bits(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(run=gram_runs(), first=st.integers(0, 50))
-def test_one_run_report_equals_its_one_step_reports_bit_for_bit(run, first):
+@given(run=gram_runs())
+def test_one_run_report_equals_its_one_step_reports_bit_for_bit(run):
     # the trainer builds one report from a run's stacked Gram matrices; each
     # step's slice of it must be the report of that step alone
     scope, stacks = run
     grams = np.stack([group_grams(stack, scope) for stack in stacks])
-    layout, ids = stacks[0].layout, stacks[0].task_ids
-    report = build_conflict_report(first, layout, ids, scope, grams)
-    singles = [step_report(first + s, stack, scope) for s, stack in enumerate(stacks)]
-    assert report.steps == range(first, first + len(stacks))
-    assert (report.scope, report.labels, report.task_ids) == (scope, layout.labels(scope), ids)
+    layout = stacks[0].layout
+    report = build_conflict_report(layout, scope, grams)
+    singles = [step_report(stack, scope) for stack in stacks]
+    assert len(report.dot) == len(stacks)
+    assert (report.scope, report.labels, report.num_tasks) == (scope, layout.labels(scope),
+                                                               layout.num_tasks)
     for s, single in enumerate(singles):
         for got, want in ((report.dot[s], single.dot[0]), (report.cosine[s], single.cosine[0])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert _row_bits(report.pairs) == [row for single in singles for row in _row_bits(single.pairs)]
+    # the run's rows number its steps from 0; each single report's step is 0
+    assert _row_bits(report.pairs) == [(s, *row[1:]) for s, single in enumerate(singles)
+                                       for row in _row_bits(single.pairs)]

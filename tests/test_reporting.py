@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_steps_csv
+from helpers import reference_evals, reference_steps_csv
 
 from ortho_lora.config import (
     JOINT,
@@ -34,7 +34,7 @@ from ortho_lora.reporting import (
     write_rank_rows,
 )
 from ortho_lora.surgery import ConflictReport
-from ortho_lora.trainer import EvalRecord, MetricsLog, run_experiment
+from ortho_lora.trainer import MetricsLog, run_experiment
 
 # any finite float, with -0.0, the smallest subnormals and +-max always in the mix
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -123,13 +123,11 @@ class TestCsvRoundTrip:
 
     def test_cosine_rounded_past_one_reads_back(self, tmp_path):
         # parallel gradients give cosines a few ulps past +-1; a run can write them
-        log = MetricsLog(ORTHO_FLAT, np.full((1, 3), 0.5), np.array([0.01]))
-        log.conflicts.append(ConflictReport(0, FLAT, ["flat"], [0, 1, 2],
+        log = MetricsLog(ORTHO_FLAT, np.full((1, 3), 0.5), np.array([0.01]),
+                         metrics=np.full((2, 3), 0.5))
+        log.conflicts.append(ConflictReport(FLAT, ["flat"], 3,
                                             np.array([[[2.0], [-2.0], [1.0]]]),
                                             np.array([[[1.0 + 2**-49], [-1.0 - 2**-49], [1.0]]])))
-        for epoch in range(2):
-            log.evals += [EvalRecord(epoch, ORTHO_FLAT, str(task), 0.5) for task in range(3)]
-            log.evals.append(EvalRecord(epoch, ORTHO_FLAT, "avg", 0.5))
         write_metrics(log, tmp_path)
         assert read_metrics(tmp_path, ORTHO_FLAT, log_config(ORTHO_FLAT, 3, 1, 1)) == log
 
@@ -142,12 +140,30 @@ class TestCsvRoundTrip:
         assert read_rank_rows(path, [2, 4]) == rows
 
 
+def _hex(floats):
+    """Each float's exact hex spelling (-0.0 differs from 0.0)."""
+    return [x.hex() for x in floats]
+
+
 def _log_bits(log):
-    """Every field of a log, floats as their exact hex spelling (-0.0 differs from 0.0)."""
+    """Every field of a log, floats as their exact hex spelling."""
     return (log.losses.shape, [(r.step, r.task, r.loss.hex(), r.lr.hex()) for r in log.steps],
-            [(c.step, c.scope, c.labels, c.task_ids, [x.hex() for x in c.dot.ravel().tolist()],
-              [x.hex() for x in c.cosine.ravel().tolist()]) for c in log.conflicts],
-            [(r.epoch, r.mode, r.task, r.metric.hex()) for r in log.evals])
+            [(c.scope, c.labels, c.num_tasks, c.dot.shape, _hex(c.dot.ravel().tolist()),
+              _hex(c.cosine.ravel().tolist())) for c in log.conflicts],
+            log.metrics.shape, _hex(log.metrics.ravel().tolist()))
+
+
+def _eval_bits(evals):
+    return [(r.epoch, r.mode, r.task, r.metric.hex()) for r in evals]
+
+
+def _drawn(data, elements, shape):
+    """A float array of shape whose cells cycle through up to 16 values drawn
+    from elements: any value can sit in any cell, while a 12-task run's
+    thousands of conflict cells stay cheap to draw."""
+    count = min(math.prod(shape), 16)
+    values = data.draw(st.lists(elements, min_size=count, max_size=count))
+    return np.resize(np.array(values, dtype=float), shape)
 
 
 # a cosine in [-1, 1], with -0.0, the smallest subnormals and +-1 always in the mix
@@ -157,34 +173,33 @@ COSINE = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -5e-324, 1.0, -1.
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
-    # like a run, every step has its conflict rows when JOINT records them, and
-    # every epoch of eval.csv lists the tasks with loss rows (tasks 0 and 1)
-    config = log_config(JOINT, 2, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2)),
+    # like a run of T tasks and E epochs: every step has its conflict rows when
+    # JOINT records them and has a task pair, and the (E + 1, T) eval metrics
+    # list every task in every epoch
+    tasks, epochs = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 4))
+    config = log_config(JOINT, tasks, epochs, data.draw(st.integers(1, 2)),
                         record_conflicts=data.draw(st.booleans()))
     steps = config.total_steps()
-    losses = np.array([data.draw(FINITE) for _ in range(2 * steps)]).reshape(steps, 2)
-    log = MetricsLog(JOINT, losses, np.array([data.draw(FINITE) for _ in range(steps)]))
-    dots, cosines = [], []
-    for step in range(steps):
-        if config.surgery.record_conflicts:
-            dots.append([[data.draw(FINITE), data.draw(FINITE)]])
-            cosines.append([[data.draw(COSINE), data.draw(COSINE)]])
-    if dots:  # one report for the run, as a run keeps it
-        log.conflicts.append(ConflictReport(0, PER_MATRIX, ["L0.A", "L0.B"], [0, 1],
-                                            np.array(dots), np.array(cosines)))
-    for epoch in range(config.schedule.epochs + 1):
-        metrics = data.draw(st.lists(FINITE, min_size=2, max_size=2))
+    rows = [data.draw(st.lists(FINITE, min_size=tasks, max_size=tasks)) for _ in range(epochs + 1)]
+    for row in rows:
         try:
-            avg = fmean(metrics)
+            avg = fmean(row)
         except OverflowError:  # the exact sum leaves the float range
             avg = math.inf
         assume(math.isfinite(avg))
-        log.evals += [EvalRecord(epoch, JOINT, str(t), m) for t, m in enumerate(metrics)]
-        log.evals.append(EvalRecord(epoch, JOINT, "avg", avg))
+    log = MetricsLog(JOINT, _drawn(data, FINITE, (steps, tasks)), _drawn(data, FINITE, (steps,)),
+                     metrics=np.array(rows))
+    if config.surgery.record_conflicts and tasks > 1 and steps:  # one report, as a run keeps
+        shape = (steps, tasks * (tasks - 1) // 2, 2)
+        log.conflicts.append(ConflictReport(PER_MATRIX, ["L0.A", "L0.B"], tasks,
+                                            _drawn(data, FINITE, shape), _drawn(data, COSINE, shape)))
     with tempfile.TemporaryDirectory() as tmp:
         write_metrics(log, Path(tmp))
         back = read_metrics(Path(tmp), JOINT, config)
     assert _log_bits(back) == _log_bits(log)
+    assert _hex(back.final_metrics().values()) == _hex([*rows[-1], fmean(rows[-1])])
+    assert list(back.final_metrics()) == [*map(str, range(tasks)), "avg"]
+    assert _eval_bits(back.evals) == _eval_bits(reference_evals(log))
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,35 +207,32 @@ def test_write_read_metrics_round_trip_bit_exact_on_any_finite_floats(data):
 def test_write_metrics_steps_bytes_equal_csv_writer_rendering(data):
     scope, labels = data.draw(st.sampled_from([(FLAT, ["flat"]), (PER_ROLE_CONCAT, ["A", "B"]),
                                                (PER_MATRIX, ["L0.A", "L0.B", "L1.A", "L1.B"])]))
-    ids = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
-    shape = (1, len(ids) * (len(ids) - 1) // 2, len(labels))
+    tasks = data.draw(st.integers(1, 4))
     steps = data.draw(st.integers(0, 3))
-    log = MetricsLog(JOINT, np.array([data.draw(FINITE) for _ in range(steps * len(ids))])
-                     .reshape(steps, len(ids)), np.array([data.draw(FINITE) for _ in range(steps)]))
-    for step in range(steps):
-        if data.draw(st.booleans()):  # JOINT without diagnostics writes no conflict rows
-            log.conflicts.append(ConflictReport(
-                step, scope, labels, ids,
-                np.array([data.draw(FINITE) for _ in range(shape[1] * shape[2])]).reshape(shape),
-                np.array([data.draw(FINITE) for _ in range(shape[1] * shape[2])]).reshape(shape)))
-    log.evals.append(EvalRecord(0, JOINT, "avg", 0.5))
+    shape = (steps, tasks * (tasks - 1) // 2, len(labels))
+    log = MetricsLog(JOINT, np.array([data.draw(FINITE) for _ in range(steps * tasks)])
+                     .reshape(steps, tasks), np.array([data.draw(FINITE) for _ in range(steps)]),
+                     metrics=np.array([[0.5] * tasks]))
+    if data.draw(st.booleans()):  # JOINT without diagnostics writes no conflict rows
+        log.conflicts.append(ConflictReport(
+            scope, labels, tasks,
+            np.array([data.draw(FINITE) for _ in range(math.prod(shape))]).reshape(shape),
+            np.array([data.draw(FINITE) for _ in range(math.prod(shape))]).reshape(shape)))
     with tempfile.TemporaryDirectory() as tmp:
         write_metrics(log, Path(tmp))
         assert (Path(tmp) / "steps.csv").read_bytes() == reference_steps_csv(log)
 
 
 class TestBuildSummary:
-    def _log(self, mode, metrics_by_task):
-        log = MetricsLog(mode=mode)
-        for task, metric in metrics_by_task.items():
-            log.evals.append(EvalRecord(epoch=1, mode=mode, task=task, metric=metric))
-        return log
+    def _log(self, mode, metrics):
+        """A log of mode whose last epoch's task metrics are metrics."""
+        return MetricsLog(mode=mode, metrics=np.array([[0.0] * len(metrics), metrics]))
 
     def test_recovery_cells(self):
         logs = {
-            SINGLE_TASK: self._log(SINGLE_TASK, {"0": 87.4, "1": 88.1, "avg": 87.75}),
-            JOINT: self._log(JOINT, {"0": 85.9, "1": 86.5, "avg": 86.2}),
-            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, {"0": 87.1, "1": 87.9, "avg": 87.5}),
+            SINGLE_TASK: self._log(SINGLE_TASK, [87.4, 88.1]),
+            JOINT: self._log(JOINT, [85.9, 86.5]),
+            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, [87.1, 87.9]),
         }
         table = build_summary(logs)
         rec = table.recovery[ORTHO_STRUCTURED]
@@ -229,21 +241,21 @@ class TestBuildSummary:
 
     def test_recovery_undefined_cell_is_none(self):
         logs = {
-            SINGLE_TASK: self._log(SINGLE_TASK, {"0": 85.9}),
-            JOINT: self._log(JOINT, {"0": 85.9}),
-            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, {"0": 87.0}),
+            SINGLE_TASK: self._log(SINGLE_TASK, [85.9]),
+            JOINT: self._log(JOINT, [85.9]),
+            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, [87.0]),
         }
         assert build_summary(logs).recovery[ORTHO_STRUCTURED]["0"] is None
 
     def test_no_recovery_without_baselines(self):
-        logs = {JOINT: self._log(JOINT, {"0": 85.9})}
+        logs = {JOINT: self._log(JOINT, [85.9])}
         assert build_summary(logs).recovery == {}
 
     def test_format_summary_smoke(self):
         logs = {
-            SINGLE_TASK: self._log(SINGLE_TASK, {"0": 1.0, "avg": 1.0}),
-            JOINT: self._log(JOINT, {"0": 0.5, "avg": 0.5}),
-            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, {"0": 0.9, "avg": 0.9}),
+            SINGLE_TASK: self._log(SINGLE_TASK, [1.0]),
+            JOINT: self._log(JOINT, [0.5]),
+            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, [0.9]),
         }
         text = format_summary(build_summary(logs))
         assert "SINGLE_TASK" in text and "recovery" in text
@@ -251,10 +263,10 @@ class TestBuildSummary:
     def test_format_summary_columns_align(self):
         # "recovery ORTHO_STRUCTURED" is the longest label; an undefined cell prints "-"
         logs = {
-            SINGLE_TASK: self._log(SINGLE_TASK, {"0": 1.0, "1": 2.0, "avg": 1.5}),
-            JOINT: self._log(JOINT, {"0": 0.5, "1": 2.0, "avg": 1.25}),
-            ORTHO_FLAT: self._log(ORTHO_FLAT, {"0": 0.75, "1": 1.0, "avg": 0.875}),
-            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, {"0": 0.9, "1": 3.0, "avg": 1.95}),
+            SINGLE_TASK: self._log(SINGLE_TASK, [1.0, 2.0]),
+            JOINT: self._log(JOINT, [0.5, 2.0]),
+            ORTHO_FLAT: self._log(ORTHO_FLAT, [0.75, 1.0]),
+            ORTHO_STRUCTURED: self._log(ORTHO_STRUCTURED, [0.9, 3.0]),
         }
         lines = format_summary(build_summary(logs)).splitlines()
         header, rows = lines[1], lines[2:]
@@ -266,6 +278,13 @@ class TestBuildSummary:
         assert header.split()[-3:] == ["0", "1", "avg"]
         for row in rows:
             assert cell_ends(row) == cell_ends(header), f"{row!r} vs {header!r}"
+
+    def test_format_summary_orders_task_columns_by_number_then_avg(self):
+        # as strings, task 10 would sort between tasks 1 and 2
+        logs = {mode: self._log(mode, [float(t) for t in range(12)])
+                for mode in (SINGLE_TASK, JOINT)}
+        header = format_summary(build_summary(logs)).splitlines()[1]
+        assert header.split() == ["mode", *map(str, range(12)), "avg"]
 
 
 class TestRankSweep:

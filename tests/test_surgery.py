@@ -38,7 +38,7 @@ def _two_grads(a1, a2, b1=None, b2=None):
 def report_cosine(g1, g2, scope, block="flat"):
     """The conflict report's cosine column for the pair (g1, g2) in one group."""
     stack = stack_of([g1, g2])
-    report = step_report(0, stack, scope)
+    report = step_report(stack, scope)
     (cosine,) = [p.cosine for p in report.pairs if p.block == block]
     return cosine
 
@@ -71,7 +71,7 @@ class TestPairwiseCosine:
         # per-matrix cosines come one per named matrix, never as one flat value
         g1, g2 = _two_grads([[1.0, 0.0]], [[0.0, 1.0]])
         stack = stack_of([g1, g2])
-        report = step_report(0, stack, PER_MATRIX)
+        report = step_report(stack, PER_MATRIX)
         assert [p.block for p in report.pairs] == ["L0.A", "L0.B"]
 
 
@@ -293,9 +293,8 @@ class TestConflictReport:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        report = step_report(4, stack, PER_MATRIX)
-        assert report.step == 4
-        assert report.scope == PER_MATRIX
+        report = step_report(stack, PER_MATRIX)
+        assert report.scope == PER_MATRIX and report.num_tasks == 3
         assert len(report.pairs) == 3 * 2  # 3 unordered pairs x 2 blocks
         for p in report.pairs:
             assert p.conflicted == (p.dot < 0)
@@ -304,4 +303,4 @@ class TestConflictReport:
     def test_single_task_empty(self):
         g = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[1.0]])
         stack = stack_of([g])
-        assert step_report(0, stack, FLAT).pairs == []
+        assert step_report(stack, FLAT).pairs == []

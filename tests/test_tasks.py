@@ -49,7 +49,7 @@ class TestRegressionConflict:
         grads = [task_gradient(model, TaskBatch(t, shared_x, ts.teachers[t] @ shared_x))
                  for t in range(3)]
         stack = stack_of(grads)
-        report = step_report(0, stack, PER_MATRIX)
+        report = step_report(stack, PER_MATRIX)
         for p in report.pairs:
             assert p.cosine == pytest.approx(1.0, abs=1e-9)
 
@@ -66,7 +66,7 @@ class TestRegressionConflict:
         model = build_model([6, 5], 2, 4.0, 0.02, ts.kinds, 3, Rng(5))
         grads = [task_gradient(model, ts.train[t]) for t in range(2)]
         stack = stack_of(grads)
-        report = step_report(0, stack, PER_MATRIX)
+        report = step_report(stack, PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
 
     def test_pool_sizes_and_disjointness(self):

@@ -114,8 +114,9 @@ def test_one_conflict_report_per_run_in_a_conflict_scope(bench, mode):
 def test_a_run_draws_its_schedule_once_and_steps_once_per_step(bench, mode, epochs):
     # the lr column is one linear_decay_lr call per run, every step is one
     # train_step call (backward_passes_per_step divides by them), the report
-    # at most one call, and the log still lists the S * T loss rows that
-    # _count_written counts
+    # at most one call, and the log still lists the S * T loss rows and the
+    # (E + 1)(T + 1) eval rows that _count_written counts, and its report's
+    # pairs number the steps 0..S-1 for _count_pairs
     spans = importlib.import_module("spans")
     cfg = tiny_config(epochs=epochs, steps_per_epoch=7)
     tracer = spans.Tracer()
@@ -128,3 +129,7 @@ def test_a_run_draws_its_schedule_once_and_steps_once_per_step(bench, mode, epoc
     assert calls.get("trainer.train_step", 0) == steps
     assert calls.get("surgery.build_conflict_report", 0) <= 1
     assert len(log.steps) == steps * cfg.tasks.num_tasks == log.losses.size
+    assert len(log.evals) == (epochs + 1) * (cfg.tasks.num_tasks + 1)
+    for report in log.conflicts:
+        pairs = len(report.pair_ids()) * len(report.labels)
+        assert [p.step for p in report.pairs] == [s for s in range(steps) for _ in range(pairs)]

@@ -98,7 +98,7 @@ def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
     grams = np.empty((len(stack.models[0].layout.groups(scope)), count, count))
     losses = train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01, scope,
                         grams, shuffle(seed, count))
-    report = build_conflict_report(0, stack.models[0].layout, stack.task_ids, scope, grams[None])
+    report = build_conflict_report(stack.models[0].layout, scope, grams[None])
     return losses, report, stack.models[0]
 
 
@@ -226,8 +226,8 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         log = result.logs[JOINT]
         assert log.losses.shape == (0, 2) and log.lrs.shape == (0,) and log.steps == []
-        assert {r.epoch for r in log.evals} == {0}
-        assert len(log.evals) == 3  # two tasks + avg
+        assert log.metrics.shape == (1, 2)  # the eval before training
+        assert list(log.final_metrics()) == ["0", "1", "avg"]
 
     def test_same_seed_bit_identical_logs(self):
         cfg = tiny_config(modes=[JOINT, ORTHO_STRUCTURED], tasks={"conflict_level": 0.7})
@@ -239,11 +239,9 @@ class TestRunExperiment:
     def test_eval_rows_have_avg_and_increasing_epochs(self):
         cfg = tiny_config(schedule={"epochs": 2})
         log = run_experiment(cfg).logs[JOINT]
-        epochs = sorted({r.epoch for r in log.evals})
-        assert epochs == [0, 1, 2]
-        for epoch in epochs:
-            tasks = [r.task for r in log.evals if r.epoch == epoch]
-            assert tasks == ["0", "1", "avg"]
+        assert log.metrics.shape == (3, 2)
+        final = log.metrics[-1].tolist()
+        assert log.final_metrics() == {"0": final[0], "1": final[1], "avg": fmean(final)}
 
     def test_step_lr_follows_linear_decay(self):
         cfg = tiny_config(schedule={"epochs": 2})
@@ -257,7 +255,7 @@ class TestRunExperiment:
         assert run_experiment(quiet).logs[JOINT].conflicts == []
         loud = tiny_config(surgery={"record_conflicts": True})
         (report,) = run_experiment(loud).logs[JOINT].conflicts
-        assert report.steps == range(loud.total_steps())
+        assert len(report.dot) == loud.total_steps()
 
     @pytest.mark.parametrize("mode,overrides,scope", [
         (SINGLE_TASK, {}, None),
@@ -276,8 +274,7 @@ class TestRunExperiment:
         assert conflict_scope(cfg, mode) == scope
         log, _ = run_mode(cfg, mode)
         assert len(log.conflicts) == (1 if scope else 0)
-        assert [s for r in log.conflicts for s in r.steps] == (list(range(cfg.total_steps()))
-                                                               if scope else [])
+        assert [len(r.dot) for r in log.conflicts] == ([cfg.total_steps()] if scope else [])
         assert {r.scope for r in log.conflicts} <= {scope}
 
     def test_single_task_models_start_identical(self):
@@ -450,6 +447,7 @@ def test_run_mode_equals_the_per_step_reference_loop(mode, layer_dims, num_tasks
     assert [r.hex() for r in log.losses.ravel().tolist()] == [
         x.hex() for row in losses for x in row]
     assert log.conflicts == ([] if report is None else [report])
-    assert [r.metric for r in log.evals] == [x for row in metrics for x in (*row, fmean(row))]
+    assert log.metrics.shape == (cfg.schedule.epochs + 1, num_tasks)
+    assert [x.hex() for x in log.metrics.ravel().tolist()] == [x.hex() for row in metrics for x in row]
     assert np.array([m.params for m in models]).tobytes() == matrix.tobytes()
 

@@ -15,7 +15,10 @@ compared like a run directory. A parent older than ``summarize`` on sweep
 directories exits 2 there, so it fails the gate. Exits 0 when
 every file and every summary is identical, 1 after listing the files or
 summaries that differ or that only one tree wrote, and 2 on a usage error
-or a revision git cannot export. On SIGTERM it exits 143 after killing the
+or a revision git cannot export. Under each differing summary it prints
+the two exit codes if they differ and the first stdout line that differs,
+as each tree printed it, so that a summary changed by design can be
+reviewed from the gate's output alone. On SIGTERM it exits 143 after killing the
 running ``ortho-lora`` process and removing its temporary directory.
 
 The gate configs are all built from this tree's configs/default.json:
@@ -52,6 +55,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +153,22 @@ def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]
     return out
 
 
+def summary_difference(parent: tuple[int, str] | None, this: tuple[int, str] | None) -> list[str]:
+    """Where two trees' (exit code, stdout) summaries of one run directory
+    differ: that only one tree has it, or the exit codes if they differ and
+    the first stdout line that differs, from each tree, line ends shown."""
+    if parent is None or this is None:
+        return [f"only the {'parent' if this is None else 'this'} tree printed it"]
+    notes = [] if parent[0] == this[0] else [f"exit code: parent {parent[0]}, this {this[0]}"]
+    lines = zip_longest(parent[1].splitlines(keepends=True), this[1].splitlines(keepends=True))
+    for number, (old, new) in enumerate(lines, 1):
+        if old != new:
+            notes += [f"line {number} parent: {'end of output' if old is None else repr(old)}",
+                      f"line {number} this:   {'end of output' if new is None else repr(new)}"]
+            break
+    return notes
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/output_gate.py <parent-rev>", file=sys.stderr)
@@ -183,13 +203,18 @@ def main(argv: list[str]) -> int:
                 differ.append(rel)
     compared = len(files["parent"] | files["this"]) + 1  # and the sweep's rank_sweep.csv
     run_names = sorted(summaries["parent"].keys() | summaries["this"].keys())
-    summaries_differ = [f"summarize {name}" for name in run_names
+    summaries_differ = [name for name in run_names
                         if summaries["parent"].get(name) != summaries["this"].get(name)]
     if differ or summaries_differ:
         print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files and "
               f"{len(summaries_differ)} of {len(run_names)} summaries differ")
-        for rel in sorted(differ) + summaries_differ:
+        for rel in sorted(differ):
             print(f"  {rel}")
+        for name in summaries_differ:
+            print(f"  summarize {name}")
+            for note in summary_difference(summaries["parent"].get(name),
+                                           summaries["this"].get(name)):
+                print(f"    {note}")
         return 1
     print(f"output gate passed against {argv[0]}: all {compared} files byte-identical and "
           f"all {len(run_names)} summarize outputs identical on {len(gate_configs(default))} configs "
