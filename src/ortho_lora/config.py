@@ -35,6 +35,8 @@ VALID_MODES = (SINGLE_TASK, JOINT, ORTHO_FLAT, ORTHO_STRUCTURED)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
+# a drawn label pool holds every class at least this often (tasks._labels_balanced)
+MIN_CLASS_FRACTION = 0.10
 
 FLAT = "FLAT"
 PER_MATRIX = "PER_MATRIX"
@@ -230,8 +232,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"config.model.rank: {model.rank} exceeds min layer dim {min(model.layer_dims)}")
     if tasks.conflict_level > 0 and tasks.num_tasks < 2:
         raise ConfigError("config.tasks.num_tasks: conflict_level > 0 needs at least 2 tasks")
-    if CLASSIFICATION in tasks.kinds and tasks.out_dim < 2:
-        raise ConfigError("config.tasks.out_dim: classification needs >= 2 classes")
+    if CLASSIFICATION in tasks.kinds:
+        if tasks.out_dim < 2:
+            raise ConfigError("config.tasks.out_dim: classification needs >= 2 classes")
+        for name, n in (("n_train", tasks.n_train), ("n_eval", tasks.n_eval)):
+            if tasks.out_dim * math.ceil(MIN_CLASS_FRACTION * n) > n:
+                raise ConfigError(f"config.tasks.{name}: {n} examples cannot hold {tasks.out_dim} "
+                                  f"classes of >= {MIN_CLASS_FRACTION:.0%} each")
+        labels = 2 if tasks.conflict_level > 0 else 1  # argmax labels of a rank-1 teacher
+        if tasks.shared_scale == 0 and tasks.noise_sigma == 0 and tasks.out_dim > labels:
+            raise ConfigError(f"config.tasks.shared_scale: 0 with noise_sigma 0 gives a rank-1 teacher "
+                              f"of at most {labels} argmax labels, not out_dim={tasks.out_dim} classes")
     if tasks.in_dim != model.layer_dims[0]:
         raise ConfigError(f"config.tasks.in_dim: {tasks.in_dim} does not match "
                           f"model.layer_dims[0]={model.layer_dims[0]}")

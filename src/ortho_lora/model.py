@@ -23,17 +23,18 @@ effective weight w0 + s*b@a (s = alpha/rank) and downstream delta dz:
     delta_h = w0^T @ dz + s * a^T @ (b^T @ dz)
 
 ``joint_gradient`` (a stack, over a ``StepBatch`` of T equal-size batches
-that a run gathers from its checked train pool) and
-``task_loss_and_gradient`` (one model, one ``TaskBatch`` it checks itself)
-share one body, ``_gradient_rows``: one forward and one backward pass, the
-heads as one (T, o, d) stack, every gradient computed by ``np.matmul``
-straight into a view of a fresh (T, A + o*d) array, and the A adapter
-columns scaled by s once, after the layer loop (a model's layers share one
-s). ``eval_metric``
+that a run gathers from its checked train pool) is the one gradient body,
+which ``task_loss_and_gradient`` runs on a throwaway one-run stack: one
+forward and one backward pass, the heads as one (T, o, d) stack, every
+gradient computed by ``np.matmul`` straight into a view of the (T, A + o*d)
+rows, the A adapter columns scaled by s once (a model's layers share one s).
+A stack builds what its step reuses, its ``StepBuffers``, on its first step
+and again on a batch of another shape, so a step's rows, projection and
+update hold until the next step on that stack. ``eval_metric``
 evaluates every task of a stack in one call through ``forward_features``,
-the one copy of the layer math, into the buffers of a run's ``EvalPool``.
-Gradient code writes no parameter; its one side effect is the
-backward_passes counter.
+the one copy of the layer math, into a run's ``EvalPool`` buffers, built by
+``layer_buffers`` as a step's are. Gradient code writes no parameter; its
+one side effect is the backward_passes counter.
 """
 
 from __future__ import annotations
@@ -166,6 +167,15 @@ class GradientStack:
     task_ids: list[int]
     rows: np.ndarray
     layout: Layout
+    _groups: dict = field(default_factory=dict, init=False, repr=False)
+
+    def group_views(self, scope: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each of scope's groups as the (T, width) view V of its columns and V's
+        transpose, in group order; built once per stack and scope."""
+        if scope not in self._groups:
+            self._groups[scope] = [(v, v.T) for v in (self.rows[:, cols]
+                                                      for _, cols in self.layout.groups(scope))]
+        return self._groups[scope]
 
     def __getitem__(self, pos: int) -> TaskGradient:
         task_id = self.task_ids[pos]
@@ -225,10 +235,6 @@ class MultiTaskModel:
         return self.heads.shape[1]
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
     def in_dim(self) -> int:
         return self.layers[0].w0.shape[1]
 
@@ -240,7 +246,8 @@ class ParamStack:
     models[r] is run r, a MultiTaskModel over row r with H heads, R*H = T;
     heads is every run's heads as one (T, o, d) view, head t run t // H's;
     adapters holds each layer's (R, r, k) A and (R, d, r) B views. task_ids
-    are the T tasks of the gradient rows, 0..T-1.
+    are the T tasks of the gradient rows, 0..T-1. step is what the stack's
+    step reuses, built by ``joint_gradient``.
     """
 
     matrix: np.ndarray
@@ -248,6 +255,51 @@ class ParamStack:
     adapters: list[tuple[np.ndarray, np.ndarray]]
     heads: np.ndarray
     task_ids: list[int]
+    step: StepBuffers | None = field(default=None, repr=False)
+
+
+class StepBuffers:
+    """What every step of a stack reuses, for one (T, k, n) input shape:
+    forward[i] is layer i's ``layer_buffers``, backward[i] the transposes of
+    w0, the stack's a and b, a@h and the layer input (None: the step's x)
+    that its backward pass reads, then its A and B views of the rows; grads
+    holds the rows, with (T, o, d) head and (T, A) adapter views. projected
+    is surgery's output, update merge's (None for one-head runs)."""
+
+    def __init__(self, stack: ParamStack, shape: tuple[int, ...]):
+        model, tasks, layout = stack.models[0], len(stack.heads), stack.models[0].layout
+        _check_input(model, shape)
+        self.shape, self.scale = shape, model.layers[0].adapter.scale
+        self.forward = forward = layer_buffers(model, shape[:-2], shape[-1])
+        rows = np.empty((tasks, layout.heads.start + stack.heads[0].size))
+        self.backward = [(layer.w0.T, a.swapaxes(1, 2), b.swapaxes(1, 2), ah.swapaxes(1, 2),
+                          forward[i - 1][1].swapaxes(1, 2) if i else None,
+                          rows[:, layout.a[i]].reshape(tasks, *a.shape[1:]),
+                          rows[:, layout.b[i]].reshape(tasks, *b.shape[1:]))
+                         for i, (layer, (a, b), (ah, _, _))
+                         in enumerate(zip(model.layers, stack.adapters, forward))]
+        self.out = np.empty((tasks, model.out_dim, shape[-1]))
+        self.heads_t, self.features_t = stack.heads.swapaxes(1, 2), forward[-1][1].swapaxes(1, 2)
+        self.grads = GradientStack(stack.task_ids, rows, layout)
+        self.head_grads = rows[:, layout.heads.start:].reshape(stack.heads.shape)
+        self.adapter_grads = rows[:, :layout.heads.start]
+        self.projected = GradientStack(stack.task_ids, np.empty_like(rows), layout)
+        self.update = None if layout.num_tasks == 1 else update_buffers(layout)
+
+
+def layer_buffers(model: MultiTaskModel, lead: tuple[int, ...], n: int) -> list[tuple]:
+    """One (a@h, z, b@a@h) triple of output arrays per layer of model, for
+    lead + (k, n) inputs: an EvalPool's, lead (), or a step's, lead (T,)."""
+    return [tuple(np.empty((*lead, size, n)) for size in (layer.adapter.rank, len(layer.w0), len(layer.w0)))
+            for layer in model.layers]
+
+
+def update_buffers(layout: Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """merge's (1, P) update of one run of layout's T heads, with its adapter
+    columns' (A,) view and its heads' (T, o*d) view."""
+    update = np.empty((1, layout.size))
+    return (update, update[0, :layout.heads.start],
+            update[0, layout.heads].reshape(layout.num_tasks, -1))
 
 
 def stack_runs(base: MultiTaskModel, runs: int) -> ParamStack:
@@ -304,42 +356,39 @@ def _check_finite(arr: Matrix, where: str) -> None:
         raise NumericError(f"non-finite activations at {where}")
 
 
+def _check_input(model: MultiTaskModel, shape: tuple[int, ...]) -> None:
+    if shape[-2:-1] != (model.in_dim,):
+        raise ShapeError(f"input {shape} does not match model input dim {model.in_dim}")
+
+
 def forward_features(model: MultiTaskModel, x: Matrix,
                      adapters: list[tuple[Matrix, Matrix]] | None = None,
-                     buffers: list[tuple[Matrix, Matrix, Matrix]] | None = None
-                     ) -> tuple[Matrix, list[tuple]]:
-    """tanh((w0 + s*b@a) h) through the stack; returns features and caches.
+                     buffers: list[tuple[Matrix, Matrix, Matrix]] | None = None) -> Matrix:
+    """tanh((w0 + s*b@a) h) through the stack; returns the features.
 
     x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
     pair per layer, replaces the model's own: a stack's (R, r, k) and
     (R, d, r) views, R = 1 or T, run its R runs at once on a (T, k, n)
-    input. buffers, one (a@h, z, b@a@h) triple of output arrays per layer,
-    receives the layer's products in place of fresh arrays, and its z array
-    the layer's output.
-    Cache per layer, a tuple: the a and b used, layer input h_in, the low-rank
-    midterm a@h_in, and the activated output h_out (for the tanh derivative).
+    input. buffers, ``layer_buffers`` built for x's shape, receives each
+    layer's products, its z array the layer's output; without them x's
+    shape is checked and fresh ones are built.
     """
     if adapters is None:
         adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
     if buffers is None:
-        buffers = [(None, None, None)] * model.num_layers
-    if x.shape[-2:-1] != (model.in_dim,):
-        raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
+        _check_input(model, x.shape)
+        buffers = layer_buffers(model, x.shape[:-2], x.shape[-1])
     h = x
-    caches: list[tuple] = []
-    for i, (layer, (a, b), (ah_out, z_out, low_out)) in enumerate(
-            zip(model.layers, adapters, buffers)):
+    for i, (layer, (a, b), (ah, z, low)) in enumerate(zip(model.layers, adapters, buffers)):
         with np.errstate(over="ignore", invalid="ignore"):
-            ah = np.matmul(a, h, out=ah_out)
-            z = np.matmul(layer.w0, h, out=z_out)
-            low = np.matmul(b, ah, out=low_out)
+            np.matmul(a, h, out=ah)
+            np.matmul(layer.w0, h, out=z)
+            np.matmul(b, ah, out=low)
             low *= layer.adapter.scale
             z += low
         _check_finite(z, f"layer {i}")
-        h_out = np.tanh(z, out=z)
-        caches.append((a, b, h, ah, h_out))
-        h = h_out
-    return h, caches
+        h = np.tanh(z, out=z)
+    return h
 
 
 def _stacked_targets(kinds: list[str], out_dim: int,
@@ -420,60 +469,17 @@ def _kind_losses(kind: str, out: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return losses, grad
 
 
-def _backprop_stack(model: MultiTaskModel, caches: list[tuple], delta_features: np.ndarray,
-                    rows: np.ndarray) -> None:
-    """Propagate d(loss)/d(features), (T, d, n), down the stack into the adapter
-    columns of rows: row t gets the outer products of batch t's slab, every
-    adapter column scaled once at the end by the model's one scale."""
-    delta_h = delta_features
-    scale = model.layers[0].adapter.scale
-    for i in reversed(range(model.num_layers)):
-        layer = model.layers[i]
-        a, b, h_in, ah, h_out = caches[i]
-        dz = h_out * h_out
-        np.subtract(1.0, dz, out=dz)
-        dz *= delta_h
-        grad_b = rows[:, model.layout.b[i]].reshape(len(rows), *layer.adapter.b.shape)
-        np.matmul(dz, ah.swapaxes(-1, -2), out=grad_b)
-        bt_dz = b.swapaxes(-1, -2) @ dz
-        grad_a = rows[:, model.layout.a[i]].reshape(len(rows), *layer.adapter.a.shape)
-        np.matmul(bt_dz, h_in.swapaxes(-1, -2), out=grad_a)
-        if i > 0:
-            delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
-    rows[:, :model.layout.heads.start] *= scale
-
-
-def _gradient_rows(model: MultiTaskModel, batch: StepBatch, heads: np.ndarray,
-                   adapters: list[tuple[Matrix, Matrix]] | None = None
-                   ) -> tuple[np.ndarray, list[float]]:
-    """Row p and loss p: slab p of batch through heads[p], all from one forward
-    and one backward pass; row p is the adapter columns, then head p.
-
-    Without adapters, model's own 2-D adapters broadcast over the T slabs;
-    ``forward_features`` says how a stack's adapter views run.
-    """
-    features, caches = forward_features(model, batch.x, adapters)
-    out = heads @ features
-    if not np.isfinite(out).all():
-        finite = np.isfinite(out).all(axis=(1, 2))
-        raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
-    losses, g_out = _losses(out, batch.targets)
-    rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
-    np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
-    _backprop_stack(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)
-    return rows, losses
-
-
 def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
-    """Loss plus a one-row stack: every adapter block and the task's own head."""
+    """Loss plus a one-row stack: every adapter block and the task's own head,
+    from ``joint_gradient`` on a throwaway one-run stack of model's params."""
     t = batch.task_id
     if not 0 <= t < model.num_tasks:
         raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
     targets = _stacked_targets([model.kinds[t]], model.out_dim, [batch])
-    step = StepBatch(np.array([batch.x]), targets, first=t)
-    rows, losses = _gradient_rows(model, step, model.heads[t:t + 1])
-    model.backward_passes += 1
-    return losses[0], GradientStack([t], rows, model.layout)
+    adapters = [(layer.adapter.a[None], layer.adapter.b[None]) for layer in model.layers]
+    throwaway = ParamStack(model.params[None], [model], adapters, model.heads[t:t + 1], [t])
+    grads, losses = joint_gradient(throwaway, StepBatch(np.array([batch.x]), targets, first=t))
+    return losses[0], grads
 
 
 def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, list[float]]:
@@ -481,12 +487,38 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
 
     Each run's adapters run over its tasks' batches of the step, as the
     stack's (R, r, k) and (R, d, r) views; rows and losses are in task order,
-    row t the adapter columns of task t's run, then head t.
+    row t the adapter columns of task t's run, then head t, in stack.step's
+    rows. The backward pass writes each layer's d(loss)/d(output) over its
+    b@a@h buffer, dz over its z and b^T dz over its a@h, once it is done
+    with each.
     """
-    rows, losses = _gradient_rows(stack.models[0], batch, stack.heads, stack.adapters)
+    if stack.step is None or stack.step.shape != batch.x.shape:
+        stack.step = StepBuffers(stack, batch.x.shape)
+    step = stack.step
+    features = forward_features(stack.models[0], batch.x, stack.adapters, step.forward)
+    out = np.matmul(stack.heads, features, out=step.out)
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).all(axis=(1, 2))
+        raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
+    losses, g_out = _losses(out, batch.targets)
+    np.matmul(g_out, step.features_t, out=step.head_grads)
+    np.matmul(step.heads_t, g_out, out=step.forward[-1][2])
+    for i in reversed(range(len(step.forward))):
+        ah, dz, delta_h = step.forward[i]
+        w0_t, a_t, b_t, ah_t, h_in_t, grad_a, grad_b = step.backward[i]
+        np.multiply(dz, dz, out=dz)
+        np.subtract(1.0, dz, out=dz)
+        dz *= delta_h
+        np.matmul(dz, ah_t, out=grad_b)
+        bt_dz = np.matmul(b_t, dz, out=ah)
+        np.matmul(bt_dz, batch.x.swapaxes(1, 2) if h_in_t is None else h_in_t, out=grad_a)
+        if i:
+            below = np.matmul(w0_t, dz, out=step.forward[i - 1][2])
+            below += step.scale * (a_t @ bt_dz)
+    step.adapter_grads *= step.scale
     for model in stack.models:
         model.backward_passes += 1
-    return GradientStack(stack.task_ids, rows, stack.models[0].layout), losses
+    return step.grads, losses
 
 
 @dataclass(eq=False)
@@ -511,10 +543,10 @@ class EvalPool:
         if bad is not None:
             raise ParameterError(f"task_id {bad} outside [0, {model.num_tasks})")
         _stacked_targets([model.kinds[b.task_id] for b in batches], model.out_dim, batches)
+        for batch in batches:
+            _check_input(model, batch.x.shape)
         n = batches[0].x.shape[-1]
-        buffers = [(np.empty((layer.adapter.rank, n)), np.empty((len(layer.w0), n)),
-                    np.empty((len(layer.w0), n))) for layer in model.layers]
-        return cls(batches, model.kinds, buffers, np.empty((model.out_dim, n)))
+        return cls(batches, model.kinds, layer_buffers(model, (), n), np.empty((model.out_dim, n)))
 
 
 def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
@@ -532,8 +564,8 @@ def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
     per_run = len(kinds) // len(stack.models)
     metrics, out = [], pool.out
     for batch in pool.batches:
-        features, _ = forward_features(stack.models[batch.task_id // per_run], batch.x,
-                                       buffers=pool.buffers)
+        features = forward_features(stack.models[batch.task_id // per_run], batch.x,
+                                    buffers=pool.buffers)
         np.matmul(stack.heads[batch.task_id], features, out=out)
         _check_finite(out, f"head {batch.task_id}")
         if kinds[batch.task_id] == CLASSIFICATION:

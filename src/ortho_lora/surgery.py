@@ -21,14 +21,15 @@ task being fixed).
 
 The gradients arrive as a GradientStack: one row per task, the adapter
 columns of the model's flat layout and then the task's own head. Its
-layout's ``groups(scope)`` gives every scope group as one contiguous column
-slice V (row t: task t's original gradient over the
-group). Report and projection read the group's Gram matrix G = V V^T,
-which ``group_grams`` computes once for both, as one (groups, T, T) stack.
-Every working gradient is c^T V for a coefficient row c, so the projected
-gradients are C V, and each inner product a pair test needs is computed from
-G and the projections the row has fired so far, only when it is tested.
-Merge maps the rows to the stack's update.
+``group_views(scope)`` gives every scope group as one contiguous column
+view V (row t: task t's original gradient over the group) and V^T, built
+once for a run's rows. Report and projection read the group's Gram matrix
+G = V V^T, which ``group_grams`` computes once for both, as one (groups, T,
+T) stack. Every working gradient is c^T V for a coefficient row c, so the
+projected gradients are C V, and each inner product a pair test needs is
+computed from G and the projections the row has fired so far, only when it
+is tested. Merge maps the rows to the stack's update. A run's projection
+and update go into its stack's step buffers.
 
 The conflict report is columnar and covers a whole run, steps from 0 and
 tasks in order: one (steps, pairs, groups) array of dots and one of cosines,
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dense import same_bits
 from .errors import NumericError, ShapeError
-from .model import GradientStack, Layout, TaskGradient
+from .model import GradientStack, Layout, TaskGradient, update_buffers
 
 # ||gj|| below this with a negative dot means the conflict test itself sits
 # inside rounding noise; refusing is safer than dividing by ~0.
@@ -120,14 +121,13 @@ def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
 
 
 def group_grams(grads: GradientStack, scope: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gram matrix V V^T of every scope group's columns V: a (G, T, T) stack
-    in group order, written into out when given (a run passes its step's slice
-    of its Gram store)."""
-    groups = grads.layout.groups(scope)
-    grams = out if out is not None else np.empty((len(groups),) + (len(grads.task_ids),) * 2)
-    for gram, (_, cols) in zip(grams, groups):
-        v = grads.rows[:, cols]
-        np.matmul(v, v.T, out=gram)
+    """The Gram matrix V V^T of every scope group's columns V (``group_views``):
+    a (G, T, T) stack in group order, written into out when given (a run
+    passes its step's slice of its Gram store)."""
+    views = grads.group_views(scope)
+    grams = out if out is not None else np.empty((len(views),) + (len(grads.task_ids),) * 2)
+    for gram, (v, v_t) in zip(grams, views):
+        np.matmul(v, v_t, out=gram)
     return grams
 
 
@@ -167,34 +167,39 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
 
 
 def surgery(grads: GradientStack, scope: str, order: list[int],
-            grams: np.ndarray) -> GradientStack:
+            grams: np.ndarray, out: GradientStack | None = None) -> GradientStack:
     """Pairwise conditional projection over all tasks, in order: a shuffle of
     the row indices, which a run draws for all its steps at once.
 
     The input is not mutated: each group is projected inside a copy of the
-    rows. Heads pass through. grams is ``group_grams(grads, scope)``.
+    rows in out, which it returns (a run passes its step buffers' stack).
+    Heads pass through. grams is ``group_grams(grads, scope)``.
     """
-    rows = grads.rows.copy()
-    for gram, (_, cols) in zip(grams, grads.layout.groups(scope), strict=True):
+    if out is None:
+        out = GradientStack(grads.task_ids, np.empty_like(grads.rows), grads.layout)
+    np.copyto(out.rows, grads.rows)
+    for gram, (v, _), (projected, _) in zip(grams, grads.group_views(scope), out.group_views(scope),
+                                            strict=True):
         coeffs = _coefficients(gram, order)
         if coeffs is not None:
-            rows[:, cols] = coeffs @ rows[:, cols]
-    return GradientStack(grads.task_ids, rows, grads.layout)
+            np.matmul(coeffs, v, out=projected)
+    return out
 
 
-def merge(grads: GradientStack) -> np.ndarray:
+def merge(grads: GradientStack, out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """The (R, P) update of the parameter stack the rows came from: one-head
     runs' rows as they are, with no copy, or the rows of one run's T tasks as
-    one row, their adapter columns summed and row t's head in head t's."""
+    one row, their adapter columns summed and row t's head in head t's, in
+    out's ``update_buffers`` when given."""
     layout, rows = grads.layout, grads.rows
     if layout.num_tasks == 1:
         return rows
     if grads.task_ids != layout.task_ids:
         raise ShapeError(f"merge: rows of tasks {grads.task_ids}, not of every task in order")
-    update = np.empty((1, layout.size))
+    update, adapters, heads = update_buffers(layout) if out is None else out
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
-    np.add(rows[:, layout.heads.start:], 0.0, out=update[0, layout.heads].reshape(len(rows), -1))
-    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=update[0, :layout.heads.start])
+    np.add(rows[:, layout.heads.start:], 0.0, out=heads)
+    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=adapters)
     return update
 
 

@@ -18,8 +18,9 @@ Regression tasks emit y = W_t x + noise; classification tasks emit
 argmax(W_t x + noise) labels. Degenerate label draws (any class under 10%
 of a pool) are retried on an incremented substream; the bump count is part
 of no other stream, so unaffected tasks keep their data. Note that a pure
-rank-1 teacher (shared_scale=0) can only realize two distinct argmax
-labels, so noiseless classification with shared_scale=0 needs out_dim=2.
+rank-1 teacher (shared_scale=0) realizes at most two argmax labels (one
+at conflict_level=0): ``config_from_dict`` rejects more classes without
+noise, and a pool too small for out_dim classes of MIN_CLASS_FRACTION.
 
 ``make_conflict_set`` reads the config's ``tasks`` section as
 ``config_from_dict`` checked it, and checks none of its values again.
@@ -36,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CLASSIFICATION, REGRESSION, TasksConfig
+from .config import CLASSIFICATION, MIN_CLASS_FRACTION, REGRESSION, TasksConfig
 from .dense import Matrix, Rng
 from .errors import ParameterError
 from .model import StepBatch, TaskBatch, _stacked_targets
 
-MIN_CLASS_FRACTION = 0.10
 MAX_LABEL_RETRIES = 100
 # The most input entries (64 KiB) subset_batch gathers into one array: glibc
 # reuses heap blocks under its 128 KiB mmap threshold, but maps larger ones

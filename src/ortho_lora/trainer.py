@@ -24,7 +24,8 @@ task generation, model init and the surgery shuffle each consume their own
 named substream.
 
 A run draws its step schedule before its first step: the (S,) lr column, all
-surgery orders in one draw and one (S, G, T, T) Gram store; after its last
+surgery orders in one draw and one (S, G, T, T) Gram store, and its first
+step builds the ``StepBuffers`` that every step writes; after its last
 step, one ``build_conflict_report`` call reads the store, its losses become
 one (S, T) array and its eval metrics one (E + 1, T) array: the log is
 columns, and builds its record objects only on demand.
@@ -172,8 +173,8 @@ def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWS
     if scope is not None:
         grams = group_grams(grads, scope, out=grams)
         if mode != JOINT:
-            grads = surgery(grads, scope, order, grams)
-    adamw_step(stack.matrix, merge(grads), opt_state, lr)
+            grads = surgery(grads, scope, order, grams, out=stack.step.projected)
+    adamw_step(stack.matrix, merge(grads, out=stack.step.update), opt_state, lr)
     return losses
 
 

@@ -24,6 +24,7 @@ from ortho_lora.model import (
     StepBatch,
     TaskBatch,
     TaskGradient,
+    _losses,
     _stacked_targets,
     build_model,
     eval_metric,
@@ -35,6 +36,7 @@ from ortho_lora.model import (
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import (
     DEGENERATE_NORM,
+    _coefficients,
     build_conflict_report,
     group_grams,
     merge,
@@ -112,8 +114,7 @@ def predict(model, task_id, x):
     """Task task_id's outputs for the inputs x, through its own head."""
     if not 0 <= task_id < model.num_tasks:
         raise ParameterError(f"task_id {task_id} outside [0, {model.num_tasks})")
-    features, _ = forward_features(model, x)
-    out = model.heads[task_id] @ features
+    out = model.heads[task_id] @ forward_features(model, x)
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite activations at head {task_id}")
     return out
@@ -424,17 +425,17 @@ def scatter_losses(out, targets):
 
 
 def per_block_gradient_rows(model, batch, heads, adapters=None):
-    """model._gradient_rows written as the form it replaced: ``scatter_losses``,
+    """joint_gradient's body written as the form it replaced: ``scatter_losses``,
     and each layer's B and A gradient blocks scaled by that layer's alpha/rank
     right after their product. The reference the one rescale per call is
     checked against, bit for bit."""
-    features, caches = forward_features(model, batch.x, adapters)
+    features, caches = fresh_forward(model, batch.x, adapters)
     out = heads @ features
     losses, g_out = scatter_losses(out, batch.targets)
     rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
     np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
     delta_h = heads.swapaxes(-1, -2) @ g_out
-    for i in reversed(range(model.num_layers)):
+    for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         scale = layer.adapter.scale
         a, b, h_in, ah, h_out = caches[i]
@@ -497,3 +498,100 @@ def reference_run(config, mode):
               if grams else None)
     return losses, lrs, report, metrics, stack.matrix
 
+
+
+# The step as it was before a stack reused its buffers: every array fresh on
+# every call. The references the buffered step is checked against, bit for bit.
+
+def fresh_forward(model, x, adapters=None):
+    """model.forward_features into fresh arrays; returns the features and, per
+    layer, the cache (a, b, layer input h_in, a@h_in, activated output)."""
+    if adapters is None:
+        adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
+    if x.shape[-2:-1] != (model.in_dim,):
+        raise ShapeError(f"input {x.shape} does not match model input dim {model.in_dim}")
+    h = x
+    caches = []
+    for i, (layer, (a, b)) in enumerate(zip(model.layers, adapters)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ah = np.matmul(a, h)
+            z = np.matmul(layer.w0, h)
+            low = np.matmul(b, ah)
+            low *= layer.adapter.scale
+            z += low
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activations at layer {i}")
+        h_out = np.tanh(z, out=z)
+        caches.append((a, b, h, ah, h_out))
+        h = h_out
+    return h, caches
+
+
+def fresh_backprop(model, caches, delta_features, rows):
+    """Propagate d(loss)/d(features), (T, d, n), down the layers into the
+    adapter columns of rows, each product a fresh array, then scale every
+    adapter column once by the model's one scale."""
+    delta_h = delta_features
+    scale = model.layers[0].adapter.scale
+    for i in reversed(range(len(model.layers))):
+        layer = model.layers[i]
+        a, b, h_in, ah, h_out = caches[i]
+        dz = h_out * h_out
+        np.subtract(1.0, dz, out=dz)
+        dz *= delta_h
+        grad_b = rows[:, model.layout.b[i]].reshape(len(rows), *layer.adapter.b.shape)
+        np.matmul(dz, ah.swapaxes(-1, -2), out=grad_b)
+        bt_dz = b.swapaxes(-1, -2) @ dz
+        grad_a = rows[:, model.layout.a[i]].reshape(len(rows), *layer.adapter.a.shape)
+        np.matmul(bt_dz, h_in.swapaxes(-1, -2), out=grad_a)
+        if i > 0:
+            delta_h = layer.w0.T @ dz + scale * (a.swapaxes(-1, -2) @ bt_dz)
+    rows[:, :model.layout.heads.start] *= scale
+
+
+def fresh_gradient_rows(model, batch, heads, adapters=None):
+    """(rows, losses) of joint_gradient on a StepBatch: slab p through heads[p]
+    with adapters (model's own 2-D ones when None), into a fresh (T, A + o*d)
+    array."""
+    features, caches = fresh_forward(model, batch.x, adapters)
+    out = heads @ features
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).all(axis=(1, 2))
+        raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
+    losses, g_out = _losses(out, batch.targets)
+    rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
+    np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
+    fresh_backprop(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)
+    return rows, losses
+
+
+def fresh_group_grams(grads, scope):
+    """group_grams into a fresh (G, T, T) array, each group sliced afresh."""
+    groups = grads.layout.groups(scope)
+    grams = np.empty((len(groups),) + (len(grads.task_ids),) * 2)
+    for gram, (_, cols) in zip(grams, groups):
+        v = grads.rows[:, cols]
+        np.matmul(v, v.T, out=gram)
+    return grams
+
+
+def fresh_surgery(grads, scope, order, grams):
+    """surgery into a fresh copy of the rows, each projected group a fresh
+    product assigned back into its columns."""
+    rows = grads.rows.copy()
+    for gram, (_, cols) in zip(grams, grads.layout.groups(scope), strict=True):
+        coeffs = _coefficients(gram, order)
+        if coeffs is not None:
+            rows[:, cols] = coeffs @ rows[:, cols]
+    return GradientStack(grads.task_ids, rows, grads.layout)
+
+
+def fresh_merge(grads):
+    """merge into a fresh (1, P) update, or the rows themselves for one-head runs."""
+    layout, rows = grads.layout, grads.rows
+    if layout.num_tasks == 1:
+        return rows
+    update = np.empty((1, layout.size))
+    np.add(rows[:, layout.heads.start:], 0.0, out=update[0, layout.heads].reshape(len(rows), -1))
+    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=update[0, :layout.heads.start])
+    return update

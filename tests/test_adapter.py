@@ -65,7 +65,7 @@ def test_adapted_forward_fresh_equals_backbone_exactly():
     w0 = rng.standard_normal((5, 4))
     model = one_layer(w0, init_adapter(5, 4, 2, 0.02, 4.0, rng))
     x = rng.standard_normal((4, 9))
-    assert np.array_equal(forward_features(model, x)[0], np.tanh(w0 @ x))
+    assert np.array_equal(forward_features(model, x), np.tanh(w0 @ x))
 
 
 def test_adapted_forward_backbone_removed():
@@ -74,7 +74,7 @@ def test_adapted_forward_backbone_removed():
     ad.b[...] = rng.standard_normal(ad.b.shape)
     model = one_layer(np.zeros((5, 4)), ad)
     x = rng.standard_normal((4, 3))
-    got = forward_features(model, x)[0]
+    got = forward_features(model, x)
     assert np.allclose(got, np.tanh(ad.b @ (ad.a @ x)), rtol=1e-15, atol=0)
 
 
@@ -87,7 +87,7 @@ def test_adapted_forward_two_route_agreement():
         ad.b[...] = rng.standard_normal(ad.b.shape)
         x = rng.standard_normal((5, 4))
         via_delta = np.tanh((w0 + ad.scale * (ad.b @ ad.a)) @ x)
-        via_layer = forward_features(one_layer(w0, ad), x)[0]
+        via_layer = forward_features(one_layer(w0, ad), x)
         denom = np.linalg.norm(via_delta)
         assert np.linalg.norm(via_layer - via_delta) < 1e-12 * max(denom, 1.0)
 

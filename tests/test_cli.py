@@ -54,6 +54,21 @@ def test_bad_config_field_names_the_file_and_field(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tasks,message", [
+    ({"out_dim": 8, "n_eval": 5}, "config.tasks.n_eval: 5 examples cannot hold 8 classes of >= 10% each"),
+    ({"out_dim": 3, "shared_scale": 0.0}, "config.tasks.shared_scale: 0 with noise_sigma 0 gives a rank-1 "
+                                          "teacher of at most 2 argmax labels, not out_dim=3 classes"),
+], ids=["eval pool", "rank-1 teacher"])
+def test_validate_rejects_a_label_pool_that_cannot_be_drawn(tmp_path, capsys, tasks, message):
+    # run would retry the draw MAX_LABEL_RETRIES times and fail naming no field
+    raw = json.loads(write_config(tmp_path / "good.json").read_text())
+    raw["tasks"].update(tasks)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
 def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert run_cli(["validate", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

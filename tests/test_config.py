@@ -159,6 +159,23 @@ CASES = {
     "one class": ({"tasks.kind": ["regression", "classification", "regression"],
                    "tasks.out_dim": 1},
                   "config.tasks.out_dim: classification needs >= 2 classes"),
+    # a class needs a count >= MIN_CLASS_FRACTION * n: 11 classes of 3 do not fit 30
+    "eval pool too small for its classes": (
+        {"tasks.kind": ["regression", "classification", "regression"], "tasks.out_dim": 8,
+         "tasks.n_eval": 5},
+        "config.tasks.n_eval: 5 examples cannot hold 8 classes of >= 10% each"),
+    "train pool too small for its classes": (
+        {"tasks.kind": "classification", "tasks.out_dim": 11, "tasks.n_train": 30},
+        "config.tasks.n_train: 30 examples cannot hold 11 classes of >= 10% each"),
+    "noiseless rank-1 teacher": (
+        {"tasks.kind": "classification", "tasks.out_dim": 3, "tasks.shared_scale": 0.0},
+        "config.tasks.shared_scale: 0 with noise_sigma 0 gives a rank-1 teacher of at most 2 "
+        "argmax labels, not out_dim=3 classes"),
+    "noiseless zero teacher": (
+        {"tasks.kind": "classification", "tasks.out_dim": 2, "tasks.shared_scale": 0.0,
+         "tasks.conflict_level": 0.0},
+        "config.tasks.shared_scale: 0 with noise_sigma 0 gives a rank-1 teacher of at most 1 "
+        "argmax labels, not out_dim=2 classes"),
     "conflict_level negative": ({"tasks.conflict_level": -0.1},
                                 "config.tasks.conflict_level: must be >= 0.0, got -0.1"),
     "conflict_level above one": ({"tasks.conflict_level": 1.5},
@@ -236,7 +253,7 @@ def output_gate():
 
 def test_every_gate_config_is_valid(output_gate):
     configs = output_gate.gate_configs(DEFAULT)
-    assert len(configs) == 7
+    assert len(configs) == 8
     for name, raw in configs.items():
         config = config_from_dict(raw)
         assert config.modes == output_gate.ALL_MODES, name

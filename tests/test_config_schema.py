@@ -47,9 +47,13 @@ def valid_configs(draw) -> dict:
     dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
     num_tasks = draw(st.integers(1, 4))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=num_tasks, max_size=num_tasks))
-    n_train = draw(st.integers(1, 64))
-    tasks = {"in_dim": dims[0], "n_train": n_train, "n_eval": draw(st.integers(1, 64)),
-             "out_dim": draw(st.integers(2 if "classification" in kinds else 1, 5))}
+    classes = "classification" in kinds
+    out_dim = draw(st.integers(2 if classes else 1, 5))
+    # a pool of n >= out_dim examples holds out_dim classes of >= 10% each, as
+    # classification needs (out_dim <= 5)
+    n_train = draw(st.integers(out_dim if classes else 1, 64))
+    tasks = {"in_dim": dims[0], "n_train": n_train,
+             "n_eval": draw(st.integers(out_dim if classes else 1, 64)), "out_dim": out_dim}
     if draw(st.booleans()):  # one kind for every task
         tasks["kind"], tasks["num_tasks"] = kinds[0], num_tasks
     else:  # a kind per task, its length optionally repeated
@@ -59,6 +63,8 @@ def valid_configs(draw) -> dict:
           st.floats(0.0, 1.0) if num_tasks > 1 else st.just(0.0))
     maybe(draw, tasks, "noise_sigma", FINITE)
     maybe(draw, tasks, "shared_scale", FINITE)
+    if classes and tasks.get("shared_scale", 1.0) == 0.0 and tasks.get("noise_sigma", 0.0) == 0.0:
+        tasks["noise_sigma"] = draw(POSITIVE)  # a noiseless rank-1 teacher draws too few labels
     schedule = {"epochs": draw(st.integers(0, 5)), "batch_size": draw(st.integers(1, n_train))}
     maybe(draw, schedule, "steps_per_epoch", st.none() | st.integers(1, 9))
     raw = {

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    fresh_backprop,
+    fresh_forward,
     generator,
     per_block_gradient_rows,
     random_batch,
@@ -30,10 +32,8 @@ from ortho_lora.model import (
     EvalPool,
     MultiTaskModel,
     TaskBatch,
-    _backprop_stack,
     _losses,
     _stacked_targets,
-    forward_features,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
@@ -190,22 +190,21 @@ def test_non_finite_head_output_names_the_task(entry):
 
 
 @pytest.mark.parametrize("entry", ["joint_gradient", "stacked_gradient"])
-def test_each_call_returns_its_own_rows(entry):
-    # callers keep a step's rows: the next call must not write into them
+def test_rows_hold_until_the_next_step_on_their_stack(entry):
+    # a stack's steps write one set of rows: the next call on the stack
+    # overwrites them, and a call on another stack leaves them as they are
     model = random_model(52, layer_dims=(6, 5, 4), rank=2,
                          kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
-    steps = [[random_batch(model, t, 5, seed=10 * s + t) for t in range(3)] for s in range(2)]
-    stack = stack_runs(model, 1 if entry == "joint_gradient" else 3)
-
-    def call(batches):
-        return joint_gradient(stack, step_batch(model, batches))[0].rows
-
-    kept = call(steps[0])
-    first = kept.copy()
-    second = call(steps[1])
-    assert not np.shares_memory(second, kept)
-    assert np.array_equal(kept, first)
-    assert not np.array_equal(second, first)
+    steps = [step_batch(model, [random_batch(model, t, 5, seed=10 * s + t) for t in range(3)])
+             for s in range(2)]
+    runs = 1 if entry == "joint_gradient" else 3
+    stack = stack_runs(model, runs)
+    kept = joint_gradient(stack, steps[0])[0]
+    first = kept.rows.copy()
+    other = joint_gradient(stack_runs(model, runs), steps[1])[0]
+    assert not np.shares_memory(other.rows, kept.rows) and np.array_equal(kept.rows, first)
+    assert joint_gradient(stack, steps[1])[0] is kept
+    assert np.array_equal(kept.rows, other.rows) and not np.array_equal(kept.rows, first)
 
 
 def _per_task_heads(models, ordered, adapters=None):
@@ -214,7 +213,7 @@ def _per_task_heads(models, ordered, adapters=None):
     Row t is the adapter columns, then the head's; a one-task model runs its
     only head."""
     base = models[0]
-    features, caches = forward_features(base, np.stack([b.x for b in ordered]), adapters)
+    features, caches = fresh_forward(base, np.stack([b.x for b in ordered]), adapters)
     adapter_cols = base.layout.heads.start
     rows = np.zeros((len(ordered), adapter_cols + base.heads[0].size))
     delta = np.empty_like(features)
@@ -240,7 +239,7 @@ def _per_task_heads(models, ordered, adapters=None):
             g_out = g_out / n
         rows[t, adapter_cols:] = (g_out @ features[t].T).ravel()
         delta[t] = head.T @ g_out
-    _backprop_stack(base, caches, delta, rows)
+    fresh_backprop(base, caches, delta, rows)
     return rows, losses
 
 
@@ -272,7 +271,7 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         params += 0.1 * Rng(seed).standard_normal(params.shape)  # each run its own point
         adapters = [tuple(params[:, model.layout.blocks[f"L{i}.{role}"][0]].reshape(
                         len(kinds), *model.layout.blocks[f"L{i}.{role}"][1]) for role in "AB")
-                    for i in range(model.num_layers)]
+                    for i in range(len(model.layers))]
         rows, losses = _per_task_heads(stack.models, batches, adapters)
         grads, got_losses = joint_gradient(stack, step_batch(model, batches))
         got_rows = grads.rows
@@ -330,4 +329,4 @@ def test_a_model_has_one_adapter_scale():
         MultiTaskModel([first, rescaled], model.heads, list(model.kinds))
     # ranks and alphas may differ where their ratio does not
     rank1 = FrozenLayer(second.w0, init_adapter(4, 5, 1, 0.1, 1.0, Rng(0)))
-    assert MultiTaskModel([first, rank1], model.heads, list(model.kinds)).num_layers == 2
+    assert len(MultiTaskModel([first, rank1], model.heads, list(model.kinds)).layers) == 2

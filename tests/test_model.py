@@ -138,7 +138,7 @@ class TestTaskGradient:
         model = random_model(14, randomize_b=False)
         batch = random_batch(model, 0, 4, seed=3)
         g = task_gradient(model, batch)
-        for i in range(model.num_layers):
+        for i in range(len(model.layers)):
             a_grad = g.blocks[f"L{i}.A"]
             assert np.array_equal(a_grad, np.zeros_like(a_grad))
             fd = fd_gradient(model, batch, f"L{i}.A", h=1e-5)

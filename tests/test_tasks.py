@@ -234,13 +234,18 @@ def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
     stacked = step_batch(model, batches)
-    one_run = stack_runs(model, 1)
-    (got, got_losses), (want, want_losses) = (joint_gradient(one_run, b) for b in (step, stacked))
+    # a stack's rows hold until its next step: each call gets a stack of its own
+    (got, got_losses), (want, want_losses) = (joint_gradient(stack_runs(model, 1), b)
+                                              for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got.task_ids == want.task_ids
     assert got_losses == want_losses
-    runs = stack_runs(model, len(kinds))
-    runs.matrix += 0.1 * Rng(seed).standard_normal(runs.matrix.shape)
-    (got, got_losses), (want, want_losses) = (joint_gradient(runs, b) for b in (step, stacked))
+
+    def on_runs(batch):
+        runs = stack_runs(model, len(kinds))
+        runs.matrix += 0.1 * Rng(seed).standard_normal(runs.matrix.shape)
+        return joint_gradient(runs, batch)
+
+    (got, got_losses), (want, want_losses) = (on_runs(b) for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got_losses == want_losses
 
 

@@ -174,9 +174,9 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
     batches = [random_batch(model, t, 4, seed=90 + t) for t in range(3)]
     shapes = []
 
-    def merge_rows(grads):
+    def merge_rows(grads, out=None):
         shapes.append(("merge", grads.rows.shape))
-        return merge(grads)
+        return merge(grads, out=out)
 
     def adamw(params, grad, state, lr):
         shapes.append(("adamw", grad.shape, state.m is None))

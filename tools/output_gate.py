@@ -41,6 +41,11 @@ The gate configs are all built from this tree's configs/default.json:
                       a gradient row is as wide as the model's parameter
                       vector, SINGLE_TASK's stack has one row, and no mode
                       has a task pair to report.
+* batch-one         - the mixed-kind 2-layer config with batch_size 1, 6
+                      steps per epoch and 3 epochs, all four modes: every
+                      one-column product of a step goes through gemv, not
+                      gemm, whose bits may differ from a product over more
+                      columns.
 
 The sweep config is configs/default.json with 2 epochs.
 """
@@ -87,9 +92,11 @@ def gate_configs(default: dict) -> dict[str, dict]:
     one = copy.deepcopy(base)
     one["tasks"].update(num_tasks=1, conflict_level=0.0)
     one["schedule"]["epochs"] = 2
+    batch_one = copy.deepcopy(matrix)
+    batch_one["schedule"].update(epochs=3, batch_size=1, steps_per_epoch=6)
     return {"default": base, "many-tasks": many, "mixed-role-orig": role,
             "mixed-matrix-orig": matrix, "two-tasks-quiet": quiet, "reshuffle": reshuffle,
-            "one-task": one}
+            "one-task": one, "batch-one": batch_one}
 
 
 def sweep_config(default: dict) -> dict:
