@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``validate <config>``            - check a config file, write nothing
+* ``validate <config>``            - check a config file and build its task
+                                     set, write nothing
 * ``run <config> [--out DIR]``     - run all configured modes, write CSVs
 * ``sweep-rank <config> --ranks R...`` - JOINT vs structured-projection sweep;
                                      writes ``rank_sweep.csv``, then the
@@ -29,7 +30,11 @@ are not its ``sweep.json``'s (naming the file and the first line that
 differs), a missing or invalid ``config.json`` or ``sweep.json`` (naming the
 file and the field), a ``sweep.json`` rank its ``config.json`` rejects, a
 missing CSV, a mode directory the config does not list, and a mode directory
-beside a ``rank_sweep.csv``.
+beside a ``rank_sweep.csv``. ``validate`` and ``run`` build the config's
+task set first, and ``sweep-rank`` each seed's, and exit 2 on a label pool
+that no draw fills (naming the file, the task and the pool); ``run`` and
+``sweep-rank`` exit 2 on a run directory that is a file or lies under one
+(naming the file). Both are caught before anything is trained or written.
 Output root resolution: --out flag, then config.output_dir, then the
 ORTHO_LORA_OUT environment variable, then ./ortho_lora_runs; the config
 file's stem names the run subdirectory unless config.output_dir points at
@@ -67,7 +72,8 @@ from .reporting import (
     write_metrics,
     write_rank_rows,
 )
-from .trainer import run_count, run_experiment
+from .tasks import SyntheticTaskSet
+from .trainer import build_task_set, run_count, run_experiment
 
 ENV_OUT = "ORTHO_LORA_OUT"
 
@@ -99,16 +105,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_run_dir(config: ExperimentConfig, config_path: str, override: str | None) -> Path:
+    """The run directory; a ConfigError names it, or the file on its path,
+    when a file stands where a directory must."""
     if override:
-        return Path(override)
-    if config.output_dir:
-        return Path(config.output_dir)
-    root = os.environ.get(ENV_OUT) or "ortho_lora_runs"
-    return Path(root) / Path(config_path).stem
+        run_dir = Path(override)
+    elif config.output_dir:
+        run_dir = Path(config.output_dir)
+    else:
+        run_dir = Path(os.environ.get(ENV_OUT) or "ortho_lora_runs") / Path(config_path).stem
+    existing = next((p for p in (run_dir, *run_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"{existing}: a file, not a directory; choose another run directory")
+    return run_dir
+
+
+def _task_set(config: ExperimentConfig, config_path: str) -> SyntheticTaskSet:
+    """config's task set, or a ConfigError naming the file, the task and the
+    label pool that no draw filled."""
+    try:
+        return build_task_set(config)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
 
 
 def _cmd_validate(args) -> int:
-    load_config(args.config)
+    _task_set(load_config(args.config), args.config)
     print(f"{args.config}: ok")
     return 0
 
@@ -135,10 +156,11 @@ def _cmd_run(args) -> int:
         if other:
             raise ConfigError(f"{other[0]}: an adapter dump of another run, which this config "
                               "would not overwrite; choose another run directory")
+    task_set = _task_set(config, args.config)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / CONFIG_FILE)
 
-    result = run_experiment(config)
+    result = run_experiment(config, task_set)
     for mode, log in result.logs.items():
         mode_dir = run_dir / mode
         write_metrics(log, mode_dir)
@@ -153,6 +175,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
     sweep_configs(config, args.ranks, args.seeds)  # the sweep's inputs, before anything is written
+    for seed in range(config.seed, config.seed + args.seeds):  # the rank does not change a task set
+        _task_set(config.with_updates(seed=seed), args.config)
     run_dir = resolve_run_dir(config, args.config, args.out)
     modes = mode_dirs(run_dir)
     if modes:

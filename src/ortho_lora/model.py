@@ -30,11 +30,13 @@ gradient computed by ``np.matmul`` straight into a view of the (T, A + o*d)
 rows, the A adapter columns scaled by s once (a model's layers share one s).
 A stack builds what its step reuses, its ``StepBuffers``, on its first step
 and again on a batch of another shape, so a step's rows, projection and
-update hold until the next step on that stack. ``eval_metric``
-evaluates every task of a stack in one call through ``forward_features``,
-the one copy of the layer math, into a run's ``EvalPool`` buffers, built by
-``layer_buffers`` as a step's are. Gradient code writes no parameter; its
-one side effect is the backward_passes counter.
+update hold until the next step on that stack. ``forward_features`` is
+the training-time layer math, w0 h + s*b@(a h), whose a@h the backward pass
+reads. ``eval_metric`` evaluates every task of a stack in one call through
+each layer's merged weight w0 + s*b@a, built once per call, as a deployed
+LoRA layer runs: one product per layer, into a run's ``EvalPool`` buffers.
+Gradient code writes no parameter; its one side effect is the
+backward_passes counter.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ class StepBuffers:
 
 def layer_buffers(model: MultiTaskModel, lead: tuple[int, ...], n: int) -> list[tuple]:
     """One (a@h, z, b@a@h) triple of output arrays per layer of model, for
-    lead + (k, n) inputs: an EvalPool's, lead (), or a step's, lead (T,)."""
+    lead + (k, n) inputs: a step's, lead (T,), or one forward's, lead ()."""
     return [tuple(np.empty((*lead, size, n)) for size in (layer.adapter.rank, len(layer.w0), len(layer.w0)))
             for layer in model.layers]
 
@@ -524,13 +526,13 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
 @dataclass(eq=False)
 class EvalPool:
     """Held-out batches of a model's tasks, checked once, and the activation and
-    output buffers that each ``eval_metric`` call on it reuses; kinds are the
-    model's task kinds. A run builds one with ``of``, so the buffers live as
-    long as the run."""
+    output buffers that each ``eval_metric`` call on it reuses: one (d, n) z
+    per layer and the (o, n) head output; kinds are the model's task kinds. A
+    run builds one with ``of``, so the buffers live as long as the run."""
 
     batches: list[TaskBatch]
     kinds: list[str]
-    buffers: list[tuple[Matrix, Matrix, Matrix]] = field(repr=False)
+    z: list[Matrix] = field(repr=False)
     out: Matrix = field(repr=False)
 
     @classmethod
@@ -546,7 +548,21 @@ class EvalPool:
         for batch in batches:
             _check_input(model, batch.x.shape)
         n = batches[0].x.shape[-1]
-        return cls(batches, model.kinds, layer_buffers(model, (), n), np.empty((model.out_dim, n)))
+        return cls(batches, model.kinds, [np.empty((len(layer.w0), n)) for layer in model.layers],
+                   np.empty((model.out_dim, n)))
+
+
+def _merged_weights(stack: ParamStack) -> list[np.ndarray]:
+    """Each layer's (R, d, k) merged weights w0 + s*b@a, one per run of stack:
+    one batched product per layer, then the scale and the add in place."""
+    scale = stack.models[0].layers[0].adapter.scale
+    weights = []
+    for layer, (a, b) in zip(stack.models[0].layers, stack.adapters):
+        w = np.matmul(b, a)
+        w *= scale
+        w += layer.w0
+        weights.append(w)
+    return weights
 
 
 def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
@@ -555,18 +571,27 @@ def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
 
     The batch of task t runs through run t // H of the stack and head t, so
     one call evaluates a mode. The runs have the layer shapes of the model
-    the pool was built for, and its task kinds. Each batch runs its own
-    (k, n) forward into the pool's buffers.
+    the pool was built for, and its task kinds. Eval runs the adapters
+    merged, as a deployed LoRA layer does: the call builds every run's
+    merged weights once, and each batch's (k, n) forward is one product per
+    layer, tanh((w0 + s*b@a) h), into the pool's buffers. Its bits are those
+    of the merged product, not of the step's w0 h + s*b@(a h).
     """
     kinds = [kind for model in stack.models for kind in model.kinds]
     if kinds != pool.kinds:
         raise ParameterError(f"the stack's heads are not of the eval pool's kinds {pool.kinds}")
     per_run = len(kinds) // len(stack.models)
     metrics, out = [], pool.out
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _merged_weights(stack)
     for batch in pool.batches:
-        features = forward_features(stack.models[batch.task_id // per_run], batch.x,
-                                    buffers=pool.buffers)
-        np.matmul(stack.heads[batch.task_id], features, out=out)
+        run, h = batch.task_id // per_run, batch.x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (w, z) in enumerate(zip(weights, pool.z)):
+                np.matmul(w[run], h, out=z)
+                _check_finite(z, f"layer {i}")
+                h = np.tanh(z, out=z)
+        np.matmul(stack.heads[batch.task_id], h, out=out)
         _check_finite(out, f"head {batch.task_id}")
         if kinds[batch.task_id] == CLASSIFICATION:
             metrics.append(np.count_nonzero(out.argmax(axis=0) == batch.y) / len(batch.y))

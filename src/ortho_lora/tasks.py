@@ -20,7 +20,10 @@ of a pool) are retried on an incremented substream; the bump count is part
 of no other stream, so unaffected tasks keep their data. Note that a pure
 rank-1 teacher (shared_scale=0) realizes at most two argmax labels (one
 at conflict_level=0): ``config_from_dict`` rejects more classes without
-noise, and a pool too small for out_dim classes of MIN_CLASS_FRACTION.
+noise, and a pool too small for out_dim classes of MIN_CLASS_FRACTION. A
+pool that some draw could fill but none of MAX_LABEL_RETRIES does raises a
+ConfigError naming the task and the pool that fell short, so the CLI
+builds the task set before it writes anything.
 
 ``make_conflict_set`` reads the config's ``tasks`` section as
 ``config_from_dict`` checked it, and checks none of its values again.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .config import CLASSIFICATION, MIN_CLASS_FRACTION, REGRESSION, TasksConfig
 from .dense import Matrix, Rng
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .model import StepBatch, TaskBatch, _stacked_targets
 
 MAX_LABEL_RETRIES = 100
@@ -108,22 +111,27 @@ def _teachers(tasks: TasksConfig, rng: Rng) -> list[Matrix]:
 
 
 def _labels_balanced(logits_fn, n_train: int, n_eval: int, in_dim: int, classes: int,
-                     stream: Rng) -> tuple[Matrix, np.ndarray]:
+                     stream: Rng, task: int) -> tuple[Matrix, np.ndarray]:
     """Draw inputs and argmax labels, retrying on a bumped substream when a
-    class falls under MIN_CLASS_FRACTION of either pool."""
+    class falls under MIN_CLASS_FRACTION of either pool. When no attempt
+    fills both, a ConfigError names the task and each pool that fell short."""
     n = n_train + n_eval
+    short_train = short_eval = 0  # the attempts in which each pool fell short
     for attempt in range(MAX_LABEL_RETRIES):
         r = stream.child(attempt)
         x = r.standard_normal((in_dim, n))
         labels = logits_fn(x, r).argmax(axis=0)
-        train_counts = np.bincount(labels[:n_train], minlength=classes)
-        eval_counts = np.bincount(labels[n_train:], minlength=classes)
-        if (train_counts.min() >= MIN_CLASS_FRACTION * n_train
-                and eval_counts.min() >= MIN_CLASS_FRACTION * n_eval):
+        train_ok = np.bincount(labels[:n_train], minlength=classes).min() >= MIN_CLASS_FRACTION * n_train
+        eval_ok = np.bincount(labels[n_train:], minlength=classes).min() >= MIN_CLASS_FRACTION * n_eval
+        if train_ok and eval_ok:
             return x, labels.astype(np.int64)
-    raise ParameterError(
-        f"could not draw a label pool with every class >= {MIN_CLASS_FRACTION:.0%} "
-        f"after {MAX_LABEL_RETRIES} attempts"
+        short_train += not train_ok
+        short_eval += not eval_ok
+    pools = ", ".join(f"tasks.{name} ({size} examples) {count} times" for name, size, count
+                      in (("n_train", n_train, short_train), ("n_eval", n_eval, short_eval)) if count)
+    raise ConfigError(
+        f"config.tasks: could not draw task {task}'s labels with each of {classes} classes "
+        f">= {MIN_CLASS_FRACTION:.0%} of its pool in {MAX_LABEL_RETRIES} attempts; short: {pools}"
     )
 
 
@@ -156,7 +164,7 @@ def make_conflict_set(tasks: TasksConfig, rng: Rng) -> SyntheticTaskSet:
                     z = z + noise_sigma * r.standard_normal(z.shape)
                 return z
 
-            x, y = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream)
+            x, y = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream, t)
         train.x[...] = x[:, :n_train]
         train.y[...] = y[..., :n_train]
         task_set.eval.append(TaskBatch(t, x[:, n_train:].copy(), y[..., n_train:].copy()))

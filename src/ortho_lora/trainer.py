@@ -260,9 +260,12 @@ def run_mode(config: ExperimentConfig, mode: str,
     return log, stack.models
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run every configured mode on the same task set, model init and batches."""
-    task_set = build_task_set(config)
+def run_experiment(config: ExperimentConfig,
+                   task_set: SyntheticTaskSet | None = None) -> ExperimentResult:
+    """Run every configured mode on the same task set (config's own unless
+    given), model init and batches."""
+    if task_set is None:
+        task_set = build_task_set(config)
     logs: dict[str, MetricsLog] = {}
     models: dict[str, list[MultiTaskModel]] = {}
     for mode in config.modes:

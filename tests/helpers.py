@@ -120,21 +120,27 @@ def predict(model, task_id, x):
     return out
 
 
-def reference_metric(model, batch):
-    """One task's eval written out on its own: a fresh forward with no output
-    buffers, the task's head (a one-task model's only head), then MSE or
-    accuracy; the same products and the same NumericError messages as
-    eval_metric."""
-    own = 0 if model.num_tasks == 1 else batch.task_id
-    h = batch.x
+def merged_features(model, x):
+    """The features of the inputs x through each layer's merged weight
+    w0 + s*b@a, one fresh product per layer, written out apart from
+    eval_metric with the same bits, and its NumericError naming the layer."""
+    h = x
     for i, layer in enumerate(model.layers):
         ad = layer.adapter
         with np.errstate(over="ignore", invalid="ignore"):
-            z = layer.w0 @ h + ad.scale * (ad.b @ (ad.a @ h))
+            z = (layer.w0 + ad.scale * (ad.b @ ad.a)) @ h
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations at layer {i}")
         h = np.tanh(z)
-    out = model.heads[own] @ h
+    return h
+
+
+def reference_metric(model, batch):
+    """One task's eval written out on its own: ``merged_features`` with no
+    output buffers, the task's head (a one-task model's only head), then MSE
+    or accuracy; the bits and the NumericError messages of eval_metric."""
+    own = 0 if model.num_tasks == 1 else batch.task_id
+    out = model.heads[own] @ merged_features(model, batch.x)
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite activations at head {batch.task_id}")
     if model.kinds[own] == CLASSIFICATION:

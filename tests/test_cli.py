@@ -60,13 +60,32 @@ def test_bad_config_field_names_the_file_and_field(tmp_path, capsys, monkeypatch
                                           "teacher of at most 2 argmax labels, not out_dim=3 classes"),
 ], ids=["eval pool", "rank-1 teacher"])
 def test_validate_rejects_a_label_pool_that_cannot_be_drawn(tmp_path, capsys, tasks, message):
-    # run would retry the draw MAX_LABEL_RETRIES times and fail naming no field
+    # no draw can fill these pools, so the config itself is rejected, naming the field
     raw = json.loads(write_config(tmp_path / "good.json").read_text())
     raw["tasks"].update(tasks)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(raw))
     assert run_cli(["validate", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep-rank"])
+def test_a_label_pool_no_draw_fills_exits_2_naming_the_task_and_pool(tmp_path, capsys, command):
+    # configs/default.json as 8 classes with 8 held-out examples: one example
+    # per class is possible, so the config loads, but no draw ever holds it
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    raw["tasks"].update(kind="classification", out_dim=8, n_eval=8)
+    cfg = tmp_path / "rare.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    flags = {"validate": [], "run": ["--out", str(out)],
+             "sweep-rank": ["--ranks", "2", "--seeds", "1", "--out", str(out)]}[command]
+    assert run_cli([command, str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: config.tasks: could not draw task 0's labels with each "
+                          "of 8 classes >= 10% of its pool in 100 attempts; short: ")
+    assert "tasks.n_eval (8 examples) 100 times" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_validate_missing_file_exits_2(tmp_path, capsys):
@@ -99,8 +118,8 @@ def test_run_writes_expected_files(tmp_path, capsys):
 def test_every_adapter_dump_of_a_run_loads_back_bit_for_bit(tmp_path, capsys, monkeypatch):
     results = []
 
-    def run_and_keep(config):
-        results.append(run_experiment(config))
+    def run_and_keep(config, task_set):
+        results.append(run_experiment(config, task_set))
         return results[-1]
 
     monkeypatch.setattr("ortho_lora.cli.run_experiment", run_and_keep)
@@ -264,14 +283,24 @@ def test_summarize_directory_named_after_no_mode_exits_2(tmp_path, capsys):
                           "SINGLE_TASK, JOINT") and "Traceback" not in err
 
 
-def test_run_out_an_existing_file_exits_1(tmp_path, capsys):
-    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+@pytest.mark.parametrize("command", ["run", "sweep-rank"])
+@pytest.mark.parametrize("under", [False, True], ids=["the file", "under the file"])
+@pytest.mark.parametrize("source", ["--out", "output_dir"])
+def test_a_run_directory_on_an_existing_file_exits_2_naming_the_file(
+        tmp_path, capsys, command, under, source):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
-    assert run_cli(["run", str(cfg), "--out", str(taken)]) == 1
+    run_dir = taken / "sub" if under else taken
+    if source == "--out":
+        cfg, flags = write_config(tmp_path / "exp.json", modes=["JOINT"]), ["--out", str(run_dir)]
+    else:
+        cfg, flags = write_config(tmp_path / "exp.json", modes=["JOINT"], output_dir=str(run_dir)), []
+    sweep = ["--ranks", "2", "--seeds", "1"] if command == "sweep-rank" else []
+    assert run_cli([command, str(cfg), *sweep, *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err == f"error: {taken}: a file, not a directory; choose another run directory\n"
     assert taken.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "taken"]
 
 
 def test_run_into_a_directory_of_another_run_exits_2_before_writing(tmp_path, capsys):

@@ -10,6 +10,7 @@ from helpers import (
     fd_gradient,
     generator,
     joint_loss,
+    merged_features,
     predict,
     random_batch,
     random_model,
@@ -26,6 +27,7 @@ from ortho_lora.model import (
     REGRESSION,
     EvalPool,
     TaskBatch,
+    _merged_weights,
     build_model,
     eval_metric,
     joint_gradient,
@@ -235,9 +237,10 @@ def _eval_stack(model, stacked, seed):
 
 class TestEvalMetric:
     def test_perfect_regression_mse_zero(self):
+        # targets from the merged forward, which eval runs bit for bit
         model = random_model(23, randomize_b=True)
         x = Rng(4).standard_normal((model.in_dim, 6))
-        batches = [TaskBatch(0, x, predict(model, 0, x))]
+        batches = [TaskBatch(0, x, model.heads[0] @ merged_features(model, x))]
         assert eval_metric(stack_runs(model, 1), EvalPool.of(batches, model)) == [0.0]
 
     def test_classification_accuracy_of_own_argmax(self):
@@ -269,6 +272,49 @@ class TestEvalMetric:
         batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
         assert eval_metric(stack, EvalPool.of(batches, model)) == [
             reference_metric(stack.models[r], b) for r, b in zip(runs, batches)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=1, max_size=8),
+           dims=st.lists(st.integers(2, 8), min_size=2, max_size=4), out_dim=st.integers(2, 4),
+           n=st.integers(1, 40), stacked=st.booleans(), seed=st.integers(0, 2**16))
+    def test_merged_form_is_within_rounding_of_the_step_forward(self, kinds, dims, out_dim, n,
+                                                                stacked, seed):
+        # (w0 + s*b@a) h and w0 h + s*b@(a h) round apart, by ulps: each
+        # regression MSE is within 1e-12 of the predict-based one, and each
+        # accuracy equal where no two logits of an example are near a tie
+        model = random_model(seed, layer_dims=dims, rank=min(2, *dims), kinds=kinds,
+                             out_dim=out_dim, randomize_b=True)
+        stack, runs = _eval_stack(model, stacked, seed)
+        batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
+        got = eval_metric(stack, EvalPool.of(batches, model))
+        for metric, r, batch in zip(got, runs, batches):
+            run = stack.models[r]
+            out = predict(run, 0 if run.num_tasks == 1 else batch.task_id, batch.x)
+            if kinds[batch.task_id] == REGRESSION:
+                assert metric == pytest.approx(float(np.mean((out - batch.y) ** 2)), rel=1e-12, abs=0)
+            else:
+                top2 = np.sort(out, axis=0)[-2:]
+                if (top2[1] - top2[0] > 1e-9 * (1 + np.abs(top2[1]))).all():
+                    assert metric == float(np.mean(out.argmax(axis=0) == batch.y))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    def test_fresh_adapters_merge_to_the_backbone_bit_for_bit(self, stacked):
+        # b = 0 makes w0 + s*b@a exactly w0, so an epoch-0 eval is the
+        # backbone's own, as criterion 04 holds for the step's forward
+        model = random_model(33, layer_dims=(6, 5, 4), sigma=0.5, kinds=[REGRESSION, CLASSIFICATION] * 2)
+        stack = stack_runs(model, 4 if stacked else 1)
+        for layer, weights in zip(model.layers, _merged_weights(stack)):
+            assert all(w.tobytes() == layer.w0.tobytes() for w in weights)
+        batches = [random_batch(model, t, 7, seed=100 + t) for t in range(4)]
+        want = []
+        for batch in batches:
+            h = batch.x
+            for layer in model.layers:
+                h = np.tanh(layer.w0 @ h)
+            out = stack.heads[batch.task_id] @ h
+            want.append(float(np.mean(out.argmax(axis=0) == batch.y)) if batch.y.ndim == 1
+                        else float(np.mean((out - batch.y) ** 2)))
+        assert eval_metric(stack, EvalPool.of(batches, model)) == want
 
     @pytest.mark.parametrize("where", ["layer 1", "head 1"])
     def test_non_finite_names_the_layer_or_head(self, where):

@@ -15,7 +15,7 @@ from helpers import (
 
 from ortho_lora.config import config_from_dict
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError
+from ortho_lora.errors import ConfigError, ParameterError
 from ortho_lora.model import (
     CLASSIFICATION,
     PER_MATRIX,
@@ -261,6 +261,13 @@ def test_subset_batch_rejects_bad_index_block(idx, match):
     ts = conflict_set([REGRESSION, CLASSIFICATION], 3, 2, 0.5, 0.0, 8, 2, Rng(14))
     with pytest.raises(ParameterError, match=match):
         subset_batch(ts.train_pool, idx)
+
+
+def test_a_label_pool_no_draw_fills_names_the_task_and_the_short_pool():
+    # 8 classes in 8 training examples is one example each: possible, never drawn
+    with pytest.raises(ConfigError, match=r"could not draw task 1's labels with each of 8 classes "
+                                          r">= 10% .* short: tasks\.n_train \(8 examples\) 100 times"):
+        conflict_set([REGRESSION, CLASSIFICATION], 6, 8, 0.5, 1.0, 8, 200, Rng(0))
 
 
 def test_dump_csv(tmp_path):

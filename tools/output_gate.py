@@ -17,9 +17,14 @@ every file and every summary is identical, 1 after listing the files or
 summaries that differ or that only one tree wrote, and 2 on a usage error
 or a revision git cannot export. Under each differing summary it prints
 the two exit codes if they differ and the first stdout line that differs,
-as each tree printed it, so that a summary changed by design can be
-reviewed from the gate's output alone. On SIGTERM it exits 143 after killing the
-running ``ortho-lora`` process and removing its temporary directory.
+as each tree printed it. Under each differing CSV it prints the first line
+that differs, as each tree wrote it, and, when the two files have the same
+rows (the same cells wherever a cell is not a number), the largest relative
+difference over their number cells and where it is (``csv_difference``).
+This is a report, not a tolerance: any difference still fails the gate.
+A summary or a CSV changed by design can then be reviewed from the gate's
+output alone. On SIGTERM it exits 143 after killing the running
+``ortho-lora`` process and removing its temporary directory.
 
 The gate configs are all built from this tree's configs/default.json:
 
@@ -54,7 +59,10 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -160,6 +168,17 @@ def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]
     return out
 
 
+def first_line_difference(parent: str, this: str, end: str) -> list[str]:
+    """The first line that differs between two texts, from each, line ends
+    shown, and end where one text has no more lines; none when they are equal."""
+    lines = zip_longest(parent.splitlines(keepends=True), this.splitlines(keepends=True))
+    for number, (old, new) in enumerate(lines, 1):
+        if old != new:
+            return [f"line {number} parent: {end if old is None else repr(old)}",
+                    f"line {number} this:   {end if new is None else repr(new)}"]
+    return []
+
+
 def summary_difference(parent: tuple[int, str] | None, this: tuple[int, str] | None) -> list[str]:
     """Where two trees' (exit code, stdout) summaries of one run directory
     differ: that only one tree has it, or the exit codes if they differ and
@@ -167,12 +186,54 @@ def summary_difference(parent: tuple[int, str] | None, this: tuple[int, str] | N
     if parent is None or this is None:
         return [f"only the {'parent' if this is None else 'this'} tree printed it"]
     notes = [] if parent[0] == this[0] else [f"exit code: parent {parent[0]}, this {this[0]}"]
-    lines = zip_longest(parent[1].splitlines(keepends=True), this[1].splitlines(keepends=True))
-    for number, (old, new) in enumerate(lines, 1):
-        if old != new:
-            notes += [f"line {number} parent: {'end of output' if old is None else repr(old)}",
-                      f"line {number} this:   {'end of output' if new is None else repr(new)}"]
-            break
+    return notes + first_line_difference(parent[1], this[1], "end of output")
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude: 0 for equal values, and inf for
+    unequal ones of which either is not finite (a NaN equals nothing)."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def csv_difference(parent: str, this: str) -> list[str]:
+    """Where two trees' texts of one CSV differ: the first line that differs,
+    from each tree, line ends shown. When both have the same rows (as many
+    lines, as many cells in each, and the same text in every cell that is
+    not a number in both), also the largest relative difference over the
+    number cells, with its line and column. A report, not a tolerance: the
+    files still differ. Equal texts have no notes."""
+    notes = first_line_difference(parent, this, "end of file")
+    if not notes:
+        return notes
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (parent, this))
+    if len(old_rows) != len(new_rows) or any(len(o) != len(n) for o, n in zip(old_rows, new_rows)):
+        return notes
+    largest, where, cells = 0.0, None, 0
+    for number, (old, new) in enumerate(zip(old_rows, new_rows), 1):
+        for column, (a, b) in enumerate(zip(old, new)):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b:
+                    return notes
+                continue
+            cells += 1
+            rel = 0.0 if a == b else relative_difference(x, y)
+            if where is None or rel > largest:
+                largest, where = rel, (number, column)
+    if where is not None:
+        notes.append(f"same rows; largest relative difference over {cells} number cells: "
+                     f"{largest:.3g} (line {where[0]}, column {old_rows[0][where[1]]})")
     return notes
 
 
@@ -205,9 +266,13 @@ def main(argv: list[str]) -> int:
         pairs = [(rel, runs["parent"] / rel, runs["this"] / rel)
                  for rel in sorted(files["parent"] & files["this"])]
         pairs.append((RANK_FILE, sweeps["parent"] / RANK_FILE, sweeps["this"] / RANK_FILE))
+        notes = {}  # the differing CSVs' csv_difference, read before tmp goes
         for rel, parent, this in pairs:
             if subprocess.run(["cmp", "-s", str(parent), str(this)]).returncode != 0:
                 differ.append(rel)
+                if rel.suffix == ".csv":
+                    notes[rel] = csv_difference(parent.read_text(encoding="utf-8"),
+                                                this.read_text(encoding="utf-8"))
     compared = len(files["parent"] | files["this"]) + 1  # and the sweep's rank_sweep.csv
     run_names = sorted(summaries["parent"].keys() | summaries["this"].keys())
     summaries_differ = [name for name in run_names
@@ -217,6 +282,8 @@ def main(argv: list[str]) -> int:
               f"{len(summaries_differ)} of {len(run_names)} summaries differ")
         for rel in sorted(differ):
             print(f"  {rel}")
+            for note in notes.get(rel, []):
+                print(f"    {note}")
         for name in summaries_differ:
             print(f"  summarize {name}")
             for note in summary_difference(summaries["parent"].get(name),
