@@ -4,8 +4,9 @@ An adapter holds the trainable pair (a, b) next to a frozen base weight w0:
 the effective weight is ``w0 + (alpha / rank) * b @ a``. A fresh adapter has
 b identically zero, so a freshly adapted layer computes exactly what the
 frozen layer computes. Setting alpha equal to rank removes the scale factor.
-The training forward is ``model.forward_features``; ``model.eval_metric``
-runs each layer through its effective weight, merged once per call.
+The training forward runs inside ``model.joint_gradient``, as w0 h +
+s*b@(a h); ``model.eval_metric`` runs each layer through its effective
+weight, merged once per call.
 
 A dump's fields are declared once, as ``AdapterRecord`` in config's field
 metadata: ``save_adapter`` writes one and ``load_adapter`` reads one with

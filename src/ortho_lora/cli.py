@@ -15,7 +15,8 @@ Subcommands:
                                      directory, read against its ``sweep.json``
                                      and ``config.json``
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error
+Exit codes: 0 success, 1 runtime failure (a ``MemoryError`` too: a config
+whose arrays do not fit in memory), 2 usage or validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or a
 ``--seeds`` below 1 or whose last seed the config rejects, caught before the
 run directory is made, and a ``run`` directory that already holds a mode
@@ -31,7 +32,8 @@ differs), a missing or invalid ``config.json`` or ``sweep.json`` (naming the
 file and the field), a ``sweep.json`` rank its ``config.json`` rejects, a
 missing CSV, a mode directory the config does not list, and a mode directory
 beside a ``rank_sweep.csv``. ``validate`` and ``run`` build the config's
-task set first, and ``sweep-rank`` each seed's, and exit 2 on a label pool
+task set first, and ``sweep-rank`` each seed's (which every rank of that
+seed then trains on), and exit 2 on a label pool
 that no draw fills (naming the file, the task and the pool); ``run`` and
 ``sweep-rank`` exit 2 on a run directory that is a file or lies under one
 (naming the file). Both are caught before anything is trained or written.
@@ -175,14 +177,14 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_rank(args) -> int:
     config = load_config(args.config)
     sweep_configs(config, args.ranks, args.seeds)  # the sweep's inputs, before anything is written
-    for seed in range(config.seed, config.seed + args.seeds):  # the rank does not change a task set
-        _task_set(config.with_updates(seed=seed), args.config)
+    task_sets = [_task_set(config.with_updates(seed=seed), args.config)  # one per seed, for every rank
+                 for seed in range(config.seed, config.seed + args.seeds)]
     run_dir = resolve_run_dir(config, args.config, args.out)
     modes = mode_dirs(run_dir)
     if modes:
         raise ConfigError(f"{modes[0]}: a mode directory of a run; choose another sweep directory")
     run_dir.mkdir(parents=True, exist_ok=True)
-    rows = rank_sweep(config, args.ranks, num_seeds=args.seeds)
+    rows = rank_sweep(config, args.ranks, task_sets)
     write_rank_rows(rows, run_dir / RANK_FILE)
     save_config(config, run_dir / CONFIG_FILE)  # written last: they describe the table
     save_sweep(SweepRecord(sorted(args.ranks), args.seeds), run_dir / SWEEP_FILE)
@@ -217,7 +219,7 @@ def run_cli(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OrthoLoraError, OSError) as exc:
+    except (OrthoLoraError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,6 +51,9 @@ _TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), bool: (bool, "a boolean")}
 _BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # operator names and their signs
 _POSITIVE_INT = {"type": int, "ge": 1}
+# the bound of every integer field that declares no "le" of its own (all but
+# seed): an int64, so no size or count reaches numpy past what it can hold
+MAX_INT = 2**63 - 1
 _MODE = {"type": str, "choices": VALID_MODES}
 _KIND = {"type": str, "choices": (REGRESSION, CLASSIFICATION)}
 
@@ -69,6 +72,8 @@ def _check(value, path: str, spec):
     accepts, noun = _TYPES[spec["type"]]
     if isinstance(value, bool) is not (spec["type"] is bool) or not isinstance(value, accepts):
         raise ConfigError(f"{path}: expected {spec.get('noun', noun)}, got {value!r}")
+    if spec["type"] is int:
+        spec = {"le": MAX_INT, **spec}
     if spec["type"] is float:
         try:
             value = float(value)

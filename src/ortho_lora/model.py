@@ -30,8 +30,8 @@ gradient computed by ``np.matmul`` straight into a view of the (T, A + o*d)
 rows, the A adapter columns scaled by s once (a model's layers share one s).
 A stack builds what its step reuses, its ``StepBuffers``, on its first step
 and again on a batch of another shape, so a step's rows, projection and
-update hold until the next step on that stack. ``forward_features`` is
-the training-time layer math, w0 h + s*b@(a h), whose a@h the backward pass
+update hold until the next step on that stack; the step's forward is the
+training-time layer math, w0 h + s*b@(a h), whose a@h the backward pass
 reads. ``eval_metric`` evaluates every task of a stack in one call through
 each layer's merged weight w0 + s*b@a, built once per call, as a deployed
 LoRA layer runs: one product per layer, into a run's ``EvalPool`` buffers.
@@ -262,46 +262,34 @@ class ParamStack:
 
 class StepBuffers:
     """What every step of a stack reuses, for one (T, k, n) input shape:
-    forward[i] is layer i's ``layer_buffers``, backward[i] the transposes of
-    w0, the stack's a and b, a@h and the layer input (None: the step's x)
-    that its backward pass reads, then its A and B views of the rows; grads
-    holds the rows, with (T, o, d) head and (T, A) adapter views. projected
-    is surgery's output, update merge's (None for one-head runs)."""
+    forward[i] is layer i's w0, the stack's (R, r, k) a and (R, d, r) b
+    views, then its (T, r, n) a@h, (T, d, n) z and b@a@h output arrays;
+    backward[i] the transposes of w0, a, b, a@h and the layer input (None:
+    the step's x) that its backward pass reads, then its A and B views of
+    the rows; grads holds the rows, with (T, o, d) head and (T, A) adapter
+    views. projected is surgery's output, update merge's: the (1, P) update
+    of one run of T heads (None for one-head runs)."""
 
     def __init__(self, stack: ParamStack, shape: tuple[int, ...]):
         model, tasks, layout = stack.models[0], len(stack.heads), stack.models[0].layout
         _check_input(model, shape)
-        self.shape, self.scale = shape, model.layers[0].adapter.scale
-        self.forward = forward = layer_buffers(model, shape[:-2], shape[-1])
+        self.shape, self.scale, n = shape, model.layers[0].adapter.scale, shape[-1]
+        self.forward = forward = [
+            (layer.w0, a, b, np.empty((tasks, a.shape[1], n)), *np.empty((2, tasks, len(layer.w0), n)))
+            for layer, (a, b) in zip(model.layers, stack.adapters)]
         rows = np.empty((tasks, layout.heads.start + stack.heads[0].size))
-        self.backward = [(layer.w0.T, a.swapaxes(1, 2), b.swapaxes(1, 2), ah.swapaxes(1, 2),
-                          forward[i - 1][1].swapaxes(1, 2) if i else None,
+        self.backward = [(w0.T, a.swapaxes(1, 2), b.swapaxes(1, 2), ah.swapaxes(1, 2),
+                          forward[i - 1][4].swapaxes(1, 2) if i else None,
                           rows[:, layout.a[i]].reshape(tasks, *a.shape[1:]),
                           rows[:, layout.b[i]].reshape(tasks, *b.shape[1:]))
-                         for i, (layer, (a, b), (ah, _, _))
-                         in enumerate(zip(model.layers, stack.adapters, forward))]
-        self.out = np.empty((tasks, model.out_dim, shape[-1]))
-        self.heads_t, self.features_t = stack.heads.swapaxes(1, 2), forward[-1][1].swapaxes(1, 2)
+                         for i, (w0, a, b, ah, _, _) in enumerate(forward)]
+        self.out = np.empty((tasks, model.out_dim, n))
+        self.heads_t, self.features_t = stack.heads.swapaxes(1, 2), forward[-1][4].swapaxes(1, 2)
         self.grads = GradientStack(stack.task_ids, rows, layout)
         self.head_grads = rows[:, layout.heads.start:].reshape(stack.heads.shape)
         self.adapter_grads = rows[:, :layout.heads.start]
         self.projected = GradientStack(stack.task_ids, np.empty_like(rows), layout)
-        self.update = None if layout.num_tasks == 1 else update_buffers(layout)
-
-
-def layer_buffers(model: MultiTaskModel, lead: tuple[int, ...], n: int) -> list[tuple]:
-    """One (a@h, z, b@a@h) triple of output arrays per layer of model, for
-    lead + (k, n) inputs: a step's, lead (T,), or one forward's, lead ()."""
-    return [tuple(np.empty((*lead, size, n)) for size in (layer.adapter.rank, len(layer.w0), len(layer.w0)))
-            for layer in model.layers]
-
-
-def update_buffers(layout: Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """merge's (1, P) update of one run of layout's T heads, with its adapter
-    columns' (A,) view and its heads' (T, o*d) view."""
-    update = np.empty((1, layout.size))
-    return (update, update[0, :layout.heads.start],
-            update[0, layout.heads].reshape(layout.num_tasks, -1))
+        self.update = np.empty((1, layout.size)) if layout.num_tasks > 1 else None
 
 
 def stack_runs(base: MultiTaskModel, runs: int) -> ParamStack:
@@ -361,36 +349,6 @@ def _check_finite(arr: Matrix, where: str) -> None:
 def _check_input(model: MultiTaskModel, shape: tuple[int, ...]) -> None:
     if shape[-2:-1] != (model.in_dim,):
         raise ShapeError(f"input {shape} does not match model input dim {model.in_dim}")
-
-
-def forward_features(model: MultiTaskModel, x: Matrix,
-                     adapters: list[tuple[Matrix, Matrix]] | None = None,
-                     buffers: list[tuple[Matrix, Matrix, Matrix]] | None = None) -> Matrix:
-    """tanh((w0 + s*b@a) h) through the stack; returns the features.
-
-    x is (k, n), or (T, k, n) for T batches at once. adapters, one (a, b)
-    pair per layer, replaces the model's own: a stack's (R, r, k) and
-    (R, d, r) views, R = 1 or T, run its R runs at once on a (T, k, n)
-    input. buffers, ``layer_buffers`` built for x's shape, receives each
-    layer's products, its z array the layer's output; without them x's
-    shape is checked and fresh ones are built.
-    """
-    if adapters is None:
-        adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
-    if buffers is None:
-        _check_input(model, x.shape)
-        buffers = layer_buffers(model, x.shape[:-2], x.shape[-1])
-    h = x
-    for i, (layer, (a, b), (ah, z, low)) in enumerate(zip(model.layers, adapters, buffers)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(a, h, out=ah)
-            np.matmul(layer.w0, h, out=z)
-            np.matmul(b, ah, out=low)
-            low *= layer.adapter.scale
-            z += low
-        _check_finite(z, f"layer {i}")
-        h = np.tanh(z, out=z)
-    return h
 
 
 def _stacked_targets(kinds: list[str], out_dim: int,
@@ -488,25 +446,34 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
     """Every task's gradient and loss from one forward and one backward pass.
 
     Each run's adapters run over its tasks' batches of the step, as the
-    stack's (R, r, k) and (R, d, r) views; rows and losses are in task order,
-    row t the adapter columns of task t's run, then head t, in stack.step's
-    rows. The backward pass writes each layer's d(loss)/d(output) over its
-    b@a@h buffer, dz over its z and b^T dz over its a@h, once it is done
-    with each.
+    stack's (R, r, k) and (R, d, r) views; each layer's forward is the
+    training-time tanh(w0 h + s*b@(a h)) into stack.step's buffers, whose
+    a@h the backward pass reads. Rows and losses are in task order, row t
+    the adapter columns of task t's run, then head t, in stack.step's rows.
+    The backward pass writes each layer's d(loss)/d(output) over its b@a@h
+    buffer, dz over its z and b^T dz over its a@h, once it is done with each.
     """
     if stack.step is None or stack.step.shape != batch.x.shape:
         stack.step = StepBuffers(stack, batch.x.shape)
-    step = stack.step
-    features = forward_features(stack.models[0], batch.x, stack.adapters, step.forward)
-    out = np.matmul(stack.heads, features, out=step.out)
+    step, h = stack.step, batch.x
+    for i, (w0, a, b, ah, z, low) in enumerate(step.forward):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(a, h, out=ah)
+            np.matmul(w0, h, out=z)
+            np.matmul(b, ah, out=low)
+            low *= step.scale
+            z += low
+        _check_finite(z, f"layer {i}")
+        h = np.tanh(z, out=z)
+    out = np.matmul(stack.heads, h, out=step.out)
     if not np.isfinite(out).all():
         finite = np.isfinite(out).all(axis=(1, 2))
         raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
     losses, g_out = _losses(out, batch.targets)
     np.matmul(g_out, step.features_t, out=step.head_grads)
-    np.matmul(step.heads_t, g_out, out=step.forward[-1][2])
+    np.matmul(step.heads_t, g_out, out=step.forward[-1][5])
     for i in reversed(range(len(step.forward))):
-        ah, dz, delta_h = step.forward[i]
+        ah, dz, delta_h = step.forward[i][3:]
         w0_t, a_t, b_t, ah_t, h_in_t, grad_a, grad_b = step.backward[i]
         np.multiply(dz, dz, out=dz)
         np.subtract(1.0, dz, out=dz)
@@ -515,7 +482,7 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
         bt_dz = np.matmul(b_t, dz, out=ah)
         np.matmul(bt_dz, batch.x.swapaxes(1, 2) if h_in_t is None else h_in_t, out=grad_a)
         if i:
-            below = np.matmul(w0_t, dz, out=step.forward[i - 1][2])
+            below = np.matmul(w0_t, dz, out=step.forward[i - 1][5])
             below += step.scale * (a_t @ bt_dz)
     step.adapter_grads *= step.scale
     for model in stack.models:

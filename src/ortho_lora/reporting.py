@@ -63,6 +63,7 @@ from .errors import ConfigError, ParameterError
 from .files import atomic_write
 from .model import scope_labels
 from .surgery import ConflictReport
+from .tasks import SyntheticTaskSet
 from .trainer import AVG_TASK, MetricsLog, conflict_scope, run_experiment
 
 STEPS_HEADER = ["step", "task", "loss", "lr", "scope", "pair_i", "pair_j", "block",
@@ -422,21 +423,20 @@ def sweep_configs(config: ExperimentConfig, ranks: list[int], seeds: int
     return [configs[rank] for rank in sorted(ranks)]
 
 
-def rank_sweep(config: ExperimentConfig, ranks: list[int], num_seeds: int = 5) -> list[RankRow]:
-    """JOINT vs ORTHO_STRUCTURED final average metric per rank, seed-averaged,
-    over the configs ``sweep_configs`` checks and returns."""
+def rank_sweep(config: ExperimentConfig, ranks: list[int],
+               task_sets: list[SyntheticTaskSet]) -> list[RankRow]:
+    """JOINT vs ORTHO_STRUCTURED final average metric per rank, seed-averaged in
+    seed order, over the configs ``sweep_configs`` checks and returns for
+    len(task_sets) seeds. The rank does not change a task set: every rank of
+    seed config.seed + s trains on task_sets[s]."""
+    configs = sweep_configs(config, ranks, len(task_sets))
     rows: list[RankRow] = []
-    for rank_config in sweep_configs(config, ranks, num_seeds):
-        joint_vals: list[float] = []
-        ortho_vals: list[float] = []
-        for s in range(num_seeds):
-            result = run_experiment(rank_config.with_updates(seed=config.seed + s))
-            joint_vals.append(result.final_average(JOINT))
-            ortho_vals.append(result.final_average(ORTHO_STRUCTURED))
-        joint_mean = sum(joint_vals) / len(joint_vals)
-        ortho_mean = sum(ortho_vals) / len(ortho_vals)
-        rows.append(RankRow(rank=rank_config.model.rank, joint=joint_mean, ortho=ortho_mean,
-                            delta=ortho_mean - joint_mean))
+    for rank_config in configs:
+        finals = [(result.final_average(JOINT), result.final_average(ORTHO_STRUCTURED))
+                  for result in (run_experiment(rank_config.with_updates(seed=seed), task_set)
+                                 for seed, task_set in enumerate(task_sets, config.seed))]
+        joint, ortho = (sum(column) / len(column) for column in zip(*finals))
+        rows.append(RankRow(rank_config.model.rank, joint, ortho, ortho - joint))
     return rows
 
 

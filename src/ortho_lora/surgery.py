@@ -24,12 +24,13 @@ columns of the model's flat layout and then the task's own head. Its
 ``group_views(scope)`` gives every scope group as one contiguous column
 view V (row t: task t's original gradient over the group) and V^T, built
 once for a run's rows. Report and projection read the group's Gram matrix
-G = V V^T, which ``group_grams`` computes once for both, as one (groups, T,
-T) stack. Every working gradient is c^T V for a coefficient row c, so the
+G = V V^T, which ``group_grams`` computes once for both, into one (groups,
+T, T) stack. Every working gradient is c^T V for a coefficient row c, so the
 projected gradients are C V, and each inner product a pair test needs is
 computed from G and the projections the row has fired so far, only when it
-is tested. Merge maps the rows to the stack's update. A run's projection
-and update go into its stack's step buffers.
+is tested. Merge maps the rows to the stack's update. Each of these
+functions writes into the out it is given, and has no other path: a run
+passes its Gram store's slice and its stack's step buffers.
 
 The conflict report is columnar and covers a whole run, steps from 0 and
 tasks in order: one (steps, pairs, groups) array of dots and one of cosines,
@@ -47,7 +48,7 @@ import numpy as np
 
 from .dense import same_bits
 from .errors import NumericError, ShapeError
-from .model import GradientStack, Layout, TaskGradient, update_buffers
+from .model import GradientStack, Layout, TaskGradient
 
 # ||gj|| below this with a negative dot means the conflict test itself sits
 # inside rounding noise; refusing is safer than dividing by ~0.
@@ -86,10 +87,6 @@ class ConflictReport:
     dot: np.ndarray
     cosine: np.ndarray
 
-    @property
-    def conflicted(self) -> np.ndarray:
-        return self.dot < 0.0
-
     def pair_ids(self) -> list[tuple[int, int]]:
         return list(combinations(range(self.num_tasks), 2))
 
@@ -120,15 +117,13 @@ def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
             for label, cols in grad.layout.groups(scope)]
 
 
-def group_grams(grads: GradientStack, scope: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gram matrix V V^T of every scope group's columns V (``group_views``):
-    a (G, T, T) stack in group order, written into out when given (a run
-    passes its step's slice of its Gram store)."""
-    views = grads.group_views(scope)
-    grams = out if out is not None else np.empty((len(views),) + (len(grads.task_ids),) * 2)
-    for gram, (v, v_t) in zip(grams, views):
+def group_grams(grads: GradientStack, scope: str, out: np.ndarray) -> np.ndarray:
+    """The Gram matrix V V^T of every scope group's columns V (``group_views``),
+    written into the (G, T, T) out in group order (a run passes its step's
+    slice of its Gram store), which it returns."""
+    for gram, (v, v_t) in zip(out, grads.group_views(scope)):
         np.matmul(v, v_t, out=gram)
-    return grams
+    return out
 
 
 def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
@@ -167,16 +162,15 @@ def _coefficients(gram: np.ndarray, order: list[int]) -> np.ndarray | None:
 
 
 def surgery(grads: GradientStack, scope: str, order: list[int],
-            grams: np.ndarray, out: GradientStack | None = None) -> GradientStack:
+            grams: np.ndarray, out: GradientStack) -> GradientStack:
     """Pairwise conditional projection over all tasks, in order: a shuffle of
     the row indices, which a run draws for all its steps at once.
 
     The input is not mutated: each group is projected inside a copy of the
-    rows in out, which it returns (a run passes its step buffers' stack).
-    Heads pass through. grams is ``group_grams(grads, scope)``.
+    rows in out, a stack of grads' shape, which it returns (a run passes its
+    step buffers' stack). Heads pass through. grams is ``group_grams(grads,
+    scope, ...)``.
     """
-    if out is None:
-        out = GradientStack(grads.task_ids, np.empty_like(grads.rows), grads.layout)
     np.copyto(out.rows, grads.rows)
     for gram, (v, _), (projected, _) in zip(grams, grads.group_views(scope), out.group_views(scope),
                                             strict=True):
@@ -186,21 +180,21 @@ def surgery(grads: GradientStack, scope: str, order: list[int],
     return out
 
 
-def merge(grads: GradientStack, out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def merge(grads: GradientStack, out: np.ndarray | None) -> np.ndarray:
     """The (R, P) update of the parameter stack the rows came from: one-head
-    runs' rows as they are, with no copy, or the rows of one run's T tasks as
-    one row, their adapter columns summed and row t's head in head t's, in
-    out's ``update_buffers`` when given."""
+    runs' rows as they are, with no copy, where out is None, or the rows of
+    one run's T tasks as one row, their adapter columns summed and row t's
+    head in head t's, in the (1, P) out."""
     layout, rows = grads.layout, grads.rows
     if layout.num_tasks == 1:
         return rows
     if grads.task_ids != layout.task_ids:
         raise ShapeError(f"merge: rows of tasks {grads.task_ids}, not of every task in order")
-    update, adapters, heads = update_buffers(layout) if out is None else out
     # + 0.0, as the sum with the other rows' zero heads was: -0.0 enters as 0.0
+    heads = out[0, layout.heads].reshape(layout.num_tasks, -1)
     np.add(rows[:, layout.heads.start:], 0.0, out=heads)
-    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=adapters)
-    return update
+    np.add.reduce(rows[:, :layout.heads.start], axis=0, out=out[0, :layout.heads.start])
+    return out
 
 
 def build_conflict_report(layout: Layout, scope: str, grams: np.ndarray) -> ConflictReport:

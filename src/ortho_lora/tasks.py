@@ -94,10 +94,6 @@ class SyntheticTaskSet:
                                  f"not {self.kinds[bad]}")
         _stacked_targets(self.kinds, out_dim, self.train)
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.teachers)
-
 
 def _teachers(tasks: TasksConfig, rng: Rng) -> list[Matrix]:
     r = rng.child(0)

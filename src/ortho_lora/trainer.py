@@ -171,10 +171,10 @@ def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWS
     """
     grads, losses = joint_gradient(stack, batch)
     if scope is not None:
-        grams = group_grams(grads, scope, out=grams)
+        grams = group_grams(grads, scope, grams)
         if mode != JOINT:
-            grads = surgery(grads, scope, order, grams, out=stack.step.projected)
-    adamw_step(stack.matrix, merge(grads, out=stack.step.update), opt_state, lr)
+            grads = surgery(grads, scope, order, grams, stack.step.projected)
+    adamw_step(stack.matrix, merge(grads, stack.step.update), opt_state, lr)
     return losses
 
 

@@ -11,7 +11,7 @@ from statistics import fmean
 
 import numpy as np
 
-from ortho_lora.config import JOINT, TasksConfig
+from ortho_lora.config import FLAT, JOINT, TasksConfig
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
@@ -28,7 +28,6 @@ from ortho_lora.model import (
     _stacked_targets,
     build_model,
     eval_metric,
-    forward_features,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
@@ -57,6 +56,9 @@ from ortho_lora.trainer import (
 
 # A task gradient assembled by hand: per-task blocks keyed by block name.
 Grad = namedtuple("Grad", ["task_id", "blocks"])
+
+# The out arrays of group_grams, surgery and merge for one step's rows.
+StepOuts = namedtuple("StepOuts", ["grams", "projected", "update"])
 
 
 def generator(seed, *spawn_key):
@@ -114,7 +116,7 @@ def predict(model, task_id, x):
     """Task task_id's outputs for the inputs x, through its own head."""
     if not 0 <= task_id < model.num_tasks:
         raise ParameterError(f"task_id {task_id} outside [0, {model.num_tasks})")
-    out = model.heads[task_id] @ forward_features(model, x)
+    out = model.heads[task_id] @ fresh_forward(model, x)[0]
     if not np.isfinite(out).all():
         raise NumericError(f"non-finite activations at head {task_id}")
     return out
@@ -317,11 +319,45 @@ def reference_conflict_rows(grads: GradientStack, scope) -> list[tuple]:
     return rows
 
 
+def _gram_out(layout: Layout, scope, count: int) -> np.ndarray:
+    """An empty (G, T, T) step slice of a run's Gram store: group_grams' out
+    for count rows in scope."""
+    return np.empty((len(layout.groups(scope)), count, count))
+
+
+def step_outs(grads: GradientStack, scope=FLAT) -> StepOuts:
+    """Fresh out arrays of the step functions for grads' rows: scope's
+    (G, T, T) grams, surgery's output stack, and merge's (1, P) update, or
+    None for a one-head layout, as StepBuffers holds them."""
+    layout = grads.layout
+    update = np.empty((1, layout.size)) if layout.num_tasks > 1 else None
+    return StepOuts(_gram_out(layout, scope, len(grads.task_ids)),
+                    GradientStack(grads.task_ids, np.empty_like(grads.rows), layout), update)
+
+
+def step_grams(stack, scope):
+    """The grams that train_step of stack writes in scope; None for no scope."""
+    return None if scope is None else _gram_out(stack.models[0].layout, scope, len(stack.task_ids))
+
+
+def seed_task_sets(config, num_seeds: int) -> list:
+    """The task sets of seeds config.seed .. config.seed + num_seeds - 1, as
+    sweep-rank builds them for rank_sweep."""
+    return [build_task_set(config.with_updates(seed=config.seed + s)) for s in range(num_seeds)]
+
+
+def project(grads: GradientStack, scope, order) -> GradientStack:
+    """surgery of grads in scope and order on their group_grams, each into
+    fresh ``step_outs``."""
+    outs = step_outs(grads, scope)
+    return surgery(grads, scope, order, group_grams(grads, scope, outs.grams), outs.projected)
+
+
 def step_report(grads: GradientStack, scope, grams=None):
     """The conflict report of one step's gradient rows, as a run of that one
-    step builds it; grams defaults to ``group_grams(grads, scope)``."""
+    step builds it; grams defaults to ``group_grams`` of the rows."""
     if grams is None:
-        grams = group_grams(grads, scope)
+        grams = group_grams(grads, scope, step_outs(grads, scope).grams)
     return build_conflict_report(grads.layout, scope, grams[None])
 
 
@@ -490,12 +526,13 @@ def reference_run(config, mode):
             for batch in subset_batch(pool, idx):
                 lr = config.optimizer.lr_base * (1.0 - len(lrs) / total)
                 grads, step_losses = joint_gradient(stack, batch)
+                outs = step_outs(grads, scope or FLAT)
                 if scope is not None:
-                    grams.append(group_grams(grads, scope))
+                    grams.append(group_grams(grads, scope, outs.grams))
                     if mode != JOINT:
                         grads = surgery(grads, scope, surgery_gen.permutation(num_tasks).tolist(),
-                                        grams[-1])
-                adamw_step(stack.matrix, merge(grads), opt_state, lr)
+                                        grams[-1], outs.projected)
+                adamw_step(stack.matrix, merge(grads, outs.update), opt_state, lr)
                 losses.append(step_losses)
                 lrs.append(lr)
             left -= count
@@ -510,8 +547,11 @@ def reference_run(config, mode):
 # every call. The references the buffered step is checked against, bit for bit.
 
 def fresh_forward(model, x, adapters=None):
-    """model.forward_features into fresh arrays; returns the features and, per
-    layer, the cache (a, b, layer input h_in, a@h_in, activated output)."""
+    """The step's forward, as joint_gradient runs it on its StepBuffers, into
+    fresh arrays: tanh(w0 h + s*b@(a h)) per layer, with adapters (model's
+    own 2-D ones when None) and x (k, n) or (T, k, n), its shape checked as
+    StepBuffers checks it. Returns the features and, per layer, the cache
+    (a, b, layer input h_in, a@h_in, activated output)."""
     if adapters is None:
         adapters = [(layer.adapter.a, layer.adapter.b) for layer in model.layers]
     if x.shape[-2:-1] != (model.in_dim,):

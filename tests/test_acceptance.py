@@ -22,8 +22,11 @@ from helpers import (
     measure_surgery_floats,
     predict,
     project_pair,
+    seed_task_sets,
     shuffle,
     step_batch,
+    step_grams,
+    step_outs,
     task_gradient,
     task_loss,
 )
@@ -196,14 +199,15 @@ def test_criterion_05_local_non_harm():
             batches = [TaskBatch(t, tasks.train[t].x[:, :16], tasks.train[t].y[:, :16])
                        for t in range(2)]
             train_step(ORTHO_STRUCTURED, stack, step_batch(model, batches), opt_state, 0.01,
-                       PER_MATRIX, order=orders[step])
+                       PER_MATRIX, step_grams(stack, PER_MATRIX), orders[step])
         rows = [task_loss_and_gradient(model, tasks.train[t])[1].rows for t in range(2)]
         grads = GradientStack([0, 1], np.concatenate(rows), model.layout)
         ((_, bids),) = scope_groups(grads[0], FLAT)
         flat = [np.concatenate([g.blocks[b].ravel() for b in bids]) for g in grads]
         if float(flat[0] @ flat[1]) >= 0:
             continue
-        projected = surgery(grads, FLAT, shuffle(100 + state, 2), group_grams(grads, FLAT))
+        projected = surgery(grads, FLAT, shuffle(100 + state, 2),
+                            group_grams(grads, FLAT, step_outs(grads).grams), step_outs(grads).projected)
         for i, j in ((0, 1), (1, 0)):
             derivative = _directional_fd(model, tasks.train[j], projected[i].blocks, h=5e-5)
             worst = min(worst, derivative)
@@ -250,7 +254,7 @@ def test_criterion_07_rank_trend():
     """The projection gain is at least as large at rank 2 as at rank 16."""
     start = time.time()
     config = load_config(CONFIG_DIR / "default.json")
-    rows = rank_sweep(config, [2, 16], num_seeds=5)
+    rows = rank_sweep(config, [2, 16], seed_task_sets(config, 5))
     assert [r.rank for r in rows] == [2, 16]
     # MSE metric: the gain of projection over joint is joint - ortho
     gain_low = rows[0].joint - rows[0].ortho

@@ -18,7 +18,7 @@ from ortho_lora.adapter import (
 )
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ConfigError, ParameterError, ShapeError
-from ortho_lora.model import REGRESSION, MultiTaskModel, forward_features
+from ortho_lora.model import REGRESSION, MultiTaskModel, StepBatch, joint_gradient, stack_runs
 
 # any finite float, with -0.0, the smallest subnormals and +-max always in the mix
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -55,9 +55,20 @@ def test_init_bad_sigma():
 
 
 def one_layer(w0, ad):
-    """A one-layer model around (w0, adapter), so its forward pass can be read."""
-    return MultiTaskModel([FrozenLayer(w0=w0, adapter=ad)], heads=np.zeros((1, 1, w0.shape[0])),
+    """A one-layer regression model around (w0, adapter) whose head is the
+    identity, so its outputs are the layer's forward pass."""
+    return MultiTaskModel([FrozenLayer(w0=w0, adapter=ad)], heads=np.eye(len(w0))[None],
                           kinds=[REGRESSION])
+
+
+def step_forward(model, x):
+    """(features, loss) of the inputs x from the step: joint_gradient on a
+    one-run stack of model against zero targets, whose identity head writes
+    the features unchanged into the step's output buffer."""
+    stack = stack_runs(model, 1)
+    zeros = np.zeros((1, len(model.layers[0].w0), x.shape[1]))
+    _, (loss,) = joint_gradient(stack, StepBatch(x[None], [(REGRESSION, [0], zeros)]))
+    return stack.step.out[0], loss
 
 
 def test_adapted_forward_fresh_equals_backbone_exactly():
@@ -65,7 +76,10 @@ def test_adapted_forward_fresh_equals_backbone_exactly():
     w0 = rng.standard_normal((5, 4))
     model = one_layer(w0, init_adapter(5, 4, 2, 0.02, 4.0, rng))
     x = rng.standard_normal((4, 9))
-    assert np.array_equal(forward_features(model, x), np.tanh(w0 @ x))
+    features, loss = step_forward(model, x)
+    backbone = np.tanh(w0 @ x)
+    assert np.array_equal(features, backbone)
+    assert loss == 0.5 * float(np.add.reduce((backbone * backbone).ravel())) / 9
 
 
 def test_adapted_forward_backbone_removed():
@@ -74,7 +88,7 @@ def test_adapted_forward_backbone_removed():
     ad.b[...] = rng.standard_normal(ad.b.shape)
     model = one_layer(np.zeros((5, 4)), ad)
     x = rng.standard_normal((4, 3))
-    got = forward_features(model, x)
+    got = step_forward(model, x)[0]
     assert np.allclose(got, np.tanh(ad.b @ (ad.a @ x)), rtol=1e-15, atol=0)
 
 
@@ -87,7 +101,7 @@ def test_adapted_forward_two_route_agreement():
         ad.b[...] = rng.standard_normal(ad.b.shape)
         x = rng.standard_normal((5, 4))
         via_delta = np.tanh((w0 + ad.scale * (ad.b @ ad.a)) @ x)
-        via_layer = forward_features(one_layer(w0, ad), x)
+        via_layer = step_forward(one_layer(w0, ad), x)[0]
         denom = np.linalg.norm(via_delta)
         assert np.linalg.norm(via_layer - via_delta) < 1e-12 * max(denom, 1.0)
 
@@ -95,7 +109,7 @@ def test_adapted_forward_two_route_agreement():
 def test_adapted_forward_shape_error():
     model = one_layer(np.zeros((5, 4)), init_adapter(5, 4, 2, 0.02, 4.0, Rng(0)))
     with pytest.raises(ShapeError):
-        forward_features(model, np.zeros((3, 2)))
+        step_forward(model, np.zeros((3, 2)))
 
 
 def test_serialization_round_trip_exact(tmp_path):

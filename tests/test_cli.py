@@ -5,9 +5,10 @@ from statistics import fmean
 
 import pytest
 
+from ortho_lora import trainer as trainer_module
 from ortho_lora.adapter import load_adapter
 from ortho_lora.cli import run_cli
-from ortho_lora.config import load_config
+from ortho_lora.config import JOINT, ORTHO_STRUCTURED, load_config
 from ortho_lora.reporting import EVAL_HEADER, RANK_HEADER, STEPS_HEADER, fmt, summarize_dir
 from ortho_lora.trainer import run_experiment
 
@@ -85,6 +86,31 @@ def test_a_label_pool_no_draw_fills_exits_2_naming_the_task_and_pool(tmp_path, c
     assert err.startswith(f"error: {cfg}: config.tasks: could not draw task 0's labels with each "
                           "of 8 classes >= 10% of its pool in 100 attempts; short: ")
     assert "tasks.n_eval (8 examples) 100 times" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_oversized_integer_exits_2_naming_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path / "huge.json",
+                       tasks={"kind": "regression", "num_tasks": 2, "in_dim": 6, "out_dim": 2,
+                              "n_train": 32, "n_eval": 2**70})
+    assert run_cli(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: config.tasks.n_eval: must be <= "
+                                       f"{2**63 - 1}, got {2**70}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_memory_error_is_a_runtime_failure_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                               command):
+    # a config whose arrays do not fit: no traceback, exit 1, nothing written
+    def too_big(config):
+        raise MemoryError("Unable to allocate 1.14 PiB for an array")
+
+    monkeypatch.setattr("ortho_lora.cli.build_task_set", too_big)
+    cfg = write_config(tmp_path / "exp.json")
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command == "run" else []
+    assert run_cli([command, str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1.14 PiB for an array\n"
     assert not out.exists()
 
 
@@ -225,6 +251,37 @@ def test_sweep_rank_saves_its_config_and_ranks(tmp_path, capsys):
     assert json.loads((outs[0] / "sweep.json").read_text()) == {"ranks": [2, 4], "seeds": 1}
     for name in ("config.json", "sweep.json"):  # deterministic
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_sweep_rank_builds_each_seeds_task_set_once(tmp_path, capsys, monkeypatch):
+    # the rank does not change a task set: the check before the directory is
+    # made builds one per seed, and every rank of that seed trains on it
+    calls = []
+    build = trainer_module.make_conflict_set
+    monkeypatch.setattr(trainer_module, "make_conflict_set",
+                        lambda tasks, rng: calls.append(tasks) or build(tasks, rng))
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "2", "4", "--seeds", "2",
+                    "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 2
+
+
+def test_sweep_rank_rows_equal_a_run_per_rank_and_seed_on_a_fresh_task_set(tmp_path, capsys):
+    # each (rank, seed) run of the sweep trains on its own seed's task set,
+    # summed over seeds in seed order: the bits of a separate run_experiment
+    cfg = write_config(tmp_path / "exp.json", modes=["JOINT"])
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep-rank", str(cfg), "--ranks", "4", "2", "--seeds", "2",
+                    "--out", str(out)]) == 0
+    config = load_config(cfg)
+    for row, rank in zip(summarize_dir(out).rank_rows, [2, 4], strict=True):
+        results = [run_experiment(config.with_updates(seed=config.seed + s, rank=rank,
+                                                      modes=[JOINT, ORTHO_STRUCTURED]))
+                   for s in range(2)]
+        joint, ortho = (sum(r.final_average(mode) for r in results) / 2
+                        for mode in (JOINT, ORTHO_STRUCTURED))
+        assert (row.rank, row.joint.hex(), row.ortho.hex(), row.delta.hex()) == (
+            rank, joint.hex(), ortho.hex(), (ortho - joint).hex())
 
 
 def test_summarize_sweep_dir_prints_the_rank_table_sweep_rank_printed(tmp_path, capsys):

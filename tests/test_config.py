@@ -15,6 +15,7 @@ import pytest
 from ortho_lora.cli import run_cli
 from ortho_lora.config import config_from_dict, load_config, save_config
 from ortho_lora.errors import ConfigError
+from ortho_lora.reporting import sweep_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
@@ -192,6 +193,12 @@ CASES = {
     "n_train zero": ({"tasks.n_train": 0}, "config.tasks.n_train: must be >= 1, got 0"),
     "n_eval missing": ({"tasks.n_eval": DROP}, "config.tasks.n_eval: missing required field"),
     "n_eval zero": ({"tasks.n_eval": 0}, "config.tasks.n_eval: must be >= 1, got 0"),
+    "n_eval past 63 bits": ({"tasks.n_eval": 2**70},
+                            f"config.tasks.n_eval: must be <= {2**63 - 1}, got {2**70}"),
+    "num_tasks past 63 bits": ({"tasks.num_tasks": 2**63},
+                               f"config.tasks.num_tasks: must be <= {2**63 - 1}, got {2**63}"),
+    "epochs past 63 bits": ({"schedule.epochs": 2**63},
+                            f"config.schedule.epochs: must be <= {2**63 - 1}, got {2**63}"),
     # surgery
     "surgery not an object": ({"surgery": "PER_MATRIX"},
                               "config.surgery: expected an object, got str"),
@@ -217,6 +224,12 @@ def test_each_fault_fails_naming_its_field(case):
     with pytest.raises(ConfigError) as info:
         config_from_dict(faulty(edits))
     assert str(info.value) == message
+
+
+def test_integer_fields_hold_63_bits():
+    # every integer field but seed ends at 2**63 - 1: the bound, not the size, is checked
+    config = config_from_dict(faulty({"schedule.epochs": 2**63 - 1}))
+    assert config.schedule.epochs == 2**63 - 1
 
 
 def test_root_not_an_object():
@@ -263,6 +276,8 @@ def test_gate_sweep_config_is_valid_at_every_sweep_rank(output_gate):
     config = config_from_dict(output_gate.sweep_config(DEFAULT))
     for rank in output_gate.SWEEP_RANKS:
         assert config.with_updates(rank=int(rank)).model.rank == int(rank)
+    ranks = [int(rank) for rank in output_gate.SWEEP_RANKS]  # and its every seed
+    assert len(sweep_configs(config, ranks, int(output_gate.SWEEP_SEEDS))) == len(ranks)
 
 
 @pytest.mark.parametrize("name", ["default.json", "no_conflict.json"])

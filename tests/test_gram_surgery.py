@@ -19,10 +19,12 @@ from helpers import (
     eager_coefficients,
     grad_of,
     group_vector,
+    project,
     project_pair,
     reference_conflict_rows,
     shuffle,
     stack_of,
+    step_outs,
     step_report,
 )
 
@@ -124,10 +126,10 @@ def test_gram_path_equals_vector_path(scope, grads, seed):
         groups, originals, want = reference_surgery(grads, scope, seed)
     except NumericError:  # a gradient cancelled to below DEGENERATE_NORM
         with pytest.raises(NumericError):
-            surgery(stack, scope, shuffle(seed, len(grads)), group_grams(stack, scope))
+            project(stack, scope, shuffle(seed, len(grads)))
         return
-    got = surgery(stack, scope, shuffle(seed, len(grads)), group_grams(stack, scope))
-    (merged,) = merge(got)
+    got = project(stack, scope, shuffle(seed, len(grads)))
+    (merged,) = merge(got, step_outs(got).update)
     for label, bids in groups:
         scale = max(np.linalg.norm(o[label]) for o in originals)
         for t, g in enumerate(got):
@@ -152,7 +154,7 @@ def test_degenerate_conflict_raises_in_both_paths(scope):
     stack = stack_of([big, tiny])
     with pytest.raises(NumericError, match=r"^surgery: conflicting dot -\S+ against a gradient "
                                            r"of norm \S+ below 1e-30$"):
-        surgery(stack, scope, shuffle(seed, 2), group_grams(stack, scope))
+        project(stack, scope, shuffle(seed, 2))
 
 
 @st.composite
@@ -161,7 +163,8 @@ def gram_orders(draw):
     task_gradients draws them, some far below DEGENERATE_NORM, and a
     random order of the tasks."""
     grads = draw(task_gradients(max_tasks=16, tiny=True))
-    grams = group_grams(stack_of(grads), draw(st.sampled_from(SCOPES)))
+    stack, scope = stack_of(grads), draw(st.sampled_from(SCOPES))
+    grams = group_grams(stack, scope, step_outs(stack, scope).grams)
     return grams[draw(st.integers(0, len(grams) - 1))], draw(st.permutations(range(len(grads))))
 
 
@@ -213,7 +216,7 @@ def test_shared_grams_change_no_bit(scope, grads, seed):
     # the trainer computes each group's Gram matrix once and hands it to both
     # the report and then the projection: neither may write to it
     stack = stack_of(grads)
-    grams = group_grams(stack, scope)
+    grams = group_grams(stack, scope, step_outs(stack, scope).grams)
     groups = scope_groups(stack[0], scope)
     assert len(grams) == len(groups)
     for gram, (_, bids) in zip(grams, groups):
@@ -228,7 +231,7 @@ def test_shared_grams_change_no_bit(scope, grads, seed):
     report = step_report(stack, scope, grams)
     assert np.array_equal(grams, before)
     try:
-        surgery(stack, scope, shuffle(seed, len(grads)), grams)
+        surgery(stack, scope, shuffle(seed, len(grads)), grams, step_outs(stack, scope).projected)
     except NumericError:
         pass
     assert np.array_equal(grams, before)
@@ -270,7 +273,6 @@ def test_report_columns_equal_per_pair_loop_bit_for_bit(scope, stack):
                                                        len(report.labels))
     assert [x.hex() for x in report.dot.ravel().tolist()] == [row[3].hex() for row in want]
     assert [x.hex() for x in report.cosine.ravel().tolist()] == [row[4].hex() for row in want]
-    assert np.array_equal(report.conflicted.ravel(), [row[3] < 0.0 for row in want])
 
 
 @st.composite
@@ -306,7 +308,7 @@ def test_one_run_report_equals_its_one_step_reports_bit_for_bit(run):
     # the trainer builds one report from a run's stacked Gram matrices; each
     # step's slice of it must be the report of that step alone
     scope, stacks = run
-    grams = np.stack([group_grams(stack, scope) for stack in stacks])
+    grams = np.stack([group_grams(stack, scope, step_outs(stack, scope).grams) for stack in stacks])
     layout = stacks[0].layout
     report = build_conflict_report(layout, scope, grams)
     singles = [step_report(stack, scope) for stack in stacks]

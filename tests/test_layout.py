@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, padded_update, predict, random_batch, random_model, step_batch
+from helpers import (
+    fd_gradient,
+    padded_update,
+    predict,
+    random_batch,
+    random_model,
+    step_batch,
+    step_outs,
+)
 
 from ortho_lora.dense import Rng
 from ortho_lora.errors import ParameterError, ShapeError
@@ -81,7 +89,7 @@ def test_stack_rows_hold_adapters_and_own_head():
             assert np.shares_memory(head, grads.rows[:, adapter_cols:])
     # merge puts each row's head into its task's columns of the flat layout,
     # and a one-task row's update holds its own head alone
-    heads = merge(stack)[0, model.layout.heads].reshape(3, -1)
+    heads = merge(stack, step_outs(stack).update)[0, model.layout.heads].reshape(3, -1)
     assert np.array_equal(heads, stack.rows[:, adapter_cols:])
     one = padded_update(singles[1])[model.layout.heads].reshape(3, -1)
     assert np.array_equal(one[1], singles[1].rows[0, adapter_cols:])
@@ -142,15 +150,15 @@ def test_merge_equals_zero_padded_row_sum_bit_for_bit(num_tasks, dims, out_dim, 
     if data.draw(st.booleans()):
         rows = np.round(rows)
     ids = list(range(num_tasks))
-    assert merge(GradientStack(ids, rows, Layout(*shapes, 1))) is rows
+    assert merge(GradientStack(ids, rows, Layout(*shapes, 1)), None) is rows
     if num_tasks > 1:
         grads = GradientStack(ids, rows, layout)
-        assert merge(grads).tobytes() == padded_update(grads).tobytes()
+        assert merge(grads, step_outs(grads).update).tobytes() == padded_update(grads).tobytes()
         # any other subset or order of the tasks is no stack's update
         other = data.draw(st.permutations(ids))[:data.draw(st.integers(1, num_tasks))]
         if other != ids:
             with pytest.raises(ShapeError, match="merge: rows of tasks"):
-                merge(GradientStack(other, rows[:len(other)], layout))
+                merge(GradientStack(other, rows[:len(other)], layout), step_outs(grads).update)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,8 +178,8 @@ def test_merge_of_model_gradients_equals_zero_padded_row_sum(kinds, dims, out_di
     assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
     one = task_loss_and_gradient(model, batches[task])[1]
     if len(kinds) == 1:
-        assert merge(grads) is grads.rows and merge(one) is one.rows
+        assert merge(grads, None) is grads.rows and merge(one, None) is one.rows
     else:
-        assert merge(grads).tobytes() == padded_update(grads).tobytes()
+        assert merge(grads, step_outs(grads).update).tobytes() == padded_update(grads).tobytes()
         with pytest.raises(ShapeError, match="merge: rows of tasks"):
-            merge(one)
+            merge(one, step_outs(one).update)

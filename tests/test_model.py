@@ -16,6 +16,7 @@ from helpers import (
     random_model,
     reference_metric,
     step_batch,
+    step_outs,
     task_gradient,
     task_loss,
 )
@@ -206,7 +207,7 @@ class TestJointGradient:
         model = random_model(21, randomize_b=True)
         batches = [random_batch(model, t, 5, seed=20 + t) for t in range(2)]
         stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
-        (merged,) = merge(stack)
+        (merged,) = merge(stack, step_outs(stack).update)
         per_task = [task_gradient(model, b) for b in batches]
         for name, (sl, shape) in model.layout.blocks.items():
             if name.startswith("HEAD"):

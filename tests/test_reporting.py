@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_evals, reference_steps_csv
+from helpers import reference_evals, reference_steps_csv, seed_task_sets
 
 from ortho_lora.config import (
     JOINT,
@@ -290,30 +290,38 @@ class TestBuildSummary:
 class TestRankSweep:
     def test_single_rank_single_seed(self):
         cfg = small_config(modes=[JOINT])
-        rows = rank_sweep(cfg, [2], num_seeds=1)
+        rows = rank_sweep(cfg, [2], seed_task_sets(cfg, 1))
         assert len(rows) == 1
         assert rows[0].rank == 2
         assert rows[0].delta == pytest.approx(rows[0].ortho - rows[0].joint, abs=0)
 
     def test_rows_sorted_ascending(self):
         cfg = small_config(modes=[JOINT])
-        rows = rank_sweep(cfg, [4, 1], num_seeds=1)
+        rows = rank_sweep(cfg, [4, 1], seed_task_sets(cfg, 1))
         assert [r.rank for r in rows] == [1, 4]
 
     def test_invalid_rank_rejected(self):
         cfg = small_config()
         with pytest.raises(ParameterError):
-            rank_sweep(cfg, [64], num_seeds=1)
+            rank_sweep(cfg, [64], seed_task_sets(cfg, 1))
 
     def test_repeated_rank_rejected_before_training(self):
+        cfg = small_config(modes=[JOINT])
         with pytest.raises(ParameterError, match="--ranks 2: repeated"):
-            rank_sweep(small_config(modes=[JOINT]), [2, 4, 2], num_seeds=1)
+            rank_sweep(cfg, [2, 4, 2], seed_task_sets(cfg, 1))
 
     def test_empty_ranks_rejected(self):
+        cfg = small_config()
         with pytest.raises(ParameterError):
-            rank_sweep(small_config(), [], num_seeds=1)
+            rank_sweep(cfg, [], seed_task_sets(cfg, 1))
+
+    def test_no_task_set_rejected_as_no_seed(self):
+        # the seed count is the number of task sets: none is --seeds 0
+        with pytest.raises(ParameterError, match="--seeds 0: must be >= 1"):
+            rank_sweep(small_config(modes=[JOINT]), [2], [])
 
     def test_last_seed_past_the_seed_range_rejected_before_training(self, monkeypatch):
-        monkeypatch.setattr("ortho_lora.reporting.run_experiment", lambda config: pytest.fail("trained"))
+        monkeypatch.setattr("ortho_lora.reporting.run_experiment", lambda *args: pytest.fail("trained"))
+        cfg = small_config(modes=[JOINT], seed=2**64 - 1)
         with pytest.raises(ParameterError, match="config.seed: must be <="):
-            rank_sweep(small_config(modes=[JOINT], seed=2**64 - 1), [2], num_seeds=2)
+            rank_sweep(cfg, [2], seed_task_sets(cfg, 1) * 2)

@@ -5,11 +5,13 @@ from helpers import (
     blocks_equal,
     grad_of,
     group_vector,
+    project,
     project_pair,
     random_batch,
     random_model,
     shuffle,
     stack_of,
+    step_outs,
     step_report,
     surgery_floats,
     task_gradient,
@@ -18,12 +20,7 @@ from helpers import (
 from ortho_lora.dense import Rng
 from ortho_lora.errors import NumericError, ShapeError
 from ortho_lora.model import FLAT, PER_MATRIX, PER_ROLE_CONCAT
-from ortho_lora.surgery import (
-    group_grams,
-    merge,
-    scope_groups,
-    surgery,
-)
+from ortho_lora.surgery import merge, scope_groups
 
 
 def _two_grads(a1, a2, b1=None, b2=None):
@@ -120,7 +117,7 @@ class TestSurgery:
     def test_single_task_unchanged(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.5]]], head=[[1.0]])
         stack = stack_of([g])
-        out = surgery(stack, PER_MATRIX, shuffle(0, 1), group_grams(stack, PER_MATRIX))
+        out = project(stack, PER_MATRIX, shuffle(0, 1))
         assert blocks_equal(out[0], g)
 
     def test_no_conflict_identity_bit_exact(self):
@@ -132,7 +129,7 @@ class TestSurgery:
                      [np.abs(rng.standard_normal((3, 2)))], head=rng.standard_normal((1, 3)))
         stack = stack_of([g1, g2])
         for scope in (FLAT, PER_MATRIX, PER_ROLE_CONCAT):
-            out = surgery(stack, scope, shuffle(2, 2), group_grams(stack, scope))
+            out = project(stack, scope, shuffle(2, 2))
             assert blocks_equal(out[0], g1)
             assert blocks_equal(out[1], g2)
 
@@ -141,7 +138,7 @@ class TestSurgery:
         g2 = grad_of(1, [[[-1.0, 0.5]]], [[[-1.0], [0.5]]], head=[[2.0]])
         stack = stack_of([g1, g2])
         before = stack.rows.copy()
-        out = surgery(stack, FLAT, shuffle(0, 2), group_grams(stack, FLAT))
+        out = project(stack, FLAT, shuffle(0, 2))
         assert np.array_equal(stack.rows, before)
         assert not np.array_equal(out.rows, before)
 
@@ -152,8 +149,8 @@ class TestSurgery:
             b1=[[0.1], [0.1]], b2=[[0.1], [0.1]],
         )
         stack = stack_of([g1, g2])
-        per_matrix = surgery(stack, PER_MATRIX, shuffle(3, 2), group_grams(stack, PER_MATRIX))
-        flat = surgery(stack, FLAT, shuffle(3, 2), group_grams(stack, FLAT))
+        per_matrix = project(stack, PER_MATRIX, shuffle(3, 2))
+        flat = project(stack, FLAT, shuffle(3, 2))
 
         a_id, b_id = "L0.A", "L0.B"
         # PER_MATRIX: only A blocks move
@@ -169,7 +166,7 @@ class TestSurgery:
         g1 = grad_of(0, [[[1.0, 0.0]]], [[[1.0], [1.0]]], head=[[3.0, 4.0]])
         g2 = grad_of(1, [[[-1.0, 0.0]]], [[[-1.0], [-1.0]]], head=[[5.0, 6.0]])
         stack = stack_of([g1, g2])
-        out = surgery(stack, FLAT, shuffle(4, 2), group_grams(stack, FLAT))
+        out = project(stack, FLAT, shuffle(4, 2))
         assert np.array_equal(out[0].blocks["HEAD0"], g1.blocks["HEAD0"])
         assert np.array_equal(out[1].blocks["HEAD1"], g2.blocks["HEAD1"])
 
@@ -182,7 +179,7 @@ class TestSurgery:
                          [-g1.blocks["L0.B"] + 0.1 * rng.standard_normal((3, 2))],
                          head=rng.standard_normal((2, 3)))
             stack = stack_of([g1, g2])
-            out = surgery(stack, scope, shuffle(6, 2), group_grams(stack, scope))
+            out = project(stack, scope, shuffle(6, 2))
             for label, bids in scope_groups(stack[0], scope):
                 for gi_new, gj_orig in ((out[0], g2), (out[1], g1)):
                     vi = group_vector(gi_new, bids)
@@ -204,7 +201,7 @@ class TestSurgery:
         ]
         seed = 11
         stack = stack_of(grads)
-        out = surgery(stack, FLAT, shuffle(seed, 3), group_grams(stack, FLAT))
+        out = project(stack, FLAT, shuffle(seed, 3))
         order = shuffle(seed, 3)
         (label, bids), = scope_groups(stack[0], FLAT)
         originals = [group_vector(g, bids) for g in grads]
@@ -231,15 +228,15 @@ class TestSurgery:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        out1 = surgery(stack, PER_MATRIX, shuffle(9, 3), group_grams(stack, PER_MATRIX))
-        out2 = surgery(stack, PER_MATRIX, shuffle(9, 3), group_grams(stack, PER_MATRIX))
+        out1 = project(stack, PER_MATRIX, shuffle(9, 3))
+        out2 = project(stack, PER_MATRIX, shuffle(9, 3))
         assert all(blocks_equal(a, b) for a, b in zip(out1, out2))
 
     def test_stats_count_adapter_floats(self):
         model = random_model(12, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
         grads = [task_gradient(model, random_batch(model, t, 4, seed=t)) for t in range(2)]
         stack = stack_of(grads)
-        surgery(stack, PER_MATRIX, shuffle(13, 2), group_grams(stack, PER_MATRIX))
+        project(stack, PER_MATRIX, shuffle(13, 2))
         assert surgery_floats(stack, PER_MATRIX) == 2 * model.layout.heads.start
 
 
@@ -247,7 +244,7 @@ class TestMerge:
     def test_single_identity(self):
         g = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0, 2.0]])
         stack = stack_of([g])
-        (merged,) = merge(stack)
+        (merged,) = merge(stack, step_outs(stack).update)
         assert all(np.array_equal(merged[stack.layout.blocks[b][0]], g.blocks[b].ravel())
                    for b in g.blocks)
 
@@ -255,7 +252,7 @@ class TestMerge:
         g1 = grad_of(0, [[[1.0, 2.0]]], [[[0.5], [0.25]]], head=[[1.0]])
         g2 = grad_of(1, [[[-1.0, -2.0]]], [[[-0.5], [-0.25]]], head=[[9.0]])
         stack = stack_of([g1, g2])
-        (merged,) = merge(stack)
+        (merged,) = merge(stack, step_outs(stack).update)
         assert np.array_equal(merged[stack.layout.blocks["L0.A"][0]], np.zeros(2))
         assert np.array_equal(merged[stack.layout.blocks["L0.B"][0]], np.zeros(2))
 
@@ -268,7 +265,7 @@ class TestMerge:
             for t in range(3)
         ]
         stack = stack_of(grads)
-        (merged,) = merge(stack)
+        (merged,) = merge(stack, step_outs(stack).update)
         for i in range(2):
             for role in ("A", "B"):
                 name = f"L{i}.{role}"
@@ -279,7 +276,7 @@ class TestMerge:
         g1 = grad_of(0, [[[1.0]]], [[[1.0]]], head=[[7.0]])
         g2 = grad_of(1, [[[2.0]]], [[[2.0]]], head=[[8.0]])
         stack = stack_of([g1, g2])
-        (merged,) = merge(stack)
+        (merged,) = merge(stack, step_outs(stack).update)
         assert np.array_equal(merged[stack.layout.blocks["HEAD0"][0]], [7.0])
         assert np.array_equal(merged[stack.layout.blocks["HEAD1"][0]], [8.0])
 

@@ -17,6 +17,7 @@ from helpers import (
     reference_run,
     shuffle,
     step_batch,
+    step_grams,
 )
 
 from ortho_lora.config import (
@@ -94,10 +95,9 @@ def _one_step(mode, model, batches, scope=PER_MATRIX, seed=0):
     returns the losses, the report of the step's Gram matrices and the first
     run, moved."""
     stack = _stack(mode, model)
-    count = len(stack.task_ids)
-    grams = np.empty((len(stack.models[0].layout.groups(scope)), count, count))
+    grams = step_grams(stack, scope)
     losses = train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01, scope,
-                        grams, shuffle(seed, count))
+                        grams, shuffle(seed, len(stack.task_ids)))
     report = build_conflict_report(stack.models[0].layout, scope, grams[None])
     return losses, report, stack.models[0]
 
@@ -174,9 +174,9 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
     batches = [random_batch(model, t, 4, seed=90 + t) for t in range(3)]
     shapes = []
 
-    def merge_rows(grads, out=None):
+    def merge_rows(grads, out):
         shapes.append(("merge", grads.rows.shape))
-        return merge(grads, out=out)
+        return merge(grads, out)
 
     def adamw(params, grad, state, lr):
         shapes.append(("adamw", grad.shape, state.m is None))
@@ -185,8 +185,9 @@ def test_gradient_rows_hold_adapters_and_own_head_in_every_mode(mode, monkeypatc
 
     monkeypatch.setattr("ortho_lora.trainer.merge", merge_rows)
     monkeypatch.setattr("ortho_lora.trainer.adamw_step", adamw)
-    train_step(mode, _stack(mode, model), step_batch(model, batches), AdamWState(), 0.01,
-               None if mode == SINGLE_TASK else PER_MATRIX, order=shuffle(0, 3))
+    stack, scope = _stack(mode, model), None if mode == SINGLE_TASK else PER_MATRIX
+    train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01, scope,
+               step_grams(stack, scope), shuffle(0, 3))
     # the (R, P) update and moments: 3 one-head runs, or one run of every head
     shape = (3, width) if mode == SINGLE_TASK else (1, model.params.size)
     assert shapes == [("merge", (3, width)), ("adamw", shape, True), ("moments", shape, shape)]
@@ -199,8 +200,9 @@ class TestBackwardCounting:
         model = random_model(8, kinds=[REGRESSION] * 2, randomize_b=True)
         batches = [random_batch(model, t, 4, seed=10 + t) for t in range(2)]
         stack = _stack(mode, model)
-        train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01,
-                   None if mode == SINGLE_TASK else PER_MATRIX, order=shuffle(0, 2))
+        scope = None if mode == SINGLE_TASK else PER_MATRIX
+        train_step(mode, stack, step_batch(model, batches), AdamWState(), 0.01, scope,
+                   step_grams(stack, scope), shuffle(0, 2))
         assert sum(m.backward_passes for m in stack.models) == expected
         # one fused backward per step; SINGLE_TASK's 2 models take one sweep each
         assert expected == (2 if mode == SINGLE_TASK else 1)
@@ -291,8 +293,8 @@ def _per_task_batches(ts, data_gen, batch_size, steps):
     reshuffle per task when its cursor runs out, and one take per task; data_gen
     is a numpy Generator on the run's data stream."""
     size = ts.train[0].x.shape[1]
-    orders = [data_gen.permutation(size).tolist() for _ in range(ts.num_tasks)]
-    cursors = [0] * ts.num_tasks
+    orders = [data_gen.permutation(size).tolist() for _ in ts.kinds]
+    cursors = [0] * len(ts.kinds)
     for _ in range(steps):
         batches = []
         for t, pool in enumerate(ts.train):

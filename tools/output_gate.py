@@ -9,8 +9,9 @@ this tree's ``src/``, and compares every file the runs write (CSVs, adapter
 dumps, config.json) with ``cmp``. Each tree then runs ``ortho-lora
 summarize`` on each of its run directories, and the two trees' stdout and
 exit codes are compared. Each tree also runs ``ortho-lora sweep-rank`` with
-ranks 2 and 4 and one seed on the sweep config; the two ``rank_sweep.csv``
-files are compared with ``cmp``, and the sweep directory is summarized and
+ranks 2 and 4 and two seeds on the sweep config (two, so that a seed's run
+on another seed's task set shows as a byte difference); the two
+``rank_sweep.csv`` files are compared with ``cmp``, and the sweep directory is summarized and
 compared like a run directory. A parent older than ``summarize`` on sweep
 directories exits 2 there, so it fails the gate. Exits 0 when
 every file and every summary is identical, 1 after listing the files or
@@ -74,6 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALL_MODES = ["SINGLE_TASK", "JOINT", "ORTHO_FLAT", "ORTHO_STRUCTURED"]
 SWEEP_RANKS = ["2", "4"]
+SWEEP_SEEDS = "2"
 RANK_FILE = Path("sweep-rank") / "rank_sweep.csv"
 
 
@@ -152,7 +154,7 @@ def run_all(src: Path, configs: Path, out: Path) -> None:
 
 def sweep(src: Path, config: Path, out: Path) -> None:
     run_in_session([sys.executable, "-m", "ortho_lora.cli", "sweep-rank", str(config),
-                    "--ranks", *SWEEP_RANKS, "--seeds", "1", "--out", str(out)],
+                    "--ranks", *SWEEP_RANKS, "--seeds", SWEEP_SEEDS, "--out", str(out)],
                    env=dict(os.environ, PYTHONPATH=str(src)),
                    stdout=subprocess.DEVNULL).check_returncode()
 
