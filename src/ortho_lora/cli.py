@@ -16,7 +16,9 @@ Subcommands:
                                      and ``config.json``
 
 Exit codes: 0 success, 1 runtime failure (a ``MemoryError`` too: a config
-whose arrays do not fit in memory), 2 usage or validation error
+whose arrays do not fit in memory; ``run`` and ``sweep-rank`` make their
+directory only after training, so a failed run leaves none), 2 usage or
+validation error
 (including a ``sweep-rank`` rank the config rejects or repeats, or a
 ``--seeds`` below 1 or whose last seed the config rejects, caught before the
 run directory is made, and a ``run`` directory that already holds a mode
@@ -33,7 +35,8 @@ file and the field), a ``sweep.json`` rank its ``config.json`` rejects, a
 missing CSV, a mode directory the config does not list, and a mode directory
 beside a ``rank_sweep.csv``. ``validate`` and ``run`` build the config's
 task set first, and ``sweep-rank`` each seed's (which every rank of that
-seed then trains on), and exit 2 on a label pool
+seed then trains on), and exit 2 on an array too large for numpy to size
+(naming the file and the field) or a label pool
 that no draw fills (naming the file, the task and the pool); ``run`` and
 ``sweep-rank`` exit 2 on a run directory that is a file or lies under one
 (naming the file). Both are caught before anything is trained or written.
@@ -55,6 +58,7 @@ from .config import (
     SINGLE_TASK,
     ExperimentConfig,
     SweepRecord,
+    check_array_sizes,
     load_config,
     save_config,
     save_sweep,
@@ -122,9 +126,11 @@ def resolve_run_dir(config: ExperimentConfig, config_path: str, override: str | 
 
 
 def _task_set(config: ExperimentConfig, config_path: str) -> SyntheticTaskSet:
-    """config's task set, or a ConfigError naming the file, the task and the
-    label pool that no draw filled."""
+    """config's task set, or a ConfigError naming the file and the field of an
+    array too large for numpy to size, or the task and the label pool that
+    no draw filled."""
     try:
+        check_array_sizes(config)
         return build_task_set(config)
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from None
@@ -158,11 +164,9 @@ def _cmd_run(args) -> int:
         if other:
             raise ConfigError(f"{other[0]}: an adapter dump of another run, which this config "
                               "would not overwrite; choose another run directory")
-    task_set = _task_set(config, args.config)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    result = run_experiment(config, _task_set(config, args.config))
+    run_dir.mkdir(parents=True, exist_ok=True)  # after training: a failed run leaves no directory
     save_config(config, run_dir / CONFIG_FILE)
-
-    result = run_experiment(config, task_set)
     for mode, log in result.logs.items():
         mode_dir = run_dir / mode
         write_metrics(log, mode_dir)
@@ -183,8 +187,8 @@ def _cmd_sweep_rank(args) -> int:
     modes = mode_dirs(run_dir)
     if modes:
         raise ConfigError(f"{modes[0]}: a mode directory of a run; choose another sweep directory")
-    run_dir.mkdir(parents=True, exist_ok=True)
     rows = rank_sweep(config, args.ranks, task_sets)
+    run_dir.mkdir(parents=True, exist_ok=True)  # after training: a failed sweep leaves no directory
     write_rank_rows(rows, run_dir / RANK_FILE)
     save_config(config, run_dir / CONFIG_FILE)  # written last: they describe the table
     save_sweep(SweepRecord(sorted(args.ranks), args.seeds), run_dir / SWEEP_FILE)

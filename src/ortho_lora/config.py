@@ -257,6 +257,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
+def check_array_sizes(config: ExperimentConfig) -> None:
+    """A ConfigError naming the field that sizes an array a run of config would
+    make past what numpy can size, MAX_INT bytes at 8 per entry: each field's
+    own bound leaves such products possible."""
+    tasks, schedule = config.tasks, config.schedule
+    data, dims = max(tasks.in_dim, tasks.out_dim), config.model.layer_dims
+    steps_field = ("schedule.steps_per_epoch" if (schedule.steps_per_epoch or 0) > schedule.epochs
+                   else "schedule.epochs")
+    arrays = [  # (the field, the entries of an array a run makes), the shape's sizes first
+        ("model.layer_dims", max(d_in * d_out for d_in, d_out in zip(dims, dims[1:]))),  # a w0
+        ("tasks.out_dim", tasks.num_tasks * tasks.out_dim * dims[-1]),  # the heads
+        ("tasks.n_train", tasks.num_tasks * tasks.n_train * data),  # the train pool
+        ("tasks.n_eval", (tasks.n_train + tasks.n_eval) * data),  # a task's drawn examples
+        # the Gram store, at most: 2 scope groups per layer
+        (steps_field, config.total_steps() * 2 * (len(dims) - 1) * tasks.num_tasks ** 2),
+    ]
+    for name, entries in arrays:
+        if 8 * entries > MAX_INT:
+            raise ConfigError(f"config.{name}: a run of this config needs an array of {entries} "
+                              f"entries of 8 bytes, more than numpy can size ({MAX_INT} bytes)")
+
+
 def _load(path: str | Path, name: str, read):
     """read applied to the JSON object of the file at path; a ConfigError names the file."""
     p = Path(path)

@@ -32,9 +32,13 @@ A stack builds what its step reuses, its ``StepBuffers``, on its first step
 and again on a batch of another shape, so a step's rows, projection and
 update hold until the next step on that stack; the step's forward is the
 training-time layer math, w0 h + s*b@(a h), whose a@h the backward pass
-reads. ``eval_metric`` evaluates every task of a stack in one call through
-each layer's merged weight w0 + s*b@a, built once per call, as a deployed
-LoRA layer runs: one product per layer, into a run's ``EvalPool`` buffers.
+reads. The step computes dloss/dout, not the losses, which only the log
+reads: it leaves their operands in its head output buffer (residuals,
+logits), and ``window_losses`` computes the losses of a window of steps in
+one batched call. ``eval_metric`` evaluates every task of a stack in one
+call through each layer's merged weight w0 + s*b@a, built once per call, as
+a deployed LoRA layer runs: one product per layer, into a run's
+``EvalPool`` buffers.
 Gradient code writes no parameter; its one side effect is the
 backward_passes counter.
 """
@@ -266,9 +270,11 @@ class StepBuffers:
     views, then its (T, r, n) a@h, (T, d, n) z and b@a@h output arrays;
     backward[i] the transposes of w0, a, b, a@h and the layer input (None:
     the step's x) that its backward pass reads, then its A and B views of
-    the rows; grads holds the rows, with (T, o, d) head and (T, A) adapter
-    views. projected is surgery's output, update merge's: the (1, P) update
-    of one run of T heads (None for one-head runs)."""
+    the rows; out is the (T, o, n) head output, which keeps the step's loss
+    operands, and g_out its dloss/dout; grads holds the rows, with
+    (T, o, d) head and (T, A) adapter views. projected is surgery's output,
+    update merge's: the (1, P) update of one run of T heads (None for
+    one-head runs)."""
 
     def __init__(self, stack: ParamStack, shape: tuple[int, ...]):
         model, tasks, layout = stack.models[0], len(stack.heads), stack.models[0].layout
@@ -283,7 +289,7 @@ class StepBuffers:
                           rows[:, layout.a[i]].reshape(tasks, *a.shape[1:]),
                           rows[:, layout.b[i]].reshape(tasks, *b.shape[1:]))
                          for i, (w0, a, b, ah, _, _) in enumerate(forward)]
-        self.out = np.empty((tasks, model.out_dim, n))
+        self.out, self.g_out = np.empty((2, tasks, model.out_dim, n))
         self.heads_t, self.features_t = stack.heads.swapaxes(1, 2), forward[-1][4].swapaxes(1, 2)
         self.grads = GradientStack(stack.task_ids, rows, layout)
         self.head_grads = rows[:, layout.heads.start:].reshape(stack.heads.shape)
@@ -389,67 +395,86 @@ def _stacked_targets(kinds: list[str], out_dim: int,
     return targets
 
 
-def _losses(out: np.ndarray,
-            targets: list[tuple[str, list[int], np.ndarray]]) -> tuple[list[float], np.ndarray]:
-    """Mean per-example loss of every (o, n) slab of out, and dloss/dout.
-
-    Regression: half squared error summed over output dims, averaged over the
-    batch. Classification: softmax cross-entropy averaged over the batch. The
-    slabs of one kind are computed together, against that kind's stacked
-    targets from ``_stacked_targets``; when one kind covers every slab, its
-    arrays are the result, with no scatter into fresh ones.
-    """
+def _output_gradient(out: np.ndarray, targets: list[tuple[str, list[int], np.ndarray]],
+                     g_out: np.ndarray) -> None:
+    """dloss/dout of every (o, n) slab of out into g_out, leaving in out what the
+    slab's loss needs (``window_losses``): a regression slab's residual out - y,
+    a classification slab's logits as they are. The slabs of one kind are
+    computed together, against that kind's stacked targets from
+    ``_stacked_targets``; when one kind covers every slab, in place, with no
+    scatter."""
     if len(targets) == 1:
-        losses, g_out = _kind_losses(targets[0][0], out, targets[0][2])
-        return losses.tolist(), g_out
-    losses, g_out = np.empty(len(out)), np.empty_like(out)
+        _kind_gradient(targets[0][0], targets[0][2], out, g_out)
+        return
     for kind, pos, y in targets:
-        losses[pos], g_out[pos] = _kind_losses(kind, out[pos], y)
-    return losses.tolist(), g_out
+        slabs, grad = out[pos], np.empty((len(pos), *out.shape[1:]))
+        _kind_gradient(kind, y, slabs, grad)
+        out[pos], g_out[pos] = slabs, grad
 
 
-def _kind_losses(kind: str, out: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_losses`` of (R, o, n) slabs out of one kind, against its stacked
-    targets y, as two fresh arrays."""
+def _kind_gradient(kind: str, y: np.ndarray, out: np.ndarray, g_out: np.ndarray) -> None:
+    """``_output_gradient`` of (R, o, n) slabs out of one kind, against its
+    stacked targets y. Regression: half squared error summed over output
+    dims, averaged over the batch. Classification: softmax cross-entropy
+    averaged over the batch."""
     n = out.shape[2]
     if kind == REGRESSION:
-        resid = out - y
-        losses = 0.5 * np.add.reduce((resid * resid).reshape(len(y), -1), axis=1) / n
-        resid /= n
-        return losses, resid
-    shifted = out - out.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    denom = expz.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    picked = (np.arange(len(y))[:, None], y, np.arange(n))
-    losses = -np.add.reduce(log_probs[picked], axis=1) / n
-    grad = expz / denom
-    grad[picked] -= 1.0
-    grad /= n
-    return losses, grad
+        np.subtract(out, y, out=out)
+        np.divide(out, n, out=g_out)
+        return
+    expz = out - out.max(axis=1, keepdims=True)
+    np.exp(expz, out=expz)
+    np.divide(expz, expz.sum(axis=1, keepdims=True), out=g_out)
+    g_out[np.arange(len(y))[:, None], y, np.arange(n)] -= 1.0
+    g_out /= n
+
+
+def window_losses(saved: np.ndarray,
+                  steps: list[list[tuple[str, list[int], np.ndarray]]]) -> np.ndarray:
+    """The (k, T) mean per-example losses of the (k, T, o, n) slabs that k steps
+    left in their head output buffer (``_output_gradient``), against the k
+    steps' StepBatch targets: one batched computation per kind over every
+    step of the window, which reads the class labels and, for regression,
+    only the residuals. Each slab's loss has the bits of the same slab's
+    loss computed on its own."""
+    losses, n = np.empty(saved.shape[:2]), saved.shape[3]
+    for i, (kind, pos, _) in enumerate(steps[0]):
+        slabs = (saved if len(pos) == losses.shape[1] else saved[:, pos]).reshape(-1, *saved.shape[2:])
+        if kind == REGRESSION:  # the slabs are residuals
+            kind_losses = 0.5 * np.add.reduce((slabs * slabs).reshape(len(slabs), -1), axis=1) / n
+        else:  # the slabs are logits, against the steps' (k, C, n) labels
+            labels = np.array([step[i][2] for step in steps]).reshape(len(slabs), n)
+            shifted = slabs - slabs.max(axis=1, keepdims=True)
+            picked = shifted[np.arange(len(slabs))[:, None], labels, np.arange(n)]
+            kind_losses = -np.add.reduce(picked - np.log(np.exp(shifted).sum(axis=1)), axis=1) / n
+        losses[:, pos] = kind_losses.reshape(len(saved), -1)
+    return losses
 
 
 def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
     """Loss plus a one-row stack: every adapter block and the task's own head,
-    from ``joint_gradient`` on a throwaway one-run stack of model's params."""
+    from ``joint_gradient`` on a throwaway one-run stack of model's params,
+    and the loss from ``window_losses`` on the one step it left."""
     t = batch.task_id
     if not 0 <= t < model.num_tasks:
         raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
     targets = _stacked_targets([model.kinds[t]], model.out_dim, [batch])
     adapters = [(layer.adapter.a[None], layer.adapter.b[None]) for layer in model.layers]
     throwaway = ParamStack(model.params[None], [model], adapters, model.heads[t:t + 1], [t])
-    grads, losses = joint_gradient(throwaway, StepBatch(np.array([batch.x]), targets, first=t))
-    return losses[0], grads
+    grads = joint_gradient(throwaway, StepBatch(np.array([batch.x]), targets, first=t))
+    return float(window_losses(throwaway.step.out[None], [targets])[0, 0]), grads
 
 
-def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, list[float]]:
-    """Every task's gradient and loss from one forward and one backward pass.
+def joint_gradient(stack: ParamStack, batch: StepBatch) -> GradientStack:
+    """Every task's gradient from one forward and one backward pass.
 
     Each run's adapters run over its tasks' batches of the step, as the
     stack's (R, r, k) and (R, d, r) views; each layer's forward is the
     training-time tanh(w0 h + s*b@(a h)) into stack.step's buffers, whose
-    a@h the backward pass reads. Rows and losses are in task order, row t
-    the adapter columns of task t's run, then head t, in stack.step's rows.
+    a@h the backward pass reads. Rows are in task order, row t the adapter
+    columns of task t's run, then head t, in stack.step's rows. The losses
+    are not computed: stack.step.out keeps what they need until the next
+    step (``_output_gradient``), for ``window_losses``.
     The backward pass writes each layer's d(loss)/d(output) over its b@a@h
     buffer, dz over its z and b^T dz over its a@h, once it is done with each.
     """
@@ -469,7 +494,8 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
     if not np.isfinite(out).all():
         finite = np.isfinite(out).all(axis=(1, 2))
         raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
-    losses, g_out = _losses(out, batch.targets)
+    g_out = step.g_out
+    _output_gradient(out, batch.targets, g_out)
     np.matmul(g_out, step.features_t, out=step.head_grads)
     np.matmul(step.heads_t, g_out, out=step.forward[-1][5])
     for i in reversed(range(len(step.forward))):
@@ -487,7 +513,7 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> tuple[GradientStack, 
     step.adapter_grads *= step.scale
     for model in stack.models:
         model.backward_passes += 1
-    return step.grads, losses
+    return step.grads
 
 
 @dataclass(eq=False)

@@ -25,7 +25,9 @@ columns of the model's flat layout and then the task's own head. Its
 view V (row t: task t's original gradient over the group) and V^T, built
 once for a run's rows. Report and projection read the group's Gram matrix
 G = V V^T, which ``group_grams`` computes once for both, into one (groups,
-T, T) stack. Every working gradient is c^T V for a coefficient row c, so the
+T, T) stack (JOINT, which reports but does not project, has its run's
+``trainer.StepWindow`` compute the same products for a window of steps at
+once). Every working gradient is c^T V for a coefficient row c, so the
 projected gradients are C V, and each inner product a pair test needs is
 computed from G and the projections the row has fired so far, only when it
 is tested. Merge maps the rows to the stack's update. Each of these
@@ -119,8 +121,8 @@ def scope_groups(grad: TaskGradient, scope: str) -> list[tuple[str, list[str]]]:
 
 def group_grams(grads: GradientStack, scope: str, out: np.ndarray) -> np.ndarray:
     """The Gram matrix V V^T of every scope group's columns V (``group_views``),
-    written into the (G, T, T) out in group order (a run passes its step's
-    slice of its Gram store), which it returns."""
+    written into the (G, T, T) out in group order (an ORTHO step passes its
+    slice of its run's Gram store), which it returns."""
     for gram, (v, v_t) in zip(out, grads.group_views(scope)):
         np.matmul(v, v_t, out=gram)
     return out

@@ -16,19 +16,23 @@ one forward and one backward pass over the step's ``StepBatch``
 (``joint_gradient``), and task t's gradient is row t of a (T, A + o*d)
 matrix: the adapter columns of its run, then head t. JOINT and both ORTHO
 modes are one run with T heads, SINGLE_TASK T runs of one head each
-(``run_count``). The projection reads per-group Gram matrices of the rows
-(computed once per step), merge maps them to the stack's (R, P) update, and
-one AdamW step moves the stack. Head gradients bypass projection in every
-mode. All modes draw identical batch sequences for a given seed: data order,
-task generation, model init and the surgery shuffle each consume their own
-named substream.
+(``run_count``). The ORTHO projection reads per-group Gram matrices of the
+rows (computed once per step), merge maps them to the stack's (R, P)
+update, and one AdamW step moves the stack. A step computes only its
+update: its losses, and JOINT's Gram matrices, which only the log reads,
+are computed once per window of steps (``StepWindow``). Head gradients
+bypass projection in every mode. All modes draw identical batch sequences
+for a given seed: data order, task generation, model init and the surgery
+shuffle each consume their own named substream.
 
 A run draws its step schedule before its first step: the (S,) lr column, all
-surgery orders in one draw and one (S, G, T, T) Gram store, and its first
-step builds the ``StepBuffers`` that every step writes; after its last
-step, one ``build_conflict_report`` call reads the store, its losses become
-one (S, T) array and its eval metrics one (E + 1, T) array: the log is
-columns, and builds its record objects only on demand.
+surgery orders in one draw, one (S, T) loss column and one (S, G, T, T)
+Gram store, and its first step builds the ``StepBuffers`` that every step
+writes; each window of steps fills its rows of the loss column (and, for
+JOINT, of the Gram store), and after the last step one
+``build_conflict_report`` call reads the store and the eval metrics become
+one (E + 1, T) array: the log is columns, and builds its record objects
+only on demand.
 
 ``build_task_set`` hands the config's checked ``tasks`` section and the
 tasks substream to ``make_conflict_set``. A run checks its train pool once,
@@ -65,10 +69,12 @@ from .model import (
     MultiTaskModel,
     ParamStack,
     StepBatch,
+    StepBuffers,
     build_model,
     eval_metric,
     joint_gradient,
     stack_runs,
+    window_losses,
 )
 from .optim import AdamWState, adamw_step, linear_decay_lr
 from .surgery import ConflictReport, build_conflict_report, group_grams, merge, surgery
@@ -82,6 +88,11 @@ STREAM_DATA = 2
 STREAM_SURGERY = 3
 
 AVG_TASK = "avg"
+# The most entries (64 KiB) of a StepWindow buffer, whatever a run's length:
+# as tasks.GATHER_ENTRIES, under glibc's 128 KiB mmap threshold. A freed
+# mapped block raises that threshold, and moves later arrays of every layer
+# (eval's among them) from fresh maps to the heap.
+WINDOW_ENTRIES = 8192
 
 
 @dataclass(slots=True)
@@ -162,20 +173,67 @@ def run_count(config: ExperimentConfig, mode: str) -> int:
 
 def train_step(mode: str, stack: ParamStack, batch: StepBatch, opt_state: AdamWState, lr: float,
                scope: str | None = None, grams: np.ndarray | None = None,
-               order: list[int] | None = None) -> list[float]:
-    """One optimization step of every run of stack; returns the per-task losses.
+               order: list[int] | None = None) -> None:
+    """One optimization step of every run of stack.
 
-    In scope (a run's ``conflict_scope``) the step writes its ``group_grams``
-    into the (G, T, T) grams, and ORTHO modes project in order. With scope
-    None it reports and projects nothing, as SINGLE_TASK's one-head runs must.
+    In scope (a run's ``conflict_scope``) an ORTHO step writes its
+    ``group_grams`` into the (G, T, T) grams and projects in order. JOINT's
+    step computes no Gram matrix, which only its conflict report reads: its
+    run's ``StepWindow`` computes them. With scope None the step projects
+    nothing, as SINGLE_TASK's one-head runs must. The step computes no loss:
+    stack.step.out keeps what the losses need (``joint_gradient``).
     """
-    grads, losses = joint_gradient(stack, batch)
-    if scope is not None:
-        grams = group_grams(grads, scope, grams)
-        if mode != JOINT:
-            grads = surgery(grads, scope, order, grams, stack.step.projected)
+    grads = joint_gradient(stack, batch)
+    if scope is not None and mode != JOINT:
+        grads = surgery(grads, scope, order, group_grams(grads, scope, grams), stack.step.projected)
     adamw_step(stack.matrix, merge(grads, stack.step.update), opt_state, lr)
-    return losses
+
+
+class StepWindow:
+    """The arithmetic that only a run's log reads, done once per window of
+    steps, not inside each step: as many steps as fit WINDOW_ENTRIES, and at
+    least one.
+
+    After each step, ``keep`` copies what the step left for its losses (its
+    (T, o, n) head output buffer: residuals or logits, see
+    ``joint_gradient``) and, when grams is JOINT's (S, G, T, T) Gram store,
+    its (T, A) adapter rows. After the window's last step, one
+    ``window_losses`` call writes the window's rows of the (S, T) losses,
+    and one batched V V^T per scope group its slice of grams, with the bits
+    of each step's own ``group_grams``. ``flush`` ends a run's last window.
+    """
+
+    def __init__(self, stack: ParamStack, losses: np.ndarray, batch_size: int,
+                 scope: str | None = None, grams: np.ndarray | None = None):
+        tasks, outputs, layout = len(stack.heads), stack.heads.shape[1], stack.models[0].layout
+        width = max(outputs * batch_size, layout.heads.start if grams is not None else 0)
+        size = min(max(1, WINDOW_ENTRIES // (tasks * width)), len(losses))
+        self.losses, self.grams, self.start, self.targets = losses, grams, 0, []
+        self.saved = np.empty((size, tasks, outputs, batch_size))
+        self.rows, self.views = None, []
+        if grams is not None:
+            self.rows = np.empty((size, tasks, layout.heads.start))
+            self.views = [(v, v.swapaxes(1, 2)) for v in (self.rows[:, :, cols]
+                                                          for _, cols in layout.groups(scope))]
+
+    def keep(self, step: StepBuffers, batch: StepBatch) -> None:
+        slot = len(self.targets)
+        np.copyto(self.saved[slot], step.out)
+        if self.rows is not None:
+            np.copyto(self.rows[slot], step.adapter_grads)
+        self.targets.append(batch.targets)
+        if slot + 1 == len(self.saved):
+            self.flush()
+
+    def flush(self) -> None:
+        count = len(self.targets)
+        if not count:
+            return
+        stop = self.start + count
+        self.losses[self.start:stop] = window_losses(self.saved[:count], self.targets)
+        for g, (v, v_t) in enumerate(self.views):
+            np.matmul(v[:count], v_t[:count], out=self.grams[self.start:stop, g])
+        self.start, self.targets = stop, []
 
 
 @dataclass
@@ -238,23 +296,27 @@ def run_mode(config: ExperimentConfig, mode: str,
     total_steps, num_tasks = config.total_steps(), config.tasks.num_tasks
 
     lrs = linear_decay_lr(total_steps, config.optimizer.lr_base)
-    grams = orders = repeat(None)
+    losses = np.empty((total_steps, num_tasks))
+    spe, batch_size = config.steps_per_epoch(), config.schedule.batch_size
+    grams = None
+    step_grams = orders = repeat(None)
     if scope is not None:
         grams = np.empty((total_steps, len(base.layout.groups(scope)), num_tasks, num_tasks))
         if mode != JOINT:
+            step_grams = grams
             orders = master.child(STREAM_SURGERY).permutations(total_steps, num_tasks).tolist()
-    schedule = zip(lrs.tolist(), grams, orders)
-    loss_rows: list[list[float]] = []
+    window = StepWindow(stack, losses, batch_size, scope, grams if mode == JOINT else None)
+    schedule = zip(lrs.tolist(), step_grams, orders)
     metrics = [eval_metric(stack, eval_pool)]
-    spe, batch_size = config.steps_per_epoch(), config.schedule.batch_size
     for _ in range(config.schedule.epochs):
         # zip draws the batch first, so an epoch's end leaves the schedule unread
         for batch, (lr, gram, order) in zip(
                 epoch_batches(task_set.train_pool, data_rng, batch_size, spe), schedule):
-            loss_rows.append(train_step(mode, stack, batch, opt_state, lr, scope, gram, order))
+            train_step(mode, stack, batch, opt_state, lr, scope, gram, order)
+            window.keep(stack.step, batch)
         metrics.append(eval_metric(stack, eval_pool))
-    log = MetricsLog(mode, np.array(loss_rows).reshape(total_steps, num_tasks), lrs,
-                     metrics=np.array(metrics))
+    window.flush()
+    log = MetricsLog(mode, losses, lrs, metrics=np.array(metrics))
     if scope is not None and total_steps:
         log.conflicts.append(build_conflict_report(base.layout, scope, grams))
     return log, stack.models

@@ -24,13 +24,13 @@ from ortho_lora.model import (
     StepBatch,
     TaskBatch,
     TaskGradient,
-    _losses,
     _stacked_targets,
     build_model,
     eval_metric,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
+    window_losses,
 )
 from ortho_lora.optim import AdamWState, adamw_step
 from ortho_lora.surgery import (
@@ -244,7 +244,7 @@ def surgery_floats(grads: GradientStack, scope) -> int:
 
 def measure_surgery_floats(model, batches, scope) -> int:
     """surgery_floats of this model's gradients on batches."""
-    grads, _ = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    grads = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     return surgery_floats(grads, scope)
 
 
@@ -439,10 +439,26 @@ def eager_coefficients(gram, order):
     return np.array(coeffs) if fired else None
 
 
+def step_losses(stack, batch) -> list[float]:
+    """The per-task losses of the step just taken on stack with batch, from what
+    the step left in stack.step.out: ``window_losses`` over a window of that
+    one step."""
+    return window_losses(stack.step.out[None], [batch.targets])[0].tolist()
+
+
+def reference_losses(stack, batch) -> list[float]:
+    """The per-task losses of a step of stack on batch, as the step computed them
+    before a run's window did: the step's forward into fresh arrays, then
+    ``scatter_losses``. Call it before the step moves the stack."""
+    features, _ = fresh_forward(stack.models[0], batch.x, stack.adapters)
+    return scatter_losses(stack.heads @ features, batch.targets)[0]
+
+
 def scatter_losses(out, targets):
-    """model._losses written as the form it replaced: every kind's losses and
-    dloss/dout scattered into fresh (T,) and (T, o, n) arrays, one kind
-    included. The reference the one-kind path is checked against, bit for bit."""
+    """The step's losses and dloss/dout as they were first written: every
+    kind's losses and dloss/dout scattered into fresh (T,) and (T, o, n)
+    arrays, one kind included. The reference the one-kind path and the
+    window's losses are checked against, bit for bit."""
     n = out.shape[2]
     losses = np.empty(len(out))
     g_out = np.empty_like(out)
@@ -525,7 +541,8 @@ def reference_run(config, mode):
             idx = block[:, :count * batch_size].reshape(num_tasks, count, -1)
             for batch in subset_batch(pool, idx):
                 lr = config.optimizer.lr_base * (1.0 - len(lrs) / total)
-                grads, step_losses = joint_gradient(stack, batch)
+                step_losses = reference_losses(stack, batch)
+                grads = joint_gradient(stack, batch)
                 outs = step_outs(grads, scope or FLAT)
                 if scope is not None:
                     grams.append(group_grams(grads, scope, outs.grams))
@@ -604,7 +621,7 @@ def fresh_gradient_rows(model, batch, heads, adapters=None):
     if not np.isfinite(out).all():
         finite = np.isfinite(out).all(axis=(1, 2))
         raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
-    losses, g_out = _losses(out, batch.targets)
+    losses, g_out = scatter_losses(out, batch.targets)
     rows = np.empty((len(out), model.layout.heads.start + heads[0].size))
     np.matmul(g_out, features.swapaxes(-1, -2), out=rows[:, -heads[0].size:].reshape(heads.shape))
     fresh_backprop(model, caches, heads.swapaxes(-1, -2) @ g_out, rows)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import step_losses
+
 from ortho_lora.adapter import (
     ADAPTER_FORMAT,
     FrozenLayer,
@@ -67,8 +69,9 @@ def step_forward(model, x):
     the features unchanged into the step's output buffer."""
     stack = stack_runs(model, 1)
     zeros = np.zeros((1, len(model.layers[0].w0), x.shape[1]))
-    _, (loss,) = joint_gradient(stack, StepBatch(x[None], [(REGRESSION, [0], zeros)]))
-    return stack.step.out[0], loss
+    batch = StepBatch(x[None], [(REGRESSION, [0], zeros)])
+    joint_gradient(stack, batch)
+    return stack.step.out[0], step_losses(stack, batch)[0]
 
 
 def test_adapted_forward_fresh_equals_backbone_exactly():

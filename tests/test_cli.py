@@ -98,6 +98,35 @@ def test_validate_oversized_integer_exits_2_naming_the_field(tmp_path, capsys):
                                        f"{2**63 - 1}, got {2**70}\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep-rank"])
+def test_array_numpy_cannot_size_exits_2_naming_the_field(tmp_path, capsys, command):
+    # 2**62 examples pass n_train's own bound, but the train pool's bytes overflow int64
+    cfg = write_config(tmp_path / "huge.json",
+                       tasks={"kind": "regression", "num_tasks": 2, "in_dim": 6, "out_dim": 2,
+                              "n_train": 2**62, "n_eval": 16})
+    out = tmp_path / "out"
+    flags = {"validate": [], "run": ["--out", str(out)],
+             "sweep-rank": ["--ranks", "2", "--seeds", "1", "--out", str(out)]}[command]
+    assert run_cli([command, str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: config.tasks.n_train: a run of this config needs an array of "
+        f"{2 * 2**62 * 6} entries of 8 bytes, more than numpy can size ({2**63 - 1} bytes)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-rank"])
+def test_a_run_that_fails_in_training_leaves_no_run_directory(tmp_path, capsys, command):
+    # 10**13 epochs pass every check, and the run's lr column does not fit in
+    # memory: exit 1, and the directory, made only after training, is not there
+    cfg = write_config(tmp_path / "long.json", schedule={"epochs": 10**13, "batch_size": 8})
+    out = tmp_path / "out"
+    flags = ["--ranks", "2", "--seeds", "1"] if command == "sweep-rank" else []
+    assert run_cli([command, str(cfg), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_memory_error_is_a_runtime_failure_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                                command):

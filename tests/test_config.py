@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ortho_lora.cli import run_cli
-from ortho_lora.config import config_from_dict, load_config, save_config
+from ortho_lora.config import check_array_sizes, config_from_dict, load_config, save_config
 from ortho_lora.errors import ConfigError
 from ortho_lora.reporting import sweep_configs
 
@@ -230,6 +230,32 @@ def test_integer_fields_hold_63_bits():
     # every integer field but seed ends at 2**63 - 1: the bound, not the size, is checked
     config = config_from_dict(faulty({"schedule.epochs": 2**63 - 1}))
     assert config.schedule.epochs == 2**63 - 1
+
+
+@pytest.mark.parametrize("edits,field", [
+    ({"tasks.n_train": 2**62}, "tasks.n_train"),
+    ({"tasks.n_eval": 2**62}, "tasks.n_eval"),
+    ({"model.layer_dims": [2**40, 2**40], "tasks.in_dim": 2**40, "model.rank": 1},
+     "model.layer_dims"),
+    ({"model.layer_dims": [2**60, 16], "tasks.in_dim": 2**60}, "model.layer_dims"),
+    ({"tasks.out_dim": 2**60}, "tasks.out_dim"),
+    ({"schedule.epochs": 2**60}, "schedule.epochs"),
+    ({"schedule.steps_per_epoch": 2**60}, "schedule.steps_per_epoch"),
+])
+def test_an_array_numpy_cannot_size_names_its_field(edits, field):
+    config = config_from_dict(faulty(edits))  # each value within its own bound
+    with pytest.raises(ConfigError, match=rf"^config\.{field}: a run of this config needs "):
+        check_array_sizes(config)
+
+
+def test_the_size_check_stops_at_numpy_bound():
+    # a task's (n_train + n_eval) * 16 drawn entries of 8 bytes: 2**63 - 128
+    # bytes pass, 2**63 do not
+    fits = 2**56 - 1 - DEFAULT["tasks"]["n_train"]
+    check_array_sizes(config_from_dict(faulty({"tasks.n_eval": fits})))
+    with pytest.raises(ConfigError, match=r"^config\.tasks\.n_eval: "):
+        check_array_sizes(config_from_dict(faulty({"tasks.n_eval": fits + 1})))
+    check_array_sizes(config_from_dict(DEFAULT))
 
 
 def test_root_not_an_object():

@@ -21,6 +21,7 @@ from helpers import (
     random_model,
     scatter_losses,
     step_batch,
+    step_losses,
 )
 
 from ortho_lora.adapter import FrozenLayer, init_adapter
@@ -32,11 +33,12 @@ from ortho_lora.model import (
     EvalPool,
     MultiTaskModel,
     TaskBatch,
-    _losses,
+    _output_gradient,
     _stacked_targets,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
+    window_losses,
 )
 
 
@@ -55,7 +57,9 @@ def test_bit_identical_at_trainer_shapes(num_tasks):
     model = random_model(30, layer_dims=(16, 16), rank=4, alpha=16.0,
                          kinds=[REGRESSION] * num_tasks, out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 16, seed=40 + t) for t in range(num_tasks)]
-    stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    runs, step = stack_runs(model, 1), step_batch(model, batches)
+    stack = joint_gradient(runs, step)
+    losses = step_losses(runs, step)
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == loss
         got = stack[t]
@@ -78,7 +82,9 @@ def test_random_stacks_with_mixed_heads(seed):
     model = random_model(seed, layer_dims=dims, rank=rank, kinds=kinds,
                          out_dim=int(rng.integers(2, 5)), randomize_b=True)
     batches = [random_batch(model, t, 6, seed=100 + t) for t in range(len(kinds))]
-    stack, losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    runs, step = stack_runs(model, 1), step_batch(model, batches)
+    stack = joint_gradient(runs, step)
+    losses = step_losses(runs, step)
     for t, (loss, want) in enumerate(_per_task(model, batches)):
         assert losses[t] == pytest.approx(loss, rel=1e-14)
         for bid, arr in want.blocks.items():
@@ -98,14 +104,16 @@ def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
     model = random_model(60, layer_dims=layer_dims, rank=3, kinds=_mixed_kinds(num_tasks),
                          out_dim=4, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=200 + t) for t in range(num_tasks)]
-    stack, joint_losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    one_run, step = stack_runs(model, 1), step_batch(model, batches)
+    stack = joint_gradient(one_run, step)
+    joint_losses = step_losses(one_run, step)
     runs = stack_runs(model, num_tasks)
     adapters = model.params[:model.layout.heads.start]
     assert all(np.array_equal(m.params, np.concatenate((adapters, model.heads[t].ravel())))
                for t, m in enumerate(runs.models))
-    rows, losses = joint_gradient(runs, step_batch(model, batches))
+    rows = joint_gradient(runs, step)
     assert np.array_equal(rows.rows, stack.rows)
-    assert losses == joint_losses
+    assert step_losses(runs, step) == joint_losses
 
 
 def _entry_call(entry, model, batches):
@@ -199,11 +207,11 @@ def test_rows_hold_until_the_next_step_on_their_stack(entry):
              for s in range(2)]
     runs = 1 if entry == "joint_gradient" else 3
     stack = stack_runs(model, runs)
-    kept = joint_gradient(stack, steps[0])[0]
+    kept = joint_gradient(stack, steps[0])
     first = kept.rows.copy()
-    other = joint_gradient(stack_runs(model, runs), steps[1])[0]
+    other = joint_gradient(stack_runs(model, runs), steps[1])
     assert not np.shares_memory(other.rows, kept.rows) and np.array_equal(kept.rows, first)
-    assert joint_gradient(stack, steps[1])[0] is kept
+    assert joint_gradient(stack, steps[1]) is kept
     assert np.array_equal(kept.rows, other.rows) and not np.array_equal(kept.rows, first)
 
 
@@ -263,8 +271,8 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
         got_rows, got_losses = stack.rows, [loss]
     elif entry == "joint_gradient":
         rows, losses = _per_task_heads([model] * len(kinds), batches)
-        stack, got_losses = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
-        got_rows = stack.rows
+        runs, step = stack_runs(model, 1), step_batch(model, batches)
+        got_rows, got_losses = joint_gradient(runs, step).rows, step_losses(runs, step)
     else:
         stack = stack_runs(model, len(kinds))
         params = stack.matrix
@@ -273,8 +281,8 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
                         len(kinds), *model.layout.blocks[f"L{i}.{role}"][1]) for role in "AB")
                     for i in range(len(model.layers))]
         rows, losses = _per_task_heads(stack.models, batches, adapters)
-        grads, got_losses = joint_gradient(stack, step_batch(model, batches))
-        got_rows = grads.rows
+        step = step_batch(model, batches)
+        got_rows, got_losses = joint_gradient(stack, step).rows, step_losses(stack, step)
     assert np.array_equal(got_rows, rows)
     assert got_losses == losses
 
@@ -289,19 +297,23 @@ _BOTH_KINDS = st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=2
 @given(kinds=st.one_of(_ONE_KIND, _BOTH_KINDS), out_dim=st.integers(2, 4),
        n=st.integers(1, 6), seed=st.integers(0, 2**16))
 def test_losses_equal_the_scatter_form(kinds, out_dim, n, seed):
-    # one kind returns its own arrays, mixed kinds scatter: the same bits either way
+    # one kind works in place, mixed kinds scatter: the same bits either way;
+    # the step leaves residuals and logits, and the window's losses read them
     rng = generator(seed)
     out = 3.0 * rng.standard_normal((len(kinds), out_dim, n))
     batches = [TaskBatch(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
                          if kind == REGRESSION else rng.integers(0, out_dim, n))
                for t, kind in enumerate(kinds)]
     targets = _stacked_targets(kinds, out_dim, batches)
-    kept = out.copy()
     want_losses, want_g = scatter_losses(out, targets)
-    losses, g_out = _losses(out, targets)
-    assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
-    assert g_out.shape == want_g.shape and g_out.tobytes() == want_g.tobytes()
-    assert np.array_equal(out, kept) and not np.shares_memory(g_out, out)
+    saved, g_out = out.copy(), np.empty_like(out)
+    _output_gradient(saved, targets, g_out)
+    losses = window_losses(saved[None], [targets])[0]
+    assert losses.tobytes() == np.array(want_losses).tobytes()
+    assert g_out.tobytes() == want_g.tobytes()
+    for t, (kind, batch) in enumerate(zip(kinds, batches)):
+        want = out[t] - batch.y if kind == REGRESSION else out[t]
+        assert saved[t].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -316,9 +328,9 @@ def test_one_adapter_rescale_equals_the_per_block_rescale(depth):
         stack = stack_runs(model, runs)
         stack.matrix += 0.1 * Rng(depth).standard_normal(stack.matrix.shape)
         want_rows, want_losses = per_block_gradient_rows(model, step, stack.heads, stack.adapters)
-        grads, losses = joint_gradient(stack, step)
+        grads = joint_gradient(stack, step)
         assert grads.rows.tobytes() == want_rows.tobytes(), f"{runs} run(s)"
-        assert losses == want_losses
+        assert step_losses(stack, step) == want_losses
 
 
 def test_a_model_has_one_adapter_scale():

@@ -73,7 +73,7 @@ def test_fd_perturbation_reaches_predict():
 def test_stack_rows_hold_adapters_and_own_head():
     model = random_model(5, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
-    stack, _ = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
+    stack = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     singles = [task_loss_and_gradient(model, b)[1] for b in batches]
     adapter_cols = model.layout.heads.start
     width = adapter_cols + model.out_dim * 4
@@ -174,7 +174,7 @@ def test_merge_of_model_gradients_equals_zero_padded_row_sum(kinds, dims, out_di
                          out_dim=out_dim, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=seed + 1 + t) for t in range(len(kinds))]
     task = data.draw(st.integers(0, len(kinds) - 1))
-    grads = joint_gradient(stack_runs(model, 1), step_batch(model, batches))[0]
+    grads = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
     one = task_loss_and_gradient(model, batches[task])[1]
     if len(kinds) == 1:

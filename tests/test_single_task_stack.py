@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import own_copy, padded_update, random_batch, random_model, step_batch
+from helpers import own_copy, padded_update, random_batch, random_model, step_batch, step_losses
 
 from ortho_lora.config import SINGLE_TASK
 from ortho_lora.errors import ParameterError
@@ -73,10 +73,10 @@ def _stacked(base, hyper, steps):
     state = AdamWState(hyper=hyper)
     losses = []
     for step in range(steps):
-        step_losses = train_step(SINGLE_TASK, stack, step_batch(base, _batches(base, step)),
-                                 state, 0.01 * (1 + step))
-        assert len(step_losses) == base.num_tasks
-        losses.append(step_losses)
+        batch = step_batch(base, _batches(base, step))
+        train_step(SINGLE_TASK, stack, batch, state, 0.01 * (1 + step))
+        losses.append(step_losses(stack, batch))
+        assert len(losses[-1]) == base.num_tasks
     # the stack and both AdamW moments hold one row of A + o*d columns per run
     shape = (base.num_tasks, _row_width(base))
     assert stack.matrix.shape == state.m.shape == state.v.shape == shape

@@ -9,6 +9,7 @@ from helpers import (
     random_model,
     stack_of,
     step_batch,
+    step_losses,
     step_report,
     task_gradient,
 )
@@ -235,17 +236,17 @@ def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
     stacked = step_batch(model, batches)
     # a stack's rows hold until its next step: each call gets a stack of its own
-    (got, got_losses), (want, want_losses) = (joint_gradient(stack_runs(model, 1), b)
-                                              for b in (step, stacked))
+    def on_runs(batch, runs=1):
+        stack = stack_runs(model, runs)
+        if runs > 1:
+            stack.matrix += 0.1 * Rng(seed).standard_normal(stack.matrix.shape)
+        return joint_gradient(stack, batch), step_losses(stack, batch)
+
+    (got, got_losses), (want, want_losses) = (on_runs(b) for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got.task_ids == want.task_ids
     assert got_losses == want_losses
 
-    def on_runs(batch):
-        runs = stack_runs(model, len(kinds))
-        runs.matrix += 0.1 * Rng(seed).standard_normal(runs.matrix.shape)
-        return joint_gradient(runs, batch)
-
-    (got, got_losses), (want, want_losses) = (on_runs(b) for b in (step, stacked))
+    (got, got_losses), (want, want_losses) = (on_runs(b, len(kinds)) for b in (step, stacked))
     assert np.array_equal(got.rows, want.rows) and got_losses == want_losses
 
 
