@@ -270,6 +270,7 @@ def check_array_sizes(config: ExperimentConfig) -> None:
         ("tasks.out_dim", tasks.num_tasks * tasks.out_dim * dims[-1]),  # the heads
         ("tasks.n_train", tasks.num_tasks * tasks.n_train * data),  # the train pool
         ("tasks.n_eval", (tasks.n_train + tasks.n_eval) * data),  # a task's drawn examples
+        ("tasks.n_eval", tasks.num_tasks * tasks.n_eval * data),  # the eval set
         # the Gram store, at most: 2 scope groups per layer
         (steps_field, config.total_steps() * 2 * (len(dims) - 1) * tasks.num_tasks ** 2),
     ]

@@ -126,24 +126,14 @@ class Layout:
 
 
 @dataclass
-class TaskBatch:
-    """One task's mini-batch: inputs as columns, targets per the task kind.
-
-    y is a (out_dim x n) matrix for regression or an int vector of n class
-    labels for classification.
-    """
-
-    task_id: int
-    x: Matrix
-    y: np.ndarray
-
-
-@dataclass
 class StepBatch:
-    """One step's T equal-size batches, stacked: the gradient code's only input.
+    """T tasks' equal-size batches, stacked: the gradient code's only input, a
+    run's held-out set and, as views, its train pool.
 
-    x is a C-contiguous (T, k, n) array, x[p] the inputs of task first + p;
-    targets is ``_stacked_targets``' (kind, positions p, stacked targets) list.
+    x is a (T, k, n) array, x[p] the inputs of task first + p; targets holds,
+    for each task kind present, regression before classification, (kind, its
+    positions p in order, their targets stacked): (R, o, n) regression
+    values or (C, n) class labels. ``check_batch`` checks one.
     """
 
     x: np.ndarray
@@ -357,42 +347,37 @@ def _check_input(model: MultiTaskModel, shape: tuple[int, ...]) -> None:
         raise ShapeError(f"input {shape} does not match model input dim {model.in_dim}")
 
 
-def _stacked_targets(kinds: list[str], out_dim: int,
-                     ordered: list[TaskBatch]) -> list[tuple[str, list[int], np.ndarray]]:
-    """(kind, positions p, stacked targets of the batches ordered[p]) for each kind
-    in kinds: (R, o, n) regression values or (C, n) class labels. Checks n >= 1
-    examples in each batch, (out_dim, n) regression targets and n class labels
-    in [0, out_dim), one test per kind; an error names the offending task."""
-    sizes = [b.x.shape[-1] for b in ordered]
-    if sizes.count(sizes[0]) != len(sizes):
-        raise ParameterError(f"need equal batch sizes, got {sizes}")
-    n = sizes[0]
-    if n < 1:
-        raise ParameterError("batch must contain at least one example")
-    targets = []
-    for kind, shape in ((REGRESSION, (out_dim, n)), (CLASSIFICATION, (n,))):
-        pos = [p for p, k in enumerate(kinds) if k == kind]
-        if not pos:
-            continue
-        ys = [ordered[p].y for p in pos]
-        try:
-            y = np.array(ys)  # as np.stack does, at a fraction of its call overhead
-        except ValueError:  # the targets' shapes differ
-            y = None
-        if y is None or y.shape[1:] != shape:
-            p, y = next((p, y) for p, y in zip(pos, ys) if y.shape != shape)
-            raise ShapeError(f"{kind} targets {y.shape} of task {ordered[p].task_id} do not match {shape} "
-                             f"(out_dim={out_dim}, n={n})")
+def check_batch(batch: StepBatch, kinds: list[str], out_dim: int) -> None:
+    """Check batch for tasks of kinds, slab p task batch.first + p of kind
+    kinds[p], with out_dim outputs: one slab per task, each task's kind and
+    position in the targets, n >= 1 examples, the (R, out_dim, n) and (C, n)
+    target shapes and labels in [0, out_dim), one test per kind over its
+    stacked array. An error names a task."""
+    unknown = set(kinds) - {REGRESSION, CLASSIFICATION}
+    if unknown:
+        raise ParameterError(f"unknown task kind {sorted(unknown)[0]!r}")
+    n, first = batch.x.shape[-1], batch.first
+    if len(batch.x) != len(kinds) or n < 1:
+        raise ParameterError(f"need {len(kinds)} tasks' batches of at least one example, "
+                             f"got inputs of shape {batch.x.shape}")
+    listed = [(kind, list(pos)) for kind, pos, _ in batch.targets]
+    want = [(kind, [p for p, k in enumerate(kinds) if k == kind])
+            for kind in (REGRESSION, CLASSIFICATION) if kind in kinds]
+    if listed != want:
+        held = {p: kind for kind, pos in listed for p in pos}
+        p = next((p for p, kind in enumerate(kinds) if held.get(p) != kind), None)
+        raise ParameterError(f"targets list tasks {listed}, not {want}" if p is None
+                             else f"task {first + p} has {held.get(p)} targets, not {kinds[p]}")
+    for kind, pos, y in batch.targets:
+        shape = (len(pos), out_dim, n) if kind == REGRESSION else (len(pos), n)
+        if y.shape != shape:
+            raise ShapeError(f"{kind} targets {y.shape} of task {first + pos[0]} do not match "
+                             f"{shape} (out_dim={out_dim}, n={n})")
         if kind == CLASSIFICATION:
             outside = ((y < 0) | (y >= out_dim)).any(axis=1)
             if outside.any():
                 raise ParameterError(f"labels outside [0, {out_dim}) for task "
-                                     f"{ordered[pos[int(outside.argmax())]].task_id}")
-        targets.append((kind, pos, y))
-    unknown = set(kinds) - {REGRESSION, CLASSIFICATION}
-    if unknown:
-        raise ParameterError(f"unknown task kind {sorted(unknown)[0]!r}")
-    return targets
+                                     f"{first + pos[int(outside.argmax())]}")
 
 
 def _output_gradient(out: np.ndarray, targets: list[tuple[str, list[int], np.ndarray]],
@@ -400,9 +385,8 @@ def _output_gradient(out: np.ndarray, targets: list[tuple[str, list[int], np.nda
     """dloss/dout of every (o, n) slab of out into g_out, leaving in out what the
     slab's loss needs (``window_losses``): a regression slab's residual out - y,
     a classification slab's logits as they are. The slabs of one kind are
-    computed together, against that kind's stacked targets from
-    ``_stacked_targets``; when one kind covers every slab, in place, with no
-    scatter."""
+    computed together, against that kind's stacked targets; when one kind
+    covers every slab, in place, with no scatter."""
     if len(targets) == 1:
         _kind_gradient(targets[0][0], targets[0][2], out, g_out)
         return
@@ -451,18 +435,19 @@ def window_losses(saved: np.ndarray,
     return losses
 
 
-def task_loss_and_gradient(model: MultiTaskModel, batch: TaskBatch) -> tuple[float, GradientStack]:
-    """Loss plus a one-row stack: every adapter block and the task's own head,
-    from ``joint_gradient`` on a throwaway one-run stack of model's params,
-    and the loss from ``window_losses`` on the one step it left."""
-    t = batch.task_id
+def task_loss_and_gradient(model: MultiTaskModel, batch: StepBatch) -> tuple[float, GradientStack]:
+    """Loss plus a one-row stack for batch, one batch of task batch.first: every
+    adapter block and the task's own head, from ``joint_gradient`` on a
+    throwaway one-run stack of model's params, and the loss from
+    ``window_losses`` on the one step it left."""
+    t = batch.first
     if not 0 <= t < model.num_tasks:
         raise ParameterError(f"task_id {t} outside [0, {model.num_tasks})")
-    targets = _stacked_targets([model.kinds[t]], model.out_dim, [batch])
+    check_batch(batch, [model.kinds[t]], model.out_dim)
     adapters = [(layer.adapter.a[None], layer.adapter.b[None]) for layer in model.layers]
     throwaway = ParamStack(model.params[None], [model], adapters, model.heads[t:t + 1], [t])
-    grads = joint_gradient(throwaway, StepBatch(np.array([batch.x]), targets, first=t))
-    return float(window_losses(throwaway.step.out[None], [targets])[0, 0]), grads
+    grads = joint_gradient(throwaway, batch)
+    return float(window_losses(throwaway.step.out[None], [batch.targets])[0, 0]), grads
 
 
 def joint_gradient(stack: ParamStack, batch: StepBatch) -> GradientStack:
@@ -518,30 +503,25 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> GradientStack:
 
 @dataclass(eq=False)
 class EvalPool:
-    """Held-out batches of a model's tasks, checked once, and the activation and
-    output buffers that each ``eval_metric`` call on it reuses: one (d, n) z
-    per layer and the (o, n) head output; kinds are the model's task kinds. A
-    run builds one with ``of``, so the buffers live as long as the run."""
+    """A model's held-out set, checked once, and the activation and output
+    buffers that each ``eval_metric`` call on it reuses: one (d, n) z per
+    layer and the (o, n) head output; batch holds every task's examples,
+    kinds are the model's task kinds. A run builds one with ``of``, so the
+    buffers live as long as the run."""
 
-    batches: list[TaskBatch]
+    batch: StepBatch
     kinds: list[str]
     z: list[Matrix] = field(repr=False)
     out: Matrix = field(repr=False)
 
     @classmethod
-    def of(cls, batches: list[TaskBatch], model: MultiTaskModel) -> EvalPool:
-        """batches checked by ``_stacked_targets`` for the heads of model's
-        tasks, with buffers for model's layer shapes."""
-        if not batches:
-            raise ParameterError("need at least one eval batch")
-        bad = next((b.task_id for b in batches if not 0 <= b.task_id < model.num_tasks), None)
-        if bad is not None:
-            raise ParameterError(f"task_id {bad} outside [0, {model.num_tasks})")
-        _stacked_targets([model.kinds[b.task_id] for b in batches], model.out_dim, batches)
-        for batch in batches:
-            _check_input(model, batch.x.shape)
-        n = batches[0].x.shape[-1]
-        return cls(batches, model.kinds, [np.empty((len(layer.w0), n)) for layer in model.layers],
+    def of(cls, batch: StepBatch, model: MultiTaskModel) -> EvalPool:
+        """batch checked by ``check_batch`` for every task of model, with
+        buffers for model's layer shapes."""
+        check_batch(batch, model.kinds, model.out_dim)
+        _check_input(model, batch.x.shape)
+        n = batch.x.shape[-1]
+        return cls(batch, model.kinds, [np.empty((len(layer.w0), n)) for layer in model.layers],
                    np.empty((model.out_dim, n)))
 
 
@@ -559,36 +539,38 @@ def _merged_weights(stack: ParamStack) -> list[np.ndarray]:
 
 
 def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
-    """Held-out metric of every batch of pool: accuracy for classification,
+    """Held-out metric of every task of pool: accuracy for classification,
     plain MSE for regression.
 
-    The batch of task t runs through run t // H of the stack and head t, so
-    one call evaluates a mode. The runs have the layer shapes of the model
-    the pool was built for, and its task kinds. Eval runs the adapters
-    merged, as a deployed LoRA layer does: the call builds every run's
-    merged weights once, and each batch's (k, n) forward is one product per
-    layer, tanh((w0 + s*b@a) h), into the pool's buffers. Its bits are those
-    of the merged product, not of the step's w0 h + s*b@(a h).
+    Task t runs through run t // H of the stack and head t, so one call
+    evaluates a mode. The runs have the layer shapes of the model the pool
+    was built for, and its task kinds. Eval runs the adapters merged, as a
+    deployed LoRA layer does: the call builds every run's merged weights
+    once, and each task's (k, n) forward, the C-contiguous slab x[t] of the
+    pool's inputs, is one product per layer, tanh((w0 + s*b@a) h), into the
+    pool's buffers. Its bits are those of the merged product, not of the
+    step's w0 h + s*b@(a h). The tasks run kind by kind.
     """
     kinds = [kind for model in stack.models for kind in model.kinds]
     if kinds != pool.kinds:
         raise ParameterError(f"the stack's heads are not of the eval pool's kinds {pool.kinds}")
     per_run = len(kinds) // len(stack.models)
-    metrics, out = [], pool.out
+    metrics, out = [0.0] * len(kinds), pool.out
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _merged_weights(stack)
-    for batch in pool.batches:
-        run, h = batch.task_id // per_run, batch.x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (w, z) in enumerate(zip(weights, pool.z)):
-                np.matmul(w[run], h, out=z)
-                _check_finite(z, f"layer {i}")
-                h = np.tanh(z, out=z)
-        np.matmul(stack.heads[batch.task_id], h, out=out)
-        _check_finite(out, f"head {batch.task_id}")
-        if kinds[batch.task_id] == CLASSIFICATION:
-            metrics.append(np.count_nonzero(out.argmax(axis=0) == batch.y) / len(batch.y))
-        else:
-            np.subtract(out, batch.y, out=out)
-            metrics.append(float(np.add.reduce(np.square(out, out=out), axis=None)) / out.size)
+    for kind, pos, ys in pool.batch.targets:
+        for t, y in zip(pos, ys):
+            run, h = t // per_run, pool.batch.x[t]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, (w, z) in enumerate(zip(weights, pool.z)):
+                    np.matmul(w[run], h, out=z)
+                    _check_finite(z, f"layer {i}")
+                    h = np.tanh(z, out=z)
+            np.matmul(stack.heads[t], h, out=out)
+            _check_finite(out, f"head {t}")
+            if kind == CLASSIFICATION:
+                metrics[t] = np.count_nonzero(out.argmax(axis=0) == y) / len(y)
+            else:
+                np.subtract(out, y, out=out)
+                metrics[t] = float(np.add.reduce(np.square(out, out=out), axis=None)) / out.size
     return metrics

@@ -31,19 +31,21 @@ builds the task set before it writes anything.
 The training examples live in one stacked ``TaskPool``, checked once per run
 (``SyntheticTaskSet.check_train``). ``subset_batch`` gathers many steps'
 ``StepBatch`` objects at once, straight into the stacked arrays the gradient
-code reads. The eval examples stay one batch per task.
+code reads. The held-out examples are one ``StepBatch``: a C-contiguous
+(T, k, n_eval) input, whose slabs eval multiplies, and each kind's targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import CLASSIFICATION, MIN_CLASS_FRACTION, REGRESSION, TasksConfig
 from .dense import Matrix, Rng
 from .errors import ConfigError, ParameterError
-from .model import StepBatch, TaskBatch, _stacked_targets
+from .model import StepBatch, check_batch
 
 MAX_LABEL_RETRIES = 100
 # The most input entries (64 KiB) subset_batch gathers into one array: glibc
@@ -69,30 +71,22 @@ class TaskPool:
 
 @dataclass
 class SyntheticTaskSet:
+    """The tasks' kinds and teachers, their training examples (train_pool) and
+    their held-out examples (eval, a StepBatch of every task)."""
+
     kinds: list[str]
     teachers: list[Matrix]
     train_pool: TaskPool
-    eval: list[TaskBatch]
-
-    @property
-    def train(self) -> list[TaskBatch]:
-        """Task t's whole train pool as batch t: transposed views of train_pool."""
-        ys: list[np.ndarray | None] = [None] * len(self.train_pool.x)
-        for _, ids, y in self.train_pool.targets:
-            for t, y_t in zip(ids, y):
-                ys[t] = y_t.T
-        return list(map(TaskBatch, range(len(ys)), self.train_pool.x.swapaxes(1, 2), ys))
+    eval: StepBatch
 
     def check_train(self, out_dim: int) -> None:
-        """Check every train example once, for out_dim outputs: task t's kind in
-        the pool against kinds[t], then every task's targets through
-        ``_stacked_targets``. A step's gathered ``StepBatch`` then needs no check."""
-        pool_kinds = {t: kind for kind, ids, _ in self.train_pool.targets for t in ids}
-        bad = next((t for t, kind in enumerate(self.kinds) if pool_kinds.get(t) != kind), None)
-        if bad is not None:
-            raise ParameterError(f"task {bad} is {pool_kinds.get(bad)} in the train pool, "
-                                 f"not {self.kinds[bad]}")
-        _stacked_targets(self.kinds, out_dim, self.train)
+        """Check every train example once, for out_dim outputs, by ``check_batch``
+        on (T, k, N) and (R, o, N) views of the pool, which copy nothing. A
+        step's gathered ``StepBatch`` then needs no check."""
+        pool = self.train_pool
+        check_batch(StepBatch(pool.x.swapaxes(1, 2), [(kind, ids, np.moveaxis(y, 1, -1))
+                                                      for kind, ids, y in pool.targets]),
+                    self.kinds, out_dim)
 
 
 def _teachers(tasks: TasksConfig, rng: Rng) -> list[Matrix]:
@@ -106,17 +100,26 @@ def _teachers(tasks: TasksConfig, rng: Rng) -> list[Matrix]:
             for t in range(tasks.num_tasks)]
 
 
-def _labels_balanced(logits_fn, n_train: int, n_eval: int, in_dim: int, classes: int,
+def _draw(teacher: Matrix, noise_sigma: float, n: int, r: Rng) -> tuple[Matrix, Matrix]:
+    """n inputs drawn from r, as columns, and the teacher's outputs on them
+    plus N(0, noise_sigma^2) noise drawn next."""
+    x = r.standard_normal((teacher.shape[1], n))
+    y = teacher @ x
+    if noise_sigma > 0:
+        y = y + noise_sigma * r.standard_normal(y.shape)
+    return x, y
+
+
+def _labels_balanced(draw, n_train: int, n_eval: int, classes: int,
                      stream: Rng, task: int) -> tuple[Matrix, np.ndarray]:
-    """Draw inputs and argmax labels, retrying on a bumped substream when a
-    class falls under MIN_CLASS_FRACTION of either pool. When no attempt
-    fills both, a ConfigError names the task and each pool that fell short."""
-    n = n_train + n_eval
+    """Inputs and the argmax labels of their drawn logits, retrying on a bumped
+    substream when a class falls under MIN_CLASS_FRACTION of either pool.
+    When no attempt fills both, a ConfigError names the task and each pool
+    that fell short."""
     short_train = short_eval = 0  # the attempts in which each pool fell short
     for attempt in range(MAX_LABEL_RETRIES):
-        r = stream.child(attempt)
-        x = r.standard_normal((in_dim, n))
-        labels = logits_fn(x, r).argmax(axis=0)
+        x, logits = draw(stream.child(attempt))
+        labels = logits.argmax(axis=0)
         train_ok = np.bincount(labels[:n_train], minlength=classes).min() >= MIN_CLASS_FRACTION * n_train
         eval_ok = np.bincount(labels[n_train:], minlength=classes).min() >= MIN_CLASS_FRACTION * n_eval
         if train_ok and eval_ok:
@@ -136,35 +139,24 @@ def make_conflict_set(tasks: TasksConfig, rng: Rng) -> SyntheticTaskSet:
     kinds, in_dim, out_dim = tasks.kinds, tasks.in_dim, tasks.out_dim
     n_train, n_eval, noise_sigma = tasks.n_train, tasks.n_eval, tasks.noise_sigma
     teachers = _teachers(tasks, rng)
-    targets = []
-    for kind, shape, dtype in ((REGRESSION, (n_train, out_dim), np.float64),
-                               (CLASSIFICATION, (n_train,), np.int64)):
+    x_train, x_eval = np.empty((len(kinds), n_train, in_dim)), np.empty((len(kinds), in_dim, n_eval))
+    train, held_out = [], []
+    # kind by kind: each task draws from its own substream, so the order moves no bit
+    for kind, shape, dtype in ((REGRESSION, (out_dim,), np.float64), (CLASSIFICATION, (), np.int64)):
         ids = [t for t, k in enumerate(kinds) if k == kind]
+        y_train = np.empty((len(ids), n_train, *shape), dtype)
+        y_eval = np.empty((len(ids), *shape, n_eval), dtype)
+        for i, t in enumerate(ids):
+            # a regression task's examples are a classification task's first attempt
+            draw, stream = partial(_draw, teachers[t], noise_sigma, n_train + n_eval), rng.child(1).child(t)
+            x, y = (draw(stream.child(0)) if kind == REGRESSION
+                    else _labels_balanced(draw, n_train, n_eval, out_dim, stream, t))
+            x_train[t], y_train[i] = x[:, :n_train].T, y[..., :n_train].T
+            x_eval[t], y_eval[i] = x[:, n_train:], y[..., n_train:]
         if ids:
-            targets.append((kind, ids, np.empty((len(ids), *shape), dtype)))
-    task_set = SyntheticTaskSet(list(kinds), teachers,
-                                TaskPool(np.empty((len(kinds), n_train, in_dim)), targets), [])
-    for t, (kind, train) in enumerate(zip(kinds, task_set.train)):
-        w_t = teachers[t]
-        stream = rng.child(1).child(t)
-        if kind == REGRESSION:
-            r = stream.child(0)
-            x = r.standard_normal((in_dim, n_train + n_eval))
-            y = w_t @ x
-            if noise_sigma > 0:
-                y = y + noise_sigma * r.standard_normal(y.shape)
-        else:
-            def logits(x: Matrix, r: Rng) -> Matrix:
-                z = w_t @ x
-                if noise_sigma > 0:
-                    z = z + noise_sigma * r.standard_normal(z.shape)
-                return z
-
-            x, y = _labels_balanced(logits, n_train, n_eval, in_dim, out_dim, stream, t)
-        train.x[...] = x[:, :n_train]
-        train.y[...] = y[..., :n_train]
-        task_set.eval.append(TaskBatch(t, x[:, n_train:].copy(), y[..., n_train:].copy()))
-    return task_set
+            train.append((kind, ids, y_train))
+            held_out.append((kind, ids, y_eval))
+    return SyntheticTaskSet(list(kinds), teachers, TaskPool(x_train, train), StepBatch(x_eval, held_out))
 
 
 def _rows(idx: np.ndarray, size: int) -> np.ndarray:

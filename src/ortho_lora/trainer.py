@@ -37,7 +37,7 @@ only on demand.
 ``build_task_set`` hands the config's checked ``tasks`` section and the
 tasks substream to ``make_conflict_set``. A run checks its train pool once,
 before its first step (``check_train``), and builds one ``EvalPool``
-(checked eval batches and buffers). Each epoch draws its data orders as
+(its checked eval set and buffers). Each epoch draws its data orders as
 (T, N) blocks, and one ``subset_batch`` call gathers every step a block
 serves (``epoch_batches``). Each epoch ends with one ``eval_metric`` call.
 ``conflict_scope`` is the one rule for which modes report conflicts every

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import groupby
 from statistics import fmean
 
@@ -22,10 +23,9 @@ from ortho_lora.model import (
     Layout,
     MultiTaskModel,
     StepBatch,
-    TaskBatch,
     TaskGradient,
-    _stacked_targets,
     build_model,
+    check_batch,
     eval_metric,
     joint_gradient,
     stack_runs,
@@ -59,6 +59,47 @@ Grad = namedtuple("Grad", ["task_id", "blocks"])
 
 # The out arrays of group_grams, surgery and merge for one step's rows.
 StepOuts = namedtuple("StepOuts", ["grams", "projected", "update"])
+
+
+@dataclass
+class TaskView:
+    """One task's examples as a test writes them: inputs as (k, n) columns, y
+    its (out_dim, n) regression targets or n class labels."""
+
+    task_id: int
+    x: np.ndarray
+    y: np.ndarray
+
+
+def task_views(batch: StepBatch) -> list[TaskView]:
+    """Every task of a StepBatch as views of its slabs, in task order."""
+    ys = {p: y_p for _, pos, y in batch.targets for p, y_p in zip(pos, y)}
+    return [TaskView(batch.first + p, x, ys[p]) for p, x in enumerate(batch.x)]
+
+
+def train_views(task_set) -> list[TaskView]:
+    """Task t's whole train pool as view t: (k, N) inputs, (o, N) or N targets."""
+    pool = task_set.train_pool
+    return task_views(StepBatch(pool.x.swapaxes(1, 2),
+                                [(kind, ids, np.moveaxis(y, 1, -1)) for kind, ids, y in pool.targets]))
+
+
+def stack_views(kinds, views, first=0) -> StepBatch:
+    """views, the batches of tasks first, first + 1, ... of these kinds, as one
+    StepBatch, unchecked: the inputs in one array and each kind's targets in
+    one, as a run's pools hold them."""
+    targets = []
+    for kind in (REGRESSION, CLASSIFICATION):
+        pos = [p for p, k in enumerate(kinds) if k == kind]
+        if pos:
+            targets.append((kind, pos, np.array([views[p].y for p in pos])))
+    return StepBatch(np.array([v.x for v in views]), targets, first)
+
+
+def task_step(model, view) -> StepBatch:
+    """The one-task StepBatch of view's task for model, unchecked: what
+    ``task_loss_and_gradient`` takes."""
+    return stack_views([model.kinds[view.task_id]], [view], view.task_id)
 
 
 def generator(seed, *spawn_key):
@@ -109,7 +150,7 @@ def random_batch(model, task_id, n, seed):
         y = rng.standard_normal((model.out_dim, n))
     else:
         y = rng.integers(0, model.out_dim, n).astype(np.int64)
-    return TaskBatch(task_id, x, y)
+    return TaskView(task_id, x, y)
 
 
 def predict(model, task_id, x):
@@ -155,7 +196,7 @@ def task_loss(model, batch) -> float:
     batched loss of the gradient path: half squared error summed over output
     dims, or softmax cross-entropy."""
     out = predict(model, batch.task_id, batch.x)
-    _stacked_targets([model.kinds[batch.task_id]], model.out_dim, [batch])
+    check_batch(task_step(model, batch), [model.kinds[batch.task_id]], model.out_dim)
     n = out.shape[1]
     if model.kinds[batch.task_id] == REGRESSION:
         return 0.5 * float(np.sum((out - batch.y) ** 2)) / n
@@ -188,21 +229,22 @@ def fd_gradient(model, batch, block: str, h: float) -> np.ndarray:
 
 def task_gradient(model, batch) -> TaskGradient:
     """One task's gradient as block views: every adapter block and its own head."""
-    return task_loss_and_gradient(model, batch)[1][0]
+    return task_loss_and_gradient(model, task_step(model, batch))[1][0]
 
 
 def step_batch(model, batches) -> StepBatch:
     """The StepBatch a run gathers for model's tasks: batches, one per task in
-    any order, checked by ``_stacked_targets`` and stacked in task order;
-    ParameterError unless there is exactly one batch per task. For a stack,
-    model is the model it stacks."""
+    any order, stacked in task order and checked by ``check_batch``, as a run
+    checks its train pool; ParameterError unless there is exactly one batch
+    per task. For a stack, model is the model it stacks."""
     ordered = sorted(batches, key=lambda b: b.task_id)
     seen = [b.task_id for b in ordered]
     if seen != list(range(model.num_tasks)):
         raise ParameterError(f"need exactly one batch per task 0..{model.num_tasks - 1}, "
                              f"got task_ids {seen}")
-    targets = _stacked_targets(model.kinds, model.out_dim, ordered)
-    return StepBatch(np.array([b.x for b in ordered]), targets)
+    batch = stack_views(model.kinds, ordered)
+    check_batch(batch, model.kinds, model.out_dim)
+    return batch
 
 
 def joint_loss(model, batches, weights=None) -> float:
@@ -213,26 +255,6 @@ def joint_loss(model, batches, weights=None) -> float:
     if len(weights) != len(batches):
         raise ParameterError(f"{len(weights)} weights for {len(batches)} tasks")
     return sum(float(weights[b.task_id]) * task_loss(model, b) for b in batches)
-
-
-def dump_csv(task_set, path) -> None:
-    """Inspection dump: one row per example with inputs and target columns."""
-    in_dim = task_set.teachers[0].shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "split", "example", *(f"x{i}" for i in range(in_dim)), "target"])
-        for split, pools in (("train", task_set.train), ("eval", task_set.eval)):
-            for batch in pools:
-                for col in range(batch.x.shape[1]):
-                    target = (
-                        int(batch.y[col])
-                        if batch.y.ndim == 1
-                        else ";".join(f"{v:.17g}" for v in batch.y[:, col])
-                    )
-                    writer.writerow(
-                        [batch.task_id, split, col,
-                         *(f"{v:.17g}" for v in batch.x[:, col]), target]
-                    )
 
 
 def surgery_floats(grads: GradientStack, scope) -> int:

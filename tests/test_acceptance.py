@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    TaskView,
     conflict_set,
     fd_gradient,
     generator,
@@ -29,6 +30,8 @@ from helpers import (
     step_outs,
     task_gradient,
     task_loss,
+    task_step,
+    train_views,
 )
 
 from ortho_lora.cli import run_cli
@@ -40,7 +43,6 @@ from ortho_lora.model import (
     PER_MATRIX,
     REGRESSION,
     GradientStack,
-    TaskBatch,
     build_model,
     stack_runs,
     task_loss_and_gradient,
@@ -87,7 +89,7 @@ def test_criterion_01_gradient_correctness():
             y = xrng.standard_normal((out_dim, 4))
         else:
             y = np.asarray(xrng.integers(0, out_dim, 4), dtype=np.int64)
-        batch = TaskBatch(task, x, y)
+        batch = TaskView(task, x, y)
         grad = task_gradient(model, batch)
         for bid, analytic in grad.blocks.items():
             fd = fd_gradient(model, batch, bid, h=1e-5)
@@ -195,12 +197,12 @@ def test_criterion_05_local_non_harm():
         model, opt_state = stack.models[0], AdamWState()
         steps = int(generator(100 + state, 2).integers(1, 30))  # the stream of rng.child(2)
         orders = rng.child(3).permutations(steps, 2).tolist()
+        pools = train_views(tasks)
         for step in range(steps):
-            batches = [TaskBatch(t, tasks.train[t].x[:, :16], tasks.train[t].y[:, :16])
-                       for t in range(2)]
+            batches = [TaskView(t, pool.x[:, :16], pool.y[:, :16]) for t, pool in enumerate(pools)]
             train_step(ORTHO_STRUCTURED, stack, step_batch(model, batches), opt_state, 0.01,
                        PER_MATRIX, step_grams(stack, PER_MATRIX), orders[step])
-        rows = [task_loss_and_gradient(model, tasks.train[t])[1].rows for t in range(2)]
+        rows = [task_loss_and_gradient(model, task_step(model, pool))[1].rows for pool in pools]
         grads = GradientStack([0, 1], np.concatenate(rows), model.layout)
         ((_, bids),) = scope_groups(grads[0], FLAT)
         flat = [np.concatenate([g.blocks[b].ravel() for b in bids]) for g in grads]
@@ -209,7 +211,7 @@ def test_criterion_05_local_non_harm():
         projected = surgery(grads, FLAT, shuffle(100 + state, 2),
                             group_grams(grads, FLAT, step_outs(grads).grams), step_outs(grads).projected)
         for i, j in ((0, 1), (1, 0)):
-            derivative = _directional_fd(model, tasks.train[j], projected[i].blocks, h=5e-5)
+            derivative = _directional_fd(model, pools[j], projected[i].blocks, h=5e-5)
             worst = min(worst, derivative)
             assert derivative >= -1e-6, f"state {state}: derivative {derivative}"
         checked += 1
@@ -291,7 +293,7 @@ def test_criterion_09_overhead_locality():
         brng = rng.child(dims[0] + 2)
         for t in range(3):
             x = brng.standard_normal((dims[0], 6))
-            batches.append(TaskBatch(t, x, brng.standard_normal((3, 6))))
+            batches.append(TaskView(t, x, brng.standard_normal((3, 6))))
         touched = measure_surgery_floats(model, batches, PER_MATRIX)
         assert touched == 3 * model.layout.heads.start  # the adapter columns
         results[tuple(dims)] = (touched, sum(l.w0.size for l in model.layers))

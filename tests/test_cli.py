@@ -114,6 +114,19 @@ def test_array_numpy_cannot_size_exits_2_naming_the_field(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_validate_of_an_eval_set_numpy_cannot_size_exits_2(tmp_path, capsys):
+    # each task's draw of 480 + 2**54 examples fits; the 16 tasks' stacked
+    # (16, 16, 2**54) held-out inputs do not, and would stop np.empty
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    raw["tasks"].update(num_tasks=16, n_eval=2**54)
+    cfg = tmp_path / "wide_eval.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: config.tasks.n_eval: a run of this config needs an array of "
+        f"{16 * 2**54 * 16} entries of 8 bytes, more than numpy can size ({2**63 - 1} bytes)\n")
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-rank"])
 def test_a_run_that_fails_in_training_leaves_no_run_directory(tmp_path, capsys, command):
     # 10**13 epochs pass every check, and the run's lr column does not fit in

@@ -249,12 +249,18 @@ def test_an_array_numpy_cannot_size_names_its_field(edits, field):
 
 
 def test_the_size_check_stops_at_numpy_bound():
-    # a task's (n_train + n_eval) * 16 drawn entries of 8 bytes: 2**63 - 128
-    # bytes pass, 2**63 do not
+    # one task's (n_train + n_eval) * 16 drawn entries of 8 bytes, its largest
+    # array: 2**63 - 128 bytes pass, 2**63 do not
     fits = 2**56 - 1 - DEFAULT["tasks"]["n_train"]
-    check_array_sizes(config_from_dict(faulty({"tasks.n_eval": fits})))
+    one_task = {"tasks.num_tasks": 1, "tasks.conflict_level": 0.0}
+    check_array_sizes(config_from_dict(faulty({**one_task, "tasks.n_eval": fits})))
     with pytest.raises(ConfigError, match=r"^config\.tasks\.n_eval: "):
-        check_array_sizes(config_from_dict(faulty({"tasks.n_eval": fits + 1})))
+        check_array_sizes(config_from_dict(faulty({**one_task, "tasks.n_eval": fits + 1})))
+    # 16 tasks' stacked eval set of 16 * n_eval * 16 entries: 2**63 - 2**11 bytes
+    # pass, 2**63 do not
+    check_array_sizes(config_from_dict(faulty({"tasks.num_tasks": 16, "tasks.n_eval": 2**52 - 1})))
+    with pytest.raises(ConfigError, match=r"^config\.tasks\.n_eval: "):
+        check_array_sizes(config_from_dict(faulty({"tasks.num_tasks": 16, "tasks.n_eval": 2**52})))
     check_array_sizes(config_from_dict(DEFAULT))
 
 

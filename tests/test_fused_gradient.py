@@ -1,7 +1,7 @@
 """The one gradient path: joint_gradient's rows against the one-task-at-a-time
 gradient, on a stack of one run and on a stack of one-head runs, the
 batched heads against a per-task head loop, the loss step and the adapter
-rescale against the forms they replaced, and the batch checks that
+rescale against the forms they replaced, and the batch check that
 task_loss_and_gradient and EvalPool.of share with a run's check of its
 train pool."""
 
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TaskView,
     fresh_backprop,
     fresh_forward,
     generator,
@@ -20,8 +21,10 @@ from helpers import (
     random_batch,
     random_model,
     scatter_losses,
+    stack_views,
     step_batch,
     step_losses,
+    task_step,
 )
 
 from ortho_lora.adapter import FrozenLayer, init_adapter
@@ -32,9 +35,8 @@ from ortho_lora.model import (
     REGRESSION,
     EvalPool,
     MultiTaskModel,
-    TaskBatch,
     _output_gradient,
-    _stacked_targets,
+    check_batch,
     joint_gradient,
     stack_runs,
     task_loss_and_gradient,
@@ -46,7 +48,7 @@ def _per_task(model, batches):
     """(loss, TaskGradient) per batch from the one-task path."""
     out = []
     for b in batches:
-        loss, stack = task_loss_and_gradient(model, b)
+        loss, stack = task_loss_and_gradient(model, task_step(model, b))
         out.append((loss, stack[0]))
     return out
 
@@ -116,35 +118,38 @@ def test_stacked_rows_equal_joint_rows_on_equal_params(layer_dims, num_tasks):
     assert step_losses(runs, step) == joint_losses
 
 
-def _entry_call(entry, model, batches):
-    """The models an entry point touches, and a call of it on batches;
-    "stacked_gradient" is joint_gradient on a stack of one-head runs, as
-    SINGLE_TASK trains."""
+def _entry_call(entry, model, batches, spoil=None):
+    """The models an entry point touches, and a call of it on batches, one per
+    task in any order, stacked as a run's pools hold them and then spoiled
+    in place by spoil, if given. "task_loss_and_gradient" takes the first
+    batch's task alone, "stacked_gradient" is joint_gradient on a stack of
+    one-head runs, as SINGLE_TASK trains."""
     if entry == "task_loss_and_gradient":
-        return [model], lambda: task_loss_and_gradient(model, batches[0])
+        batch = task_step(model, batches[0])
+    else:
+        batch = stack_views(model.kinds, sorted(batches, key=lambda b: b.task_id))
+    if spoil is not None:
+        spoil(batch)
+    if entry == "task_loss_and_gradient":
+        return [model], lambda: task_loss_and_gradient(model, batch)
     if entry == "EvalPool.of":
-        return [model], lambda: EvalPool.of(batches, model)
+        return [model], lambda: EvalPool.of(batch, model)
     stack = stack_runs(model, 1 if entry == "joint_gradient" else model.num_tasks)
-    return stack.models, lambda: joint_gradient(stack, step_batch(model, batches))
+
+    def checked_step():
+        check_batch(batch, model.kinds, model.out_dim)
+        return joint_gradient(stack, batch)
+
+    return stack.models, checked_step
 
 
 # the entry points that check their batches; a run checks its train pool the
 # same way (check_train), so the gradient code trusts a gathered StepBatch
 CHECKED = ["task_loss_and_gradient", "EvalPool.of"]
-# and joint_gradient on both kinds of stack, which takes a StepBatch built by
-# step_batch: a bad batch never reaches it, since _stacked_targets,
+# and joint_gradient on both kinds of stack, which takes a StepBatch gathered
+# from a checked pool: a bad batch never reaches it, since check_batch,
 # check_train's check, rejects it first
 GATHERED = ["joint_gradient", "stacked_gradient"]
-
-
-@pytest.mark.parametrize("entry", ["EvalPool.of", *GATHERED])
-def test_unequal_batch_sizes_rejected(entry):
-    model = random_model(50, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
-    batches = [random_batch(model, 0, 3, seed=1), random_batch(model, 1, 7, seed=2)]
-    models, call = _entry_call(entry, model, list(reversed(batches)))
-    with pytest.raises(ParameterError, match="equal batch sizes"):
-        call()
-    assert [m.backward_passes for m in models] == [0] * len(models)
 
 
 @pytest.mark.parametrize("entry", CHECKED + GATHERED)
@@ -158,18 +163,34 @@ def test_empty_batch_rejected(entry):
     assert [m.backward_passes for m in models] == [0] * len(models)
 
 
+def _spoil(kind, spoil):
+    """A spoil for _entry_call: kind's stacked targets y replaced by spoil(y)."""
+    def spoiled(batch):
+        (p,) = [p for p, (k, _, _) in enumerate(batch.targets) if k == kind]
+        _, pos, y = batch.targets[p]
+        batch.targets[p] = (kind, pos, spoil(y))
+    return spoiled
+
+
+def _label_past_the_classes(labels):
+    labels[0, 2] = 3
+    return labels
+
+
 @pytest.mark.parametrize("entry", CHECKED + GATHERED)
-@pytest.mark.parametrize("task,target,error,match", [
-    (0, np.zeros((1, 5)), ShapeError, "task 0"),
-    (1, np.zeros((5, 1), dtype=np.int64), ShapeError, "task 1"),
-    (1, np.array([0, 1, 3, 0, 1]), ParameterError, r"labels outside \[0, 3\) for task 1"),
+@pytest.mark.parametrize("task,kind,spoil,error,match", [
+    (0, REGRESSION, lambda y: y[:, :1], ShapeError,
+     r"targets \(1, 1, 5\) of task 0 do not match \(1, 3, 5\)"),
+    (1, CLASSIFICATION, lambda y: y[..., None], ShapeError,
+     r"targets \(1, 5, 1\) of task 1 do not match \(1, 5\)"),
+    (1, CLASSIFICATION, _label_past_the_classes, ParameterError,
+     r"labels outside \[0, 3\) for task 1"),
 ], ids=["regression shape", "label shape", "label range"])
-def test_bad_targets_rejected_naming_the_task(entry, task, target, error, match):
+def test_bad_targets_rejected_naming_the_task(entry, task, kind, spoil, error, match):
     model = random_model(50, layer_dims=(6, 5, 4), rank=2, randomize_b=True)
     batches = [random_batch(model, t, 5, seed=1 + t) for t in range(2)]
-    batches[task].y = target
     batches.insert(0, batches.pop(task))  # first: the batch the one-task entry point reads
-    models, call = _entry_call(entry, model, batches)
+    models, call = _entry_call(entry, model, batches, _spoil(kind, spoil))
     with pytest.raises(error, match=match):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
@@ -195,6 +216,22 @@ def test_non_finite_head_output_names_the_task(entry):
     with pytest.raises(NumericError, match="non-finite activations at head 2$"):
         call()
     assert [m.backward_passes for m in models] == [0] * len(models)
+
+
+@pytest.mark.parametrize("runs", [1, 3], ids=["one run", "one-head runs"])
+def test_layer_overflow_stops_the_step_naming_the_layer(runs):
+    # 1e300 * 1e10 overflows layer 0's z to inf, which tanh would turn into a
+    # finite 1 with zero dz, and the step would train on silently
+    model = random_model(54, layer_dims=(6, 5, 4), rank=2,
+                         kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
+    model.layers[0].w0[0, 0] = 1e300
+    batches = [random_batch(model, t, 5, seed=1 + t) for t in range(3)]
+    for batch in batches:
+        batch.x[...] = 1e10
+    stack = stack_runs(model, runs)
+    with pytest.raises(NumericError, match="non-finite activations at layer 0$"):
+        joint_gradient(stack, step_batch(model, batches))
+    assert [m.backward_passes for m in stack.models] == [0] * runs
 
 
 @pytest.mark.parametrize("entry", ["joint_gradient", "stacked_gradient"])
@@ -267,7 +304,7 @@ def test_batched_heads_equal_per_task_head_loop(entry, kinds, dims, out_dim, n, 
     if entry == "task_loss_and_gradient":
         task = data.draw(st.integers(1, len(kinds) - 1))
         rows, losses = _per_task_heads([model], [batches[task]])
-        loss, stack = task_loss_and_gradient(model, batches[task])
+        loss, stack = task_loss_and_gradient(model, task_step(model, batches[task]))
         got_rows, got_losses = stack.rows, [loss]
     elif entry == "joint_gradient":
         rows, losses = _per_task_heads([model] * len(kinds), batches)
@@ -301,10 +338,10 @@ def test_losses_equal_the_scatter_form(kinds, out_dim, n, seed):
     # the step leaves residuals and logits, and the window's losses read them
     rng = generator(seed)
     out = 3.0 * rng.standard_normal((len(kinds), out_dim, n))
-    batches = [TaskBatch(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
-                         if kind == REGRESSION else rng.integers(0, out_dim, n))
+    batches = [TaskView(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
+                        if kind == REGRESSION else rng.integers(0, out_dim, n))
                for t, kind in enumerate(kinds)]
-    targets = _stacked_targets(kinds, out_dim, batches)
+    targets = stack_views(kinds, batches).targets
     want_losses, want_g = scatter_losses(out, targets)
     saved, g_out = out.copy(), np.empty_like(out)
     _output_gradient(saved, targets, g_out)

@@ -14,6 +14,7 @@ from helpers import (
     random_model,
     step_batch,
     step_outs,
+    task_step,
 )
 
 from ortho_lora.dense import Rng
@@ -64,7 +65,7 @@ def test_fd_perturbation_reaches_predict():
     assert np.array_equal(predict(model, 0, x), base)
     # fd_gradient perturbs params the same way, so it sees the analytic gradient
     batch = random_batch(model, 0, 4, seed=4)
-    analytic = task_loss_and_gradient(model, batch)[1][0].blocks["L0.A"]
+    analytic = task_loss_and_gradient(model, task_step(model, batch))[1][0].blocks["L0.A"]
     fd = fd_gradient(model, batch, "L0.A", h=1e-5)
     assert np.abs(fd).max() > 0
     assert np.abs(fd - analytic).max() < 1e-5 * np.abs(analytic).max()
@@ -74,7 +75,7 @@ def test_stack_rows_hold_adapters_and_own_head():
     model = random_model(5, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
     batches = [random_batch(model, t, 4, seed=t) for t in range(3)]
     stack = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
-    singles = [task_loss_and_gradient(model, b)[1] for b in batches]
+    singles = [task_loss_and_gradient(model, task_step(model, b))[1] for b in batches]
     adapter_cols = model.layout.heads.start
     width = adapter_cols + model.out_dim * 4
     assert stack.rows.shape == (3, width)
@@ -176,7 +177,7 @@ def test_merge_of_model_gradients_equals_zero_padded_row_sum(kinds, dims, out_di
     task = data.draw(st.integers(0, len(kinds) - 1))
     grads = joint_gradient(stack_runs(model, 1), step_batch(model, batches))
     assert grads.rows.shape[1] == model.layout.heads.start + out_dim * dims[-1]
-    one = task_loss_and_gradient(model, batches[task])[1]
+    one = task_loss_and_gradient(model, task_step(model, batches[task]))[1]
     if len(kinds) == 1:
         assert merge(grads, None) is grads.rows and merge(one, None) is one.rows
     else:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TaskView,
     fd_gradient,
     generator,
     joint_loss,
@@ -18,6 +19,7 @@ from helpers import (
     step_batch,
     step_losses,
     step_outs,
+    stack_views,
     task_gradient,
     task_loss,
 )
@@ -28,7 +30,7 @@ from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
     EvalPool,
-    TaskBatch,
+    StepBatch,
     _merged_weights,
     build_model,
     eval_metric,
@@ -71,7 +73,7 @@ class TestTaskLoss:
         model = random_model(0, randomize_b=True)
         x = Rng(1).standard_normal((model.in_dim, 5))
         y = predict(model, 0, x)
-        assert task_loss(model, TaskBatch(0, x, y)) == 0.0
+        assert task_loss(model, TaskView(0, x, y)) == 0.0
 
     def test_uniform_softmax_is_ln2(self):
         model = random_model(2, kinds=[CLASSIFICATION], out_dim=2)
@@ -101,7 +103,7 @@ class TestTaskLoss:
         model = random_model(8)
         x = Rng(0).standard_normal((model.in_dim, 4))
         with pytest.raises(ShapeError):
-            task_loss(model, TaskBatch(0, x, np.zeros((1, 4))))
+            task_loss(model, TaskView(0, x, np.zeros((1, 4))))
 
 
 class TestJointLoss:
@@ -132,7 +134,7 @@ class TestTaskGradient:
     def test_zero_residual_all_blocks_zero(self):
         model = random_model(13, randomize_b=True)
         x = Rng(2).standard_normal((model.in_dim, 5))
-        batch = TaskBatch(0, x, predict(model, 0, x))
+        batch = TaskView(0, x, predict(model, 0, x))
         g = task_gradient(model, batch)
         for bid, arr in g.blocks.items():
             assert np.array_equal(arr, np.zeros_like(arr)), f"nonzero grad in {bid}"
@@ -187,7 +189,7 @@ class TestFdGradient:
     def test_zero_residual_fd_zero(self):
         model = random_model(18, randomize_b=True)
         x = Rng(3).standard_normal((model.in_dim, 4))
-        batch = TaskBatch(0, x, predict(model, 0, x))
+        batch = TaskView(0, x, predict(model, 0, x))
         fd = fd_gradient(model, batch, "L0.B", h=1e-5)
         assert np.abs(fd).max() < 1e-9
 
@@ -242,16 +244,16 @@ def _eval_stack(model, stacked, seed):
 class TestEvalMetric:
     def test_perfect_regression_mse_zero(self):
         # targets from the merged forward, which eval runs bit for bit
-        model = random_model(23, randomize_b=True)
+        model = random_model(23, kinds=[REGRESSION], randomize_b=True)
         x = Rng(4).standard_normal((model.in_dim, 6))
-        batches = [TaskBatch(0, x, model.heads[0] @ merged_features(model, x))]
-        assert eval_metric(stack_runs(model, 1), EvalPool.of(batches, model)) == [0.0]
+        batches = [TaskView(0, x, model.heads[0] @ merged_features(model, x))]
+        assert eval_metric(stack_runs(model, 1), EvalPool.of(step_batch(model, batches), model)) == [0.0]
 
     def test_classification_accuracy_of_own_argmax(self):
-        model = random_model(24, randomize_b=True)
+        model = random_model(24, kinds=[CLASSIFICATION], randomize_b=True)
         x = Rng(5).standard_normal((model.in_dim, 6))
-        labels = predict(model, 1, x).argmax(axis=0)
-        pool = EvalPool.of([TaskBatch(1, x, labels)], model)
+        labels = predict(model, 0, x).argmax(axis=0)
+        pool = EvalPool.of(step_batch(model, [TaskView(0, x, labels)]), model)
         assert eval_metric(stack_runs(model, 1), pool) == [1.0]
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
@@ -261,7 +263,7 @@ class TestEvalMetric:
                              kinds=[REGRESSION] * 16, out_dim=4, randomize_b=True)
         stack, runs = _eval_stack(model, stacked, seed=27)
         batches = [random_batch(model, t, 2000, seed=60 + t) for t in range(16)]
-        assert eval_metric(stack, EvalPool.of(batches, model)) == [
+        assert eval_metric(stack, EvalPool.of(step_batch(model, batches), model)) == [
             reference_metric(stack.models[r], b) for r, b in zip(runs, batches)]
 
     @settings(max_examples=60, deadline=None)
@@ -274,7 +276,7 @@ class TestEvalMetric:
                              out_dim=out_dim, randomize_b=True)
         stack, runs = _eval_stack(model, stacked, seed)
         batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
-        assert eval_metric(stack, EvalPool.of(batches, model)) == [
+        assert eval_metric(stack, EvalPool.of(step_batch(model, batches), model)) == [
             reference_metric(stack.models[r], b) for r, b in zip(runs, batches)]
 
     @settings(max_examples=60, deadline=None)
@@ -290,7 +292,7 @@ class TestEvalMetric:
                              out_dim=out_dim, randomize_b=True)
         stack, runs = _eval_stack(model, stacked, seed)
         batches = [random_batch(model, t, n, seed=seed + 1 + t) for t in range(len(kinds))]
-        got = eval_metric(stack, EvalPool.of(batches, model))
+        got = eval_metric(stack, EvalPool.of(step_batch(model, batches), model))
         for metric, r, batch in zip(got, runs, batches):
             run = stack.models[r]
             out = predict(run, 0 if run.num_tasks == 1 else batch.task_id, batch.x)
@@ -318,7 +320,7 @@ class TestEvalMetric:
             out = stack.heads[batch.task_id] @ h
             want.append(float(np.mean(out.argmax(axis=0) == batch.y)) if batch.y.ndim == 1
                         else float(np.mean((out - batch.y) ** 2)))
-        assert eval_metric(stack, EvalPool.of(batches, model)) == want
+        assert eval_metric(stack, EvalPool.of(step_batch(model, batches), model)) == want
 
     @pytest.mark.parametrize("where", ["layer 1", "head 1"])
     def test_non_finite_names_the_layer_or_head(self, where):
@@ -328,37 +330,36 @@ class TestEvalMetric:
         else:
             model.heads[1][0, 0] = np.nan
         batches = [random_batch(model, t, 5, seed=70 + t) for t in range(2)]
-        for check in (lambda: eval_metric(stack_runs(model, 1), EvalPool.of(batches, model)),
+        pool = EvalPool.of(step_batch(model, batches), model)
+        for check in (lambda: eval_metric(stack_runs(model, 1), pool),
                       lambda: reference_metric(model, batches[1])):
             with pytest.raises(NumericError, match=where):
                 check()
 
     @pytest.mark.parametrize("task_id", [-1, 2])
     def test_task_id_outside_the_model_rejected(self, task_id):
-        # the model has no head for an id outside its tasks, and a stack of
-        # it evaluates only a pool built for its tasks
+        # the model has no head for an id outside its tasks
         model = random_model(31, randomize_b=True)
         x = Rng(6).standard_normal((model.in_dim, 5))
-        batch = TaskBatch(task_id, x, np.zeros((model.out_dim, 5)))
-        for check in (lambda: EvalPool.of([batch], model),
-                      lambda: task_loss_and_gradient(model, batch)):
-            with pytest.raises(ParameterError, match=rf"task_id {task_id} outside \[0, 2\)"):
-                check()
+        batch = StepBatch(x[None], [(REGRESSION, [0], np.zeros((1, model.out_dim, 5)))], task_id)
+        with pytest.raises(ParameterError, match=rf"task_id {task_id} outside \[0, 2\)"):
+            task_loss_and_gradient(model, batch)
 
-    def test_one_model_per_batch_of_one_size(self):
-        # a stack runs each task's batch through the one run that holds its head
+    @pytest.mark.parametrize("tasks", [0, 1, 3])
+    def test_a_pool_holds_every_task_of_its_model(self, tasks):
+        # a stack of the model evaluates only a pool built for all its tasks
         model = random_model(29, randomize_b=True)
-        batches = [random_batch(model, 0, 5, seed=80), random_batch(model, 1, 5, seed=81)]
-        with pytest.raises(ParameterError, match="equal batch sizes"):
-            EvalPool.of(batches[:1] + [random_batch(model, 1, 6, seed=81)], model)
-        with pytest.raises(ParameterError, match="at least one eval batch"):
-            EvalPool.of([], model)
+        views = [random_batch(model, t % 2, 5, seed=80 + t) for t in range(tasks)]
+        batch = stack_views([model.kinds[t % 2] for t in range(tasks)], views)
+        with pytest.raises(ParameterError, match=rf"need 2 tasks' batches .* got inputs of shape \({tasks},"):
+            EvalPool.of(batch, model)
 
     def test_models_of_other_kinds_rejected(self):
         # the pool's targets were checked for its model's task kinds, and
         # every one of them is a task a stack of that model runs
         model = random_model(32, randomize_b=True)
-        pool = EvalPool.of([random_batch(model, t, 5, seed=90 + t) for t in range(2)], model)
+        pool = EvalPool.of(step_batch(model, [random_batch(model, t, 5, seed=90 + t) for t in range(2)]),
+                           model)
         swapped = random_model(32, kinds=[CLASSIFICATION, REGRESSION], randomize_b=True)
         wider = random_model(32, kinds=[REGRESSION, CLASSIFICATION, REGRESSION], randomize_b=True)
         for other in (stack_runs(swapped, 1), stack_runs(wider, 3)):

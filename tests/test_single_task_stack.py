@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import own_copy, padded_update, random_batch, random_model, step_batch, step_losses
+from helpers import (
+    own_copy,
+    padded_update,
+    random_batch,
+    random_model,
+    step_batch,
+    step_losses,
+    task_step,
+)
 
 from ortho_lora.config import SINGLE_TASK
 from ortho_lora.errors import ParameterError
@@ -52,7 +60,7 @@ def _reference(base, hyper, steps):
         row = []
         for b in _batches(base, step):
             model = models[b.task_id]
-            loss, grads = task_loss_and_gradient(model, b)
+            loss, grads = task_loss_and_gradient(model, task_step(model, b))
             adamw_step(model.params, padded_update(grads), states[b.task_id], 0.01 * (1 + step))
             row.append(loss)
         losses.append(row)
@@ -189,15 +197,5 @@ def test_batch_list_must_hold_each_task_once(task_ids):
     before = stack.matrix.copy()
     batches = [random_batch(base, t, 8, seed=i) for i, t in enumerate(task_ids)]
     with pytest.raises(ParameterError, match="one batch per task"):
-        train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0.01)
-    assert np.array_equal(stack.matrix, before)
-
-
-def test_unequal_batch_sizes_rejected():
-    base = random_model(9, kinds=_kinds(3, mixed=False))
-    stack = stack_runs(base, 3)
-    before = stack.matrix.copy()
-    batches = [random_batch(base, t, 8 + t, seed=t) for t in range(3)]
-    with pytest.raises(ParameterError, match="equal batch sizes"):
         train_step(SINGLE_TASK, stack, step_batch(base, batches), AdamWState(), 0.01)
     assert np.array_equal(stack.matrix, before)

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TaskView,
     generator,
     random_batch,
     random_model,
     reference_run,
     scatter_losses,
+    stack_views,
     step_batch,
     step_losses,
 )
@@ -26,9 +28,7 @@ from ortho_lora.model import (
     PER_MATRIX,
     PER_ROLE_CONCAT,
     REGRESSION,
-    TaskBatch,
     _output_gradient,
-    _stacked_targets,
     stack_runs,
     window_losses,
 )
@@ -45,10 +45,10 @@ _BOTH_KINDS = st.lists(st.sampled_from([REGRESSION, CLASSIFICATION]), min_size=2
 def _head_step(kinds, out_dim, n, rng):
     """One step's (T, o, n) head output and its stacked targets, drawn from rng."""
     out = 3.0 * rng.standard_normal((len(kinds), out_dim, n))
-    batches = [TaskBatch(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
-                         if kind == REGRESSION else rng.integers(0, out_dim, n))
+    batches = [TaskView(t, np.zeros((1, n)), rng.standard_normal((out_dim, n))
+                        if kind == REGRESSION else rng.integers(0, out_dim, n))
                for t, kind in enumerate(kinds)]
-    return out, _stacked_targets(kinds, out_dim, batches)
+    return out, stack_views(kinds, batches).targets
 
 
 @settings(max_examples=80, deadline=None)

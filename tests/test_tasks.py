@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TaskView,
     conflict_set,
-    dump_csv,
     random_model,
     stack_of,
     step_batch,
     step_losses,
     step_report,
     task_gradient,
+    task_views,
+    train_views,
 )
 
 from ortho_lora.config import config_from_dict
@@ -21,7 +23,6 @@ from ortho_lora.model import (
     CLASSIFICATION,
     PER_MATRIX,
     REGRESSION,
-    TaskBatch,
     build_model,
     joint_gradient,
     stack_runs,
@@ -46,8 +47,8 @@ class TestRegressionConflict:
             layer.adapter.b[...] = Rng(2).standard_normal(layer.adapter.b.shape)
         for head in model.heads[1:]:
             head[...] = model.heads[0]
-        shared_x = ts.train[0].x[:, :16]
-        grads = [task_gradient(model, TaskBatch(t, shared_x, ts.teachers[t] @ shared_x))
+        shared_x = train_views(ts)[0].x[:, :16]
+        grads = [task_gradient(model, TaskView(t, shared_x, ts.teachers[t] @ shared_x))
                  for t in range(3)]
         stack = stack_of(grads)
         report = step_report(stack, PER_MATRIX)
@@ -65,7 +66,7 @@ class TestRegressionConflict:
                           noise_sigma=0.0, n_train=64, n_eval=8,
                           rng=Rng(4), shared_scale=0.0)
         model = build_model([6, 5], 2, 4.0, 0.02, ts.kinds, 3, Rng(5))
-        grads = [task_gradient(model, ts.train[t]) for t in range(2)]
+        grads = [task_gradient(model, view) for view in train_views(ts)]
         stack = stack_of(grads)
         report = step_report(stack, PER_MATRIX)
         assert any(p.conflicted for p in report.pairs)
@@ -73,19 +74,19 @@ class TestRegressionConflict:
     def test_pool_sizes_and_disjointness(self):
         ts = conflict_set([REGRESSION] * 2, 4, 2, conflict_level=0.5,
                           noise_sigma=0.0, n_train=10, n_eval=7, rng=Rng(6))
-        for t in range(2):
-            assert ts.train[t].x.shape == (4, 10)
-            assert ts.eval[t].x.shape == (4, 7)
+        for train, held_out in zip(train_views(ts), task_views(ts.eval), strict=True):
+            assert train.x.shape == (4, 10)
+            assert held_out.x.shape == (4, 7)
             # continuous draws: no train column reappears in eval
-            joined = np.concatenate([ts.train[t].x, ts.eval[t].x], axis=1)
+            joined = np.concatenate([train.x, held_out.x], axis=1)
             assert np.unique(joined, axis=1).shape[1] == 17
 
     def test_deterministic_from_seed(self):
         a = conflict_set([REGRESSION] * 2, 4, 2, 0.5, 0.1, 8, 4, Rng(7))
         b = conflict_set([REGRESSION] * 2, 4, 2, 0.5, 0.1, 8, 4, Rng(7))
-        for t in range(2):
-            assert np.array_equal(a.train[t].x, b.train[t].x)
-            assert np.array_equal(a.train[t].y, b.train[t].y)
+        for a_t, b_t in zip(train_views(a), train_views(b), strict=True):
+            assert np.array_equal(a_t.x, b_t.x)
+            assert np.array_equal(a_t.y, b_t.y)
 
 
 class TestClassificationConflict:
@@ -93,30 +94,29 @@ class TestClassificationConflict:
         ts = conflict_set([CLASSIFICATION] * 3, 6, 2, conflict_level=0.0,
                           noise_sigma=0.0, n_train=40, n_eval=10, rng=Rng(8))
         # identical teachers relabel identical inputs identically
-        for t in range(3):
-            want = (ts.teachers[t] @ ts.train[t].x).argmax(axis=0)
-            assert np.array_equal(ts.train[t].y, want)
+        for t, train in enumerate(train_views(ts)):
+            want = (ts.teachers[t] @ train.x).argmax(axis=0)
+            assert np.array_equal(train.y, want)
 
     def test_labels_reproducible(self):
         a = conflict_set([CLASSIFICATION] * 2, 5, 3, 0.5, 0.0, 30, 10, Rng(9))
         b = conflict_set([CLASSIFICATION] * 2, 5, 3, 0.5, 0.0, 30, 10, Rng(9))
-        for t in range(2):
-            assert np.array_equal(a.train[t].y, b.train[t].y)
-            assert np.array_equal(a.eval[t].y, b.eval[t].y)
+        for a_t, b_t in zip(train_views(a) + task_views(a.eval), train_views(b) + task_views(b.eval),
+                            strict=True):
+            assert np.array_equal(a_t.y, b_t.y)
 
     def test_class_balance_guard(self):
         for seed in range(5):
             ts = conflict_set([CLASSIFICATION] * 3, 8, 4, 0.8, 0.0, 100, 50, Rng(seed))
-            for t in range(3):
-                for pool in (ts.train[t], ts.eval[t]):
-                    counts = np.bincount(pool.y, minlength=4)
-                    assert counts.min() >= 0.10 * pool.y.size
+            for pool in train_views(ts) + task_views(ts.eval):
+                counts = np.bincount(pool.y, minlength=4)
+                assert counts.min() >= 0.10 * pool.y.size
 
     def test_mixed_kinds(self):
         ts = conflict_set([REGRESSION, CLASSIFICATION], 5, 2, 0.5, 0.0, 20, 8, Rng(10))
         assert ts.kinds == [REGRESSION, CLASSIFICATION]
-        assert ts.train[0].y.shape == (2, 20)
-        assert ts.train[1].y.shape == (20,)
+        assert [view.y.shape for view in train_views(ts)] == [(2, 20), (20,)]
+        assert [view.y.shape for view in task_views(ts.eval)] == [(2, 8), (8,)]
 
 
 def test_conflict_frequency_monotone_in_conflict_level():
@@ -151,7 +151,7 @@ def test_conflict_frequency_monotone_in_conflict_level():
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
 def test_subset_batch_copies_rows_once(kind, as_array):
     ts = conflict_set([kind], 3, 2, 0.0, 0.0, 12, 2, Rng(12))
-    pool = ts.train[0]
+    (pool,) = train_views(ts)
     cols = [5, 0, 7, 7]
     (sub,) = subset_batch(ts.train_pool, np.array([[cols]]) if as_array else [[cols]])
     ((sub_kind, ids, y),) = sub.targets
@@ -172,7 +172,7 @@ def test_train_pool_is_one_stack_of_views():
     assert pool.x.shape == (4, 9, 3)
     assert [(kind, ids, y.shape) for kind, ids, y in pool.targets] == [
         (REGRESSION, [1, 3], (2, 9, 2)), (CLASSIFICATION, [0, 2], (2, 9))]
-    for t, batch in enumerate(ts.train):
+    for t, batch in enumerate(train_views(ts)):
         assert batch.task_id == t
         assert batch.x.shape == (3, 9) and np.shares_memory(batch.x, pool.x)
         assert np.array_equal(batch.x, pool.x[t].T)
@@ -182,10 +182,36 @@ def test_train_pool_is_one_stack_of_views():
         assert np.array_equal(batch.y, y[ids.index(t)].T)
 
 
+def test_eval_set_is_one_c_contiguous_stack_of_the_held_out_columns():
+    # eval multiplies each task's (k, n_eval) slab of one C-contiguous
+    # (T, k, n_eval) array, its bits depend on that layout: slab t is the
+    # columns n_train: of task t's draw, the first attempt that fills both
+    # label pools for a classification task, attempt 0 for a regression one
+    kinds = [CLASSIFICATION, REGRESSION, CLASSIFICATION, REGRESSION]
+    ts = conflict_set(kinds, 3, 2, 0.5, 0.1, 9, 6, Rng(15))
+    held_out = ts.eval
+    assert held_out.first == 0 and held_out.x.shape == (4, 3, 6)
+    assert held_out.x.flags["C_CONTIGUOUS"]
+    assert [(kind, ids, y.shape, y.flags["C_CONTIGUOUS"]) for kind, ids, y in held_out.targets] == [
+        (REGRESSION, [1, 3], (2, 2, 6), True), (CLASSIFICATION, [0, 2], (2, 6), True)]
+
+    def draw(t, attempt):
+        r = Rng(15).child(1).child(t).child(attempt)
+        x = r.standard_normal((3, 15))
+        y = ts.teachers[t] @ x
+        return x, y + 0.1 * r.standard_normal(y.shape)
+
+    for t, (train, view) in enumerate(zip(train_views(ts), task_views(held_out), strict=True)):
+        x, y = next(d for d in map(draw, [t] * 100, range(100)) if np.array_equal(d[0][:, :9], train.x))
+        assert view.x.tobytes() == x[:, 9:].tobytes()
+        want = y[:, 9:] if kinds[t] == REGRESSION else y[:, 9:].argmax(axis=0)
+        assert view.y.tobytes() == want.tobytes()
+
+
 def _per_task_take(ts, idx):
     """The reference gather: one take per task from its own pool batch."""
     return [(pool.x.take(cols, axis=1), pool.y.take(cols, axis=-1))
-            for pool, cols in zip(ts.train, idx)]
+            for pool, cols in zip(train_views(ts), idx)]
 
 
 def _assert_step_equals_per_task_take(step, ts, idx):
@@ -227,12 +253,12 @@ def test_subset_batch_equals_per_task_take(seed, monkeypatch):
 def test_subset_batch_step_equals_checked_task_batches(kinds, size, n, seed):
     # the gathered StepBatch is the per-task takes, and joint_gradient on
     # both kinds of stack gives on it, bit for bit, what it gives on those takes as checked
-    # TaskBatch objects (in shuffled order) stacked by step_batch
+    # per-task views (in shuffled order) stacked by step_batch
     ts = conflict_set(kinds, 4, 2, 0.5 if len(kinds) > 1 else 0.0, 0.1, size, 8, Rng(seed))
     idx = np.random.default_rng(seed).integers(0, size, size=(len(kinds), n))
     (step,) = subset_batch(ts.train_pool, idx[:, None])
     _assert_step_equals_per_task_take(step, ts, idx)
-    batches = [TaskBatch(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
+    batches = [TaskView(t, x, y) for t, (x, y) in enumerate(_per_task_take(ts, idx))][::-1]
     model = random_model(seed, layer_dims=(4, 5, 3), kinds=kinds, out_dim=2, randomize_b=True)
     stacked = step_batch(model, batches)
     # a stack's rows hold until its next step: each call gets a stack of its own
@@ -269,12 +295,3 @@ def test_a_label_pool_no_draw_fills_names_the_task_and_the_short_pool():
     with pytest.raises(ConfigError, match=r"could not draw task 1's labels with each of 8 classes "
                                           r">= 10% .* short: tasks\.n_train \(8 examples\) 100 times"):
         conflict_set([REGRESSION, CLASSIFICATION], 6, 8, 0.5, 1.0, 8, 200, Rng(0))
-
-
-def test_dump_csv(tmp_path):
-    ts = conflict_set([REGRESSION, CLASSIFICATION], 3, 2, 0.5, 0.0, 4, 2, Rng(11))
-    path = tmp_path / "tasks.csv"
-    dump_csv(ts, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "task,split,example,x0,x1,x2,target"
-    assert len(lines) == 1 + 2 * (4 + 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TaskView,
     conflict_set,
     generator,
     measure_surgery_floats,
@@ -18,6 +19,8 @@ from helpers import (
     shuffle,
     step_batch,
     step_grams,
+    task_views,
+    train_views,
 )
 
 from ortho_lora.config import (
@@ -36,7 +39,6 @@ from ortho_lora.model import (
     PER_MATRIX,
     PER_ROLE_CONCAT,
     REGRESSION,
-    TaskBatch,
     eval_metric,
     stack_runs,
 )
@@ -108,7 +110,7 @@ class TestTrainStep:
         cfg = tiny_config()
         ts = build_task_set(cfg)
         base = random_model(1, layer_dims=(6, 6), kinds=ts.kinds, randomize_b=True)
-        batches = [ts.train[t] for t in range(2)]
+        batches = train_views(ts)
 
         results = {}
         for mode in (JOINT, ORTHO_FLAT, ORTHO_STRUCTURED):
@@ -137,7 +139,7 @@ class TestTrainStep:
         model.heads[1][...] = model.heads[0]
         x = Rng(5).standard_normal((model.in_dim, 8))
         out = predict(model, 0, x)
-        batches = [TaskBatch(0, x, np.zeros_like(out)), TaskBatch(1, x, 2.0 * out)]
+        batches = [TaskView(0, x, np.zeros_like(out)), TaskView(1, x, 2.0 * out)]
 
         before = snapshot(model)
         report, moved = _one_step(ORTHO_STRUCTURED, model, batches)
@@ -293,12 +295,12 @@ def _per_task_batches(ts, data_gen, batch_size, steps):
     """The reference data order: one permutation and one cursor per task, a
     reshuffle per task when its cursor runs out, and one take per task; data_gen
     is a numpy Generator on the run's data stream."""
-    size = ts.train[0].x.shape[1]
+    size = ts.train_pool.x.shape[1]
     orders = [data_gen.permutation(size).tolist() for _ in ts.kinds]
     cursors = [0] * len(ts.kinds)
     for _ in range(steps):
         batches = []
-        for t, pool in enumerate(ts.train):
+        for t, pool in enumerate(train_views(ts)):
             if cursors[t] + batch_size > size:
                 orders[t] = data_gen.permutation(size).tolist()
                 cursors[t] = 0
@@ -386,7 +388,7 @@ def test_eval_pool_built_once_equals_fresh_forwards_every_epoch(mode, monkeypatc
     def checked(stack, pool):
         got = eval_metric(stack, pool)
         runs = stack.models * 3 if len(stack.models) == 1 else stack.models
-        assert got == [reference_metric(m, b) for m, b in zip(runs, ts.eval)]
+        assert got == [reference_metric(m, b) for m, b in zip(runs, task_views(ts.eval))]
         pools.append(pool)
         params.append(stack.matrix.copy())
         return got
@@ -413,8 +415,8 @@ def _spoil_pool(ts, spoil):
 @pytest.mark.parametrize("mode", [SINGLE_TASK, JOINT])
 @pytest.mark.parametrize("spoil,error,match", [
     ("label", ParameterError, r"labels outside \[0, 3\) for task 1"),
-    ("shape", ShapeError, r"targets \(2, 32\) of task 0 do not match \(3, 32\)"),
-    ("kind", ParameterError, "task 2 is regression in the train pool, not classification"),
+    ("shape", ShapeError, r"targets \(2, 2, 32\) of task 0 do not match \(2, 3, 32\)"),
+    ("kind", ParameterError, "task 2 has regression targets, not classification"),
 ], ids=["label range", "target shape", "kind"])
 def test_bad_train_pool_fails_before_the_first_step(mode, spoil, error, match, monkeypatch):
     cfg = tiny_config(tasks={"kind": [REGRESSION, CLASSIFICATION, REGRESSION], "num_tasks": 3,
@@ -423,6 +425,30 @@ def test_bad_train_pool_fails_before_the_first_step(mode, spoil, error, match, m
 
     def no_step(*args):
         pytest.fail("a step gathered its batch from an unchecked pool")
+
+    monkeypatch.setattr("ortho_lora.trainer.subset_batch", no_step)
+    with pytest.raises(error, match=match):
+        run_mode(cfg, mode, task_set=ts)
+
+
+@pytest.mark.parametrize("mode", [SINGLE_TASK, JOINT])
+@pytest.mark.parametrize("spoil,error,match", [
+    ("label", ParameterError, r"labels outside \[0, 3\) for task 1"),
+    ("shape", ShapeError, r"targets \(2, 2, 8\) of task 0 do not match \(2, 3, 8\)"),
+], ids=["label range", "target shape"])
+def test_bad_eval_set_fails_before_the_first_step(mode, spoil, error, match, monkeypatch):
+    # the held-out set is stacked like the train pool, and checked as it is
+    cfg = tiny_config(tasks={"kind": [REGRESSION, CLASSIFICATION, REGRESSION], "num_tasks": 3,
+                             "conflict_level": 0.5})
+    ts = build_task_set(cfg)
+    (_, reg_ids, values), (_, _, labels) = ts.eval.targets
+    if spoil == "label":
+        labels[0, 5] = 3
+    else:
+        ts.eval.targets[0] = (REGRESSION, reg_ids, values[:, :2])
+
+    def no_step(*args):
+        pytest.fail("a run stepped before checking its eval set")
 
     monkeypatch.setattr("ortho_lora.trainer.subset_batch", no_step)
     with pytest.raises(error, match=match):
