@@ -1,7 +1,8 @@
-"""The float64 matrix type and seeded randomness.
+"""The float64 matrix type, its whole-array tests and seeded randomness.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order,
-double precision throughout; numerics are numpy's own.
+double precision throughout; numerics are numpy's own. ``same_bits`` and
+``all_finite`` test a whole array.
 
 Randomness: :class:`Rng` wraps ``numpy.random.Generator`` seeded from a
 PCG64 bit generator. Normal deviates come from numpy's ziggurat sampler on
@@ -12,6 +13,8 @@ perturbing each other's streams.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,6 +55,16 @@ class Rng:
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a float64 array, in one BLAS pass when it
+    holds: an inf or NaN entry makes the sum of squares inf or NaN, so a
+    finite ``np.vdot(a, a)`` proves every entry finite, and only a sum that
+    is not finite pays for the full scan, which tells a non-finite entry from
+    finite squares whose sum overflowed. ``np.vdot`` raises no numpy warning
+    on that overflow; ``np.dot`` does."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:

@@ -38,7 +38,10 @@ logits), and ``window_losses`` computes the losses of a window of steps in
 one batched call. ``eval_metric`` evaluates every task of a stack in one
 call through each layer's merged weight w0 + s*b@a, built once per call, as
 a deployed LoRA layer runs: one product per layer, into a run's
-``EvalPool`` buffers.
+``EvalPool`` buffers. A step and an eval call each run inside one
+``np.errstate`` that silences overflow and invalid values: their finiteness
+guards (``dense.all_finite``, one BLAS pass unless it fails) raise a
+NumericError naming the layer, head or task instead, with no numpy warning.
 Gradient code writes no parameter; its one side effect is the
 backward_passes counter.
 """
@@ -52,7 +55,7 @@ import numpy as np
 
 from .adapter import FrozenLayer, LoraAdapter, init_adapter
 from .config import CLASSIFICATION, FLAT, PER_MATRIX, PER_ROLE_CONCAT, REGRESSION
-from .dense import Matrix, Rng, gaussian_matrix
+from .dense import Matrix, Rng, all_finite, gaussian_matrix
 from .errors import NumericError, ParameterError, ShapeError
 
 SCOPES = (FLAT, PER_MATRIX, PER_ROLE_CONCAT)
@@ -338,7 +341,7 @@ def build_model(
 
 
 def _check_finite(arr: Matrix, where: str) -> None:
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NumericError(f"non-finite activations at {where}")
 
 
@@ -462,40 +465,44 @@ def joint_gradient(stack: ParamStack, batch: StepBatch) -> GradientStack:
     step (``_output_gradient``), for ``window_losses``.
     The backward pass writes each layer's d(loss)/d(output) over its b@a@h
     buffer, dz over its z and b^T dz over its a@h, once it is done with each.
+    Overflow and invalid values raise no numpy warning anywhere in the call:
+    a non-finite layer or head output raises NumericError naming it, and a
+    non-finite gradient reaches ``adamw_step``'s guard.
     """
-    if stack.step is None or stack.step.shape != batch.x.shape:
-        stack.step = StepBuffers(stack, batch.x.shape)
-    step, h = stack.step, batch.x
-    for i, (w0, a, b, ah, z, low) in enumerate(step.forward):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards raise instead
+        if stack.step is None or stack.step.shape != batch.x.shape:
+            stack.step = StepBuffers(stack, batch.x.shape)
+        step, h = stack.step, batch.x
+        for i, (w0, a, b, ah, z, low) in enumerate(step.forward):
             np.matmul(a, h, out=ah)
             np.matmul(w0, h, out=z)
             np.matmul(b, ah, out=low)
             low *= step.scale
             z += low
-        _check_finite(z, f"layer {i}")
-        h = np.tanh(z, out=z)
-    out = np.matmul(stack.heads, h, out=step.out)
-    if not np.isfinite(out).all():
-        finite = np.isfinite(out).all(axis=(1, 2))
-        raise NumericError(f"non-finite activations at head {batch.first + int(finite.argmin())}")
-    g_out = step.g_out
-    _output_gradient(out, batch.targets, g_out)
-    np.matmul(g_out, step.features_t, out=step.head_grads)
-    np.matmul(step.heads_t, g_out, out=step.forward[-1][5])
-    for i in reversed(range(len(step.forward))):
-        ah, dz, delta_h = step.forward[i][3:]
-        w0_t, a_t, b_t, ah_t, h_in_t, grad_a, grad_b = step.backward[i]
-        np.multiply(dz, dz, out=dz)
-        np.subtract(1.0, dz, out=dz)
-        dz *= delta_h
-        np.matmul(dz, ah_t, out=grad_b)
-        bt_dz = np.matmul(b_t, dz, out=ah)
-        np.matmul(bt_dz, batch.x.swapaxes(1, 2) if h_in_t is None else h_in_t, out=grad_a)
-        if i:
-            below = np.matmul(w0_t, dz, out=step.forward[i - 1][5])
-            below += step.scale * (a_t @ bt_dz)
-    step.adapter_grads *= step.scale
+            _check_finite(z, f"layer {i}")
+            h = np.tanh(z, out=z)
+        out = np.matmul(stack.heads, h, out=step.out)
+        if not all_finite(out):
+            finite = np.isfinite(out).all(axis=(1, 2))
+            raise NumericError("non-finite activations at head "
+                               f"{batch.first + int(finite.argmin())}")
+        g_out = step.g_out
+        _output_gradient(out, batch.targets, g_out)
+        np.matmul(g_out, step.features_t, out=step.head_grads)
+        np.matmul(step.heads_t, g_out, out=step.forward[-1][5])
+        for i in reversed(range(len(step.forward))):
+            ah, dz, delta_h = step.forward[i][3:]
+            w0_t, a_t, b_t, ah_t, h_in_t, grad_a, grad_b = step.backward[i]
+            np.multiply(dz, dz, out=dz)
+            np.subtract(1.0, dz, out=dz)
+            dz *= delta_h
+            np.matmul(dz, ah_t, out=grad_b)
+            bt_dz = np.matmul(b_t, dz, out=ah)
+            np.matmul(bt_dz, batch.x.swapaxes(1, 2) if h_in_t is None else h_in_t, out=grad_a)
+            if i:
+                below = np.matmul(w0_t, dz, out=step.forward[i - 1][5])
+                below += step.scale * (a_t @ bt_dz)
+        step.adapter_grads *= step.scale
     for model in stack.models:
         model.backward_passes += 1
     return step.grads
@@ -549,28 +556,31 @@ def eval_metric(stack: ParamStack, pool: EvalPool) -> list[float]:
     once, and each task's (k, n) forward, the C-contiguous slab x[t] of the
     pool's inputs, is one product per layer, tanh((w0 + s*b@a) h), into the
     pool's buffers. Its bits are those of the merged product, not of the
-    step's w0 h + s*b@(a h). The tasks run kind by kind.
+    step's w0 h + s*b@(a h). The tasks run kind by kind. A non-finite layer
+    or head output, or regression metric, raises NumericError naming it, with
+    no numpy warning.
     """
     kinds = [kind for model in stack.models for kind in model.kinds]
     if kinds != pool.kinds:
         raise ParameterError(f"the stack's heads are not of the eval pool's kinds {pool.kinds}")
     per_run = len(kinds) // len(stack.models)
     metrics, out = [0.0] * len(kinds), pool.out
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards raise instead
         weights = _merged_weights(stack)
-    for kind, pos, ys in pool.batch.targets:
-        for t, y in zip(pos, ys):
-            run, h = t // per_run, pool.batch.x[t]
-            with np.errstate(over="ignore", invalid="ignore"):
+        for kind, pos, ys in pool.batch.targets:
+            for t, y in zip(pos, ys):
+                run, h = t // per_run, pool.batch.x[t]
                 for i, (w, z) in enumerate(zip(weights, pool.z)):
                     np.matmul(w[run], h, out=z)
                     _check_finite(z, f"layer {i}")
                     h = np.tanh(z, out=z)
-            np.matmul(stack.heads[t], h, out=out)
-            _check_finite(out, f"head {t}")
-            if kind == CLASSIFICATION:
-                metrics[t] = np.count_nonzero(out.argmax(axis=0) == y) / len(y)
-            else:
+                np.matmul(stack.heads[t], h, out=out)
+                _check_finite(out, f"head {t}")
+                if kind == CLASSIFICATION:
+                    metrics[t] = np.count_nonzero(out.argmax(axis=0) == y) / len(y)
+                    continue
                 np.subtract(out, y, out=out)
                 metrics[t] = float(np.add.reduce(np.square(out, out=out), axis=None)) / out.size
+                if not math.isfinite(metrics[t]):
+                    raise NumericError(f"non-finite eval metric {metrics[t]} of task {t}")
     return metrics

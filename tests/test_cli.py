@@ -140,6 +140,20 @@ def test_a_run_that_fails_in_training_leaves_no_run_directory(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_a_run_whose_eval_metric_overflows_exits_1_and_leaves_no_run_directory(tmp_path, capsys):
+    # configs/default.json at lr_base 1e155, one step: the eval's squared error
+    # overflows. No eval.csv holds an inf that summarize would refuse
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    raw["optimizer"]["lr_base"] = 1e155
+    raw["schedule"].update(epochs=1, steps_per_epoch=1)
+    cfg = tmp_path / "huge_lr.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: non-finite eval metric inf of task 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_memory_error_is_a_runtime_failure_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                                command):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import generator
 
-from ortho_lora.dense import Rng, gaussian_matrix
+from ortho_lora.dense import Rng, all_finite, gaussian_matrix
 from ortho_lora.errors import ParameterError
 
 
@@ -90,3 +90,22 @@ def test_permutations_equal_sequential_numpy_draws(seed, spawn_key, count, n):
 def test_permutations_equal_sequential_numpy_draws_of_a_pool(seed, count):
     # n = 480: the train pool of configs/default.json, a data-order block row
     _check_permutations(seed, (2,), count, 480)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 16), cols=st.integers(0, 2000), exponent=st.integers(-300, 300),
+       layout=st.sampled_from(["C", "transposed", "strided"]), seed=st.integers(0, 2**32 - 1),
+       bad=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3))
+@example(rows=16, cols=2000, exponent=300, layout="C", seed=0, bad=[])
+@example(rows=16, cols=2000, exponent=300, layout="C", seed=0, bad=[(0.99999, np.nan)])
+def test_all_finite_agrees_with_a_full_isfinite_scan(rows, cols, exponent, layout, seed, bad):
+    # finite arrays, finite ones whose sum of squares overflows (entries up to
+    # about 1e300) and ones with +-inf or NaN anywhere, C-contiguous or not;
+    # under the suite's filterwarnings = error, the check warns about none
+    shape = {"C": (rows, cols), "transposed": (cols, rows), "strided": (rows, 2 * cols)}[layout]
+    base = Rng(seed).standard_normal(shape) * 10.0**exponent
+    a = {"C": base, "transposed": base.T, "strided": base[:, ::2]}[layout]
+    for at, value in bad if a.size else []:
+        a[np.unravel_index(int(at * a.size), a.shape)] = value
+    assert all_finite(a) == bool(np.isfinite(a).all())

@@ -1,9 +1,10 @@
 """Golden bytes: the sha256 of every file an ``ortho-lora run`` writes, and of
 ``ortho-lora summarize`` on its directory, against the digests committed in
 ``tests/golden/<name>.sha256``: for ``configs/default.json`` as committed,
-and for five gate configs of ``tools/output_gate.py`` (GATE_CONFIGS): the
-one-task config, and every gate config with tasks of both kinds, whose
-classification loss no default run computes.
+and for the other seven gate configs of ``tools/output_gate.py``
+(GATE_CONFIGS): the one-task config, every gate config with tasks of both
+kinds, whose classification loss no default run computes, the T=16 config
+and the two-task config that records no conflicts.
 
 A change that moves output bits by design regenerates the digests, in the
 same change, with
@@ -33,7 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "default.json"
 GOLDEN = ROOT / "tests" / "golden"
 SUMMARY = "summarize.stdout"  # the entry of summarize's output, after the files
-GATE_CONFIGS = ["one-task", "mixed-role-orig", "mixed-matrix-orig", "reshuffle", "batch-one"]
+GATE_CONFIGS = ["one-task", "mixed-role-orig", "mixed-matrix-orig", "reshuffle", "batch-one",
+                "many-tasks", "two-tasks-quiet"]
 
 
 def sha256(data: bytes) -> str:

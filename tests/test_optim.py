@@ -73,17 +73,32 @@ class TestAdamwStep:
 
     def test_nonfinite_stack_entry_names_row_and_column(self):
         # a (T, R) stack of parameter vectors: the error names the model's row
+        # and column of the first non-finite entry in row-major order, among
+        # finite entries whose squares overflow
         params = np.stack([_params(20 + t) for t in range(3)])
         state = AdamWState()
         adamw_step(params, np.ones_like(params), state, lr=0.01)
         before = (params.copy(), state.m.copy(), state.v.copy())
-        update = np.zeros_like(params)
-        update[1, 7] = np.nan
+        update = np.full_like(params, 1e200)
+        update[1, 7], update[1, 9], update[2, 0] = np.nan, -np.inf, np.inf
         with pytest.raises(NumericError, match="row 1, column 7$"):
             adamw_step(params, update, state, lr=0.01)
         assert state.step == 1
         for now, then in zip((params, state.m, state.v), before):
             assert np.array_equal(now, then)
+
+    @pytest.mark.parametrize("magnitude", [1e154, 1e200])
+    def test_a_finite_gradient_whose_sum_of_squares_overflows_takes_the_step(self, magnitude):
+        # the guard's sum of squares is inf, and its full scan finds every
+        # entry finite; at 1e200 AdamW's own v = grad * grad overflows as well
+        params = np.stack([_params(40 + t) for t in range(3)])
+        before = params.copy()
+        state = AdamWState()
+        with np.errstate(over="ignore"):
+            adamw_step(params, np.full_like(params, magnitude), state, lr=0.01)
+        assert state.step == 1 and np.isfinite(params).all()
+        if magnitude == 1e154:  # v stays finite: Adam's first step moves each entry by lr
+            np.testing.assert_allclose(before - params, 0.01, rtol=1e-12)
 
     def test_moment_shapes_track_params(self):
         params = _params(7)

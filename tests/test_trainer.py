@@ -1,3 +1,6 @@
+import json
+import warnings
+from pathlib import Path
 from statistics import fmean
 from unittest import mock
 
@@ -32,7 +35,7 @@ from ortho_lora.config import (
     config_from_dict,
 )
 from ortho_lora.dense import Rng
-from ortho_lora.errors import ParameterError, ShapeError
+from ortho_lora.errors import NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     FLAT,
@@ -55,8 +58,25 @@ from ortho_lora.trainer import (
 )
 
 
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+
+def _config(raw, overrides):
+    """raw with each override dict merged into its section, and other overrides set."""
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            raw.setdefault(key, {}).update(value)
+        else:
+            raw[key] = value
+    return config_from_dict(raw)
+
+
+def default_config(**overrides):
+    return _config(json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8")), overrides)
+
+
 def tiny_config(**overrides):
-    raw = {
+    return _config({
         "version": 1,
         "seed": 0,
         "modes": [JOINT],
@@ -65,13 +85,7 @@ def tiny_config(**overrides):
         "schedule": {"epochs": 1, "batch_size": 8},
         "tasks": {"kind": "regression", "num_tasks": 2, "in_dim": 6, "out_dim": 3,
                   "conflict_level": 0.0, "noise_sigma": 0.0, "n_train": 32, "n_eval": 8},
-    }
-    for key, value in overrides.items():
-        if isinstance(value, dict):
-            raw.setdefault(key, {}).update(value)
-        else:
-            raw[key] = value
-    return config_from_dict(raw)
+    }, overrides)
 
 
 def snapshot(model):
@@ -480,3 +494,19 @@ def test_run_mode_equals_the_per_step_reference_loop(mode, layer_dims, num_tasks
     assert [x.hex() for x in log.metrics.ravel().tolist()] == [x.hex() for row in metrics for x in row]
     assert np.array([m.params for m in models]).tobytes() == matrix.tobytes()
 
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+@pytest.mark.parametrize("lr_base, schedule, message", [
+    # one step moves the adapters so far that eval's squared error overflows:
+    # no metric that summarize refuses reaches the log
+    (1e155, {"epochs": 1, "steps_per_epoch": 1}, "non-finite eval metric inf of task 0"),
+    # a later step's backward pass overflows, and AdamW's guard names the entry
+    (1e250, {"epochs": 2}, "non-finite gradient entry at row 0, column 0"),
+], ids=["eval", "backward"])
+def test_an_overflow_raises_numeric_error_with_no_numpy_warning(lr_base, schedule, message, mode):
+    # configs/default.json at a huge lr_base
+    config = default_config(optimizer={"lr_base": lr_base}, schedule=schedule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            run_mode(config, mode)
