@@ -416,6 +416,7 @@ def _kind_gradient(kind: str, y: np.ndarray, out: np.ndarray, g_out: np.ndarray)
     g_out /= n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks the losses
 def window_losses(saved: np.ndarray,
                   steps: list[list[tuple[str, list[int], np.ndarray]]]) -> np.ndarray:
     """The (k, T) mean per-example losses of the (k, T, o, n) slabs that k steps
@@ -423,7 +424,8 @@ def window_losses(saved: np.ndarray,
     steps' StepBatch targets: one batched computation per kind over every
     step of the window, which reads the class labels and, for regression,
     only the residuals. Each slab's loss has the bits of the same slab's
-    loss computed on its own."""
+    loss computed on its own. A loss that overflows is inf, with no numpy
+    warning."""
     losses, n = np.empty(saved.shape[:2]), saved.shape[3]
     for i, (kind, pos, _) in enumerate(steps[0]):
         slabs = (saved if len(pos) == losses.shape[1] else saved[:, pos]).reshape(-1, *saved.shape[2:])

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import all_finite
 from .errors import NumericError, ParameterError, ShapeError
 
 
@@ -36,21 +36,26 @@ def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState, lr: floa
 
     Every entry moves, so params holds only what trains: never the frozen
     backbone weights, nor, in SINGLE_TASK's stack, another task's head.
-    Bad input is rejected before the state or a parameter changes; the
-    first non-finite gradient entry is named by its flat index, or in a
-    stack by its row (the run) and column. The entry check is
-    ``dense.all_finite``: one BLAS sum of squares, and the full scan only
-    when that sum is not finite, so finite entries whose squares overflow
-    pass.
+    Bad input is rejected before the state or a parameter changes: the
+    first non-finite gradient entry, else the first whose square, v's
+    increment, overflows, named by its flat index, or in a stack by its row
+    (the run) and column. The check is one BLAS sum of squares (``np.vdot``,
+    which warns of no overflow), and the full scans only when that sum is
+    not finite, so finite squares whose sum overflows pass.
     """
     if not 0 <= lr < float("inf"):
         raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
     if grad.shape != params.shape:
         raise ShapeError(f"gradient {grad.shape} vs parameters {params.shape}")
-    if not all_finite(grad):
-        where = np.unravel_index(int(np.argmin(np.isfinite(grad))), grad.shape)
-        raise NumericError("non-finite gradient entry at " + (
-            f"row {where[0]}, column {where[1]}" if grad.ndim == 2 else f"flat index {where[0]}"))
+    if not math.isfinite(np.vdot(grad, grad)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = grad * grad
+        for fine, what in ((np.isfinite(grad), "non-finite gradient entry"),
+                           (np.isfinite(squares), "gradient entry too large to square")):
+            if not fine.all():
+                where = np.unravel_index(int(np.argmin(fine)), grad.shape)
+                raise NumericError(f"{what} at " + (f"row {where[0]}, column {where[1]}"
+                                                    if grad.ndim == 2 else f"flat index {where[0]}"))
     h = state.hyper
     if state.m is None:
         state.m = np.zeros_like(params)

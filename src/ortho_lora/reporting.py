@@ -23,10 +23,11 @@ directory's ``config.json`` writes for it. The config fixes each file's
 shape, and the reader infers none from the file: tasks 0..T-1, steps
 0..total_steps()-1, epochs 0..epochs, and each step's conflict rows exactly
 when ``conflict_scope`` gives the mode a scope, with that scope's labels.
-The reader renders each expected line with the templates, then end of file,
-and raises a ConfigError at the first line that differs: ``path:line:
-expected '<rendered>', got '<found>'``. Free float cells (loss, lr, dot,
-cosine, metric, joint, ortho) keep the file's own spelling. Derived cells
+The reader checks each line's fixed cells in place and parses its float
+cells once, then end of file; it renders the line expected there with the
+templates only to report the first line that differs, in a ConfigError:
+``path:line: expected '<rendered>', got '<found>'``. Free float cells (loss,
+lr, dot, cosine, metric, joint, ortho) keep the file's own spelling. Derived cells
 are rendered from the values read: ``conflicted`` is 1 exactly when dot <
 0, a step's lr is its first loss row's, ``avg`` is the mean of its epoch's
 task metrics and ``delta`` is ortho - joint. rank_sweep.csv holds exactly
@@ -40,13 +41,13 @@ eval.csv's task metrics as the (epochs + 1, T) ``metrics`` array.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from pathlib import Path
 from statistics import fmean
-from typing import TextIO
+from typing import NoReturn
 
 import numpy as np
 
@@ -207,93 +208,129 @@ def write_rank_rows(rows: list[RankRow], path: str | Path) -> None:
 # --- CSV reading ---
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+def _differs(want: str | None, text: str | None) -> ValueError:
+    """The error for a line text, None past the last, that is not want, None for end of file."""
+    return ValueError(f"expected {'end of file' if want is None else repr(want)}, got "
+                      f"{'end of file' if text is None else repr(text)}")
 
 
-class _Lines:
-    """A run file read one line at a time: text and cells are the current
-    line's. Past the last line, text is None and every cell reads MISSING."""
+def _reject(line: str, width: int, expected: Callable[[list[str]], str | None],
+            floats: tuple[int, ...] = (), cosine: int | None = None) -> NoReturn:
+    """Raise the ValueError that names what a reader found wrong with line, as
+    read ("" past the last line), where ``expected(cells)`` renders the line
+    expected there, None for end of file. The checks, in order: the field
+    count, the expected line (cells past the last line read MISSING), each of
+    the floats cells finite, and the cosine cell within [-1, 1] by
+    COSINE_ROUNDING. A line that passes them all is a reader's fault."""
+    text = line.rstrip("\n") if line else None
+    cells = [MISSING] * width if text is None else text.split(",")
+    if len(cells) != width:
+        raise ValueError(f"expected {width} fields, got {len(cells)}")
+    want = expected(cells)
+    if text != want:
+        raise _differs(want, text)
+    for column in floats:
+        if not math.isfinite(float(cells[column])):
+            raise ValueError(f"non-finite value {cells[column]!r}")
+    if cosine is not None and not abs(float(cells[cosine])) <= 1.0 + COSINE_ROUNDING:
+        raise ValueError(f"cosine {cells[cosine]} is outside [-1, 1]")
+    raise AssertionError(f"{text!r} passes every check")
 
-    def __init__(self, fh: TextIO, width: int) -> None:
-        self._source: Iterator[str] = iter(fh)
-        self.width = width
-        self.lineno = 0
 
-    def advance(self) -> None:
-        self.lineno += 1
-        line = next(self._source, None)
-        if line is None:
-            self.text, self.cells = None, [MISSING] * self.width
-            return
-        self.text = line.rstrip("\n")
-        self.cells = self.text.split(",")
-        if len(self.cells) != self.width and self.lineno > 1:  # the header is compared whole
-            raise ValueError(f"expected {self.width} fields, got {len(self.cells)}")
+def _conflicted(cells: list[str]) -> str:
+    """A conflict line's expected ``conflicted`` cell: 1 exactly when its dot is
+    negative, or its own cell when a float does not parse."""
+    try:
+        dot, _ = float(cells[8]), float(cells[9])
+    except ValueError:  # compared first, with its own flag: a row of another kind
+        return cells[10]
+    return "1" if dot < 0.0 else "0"
 
-    def expect(self, want: str | None) -> None:
-        """Raise a ValueError naming both unless the current line is want;
-        None wants no line, past the last."""
-        if self.text != want:
-            raise ValueError(f"expected {'end of file' if want is None else repr(want)}, got "
-                             f"{'end of file' if self.text is None else repr(self.text)}")
+
+def _delta(cells: list[str]) -> str:
+    """A rank line's expected delta cell, or its own when a float does not parse."""
+    try:
+        return fmt(float(cells[2]) - float(cells[1]))
+    except ValueError:  # compared first, with its own delta: a line of another kind
+        return cells[3]
 
 
 @contextmanager
-def _read_lines(path: Path, header: list[str]) -> Iterator[_Lines]:
-    """path's lines after its header, which must be header. A ValueError
-    inside the block (a line other than the one expected, a cell that does
-    not parse, text that is not UTF-8) or an overflow becomes a ConfigError
-    naming path:line."""
+def _read_lines(path: Path, header: list[str], accepted: Callable[[], int]
+                ) -> Iterator[Iterator[str]]:
+    """path's lines after its header, which must be header: each as read, its
+    line end kept, then "" past the last, which must follow the lines the
+    block takes. A ValueError inside the block (``_reject``'s, or text that
+    is not UTF-8) or an overflow becomes a ConfigError naming path:line, the
+    line after the accepted() lines the block took, so no reader counts
+    lines as it reads them."""
     # universal newlines: a run writes \r\n line ends, hand-made files may use \n
     with open(path, encoding="utf-8") as fh:
-        lines = _Lines(fh, len(header))
+        lines = chain(fh, repeat(""))
         try:
-            lines.advance()
-            lines.expect(",".join(header))
-            lines.advance()
+            first = next(lines)
+            if first.rstrip("\n") != ",".join(header):  # compared whole, with no field count
+                raise _differs(",".join(header), first.rstrip("\n") if first else None)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:1: {exc}") from None
+        try:
             yield lines
+            if line := next(lines):
+                _reject(line, len(header), lambda cells: None)
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
+            raise ConfigError(f"{path}:{2 + accepted()}: {exc}") from None
 
 
 def _read_steps(path: Path, mode: str, config: ExperimentConfig, metrics: np.ndarray) -> MetricsLog:
     """mode's log of eval metrics and steps.csv: its loss rows as the loss and lr
-    columns, its conflict rows as the one columnar report a run keeps, each
-    line compared with the one a run of config writes there for mode."""
-    num_tasks = config.tasks.num_tasks
+    columns, its conflict rows as the one columnar report a run keeps. Each
+    line is checked in place against the one a run of config writes there
+    for mode: its fixed cells where they stand, its float cells parsed once.
+    Only a line that fails renders the expected one, in ``_reject``."""
+    num_tasks, width = config.tasks.num_tasks, len(STEPS_HEADER)
     scope = conflict_scope(config, mode)
     labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
     middles = conflict_middles(scope, labels, num_tasks) if scope else []
+    tasks = [f",{task}," for task in range(num_tasks)]  # a loss row's cells between step and loss
+    bound, isfinite = 1.0 + COSINE_ROUNDING, math.isfinite
     losses, lrs, dots, cosines = [], [], [], []  # lists of floats
-    with _read_lines(path, STEPS_HEADER) as lines:
+    with _read_lines(path, STEPS_HEADER, lambda: len(losses) + len(dots)) as lines:
         for step in range(config.total_steps()):  # a step's loss rows, then its conflict rows
-            lr_text = lines.cells[3]
-            for task in range(num_tasks):
-                cells = lines.cells
-                lines.expect(loss_row(step, task, cells[2], lr_text))
-                if task == 0:
-                    lrs.append(_finite(lr_text))
-                losses.append(_finite(cells[2]))
-                lines.advance()
-            for middle in middles:
-                cells = lines.cells
-                try:
-                    dot, cosine = float(cells[8]), float(cells[9])
-                    flag = "1" if dot < 0.0 else "0"
-                except ValueError:  # compared first, with its own flag: a row of another kind
-                    dot, cosine, flag = math.nan, math.nan, cells[10]
-                lines.expect(conflict_row(step, middle, cells[8], cells[9], flag))
-                if not (math.isfinite(dot) and abs(cosine) <= 1.0 + COSINE_ROUNDING):
-                    _finite(cells[8]), _finite(cells[9])
-                    raise ValueError(f"cosine {cells[9]} is outside [-1, 1]")
-                dots.append(dot)
-                cosines.append(cosine)
-                lines.advance()
-        lines.expect(None)
+            digits = str(step)
+            start = len(digits)
+            for task, (cell, line) in enumerate(zip(tasks, lines)):
+                text = line.rstrip("\n")
+                try:  # a loss row: step, task, loss, the step's lr (task 0's), 7 empty cells
+                    if text.startswith(digits) and text.startswith(cell, start):
+                        loss_text, lr, rest = text[start + len(cell):].split(",", 2)
+                        if task == 0:
+                            lr_text, lr_value = lr, float(lr)
+                        loss = float(loss_text)
+                        if (lr == lr_text and rest == ",,,,,," and isfinite(lr_value)
+                                and isfinite(loss)):
+                            losses.append(loss)
+                            continue
+                except ValueError:  # a float that does not parse, or too few cells
+                    pass
+                _reject(line, width, lambda cells: loss_row(
+                    step, task, cells[2], cells[3] if task == 0 else lr_text),
+                    (3, 2) if task == 0 else (2,))
+            lrs.append(lr_value)
+            for middle, line in zip(middles, lines):
+                text = line.rstrip("\n")
+                try:  # a conflict row: step, middle, dot, cosine, 1 exactly when dot < 0
+                    if text.startswith(digits) and text.startswith(middle, start):
+                        dot_text, cosine_text, flag = text[start + len(middle):].split(",")
+                        dot, cosine = float(dot_text), float(cosine_text)
+                        if (flag == ("1" if dot < 0.0 else "0") and isfinite(dot)
+                                and abs(cosine) <= bound):
+                            dots.append(dot)
+                            cosines.append(cosine)
+                            continue
+                except ValueError:
+                    pass
+                _reject(line, width, lambda cells: conflict_row(
+                    step, middle, cells[8], cells[9], _conflicted(cells)), (8, 9), cosine=9)
     log = MetricsLog(mode, np.array(losses).reshape(len(lrs), num_tasks), np.array(lrs),
                      metrics=metrics)
     if middles and config.total_steps():
@@ -304,20 +341,27 @@ def _read_steps(path: Path, mode: str, config: ExperimentConfig, metrics: np.nda
 
 
 def _read_evals(path: Path, mode: str, config: ExperimentConfig) -> np.ndarray:
-    """eval.csv's task metrics as an (epochs + 1, T) array, each line compared
-    with the one a run of config writes there for mode."""
+    """eval.csv's task metrics as an (epochs + 1, T) array, each line checked
+    against the one a run of config writes there for mode."""
+    num_tasks, width = config.tasks.num_tasks, len(EVAL_HEADER)
     rows: list[list[float]] = []
-    with _read_lines(path, EVAL_HEADER) as lines:
+    metrics: list[float] = []  # the task metrics of the epoch read
+    with _read_lines(path, EVAL_HEADER, lambda: len(rows) * (num_tasks + 1) + len(metrics)) as lines:
         for epoch in range(config.schedule.epochs + 1):  # an epoch's task rows, then its avg row
-            metrics: list[float] = []
-            for task in range(config.tasks.num_tasks):
-                lines.expect(eval_row(epoch, mode, task, lines.cells[3]))
-                metrics.append(_finite(lines.cells[3]))
-                lines.advance()
-            lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(fmean(metrics))))
-            rows.append(metrics)
-            lines.advance()
-        lines.expect(None)
+            for task, line in zip(range(num_tasks), lines):
+                prefix, text = eval_row(epoch, mode, task, ""), line.rstrip("\n")
+                with suppress(ValueError):  # a metric that does not parse holds a comma too
+                    if text.startswith(prefix) and math.isfinite(metric := float(text[len(prefix):])):
+                        metrics.append(metric)
+                        continue
+                _reject(line, width, lambda cells: eval_row(epoch, mode, task, cells[3]), (3,))
+            line = next(lines)
+            with suppress(OverflowError):  # of the mean, raised again by _reject
+                if line.rstrip("\n") == eval_row(epoch, mode, AVG_TASK, fmt(fmean(metrics))):
+                    rows.append(metrics)
+                    metrics = []
+                    continue
+            _reject(line, width, lambda cells: eval_row(epoch, mode, AVG_TASK, fmt(fmean(metrics))))
     return np.array(rows)
 
 
@@ -332,22 +376,23 @@ def read_metrics(mode_dir: str | Path, mode: str, config: ExperimentConfig) -> M
 
 
 def read_rank_rows(path: str | Path, ranks: list[int]) -> list[RankRow]:
-    """rank_sweep.csv's rows, each line compared with the one the writer renders
-    there for the next of ranks, then end of file."""
+    """rank_sweep.csv's rows, each line checked against the one the writer
+    renders there for the next of ranks, then end of file."""
     rows: list[RankRow] = []
-    with _read_lines(Path(path), RANK_HEADER) as lines:
-        for rank in ranks:
-            cells = lines.cells
-            try:
-                delta = fmt(float(cells[2]) - float(cells[1]))
-            except ValueError:  # compared first, with its own delta: a line of another kind
-                delta = cells[3]
-            lines.expect(rank_row(rank, cells[1], cells[2], delta))
-            joint, ortho = _finite(cells[1]), _finite(cells[2])
-            _finite(cells[3])  # ortho - joint may overflow
-            rows.append(RankRow(rank, joint, ortho, ortho - joint))
-            lines.advance()
-        lines.expect(None)
+    width = len(RANK_HEADER)
+    with _read_lines(Path(path), RANK_HEADER, lambda: len(rows)) as lines:
+        for rank, line in zip(ranks, lines):
+            prefix, text = f"{rank},", line.rstrip("\n")
+            with suppress(ValueError):
+                if text.startswith(prefix):
+                    joint_text, ortho_text, delta_text = text[len(prefix):].split(",")
+                    joint, ortho = float(joint_text), float(ortho_text)
+                    delta = ortho - joint  # finite only when both are
+                    if math.isfinite(delta) and delta_text == fmt(delta):
+                        rows.append(RankRow(rank, joint, ortho, delta))
+                        continue
+            _reject(line, width, lambda cells: rank_row(rank, cells[1], cells[2], _delta(cells)),
+                    (1, 2, 3))
     return rows
 
 

@@ -62,8 +62,8 @@ from .config import (
     VALID_MODES,
     ExperimentConfig,
 )
-from .dense import Rng, same_bits
-from .errors import ParameterError
+from .dense import Rng, all_finite, same_bits
+from .errors import NumericError, ParameterError
 from .model import (
     EvalPool,
     MultiTaskModel,
@@ -200,7 +200,9 @@ class StepWindow:
     its (T, A) adapter rows. After the window's last step, one
     ``window_losses`` call writes the window's rows of the (S, T) losses,
     and one batched V V^T per scope group its slice of grams, with the bits
-    of each step's own ``group_grams``. ``flush`` ends a run's last window.
+    of each step's own ``group_grams``. A loss that is not finite raises a
+    NumericError naming its step and task, one ``all_finite`` per window.
+    ``flush`` ends a run's last window.
     """
 
     def __init__(self, stack: ParamStack, losses: np.ndarray, batch_size: int,
@@ -230,7 +232,10 @@ class StepWindow:
         if not count:
             return
         stop = self.start + count
-        self.losses[self.start:stop] = window_losses(self.saved[:count], self.targets)
+        self.losses[self.start:stop] = losses = window_losses(self.saved[:count], self.targets)
+        if not all_finite(losses):  # what steps.csv would hold, and summarize refuse
+            step, task = np.unravel_index(int(np.argmin(np.isfinite(losses))), losses.shape)
+            raise NumericError(f"non-finite loss at step {self.start + step}, task {task}")
         for g, (v, v_t) in enumerate(self.views):
             np.matmul(v[:count], v_t[:count], out=self.grams[self.start:stop, g])
         self.start, self.targets = stop, []

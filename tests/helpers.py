@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from statistics import fmean
@@ -14,7 +15,7 @@ import numpy as np
 
 from ortho_lora.config import FLAT, JOINT, TasksConfig
 from ortho_lora.dense import Rng
-from ortho_lora.errors import NumericError, ParameterError, ShapeError
+from ortho_lora.errors import ConfigError, NumericError, ParameterError, ShapeError
 from ortho_lora.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -28,13 +29,29 @@ from ortho_lora.model import (
     check_batch,
     eval_metric,
     joint_gradient,
+    scope_labels,
     stack_runs,
     task_loss_and_gradient,
     window_losses,
 )
 from ortho_lora.optim import AdamWState, adamw_step
+from ortho_lora.reporting import (
+    COSINE_ROUNDING,
+    EVAL_HEADER,
+    MISSING,
+    RANK_HEADER,
+    STEPS_HEADER,
+    RankRow,
+    conflict_middles,
+    conflict_row,
+    eval_row,
+    fmt,
+    loss_row,
+    rank_row,
+)
 from ortho_lora.surgery import (
     DEGENERATE_NORM,
+    ConflictReport,
     _coefficients,
     build_conflict_report,
     group_grams,
@@ -49,6 +66,7 @@ from ortho_lora.trainer import (
     STREAM_INIT,
     STREAM_SURGERY,
     EvalRecord,
+    MetricsLog,
     build_task_set,
     conflict_scope,
     run_count,
@@ -436,6 +454,129 @@ def reference_steps_csv(log) -> bytes:
             writer.writerow([step, "", "", "", scope, p.i, p.j, p.block,
                              f"{p.dot:.17g}", f"{p.cosine:.17g}", int(p.conflicted)])
     return out.getvalue().encode("utf-8")
+
+
+class _Lines:
+    """A run file read one line at a time: text and cells are the current
+    line's. Past the last line, text is None and every cell reads MISSING."""
+
+    def __init__(self, fh, width: int) -> None:
+        self._source = iter(fh)
+        self.width = width
+        self.lineno = 0
+
+    def advance(self) -> None:
+        self.lineno += 1
+        line = next(self._source, None)
+        if line is None:
+            self.text, self.cells = None, [MISSING] * self.width
+            return
+        self.text = line.rstrip("\n")
+        self.cells = self.text.split(",")
+        if len(self.cells) != self.width and self.lineno > 1:  # the header is compared whole
+            raise ValueError(f"expected {self.width} fields, got {len(self.cells)}")
+
+    def expect(self, want: str | None) -> None:
+        if self.text != want:
+            raise ValueError(f"expected {'end of file' if want is None else repr(want)}, got "
+                             f"{'end of file' if self.text is None else repr(self.text)}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+@contextmanager
+def _reference_lines(path, header):
+    with open(path, encoding="utf-8") as fh:
+        lines = _Lines(fh, len(header))
+        try:
+            lines.advance()
+            lines.expect(",".join(header))
+            lines.advance()
+            yield lines
+            lines.expect(None)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}:{lines.lineno}: {exc}") from None
+
+
+# ``reporting``'s readers as they were before they checked lines in place:
+# every expected line rendered with the writer's templates and compared with
+# the line read, then each float cell parsed and checked
+
+
+def reference_read_steps(path, mode, config, metrics) -> MetricsLog:
+    num_tasks = config.tasks.num_tasks
+    scope = conflict_scope(config, mode)
+    labels = scope_labels(scope, len(config.model.layer_dims) - 1) if scope else []
+    middles = conflict_middles(scope, labels, num_tasks) if scope else []
+    losses, lrs, dots, cosines = [], [], [], []
+    with _reference_lines(path, STEPS_HEADER) as lines:
+        for step in range(config.total_steps()):
+            lr_text = lines.cells[3]
+            for task in range(num_tasks):
+                cells = lines.cells
+                lines.expect(loss_row(step, task, cells[2], lr_text))
+                if task == 0:
+                    lrs.append(_finite(lr_text))
+                losses.append(_finite(cells[2]))
+                lines.advance()
+            for middle in middles:
+                cells = lines.cells
+                try:
+                    dot, cosine = float(cells[8]), float(cells[9])
+                    flag = "1" if dot < 0.0 else "0"
+                except ValueError:
+                    dot, cosine, flag = math.nan, math.nan, cells[10]
+                lines.expect(conflict_row(step, middle, cells[8], cells[9], flag))
+                if not (math.isfinite(dot) and abs(cosine) <= 1.0 + COSINE_ROUNDING):
+                    _finite(cells[8]), _finite(cells[9])
+                    raise ValueError(f"cosine {cells[9]} is outside [-1, 1]")
+                dots.append(dot)
+                cosines.append(cosine)
+                lines.advance()
+    log = MetricsLog(mode, np.array(losses).reshape(len(lrs), num_tasks), np.array(lrs),
+                     metrics=metrics)
+    if middles and config.total_steps():
+        shape = (config.total_steps(), len(middles) // len(labels), len(labels))
+        log.conflicts.append(ConflictReport(scope, labels, num_tasks, np.array(dots).reshape(shape),
+                                            np.array(cosines).reshape(shape)))
+    return log
+
+
+def reference_read_metrics(mode_dir, mode, config) -> MetricsLog:
+    rows: list[list[float]] = []
+    with _reference_lines(mode_dir / "eval.csv", EVAL_HEADER) as lines:
+        for epoch in range(config.schedule.epochs + 1):
+            metrics: list[float] = []
+            for task in range(config.tasks.num_tasks):
+                lines.expect(eval_row(epoch, mode, task, lines.cells[3]))
+                metrics.append(_finite(lines.cells[3]))
+                lines.advance()
+            lines.expect(eval_row(epoch, mode, AVG_TASK, fmt(fmean(metrics))))
+            rows.append(metrics)
+            lines.advance()
+    return reference_read_steps(mode_dir / "steps.csv", mode, config, np.array(rows))
+
+
+def reference_read_rank_rows(path, ranks) -> list:
+    rows = []
+    with _reference_lines(path, RANK_HEADER) as lines:
+        for rank in ranks:
+            cells = lines.cells
+            try:
+                delta = fmt(float(cells[2]) - float(cells[1]))
+            except ValueError:
+                delta = cells[3]
+            lines.expect(rank_row(rank, cells[1], cells[2], delta))
+            joint, ortho = _finite(cells[1]), _finite(cells[2])
+            _finite(cells[3])
+            rows.append(RankRow(rank, joint, ortho, ortho - joint))
+            lines.advance()
+    return rows
 
 
 def eager_coefficients(gram, order):

@@ -6,6 +6,8 @@ reproduces every byte, on every branch of the rule for which modes write
 conflict rows (``conflict_scope``), and ``summarize`` on a run whose file had
 one line deleted, duplicated or swapped, or one structural cell changed,
 exits 2 naming the file and the first line that differs from the original.
+Whatever one edit does to a run file, the readers return what, or raise the
+ConfigError that, the readers which render every expected line do.
 """
 
 import contextlib
@@ -18,10 +20,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_read_metrics, reference_read_rank_rows
+
 from ortho_lora.cli import run_cli
 from ortho_lora.config import VALID_MODES, config_from_dict, save_config
+from ortho_lora.errors import ConfigError
 from ortho_lora.model import SCOPES
-from ortho_lora.reporting import read_metrics, write_metrics
+from ortho_lora.reporting import fmt, read_metrics, read_rank_rows, write_metrics
 from ortho_lora.trainer import run_experiment
 
 # regression and classification tasks; two adapter layers, so PER_MATRIX
@@ -134,3 +139,105 @@ def test_summarize_names_the_first_line_an_edit_changed(run_dir, data):
             code = run_cli(["summarize", str(edited)])
     assert code == 2
     assert err.getvalue().startswith(f"error: {edited / rel}:{first}: "), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def branch_runs(run_dir, tmp_path_factory):
+    """(config, run directory) of CONFIG and of each of BRANCHES."""
+    return [(CONFIG, run_dir)] + [(config, write_run(config, tmp_path_factory.mktemp("branch")))
+                                  for config in BRANCHES.values()]
+
+
+# a character to insert or to put in another's place: one that a CSV line or
+# a float spells with, a line end, or any other
+CHARACTERS = st.one_of(st.sampled_from(list(",.-+0123456789eEx \r\n")), st.characters(codec="utf-8"))
+# what an edit puts in a cell: a word, non-finite floats, a negative zero and
+# a cosine out of range
+CELLS = ["x", "nan", "inf", "1e999", "-0.0", "-1.5"]
+
+
+def _edit(data, text):
+    """text, a run file as written, with one edit drawn from data."""
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace", "delete line",
+                                      "duplicate line", "swap lines", "cell", "final newline"]))
+    if edit in ("insert", "delete", "replace"):
+        k = data.draw(st.integers(0, len(text) - (edit != "insert")))
+        char = "" if edit == "delete" else data.draw(CHARACTERS)
+        return text[:k] + char + text[k + (edit != "insert"):]
+    if edit == "final newline":
+        return text.removesuffix("\r\n")
+    lines = text.split("\r\n")[:-1]
+    k = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "delete line":
+        del lines[k]
+    elif edit == "duplicate line":
+        lines.insert(k, lines[k])
+    elif edit == "swap lines":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+    else:  # one of the line's non-empty cells
+        cells = lines[k].split(",")
+        column = data.draw(st.sampled_from([c for c, cell in enumerate(cells) if cell]))
+        cells[column] = data.draw(st.sampled_from(CELLS))
+        lines[k] = ",".join(cells)
+    return "".join(f"{line}\r\n" for line in lines)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def check_against_the_rendering_reader(run, mode, config, name, text):
+    """read_metrics on run's mode directory with text for its file name
+    returns the log, or raises the ConfigError, that the rendering reader does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / mode
+        shutil.copytree(run / mode, edited)
+        (edited / name).write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda: read_metrics(edited, mode, config)) == _outcome(
+            lambda: reference_read_metrics(edited, mode, config))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_read_metrics_agrees_with_the_rendering_reader_on_any_one_edit(branch_runs, data):
+    config, run = data.draw(st.sampled_from(branch_runs))
+    mode = data.draw(st.sampled_from(VALID_MODES))
+    name = data.draw(st.sampled_from(["steps.csv", "eval.csv"]))
+    text = (run / mode / name).read_bytes().decode("utf-8")
+    check_against_the_rendering_reader(run, mode, config, name, _edit(data, text))
+
+
+RANKS = [(2, 0.5, 0.25), (4, 0.125, 0.75), (8, 1e308, -1e308)]  # the last delta overflows
+RANK_TEXT = "".join(f"{line}\r\n" for line in ["rank,joint,ortho,delta", *(
+    f"{rank},{joint!r},{ortho!r},{fmt(ortho - joint)}" for rank, joint, ortho in RANKS)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_rank_rows_agrees_with_the_rendering_reader_on_any_one_edit(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("sweep") / "rank_sweep.csv"
+    path.write_bytes(_edit(data, RANK_TEXT).encode("utf-8"))
+    ranks = [rank for rank, _, _ in RANKS]
+
+    def cells(read):
+        rows = _outcome(lambda: read(path, ranks))
+        return rows if isinstance(rows, str) else [
+            (r.rank, r.joint.hex(), r.ortho.hex(), r.delta.hex()) for r in rows]
+
+    assert cells(read_rank_rows) == cells(reference_read_rank_rows)
+
+
+@pytest.mark.parametrize("value", CELLS)
+@pytest.mark.parametrize("column", [2, 3, 8, 9], ids=["loss", "lr", "dot", "cosine"])
+def test_read_metrics_agrees_with_the_rendering_reader_on_each_float_cell(run_dir, column, value):
+    """The last line with the column filled, in JOINT's steps.csv, has it set to value."""
+    lines = (run_dir / "JOINT" / "steps.csv").read_bytes().decode("utf-8").split("\r\n")
+    k = max(n for n, line in enumerate(lines[1:-1], 1) if line.split(",")[column])
+    cells = lines[k].split(",")
+    cells[column] = value
+    lines[k] = ",".join(cells)
+    check_against_the_rendering_reader(run_dir, "JOINT", CONFIG, "steps.csv", "\r\n".join(lines))

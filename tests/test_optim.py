@@ -87,18 +87,34 @@ class TestAdamwStep:
         for now, then in zip((params, state.m, state.v), before):
             assert np.array_equal(now, then)
 
-    @pytest.mark.parametrize("magnitude", [1e154, 1e200])
-    def test_a_finite_gradient_whose_sum_of_squares_overflows_takes_the_step(self, magnitude):
-        # the guard's sum of squares is inf, and its full scan finds every
-        # entry finite; at 1e200 AdamW's own v = grad * grad overflows as well
+    def test_a_finite_gradient_whose_sum_of_squares_overflows_takes_the_step(self):
+        # the guard's sum of squares is inf, and its full scans find every
+        # entry and every square finite: v stays finite, and Adam's first
+        # step moves each entry by lr
         params = np.stack([_params(40 + t) for t in range(3)])
         before = params.copy()
         state = AdamWState()
-        with np.errstate(over="ignore"):
-            adamw_step(params, np.full_like(params, magnitude), state, lr=0.01)
-        assert state.step == 1 and np.isfinite(params).all()
-        if magnitude == 1e154:  # v stays finite: Adam's first step moves each entry by lr
-            np.testing.assert_allclose(before - params, 0.01, rtol=1e-12)
+        adamw_step(params, np.full_like(params, 1e154), state, lr=0.01)
+        assert state.step == 1
+        np.testing.assert_allclose(before - params, 0.01, rtol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stack"])
+    def test_an_entry_whose_square_overflows_is_named_with_no_numpy_warning(self, stacked):
+        # v += (1 - beta2) * grad * grad would hold inf there, and its update
+        # would silently be 0; the first such entry in row-major order is named
+        params = np.stack([_params(50 + t) for t in range(3)]) if stacked else _params(50)
+        state = AdamWState()
+        adamw_step(params, np.ones_like(params), state, lr=0.01)
+        before = (params.copy(), state.m.copy(), state.v.copy())
+        update = np.full_like(params, 1e150)
+        row = update[1] if stacked else update
+        row[5], row[9], update.reshape(-1)[-1] = -1e155, 1e300, 1e200
+        with pytest.raises(NumericError, match="too large to square at " + (
+                "row 1, column 5$" if stacked else "flat index 5$")):
+            adamw_step(params, update, state, lr=0.01)
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            assert np.array_equal(now, then)
 
     def test_moment_shapes_track_params(self):
         params = _params(7)

@@ -1,4 +1,5 @@
-"""``tools/output_gate.py``'s reports under a differing summary or CSV."""
+"""``tools/output_gate.py``'s reports under a differing summary or CSV, and the
+damaged copies whose summarize verdicts it compares."""
 
 import importlib
 import math
@@ -65,3 +66,41 @@ def test_summary_difference_names_the_exit_codes_and_the_first_line(gate):
     assert gate.summary_difference((0, "a\nb\n"), (1, "a\nc\n")) == [
         "exit code: parent 0, this 1", "line 2 parent: 'b\\n'", "line 2 this:   'c\\n'"]
     assert gate.summary_difference(None, (0, "")) == ["only the this tree printed it"]
+
+
+STEPS = ["step,task,loss,lr,scope,pair_i,pair_j,block,dot,cosine,conflicted",
+         "0,0,0.5,0.01,,,,,,,", "0,1,0.25,0.01,,,,,,,",
+         "0,,,,PER_MATRIX,0,1,L0.A,0.5,0.5,0", "0,,,,PER_MATRIX,0,1,L0.B,-0.5,-0.5,1",
+         "1,0,0.5,0.005,,,,,,,", "1,1,0.25,0.005,,,,,,,",
+         "1,,,,PER_MATRIX,0,1,L0.A,-0.5,-0.5,1", "1,,,,PER_MATRIX,0,1,L0.B,0.5,0.5,0"]
+
+
+def _text(lines):
+    return "".join(f"{line}\r\n" for line in lines)
+
+
+def test_damage_edits_the_middle_conflict_and_loss_lines_and_the_end(gate):
+    # the conflict lines are 3, 4, 7 and 8 (0-based), the middle one 7; the
+    # loss lines 1, 2, 5 and 6, the middle one 5
+    text = _text(STEPS)
+    cut = len(_text(STEPS[:7])) + len(STEPS[7]) // 2
+    assert gate.damage(text) == {
+        "conflict-line-deleted": _text(STEPS[:7] + STEPS[8:]),
+        "conflicted-flipped": _text([*STEPS[:7], "1,,,,PER_MATRIX,0,1,L0.A,-0.5,-0.5,0", STEPS[8]]),
+        "loss-x": _text([*STEPS[:5], "1,0,x,0.005,,,,,,,", *STEPS[6:]]),
+        "cosine-1.5": _text([*STEPS[:7], "1,,,,PER_MATRIX,0,1,L0.A,-0.5,1.5,1", STEPS[8]]),
+        "cut-mid-line": text[:cut],
+        "last-line-repeated": _text([*STEPS, STEPS[-1]]),
+    }
+    assert text[:cut].endswith("\r\n1,,,,PER_MATRIX,0,")
+
+
+def test_without_root_marks_the_temporary_root_in_each_verdict(gate):
+    root = Path("/tmp/output_gate_x/damaged_this")
+    verdicts = {"default.loss-x": (2, f"error: {root}/default.loss-x/ORTHO_STRUCTURED/steps.csv:9: "
+                                      f"could not convert string to float: 'x'\n"),
+                "default.cut-mid-line": (0, "")}
+    assert gate.without_root(verdicts, root) == {
+        "default.loss-x": (2, "error: <root>/default.loss-x/ORTHO_STRUCTURED/steps.csv:9: "
+                              "could not convert string to float: 'x'\n"),
+        "default.cut-mid-line": (0, "")}

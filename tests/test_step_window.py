@@ -2,6 +2,8 @@
 once per window over the buffers its steps left, against each step's own
 computation and against the per-step reference run, bit for bit."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from helpers import (
 from ortho_lora import trainer
 from ortho_lora.config import JOINT, VALID_MODES, config_from_dict
 from ortho_lora.dense import same_bits
+from ortho_lora.errors import NumericError
 from ortho_lora.model import (
     CLASSIFICATION,
     FLAT,
@@ -140,3 +143,22 @@ def test_a_run_whose_windows_end_mid_epoch_equals_the_reference_loop(mode, monke
     assert log.conflicts == ([] if report is None else [report])
     assert log.metrics.tobytes() == np.array(metrics).tobytes()
     assert np.array([m.params for m in models]).tobytes() == matrix.tobytes()
+
+
+def test_a_window_names_the_first_step_and_task_whose_loss_is_not_finite():
+    # a 1e200 residual's square overflows the loss to inf, with no numpy
+    # warning; flush raises before the window's losses reach a log
+    model = random_model(0, kinds=[REGRESSION] * 3)
+    stack, n, rng = stack_runs(model, 1), 4, generator(5)
+    losses = np.zeros((4, 3))
+    window = StepWindow(stack, losses, n)
+    targets = stack_views([REGRESSION] * 3, [TaskView(t, np.zeros((1, n)), np.zeros((3, n)))
+                                             for t in range(3)]).targets
+    for s in range(3):
+        out = rng.standard_normal((3, model.out_dim, n))
+        if s == 2:
+            out[1, 0, 0], out[2, 1, 1] = 1e200, np.inf
+        window.keep(SimpleNamespace(out=out), SimpleNamespace(targets=targets))
+    with pytest.raises(NumericError, match="^non-finite loss at step 2, task 1$"):
+        window.flush()
+    assert not losses[3].any()

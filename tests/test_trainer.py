@@ -510,3 +510,20 @@ def test_an_overflow_raises_numeric_error_with_no_numpy_warning(lr_base, schedul
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{message}$"):
             run_mode(config, mode)
+
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+@pytest.mark.parametrize("lr_base, message", [
+    # a gradient entry past 1.34e154, whose square AdamW's v would hold as inf
+    (3e153, r"gradient entry too large to square at row \d+, column \d+"),
+    # the second step's loss overflows: no loss that summarize refuses reaches the log
+    (1e153, "non-finite loss at step 1, task 0"),
+], ids=["adamw square", "step loss"])
+def test_an_overflow_in_the_first_epoch_raises_numeric_error_with_no_numpy_warning(
+        lr_base, message, mode):
+    # configs/default.json at a huge lr_base, for one epoch
+    config = default_config(optimizer={"lr_base": lr_base}, schedule={"epochs": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            run_mode(config, mode)

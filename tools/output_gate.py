@@ -13,12 +13,19 @@ ranks 2 and 4 and two seeds on the sweep config (two, so that a seed's run
 on another seed's task set shows as a byte difference); the two
 ``rank_sweep.csv`` files are compared with ``cmp``, and the sweep directory is summarized and
 compared like a run directory. A parent older than ``summarize`` on sweep
-directories exits 2 there, so it fails the gate. Exits 0 when
-every file and every summary is identical, 1 after listing the files or
-summaries that differ or that only one tree wrote, and 2 on a usage error
-or a revision git cannot export. Under each differing summary it prints
-the two exit codes if they differ and the first stdout line that differs,
-as each tree printed it. Under each differing CSV it prints the first line
+directories exits 2 there, so it fails the gate. Each tree also runs
+``ortho-lora summarize`` on damaged copies of its ``default`` and
+``many-tasks`` run directories: one copy per edit of ``damage``, each a
+fixed change to ORTHO_STRUCTURED's steps.csv (a conflict line deleted, a
+conflicted flag flipped, a loss cell set to x, a cosine set to 1.5, the
+file cut mid-line, its last line repeated). The two trees' exit codes and
+stderr, each tree's temporary root replaced by ``<root>``, are compared
+like summaries. Exits 0 when every file, every summary and every
+damaged-copy verdict is identical, 1 after listing the files, summaries
+or verdicts that differ or that only one tree wrote, and 2 on a usage
+error or a revision git cannot export. Under each differing summary or
+verdict it prints the two exit codes if they differ and the first line of
+output that differs, as each tree printed it. Under each differing CSV it prints the first line
 that differs, as each tree wrote it, and, when the two files have the same
 rows (the same cells wherever a cell is not a number), the largest relative
 difference over their number cells and where it is (``csv_difference``).
@@ -65,6 +72,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -77,6 +85,9 @@ ALL_MODES = ["SINGLE_TASK", "JOINT", "ORTHO_FLAT", "ORTHO_STRUCTURED"]
 SWEEP_RANKS = ["2", "4"]
 SWEEP_SEEDS = "2"
 RANK_FILE = Path("sweep-rank") / "rank_sweep.csv"
+DAMAGED_RUNS = ["default", "many-tasks"]
+DAMAGED_FILE = Path("ORTHO_STRUCTURED") / "steps.csv"
+ROOT_MARK = "<root>"
 
 
 def gate_configs(default: dict) -> dict[str, dict]:
@@ -159,15 +170,65 @@ def sweep(src: Path, config: Path, out: Path) -> None:
                    stdout=subprocess.DEVNULL).check_returncode()
 
 
-def summarize_all(src: Path, run_dirs: list[Path]) -> dict[str, tuple[int, str]]:
-    """(exit code, stdout) of ``ortho-lora summarize`` per run directory, by name."""
+def summarize_all(src: Path, run_dirs: list[Path], stream: str = "stdout"
+                  ) -> dict[str, tuple[int, str]]:
+    """(exit code, stdout, or stderr) of ``ortho-lora summarize`` per run directory, by name."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = {}
     for run_dir in run_dirs:
         done = run_in_session([sys.executable, "-m", "ortho_lora.cli", "summarize", str(run_dir)],
                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        out[run_dir.name] = (done.returncode, done.stdout)
+        out[run_dir.name] = (done.returncode, getattr(done, stream))
     return out
+
+
+def damage(text: str) -> dict[str, str]:
+    """Damaged copies of a steps.csv's text, \\r\\n line ends, by edit name:
+    each one fixed edit at the middle conflict or loss line (a conflict line
+    leaves the task cell empty), or at the file's end."""
+    lines = text.split("\r\n")[:-1]
+    rows = [line.split(",") for line in lines]
+
+    def middle(conflict: bool) -> int:
+        found = [k for k in range(1, len(rows)) if (rows[k][1] == "") == conflict]
+        return found[len(found) // 2]
+
+    def with_cell(k: int, column: int, value: str) -> str:
+        cells = [*rows[k][:column], value, *rows[k][column + 1:]]
+        return "".join(f"{line}\r\n" for line in [*lines[:k], ",".join(cells), *lines[k + 1:]])
+
+    conflict, loss = middle(True), middle(False)
+    return {
+        "conflict-line-deleted": "".join(f"{line}\r\n" for k, line in enumerate(lines)
+                                         if k != conflict),
+        "conflicted-flipped": with_cell(conflict, 10, "1" if rows[conflict][10] == "0" else "0"),
+        "loss-x": with_cell(loss, 2, "x"),
+        "cosine-1.5": with_cell(conflict, 9, "1.5"),
+        "cut-mid-line": text[:sum(len(line) + 2 for line in lines[:conflict])
+                             + len(lines[conflict]) // 2],
+        "last-line-repeated": f"{text}{lines[-1]}\r\n",
+    }
+
+
+def summarize_damaged(src: Path, runs: Path, root: Path) -> dict[str, tuple[int, str]]:
+    """(exit code, stderr) of ``ortho-lora summarize`` on every damaged copy,
+    made under root, of runs' DAMAGED_RUNS, by copy name, with root's path
+    replaced by ROOT_MARK."""
+    copies = []
+    for name in DAMAGED_RUNS:
+        text = (runs / name / DAMAGED_FILE).read_bytes().decode("utf-8")
+        for edit, damaged in damage(text).items():
+            copy = root / f"{name}.{edit}"
+            shutil.copytree(runs / name, copy)
+            (copy / DAMAGED_FILE).write_bytes(damaged.encode("utf-8"))
+            copies.append(copy)
+    return without_root(summarize_all(src, copies, "stderr"), root)
+
+
+def without_root(outputs: dict[str, tuple[int, str]], root: Path) -> dict[str, tuple[int, str]]:
+    """outputs with root's path replaced by ROOT_MARK in each text."""
+    return {name: (code, text.replace(str(root), ROOT_MARK))
+            for name, (code, text) in outputs.items()}
 
 
 def first_line_difference(parent: str, this: str, end: str) -> list[str]:
@@ -254,7 +315,7 @@ def main(argv: list[str]) -> int:
             (configs / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")
         sweep_cfg = tmp / "sweep-rank.json"
         sweep_cfg.write_text(json.dumps(sweep_config(default)), encoding="utf-8")
-        runs, sweeps, summaries = {}, {}, {}
+        runs, sweeps, summaries, verdicts = {}, {}, {}, {}
         for label, src in (("parent", tmp / "parent" / "src"), ("this", ROOT / "src")):
             runs[label] = tmp / f"runs_{label}"
             run_all(src, configs, runs[label])
@@ -262,6 +323,7 @@ def main(argv: list[str]) -> int:
             sweep(src, sweep_cfg, sweeps[label] / RANK_FILE.parent)
             run_dirs = sorted(p for p in runs[label].iterdir() if p.is_dir())
             summaries[label] = summarize_all(src, [*run_dirs, sweeps[label] / RANK_FILE.parent])
+            verdicts[label] = summarize_damaged(src, runs[label], tmp / f"damaged_{label}")
         files = {label: {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
                  for label, run in runs.items()}
         differ = sorted(files["parent"] ^ files["this"])
@@ -279,22 +341,28 @@ def main(argv: list[str]) -> int:
     run_names = sorted(summaries["parent"].keys() | summaries["this"].keys())
     summaries_differ = [name for name in run_names
                         if summaries["parent"].get(name) != summaries["this"].get(name)]
-    if differ or summaries_differ:
-        print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files and "
-              f"{len(summaries_differ)} of {len(run_names)} summaries differ")
+    copy_names = sorted(verdicts["parent"].keys() | verdicts["this"].keys())
+    verdicts_differ = [name for name in copy_names
+                       if verdicts["parent"].get(name) != verdicts["this"].get(name)]
+    if differ or summaries_differ or verdicts_differ:
+        print(f"output gate FAILED against {argv[0]}: {len(differ)} of {compared} files, "
+              f"{len(summaries_differ)} of {len(run_names)} summaries and "
+              f"{len(verdicts_differ)} of {len(copy_names)} damaged-copy verdicts differ")
         for rel in sorted(differ):
             print(f"  {rel}")
             for note in notes.get(rel, []):
                 print(f"    {note}")
-        for name in summaries_differ:
-            print(f"  summarize {name}")
-            for note in summary_difference(summaries["parent"].get(name),
-                                           summaries["this"].get(name)):
-                print(f"    {note}")
+        for kind, names, outputs in (("summarize", summaries_differ, summaries),
+                                     ("summarize damaged", verdicts_differ, verdicts)):
+            for name in names:
+                print(f"  {kind} {name}")
+                for note in summary_difference(outputs["parent"].get(name),
+                                               outputs["this"].get(name)):
+                    print(f"    {note}")
         return 1
-    print(f"output gate passed against {argv[0]}: all {compared} files byte-identical and "
-          f"all {len(run_names)} summarize outputs identical on {len(gate_configs(default))} configs "
-          f"and one rank sweep")
+    print(f"output gate passed against {argv[0]}: all {compared} files byte-identical, "
+          f"all {len(run_names)} summarize outputs and all {len(copy_names)} damaged-copy "
+          f"verdicts identical on {len(gate_configs(default))} configs and one rank sweep")
     return 0
 
 
